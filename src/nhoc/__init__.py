@@ -12,8 +12,7 @@ from .dynamics import (StateQY, Trajectory, controlled_field,
                        dalembert_oracle_field, drift_acceleration,
                        nonholonomic_field, simulate)
 from .hamiltonian import (HamiltonianSystem, PhasePoint, RegularityReport,
-                          build_hamiltonian, hamiltonian_eval,
-                          hamiltonian_field, integrate_hamiltonian,
+                          build_hamiltonian, integrate_hamiltonian,
                           integrate_step, inverse_legendre, legendre_map,
                           regularity_matrix, symplecticity_defect)
 from .models import (load_model_config, make_builtin, make_chaplygin,
@@ -37,9 +36,8 @@ __all__ = [
     "integrate_extremal", "lift_cost", "necessary_conditions_field",
     "quadratic_cost", "recover_controls", "underactuated_field",
     "HamiltonianSystem", "PhasePoint", "RegularityReport", "build_hamiltonian",
-    "hamiltonian_eval", "hamiltonian_field", "integrate_hamiltonian",
-    "integrate_step", "inverse_legendre", "legendre_map", "regularity_matrix",
-    "symplecticity_defect",
+    "integrate_hamiltonian", "integrate_step", "inverse_legendre", "legendre_map",
+    "regularity_matrix", "symplecticity_defect",
     "NewtonOptions", "ShootingProblem", "ShootingResult", "extremal_trajectory",
     "shooting_residual", "solve_bvp", "trajectory_cost",
     "load_model_config", "make_builtin", "make_chaplygin",

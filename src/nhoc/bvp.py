@@ -9,6 +9,7 @@ from .dynamics import Trajectory
 from .errors import (DimensionMismatch, NewtonDivergence, NonFiniteState,
                      SingularJacobian)
 from .hamiltonian import PhasePoint, inverse_legendre, integrate_hamiltonian
+from .numerics import fd_jacobian, step_count
 from .optimal_control import recover_controls
 
 
@@ -59,12 +60,7 @@ class ShootingProblem:
             if arr.shape != (expected,):
                 raise DimensionMismatch(f"{name} must have length {expected}")
             object.__setattr__(self, name, arr)
-        horizon = prob.horizon
-        if self.dt <= 0:
-            raise DimensionMismatch("need dt > 0")
-        n_steps = round(horizon / self.dt)
-        if n_steps < 1 or abs(n_steps * self.dt - horizon) > 1e-9 * max(1.0, horizon):
-            raise DimensionMismatch("dt must divide the horizon within rounding")
+        step_count(prob.horizon, self.dt)
 
     @property
     def horizon(self):
@@ -154,11 +150,7 @@ def solve_bvp(sp, p0_guess=None):
             raise NewtonDivergence(
                 f"shooting Newton did not converge in {opts.max_iterations} iterations",
                 best=best_p0, residual_norm=best_norm)
-        jac = np.empty((res.size, p0.size))
-        for i in range(p0.size):
-            dp = np.zeros_like(p0)
-            dp[i] = opts.fd_step
-            jac[:, i] = (shooting_residual(sp, p0 + dp) - res) / opts.fd_step
+        jac = fd_jacobian(lambda p: shooting_residual(sp, p), p0, step=opts.fd_step, f0=res)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:

@@ -8,9 +8,7 @@ import numpy as np
 from .algebroid import grad_potential
 from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteState,
                      SingularMetric)
-from .numerics import rk4_step
-
-BLOWUP_LIMIT = 1e12
+from .numerics import check_finite, rk4_step, step_count
 
 
 @dataclass(frozen=True)
@@ -119,21 +117,16 @@ def dalembert_oracle_field(model, spec, xi):
     return np.linalg.solve(gram, d @ inertia @ xidot)
 
 
-def _check_finite(z):
-    if not np.all(np.isfinite(z)) or np.abs(z).max() > BLOWUP_LIMIT:
-        raise NonFiniteState("state exceeded the finite range during integration")
-
-
 def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
     """Integrate the free or controlled flow with a fixed step.
 
     ``u`` is a callable t -> control vector (requires ``controls``); without
     it the free nonholonomic field is integrated.  Returned samples satisfy
     the admissibility equation qdot = rho_D y by construction, and carry the
-    energy diagnostic ell = (1/2) G^D(y, y) + V(q) per instant.
+    energy diagnostic ell = (1/2) G^D(y, y) + V(q) per instant.  Raises
+    DimensionMismatch unless dt divides t_final.
     """
-    if dt <= 0 or t_final <= 0:
-        raise DimensionMismatch("need dt > 0 and t_final > 0")
+    n_steps = step_count(t_final, dt)
     if integrator not in ("rk4", "symp_euler"):
         raise DimensionMismatch(f"unknown integrator {integrator!r}")
     if (u is None) != (controls is None):
@@ -150,7 +143,6 @@ def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
             qdot, ydot = controlled_field(system, controls, s, u(t))
         return np.concatenate([qdot, ydot])
 
-    n_steps = int(round(t_final / dt))
     times = np.empty(n_steps + 1)
     zs = np.empty((n_steps + 1, nq + ny))
     us = np.empty((n_steps + 1, controls.k)) if u is not None else None
@@ -175,7 +167,7 @@ def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
             y_next = s.y + dt * ydot
             q_next = s.q + dt * (system.anchor_d(s.q).T @ y_next)
             z = np.concatenate([q_next, y_next])
-        _check_finite(z)
+        check_finite(z)
 
     energies = np.array([system.energy(zs[k, :nq], zs[k, nq:]) for k in range(n_steps + 1)])
     return Trajectory(times=times, qs=zs[:, :nq].copy(), ys=zs[:, nq:].copy(),

@@ -1,10 +1,10 @@
 """Hamiltonian form of the necessary conditions on T*D and one-step integrators.
 
 Phase coordinates are ordered (q, y, p_q, p_y); (q, y) are positions and
-(p_q, p_y) momenta for the canonical symplectic structure.  For quadratic
-costs the Hamiltonian and its partials are closed-form; otherwise the
-Legendre inversion is a damped Newton solve and partials are central finite
-differences of the Hamiltonian value.
+(p_q, p_y) momenta for the canonical symplectic structure.  One Legendre
+inversion per phase point gives the optimal control u, closed-form for
+quadratic costs and a damped Newton solve otherwise; the Hamiltonian value
+and its partials both follow from that u in closed form.
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,8 @@ import numpy as np
 
 from .dynamics import drift_acceleration
 from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
-                     NonFiniteState, SingularHessian)
-from .numerics import FD_STEP, fd_jacobian, rk4_step
+                     SingularHessian)
+from .numerics import check_finite, fd_jacobian, rk4_step, step_count
 from .optimal_control import ExtremalState, drift_jacobians, recover_controls
 
 SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
@@ -93,62 +93,71 @@ def legendre_map(problem, state):
     return PhasePoint(q=q, y=y, p_q=state.lam, p_y=p_y)
 
 
-def inverse_legendre(problem, phase):
-    """Acceleration and multipliers from momenta (closed form or Newton).
+def _optimal_control(problem, q, y, p_y):
+    """Control u solving C_u(q, y, u) = B^T p_y.
 
-    Quadratic costs invert exactly: u = W^{-1} B^T p_y.  Otherwise solves
-    Cu(q, y, u) = B^T p_y by damped Newton (tol 1e-12, max 50 iterations),
-    raising NewtonDivergence on failure.
+    Quadratic costs invert exactly: u = W^{-1} B^T p_y.  Otherwise damped
+    Newton from u = B^T p_y (tol 1e-12, max 50 iterations), raising
+    NewtonDivergence on failure.
     """
     cost, ctrl = problem.cost, problem.controls
-    bmat = ctrl.input_matrix
-    q, y, p_y = phase.q, phase.y, phase.p_y
-    target = p_y if ctrl._identity else bmat.T @ p_y
+    target = p_y if ctrl._identity else ctrl.input_matrix.T @ p_y
     if cost.quadratic:
         if cost.weight_identity:
-            u = target
-        else:
-            try:
-                u = np.linalg.solve(cost.weight, target)
-            except np.linalg.LinAlgError as exc:
-                raise SingularHessian("quadratic cost weight is singular") from exc
-    else:
-        u = target.copy()
-        res = cost.du(q, y, u) - target
-        for _ in range(50):
-            if np.abs(res).max() <= 1e-12:
+            return target
+        try:
+            return np.linalg.solve(cost.weight, target)
+        except np.linalg.LinAlgError as exc:
+            raise SingularHessian("quadratic cost weight is singular") from exc
+    u = target.copy()
+    res = cost.du(q, y, u) - target
+    for _ in range(50):
+        if np.abs(res).max() <= 1e-12:
+            return u
+        try:
+            step = -np.linalg.solve(cost.d2uu(q, y, u), res)
+        except np.linalg.LinAlgError as exc:
+            raise SingularHessian("cost Hessian is singular in Legendre inversion") from exc
+        scale = 1.0
+        for _ in range(20):
+            trial = u + scale * step
+            trial_res = cost.du(q, y, trial) - target
+            if np.linalg.norm(trial_res) < np.linalg.norm(res):
+                u, res = trial, trial_res
                 break
-            try:
-                step = -np.linalg.solve(cost.d2uu(q, y, u), res)
-            except np.linalg.LinAlgError as exc:
-                raise SingularHessian("cost Hessian is singular in Legendre inversion") from exc
-            scale = 1.0
-            for _ in range(20):
-                trial = u + scale * step
-                trial_res = cost.du(q, y, trial) - target
-                if np.linalg.norm(trial_res) < np.linalg.norm(res):
-                    u, res = trial, trial_res
-                    break
-                scale *= 0.5
-            else:
-                # finite-difference gradients bottom out around 1e-10; a
-                # stalled iterate inside the roundtrip contract is accepted
-                if np.abs(res).max() < 1e-10:
-                    break
-                raise NewtonDivergence("Legendre inversion stalled", best=u,
-                                       residual_norm=float(np.linalg.norm(res)))
+            scale *= 0.5
         else:
-            raise NewtonDivergence("Legendre inversion did not converge", best=u,
+            # finite-difference gradients bottom out around 1e-10; a
+            # stalled iterate inside the roundtrip contract is accepted
+            if np.abs(res).max() < 1e-10:
+                return u
+            raise NewtonDivergence("Legendre inversion stalled", best=u,
                                    residual_norm=float(np.linalg.norm(res)))
-    bu = u if ctrl._identity else bmat @ u
-    v = bu - drift_acceleration(problem.system, q, y)
+    raise NewtonDivergence("Legendre inversion did not converge", best=u,
+                           residual_norm=float(np.linalg.norm(res)))
+
+
+def _actuation(problem, u):
+    ctrl = problem.controls
+    return u if ctrl._identity else ctrl.input_matrix @ u
+
+
+def inverse_legendre(problem, phase):
+    """Acceleration and multipliers from momenta: v = B u - drift, lambda = p_q,
+    with u from the Legendre inversion C_u = B^T p_y."""
+    q, y = phase.q, phase.y
+    u = _optimal_control(problem, q, y, phase.p_y)
+    v = _actuation(problem, u) - drift_acceleration(problem.system, q, y)
     return ExtremalState(q=q, y=y, v=v, lam=phase.p_q)
 
 
 class HamiltonianSystem:
     """Hamiltonian H(q, y, p_q, p_y) of the optimal control problem.
 
-    H = p_A ydot^A(q, y, p) + p_i rho^i_A y^A - L(q, y, ydot(q, y, p)).
+    H = p_y (B u - delta) + p_q rho^T y - C(q, y, u), with delta the drift
+    and u solving C_u = B^T p_y.  By the envelope theorem its partials follow
+    from that one inversion, for every cost: the drift and anchor terms plus
+    -C_q and -C_y at the optimal u, which vanish for quadratic costs.
     """
 
     def __init__(self, problem):
@@ -158,61 +167,36 @@ class HamiltonianSystem:
         self.system = problem.system
         self.dim_q = problem.dim_q
         self.rank_d = problem.rank_d
-        self.quadratic = problem.cost.quadratic
-        self._mb = None  # B W^{-1} B^T for the quadratic closed form
-        self._mb_identity = False
-
-    def _quad_mb(self):
-        if self._mb is None:
-            bmat = self.problem.controls.input_matrix
-            try:
-                self._mb = bmat @ np.linalg.solve(self.problem.cost.weight, bmat.T)
-            except np.linalg.LinAlgError as exc:
-                raise SingularHessian("quadratic cost weight is singular") from exc
-            self._mb_identity = bool(np.array_equal(self._mb, np.eye(self.rank_d)))
-        return self._mb
 
     def value(self, phase):
         q, y, p_q, p_y = phase.q, phase.y, phase.p_q, phase.p_y
-        if self.quadratic:
-            geo = self.system.geometry(q)
-            rho_y = geo["anchor_d"].T @ y
-            mb = self._quad_mb()
-            mb_p = p_y if self._mb_identity else mb @ p_y
-            delta = drift_acceleration(self.system, q, y, geo)
-            return float(0.5 * p_y @ mb_p - p_y @ delta + p_q @ rho_y)
-        rho_y = self.system.anchor_d(q).T @ y
-        state = inverse_legendre(self.problem, phase)
-        u = recover_controls(self.problem, q, y, state.v)
-        return float(p_y @ state.v + p_q @ rho_y - self.problem.cost.value(q, y, u))
+        geo = self.system.geometry(q)
+        u = _optimal_control(self.problem, q, y, p_y)
+        ydot = _actuation(self.problem, u) - drift_acceleration(self.system, q, y, geo)
+        return float(p_y @ ydot + p_q @ (geo["anchor_d"].T @ y)
+                     - self.problem.cost.value(q, y, u))
 
     def partials(self, phase):
-        """(dH/dq, dH/dy, dH/dp_q, dH/dp_y): closed form or central FD."""
+        """(dH/dq, dH/dy, dH/dp_q, dH/dp_y) in closed form."""
         q, y, p_q, p_y = phase.q, phase.y, phase.p_q, phase.p_y
-        if self.quadratic:
-            geo = self.system.geometry(q)
-            mb = self._quad_mb()
-            delta = drift_acceleration(self.system, q, y, geo)
-            ddq, ddy = drift_jacobians(self.system, q, y, geo)
-            anchor = geo["anchor_d"]
-            d_pq = anchor.T @ y
-            d_py = (p_y if self._mb_identity else mb @ p_y) - delta
-            d_y = -ddy.T @ p_y + anchor @ p_q
-            if self.dim_q > 0:
-                d_q = -ddq.T @ p_y + np.einsum("iAj,j,A->i",
-                                               self.system.anchor_d_dq(q), p_q, y)
-            else:
-                d_q = np.zeros(0)
-            return d_q, d_y, d_pq, d_py
-        z0 = phase.flat()
-        grad = np.empty(z0.size)
-        for i in range(z0.size):
-            dz = np.zeros_like(z0)
-            dz[i] = FD_STEP
-            grad[i] = (self.value(self.unflatten(z0 + dz))
-                       - self.value(self.unflatten(z0 - dz))) / (2.0 * FD_STEP)
-        n, m = self.dim_q, self.rank_d
-        return (grad[:n], grad[n:n + m], grad[n + m:2 * n + m], grad[2 * n + m:])
+        cost = self.problem.cost
+        geo = self.system.geometry(q)
+        u = _optimal_control(self.problem, q, y, p_y)
+        delta = drift_acceleration(self.system, q, y, geo)
+        ddq, ddy = drift_jacobians(self.system, q, y, geo)
+        anchor = geo["anchor_d"]
+        d_pq = anchor.T @ y
+        d_py = _actuation(self.problem, u) - delta
+        d_y = -ddy.T @ p_y + anchor @ p_q
+        if self.dim_q > 0:
+            d_q = -ddq.T @ p_y + np.einsum("iAj,j,A->i",
+                                           self.system.anchor_d_dq(q), p_q, y)
+        else:
+            d_q = np.zeros(0)
+        if not cost.quadratic:
+            d_q = d_q - cost.dq(q, y, u)
+            d_y = d_y - cost.dy(q, y, u)
+        return d_q, d_y, d_pq, d_py
 
     def field(self, phase):
         """Canonical Hamiltonian vector field as a PhasePoint of derivatives."""
@@ -230,16 +214,6 @@ class HamiltonianSystem:
 def build_hamiltonian(problem):
     """Hamiltonian system of a fully actuated problem on T*D."""
     return HamiltonianSystem(problem)
-
-
-def hamiltonian_eval(hs, phase):
-    """Value of the Hamiltonian at a phase point."""
-    return hs.value(phase)
-
-
-def hamiltonian_field(hs, phase):
-    """Hamilton's equations: (qdot, ydot, pdot_q, pdot_y)."""
-    return hs.field(phase)
 
 
 def _fixed_point(gfun, z0, tol=1e-12, max_iter=100):
@@ -321,11 +295,10 @@ def integrate_hamiltonian(hs, phase0, t_final, dt, scheme="stormer_verlet"):
     """Fixed-step integration of Hamilton's equations; returns (times, phases).
 
     ``phases`` is an (n_steps + 1, 2(dim_q + rank_d)) array of flattened
-    phase points.
+    phase points.  Raises DimensionMismatch unless dt divides t_final, and
+    NonFiniteState when the phase point leaves the finite range.
     """
-    if dt <= 0 or t_final <= 0:
-        raise DimensionMismatch("need dt > 0 and t_final > 0")
-    n_steps = int(round(t_final / dt))
+    n_steps = step_count(t_final, dt)
     times = np.arange(n_steps + 1) * dt
     phases = np.empty((n_steps + 1, 2 * (hs.dim_q + hs.rank_d)))
     z = phase0.flat()
@@ -334,6 +307,5 @@ def integrate_hamiltonian(hs, phase0, t_final, dt, scheme="stormer_verlet"):
         if k == n_steps:
             break
         z = integrate_step(hs, hs.unflatten(z), dt, scheme).flat()
-        if not np.all(np.isfinite(z)) or np.abs(z).max() > 1e12:
-            raise NonFiniteState("phase trajectory left the finite range")
+        check_finite(z)
     return times, phases

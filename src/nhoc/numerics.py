@@ -1,10 +1,19 @@
-"""Small shared numerical helpers: finite differences, null spaces, steppers."""
+"""Small shared numerical helpers: finite differences, null spaces, steppers,
+step counts and the finite-state guard of fixed-step integrators.
+
+Every finite-difference derivative in the package goes through
+``fd_partials`` or ``fd_jacobian``.
+"""
 
 import numpy as np
 
-from .errors import RankDeficient
+from .errors import DimensionMismatch, NonFiniteState, RankDeficient
 
 FD_STEP = 1e-6
+# second derivatives by nested differences: wider step, since two differences
+# of a 1e-6 stencil would lose most of the precision
+FD2_STEP = 1e-4
+BLOWUP_LIMIT = 1e12
 
 
 def fd_partials(f, q, step=FD_STEP):
@@ -25,19 +34,43 @@ def fd_partials(f, q, step=FD_STEP):
     return np.stack(out)
 
 
-def fd_jacobian(f, x, step=FD_STEP, central=True):
-    """Finite-difference Jacobian of a vector map; columns are partials."""
+def fd_jacobian(f, x, step=FD_STEP, f0=None):
+    """Finite-difference Jacobian of a vector map; columns are partials.
+
+    Central differences by default.  Given ``f0 = f(x)``, forward differences
+    that reuse it, one evaluation of ``f`` per column instead of two.
+    """
     x = np.asarray(x, dtype=float)
-    f0 = None if central else np.asarray(f(x), dtype=float)
     cols = []
     for i in range(x.size):
         dx = np.zeros_like(x)
         dx[i] = step
-        if central:
+        if f0 is None:
             cols.append((np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2.0 * step))
         else:
             cols.append((np.asarray(f(x + dx)) - f0) / step)
     return np.column_stack(cols) if cols else np.zeros((np.size(f0), 0))
+
+
+def step_count(t_final, dt):
+    """Number of fixed steps of size dt that end at t_final.
+
+    Raises DimensionMismatch unless dt divides t_final within a relative
+    rounding tolerance of 1e-9, so that no integrator shortens the horizon.
+    """
+    if dt <= 0 or t_final <= 0:
+        raise DimensionMismatch("need dt > 0 and t_final > 0")
+    n_steps = round(t_final / dt)
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise DimensionMismatch(f"dt = {dt:g} must divide the horizon {t_final:g} "
+                                "within rounding")
+    return n_steps
+
+
+def check_finite(z):
+    """Raise NonFiniteState when an integrated state is non-finite or blown up."""
+    if not np.all(np.isfinite(z)) or np.abs(z).max() > BLOWUP_LIMIT:
+        raise NonFiniteState("state left the finite range during integration")
 
 
 def check_full_rank(a, tol=1e-10, what="constraint"):

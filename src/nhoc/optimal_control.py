@@ -16,15 +16,19 @@ import numpy as np
 from .algebroid import grad_potential
 from .dynamics import drift_acceleration
 from .errors import DimensionMismatch, SingularHessian
-from .numerics import FD_STEP, fd_jacobian, rk4_step
+from .numerics import (FD2_STEP, check_finite, fd_jacobian, fd_partials, rk4_step,
+                       step_count)
 
 
 @dataclass(frozen=True)
 class CostModel:
     """Running cost C(q, y, u) with optional analytic partials.
 
-    Partials left as None are evaluated by central finite differences with
-    step 1e-6.  ``quadratic`` marks C = (1/2) u^T W u, whose partials are
+    Partials left as None are evaluated by central finite differences
+    (``numerics.fd_partials``): first derivatives with step 1e-6, second
+    derivatives of a plain evaluator by nested differences with step 1e-4,
+    and second derivatives from an analytic ``cu`` by one difference of it
+    (step 1e-6).  ``quadratic`` marks C = (1/2) u^T W u, whose partials are
     exact and whose Legendre transform is closed-form.
     """
 
@@ -45,24 +49,25 @@ class CostModel:
     def du(self, q, y, u):
         if self.cu is not None:
             return np.asarray(self.cu(q, y, u), dtype=float)
-        return _fd_grad(lambda uu: self.evaluator(q, y, uu), u)
+        return fd_partials(lambda uu: self.evaluator(q, y, uu), u)
 
     def dy(self, q, y, u):
         if self.cy is not None:
             return np.asarray(self.cy(q, y, u), dtype=float)
-        return _fd_grad(lambda yy: self.evaluator(q, yy, u), y)
+        return fd_partials(lambda yy: self.evaluator(q, yy, u), y)
 
     def dq(self, q, y, u):
         if self.cq is not None:
             return np.asarray(self.cq(q, y, u), dtype=float)
-        return _fd_grad(lambda qq: self.evaluator(qq, y, u), q)
+        return fd_partials(lambda qq: self.evaluator(qq, y, u), q)
 
     def d2uu(self, q, y, u):
         if self.cuu is not None:
             return np.asarray(self.cuu(q, y, u), dtype=float)
         if self.cu is not None:
             return fd_jacobian(lambda uu: self.cu(q, y, uu), u)
-        return _fd_second(lambda uu: self.evaluator(q, y, uu), u)
+        return fd_partials(lambda uu: fd_partials(
+            lambda u2: self.evaluator(q, y, u2), uu, FD2_STEP), u, FD2_STEP)
 
     @property
     def weight_identity(self):
@@ -90,63 +95,16 @@ class CostModel:
             return np.zeros((self.k, 0))
         if self.cu is not None:
             return fd_jacobian(lambda qq: self.cu(qq, y, u), q)
-        return _fd_mixed(lambda uu, qq: self.evaluator(qq, y, uu), u, q)
+        return fd_partials(lambda uu: fd_partials(
+            lambda qq: self.evaluator(qq, y, uu), q, FD2_STEP), u, FD2_STEP)
 
     def d2uy(self, q, y, u):
         if self.cuy is not None:
             return np.asarray(self.cuy(q, y, u), dtype=float)
         if self.cu is not None:
             return fd_jacobian(lambda yy: self.cu(q, yy, u), y)
-        return _fd_mixed(lambda uu, yy: self.evaluator(q, yy, uu), u, y)
-
-
-def _fd_grad(f, x, step=FD_STEP):
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        dx = np.zeros_like(x)
-        dx[i] = step
-        g[i] = (f(x + dx) - f(x - dx)) / (2.0 * step)
-    return g
-
-
-# second derivatives of a plain evaluator: wider step, since two differences
-# of a 1e-6 stencil would lose most of the precision
-FD2_STEP = 1e-4
-
-
-def _fd_second(f, x, step=FD2_STEP):
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    out = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        out[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / step ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            val = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej)
-                   + f(x - ei - ej)) / (4.0 * step ** 2)
-            out[i, j] = out[j, i] = val
-    return out
-
-
-def _fd_mixed(f, x, z, step=FD2_STEP):
-    """d^2 f / dx dz for a scalar f(x, z), shape (len(x), len(z))."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    out = np.empty((x.size, z.size))
-    for i in range(x.size):
-        ei = np.zeros(x.size)
-        ei[i] = step
-        for j in range(z.size):
-            ej = np.zeros(z.size)
-            ej[j] = step
-            out[i, j] = (f(x + ei, z + ej) - f(x + ei, z - ej)
-                         - f(x - ei, z + ej) + f(x - ei, z - ej)) / (4.0 * step ** 2)
-    return out
+        return fd_partials(lambda uu: fd_partials(
+            lambda yy: self.evaluator(q, yy, uu), y, FD2_STEP), u, FD2_STEP)
 
 
 def quadratic_cost(weight):
@@ -459,7 +417,11 @@ def underactuated_field(problem, state):
 
 
 def integrate_extremal(problem, state0, t_final, dt, field=None):
-    """Fixed-step RK4 integration of an extremal ODE; returns (times, states)."""
+    """Fixed-step RK4 integration of an extremal ODE; returns (times, states).
+
+    Raises DimensionMismatch unless dt divides t_final, and NonFiniteState
+    when the state leaves the finite range.
+    """
     if field is None:
         field = (necessary_conditions_field if problem.controls.fully_actuated
                  else underactuated_field)
@@ -470,7 +432,7 @@ def integrate_extremal(problem, state0, t_final, dt, field=None):
         ds = field(problem, s)
         return np.concatenate([ds.q, ds.y, ds.v, ds.lam, ds.lam_bar])
 
-    n_steps = int(round(t_final / dt))
+    n_steps = step_count(t_final, dt)
     times = np.empty(n_steps + 1)
     states = []
     z = pack_extremal(state0)
@@ -479,4 +441,5 @@ def integrate_extremal(problem, state0, t_final, dt, field=None):
         states.append(unpack_extremal(problem, z, k=k))
         if i < n_steps:
             z = rk4_step(rhs, times[i], z, dt)
+            check_finite(z)
     return times, states

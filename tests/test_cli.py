@@ -36,6 +36,12 @@ class TestSimulate:
                      "--dt", "-1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_dt_not_dividing_horizon_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0",
+                     "--y0", "1,0", "--T", "1", "--dt", "0.4", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "DimensionMismatch" in capsys.readouterr().err
+
     def test_diagonal_inertia_constant_velocity(self, tmp_path):
         out = tmp_path / "d.csv"
         code = main(["simulate", "--builtin", "suslov",

@@ -129,6 +129,11 @@ class TestSimulate:
         with pytest.raises(DimensionMismatch):
             simulate(suslov_system, s0, 1.0, 1e-3, integrator="leapfrog")
 
+    def test_dt_must_divide_horizon(self, chaplygin_system):
+        # 0.4 steps would end at t = 0.8, short of the requested horizon
+        with pytest.raises(DimensionMismatch):
+            simulate(chaplygin_system, StateQY(q=[], y=[0.5, 0.1]), 1.0, 0.4)
+
 
 class TestDalembertOracle:
     def test_principal_axis_constraint_is_steady(self):

@@ -3,14 +3,13 @@ import pytest
 
 from nhoc import (ControlDistribution, CostModel, ExtremalState, OCProblem, PhasePoint,
                   build_constrained_system, build_hamiltonian, constant_model,
-                  hamiltonian_eval, hamiltonian_field, integrate_extremal,
-                  integrate_step, inverse_legendre, legendre_map, quadratic_cost,
-                  recover_controls, regularity_matrix, symplecticity_defect)
+                  integrate_extremal, integrate_step, inverse_legendre, legendre_map,
+                  quadratic_cost, recover_controls, regularity_matrix, symplecticity_defect)
 from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import FixedPointDivergence, SingularHessian
 
-from conftest import full_actuation_problem
+from conftest import curved_model, full_actuation_problem
 
 
 def quartic_cost():
@@ -27,6 +26,27 @@ def quartic_cost():
                      cy=lambda q, y, u: np.zeros(np.size(y)),
                      cuq=lambda q, y, u: np.zeros((2, np.size(q))),
                      cuy=lambda q, y, u: np.zeros((2, np.size(y))))
+
+
+def state_dependent_cost():
+    # C = |u|^2/2 + |u|^4/4 + 0.3 sin(q) y.u + q^2 |y|^2/2: analytic cu and
+    # cuu for the Legendre inversion, finite-difference cq and cy
+    def cu(q, y, u):
+        return u * (1.0 + u @ u) + 0.3 * np.sin(q[0]) * y
+
+    def cuu(q, y, u):
+        return (1.0 + u @ u) * np.eye(u.size) + 2.0 * np.outer(u, u)
+
+    return CostModel(evaluator=lambda q, y, u: (0.5 * u @ u + 0.25 * (u @ u) ** 2
+                                                + 0.3 * np.sin(q[0]) * (y @ u)
+                                                + 0.5 * q[0] ** 2 * (y @ y)),
+                     k=2, cu=cu, cuu=cuu)
+
+
+def curved_problem(cost):
+    system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+    return OCProblem(system=system, controls=ControlDistribution.full(2), cost=cost,
+                     horizon=1.0)
 
 
 def flat_lie_algebra_problem():
@@ -134,7 +154,7 @@ class TestHamiltonianValue:
     def test_zero_momentum_zero_value(self, suslov_system):
         hs = build_hamiltonian(full_actuation_problem(suslov_system))
         phase = PhasePoint(q=[], y=[0.7, -0.4], p_q=[], p_y=[0.0, 0.0])
-        assert abs(hamiltonian_eval(hs, phase)) < 1e-14
+        assert abs(hs.value(phase)) < 1e-14
 
     def test_chaplygin_closed_form(self, chaplygin_system):
         hs = build_hamiltonian(full_actuation_problem(chaplygin_system))
@@ -144,12 +164,12 @@ class TestHamiltonianValue:
             phase = PhasePoint(q=[], y=y, p_q=[], p_y=p)
             expected = (0.5 * (p[0] ** 2 + p[1] ** 2)
                         - 0.5 * p[0] * y[0] * y[1] + p[1] * y[0] ** 2)
-            assert abs(hamiltonian_eval(hs, phase) - expected) < 1e-13
+            assert abs(hs.value(phase) - expected) < 1e-13
 
     def test_double_integrator_closed_form(self, double_integrator_problem):
         hs = build_hamiltonian(double_integrator_problem)
         phase = PhasePoint(q=[0.3], y=[0.5], p_q=[2.0], p_y=[3.0])
-        assert abs(hamiltonian_eval(hs, phase) - (0.5 * 9.0 + 2.0 * 0.5)) < 1e-13
+        assert abs(hs.value(phase) - (0.5 * 9.0 + 2.0 * 0.5)) < 1e-13
 
     def test_value_equals_p_v_minus_lagrangian(self, chaplygin_system):
         problem = full_actuation_problem(chaplygin_system)
@@ -161,13 +181,13 @@ class TestHamiltonianValue:
             state = inverse_legendre(problem, phase)
             u = recover_controls(problem, phase.q, phase.y, state.v)
             direct = phase.p_y @ state.v - problem.cost.value(phase.q, phase.y, u)
-            assert abs(hamiltonian_eval(hs, phase) - direct) < 1e-13
+            assert abs(hs.value(phase) - direct) < 1e-13
 
 
 class TestHamiltonianField:
     def test_double_integrator_field(self, double_integrator_problem):
         hs = build_hamiltonian(double_integrator_problem)
-        f = hamiltonian_field(hs, PhasePoint(q=[0.1], y=[0.4], p_q=[2.0], p_y=[3.0]))
+        f = hs.field(PhasePoint(q=[0.1], y=[0.4], p_q=[2.0], p_y=[3.0]))
         assert abs(f.q[0] - 0.4) < 1e-12
         assert abs(f.y[0] - 3.0) < 1e-12
         assert abs(f.p_q[0]) < 1e-12
@@ -175,20 +195,20 @@ class TestHamiltonianField:
 
     def test_chaplygin_worked_point(self, chaplygin_system):
         hs = build_hamiltonian(full_actuation_problem(chaplygin_system))
-        f = hamiltonian_field(hs, PhasePoint(q=[], y=[1.0, 0.0], p_q=[], p_y=[1.0, 0.0]))
+        f = hs.field(PhasePoint(q=[], y=[1.0, 0.0], p_q=[], p_y=[1.0, 0.0]))
         assert np.abs(f.y - [1.0, 1.0]).max() < 1e-13
         assert np.abs(f.p_y - [0.0, 0.5]).max() < 1e-13
 
     def test_zero_momentum_follows_drift(self, suslov_system):
         hs = build_hamiltonian(full_actuation_problem(suslov_system))
         y = np.array([1.0, 1.0])
-        f = hamiltonian_field(hs, PhasePoint(q=[], y=y, p_q=[], p_y=[0.0, 0.0]))
+        f = hs.field(PhasePoint(q=[], y=y, p_q=[], p_y=[0.0, 0.0]))
         assert np.abs(f.y - [-0.15, 0.1]).max() < 1e-13
         assert np.abs(f.p_y).max() < 1e-14
 
     def test_closed_form_vs_fd_partials(self, chaplygin_system):
-        # same cost, not flagged quadratic: H partials fall back to central
-        # differences of the Hamiltonian value
+        # same cost, not flagged quadratic: the Legendre inversion is a Newton
+        # solve and the partials carry the (here zero) -C_q and -C_y terms
         problem = full_actuation_problem(chaplygin_system)
         hs_closed = build_hamiltonian(problem)
         base = problem.cost
@@ -205,6 +225,21 @@ class TestHamiltonianField:
             b = np.concatenate(hs_fd.partials(phase))
             assert np.abs(a - b).max() < 1e-6
 
+    def test_state_dependent_cost_partials_match_fd_of_value(self):
+        hs = build_hamiltonian(curved_problem(state_dependent_cost()))
+        rng = np.random.default_rng(5)
+        h = 1e-6
+        for _ in range(5):
+            z = np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-1, 1, 3)])
+            fd = np.empty(z.size)
+            for i in range(z.size):
+                dz = np.zeros(z.size)
+                dz[i] = h
+                fd[i] = (hs.value(hs.unflatten(z + dz))
+                         - hs.value(hs.unflatten(z - dz))) / (2.0 * h)
+            exact = np.concatenate(hs.partials(hs.unflatten(z)))
+            assert np.abs(exact - fd).max() < 1e-7
+
     def test_lagrangian_trajectory_satisfies_hamilton_equations(self, chaplygin_system):
         problem = full_actuation_problem(chaplygin_system)
         hs = build_hamiltonian(problem)
@@ -215,7 +250,7 @@ class TestHamiltonianField:
         worst = 0.0
         for k in range(1, len(states) - 1, 100):
             rate_fd = (phases[k + 1] - phases[k - 1]) / (2 * dt)
-            rate = hamiltonian_field(hs, hs.unflatten(phases[k])).flat()
+            rate = hs.field(hs.unflatten(phases[k])).flat()
             worst = max(worst, np.abs(rate_fd - rate).max())
         assert worst < 1e-6
 
@@ -234,7 +269,7 @@ class TestIntegrateStep:
         hs = build_hamiltonian(problem)
         phase = PhasePoint(q=[], y=[0.3, -0.2], p_q=[], p_y=[0.7, 0.4])
         dt = 1e-6
-        field = hamiltonian_field(hs, phase).flat()
+        field = hs.field(phase).flat()
         for scheme in ("rk4", "symp_euler", "stormer_verlet"):
             stepped = integrate_step(hs, phase, dt, scheme)
             rate = (stepped.flat() - phase.flat()) / dt
@@ -270,6 +305,15 @@ class TestSymplecticity:
             for scheme in ("stormer_verlet", "symp_euler"):
                 for dt in (0.1, 0.01):
                     assert symplecticity_defect(hs, phase, dt, scheme) < 1e-6
+
+    def test_curved_model_quartic_cost(self):
+        # the implicit substeps reach their 1e-12 fixed point only when the
+        # partials are free of finite-difference noise in the Legendre solve
+        hs = build_hamiltonian(curved_problem(quartic_cost()))
+        phase = PhasePoint(q=[0.2], y=[0.4, -0.3], p_q=[0.1], p_y=[0.5, -0.3])
+        for scheme in ("stormer_verlet", "symp_euler"):
+            for dt in (0.1, 0.01):
+                assert symplecticity_defect(hs, phase, dt, scheme) < 1e-6
 
     def test_rk4_defect_is_measurably_nonzero(self, chaplygin_system):
         hs = build_hamiltonian(full_actuation_problem(chaplygin_system))

@@ -5,7 +5,7 @@ from nhoc import (ControlDistribution, ExtremalState, OCProblem, StateQY,
                   controlled_field, integrate_extremal, lift_cost,
                   necessary_conditions_field, quadratic_cost, recover_controls,
                   underactuated_field)
-from nhoc.errors import DimensionMismatch, SingularHessian
+from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian
 
 from conftest import full_actuation_problem
 
@@ -117,6 +117,12 @@ class TestNecessaryConditions:
         qs = np.array([s.q[0] for s in states])
         third = np.diff(qs, n=3) / dt ** 3
         assert np.ptp(third) < 1e-6
+
+    def test_blow_up_raises(self, chaplygin_system):
+        # numpy only warns on the overflow; the integrator must raise
+        problem = full_actuation_problem(chaplygin_system)
+        with pytest.raises(NonFiniteState):
+            integrate_extremal(problem, ExtremalState(y=[50.0, 50.0], v=[0.0, 0.0]), 5.0, 0.05)
 
     def test_requires_full_actuation(self, chaplygin_system):
         problem = OCProblem(system=chaplygin_system,

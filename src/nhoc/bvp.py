@@ -73,18 +73,26 @@ class ShootingProblem:
 
 def _initial_phase(sp, p0):
     n = sp.hs.dim_q
-    return PhasePoint(q=sp.q0, y=sp.y0, p_q=p0[:n], p_y=p0[n:])
+    batch = p0.shape[:-1]
+    return PhasePoint(q=np.broadcast_to(sp.q0, batch + sp.q0.shape),
+                      y=np.broadcast_to(sp.y0, batch + sp.y0.shape),
+                      p_q=p0[..., :n], p_y=p0[..., n:])
 
 
 def shooting_residual(sp, p0):
-    """Terminal mismatch (q(T) - qT, y(T) - yT) for an initial-momenta guess."""
+    """Terminal mismatch (q(T) - qT, y(T) - yT) for an initial-momenta guess.
+
+    ``p0`` may be a stack of guesses with leading batch axes; they are then
+    integrated as one batched flow and the residuals are stacked the same way.
+    """
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    if p0.shape != (sp.n_momenta,):
+    if p0.shape[-1] != sp.n_momenta:
         raise DimensionMismatch(f"p0 must have length {sp.n_momenta}")
     _, phases = integrate_hamiltonian(sp.hs, _initial_phase(sp, p0),
                                       sp.horizon, sp.dt, sp.scheme)
     n, m = sp.hs.dim_q, sp.hs.rank_d
-    return np.concatenate([phases[-1, :n] - sp.qT, phases[-1, n:n + m] - sp.yT])
+    end = phases[-1]
+    return np.concatenate([end[..., :n] - sp.qT, end[..., n:n + m] - sp.yT], axis=-1)
 
 
 def extremal_trajectory(sp, p0):
@@ -132,6 +140,10 @@ class ShootingResult:
 
 def solve_bvp(sp, p0_guess=None):
     """Damped Newton on the shooting residual with a forward-difference Jacobian.
+
+    The Jacobian's columns are the residuals at the stacked guesses
+    p0 + h e_i, integrated as one batched flow; the line search evaluates one
+    guess at a time.
 
     Raises NewtonDivergence (best iterate and residual norm attached) when the
     residual cannot be driven below the tolerance; callers can still build the

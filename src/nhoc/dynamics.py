@@ -1,4 +1,8 @@
-"""Nonholonomic and controlled flows on D, plus an independent d'Alembert oracle."""
+"""Nonholonomic and controlled flows on D, plus an independent d'Alembert oracle.
+
+The free field is compiled per system into a flat kernel on stacked (q, y)
+rows, and ``simulate`` steps it through ``numerics.integrate_fixed_steps``.
+"""
 
 from dataclasses import dataclass
 from typing import Optional
@@ -8,7 +12,7 @@ import numpy as np
 from .algebroid import grad_potential
 from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteState,
                      SingularMetric)
-from .numerics import check_finite, rk4_step, step_count
+from .numerics import integrate_fixed_steps, matvec_rows, rk4_step, step_count
 
 
 @dataclass(frozen=True)
@@ -65,22 +69,50 @@ def drift_acceleration(system, q, y, geo=None):
     return acc
 
 
+def _free_kernels(system):
+    """The free field as two flat kernels qdot(q, y) = rho^T y and
+    ydot(q, y) = -drift on (q, y) rows with leading batch axes.
+
+    On a chart-independent model without potential, Gamma and the anchor
+    are hoisted and all rows are evaluated at once; otherwise each row takes
+    the per-point formulas at its own chart point.
+    """
+    model = system.parent
+    if model.q_independent and (system.dim_q == 0 or model.zero_potential):
+        gamma, anchor_t = system.gamma(), system.anchor_d().T
+        return (lambda q, y: matvec_rows(anchor_t, y),
+                lambda q, y: -np.einsum("cab,...a,...b->...c", gamma, y, y))
+
+    def rowwise(point):
+        def kernel(q, y):
+            if y.ndim == 1:
+                return point(q, y)
+            return np.stack([kernel(a, b) for a, b in zip(q, y)])
+        return kernel
+
+    return (rowwise(lambda q, y: system.anchor_d(q).T @ y),
+            rowwise(lambda q, y: -drift_acceleration(system, q, y, system.geometry(q))))
+
+
 def nonholonomic_field(system, s):
     """Right-hand side of the free nonholonomic equations at a state.
 
     qdot^i = rho^i_A y^A and ydot^C = -Gamma^C_AB y^A y^B - (grad V)^C.
     """
-    geo = system.geometry(s.q)
-    qdot = geo["anchor_d"].T @ s.y
-    ydot = -drift_acceleration(system, s.q, s.y, geo)
-    return qdot, ydot
+    qdot, ydot = _free_kernels(system)
+    return qdot(s.q, s.y), ydot(s.q, s.y)
+
+
+def _control_vector(controls, u):
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.shape != (controls.k,):
+        raise DimensionMismatch(f"control has shape {u.shape}, expected ({controls.k},)")
+    return u
 
 
 def controlled_field(system, controls, s, u):
     """Free field plus input_matrix @ u along the actuated sections."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (controls.k,):
-        raise DimensionMismatch(f"control has shape {u.shape}, expected ({controls.k},)")
+    u = _control_vector(controls, u)
     qdot, ydot = nonholonomic_field(system, s)
     return qdot, ydot + controls.input_matrix @ u
 
@@ -121,8 +153,10 @@ def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
     """Integrate the free or controlled flow with a fixed step.
 
     ``u`` is a callable t -> control vector (requires ``controls``); without
-    it the free nonholonomic field is integrated.  Returned samples satisfy
-    the admissibility equation qdot = rho_D y by construction, and carry the
+    it the free nonholonomic field is integrated.  The field is the system's
+    flat kernel, which takes a leading batch axis of (q, y) rows, stepped by
+    the package's one fixed-step driver.  Returned samples satisfy the
+    admissibility equation qdot = rho_D y by construction, and carry the
     energy diagnostic ell = (1/2) G^D(y, y) + V(q) per instant.  Raises
     DimensionMismatch unless dt divides t_final.
     """
@@ -134,41 +168,26 @@ def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
     nq, ny = system.dim_q, system.rank_d
     if s0.q.shape != (nq,) or s0.y.shape != (ny,):
         raise DimensionMismatch("initial state does not match the system")
+    qdot, ydot = _free_kernels(system)
+
+    def accel(t, q, y):
+        acc = ydot(q, y)
+        return acc if u is None else acc + controls.input_matrix @ _control_vector(controls, u(t))
 
     def rhs(t, z):
-        s = StateQY(q=z[:nq], y=z[nq:])
-        if u is None:
-            qdot, ydot = nonholonomic_field(system, s)
-        else:
-            qdot, ydot = controlled_field(system, controls, s, u(t))
-        return np.concatenate([qdot, ydot])
+        q, y = z[:nq], z[nq:]
+        return np.concatenate([qdot(q, y), accel(t, q, y)])
 
-    times = np.empty(n_steps + 1)
-    zs = np.empty((n_steps + 1, nq + ny))
-    us = np.empty((n_steps + 1, controls.k)) if u is not None else None
-    z = np.concatenate([s0.q, s0.y])
-    for k in range(n_steps + 1):
-        t = k * dt
-        times[k] = t
-        zs[k] = z
-        if us is not None:
-            us[k] = np.asarray(u(t), dtype=float)
-        if k == n_steps:
-            break
+    def step(t, z):
         if integrator == "rk4":
-            z = rk4_step(rhs, t, z, dt)
-        else:
-            # semi-implicit Euler: fiber velocity first, base point with it
-            s = StateQY(q=z[:nq], y=z[nq:])
-            if u is None:
-                _, ydot = nonholonomic_field(system, s)
-            else:
-                _, ydot = controlled_field(system, controls, s, u(t))
-            y_next = s.y + dt * ydot
-            q_next = s.q + dt * (system.anchor_d(s.q).T @ y_next)
-            z = np.concatenate([q_next, y_next])
-        check_finite(z)
+            return rk4_step(rhs, t, z, dt)
+        # semi-implicit Euler: fiber velocity first, base point with it
+        q, y = z[:nq], z[nq:]
+        y_next = y + dt * accel(t, q, y)
+        return np.concatenate([q + dt * qdot(q, y_next), y_next])
 
+    times, zs = integrate_fixed_steps(step, np.concatenate([s0.q, s0.y]), n_steps, dt)
+    us = None if u is None else np.array([_control_vector(controls, u(t)) for t in times])
     energies = np.array([system.energy(zs[k, :nq], zs[k, nq:]) for k in range(n_steps + 1)])
     return Trajectory(times=times, qs=zs[:, :nq].copy(), ys=zs[:, nq:].copy(),
                       controls=us, energies=energies)

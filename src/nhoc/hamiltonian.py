@@ -5,6 +5,11 @@ Phase coordinates are ordered (q, y, p_q, p_y); (q, y) are positions and
 inversion per phase point gives the optimal control u, closed-form for
 quadratic costs and a damped Newton solve otherwise; the Hamiltonian value
 and its partials both follow from that u in closed form.
+
+The flows run on flat phase arrays with a leading batch axis: each
+``HamiltonianSystem`` compiles its partials once into a kernel on row
+stacks, and every scheme steps a whole stack through the fixed-step driver
+``numerics.integrate_fixed_steps``.
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,8 @@ import numpy as np
 from .dynamics import drift_acceleration
 from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
                      SingularHessian)
-from .numerics import check_finite, fd_jacobian, rk4_step, step_count
+from .numerics import (fd_jacobian, integrate_fixed_steps, matvec_rows, rk4_step,
+                       step_count)
 from .optimal_control import ExtremalState, drift_jacobians, recover_controls
 
 SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
@@ -22,7 +28,11 @@ SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Point of T*D in induced coordinates (q, y, p_q, p_y)."""
+    """Point of T*D in induced coordinates (q, y, p_q, p_y).
+
+    The fields may share leading batch axes; ``flat`` joins them along the
+    last axis.
+    """
 
     q: np.ndarray
     y: np.ndarray
@@ -37,7 +47,7 @@ class PhasePoint:
                                    np.atleast_1d(np.asarray(value, dtype=float)))
 
     def flat(self):
-        return np.concatenate([self.q, self.y, self.p_q, self.p_y])
+        return np.concatenate([self.q, self.y, self.p_q, self.p_y], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -158,6 +168,12 @@ class HamiltonianSystem:
     and u solving C_u = B^T p_y.  By the envelope theorem its partials follow
     from that one inversion, for every cost: the drift and anchor terms plus
     -C_q and -C_y at the optimal u, which vanish for quadratic costs.
+
+    The partials are compiled on first use into one kernel on stacks of
+    phase rows.  With a quadratic cost on a chart-independent model without
+    potential, Gamma, the anchor and the Legendre map are hoisted out of it
+    and every row is evaluated at once; otherwise each row takes the
+    per-point formulas.
     """
 
     def __init__(self, problem):
@@ -167,6 +183,7 @@ class HamiltonianSystem:
         self.system = problem.system
         self.dim_q = problem.dim_q
         self.rank_d = problem.rank_d
+        self._kernel = None
 
     def value(self, phase):
         q, y, p_q, p_y = phase.q, phase.y, phase.p_q, phase.p_y
@@ -176,9 +193,8 @@ class HamiltonianSystem:
         return float(p_y @ ydot + p_q @ (geo["anchor_d"].T @ y)
                      - self.problem.cost.value(q, y, u))
 
-    def partials(self, phase):
-        """(dH/dq, dH/dy, dH/dp_q, dH/dp_y) in closed form."""
-        q, y, p_q, p_y = phase.q, phase.y, phase.p_q, phase.p_y
+    def _point_partials(self, q, y, p_q, p_y):
+        """(dH/dx, dH/dp) at one phase point."""
         cost = self.problem.cost
         geo = self.system.geometry(q)
         u = _optimal_control(self.problem, q, y, p_y)
@@ -196,7 +212,64 @@ class HamiltonianSystem:
         if not cost.quadratic:
             d_q = d_q - cost.dq(q, y, u)
             d_y = d_y - cost.dy(q, y, u)
-        return d_q, d_y, d_pq, d_py
+        return np.concatenate([d_q, d_y]), np.concatenate([d_pq, d_py])
+
+    def _rowwise_partials(self, x, p):
+        """The kernel of chart-dependent models and non-quadratic costs."""
+        n = self.dim_q
+        gx, gp = np.empty_like(x), np.empty_like(p)
+        for i in range(len(x)):
+            gx[i], gp[i] = self._point_partials(x[i, :n], x[i, n:], p[i, :n], p[i, n:])
+        return gx, gp
+
+    def _build_kernel(self):
+        problem, system, n = self.problem, self.system, self.dim_q
+        model, cost, ctrl = system.parent, problem.cost, problem.controls
+        if not (cost.quadratic and model.q_independent
+                and (n == 0 or model.zero_potential)):
+            return self._rowwise_partials
+        # constant geometry and no potential: the drift has no q-Jacobian
+        gamma, anchor = system.gamma(), system.anchor_d()
+        input_m = None if ctrl._identity else ctrl.input_matrix
+        weight = None if cost.weight_identity else cost.weight
+
+        def kernel(x, p):
+            y, p_q, p_y = x[:, n:], p[:, :n], p[:, n:]
+            # Legendre map u = W^-1 B^T p_y and its actuation B u
+            u = p_y if input_m is None else matvec_rows(input_m.T, p_y)
+            if weight is not None:
+                try:
+                    u = np.linalg.solve(weight, u[:, :, None])[:, :, 0]
+                except np.linalg.LinAlgError as exc:
+                    raise SingularHessian("quadratic cost weight is singular") from exc
+            bu = u if input_m is None else matvec_rows(input_m, u)
+            delta = np.einsum("cab,...a,...b->...c", gamma, y, y)
+            ddy = (np.einsum("cab,...b->...ca", gamma, y)
+                   + np.einsum("cab,...a->...cb", gamma, y))
+            d_y = matvec_rows(-ddy.swapaxes(1, 2), p_y)
+            if n == 0:
+                return d_y, bu - delta
+            d_pq = matvec_rows(anchor.T, y)
+            return (np.concatenate([np.zeros_like(d_pq), d_y + matvec_rows(anchor, p_q)], axis=1),
+                    np.concatenate([d_pq, bu - delta], axis=1))
+
+        return kernel
+
+    def _grads(self, x, p):
+        """(dH/dx, dH/dp) for positions x = (q, y) and momenta p = (p_q, p_y)
+        stacked as rows of shape (B, dim_q + rank_d)."""
+        if self._kernel is None:
+            self._kernel = self._build_kernel()
+        return self._kernel(x, p)
+
+    def partials(self, phase):
+        """(dH/dq, dH/dy, dH/dp_q, dH/dp_y) in closed form, batched like phase."""
+        n = self.dim_q
+        x = np.concatenate([phase.q, phase.y], axis=-1)
+        p = np.concatenate([phase.p_q, phase.p_y], axis=-1)
+        gx, gp = self._grads(x.reshape(-1, x.shape[-1]), p.reshape(-1, p.shape[-1]))
+        gx, gp = gx.reshape(x.shape), gp.reshape(p.shape)
+        return gx[..., :n], gx[..., n:], gp[..., :n], gp[..., n:]
 
     def field(self, phase):
         """Canonical Hamiltonian vector field as a PhasePoint of derivatives."""
@@ -204,11 +277,13 @@ class HamiltonianSystem:
         return PhasePoint(q=d_pq, y=d_py, p_q=-d_q, p_y=-d_y)
 
     def unflatten(self, z):
+        """PhasePoint of flat phase rows of shape (..., 2(dim_q + rank_d))."""
         n, m = self.dim_q, self.rank_d
         z = np.asarray(z, dtype=float)
-        if z.shape != (2 * (n + m),):
+        if z.ndim == 0 or z.shape[-1] != 2 * (n + m):
             raise DimensionMismatch(f"phase vector must have length {2 * (n + m)}")
-        return PhasePoint(q=z[:n], y=z[n:n + m], p_q=z[n + m:2 * n + m], p_y=z[2 * n + m:])
+        return PhasePoint(q=z[..., :n], y=z[..., n:n + m], p_q=z[..., n + m:2 * n + m],
+                          p_y=z[..., 2 * n + m:])
 
 
 def build_hamiltonian(problem):
@@ -217,69 +292,76 @@ def build_hamiltonian(problem):
 
 
 def _fixed_point(gfun, z0, tol=1e-12, max_iter=100):
-    z = np.asarray(z0, dtype=float)
+    """Rows z solving z = gfun(rows, z) by fixed-point iteration.
+
+    ``gfun(rows, z)`` evaluates the map on the rows of the stack selected by
+    the index ``rows``.  A row stops updating once its own update is within
+    ``tol``, so every row takes exactly the iterates it would take alone.
+    """
+    z = np.array(z0, dtype=float)
+    rows = slice(None)
     for _ in range(max_iter):
-        z_new = gfun(z)
-        if not np.all(np.isfinite(z_new)):
+        z_old = z[rows]
+        z_new = gfun(rows, z_old)
+        if not np.isfinite(z_new).all():
             raise FixedPointDivergence("implicit substep produced non-finite values")
-        if np.abs(z_new - z).max() <= tol:
-            return z_new
-        z = z_new
+        moving = np.abs(z_new - z_old).max(axis=1) > tol
+        z[rows] = z_new
+        if not moving.any():
+            return z
+        if not moving.all():
+            rows = np.arange(len(z))[rows][moving]
     raise FixedPointDivergence(f"implicit substep did not converge within {max_iter} iterations")
 
 
-def _split_xp(hs, phase):
-    x = np.concatenate([phase.q, phase.y])
-    p = np.concatenate([phase.p_q, phase.p_y])
-    return x, p
+def _check_scheme(dt, scheme):
+    if dt <= 0:
+        raise DimensionMismatch("need dt > 0")
+    if scheme not in SCHEMES:
+        raise DimensionMismatch(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
-def _join_xp(hs, x, p):
-    n, m = hs.dim_q, hs.rank_d
-    return PhasePoint(q=x[:n], y=x[n:], p_q=p[:n], p_y=p[n:])
-
-
-def _grad_x(hs, x, p):
-    d_q, d_y, _, _ = hs.partials(_join_xp(hs, x, p))
-    return np.concatenate([d_q, d_y])
-
-
-def _grad_p(hs, x, p):
-    _, _, d_pq, d_py = hs.partials(_join_xp(hs, x, p))
-    return np.concatenate([d_pq, d_py])
+def _flat_step(hs, z, dt, scheme):
+    """One step of every row of a (B, 2(n + m)) stack of phase rows."""
+    d = hs.dim_q + hs.rank_d
+    grads = hs._grads
+    if scheme == "rk4":
+        def field(t, zz):
+            gx, gp = grads(zz[:, :d], zz[:, d:])
+            return np.concatenate([gp, -gx], axis=1)
+        return rk4_step(field, 0.0, z, dt)
+    x, p = z[:, :d], z[:, d:]
+    if scheme == "symp_euler":
+        p_new = _fixed_point(lambda rows, pp: p[rows] - dt * grads(x[rows], pp)[0], p)
+        x_new = x + dt * grads(x, p_new)[1]
+        return np.concatenate([x_new, p_new], axis=1)
+    # generalized Stormer-Verlet: implicit half-kick, implicit drift, half-kick
+    p_half = _fixed_point(lambda rows, pp: p[rows] - 0.5 * dt * grads(x[rows], pp)[0], p)
+    gp_left = grads(x, p_half)[1]
+    x_new = _fixed_point(lambda rows, xx: x[rows] + 0.5 * dt * (
+        gp_left[rows] + grads(xx, p_half[rows])[1]), x)
+    p_new = p_half - 0.5 * dt * grads(x_new, p_half)[0]
+    return np.concatenate([x_new, p_new], axis=1)
 
 
 def integrate_step(hs, phase, dt, scheme="stormer_verlet"):
     """One step of rk4, symplectic Euler, or generalized Stormer-Verlet.
 
     The Hamiltonian is not separable, so the symplectic schemes solve their
-    implicit substeps by fixed-point iteration (tol 1e-12, max 100).
+    implicit substeps by fixed-point iteration (tol 1e-12, max 100).  The
+    fields of ``phase`` may carry leading batch axes; the rows are stepped
+    together, each with the iterates it would take alone.
     """
-    if dt <= 0:
-        raise DimensionMismatch("need dt > 0")
-    if scheme not in SCHEMES:
-        raise DimensionMismatch(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if scheme == "rk4":
-        z = rk4_step(lambda t, zz: hs.field(hs.unflatten(zz)).flat(), 0.0, phase.flat(), dt)
-        return hs.unflatten(z)
-    x, p = _split_xp(hs, phase)
-    if scheme == "symp_euler":
-        p_new = _fixed_point(lambda z: p - dt * _grad_x(hs, x, z), p)
-        x_new = x + dt * _grad_p(hs, x, p_new)
-        return _join_xp(hs, x_new, p_new)
-    # generalized Stormer-Verlet: implicit half-kick, implicit drift, half-kick
-    p_half = _fixed_point(lambda z: p - 0.5 * dt * _grad_x(hs, x, z), p)
-    gp_left = _grad_p(hs, x, p_half)
-    x_new = _fixed_point(lambda z: x + 0.5 * dt * (gp_left + _grad_p(hs, z, p_half)), x)
-    p_new = p_half - 0.5 * dt * _grad_x(hs, x_new, p_half)
-    return _join_xp(hs, x_new, p_new)
+    _check_scheme(dt, scheme)
+    z = phase.flat()
+    return hs.unflatten(_flat_step(hs, z.reshape(-1, z.shape[-1]), dt, scheme).reshape(z.shape))
 
 
 def symplecticity_defect(hs, phase, dt, scheme):
     """Max-norm violation of DPsi^T J DPsi = J for one step of the scheme.
 
     DPsi is the central finite-difference Jacobian of the step map
-    (step 1e-6); J is canonical for the (q, y | p_q, p_y) ordering.
+    (step 1e-4); J is canonical for the (q, y | p_q, p_y) ordering.
     """
     n = hs.dim_q + hs.rank_d
     jmat = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
@@ -287,25 +369,26 @@ def symplecticity_defect(hs, phase, dt, scheme):
     def step_map(z):
         return integrate_step(hs, hs.unflatten(z), dt, scheme).flat()
 
-    dpsi = fd_jacobian(step_map, phase.flat(), step=1e-6)
+    # the implicit substeps stop at a 1e-12 fixed-point tolerance, which a
+    # difference quotient of step h reads as a defect of about 1e-12 / h:
+    # 1e-8 at h = 1e-4, where the default 1e-6 stencil would read 1e-6
+    dpsi = fd_jacobian(step_map, phase.flat(), step=1e-4)
     return float(np.abs(dpsi.T @ jmat @ dpsi - jmat).max())
 
 
 def integrate_hamiltonian(hs, phase0, t_final, dt, scheme="stormer_verlet"):
     """Fixed-step integration of Hamilton's equations; returns (times, phases).
 
-    ``phases`` is an (n_steps + 1, 2(dim_q + rank_d)) array of flattened
-    phase points.  Raises DimensionMismatch unless dt divides t_final, and
-    NonFiniteState when the phase point leaves the finite range.
+    ``phases`` holds the flattened phase points, of shape (n_steps + 1,
+    2(dim_q + rank_d)).  The fields of ``phase0`` may carry leading batch
+    axes; the whole stack is then integrated as one flow through the
+    fixed-step driver, and ``phases`` gains those axes after the first.
+    Raises DimensionMismatch unless dt divides t_final, and NonFiniteState
+    when any row leaves the finite range.
     """
     n_steps = step_count(t_final, dt)
-    times = np.arange(n_steps + 1) * dt
-    phases = np.empty((n_steps + 1, 2 * (hs.dim_q + hs.rank_d)))
-    z = phase0.flat()
-    for k in range(n_steps + 1):
-        phases[k] = z
-        if k == n_steps:
-            break
-        z = integrate_step(hs, hs.unflatten(z), dt, scheme).flat()
-        check_finite(z)
-    return times, phases
+    _check_scheme(dt, scheme)
+    z0 = phase0.flat()
+    times, phases = integrate_fixed_steps(lambda t, z: _flat_step(hs, z, dt, scheme),
+                                          z0.reshape(-1, z0.shape[-1]), n_steps, dt)
+    return times, phases.reshape((n_steps + 1,) + z0.shape)

@@ -1,5 +1,5 @@
 """Small shared numerical helpers: finite differences, null spaces, steppers,
-step counts and the finite-state guard of fixed-step integrators.
+step counts and the one fixed-step driver with its finite-state guard.
 
 Every finite-difference derivative in the package goes through
 ``fd_partials`` or ``fd_jacobian``.
@@ -37,19 +37,25 @@ def fd_partials(f, q, step=FD_STEP):
 def fd_jacobian(f, x, step=FD_STEP, f0=None):
     """Finite-difference Jacobian of a vector map; columns are partials.
 
-    Central differences by default.  Given ``f0 = f(x)``, forward differences
-    that reuse it, one evaluation of ``f`` per column instead of two.
+    Central differences by default, two evaluations of ``f`` per column.
+    Given ``f0 = f(x)``, forward differences that reuse it: ``f`` is then
+    called once, on the stack of points x + step e_i (shape (len(x), len(x))),
+    and must return one row per point, so a batched map such as the shooting
+    residual integrates all columns as one flow.
     """
     x = np.asarray(x, dtype=float)
+    if f0 is not None:
+        f0 = np.asarray(f0, dtype=float)
+        if x.size == 0:
+            return np.zeros((f0.size, 0))
+        rows = np.asarray(f(x + step * np.eye(x.size)), dtype=float)
+        return ((rows - f0) / step).T
     cols = []
     for i in range(x.size):
         dx = np.zeros_like(x)
         dx[i] = step
-        if f0 is None:
-            cols.append((np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2.0 * step))
-        else:
-            cols.append((np.asarray(f(x + dx)) - f0) / step)
-    return np.column_stack(cols) if cols else np.zeros((np.size(f0), 0))
+        cols.append((np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2.0 * step))
+    return np.column_stack(cols) if cols else np.zeros((np.size(f(x)), 0))
 
 
 def step_count(t_final, dt):
@@ -71,6 +77,23 @@ def check_finite(z):
     """Raise NonFiniteState when an integrated state is non-finite or blown up."""
     if not np.all(np.isfinite(z)) or np.abs(z).max() > BLOWUP_LIMIT:
         raise NonFiniteState("state left the finite range during integration")
+
+
+def integrate_fixed_steps(step, z0, n_steps, dt):
+    """The fixed-step driver of every flow in the package.
+
+    Takes ``n_steps`` steps z_{k+1} = step(t_k, z_k) with t_k = k dt from
+    ``z0``, whose leading axes (if any) are a batch of independent states,
+    and checks the whole state for finiteness after every step.  Returns
+    ``(times, samples)``; ``samples`` has shape (n_steps + 1,) + z0.shape.
+    """
+    times = np.arange(n_steps + 1) * dt
+    samples = np.empty((n_steps + 1,) + np.shape(z0))
+    samples[0] = z0
+    for k in range(n_steps):
+        samples[k + 1] = step(times[k], samples[k])
+        check_finite(samples[k + 1])
+    return times, samples
 
 
 def check_full_rank(a, tol=1e-10, what="constraint"):
@@ -123,6 +146,13 @@ def rref_null_space(a, tol=1e-10):
             v = -v
         basis.append(v)
     return np.array(basis).reshape(len(basis), n)
+
+
+def matvec_rows(a, v):
+    """a @ v for every row v of a stack (..., n); ``a`` may be one matrix or a
+    matching stack.  Each row gets exactly the floats of a single ``a @ v``,
+    which a ``v @ a.T`` product over the stack does not guarantee."""
+    return (a @ v[..., None])[..., 0]
 
 
 def rk4_step(f, t, x, dt):

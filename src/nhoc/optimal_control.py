@@ -16,8 +16,8 @@ import numpy as np
 from .algebroid import grad_potential
 from .dynamics import drift_acceleration
 from .errors import DimensionMismatch, SingularHessian
-from .numerics import (FD2_STEP, check_finite, fd_jacobian, fd_partials, rk4_step,
-                       step_count)
+from .numerics import (FD2_STEP, fd_jacobian, fd_partials, integrate_fixed_steps,
+                       rk4_step, step_count)
 
 
 @dataclass(frozen=True)
@@ -419,8 +419,9 @@ def underactuated_field(problem, state):
 def integrate_extremal(problem, state0, t_final, dt, field=None):
     """Fixed-step RK4 integration of an extremal ODE; returns (times, states).
 
-    Raises DimensionMismatch unless dt divides t_final, and NonFiniteState
-    when the state leaves the finite range.
+    The steps run through the package's one fixed-step driver.  Raises
+    DimensionMismatch unless dt divides t_final, and NonFiniteState when the
+    state leaves the finite range.
     """
     if field is None:
         field = (necessary_conditions_field if problem.controls.fully_actuated
@@ -432,14 +433,6 @@ def integrate_extremal(problem, state0, t_final, dt, field=None):
         ds = field(problem, s)
         return np.concatenate([ds.q, ds.y, ds.v, ds.lam, ds.lam_bar])
 
-    n_steps = step_count(t_final, dt)
-    times = np.empty(n_steps + 1)
-    states = []
-    z = pack_extremal(state0)
-    for i in range(n_steps + 1):
-        times[i] = i * dt
-        states.append(unpack_extremal(problem, z, k=k))
-        if i < n_steps:
-            z = rk4_step(rhs, times[i], z, dt)
-            check_finite(z)
-    return times, states
+    times, zs = integrate_fixed_steps(lambda t, z: rk4_step(rhs, t, z, dt),
+                                      pack_extremal(state0), step_count(t_final, dt), dt)
+    return times, [unpack_extremal(problem, z, k=k) for z in zs]

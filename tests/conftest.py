@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nhoc import (AlgebroidModel, ControlDistribution, ModelPartials, OCProblem,
-                  build_constrained_system, make_chaplygin, make_double_integrator,
+from nhoc import (AlgebroidModel, ControlDistribution, CostModel, ModelPartials,
+                  OCProblem, build_constrained_system, make_chaplygin, make_double_integrator,
                   make_suslov, quadratic_cost)
 
 SUSLOV_PARAMS = dict(I11=2.0, I22=3.0, I33=4.0, I13=0.1, I23=0.2)
@@ -67,3 +67,20 @@ def curved_model():
         partials=ModelPartials(structure_dq=structure_dq, metric_dq=metric_dq,
                                anchor_dq=lambda q: np.zeros((1, 2, 1)),
                                potential_dq=lambda q: np.array([0.5 * q[0]])))
+
+
+def quartic_cost():
+    """C = |u|^2/2 + |u|^4/4 on two inputs: strictly convex with an invertible
+    Legendre map, but not quadratic, so it takes the Newton inversion."""
+    def cu(q, y, u):
+        return u * (1.0 + u @ u)
+
+    def cuu(q, y, u):
+        return (1.0 + u @ u) * np.eye(u.size) + 2.0 * np.outer(u, u)
+
+    return CostModel(evaluator=lambda q, y, u: 0.5 * u @ u + 0.25 * (u @ u) ** 2,
+                     k=2, cu=cu, cuu=cuu,
+                     cq=lambda q, y, u: np.zeros(np.size(q)),
+                     cy=lambda q, y, u: np.zeros(np.size(y)),
+                     cuq=lambda q, y, u: np.zeros((2, np.size(q))),
+                     cuy=lambda q, y, u: np.zeros((2, np.size(y))))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from nhoc import (ControlDistribution, OCProblem, NewtonOptions, ShootingProblem,
-                  StateQY, build_hamiltonian, quadratic_cost, shooting_residual,
-                  simulate, solve_bvp)
-from nhoc.errors import DimensionMismatch, NewtonDivergence
+from nhoc import (ConstraintSpec, ControlDistribution, OCProblem, NewtonOptions,
+                  ShootingProblem, StateQY, build_constrained_system, build_hamiltonian,
+                  quadratic_cost, shooting_residual, simulate, solve_bvp)
+from nhoc.errors import DimensionMismatch, NewtonDivergence, NonFiniteState
 
-from conftest import full_actuation_problem
+from conftest import curved_model, full_actuation_problem, quartic_cost
+
+SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
 
 
 def shooting_for(problem, dt=1e-3, scheme="rk4", **newton):
@@ -39,6 +41,58 @@ class TestShootingResidual:
         sp = shooting_for(double_integrator_problem)
         with pytest.raises(DimensionMismatch):
             shooting_residual(sp, np.zeros(3))
+
+
+class TestBatchedResidual:
+    """A stack of momenta is one batched flow whose rows equal single calls
+    bit for bit, also where the rows' implicit substeps converge after
+    different numbers of fixed-point iterations."""
+
+    def assert_rows_match_single_calls(self, sp, stack):
+        rows_seen = []
+        grads = sp.hs._grads
+        sp.hs._grads = lambda x, p: rows_seen.append(len(x)) or grads(x, p)
+        try:
+            batched = shooting_residual(sp, stack)
+        finally:
+            del sp.hs._grads
+        assert batched.shape == (len(stack), sp.n_momenta)
+        for row, p0 in zip(batched, stack):
+            assert row.tobytes() == shooting_residual(sp, p0).tobytes()
+        if sp.scheme != "rk4":
+            # some substeps went on with part of the stack only
+            assert min(rows_seen) < len(stack)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_sleigh_rows_equal_single_calls(self, chaplygin_system, scheme):
+        # constant geometry and a quadratic cost: the hoisted kernel
+        problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
+                            cost=quadratic_cost(np.eye(2)), horizon=1.0,
+                            y0=[0.5, 0.2], yT=[0.4, 0.3])
+        sp = shooting_for(problem, dt=0.1, scheme=scheme)
+        stack = np.array([[0.0, 0.0], [0.4, -0.3], [2.0, 1.5]])
+        self.assert_rows_match_single_calls(sp, stack)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_curved_quartic_rows_equal_single_calls(self, scheme):
+        # chart-dependent model and a non-quadratic cost: the per-row kernel
+        system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        problem = OCProblem(system=system, controls=ControlDistribution.full(2),
+                            cost=quartic_cost(), horizon=1.0,
+                            q0=[0.0], y0=[0.1, 0.0], qT=[0.2], yT=[0.0, 0.1])
+        sp = shooting_for(problem, dt=0.1, scheme=scheme)
+        stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, -0.3], [1.0, 1.5, 1.2]])
+        self.assert_rows_match_single_calls(sp, stack)
+
+    def test_one_row_blowing_up_raises(self, chaplygin_system):
+        problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
+                            cost=quadratic_cost(np.eye(2)), horizon=1.0,
+                            y0=[0.5, 0.2], yT=[0.4, 0.3])
+        sp = shooting_for(problem, dt=0.1)
+        with pytest.raises(NonFiniteState):
+            shooting_residual(sp, np.array([1e3, 1e3]))
+        with pytest.raises(NonFiniteState):
+            shooting_residual(sp, np.array([[0.1, 0.1], [1e3, 1e3], [0.2, -0.1]]))
 
 
 class TestSolveBVP:

@@ -19,6 +19,19 @@ class TestNonholonomicField:
         _, ydot = nonholonomic_field(suslov_system, StateQY(q=[], y=[1.0, 1.0]))
         assert np.abs(ydot - [-0.15, 0.1]).max() < 1e-14
 
+    def test_stacked_states_equal_single_calls(self, chaplygin_system):
+        # hoisted constant geometry, and the per-point path of a curved model
+        curved = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        rng = np.random.default_rng(7)
+        for system in (chaplygin_system, curved):
+            qs = rng.uniform(-0.5, 0.5, (4, system.dim_q))
+            ys = rng.uniform(-1.0, 1.0, (4, system.rank_d))
+            qdot, ydot = nonholonomic_field(system, StateQY(q=qs, y=ys))
+            for k in range(4):
+                single = nonholonomic_field(system, StateQY(q=qs[k], y=ys[k]))
+                assert qdot[k].tobytes() == single[0].tobytes()
+                assert ydot[k].tobytes() == single[1].tobytes()
+
     def test_flat_geodesics(self):
         model = constant_model(np.zeros((3, 3, 3)), np.diag([1.0, 2.0, 3.0]))
         system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(3)[:2]))

@@ -9,23 +9,7 @@ from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import FixedPointDivergence, SingularHessian
 
-from conftest import curved_model, full_actuation_problem
-
-
-def quartic_cost():
-    # C = |u|^2/2 + |u|^4/4, strictly convex with invertible Legendre map
-    def cu(q, y, u):
-        return u * (1.0 + u @ u)
-
-    def cuu(q, y, u):
-        return (1.0 + u @ u) * np.eye(u.size) + 2.0 * np.outer(u, u)
-
-    return CostModel(evaluator=lambda q, y, u: 0.5 * u @ u + 0.25 * (u @ u) ** 2,
-                     k=2, cu=cu, cuu=cuu,
-                     cq=lambda q, y, u: np.zeros(np.size(q)),
-                     cy=lambda q, y, u: np.zeros(np.size(y)),
-                     cuq=lambda q, y, u: np.zeros((2, np.size(q))),
-                     cuy=lambda q, y, u: np.zeros((2, np.size(y))))
+from conftest import curved_model, full_actuation_problem, quartic_cost
 
 
 def state_dependent_cost():
@@ -314,6 +298,15 @@ class TestSymplecticity:
         for scheme in ("stormer_verlet", "symp_euler"):
             for dt in (0.1, 0.01):
                 assert symplecticity_defect(hs, phase, dt, scheme) < 1e-6
+
+    def test_curved_model_defect_below_fixed_point_floor(self):
+        # a 1e-4 stencil reads the 1e-12 fixed-point tolerance as a defect
+        # of about 1e-8 at most, so the schemes' own defect shows below it
+        hs = build_hamiltonian(curved_problem(quartic_cost()))
+        phase = PhasePoint(q=[0.2], y=[0.4, -0.3], p_q=[0.1], p_y=[0.5, -0.3])
+        for scheme in ("stormer_verlet", "symp_euler"):
+            for dt in (0.1, 0.01):
+                assert symplecticity_defect(hs, phase, dt, scheme) < 1e-8
 
     def test_rk4_defect_is_measurably_nonzero(self, chaplygin_system):
         hs = build_hamiltonian(full_actuation_problem(chaplygin_system))

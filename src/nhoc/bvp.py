@@ -6,8 +6,8 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import (DimensionMismatch, NewtonDivergence, NonFiniteState,
-                     SingularJacobian)
+from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
+                     NonFiniteState, SingularJacobian)
 from .hamiltonian import PhasePoint, inverse_legendre, integrate_hamiltonian
 from .numerics import fd_jacobian, step_count
 from .optimal_control import recover_controls
@@ -79,6 +79,17 @@ def _initial_phase(sp, p0):
                       p_q=p0[..., :n], p_y=p0[..., n:])
 
 
+def _flow(sp, p0):
+    """(residual, times, samples) of the flow from the boundary point and
+    momenta p0, which may be a stack with leading batch axes."""
+    times, phases = integrate_hamiltonian(sp.hs, _initial_phase(sp, p0),
+                                          sp.horizon, sp.dt, sp.scheme)
+    n, m = sp.hs.dim_q, sp.hs.rank_d
+    end = phases[-1]
+    res = np.concatenate([end[..., :n] - sp.qT, end[..., n:n + m] - sp.yT], axis=-1)
+    return res, times, phases
+
+
 def shooting_residual(sp, p0):
     """Terminal mismatch (q(T) - qT, y(T) - yT) for an initial-momenta guess.
 
@@ -88,18 +99,11 @@ def shooting_residual(sp, p0):
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     if p0.shape[-1] != sp.n_momenta:
         raise DimensionMismatch(f"p0 must have length {sp.n_momenta}")
-    _, phases = integrate_hamiltonian(sp.hs, _initial_phase(sp, p0),
-                                      sp.horizon, sp.dt, sp.scheme)
-    n, m = sp.hs.dim_q, sp.hs.rank_d
-    end = phases[-1]
-    return np.concatenate([end[..., :n] - sp.qT, end[..., n:n + m] - sp.yT], axis=-1)
+    return _flow(sp, p0)[0]
 
 
-def extremal_trajectory(sp, p0):
-    """Integrate the extremal for p0 and attach controls and diagnostics."""
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    times, phases = integrate_hamiltonian(sp.hs, _initial_phase(sp, p0),
-                                          sp.horizon, sp.dt, sp.scheme)
+def _extremal(sp, times, phases):
+    """Trajectory of integrated phase samples with controls and diagnostics."""
     hs = sp.hs
     n, m = hs.dim_q, hs.rank_d
     problem = hs.problem
@@ -117,6 +121,12 @@ def extremal_trajectory(sp, p0):
                       controls=controls, p_qs=phases[:, n + m:2 * n + m].copy(),
                       p_ys=phases[:, 2 * n + m:].copy(), energies=energies,
                       hamiltonians=hamiltonians)
+
+
+def extremal_trajectory(sp, p0):
+    """Integrate the extremal for p0 and attach controls and diagnostics."""
+    _, times, phases = _flow(sp, np.atleast_1d(np.asarray(p0, dtype=float)))
+    return _extremal(sp, times, phases)
 
 
 def trajectory_cost(sp, trajectory):
@@ -141,52 +151,81 @@ class ShootingResult:
 def solve_bvp(sp, p0_guess=None):
     """Damped Newton on the shooting residual with a forward-difference Jacobian.
 
-    The Jacobian's columns are the residuals at the stacked guesses
-    p0 + h e_i, integrated as one batched flow; the line search evaluates one
-    guess at a time.
+    Each Newton iteration integrates one flow.  When the Hamiltonian kernel
+    evaluates a stack at once, the full-step trial p0 + step (and the initial
+    guess) is integrated together with its columns p0 + step + h e_i, so an
+    accepted trial brings the next Jacobian with it; the halved trials of the
+    line search are integrated alone.  On the per-row kernel, where every
+    extra row costs a full flow, the columns are integrated only for the
+    iterate the line search accepted.  Every residual and Jacobian has the
+    floats of the single calls (``shooting_residual`` and ``fd_jacobian``),
+    and should the stacked flow fail, the trial is integrated alone.  The
+    accepted flow's samples become the extremal, which is not integrated
+    again.
 
-    Raises NewtonDivergence (best iterate and residual norm attached) when the
-    residual cannot be driven below the tolerance; callers can still build the
-    best-iterate trajectory via extremal_trajectory.
+    Raises NewtonDivergence (best iterate, its residual norm and the number of
+    iterations attached) when the residual cannot be driven below the
+    tolerance; callers can still build the best-iterate trajectory via
+    extremal_trajectory.
     """
     opts = sp.newton
     p0 = (np.zeros(sp.n_momenta) if p0_guess is None
           else np.atleast_1d(np.asarray(p0_guess, dtype=float)).copy())
     if not np.all(np.isfinite(p0)):
         raise DimensionMismatch("initial momenta guess must be finite")
-    res = shooting_residual(sp, p0)
+    if p0.shape != (sp.n_momenta,):
+        raise DimensionMismatch(f"p0 must have length {sp.n_momenta}")
+    speculate = sp.hs._stacks_at_once
+    h = opts.fd_step
+    columns = h * np.eye(sp.n_momenta)
+
+    def evaluate(p, with_columns):
+        """Residual at p, the (times, samples) of its flow, and the
+        forward-difference Jacobian at p if its columns rode along, else None."""
+        if with_columns and speculate:
+            try:
+                res, times, phases = _flow(sp, np.vstack([p, p + columns]))
+            except (NonFiniteState, FixedPointDivergence):
+                pass  # the failing row may be a column's: integrate p alone
+            else:
+                return res[0], (times, phases[:, 0]), ((res[1:] - res[0]) / h).T
+        res, times, phases = _flow(sp, p)
+        return res, (times, phases), None
+
+    res, samples, jac = evaluate(p0, True)
     best_p0, best_norm = p0.copy(), float(np.abs(res).max())
     iterations = 0
     while float(np.abs(res).max()) > opts.tolerance:
         if iterations >= opts.max_iterations:
             raise NewtonDivergence(
                 f"shooting Newton did not converge in {opts.max_iterations} iterations",
-                best=best_p0, residual_norm=best_norm)
-        jac = fd_jacobian(lambda p: shooting_residual(sp, p), p0, step=opts.fd_step, f0=res)
+                best=best_p0, residual_norm=best_norm, iterations=iterations)
+        if jac is None:
+            jac = fd_jacobian(lambda p: _flow(sp, p)[0], p0, step=h, f0=res)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian("shooting Jacobian is singular") from exc
         scale = 1.0
-        for _ in range(opts.max_halvings + 1):
+        for halving in range(opts.max_halvings + 1):
             trial = p0 + scale * step
             try:
-                trial_res = shooting_residual(sp, trial)
+                trial_res, trial_samples, trial_jac = evaluate(trial, halving == 0)
             except NonFiniteState:
                 # overshooting trial blew up the flow: treat as no decrease
                 scale *= opts.damping
                 continue
             if np.abs(trial_res).max() < np.abs(res).max():
-                p0, res = trial, trial_res
+                p0, res, samples, jac = trial, trial_res, trial_samples, trial_jac
                 break
             scale *= opts.damping
         else:
-            raise NewtonDivergence("shooting line search stalled",
-                                   best=best_p0, residual_norm=best_norm)
+            raise NewtonDivergence("shooting line search stalled", best=best_p0,
+                                   residual_norm=best_norm, iterations=iterations)
         iterations += 1
         norm = float(np.abs(res).max())
         if norm < best_norm:
             best_p0, best_norm = p0.copy(), norm
-    trajectory = extremal_trajectory(sp, p0)
+    trajectory = _extremal(sp, *samples)
     return ShootingResult(p0=p0, trajectory=trajectory, cost=trajectory_cost(sp, trajectory),
                           iterations=iterations, residual_norm=float(np.abs(res).max()))

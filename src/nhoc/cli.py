@@ -16,9 +16,9 @@ from .bvp import ShootingProblem, NewtonOptions, extremal_trajectory, solve_bvp,
 from .checks import run_all
 from .dynamics import StateQY, simulate
 from .errors import (ConstraintViolated, DimensionMismatch, FixedPointDivergence,
-                     NewtonDivergence, NhocError, NonFiniteState, NotPositiveDefinite,
-                     ParseError, RankDeficient, SingularHessian, SingularJacobian,
-                     SingularMetric, ValidationError)
+                     LegendreDivergence, NewtonDivergence, NhocError, NonFiniteState,
+                     NotPositiveDefinite, ParseError, RankDeficient, SingularHessian,
+                     SingularJacobian, SingularMetric, ValidationError)
 from .hamiltonian import build_hamiltonian, regularity_matrix
 from .models import load_model_config, make_builtin
 from .optimal_control import (ControlDistribution, ExtremalState, OCProblem,
@@ -27,7 +27,8 @@ from .optimal_control import (ControlDistribution, ExtremalState, OCProblem,
 CONFIG_ERRORS = (ParseError, ValidationError, DimensionMismatch,
                  NotPositiveDefinite, RankDeficient)
 NUMERICAL_ERRORS = (SingularMetric, SingularHessian, NonFiniteState,
-                    FixedPointDivergence, ConstraintViolated, SingularJacobian)
+                    FixedPointDivergence, ConstraintViolated, SingularJacobian,
+                    LegendreDivergence)
 
 
 def parse_vector(text):
@@ -169,7 +170,7 @@ def cmd_optimize(args):
         if exc.best is None:
             raise
         traj = extremal_trajectory(sp, exc.best)
-        report_trajectory(traj, exc.best, sp.newton.max_iterations,
+        report_trajectory(traj, exc.best, exc.iterations,
                           exc.residual_norm, trajectory_cost(sp, traj))
         print(f"error: NewtonDivergence: {exc}", file=sys.stderr)
         return 4

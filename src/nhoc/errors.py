@@ -34,15 +34,30 @@ class SingularHessian(NhocError):
 
 
 class NewtonDivergence(NhocError):
-    """A Newton iteration failed to converge.
+    """The shooting Newton iteration failed to converge.
 
-    Carries the best iterate found so far and its residual norm so callers
-    can report partial progress.
+    Carries the best initial momenta found so far, their residual norm and
+    the number of Newton iterations taken, so callers can report partial
+    progress.
     """
 
-    def __init__(self, message, best=None, residual_norm=None):
+    def __init__(self, message, best=None, residual_norm=None, iterations=None):
         super().__init__(message)
         self.best = best
+        self.residual_norm = residual_norm
+        self.iterations = iterations
+
+
+class LegendreDivergence(NhocError):
+    """The Newton inversion C_u(q, y, u) = B^T p_y found no control u.
+
+    Carries the last control iterate and its residual norm; the control is
+    not a momentum, so it is no starting point for the shooting solve.
+    """
+
+    def __init__(self, message, control=None, residual_norm=None):
+        super().__init__(message)
+        self.control = control
         self.residual_norm = residual_norm
 
 

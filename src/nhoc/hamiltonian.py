@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import drift_acceleration
-from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
+from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
                      SingularHessian)
 from .numerics import (fd_jacobian, integrate_fixed_steps, matvec_rows, rk4_step,
                        step_count)
@@ -108,7 +108,7 @@ def _optimal_control(problem, q, y, p_y):
 
     Quadratic costs invert exactly: u = W^{-1} B^T p_y.  Otherwise damped
     Newton from u = B^T p_y (tol 1e-12, max 50 iterations), raising
-    NewtonDivergence on failure.
+    LegendreDivergence on failure.
     """
     cost, ctrl = problem.cost, problem.controls
     target = p_y if ctrl._identity else ctrl.input_matrix.T @ p_y
@@ -141,10 +141,10 @@ def _optimal_control(problem, q, y, p_y):
             # stalled iterate inside the roundtrip contract is accepted
             if np.abs(res).max() < 1e-10:
                 return u
-            raise NewtonDivergence("Legendre inversion stalled", best=u,
-                                   residual_norm=float(np.linalg.norm(res)))
-    raise NewtonDivergence("Legendre inversion did not converge", best=u,
-                           residual_norm=float(np.linalg.norm(res)))
+            raise LegendreDivergence("Legendre inversion stalled", control=u,
+                                     residual_norm=float(np.linalg.norm(res)))
+    raise LegendreDivergence("Legendre inversion did not converge", control=u,
+                             residual_norm=float(np.linalg.norm(res)))
 
 
 def _actuation(problem, u):
@@ -222,11 +222,19 @@ class HamiltonianSystem:
             gx[i], gp[i] = self._point_partials(x[i, :n], x[i, n:], p[i, :n], p[i, n:])
         return gx, gp
 
+    @property
+    def _stacks_at_once(self):
+        """True when the kernel evaluates a whole stack at once (quadratic cost,
+        chart-independent model without potential), so that extra rows of a
+        flow cost little; False when each row takes the per-point formulas."""
+        model = self.system.parent
+        return bool(self.problem.cost.quadratic and model.q_independent
+                    and (self.dim_q == 0 or model.zero_potential))
+
     def _build_kernel(self):
         problem, system, n = self.problem, self.system, self.dim_q
-        model, cost, ctrl = system.parent, problem.cost, problem.controls
-        if not (cost.quadratic and model.q_independent
-                and (n == 0 or model.zero_potential)):
+        cost, ctrl = problem.cost, problem.controls
+        if not self._stacks_at_once:
             return self._rowwise_partials
         # constant geometry and no potential: the drift has no q-Jacobian
         gamma, anchor = system.gamma(), system.anchor_d()

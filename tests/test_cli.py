@@ -124,6 +124,30 @@ class TestOptimize:
         assert out.exists()
         assert "NewtonDivergence" in capsys.readouterr().err
 
+    def test_stall_reports_iterations_taken(self, tmp_path, capsys):
+        # the line search stalls at the 9th Newton step, after 8 accepted ones
+        code = main(["optimize", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0",
+                     "--y0", "0.5,0.2", "--yT", "5,-4", "--T", "1", "--dt", "0.01",
+                     "--newton-tol", "1e-17", "--out", str(tmp_path / "best.csv")])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert "shooting line search stalled" in captured.err
+        assert "iterations: 8" in captured.out.splitlines()
+
+    def test_legendre_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        from nhoc import cli
+        from nhoc.errors import LegendreDivergence
+
+        def failing_solve(sp, guess):
+            raise LegendreDivergence("Legendre inversion stalled", control=np.ones(2))
+
+        monkeypatch.setattr(cli, "solve_bvp", failing_solve)
+        code = main(["optimize", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0",
+                     "--y0", "0.5,0.2", "--yT", "0.4,0.3", "--T", "1", "--dt", "0.01",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "LegendreDivergence" in capsys.readouterr().err
+
 
 class TestCheck:
     @pytest.mark.parametrize("builtin,params", [

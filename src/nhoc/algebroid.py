@@ -311,9 +311,17 @@ class ConstrainedSystem:
         return self.geometry(q)["metric_d_inv"]
 
     def gamma(self, q=None):
-        """Cached Christoffel symbols of the restricted metric at q.
+        """Christoffel symbols of the restricted metric at q, from the full
+        Koszul formula (linear solve in G^D).
 
-        Safe to store alongside the projected data: gamma depends only on the
+        ``gamma[c, a, b]`` solves the Koszul relation for nabla_{e_a} e_b
+        along e_c; torsion identity: gamma[:, a, b] - gamma[:, b, a] =
+        structure_d[:, a, b].  The three anchor-derivative terms use the
+        model partials (finite differences by default) and vanish
+        identically for chart-independent models; the three bracket terms
+        use the projected structure functions.
+
+        Cached alongside the projected data: gamma depends only on the
         metric, structure and anchor fields, which are what the cache key
         tracks (a single entry for chart-independent models).
         """
@@ -346,17 +354,6 @@ def build_constrained_system(model, spec, q_ref=None):
     return ConstrainedSystem(model, spec, q_ref)
 
 
-@dataclass(frozen=True)
-class ChristoffelField:
-    """Levi-Civita coefficients of the restricted metric at one chart point.
-
-    ``gamma[c, a, b]`` solves the Koszul relation for nabla_{e_a} e_b along
-    e_c; torsion identity: gamma[:, a, b] - gamma[:, b, a] = structure_d[:, a, b].
-    """
-
-    gamma: np.ndarray
-
-
 def _koszul_gamma(system, q, geo):
     gd = geo["metric_d"]
     cd = geo["structure_d"]
@@ -374,16 +371,6 @@ def _koszul_gamma(system, q, geo):
         return 0.5 * np.linalg.solve(gd, rhs.reshape(m, -1)).reshape(m, m, m)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric("restricted metric is singular in the Koszul solve") from exc
-
-
-def christoffel(system, q=None):
-    """Christoffel symbols from the full Koszul formula (linear solve in G^D).
-
-    The three anchor-derivative terms use the model partials (finite
-    differences by default) and vanish identically for chart-independent
-    models; the three bracket terms use the projected structure functions.
-    """
-    return ChristoffelField(gamma=system.gamma(q))
 
 
 def grad_potential(system, q=None):

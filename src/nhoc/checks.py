@@ -4,9 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import build_constrained_system, build_splitting, christoffel
+from .algebroid import build_constrained_system, build_splitting
 from .dynamics import StateQY, dalembert_oracle_field, nonholonomic_field
-from .hamiltonian import (PhasePoint, build_hamiltonian, inverse_legendre,
+from .hamiltonian import (HamiltonianSystem, PhasePoint, inverse_legendre,
                           legendre_map, symplecticity_defect)
 from .numerics import fd_partials
 from .optimal_control import ControlDistribution, OCProblem, quadratic_cost
@@ -77,7 +77,7 @@ def check_koszul(system, rng):
     for q in _random_chart_points(system.parent, rng, 3):
         gd = system.metric_d(q)
         cd = system.structure_d(q)
-        gamma = christoffel(system, q).gamma
+        gamma = system.gamma(q)
         lhs = 2.0 * np.einsum("cm,mab->cab", gd, gamma)
         rhs = (np.einsum("am,mcb->cab", gd, cd)
                + np.einsum("bm,mca->cab", gd, cd)
@@ -131,7 +131,7 @@ def check_legendre_roundtrip(system, rng):
 
 def check_symplecticity(system):
     problem = _default_problem(system)
-    hs = build_hamiltonian(problem)
+    hs = HamiltonianSystem(problem)
     n, m = system.dim_q, system.rank_d
     phase = PhasePoint(q=np.zeros(n), y=np.full(m, 0.3), p_q=np.full(n, 0.1),
                        p_y=np.full(m, 0.2))

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .algebroid import build_constrained_system, christoffel
+from .algebroid import build_constrained_system
 from .bvp import ShootingProblem, NewtonOptions, extremal_trajectory, solve_bvp, trajectory_cost
 from .checks import run_all
 from .dynamics import StateQY, simulate
@@ -19,7 +19,7 @@ from .errors import (ConstraintViolated, DimensionMismatch, FixedPointDivergence
                      LegendreDivergence, NewtonDivergence, NhocError, NonFiniteState,
                      NotPositiveDefinite, ParseError, RankDeficient, SingularHessian,
                      SingularJacobian, SingularMetric, ValidationError)
-from .hamiltonian import build_hamiltonian, regularity_matrix
+from .hamiltonian import HamiltonianSystem, regularity_matrix
 from .models import load_model_config, make_builtin
 from .optimal_control import (ControlDistribution, ExtremalState, OCProblem,
                               quadratic_cost)
@@ -146,7 +146,7 @@ def cmd_optimize(args):
     if not report.is_regular:
         raise SingularHessian(
             f"regularity matrix is singular (det = {report.determinant:.3e})")
-    hs = build_hamiltonian(problem)
+    hs = HamiltonianSystem(problem)
     sp = ShootingProblem(hs=hs, dt=args.dt, scheme=args.integrator,
                          newton=NewtonOptions(tolerance=args.newton_tol,
                                               max_iterations=args.max_iterations))
@@ -206,7 +206,7 @@ def cmd_derive(args):
         "structure_constants": system.structure_d(q).tolist(),
         "restricted_metric": system.metric_d(q).tolist(),
         "restricted_metric_inverse": system.metric_d_inv(q).tolist(),
-        "christoffel": christoffel(system, q).gamma.tolist(),
+        "christoffel": system.gamma(q).tolist(),
     }
     print(json.dumps(doc, indent=2))
     return 0

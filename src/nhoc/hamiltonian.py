@@ -93,13 +93,23 @@ def regularity_matrix(problem, state):
 
 
 def legendre_map(problem, state):
-    """Momenta of the extended Lagrangian: p_q = lambda, p_y = dL/dydot."""
-    if not problem.controls.fully_actuated:
-        raise DimensionMismatch("the Hamiltonian formulation requires full actuation")
+    """Momenta of the extended Lagrangian: p_q = lambda, p_y = dL/dydot.
+
+    With basis-aligned inputs p_y = C_u(q, y, u) on the actuated rows, with
+    u = v + delta there, and p_y = lambda_bar on the unactuated rows.  A
+    square input matrix gives p_y = B^{-T} C_u.
+    """
+    ctrl = problem.controls
     q, y = state.q, state.y
     u = recover_controls(problem, q, y, state.v)
     cu = problem.cost.du(q, y, u)
-    p_y = problem.controls.solve_inputs_t(cu)
+    if ctrl.actuated_indices is None:
+        return PhasePoint(q=q, y=y, p_q=state.lam, p_y=ctrl._inverse.T @ cu)
+    if state.lam_bar.shape != (ctrl.rank_d - ctrl.k,):
+        raise DimensionMismatch(f"lambda_bar must have length {ctrl.rank_d - ctrl.k}")
+    p_y = np.empty(ctrl.rank_d)
+    p_y[ctrl._act] = cu
+    p_y[ctrl._una] = state.lam_bar
     return PhasePoint(q=q, y=y, p_q=state.lam, p_y=p_y)
 
 
@@ -153,21 +163,33 @@ def _actuation(problem, u):
 
 
 def inverse_legendre(problem, phase):
-    """Acceleration and multipliers from momenta: v = B u - drift, lambda = p_q,
-    with u from the Legendre inversion C_u = B^T p_y."""
+    """Accelerations and multipliers from momenta, inverting ``legendre_map``.
+
+    The control u solves C_u = B^T p_y and lambda = p_q.  With basis-aligned
+    inputs v = u - delta on the actuated rows and lambda_bar = p_y on the
+    unactuated rows; a square input matrix gives v = B u - delta.
+    """
+    ctrl = problem.controls
     q, y = phase.q, phase.y
     u = _optimal_control(problem, q, y, phase.p_y)
-    v = _actuation(problem, u) - drift_acceleration(problem.system, q, y)
-    return ExtremalState(q=q, y=y, v=v, lam=phase.p_q)
+    delta = drift_acceleration(problem.system, q, y)
+    if ctrl.actuated_indices is None:
+        if ctrl._inverse is None:
+            raise DimensionMismatch("input matrix is neither basis-aligned nor square")
+        return ExtremalState(q=q, y=y, v=_actuation(problem, u) - delta, lam=phase.p_q)
+    return ExtremalState(q=q, y=y, v=u - delta[ctrl._act], lam=phase.p_q,
+                         lam_bar=phase.p_y[ctrl._una])
 
 
 class HamiltonianSystem:
     """Hamiltonian H(q, y, p_q, p_y) of the optimal control problem.
 
     H = p_y (B u - delta) + p_q rho^T y - C(q, y, u), with delta the drift
-    and u solving C_u = B^T p_y.  By the envelope theorem its partials follow
-    from that one inversion, for every cost: the drift and anchor terms plus
-    -C_q and -C_y at the optimal u, which vanish for quadratic costs.
+    and u solving C_u = B^T p_y: the maximum-principle Hamiltonian for any
+    input matrix B of full column rank, so underactuated problems take the
+    same flow.  By the envelope theorem its partials follow from that one
+    inversion, for every cost: the drift and anchor terms plus -C_q and -C_y
+    at the optimal u, which vanish for quadratic costs.
 
     The partials are compiled on first use into one kernel on stacks of
     phase rows.  With a quadratic cost on a chart-independent model without
@@ -177,8 +199,6 @@ class HamiltonianSystem:
     """
 
     def __init__(self, problem):
-        if not problem.controls.fully_actuated:
-            raise DimensionMismatch("the Hamiltonian formulation requires full actuation")
         self.problem = problem
         self.system = problem.system
         self.dim_q = problem.dim_q
@@ -292,11 +312,6 @@ class HamiltonianSystem:
             raise DimensionMismatch(f"phase vector must have length {2 * (n + m)}")
         return PhasePoint(q=z[..., :n], y=z[..., n:n + m], p_q=z[..., n + m:2 * n + m],
                           p_y=z[..., 2 * n + m:])
-
-
-def build_hamiltonian(problem):
-    """Hamiltonian system of a fully actuated problem on T*D."""
-    return HamiltonianSystem(problem)
 
 
 def _fixed_point(gfun, z0, tol=1e-12, max_iter=100):

@@ -130,52 +130,45 @@ def quadratic_cost(weight):
 class ControlDistribution:
     """Input sections over the adapted D-basis.
 
-    ``input_matrix`` has one column per input; ``actuated_indices`` is set
-    when the inputs are basis-aligned (selection columns), which the
-    underactuated machinery requires.
+    ``input_matrix`` B has one column per input.  When every column is a unit
+    vector the inputs are basis-aligned and ``actuated_indices`` holds the row
+    of each column; otherwise it is None.  The necessary conditions need
+    basis-aligned inputs; the Hamiltonian side takes any B of full column rank.
     """
 
     input_matrix: np.ndarray
-    actuated_indices: Optional[tuple] = None
+    actuated_indices: Optional[tuple] = field(init=False, default=None)
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.input_matrix, dtype=float))
         if np.linalg.matrix_rank(m, tol=1e-10) < m.shape[1]:
             raise DimensionMismatch("input matrix must have full column rank")
         object.__setattr__(self, "input_matrix", m)
-        if self.actuated_indices is not None:
-            object.__setattr__(self, "actuated_indices", tuple(int(i) for i in self.actuated_indices))
+        if (((m == 0.0) | (m == 1.0)).all(axis=0) & (m.sum(axis=0) == 1.0)).all():
+            act = m.argmax(axis=0)
+            object.__setattr__(self, "actuated_indices", tuple(int(i) for i in act))
+            # row indices of the actuated and unactuated directions: slices,
+            # which index without copying, when every row is actuated in order
+            in_order = np.array_equal(act, np.arange(m.shape[0]))
+            object.__setattr__(self, "_act", slice(None) if in_order else act)
+            object.__setattr__(self, "_una", slice(0, 0) if in_order
+                               else np.setdiff1d(np.arange(m.shape[0]), act))
         square = m.shape[0] == m.shape[1]
         object.__setattr__(self, "_identity", square and np.array_equal(m, np.eye(m.shape[0])))
         object.__setattr__(self, "_inverse", None if not square else np.linalg.inv(m))
 
-    def solve_inputs(self, rhs):
-        """B^{-1} rhs for square input matrices (identity fast path)."""
-        if self._identity:
-            return rhs
-        if self._inverse is None:
-            raise DimensionMismatch("input matrix is not square")
-        return self._inverse @ rhs
-
-    def solve_inputs_t(self, rhs):
-        """B^{-T} rhs for square input matrices (identity fast path)."""
-        if self._identity:
-            return rhs
-        if self._inverse is None:
-            raise DimensionMismatch("input matrix is not square")
-        return self._inverse.T @ rhs
-
     @classmethod
     def full(cls, rank_d):
-        return cls(input_matrix=np.eye(rank_d), actuated_indices=tuple(range(rank_d)))
+        return cls(input_matrix=np.eye(rank_d))
 
     @classmethod
     def on_indices(cls, rank_d, indices):
         indices = tuple(int(i) for i in indices)
+        if any(not 0 <= i < rank_d for i in indices):
+            raise DimensionMismatch(f"actuated indices {indices} must lie in [0, {rank_d})")
         m = np.zeros((rank_d, len(indices)))
-        for col, idx in enumerate(indices):
-            m[idx, col] = 1.0
-        return cls(input_matrix=m, actuated_indices=indices)
+        m[indices, range(len(indices))] = 1.0
+        return cls(input_matrix=m)
 
     @property
     def rank_d(self):
@@ -297,9 +290,9 @@ def drift_jacobians(system, q, y, geo=None):
 def recover_controls(problem, q, y, ydot):
     """Controls realizing the acceleration ydot at (q, y).
 
-    Fully actuated: u = B^{-1}(ydot + drift).  With basis-aligned partial
-    actuation, ydot holds the actuated components only and the drift is
-    restricted to those rows.
+    With basis-aligned inputs ydot holds the accelerations of the actuated
+    rows, in input order, and u = ydot + drift on those rows.  Otherwise the
+    input matrix must be square and u = B^{-1}(ydot + drift).
     """
     system = problem.system
     q = system.parent.chart_point(q)
@@ -307,14 +300,15 @@ def recover_controls(problem, q, y, ydot):
     ydot = np.atleast_1d(np.asarray(ydot, dtype=float))
     delta = drift_acceleration(system, q, y)
     ctrl = problem.controls
-    if ctrl.fully_actuated:
+    if ctrl.actuated_indices is None:
+        if ctrl._inverse is None:
+            raise DimensionMismatch("input matrix is neither basis-aligned nor square")
         if ydot.shape != (system.rank_d,):
             raise DimensionMismatch(f"ydot must have length {system.rank_d}")
-        return ctrl.solve_inputs(ydot + delta)
-    act = list(ctrl.actuated_indices)
-    if ydot.shape != (len(act),):
-        raise DimensionMismatch(f"ydot must have length {len(act)} (actuated rows)")
-    return ydot + delta[act]
+        return ctrl._inverse @ (ydot + delta)
+    if ydot.shape != (ctrl.k,):
+        raise DimensionMismatch(f"ydot must have length {ctrl.k} (actuated rows)")
+    return ydot + delta[ctrl._act]
 
 
 def lift_cost(problem, q, y, ydot):
@@ -326,63 +320,34 @@ def lift_cost(problem, q, y, ydot):
 
 
 def necessary_conditions_field(problem, state):
-    """Explicit ODE of the fully actuated necessary conditions.
+    """Explicit ODE of the necessary conditions for basis-aligned inputs.
 
-    lambda_dot_i = dL/dq^i - lambda_j d(rho^j_A)/dq^i y^A,
-    d/dt(dL/dydot^A) = dL/dy^A - rho^i_A lambda_i,  qdot = rho y;
-    the acceleration vdot is resolved through the cost Hessian.
+    The actuated rows a carry the controls u = v + delta^a; the unactuated
+    accelerations are eliminated through the drift constraints
+    Phi^alpha = ydot^alpha + delta^alpha = 0 (index reduction), with
+    multipliers lambda_bar_alpha:
+
+    qdot = rho y,
+    d/dt(dL/dv^a) = dL/dy^a + lambda_bar_alpha dPhi^alpha/dy^a - rho^i_a lambda_i,
+    lambda_bar_dot_alpha = dL/dy^alpha + lambda_bar_beta dPhi^beta/dy^alpha
+    - rho^i_alpha lambda_i,
+    lambda_dot_i = dL/dq^i + lambda_bar_alpha dPhi^alpha/dq^i
+    - lambda_j d(rho^j_A)/dq^i y^A;
+
+    the acceleration vdot is resolved through the cost Hessian.  With every
+    row actuated lambda_bar is empty and these are the fully actuated
+    conditions.  Raises DimensionMismatch unless the inputs are basis-aligned.
     """
     ctrl = problem.controls
-    if not ctrl.fully_actuated:
-        raise DimensionMismatch("necessary_conditions_field requires full actuation")
-    system, cost = problem.system, problem.cost
-    q, y, v, lam = state.q, state.y, state.v, state.lam
-    geo = system.geometry(q)
-    anchor = geo["anchor_d"]
-    delta = drift_acceleration(system, q, y, geo)
-    u = ctrl.solve_inputs(v + delta)
-    ddq, ddy = drift_jacobians(system, q, y, geo)
-
-    cu = cost.du(q, y, u)
-    p_y = ctrl.solve_inputs_t(cu)
-    l_y = ddy.T @ p_y if cost.quadratic else cost.dy(q, y, u) + ddy.T @ p_y
-    qdot = anchor.T @ y
-    ydot = v
-    rhs = l_y - anchor @ lam
-
-    delta_dot = ddq @ qdot + ddy @ ydot
-    bt_rhs = rhs if ctrl._identity else ctrl.input_matrix.T @ rhs
-    if not cost.quadratic:
-        bt_rhs = bt_rhs - cost.d2uq(q, y, u) @ qdot - cost.d2uy(q, y, u) @ ydot
-    w = cost.solve_hessian(q, y, u, bt_rhs)
-    vdot = (w if ctrl._identity else ctrl.input_matrix @ w) - delta_dot
-
-    if problem.dim_q > 0:
-        l_q = ddq.T @ p_y if cost.quadratic else cost.dq(q, y, u) + ddq.T @ p_y
-        lamdot = l_q - np.einsum("iAj,j,A->i", system.anchor_d_dq(q), lam, y)
-    else:
-        lamdot = np.zeros(0)
-    return ExtremalState(q=qdot, y=ydot, v=vdot, lam=lamdot)
-
-
-def underactuated_field(problem, state):
-    """Explicit ODE of the underactuated necessary conditions.
-
-    The unactuated accelerations are eliminated through Phi^alpha = 0
-    (index reduction), and the multipliers lambda_bar_alpha evolve by
-    lambda_bar_dot = dL/dy^alpha + lambda_bar_beta dPhi^beta/dy^alpha
-    - lambda_i rho^i_alpha.  With every index actuated this coincides with
-    the fully actuated field.
-    """
-    ctrl = problem.controls
-    act = list(ctrl.actuated_indices)
-    una = list(ctrl.unactuated_indices)
+    if ctrl.actuated_indices is None:
+        raise DimensionMismatch("the necessary conditions need basis-aligned inputs")
+    act, una = ctrl._act, ctrl._una
     system, cost = problem.system, problem.cost
     q, y, v, lam, lam_bar = state.q, state.y, state.v, state.lam, state.lam_bar
-    if v.shape != (len(act),):
-        raise DimensionMismatch(f"v must hold the {len(act)} actuated accelerations")
-    if lam_bar.shape != (len(una),):
-        raise DimensionMismatch(f"lambda_bar must have length {len(una)}")
+    if v.shape != (ctrl.k,):
+        raise DimensionMismatch(f"v must hold the {ctrl.k} actuated accelerations")
+    if lam_bar.shape != (ctrl.rank_d - ctrl.k,):
+        raise DimensionMismatch(f"lambda_bar must have length {ctrl.rank_d - ctrl.k}")
 
     geo = system.geometry(q)
     anchor = geo["anchor_d"]
@@ -398,14 +363,15 @@ def underactuated_field(problem, state):
     cu = cost.du(q, y, u)
     l_y = ddy[act].T @ cu if cost.quadratic else cost.dy(q, y, u) + ddy[act].T @ cu
     rho_lam = anchor @ lam
+    ddy_una = ddy[una]
 
-    rhs_a = l_y[act] - rho_lam[act] + ddy[np.ix_(una, act)].T @ lam_bar
+    rhs_a = l_y[act] - rho_lam[act] + ddy_una[:, act].T @ lam_bar
     delta_dot = ddq @ qdot + ddy @ ydot
     if not cost.quadratic:
         rhs_a = rhs_a - cost.d2uq(q, y, u) @ qdot - cost.d2uy(q, y, u) @ ydot
     vdot = cost.solve_hessian(q, y, u, rhs_a) - delta_dot[act]
 
-    lam_bar_dot = l_y[una] - rho_lam[una] + ddy[np.ix_(una, una)].T @ lam_bar
+    lam_bar_dot = l_y[una] - rho_lam[una] + ddy_una[:, una].T @ lam_bar
 
     if problem.dim_q > 0:
         l_q = ddq[act].T @ cu if cost.quadratic else cost.dq(q, y, u) + ddq[act].T @ cu
@@ -416,21 +382,18 @@ def underactuated_field(problem, state):
     return ExtremalState(q=qdot, y=ydot, v=vdot, lam=lamdot, lam_bar=lam_bar_dot)
 
 
-def integrate_extremal(problem, state0, t_final, dt, field=None):
-    """Fixed-step RK4 integration of an extremal ODE; returns (times, states).
+def integrate_extremal(problem, state0, t_final, dt):
+    """Fixed-step RK4 integration of the necessary conditions; returns
+    (times, states).
 
     The steps run through the package's one fixed-step driver.  Raises
-    DimensionMismatch unless dt divides t_final, and NonFiniteState when the
-    state leaves the finite range.
+    DimensionMismatch unless dt divides t_final or unless the inputs are
+    basis-aligned, and NonFiniteState when the state leaves the finite range.
     """
-    if field is None:
-        field = (necessary_conditions_field if problem.controls.fully_actuated
-                 else underactuated_field)
-    k = state0.v.size
+    k = problem.controls.k
 
     def rhs(t, z):
-        s = unpack_extremal(problem, z, k=k)
-        ds = field(problem, s)
+        ds = necessary_conditions_field(problem, unpack_extremal(problem, z, k=k))
         return np.concatenate([ds.q, ds.y, ds.v, ds.lam, ds.lam_bar])
 
     times, zs = integrate_fixed_steps(lambda t, z: rk4_step(rhs, t, z, dt),

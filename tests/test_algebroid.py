@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nhoc import (ConstraintSpec, build_constrained_system, build_splitting,
-                  christoffel, constant_model, grad_potential, make_chaplygin,
+                  constant_model, grad_potential, make_chaplygin,
                   make_suslov, project_bracket, restrict_metric)
 from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric
 
@@ -140,7 +140,7 @@ class TestRestrictMetric:
 
 class TestChristoffel:
     def test_suslov_values(self, suslov_system):
-        gamma = christoffel(suslov_system).gamma
+        gamma = suslov_system.gamma()
         assert abs(gamma[0, 0, 1] - 0.05) < 1e-14
         assert abs(gamma[0, 1, 0]) < 1e-14
         assert abs(gamma[0, 1, 1] - 0.1) < 1e-14   # = I23 / I11
@@ -150,10 +150,10 @@ class TestChristoffel:
     def test_flat_model_is_zero(self):
         model = constant_model(np.zeros((3, 3, 3)), np.diag([1.0, 2.0, 5.0]))
         system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(3)[:2]))
-        assert np.abs(christoffel(system).gamma).max() == 0.0
+        assert np.abs(system.gamma()).max() == 0.0
 
     def test_chaplygin_classical_case(self, chaplygin_system):
-        gamma = christoffel(chaplygin_system).gamma
+        gamma = chaplygin_system.gamma()
         y = np.array([1.0, 2.0])
         quad = np.einsum("cab,a,b->c", gamma, y, y)
         assert abs(quad[0] - 0.5 * y[0] * y[1]) < 1e-14
@@ -164,7 +164,7 @@ class TestChristoffel:
         # hand-solved Koszul system for m = J = a = b = 1
         model, spec = make_chaplygin(1.0, 1.0, 1.0, 1.0)
         system = build_constrained_system(model, spec)
-        gamma = christoffel(system).gamma
+        gamma = system.gamma()
         assert abs(gamma[0, 0, 0] + 0.5) < 1e-13
         assert abs(gamma[1, 0, 0] + 1.5) < 1e-13
         assert abs(gamma[0, 0, 1] - 0.5) < 1e-13
@@ -177,7 +177,7 @@ class TestChristoffel:
             model, spec = make_chaplygin(0.5 + rng.random(), 0.5 + rng.random(),
                                          rng.uniform(-1, 1), rng.uniform(-1, 1))
             system = build_constrained_system(model, spec)
-            gamma = christoffel(system).gamma
+            gamma = system.gamma()
             cd = system.structure_d()
             assert np.abs(gamma - gamma.swapaxes(1, 2) - cd).max() < 1e-10
 
@@ -189,7 +189,7 @@ class TestChristoffel:
         c_full[1, 0, 1], c_full[1, 1, 0] = -0.3, 0.3
         model = constant_model(c_full, np.eye(2))
         system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
-        gamma = christoffel(system).gamma
+        gamma = system.gamma()
         cd = system.structure_d()
         closed = 0.5 * (np.einsum("bca->cab", cd) + np.einsum("acb->cab", cd) + cd)
         assert np.abs(gamma - closed).max() < 1e-14
@@ -201,7 +201,7 @@ class TestChristoffel:
             q = np.array([q0])
             gd = system.metric_d(q)
             cd = system.structure_d(q)
-            gamma = christoffel(system, q).gamma
+            gamma = system.gamma(q)
             lhs = 2.0 * np.einsum("cm,mab->cab", gd, gamma)
 
             def rhs_with(dgd):
@@ -229,7 +229,7 @@ class TestChristoffel:
         sys_a = build_constrained_system(analytic, ConstraintSpec(span_basis=np.eye(2)))
         sys_f = build_constrained_system(fd, ConstraintSpec(span_basis=np.eye(2)))
         q = np.array([0.6])
-        assert np.abs(christoffel(sys_a, q).gamma - christoffel(sys_f, q).gamma).max() < 1e-8
+        assert np.abs(sys_a.gamma(q) - sys_f.gamma(q)).max() < 1e-8
 
     def test_restricted_subbundle_with_chart_dependence(self):
         # rank-1 subbundle: Gamma = rho(e)(G_11) / (2 G_11), checked against FD
@@ -237,7 +237,7 @@ class TestChristoffel:
         spec = ConstraintSpec(span_basis=[[1.0, 0.3]])
         system = build_constrained_system(model, spec)
         q = np.array([0.4])
-        gamma = christoffel(system, q).gamma
+        gamma = system.gamma(q)
         h = 1e-6
         g11 = lambda qq: system.metric_d(qq)[0, 0]
         dg11 = (g11(q + h) - g11(q - h)) / (2 * h)

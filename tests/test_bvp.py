@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, ControlDistribution, CostModel, OCProblem, NewtonOptions,
-                  ShootingProblem, StateQY, build_constrained_system, build_hamiltonian,
-                  extremal_trajectory, quadratic_cost, shooting_residual, simulate,
-                  solve_bvp)
+from nhoc import (ConstraintSpec, ControlDistribution, CostModel, HamiltonianSystem,
+                  NewtonOptions, OCProblem, ShootingProblem, StateQY,
+                  build_constrained_system, extremal_trajectory, quadratic_cost,
+                  shooting_residual, simulate, solve_bvp)
 from nhoc import bvp
 from nhoc.errors import (DimensionMismatch, LegendreDivergence, NewtonDivergence,
                          NonFiniteState)
@@ -15,7 +15,7 @@ SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
 
 
 def shooting_for(problem, dt=1e-3, scheme="rk4", **newton):
-    hs = build_hamiltonian(problem)
+    hs = HamiltonianSystem(problem)
     opts = NewtonOptions(**newton) if newton else NewtonOptions()
     return ShootingProblem(hs=hs, dt=dt, scheme=scheme, newton=opts)
 
@@ -267,12 +267,12 @@ class TestSolveBVP:
         assert info.value.best is not None
 
     def test_dt_must_divide_horizon(self, double_integrator_problem):
-        hs = build_hamiltonian(double_integrator_problem)
+        hs = HamiltonianSystem(double_integrator_problem)
         with pytest.raises(DimensionMismatch):
             ShootingProblem(hs=hs, dt=0.3, scheme="rk4")
 
     def test_missing_boundary_detected(self, chaplygin_system):
         problem = full_actuation_problem(chaplygin_system)  # no boundary data
-        hs = build_hamiltonian(problem)
+        hs = HamiltonianSystem(problem)
         with pytest.raises(DimensionMismatch):
             ShootingProblem(hs=hs, dt=1e-3)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from nhoc import (ControlDistribution, CostModel, ExtremalState, OCProblem, PhasePoint,
-                  build_constrained_system, build_hamiltonian, constant_model,
+from nhoc import (ControlDistribution, CostModel, ExtremalState, HamiltonianSystem,
+                  OCProblem, PhasePoint, build_constrained_system, constant_model,
                   integrate_extremal, integrate_step, inverse_legendre, legendre_map,
-                  quadratic_cost, recover_controls, regularity_matrix, symplecticity_defect)
+                  make_double_integrator, quadratic_cost, recover_controls,
+                  regularity_matrix, symplecticity_defect)
 from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
-from nhoc.errors import FixedPointDivergence, SingularHessian
+from nhoc.errors import DimensionMismatch, FixedPointDivergence, SingularHessian
 
 from conftest import curved_model, full_actuation_problem, quartic_cost
 
@@ -106,6 +107,34 @@ class TestLegendre:
             back = legendre_map(problem, inverse_legendre(problem, phase))
             assert np.abs(back.flat() - phase.flat()).max() < 1e-10
 
+    def test_roundtrip_one_input(self, suslov_system, chaplygin_system):
+        model, spec = make_double_integrator(2)
+        double_integrator = build_constrained_system(model, spec)
+        rng = np.random.default_rng(41)
+        for system in (chaplygin_system, suslov_system, double_integrator):
+            problem = OCProblem(system=system, controls=ControlDistribution.on_indices(2, [0]),
+                                cost=quadratic_cost(np.eye(1)), horizon=1.0)
+            n = system.dim_q
+            for _ in range(100):
+                phase = PhasePoint(q=rng.uniform(-1, 1, n), y=rng.uniform(-1, 1, 2),
+                                   p_q=rng.uniform(-1, 1, n), p_y=rng.uniform(-1, 1, 2))
+                state = inverse_legendre(problem, phase)
+                assert state.v.shape == (1,) and state.lam_bar.shape == (1,)
+                back = legendre_map(problem, state)
+                assert np.abs(back.flat() - phase.flat()).max() < 1e-10
+
+    def test_one_input_correspondence(self, chaplygin_system):
+        # p_y = (C_u, lambda_bar) with u = v + delta on the actuated row
+        problem = OCProblem(system=chaplygin_system,
+                            controls=ControlDistribution.on_indices(2, [1]),
+                            cost=quadratic_cost(np.eye(1)), horizon=1.0)
+        y = np.array([1.0, 2.0])
+        delta = drift_acceleration(chaplygin_system, np.zeros(0), y)
+        phase = legendre_map(problem, ExtremalState(y=y, v=[0.3], lam_bar=[-0.7]))
+        assert np.abs(phase.p_y - [-0.7, 0.3 + delta[1]]).max() < 1e-15
+        with pytest.raises(DimensionMismatch):
+            legendre_map(problem, ExtremalState(y=y, v=[0.3]))
+
 
 class TestRegularity:
     def test_lie_algebra_identity_weight(self, suslov_system):
@@ -136,12 +165,12 @@ class TestRegularity:
 
 class TestHamiltonianValue:
     def test_zero_momentum_zero_value(self, suslov_system):
-        hs = build_hamiltonian(full_actuation_problem(suslov_system))
+        hs = HamiltonianSystem(full_actuation_problem(suslov_system))
         phase = PhasePoint(q=[], y=[0.7, -0.4], p_q=[], p_y=[0.0, 0.0])
         assert abs(hs.value(phase)) < 1e-14
 
     def test_chaplygin_closed_form(self, chaplygin_system):
-        hs = build_hamiltonian(full_actuation_problem(chaplygin_system))
+        hs = HamiltonianSystem(full_actuation_problem(chaplygin_system))
         rng = np.random.default_rng(4)
         for _ in range(20):
             y, p = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
@@ -151,13 +180,13 @@ class TestHamiltonianValue:
             assert abs(hs.value(phase) - expected) < 1e-13
 
     def test_double_integrator_closed_form(self, double_integrator_problem):
-        hs = build_hamiltonian(double_integrator_problem)
+        hs = HamiltonianSystem(double_integrator_problem)
         phase = PhasePoint(q=[0.3], y=[0.5], p_q=[2.0], p_y=[3.0])
         assert abs(hs.value(phase) - (0.5 * 9.0 + 2.0 * 0.5)) < 1e-13
 
     def test_value_equals_p_v_minus_lagrangian(self, chaplygin_system):
         problem = full_actuation_problem(chaplygin_system)
-        hs = build_hamiltonian(problem)
+        hs = HamiltonianSystem(problem)
         rng = np.random.default_rng(12)
         for _ in range(100):
             phase = PhasePoint(q=[], y=rng.uniform(-1, 1, 2), p_q=[],
@@ -170,7 +199,7 @@ class TestHamiltonianValue:
 
 class TestHamiltonianField:
     def test_double_integrator_field(self, double_integrator_problem):
-        hs = build_hamiltonian(double_integrator_problem)
+        hs = HamiltonianSystem(double_integrator_problem)
         f = hs.field(PhasePoint(q=[0.1], y=[0.4], p_q=[2.0], p_y=[3.0]))
         assert abs(f.q[0] - 0.4) < 1e-12
         assert abs(f.y[0] - 3.0) < 1e-12
@@ -178,13 +207,13 @@ class TestHamiltonianField:
         assert abs(f.p_y[0] + 2.0) < 1e-12
 
     def test_chaplygin_worked_point(self, chaplygin_system):
-        hs = build_hamiltonian(full_actuation_problem(chaplygin_system))
+        hs = HamiltonianSystem(full_actuation_problem(chaplygin_system))
         f = hs.field(PhasePoint(q=[], y=[1.0, 0.0], p_q=[], p_y=[1.0, 0.0]))
         assert np.abs(f.y - [1.0, 1.0]).max() < 1e-13
         assert np.abs(f.p_y - [0.0, 0.5]).max() < 1e-13
 
     def test_zero_momentum_follows_drift(self, suslov_system):
-        hs = build_hamiltonian(full_actuation_problem(suslov_system))
+        hs = HamiltonianSystem(full_actuation_problem(suslov_system))
         y = np.array([1.0, 1.0])
         f = hs.field(PhasePoint(q=[], y=y, p_q=[], p_y=[0.0, 0.0]))
         assert np.abs(f.y - [-0.15, 0.1]).max() < 1e-13
@@ -194,11 +223,11 @@ class TestHamiltonianField:
         # same cost, not flagged quadratic: the Legendre inversion is a Newton
         # solve and the partials carry the (here zero) -C_q and -C_y terms
         problem = full_actuation_problem(chaplygin_system)
-        hs_closed = build_hamiltonian(problem)
+        hs_closed = HamiltonianSystem(problem)
         base = problem.cost
         fd_cost = CostModel(evaluator=base.evaluator, k=2, cu=base.cu, cuu=base.cuu,
                             cq=base.cq, cy=base.cy, cuq=base.cuq, cuy=base.cuy)
-        hs_fd = build_hamiltonian(OCProblem(system=chaplygin_system,
+        hs_fd = HamiltonianSystem(OCProblem(system=chaplygin_system,
                                             controls=problem.controls,
                                             cost=fd_cost, horizon=1.0))
         rng = np.random.default_rng(9)
@@ -210,7 +239,7 @@ class TestHamiltonianField:
             assert np.abs(a - b).max() < 1e-6
 
     def test_state_dependent_cost_partials_match_fd_of_value(self):
-        hs = build_hamiltonian(curved_problem(state_dependent_cost()))
+        hs = HamiltonianSystem(curved_problem(state_dependent_cost()))
         rng = np.random.default_rng(5)
         h = 1e-6
         for _ in range(5):
@@ -226,7 +255,7 @@ class TestHamiltonianField:
 
     def test_lagrangian_trajectory_satisfies_hamilton_equations(self, chaplygin_system):
         problem = full_actuation_problem(chaplygin_system)
-        hs = build_hamiltonian(problem)
+        hs = HamiltonianSystem(problem)
         dt = 1e-4
         state0 = ExtremalState(y=[0.5, 0.2], v=[0.1, -0.1])
         _, states = integrate_extremal(problem, state0, 0.1, dt)
@@ -241,7 +270,7 @@ class TestHamiltonianField:
 
 class TestIntegrateStep:
     def test_verlet_matches_exact_linear_flow(self, double_integrator_problem):
-        hs = build_hamiltonian(double_integrator_problem)
+        hs = HamiltonianSystem(double_integrator_problem)
         dt = 0.1
         z0 = PhasePoint(q=[0.0], y=[0.0], p_q=[0.0], p_y=[6.0])
         stepped = integrate_step(hs, z0, dt, "stormer_verlet")
@@ -250,7 +279,7 @@ class TestIntegrateStep:
 
     def test_small_step_consistency(self):
         problem = flat_lie_algebra_problem()
-        hs = build_hamiltonian(problem)
+        hs = HamiltonianSystem(problem)
         phase = PhasePoint(q=[], y=[0.3, -0.2], p_q=[], p_y=[0.7, 0.4])
         dt = 1e-6
         field = hs.field(phase).flat()
@@ -261,7 +290,7 @@ class TestIntegrateStep:
 
     def test_verlet_exact_for_free_drift(self):
         problem = flat_lie_algebra_problem()
-        hs = build_hamiltonian(problem)
+        hs = HamiltonianSystem(problem)
         dt = 0.25
         phase = PhasePoint(q=[], y=[0.3, -0.2], p_q=[], p_y=[0.7, 0.4])
         stepped = integrate_step(hs, phase, dt, "stormer_verlet")
@@ -269,7 +298,7 @@ class TestIntegrateStep:
         assert np.abs(stepped.p_y - phase.p_y).max() < 1e-14
 
     def test_fixed_point_divergence(self, chaplygin_system):
-        hs = build_hamiltonian(full_actuation_problem(chaplygin_system))
+        hs = HamiltonianSystem(full_actuation_problem(chaplygin_system))
         phase = PhasePoint(q=[], y=[5.0, 5.0], p_q=[], p_y=[5.0, 5.0])
         with pytest.raises(FixedPointDivergence):
             integrate_step(hs, phase, 10.0, "stormer_verlet")
@@ -282,7 +311,7 @@ class TestSymplecticity:
                     full_actuation_problem(chaplygin_system),
                     double_integrator_problem]
         for problem in problems:
-            hs = build_hamiltonian(problem)
+            hs = HamiltonianSystem(problem)
             n, m = problem.dim_q, problem.rank_d
             phase = PhasePoint(q=np.zeros(n), y=np.full(m, 0.3),
                                p_q=np.full(n, 0.1), p_y=np.full(m, 0.2))
@@ -293,7 +322,7 @@ class TestSymplecticity:
     def test_curved_model_quartic_cost(self):
         # the implicit substeps reach their 1e-12 fixed point only when the
         # partials are free of finite-difference noise in the Legendre solve
-        hs = build_hamiltonian(curved_problem(quartic_cost()))
+        hs = HamiltonianSystem(curved_problem(quartic_cost()))
         phase = PhasePoint(q=[0.2], y=[0.4, -0.3], p_q=[0.1], p_y=[0.5, -0.3])
         for scheme in ("stormer_verlet", "symp_euler"):
             for dt in (0.1, 0.01):
@@ -302,27 +331,19 @@ class TestSymplecticity:
     def test_curved_model_defect_below_fixed_point_floor(self):
         # a 1e-4 stencil reads the 1e-12 fixed-point tolerance as a defect
         # of about 1e-8 at most, so the schemes' own defect shows below it
-        hs = build_hamiltonian(curved_problem(quartic_cost()))
+        hs = HamiltonianSystem(curved_problem(quartic_cost()))
         phase = PhasePoint(q=[0.2], y=[0.4, -0.3], p_q=[0.1], p_y=[0.5, -0.3])
         for scheme in ("stormer_verlet", "symp_euler"):
             for dt in (0.1, 0.01):
                 assert symplecticity_defect(hs, phase, dt, scheme) < 1e-8
 
     def test_rk4_defect_is_measurably_nonzero(self, chaplygin_system):
-        hs = build_hamiltonian(full_actuation_problem(chaplygin_system))
+        hs = HamiltonianSystem(full_actuation_problem(chaplygin_system))
         phase = PhasePoint(q=[], y=[1.0, 0.5], p_q=[], p_y=[0.3, -0.2])
         assert symplecticity_defect(hs, phase, 0.1, "rk4") > 1e-9
 
 
 class TestErrors:
-    def test_hamiltonian_requires_full_actuation(self, chaplygin_system):
-        problem = OCProblem(system=chaplygin_system,
-                            controls=ControlDistribution.on_indices(2, [0]),
-                            cost=quadratic_cost(np.eye(1)), horizon=1.0)
-        from nhoc.errors import DimensionMismatch
-        with pytest.raises(DimensionMismatch):
-            build_hamiltonian(problem)
-
     def test_singular_weight_in_inverse(self, chaplygin_system):
         problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
                             cost=quadratic_cost(np.diag([1.0, 0.0])), horizon=1.0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nhoc import (StateQY, build_constrained_system, christoffel, load_model_config,
+from nhoc import (StateQY, build_constrained_system, load_model_config,
                   make_builtin, make_chaplygin, make_double_integrator, make_suslov,
                   nonholonomic_field)
 from nhoc.errors import (DimensionMismatch, NotPositiveDefinite, ParseError,
@@ -109,7 +109,7 @@ class TestLoader:
         sys_b = build_constrained_system(model_b, spec_b)
         assert np.abs(sys_a.structure_d() - sys_b.structure_d()).max() < 1e-14
         assert np.abs(sys_a.metric_d() - sys_b.metric_d()).max() < 1e-14
-        assert np.abs(christoffel(sys_a).gamma - christoffel(sys_b).gamma).max() < 1e-14
+        assert np.abs(sys_a.gamma() - sys_b.gamma()).max() < 1e-14
 
     def test_builtin_dispatch(self):
         doc = {"name": "chaplygin", "kind": "builtin",

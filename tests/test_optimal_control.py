@@ -3,8 +3,7 @@ import pytest
 
 from nhoc import (ControlDistribution, ExtremalState, OCProblem, StateQY,
                   controlled_field, integrate_extremal, lift_cost,
-                  necessary_conditions_field, quadratic_cost, recover_controls,
-                  underactuated_field)
+                  necessary_conditions_field, quadratic_cost, recover_controls)
 from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian
 
 from conftest import full_actuation_problem
@@ -124,12 +123,17 @@ class TestNecessaryConditions:
         with pytest.raises(NonFiniteState):
             integrate_extremal(problem, ExtremalState(y=[50.0, 50.0], v=[0.0, 0.0]), 5.0, 0.05)
 
-    def test_requires_full_actuation(self, chaplygin_system):
-        problem = OCProblem(system=chaplygin_system,
-                            controls=ControlDistribution.on_indices(2, [0]),
-                            cost=quadratic_cost(np.eye(1)), horizon=1.0)
+    @pytest.mark.parametrize("matrix", [[[1.0], [1.0]], [[1.0, 1.0], [0.0, 1.0]]])
+    def test_mixing_inputs_raise(self, chaplygin_system, matrix):
+        # inputs that are not basis-aligned have no Lagrangian field
+        controls = ControlDistribution(input_matrix=matrix)
+        problem = OCProblem(system=chaplygin_system, controls=controls,
+                            cost=quadratic_cost(np.eye(controls.k)), horizon=1.0)
+        state = ExtremalState(y=[1.0, 0.0], v=np.zeros(controls.k))
         with pytest.raises(DimensionMismatch):
-            necessary_conditions_field(problem, ExtremalState(y=[1.0, 0.0], v=[0.0]))
+            necessary_conditions_field(problem, state)
+        with pytest.raises(DimensionMismatch):
+            integrate_extremal(problem, state, 0.1, 0.01)
 
     def test_singular_weight_raises(self, chaplygin_system):
         problem = OCProblem(system=chaplygin_system,
@@ -140,23 +144,12 @@ class TestNecessaryConditions:
 
 
 class TestUnderactuated:
-    def test_full_input_set_matches_fully_actuated(self, chaplygin_system, suslov_system):
-        rng = np.random.default_rng(17)
-        for system in (chaplygin_system, suslov_system):
-            problem = full_actuation_problem(system)
-            for _ in range(10):
-                state = ExtremalState(y=rng.uniform(-1, 1, 2), v=rng.uniform(-1, 1, 2))
-                full = necessary_conditions_field(problem, state)
-                under = underactuated_field(problem, state)
-                for name in ("q", "y", "v", "lam"):
-                    assert maxabs(getattr(full, name) - getattr(under, name)) < 1e-12
-
     def test_chaplygin_unactuated_acceleration_from_drift(self, chaplygin_system):
         problem = OCProblem(system=chaplygin_system,
                             controls=ControlDistribution.on_indices(2, [0]),
                             cost=quadratic_cost(np.eye(1)), horizon=1.0)
         state = ExtremalState(y=[1.0, 0.0], v=[0.0], lam_bar=[0.0])
-        ds = underactuated_field(problem, state)
+        ds = necessary_conditions_field(problem, state)
         assert abs(ds.y[1] - 1.0) < 1e-14  # Phi^2 = 0 forces ydot_2 = y1^2
 
     def test_suslov_unactuated_acceleration(self, suslov_system):
@@ -164,7 +157,7 @@ class TestUnderactuated:
                             controls=ControlDistribution.on_indices(2, [0]),
                             cost=quadratic_cost(np.eye(1)), horizon=1.0)
         state = ExtremalState(y=[1.0, 1.0], v=[0.0], lam_bar=[0.0])
-        ds = underactuated_field(problem, state)
+        ds = necessary_conditions_field(problem, state)
         # ydot_2 = (I13/I22 y1 + I23/I22 y2) y1 = 0.1 for the standard inertia
         assert abs(ds.y[1] - 0.1) < 1e-14
 
@@ -189,7 +182,33 @@ class TestUnderactuated:
                             controls=ControlDistribution.on_indices(2, [0]),
                             cost=quadratic_cost(np.eye(1)), horizon=1.0)
         with pytest.raises(DimensionMismatch):
-            underactuated_field(problem, ExtremalState(y=[1.0, 0.0], v=[0.0, 0.0]))
+            necessary_conditions_field(problem, ExtremalState(y=[1.0, 0.0], v=[0.0, 0.0]))
+
+
+class TestControlDistribution:
+    def test_identity_matrix_is_basis_aligned(self):
+        controls = ControlDistribution(input_matrix=np.eye(2))
+        assert controls.actuated_indices == (0, 1)
+        assert controls.unactuated_indices == ()
+        assert ControlDistribution.full(3).actuated_indices == (0, 1, 2)
+
+    def test_indices_follow_the_columns(self):
+        controls = ControlDistribution.on_indices(3, [2, 0])
+        assert controls.actuated_indices == (2, 0)
+        assert controls.unactuated_indices == (1,)
+        assert np.array_equal(controls.input_matrix, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("matrix", [[[1.0], [1.0]], [[2.0], [0.0]], [[1.0, 1.0], [0.0, 1.0]]])
+    def test_mixing_inputs_have_no_indices(self, matrix):
+        controls = ControlDistribution(input_matrix=matrix)
+        assert controls.actuated_indices is None
+        with pytest.raises(DimensionMismatch):
+            controls.unactuated_indices
+
+    @pytest.mark.parametrize("indices", [[-1], [5], [0, 2], [0, 0]])
+    def test_bad_indices_raise(self, indices):
+        with pytest.raises(DimensionMismatch):
+            ControlDistribution.on_indices(2, indices)
 
 
 class TestCostModel:

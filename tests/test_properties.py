@@ -1,0 +1,93 @@
+"""Property tests on random constant-coefficient Lie-algebra models.
+
+Each example draws a model through ``load_model_config``: rank 2 to 4, a
+random antisymmetric bracket, a metric A A^T + I/2 and one annihilator row,
+together with a random non-empty set of actuated fiber directions.
+
+Two kinds of draw are rejected, both for an ill-scaled adapted basis of D.
+The basis comes from the reduced row echelon form of the annihilator, which
+divides by the first nonzero entry: an annihilator such as (0, 1e-5, 0, 1)
+gives basis entries of 1e5, and the restricted metric then fails its inverse
+check.  Draws with basis entries above 10 are rejected for that reason, and
+draws whose Christoffel symbols exceed 10 because their flows blow up within
+a few steps; neither says anything about the equations tested here.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from nhoc import (ControlDistribution, ExtremalState, HamiltonianSystem, OCProblem,
+                  PhasePoint, build_constrained_system, integrate_extremal,
+                  integrate_hamiltonian, inverse_legendre, legendre_map,
+                  load_model_config, quadratic_cost)
+from nhoc.checks import run_all
+
+EXAMPLES = settings(derandomize=True, deadline=None, max_examples=25)
+UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def vectors(size):
+    return st.lists(UNIT, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def actuated_models(draw):
+    rank_e = draw(st.integers(2, 4))
+    entries = [[c, a, b, draw(UNIT)] for c in range(rank_e)
+               for a in range(rank_e) for b in range(a + 1, rank_e)]
+    a = draw(vectors(rank_e * rank_e)).reshape(rank_e, rank_e)
+    annihilator = draw(vectors(rank_e))
+    assume(np.linalg.norm(annihilator) > 0.1)
+    model, spec = load_model_config({
+        "name": "random", "kind": "lie_algebra_constant", "rank_e": rank_e,
+        "structure_constants": entries,
+        "metric": (a @ a.T + 0.5 * np.eye(rank_e)).tolist(),
+        "constraint": {"annihilator": [annihilator.tolist()]}})
+    assume(np.abs(spec.d_basis()).max() <= 10.0)
+    system = build_constrained_system(model, spec)
+    assume(np.abs(system.gamma()).max() <= 10.0)
+    rank_d = system.rank_d
+    actuated = draw(st.lists(st.integers(0, rank_d - 1), min_size=1, max_size=rank_d,
+                             unique=True))
+    problem = OCProblem(system=system, controls=ControlDistribution.on_indices(rank_d, actuated),
+                        cost=quadratic_cost(np.eye(len(actuated))), horizon=1.0)
+    return model, spec, problem
+
+
+@EXAMPLES
+@given(actuated_models())
+def test_invariant_suite_passes(drawn):
+    model, spec, _ = drawn
+    failed = [(r.name, r.value) for r in run_all(model, spec) if not r.passed]
+    assert not failed
+
+
+@EXAMPLES
+@given(actuated_models(), st.integers(0, 2 ** 32 - 1))
+def test_legendre_roundtrip(drawn, seed):
+    _, _, problem = drawn
+    rng = np.random.default_rng(seed)
+    m = problem.rank_d
+    for _ in range(10):
+        phase = PhasePoint(q=[], y=rng.uniform(-1, 1, m), p_q=[], p_y=rng.uniform(-1, 1, m))
+        back = legendre_map(problem, inverse_legendre(problem, phase))
+        assert np.abs(back.flat() - phase.flat()).max() < 1e-10
+
+
+@EXAMPLES
+@given(actuated_models(), st.integers(0, 2 ** 32 - 1))
+def test_lagrangian_and_hamiltonian_flows_agree(drawn, seed):
+    # the gap is rk4 truncation in two coordinate systems: it falls 16-fold
+    # per halving of dt, so the bound is looser than for the built-ins
+    _, _, problem = drawn
+    rng = np.random.default_rng(seed)
+    ctrl = problem.controls
+    state0 = ExtremalState(y=rng.uniform(-1, 1, problem.rank_d), v=rng.uniform(-1, 1, ctrl.k),
+                           lam_bar=rng.uniform(-1, 1, len(ctrl.unactuated_indices)))
+    _, states = integrate_extremal(problem, state0, 0.1, 1e-3)
+    _, phases = integrate_hamiltonian(HamiltonianSystem(problem), legendre_map(problem, state0),
+                                      0.1, 1e-3, "rk4")
+    assert np.abs(legendre_map(problem, states[-1]).flat() - phases[-1]).max() < 1e-7

@@ -4,9 +4,8 @@ from .algebroid import (AlgebroidModel, ConstraintSpec, ConstrainedSystem,
                         ModelPartials, OrthogonalSplitting, build_constrained_system,
                         build_splitting, constant_model, grad_potential,
                         project_bracket, restrict_metric)
-from .bvp import (NewtonOptions, ShootingProblem, ShootingResult,
-                  extremal_trajectory, shooting_residual, solve_bvp,
-                  trajectory_cost)
+from .bvp import (ShootingProblem, ShootingResult, extremal_trajectory,
+                  shooting_residual, solve_bvp, trajectory_cost)
 from .dynamics import (StateQY, Trajectory, controlled_field,
                        dalembert_oracle_field, drift_acceleration,
                        nonholonomic_field, simulate)
@@ -34,7 +33,7 @@ __all__ = [
     "quadratic_cost", "recover_controls",
     "HamiltonianSystem", "PhasePoint", "RegularityReport", "integrate_hamiltonian", "integrate_step", "inverse_legendre", "legendre_map",
     "regularity_matrix", "symplecticity_defect",
-    "NewtonOptions", "ShootingProblem", "ShootingResult", "extremal_trajectory",
+    "ShootingProblem", "ShootingResult", "extremal_trajectory",
     "shooting_residual", "solve_bvp", "trajectory_cost",
     "load_model_config", "make_builtin", "make_chaplygin",
     "make_double_integrator", "make_suslov",

@@ -97,8 +97,7 @@ class AlgebroidModel:
         return numerics.fd_partials(lambda qq: np.asarray(self.potential(qq), dtype=float), q)
 
 
-def constant_model(structure, metric, anchor=None, dim_q=0, potential=None,
-                   potential_dq=None):
+def constant_model(structure, metric, anchor=None, dim_q=0, potential=None):
     """Model with constant structure functions, metric and anchor.
 
     With ``dim_q == 0`` this is a Lie(-like) algebra over a point: the anchor
@@ -114,24 +113,16 @@ def constant_model(structure, metric, anchor=None, dim_q=0, potential=None,
     anchor = np.zeros((rank_e, dim_q)) if anchor is None else np.asarray(anchor, dtype=float)
     if anchor.shape != (rank_e, dim_q):
         raise DimensionMismatch("anchor must have shape (rank_e, dim_q)")
-    zero_potential = potential is None
-    if zero_potential:
-        pot = lambda q: 0.0
-        if potential_dq is None:
-            potential_dq = lambda q, _z=np.zeros(dim_q): _z
-    else:
-        pot = potential
-    partials = ModelPartials(potential_dq=potential_dq)
     return AlgebroidModel(
         dim_q=dim_q, rank_e=rank_e,
         structure=lambda q, _c=structure: _c,
         anchor=lambda q, _a=anchor: _a,
         metric=lambda q, _g=metric: _g,
-        potential=pot, partials=partials, q_independent=True,
-        zero_potential=zero_potential)
+        potential=(lambda q: 0.0) if potential is None else potential,
+        q_independent=True, zero_potential=potential is None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSpec:
     """Linear velocity constraint D, as a fiber span or an annihilator.
 
@@ -182,7 +173,7 @@ class ConstraintSpec:
         return numerics.rref_null_space(self.span_basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalSplitting:
     """Metric-orthogonal decomposition E = D + D-perp at a chart point.
 
@@ -263,18 +254,13 @@ class ConstrainedSystem:
     a small per-point cache makes repeated evaluation along trajectories cheap.
     """
 
-    def __init__(self, model, spec, q_ref=None):
+    def __init__(self, model, spec):
         self.parent = model
         self.spec = spec
-        self.splitting = build_splitting(model, spec, q_ref)
+        self.splitting = build_splitting(model, spec)
         self.rank_d = self.splitting.rank_d
         self.dim_q = model.dim_q
         self._cache = {}
-
-    def splitting_at(self, q):
-        if self.parent.q_independent:
-            return self.splitting
-        return build_splitting(self.parent, self.spec, q)
 
     def geometry(self, q):
         """Projected data bundle at q, cached: structure_d, anchor_d, metric_d,
@@ -284,7 +270,8 @@ class ConstrainedSystem:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        split = self.splitting_at(q)
+        split = (self.splitting if self.parent.q_independent
+                 else build_splitting(self.parent, self.spec, q))
         gd, gd_inv = restrict_metric(self.parent, split, q)
         geo = {
             "split": split,
@@ -349,9 +336,9 @@ class ConstrainedSystem:
         return 0.5 * y @ self.metric_d(q) @ y + float(self.parent.potential(q))
 
 
-def build_constrained_system(model, spec, q_ref=None):
-    """Assemble the constrained system (splitting validated at q_ref)."""
-    return ConstrainedSystem(model, spec, q_ref)
+def build_constrained_system(model, spec):
+    """Assemble the constrained system (splitting validated at the origin)."""
+    return ConstrainedSystem(model, spec)
 
 
 def _koszul_gamma(system, q, geo):

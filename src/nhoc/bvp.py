@@ -1,7 +1,6 @@
 """Two-point boundary value problems for extremals by single shooting."""
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -14,53 +13,42 @@ from .hamiltonian import (PhasePoint, _optimal_control, inverse_legendre,  # noq
 from .numerics import fd_jacobian, step_count
 
 
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Damped-Newton parameters for the shooting solve."""
-
-    tolerance: float = 1e-10
-    max_iterations: int = 50
-    fd_step: float = 1e-7
-    damping: float = 0.5
-    max_halvings: int = 20
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise DimensionMismatch("Newton tolerance must be positive")
+# damped-Newton constants of the shooting solve: forward-difference step of
+# the Jacobian columns, step factor per line-search halving, halvings allowed
+JACOBIAN_STEP = 1e-7
+DAMPING = 0.5
+MAX_HALVINGS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShootingProblem:
-    """Shooting setup: Hamiltonian system, boundary data, step and scheme.
+    """Shooting setup: Hamiltonian system, step, scheme and Newton stopping rule.
 
-    Boundary fields default to the ones stored on the underlying problem.
+    The boundary data are read from the underlying ``OCProblem``; a missing
+    chart boundary defaults to the empty point when ``dim_q == 0``.
     """
 
     hs: object
     dt: float = 1e-3
     scheme: str = "rk4"
-    q0: Optional[np.ndarray] = None
-    y0: Optional[np.ndarray] = None
-    qT: Optional[np.ndarray] = None
-    yT: Optional[np.ndarray] = None
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
+    tolerance: float = 1e-10
+    max_iterations: int = 50
+    q0: np.ndarray = field(init=False)
+    y0: np.ndarray = field(init=False)
+    qT: np.ndarray = field(init=False)
+    yT: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not self.tolerance > 0:
+            raise DimensionMismatch("Newton tolerance must be positive")
         prob = self.hs.problem
         for name in ("q0", "y0", "qT", "yT"):
-            val = getattr(self, name)
+            val = getattr(prob, name)
             if val is None:
-                val = getattr(prob, name)
-            if val is None:
-                if name in ("q0", "qT") and prob.dim_q == 0:
-                    val = np.zeros(0)
-                else:
+                if name[0] != "q" or prob.dim_q != 0:
                     raise DimensionMismatch(f"boundary value {name} is missing")
-            arr = np.atleast_1d(np.asarray(val, dtype=float))
-            expected = prob.dim_q if name in ("q0", "qT") else prob.rank_d
-            if arr.shape != (expected,):
-                raise DimensionMismatch(f"{name} must have length {expected}")
-            object.__setattr__(self, name, arr)
+                val = np.zeros(0)
+            object.__setattr__(self, name, val)
         step_count(prob.horizon, self.dt)
 
     @property
@@ -137,7 +125,7 @@ def trajectory_cost(sp, trajectory):
     return float(np.trapezoid(values, trajectory.times))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShootingResult:
     """Converged initial momenta plus the extremal trajectory and diagnostics."""
 
@@ -168,7 +156,6 @@ def solve_bvp(sp, p0_guess=None):
     tolerance; callers can still build the best-iterate trajectory via
     extremal_trajectory.
     """
-    opts = sp.newton
     p0 = (np.zeros(sp.n_momenta) if p0_guess is None
           else np.atleast_1d(np.asarray(p0_guess, dtype=float)).copy())
     if not np.all(np.isfinite(p0)):
@@ -176,7 +163,7 @@ def solve_bvp(sp, p0_guess=None):
     if p0.shape != (sp.n_momenta,):
         raise DimensionMismatch(f"p0 must have length {sp.n_momenta}")
     speculate = sp.hs._stacks_at_once
-    h = opts.fd_step
+    h = JACOBIAN_STEP
     columns = h * np.eye(sp.n_momenta)
 
     def evaluate(p, with_columns):
@@ -195,10 +182,10 @@ def solve_bvp(sp, p0_guess=None):
     res, samples, jac = evaluate(p0, True)
     best_p0, best_norm = p0.copy(), float(np.abs(res).max())
     iterations = 0
-    while float(np.abs(res).max()) > opts.tolerance:
-        if iterations >= opts.max_iterations:
+    while float(np.abs(res).max()) > sp.tolerance:
+        if iterations >= sp.max_iterations:
             raise NewtonDivergence(
-                f"shooting Newton did not converge in {opts.max_iterations} iterations",
+                f"shooting Newton did not converge in {sp.max_iterations} iterations",
                 best=best_p0, residual_norm=best_norm, iterations=iterations)
         if jac is None:
             jac = fd_jacobian(lambda p: _flow(sp, p)[0], p0, step=h, f0=res)
@@ -207,18 +194,18 @@ def solve_bvp(sp, p0_guess=None):
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian("shooting Jacobian is singular") from exc
         scale = 1.0
-        for halving in range(opts.max_halvings + 1):
+        for halving in range(MAX_HALVINGS + 1):
             trial = p0 + scale * step
             try:
                 trial_res, trial_samples, trial_jac = evaluate(trial, halving == 0)
             except NonFiniteState:
                 # overshooting trial blew up the flow: treat as no decrease
-                scale *= opts.damping
+                scale *= DAMPING
                 continue
             if np.abs(trial_res).max() < np.abs(res).max():
                 p0, res, samples, jac = trial, trial_res, trial_samples, trial_jac
                 break
-            scale *= opts.damping
+            scale *= DAMPING
         else:
             raise NewtonDivergence("shooting line search stalled", best=best_p0,
                                    residual_norm=best_norm, iterations=iterations)

@@ -142,9 +142,10 @@ def check_symplecticity(system):
     return results
 
 
-def run_all(model, spec, seed=20260810):
-    """Full invariant suite for one model; returns a list of CheckResults."""
-    rng = np.random.default_rng(seed)
+def run_all(model, spec):
+    """Full invariant suite for one model, with a fixed random seed; returns
+    a list of CheckResults."""
+    rng = np.random.default_rng(20260810)
     system = build_constrained_system(model, spec)
     results = []
     results += check_projectors(model, spec, rng)

@@ -12,13 +12,11 @@ import sys
 import numpy as np
 
 from .algebroid import build_constrained_system
-from .bvp import ShootingProblem, NewtonOptions, extremal_trajectory, solve_bvp, trajectory_cost
+from .bvp import ShootingProblem, extremal_trajectory, solve_bvp, trajectory_cost
 from .checks import run_all
 from .dynamics import StateQY, simulate
-from .errors import (ConstraintViolated, DimensionMismatch, FixedPointDivergence,
-                     LegendreDivergence, NewtonDivergence, NhocError, NonFiniteState,
-                     NotPositiveDefinite, ParseError, RankDeficient, SingularHessian,
-                     SingularJacobian, SingularMetric, ValidationError)
+from .errors import (DimensionMismatch, NewtonDivergence, NhocError, NotPositiveDefinite,
+                     ParseError, RankDeficient, SingularHessian, ValidationError)
 from .hamiltonian import HamiltonianSystem, regularity_matrix
 from .models import load_model_config, make_builtin
 from .optimal_control import (ControlDistribution, ExtremalState, OCProblem,
@@ -26,9 +24,6 @@ from .optimal_control import (ControlDistribution, ExtremalState, OCProblem,
 
 CONFIG_ERRORS = (ParseError, ValidationError, DimensionMismatch,
                  NotPositiveDefinite, RankDeficient)
-NUMERICAL_ERRORS = (SingularMetric, SingularHessian, NonFiniteState,
-                    FixedPointDivergence, ConstraintViolated, SingularJacobian,
-                    LegendreDivergence)
 
 
 def parse_vector(text):
@@ -148,8 +143,7 @@ def cmd_optimize(args):
             f"regularity matrix is singular (det = {report.determinant:.3e})")
     hs = HamiltonianSystem(problem)
     sp = ShootingProblem(hs=hs, dt=args.dt, scheme=args.integrator,
-                         newton=NewtonOptions(tolerance=args.newton_tol,
-                                              max_iterations=args.max_iterations))
+                         tolerance=args.newton_tol, max_iterations=args.max_iterations)
     guess = parse_vector(args.guess) if args.guess else np.zeros(sp.n_momenta)
     if guess.shape != (sp.n_momenta,):
         raise ValidationError(f"--guess must have length {sp.n_momenta}")
@@ -273,9 +267,6 @@ def main(argv=None):
     except CONFIG_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except NewtonDivergence as exc:
         print(f"error: NewtonDivergence: {exc}", file=sys.stderr)
         return 4

@@ -15,7 +15,7 @@ from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteState,
 from .numerics import integrate_fixed_steps, matvec_rows, rk4_step, step_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateQY:
     """Chart point and fiber velocity in adapted D-coordinates."""
 
@@ -29,7 +29,7 @@ class StateQY:
             raise NonFiniteState("state contains non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-indexed samples of a flow with optional controls and diagnostics."""
 
@@ -53,9 +53,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    def state(self, k):
-        return StateQY(q=self.qs[k], y=self.ys[k])
 
 
 def drift_acceleration(system, q, y, geo=None):

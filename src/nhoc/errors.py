@@ -74,4 +74,5 @@ class ParseError(NhocError):
 
 
 class ValidationError(NhocError):
-    """A parsed model configuration violates a structural invariant."""
+    """A parsed model configuration or an input matrix violates a structural
+    invariant, such as finiteness."""

@@ -26,7 +26,7 @@ from .optimal_control import ExtremalState, drift_jacobians, recover_controls
 SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePoint:
     """Point of T*D in induced coordinates (q, y, p_q, p_y).
 
@@ -50,7 +50,7 @@ class PhasePoint:
         return np.concatenate([self.q, self.y, self.p_q, self.p_y], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularityReport:
     """Bordered Hessian of the constrained Legendre map and its verdict."""
 
@@ -314,32 +314,33 @@ class HamiltonianSystem:
                           p_y=z[..., 2 * n + m:])
 
 
-def _fixed_point(gfun, z0, tol=1e-12, max_iter=100):
+def _fixed_point(gfun, z0):
     """Rows z solving z = gfun(rows, z) by fixed-point iteration.
 
     ``gfun(rows, z)`` evaluates the map on the rows of the stack selected by
     the index ``rows``.  A row stops updating once its own update is within
-    ``tol``, so every row takes exactly the iterates it would take alone.
+    1e-12, so every row takes exactly the iterates it would take alone; 100
+    iterations are allowed.
     """
     z = np.array(z0, dtype=float)
     rows = slice(None)
-    for _ in range(max_iter):
+    for _ in range(100):
         z_old = z[rows]
         z_new = gfun(rows, z_old)
         if not np.isfinite(z_new).all():
             raise FixedPointDivergence("implicit substep produced non-finite values")
-        moving = np.abs(z_new - z_old).max(axis=1) > tol
+        moving = np.abs(z_new - z_old).max(axis=1) > 1e-12
         z[rows] = z_new
         if not moving.any():
             return z
         if not moving.all():
             rows = np.arange(len(z))[rows][moving]
-    raise FixedPointDivergence(f"implicit substep did not converge within {max_iter} iterations")
+    raise FixedPointDivergence("implicit substep did not converge within 100 iterations")
 
 
 def _check_scheme(dt, scheme):
-    if dt <= 0:
-        raise DimensionMismatch("need dt > 0")
+    if not 0 < dt < np.inf:
+        raise DimensionMismatch("need finite dt > 0")
     if scheme not in SCHEMES:
         raise DimensionMismatch(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 

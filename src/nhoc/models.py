@@ -1,7 +1,6 @@
 """Built-in example systems and a JSON loader for constant-coefficient models."""
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -95,25 +94,12 @@ def make_builtin(name, **params):
     except KeyError:
         raise ValidationError(
             f"unknown builtin {name!r}; available: {sorted(BUILTIN_CONSTRUCTORS)}") from None
-    if name == "double_integrator" and "n" in params:
-        params = dict(params, n=int(params["n"]))
     try:
+        if name == "double_integrator" and "n" in params:
+            params = dict(params, n=int(params["n"]))
         return ctor(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad parameters for builtin {name!r}: {exc}") from None
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Parsed model configuration document."""
-
-    name: str
-    kind: str
-    rank_e: int = 0
-    structure_constants: tuple = ()
-    metric: tuple = ()
-    constraint: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
 
 
 _TOP_KEYS = {"name", "kind", "rank_e", "structure_constants", "metric", "constraint", "params"}
@@ -159,8 +145,10 @@ def _structure_from_triples(rank_e, entries):
         ci, ai, bi, value = entry
         try:
             ci, ai, bi, value = int(ci), int(ai), int(bi), float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"structure_constants[{pos}] has non-numeric fields") from None
+        if not np.isfinite(value):
+            raise ValidationError(f"structure_constants[{pos}] value is not finite")
         for idx in (ci, ai, bi):
             if not 0 <= idx < rank_e:
                 raise ValidationError(
@@ -216,6 +204,8 @@ def load_model_config(document):
     metric = np.asarray(_require(doc, "metric", list), dtype=float)
     if metric.shape != (rank_e, rank_e):
         raise ValidationError(f"metric must be {rank_e}x{rank_e}")
+    if not np.all(np.isfinite(metric)):
+        raise ValidationError("metric has non-finite entries")
     if np.abs(metric - metric.T).max() > 1e-12 * max(1.0, np.abs(metric).max()):
         raise ValidationError("metric is not symmetric")
     if not symmetric_positive_definite(metric):

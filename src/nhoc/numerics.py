@@ -7,13 +7,15 @@ Every finite-difference derivative in the package goes through
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteState, RankDeficient
+from .errors import DimensionMismatch, NonFiniteState, RankDeficient, ValidationError
 
 FD_STEP = 1e-6
 # second derivatives by nested differences: wider step, since two differences
 # of a 1e-6 stencil would lose most of the precision
 FD2_STEP = 1e-4
 BLOWUP_LIMIT = 1e12
+# rows, columns and pivots at or below this size count as dependent
+RANK_TOL = 1e-10
 
 
 def fd_partials(f, q, step=FD_STEP):
@@ -61,11 +63,12 @@ def fd_jacobian(f, x, step=FD_STEP, f0=None):
 def step_count(t_final, dt):
     """Number of fixed steps of size dt that end at t_final.
 
-    Raises DimensionMismatch unless dt divides t_final within a relative
-    rounding tolerance of 1e-9, so that no integrator shortens the horizon.
+    Raises DimensionMismatch unless both are finite and positive and dt
+    divides t_final within a relative rounding tolerance of 1e-9, so that no
+    integrator shortens the horizon.
     """
-    if dt <= 0 or t_final <= 0:
-        raise DimensionMismatch("need dt > 0 and t_final > 0")
+    if not (0 < dt < np.inf and 0 < t_final < np.inf):
+        raise DimensionMismatch("need finite dt > 0 and t_final > 0")
     n_steps = round(t_final / dt)
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise DimensionMismatch(f"dt = {dt:g} must divide the horizon {t_final:g} "
@@ -96,16 +99,19 @@ def integrate_fixed_steps(step, z0, n_steps, dt):
     return times, samples
 
 
-def check_full_rank(a, tol=1e-10, what="constraint"):
-    """Raise RankDeficient unless the rows of `a` are independent."""
+def check_full_rank(a, what="constraint"):
+    """Raise RankDeficient unless the rows of `a` are independent, and
+    ValidationError when an entry is not finite."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} has non-finite entries")
     if a.shape[0] == 0:
         return
-    if np.linalg.matrix_rank(a, tol=tol) < a.shape[0]:
-        raise RankDeficient(f"{what} rows are linearly dependent (tol={tol:g})")
+    if np.linalg.matrix_rank(a, tol=RANK_TOL) < a.shape[0]:
+        raise RankDeficient(f"{what} rows are linearly dependent (tol={RANK_TOL:g})")
 
 
-def rref_null_space(a, tol=1e-10):
+def rref_null_space(a):
     """Deterministic basis of the kernel of `a`, one row per basis vector.
 
     Gauss-Jordan elimination with partial pivoting; each free column yields a
@@ -125,7 +131,7 @@ def rref_null_space(a, tol=1e-10):
         if row >= r.shape[0]:
             break
         k = row + np.argmax(np.abs(r[row:, col]))
-        if abs(r[k, col]) <= tol:
+        if abs(r[k, col]) <= RANK_TOL:
             continue
         r[[row, k]] = r[[k, row]]
         r[row] = r[row] / r[row, col]
@@ -141,7 +147,7 @@ def rref_null_space(a, tol=1e-10):
         v[c] = 1.0
         for i, p in enumerate(pivots):
             v[p] = -r[i, c]
-        nz = np.nonzero(np.abs(v) > tol)[0]
+        nz = np.nonzero(np.abs(v) > RANK_TOL)[0]
         if nz.size and v[nz[0]] < 0:
             v = -v
         basis.append(v)
@@ -164,7 +170,7 @@ def rk4_step(f, t, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def symmetric_positive_definite(a, tol=0.0):
+def symmetric_positive_definite(a):
     """True when `a` is symmetric and positive-definite."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -172,7 +178,7 @@ def symmetric_positive_definite(a, tol=0.0):
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
         return False
     try:
-        np.linalg.cholesky(a - tol * np.eye(a.shape[0]))
+        np.linalg.cholesky(a)
         return True
     except np.linalg.LinAlgError:
         return False

@@ -15,12 +15,12 @@ import numpy as np
 
 from .algebroid import grad_potential
 from .dynamics import drift_acceleration
-from .errors import DimensionMismatch, SingularHessian
-from .numerics import (FD2_STEP, fd_jacobian, fd_partials, integrate_fixed_steps,
-                       rk4_step, step_count)
+from .errors import DimensionMismatch, SingularHessian, ValidationError
+from .numerics import (FD2_STEP, RANK_TOL, fd_jacobian, fd_partials,
+                       integrate_fixed_steps, rk4_step, step_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostModel:
     """Running cost C(q, y, u) with optional analytic partials.
 
@@ -28,8 +28,8 @@ class CostModel:
     (``numerics.fd_partials``): first derivatives with step 1e-6, second
     derivatives of a plain evaluator by nested differences with step 1e-4,
     and second derivatives from an analytic ``cu`` by one difference of it
-    (step 1e-6).  ``quadratic`` marks C = (1/2) u^T W u, whose partials are
-    exact and whose Legendre transform is closed-form.
+    (step 1e-6).  A ``weight`` W marks C = (1/2) u^T W u (``quadratic``),
+    whose partials are exact and whose Legendre transform is closed-form.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
@@ -40,8 +40,11 @@ class CostModel:
     cuu: Optional[Callable] = None
     cuq: Optional[Callable] = None
     cuy: Optional[Callable] = None
-    quadratic: bool = False
     weight: Optional[np.ndarray] = None
+
+    @property
+    def quadratic(self):
+        return self.weight is not None
 
     def value(self, q, y, u):
         return float(self.evaluator(q, y, u))
@@ -73,7 +76,7 @@ class CostModel:
     def weight_identity(self):
         cached = self.__dict__.get("_weight_identity")
         if cached is None:
-            cached = bool(self.quadratic and self.weight is not None
+            cached = bool(self.quadratic
                           and np.array_equal(self.weight, np.eye(self.weight.shape[0])))
             object.__setattr__(self, "_weight_identity", cached)
         return cached
@@ -112,21 +115,11 @@ def quadratic_cost(weight):
     w = np.atleast_2d(np.asarray(weight, dtype=float))
     if np.abs(w - w.T).max() > 1e-12 * max(1.0, np.abs(w).max()):
         raise DimensionMismatch("quadratic cost weight must be symmetric")
-    k = w.shape[0]
-    zero_q = lambda q, y, u: np.zeros(np.size(q))
-    zero_y = lambda q, y, u: np.zeros(np.size(y))
-    return CostModel(
-        evaluator=lambda q, y, u: 0.5 * float(u @ w @ u),
-        k=k,
-        cq=zero_q, cy=zero_y,
-        cu=lambda q, y, u: w @ u,
-        cuu=lambda q, y, u: w,
-        cuq=lambda q, y, u: np.zeros((k, np.size(q))),
-        cuy=lambda q, y, u: np.zeros((k, np.size(y))),
-        quadratic=True, weight=w)
+    return CostModel(evaluator=lambda q, y, u: 0.5 * float(u @ w @ u), k=w.shape[0],
+                     cu=lambda q, y, u: w @ u, cuu=lambda q, y, u: w, weight=w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlDistribution:
     """Input sections over the adapted D-basis.
 
@@ -141,7 +134,9 @@ class ControlDistribution:
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.input_matrix, dtype=float))
-        if np.linalg.matrix_rank(m, tol=1e-10) < m.shape[1]:
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("input matrix has non-finite entries")
+        if np.linalg.matrix_rank(m, tol=RANK_TOL) < m.shape[1]:
             raise DimensionMismatch("input matrix must have full column rank")
         object.__setattr__(self, "input_matrix", m)
         if (((m == 0.0) | (m == 1.0)).all(axis=0) & (m.sum(axis=0) == 1.0)).all():
@@ -189,7 +184,7 @@ class ControlDistribution:
         return tuple(i for i in range(self.rank_d) if i not in self.actuated_indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OCProblem:
     """Constrained system + inputs + cost + horizon + boundary data on D."""
 
@@ -203,23 +198,25 @@ class OCProblem:
     yT: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise DimensionMismatch("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise DimensionMismatch("horizon must be positive and finite")
         if self.controls.rank_d != self.system.rank_d:
             raise DimensionMismatch("input sections do not match rank of D")
         if self.cost.k != self.controls.k:
             raise DimensionMismatch("cost control dimension does not match input count")
-        for name in ("q0", "qT"):
+        for name in ("q0", "y0", "qT", "yT"):
             val = getattr(self, name)
-            arr = self.system.parent.chart_point(val) if val is not None else None
-            object.__setattr__(self, name, arr)
-        for name in ("y0", "yT"):
-            val = getattr(self, name)
-            if val is not None:
+            if val is None:
+                continue
+            if name[0] == "q":
+                arr = self.system.parent.chart_point(val)
+            else:
                 arr = np.atleast_1d(np.asarray(val, dtype=float))
                 if arr.shape != (self.system.rank_d,):
                     raise DimensionMismatch(f"{name} must have length {self.system.rank_d}")
-                object.__setattr__(self, name, arr)
+            if not np.all(np.isfinite(arr)):
+                raise DimensionMismatch(f"boundary value {name} must be finite")
+            object.__setattr__(self, name, arr)
 
     @property
     def dim_q(self):
@@ -230,7 +227,7 @@ class OCProblem:
         return self.system.rank_d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalState:
     """Multiplier-side state (q, y, v = actuated ydot, lambda, lambda_bar)."""
 

@@ -4,7 +4,7 @@ import pytest
 from nhoc import (ConstraintSpec, build_constrained_system, build_splitting,
                   constant_model, grad_potential, make_chaplygin,
                   make_suslov, project_bracket, restrict_metric)
-from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric
+from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
 
 from conftest import SUSLOV_PARAMS, curved_model
 
@@ -68,6 +68,11 @@ class TestBuildSplitting:
             ConstraintSpec(span_basis=[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(RankDeficient):
             ConstraintSpec(annihilator=[[0.0, 1.0, 1.0], [0.0, 2.0, 2.0]])
+
+    @pytest.mark.parametrize("field", ["span_basis", "annihilator"])
+    def test_non_finite_spec(self, field):
+        with pytest.raises(ValidationError):
+            ConstraintSpec(**{field: [[np.nan, 1.0, 0.0]]})
 
     def test_non_positive_metric_rejected(self):
         model = constant_model(np.zeros((3, 3, 3)), np.eye(3))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, ControlDistribution, CostModel, HamiltonianSystem,
-                  NewtonOptions, OCProblem, ShootingProblem, StateQY,
-                  build_constrained_system, extremal_trajectory, quadratic_cost,
+from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
+                  HamiltonianSystem, OCProblem, PhasePoint, ShootingProblem, StateQY,
+                  Trajectory, build_constrained_system, build_splitting,
+                  extremal_trajectory, make_chaplygin, quadratic_cost, regularity_matrix,
                   shooting_residual, simulate, solve_bvp)
 from nhoc import bvp
 from nhoc.errors import (DimensionMismatch, LegendreDivergence, NewtonDivergence,
@@ -15,9 +16,7 @@ SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
 
 
 def shooting_for(problem, dt=1e-3, scheme="rk4", **newton):
-    hs = HamiltonianSystem(problem)
-    opts = NewtonOptions(**newton) if newton else NewtonOptions()
-    return ShootingProblem(hs=hs, dt=dt, scheme=scheme, newton=opts)
+    return ShootingProblem(hs=HamiltonianSystem(problem), dt=dt, scheme=scheme, **newton)
 
 
 class TestShootingResidual:
@@ -29,7 +28,7 @@ class TestShootingResidual:
     def test_residual_vanishes_at_solution(self, double_integrator_problem):
         sp = shooting_for(double_integrator_problem)
         result = solve_bvp(sp, np.zeros(2))
-        assert np.abs(shooting_residual(sp, result.p0)).max() < sp.newton.tolerance
+        assert np.abs(shooting_residual(sp, result.p0)).max() < sp.tolerance
 
     def test_drift_boundary_needs_no_momenta(self, suslov_system):
         y0 = np.array([0.8, 0.5])
@@ -276,3 +275,44 @@ class TestSolveBVP:
         hs = HamiltonianSystem(problem)
         with pytest.raises(DimensionMismatch):
             ShootingProblem(hs=hs, dt=1e-3)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive(self, double_integrator_problem, tolerance):
+        with pytest.raises(DimensionMismatch):
+            shooting_for(double_integrator_problem, tolerance=tolerance)
+
+
+def _sleigh_problem():
+    system = build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))
+    return OCProblem(system=system, controls=ControlDistribution.full(2),
+                     cost=quadratic_cost(np.eye(2)), horizon=1.0,
+                     y0=[0.5, 0.2], yT=[0.4, 0.3])
+
+
+def _trajectory():
+    return Trajectory(times=np.arange(2.0), qs=np.zeros((2, 0)), ys=np.ones((2, 2)))
+
+
+ARRAY_HOLDERS = {
+    "ConstraintSpec": lambda: ConstraintSpec(annihilator=[[0.0, 0.0, 1.0]]),
+    "OrthogonalSplitting": lambda: build_splitting(*make_chaplygin()),
+    "StateQY": lambda: StateQY(q=[], y=[1.0, 0.0]),
+    "Trajectory": _trajectory,
+    "CostModel": lambda: quadratic_cost(np.eye(2)),
+    "ControlDistribution": lambda: ControlDistribution.full(2),
+    "OCProblem": _sleigh_problem,
+    "ExtremalState": lambda: ExtremalState(y=[1.0, 0.0], v=[0.0, 0.0]),
+    "PhasePoint": lambda: PhasePoint(q=[], y=[1.0, 0.0], p_q=[], p_y=[0.0, 1.0]),
+    "RegularityReport": lambda: regularity_matrix(
+        _sleigh_problem(), ExtremalState(y=[0.5, 0.2], v=[0.0, 0.0])),
+    "ShootingProblem": lambda: shooting_for(_sleigh_problem(), dt=0.1),
+    "ShootingResult": lambda: bvp.ShootingResult(p0=np.zeros(2), trajectory=_trajectory(),
+                                                 cost=0.0, iterations=0, residual_norm=0.0),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -36,6 +36,13 @@ class TestSimulate:
                      "--dt", "-1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("t_final,dt", [("nan", "0.1"), ("inf", "0.1"), ("1", "nan")])
+    def test_non_finite_horizon_or_step_rejected(self, tmp_path, capsys, t_final, dt):
+        code = main(["simulate", *SUSLOV_ARGS, "--y0", "0.1,0.2", "--T", t_final,
+                     "--dt", dt, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "DimensionMismatch" in capsys.readouterr().err
+
     def test_dt_not_dividing_horizon_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0",
                      "--y0", "1,0", "--T", "1", "--dt", "0.4", "--out", str(tmp_path / "x.csv")])
@@ -115,6 +122,13 @@ class TestOptimize:
         assert code == 3
         assert "SingularHessian" in capsys.readouterr().err
 
+    def test_non_finite_newton_tolerance_rejected(self, tmp_path, capsys):
+        code = main(["optimize", "--builtin", "chaplygin", "--y0", "0,0", "--yT", "0.1,0.1",
+                     "--T", "1", "--dt", "0.1", "--newton-tol", "nan",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "DimensionMismatch" in capsys.readouterr().err
+
     def test_nonconvergence_exits_4_with_best_iterate(self, tmp_path, capsys):
         out = tmp_path / "best.csv"
         code = main(["optimize", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0",
@@ -175,6 +189,19 @@ class TestCheck:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["check", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("constraint", {"annihilator": [[float("nan"), 1.0, 0.0]]}),
+        ("structure_constants", [[2, 0, 1, float("nan")]]),
+    ])
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, field, value):
+        doc = {"name": "nan", "kind": "lie_algebra_constant", "rank_e": 3,
+               "structure_constants": [[2, 0, 1, 1.0]], "metric": np.eye(3).tolist(),
+               "constraint": {"annihilator": [[0.0, 0.0, 1.0]]}, field: value}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # writes the NaN literal, which json reads back
+        assert main(["check", "--config", str(path)]) == 2
+        assert "ValidationError" in capsys.readouterr().err
 
 
 class TestDerive:

@@ -349,3 +349,10 @@ class TestErrors:
                             cost=quadratic_cost(np.diag([1.0, 0.0])), horizon=1.0)
         with pytest.raises(SingularHessian):
             inverse_legendre(problem, PhasePoint(q=[], y=[0.1, 0.1], p_q=[], p_y=[1.0, 1.0]))
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_step_rejected(self, chaplygin_system, dt):
+        hs = HamiltonianSystem(full_actuation_problem(chaplygin_system))
+        phase = PhasePoint(q=[], y=[0.1, 0.2], p_q=[], p_y=[0.1, 0.1])
+        with pytest.raises(DimensionMismatch):
+            integrate_step(hs, phase, dt, "rk4")

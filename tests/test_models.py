@@ -186,3 +186,17 @@ class TestLoader:
     def test_bad_builtin_params(self):
         with pytest.raises(ValidationError, match="bad parameters"):
             make_builtin("suslov", bogus=1.0)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(metric=[[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        dict(structure_constants=[[2, 0, 1, np.inf]]),
+        dict(constraint={"annihilator": [[0.0, np.nan, 1.0]]}),
+    ])
+    def test_non_finite_entries_rejected(self, overrides):
+        with pytest.raises(ValidationError, match="non-finite|not finite"):
+            load_model_config(suslov_config(**overrides))
+
+    @pytest.mark.parametrize("n", [np.nan, np.inf])
+    def test_non_finite_builtin_dimension_rejected(self, n):
+        with pytest.raises(ValidationError, match="bad parameters"):
+            make_builtin("double_integrator", n=n)

@@ -4,7 +4,7 @@ import pytest
 from nhoc import (ControlDistribution, ExtremalState, OCProblem, StateQY,
                   controlled_field, integrate_extremal, lift_cost,
                   necessary_conditions_field, quadratic_cost, recover_controls)
-from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian
+from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian, ValidationError
 
 from conftest import full_actuation_problem
 
@@ -192,6 +192,10 @@ class TestControlDistribution:
         assert controls.unactuated_indices == ()
         assert ControlDistribution.full(3).actuated_indices == (0, 1, 2)
 
+    def test_non_finite_input_matrix_rejected(self):
+        with pytest.raises(ValidationError):
+            ControlDistribution(input_matrix=[[np.nan, 0.0], [0.0, 1.0]])
+
     def test_indices_follow_the_columns(self):
         controls = ControlDistribution.on_indices(3, [2, 0])
         assert controls.actuated_indices == (2, 0)
@@ -224,6 +228,21 @@ class TestCostModel:
     def test_weight_symmetry_required(self):
         with pytest.raises(DimensionMismatch):
             quadratic_cost([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("horizon,boundary", [
+        (np.nan, {}), (np.inf, {}),
+        (1.0, dict(yT=[np.nan, 0.0])), (1.0, dict(y0=[0.0, np.inf])),
+    ])
+    def test_non_finite_problem_rejected(self, chaplygin_system, horizon, boundary):
+        with pytest.raises(DimensionMismatch):
+            OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
+                      cost=quadratic_cost(np.eye(2)), horizon=horizon, **boundary)
+
+    def test_non_finite_chart_boundary_rejected(self, double_integrator_problem):
+        p = double_integrator_problem
+        with pytest.raises(DimensionMismatch):
+            OCProblem(system=p.system, controls=p.controls, cost=p.cost, horizon=1.0,
+                      q0=[np.nan], y0=[0.0], qT=[1.0], yT=[0.0])
 
     def test_problem_validation(self, chaplygin_system):
         with pytest.raises(DimensionMismatch):

@@ -30,10 +30,10 @@ class ModelPartials:
 
     Each callable returns the stacked derivatives with the chart index first,
     e.g. ``metric_dq(q)[i] == d metric / d q^i``.  Fields left as None fall
-    back to central finite differences with step ``numerics.FD_STEP``.
+    back to central finite differences with step ``numerics.FD_STEP``.  The
+    structure functions need none: the Koszul formula does not read them.
     """
 
-    structure_dq: Optional[Callable] = None
     anchor_dq: Optional[Callable] = None
     metric_dq: Optional[Callable] = None
     potential_dq: Optional[Callable] = None
@@ -43,9 +43,10 @@ class ModelPartials:
 class AlgebroidModel:
     """Evaluatable structure functions, anchor, metric and potential on a chart.
 
-    ``q_independent`` marks models whose structure, anchor and metric do not
-    depend on the chart point (always true when ``dim_q == 0``); it lets the
-    downstream geometry skip derivative terms that vanish identically.
+    ``q_independent`` is a flag, set by ``constant_model``, marking models
+    whose structure, anchor and metric do not depend on the chart point; it
+    lets the downstream geometry build once and skip derivative terms that
+    vanish identically.  ``zero_potential`` marks a model without potential.
     """
 
     dim_q: int
@@ -68,13 +69,6 @@ class AlgebroidModel:
         return q
 
     # Stacked q-derivatives of the model fields; analytic partials win.
-    def structure_dq(self, q):
-        if self.q_independent or self.dim_q == 0:
-            return np.zeros((self.dim_q, self.rank_e, self.rank_e, self.rank_e))
-        if self.partials.structure_dq is not None:
-            return np.asarray(self.partials.structure_dq(q), dtype=float)
-        return numerics.fd_partials(self.structure, q)
-
     def anchor_dq(self, q):
         if self.q_independent or self.dim_q == 0:
             return np.zeros((self.dim_q, self.rank_e, self.dim_q))
@@ -178,22 +172,34 @@ class OrthogonalSplitting:
     """Metric-orthogonal decomposition E = D + D-perp at a chart point.
 
     ``coeff_map @ v`` gives the adapted-basis coefficients of the projection
-    of v onto D; ``projector_p = d_basis.T @ coeff_map``.
+    of v onto D, orthogonal for the bundle ``metric`` at the point.  The
+    projectors and the D-perp basis are derived on access; no flow reads them.
     """
 
     d_basis: np.ndarray
-    dperp_basis: np.ndarray
-    projector_p: np.ndarray
-    projector_q: np.ndarray
+    metric: np.ndarray
     coeff_map: np.ndarray
 
     @property
     def rank_d(self):
         return self.d_basis.shape[0]
 
+    @property
+    def projector_p(self):
+        return self.d_basis.T @ self.coeff_map
+
+    @property
+    def projector_q(self):
+        return np.eye(self.metric.shape[0]) - self.projector_p
+
+    @property
+    def dperp_basis(self):
+        return numerics.rref_null_space(self.d_basis @ self.metric)
+
 
 def build_splitting(model, spec, q=None):
-    """Adapted bases of D and D-perp plus the orthogonal projectors at q."""
+    """Adapted basis of D and the coefficient map of the orthogonal
+    projection onto it at q, for a metric checked positive-definite there."""
     q = model.chart_point(q)
     d = spec.d_basis()
     if d.shape[1] != model.rank_e:
@@ -207,11 +213,7 @@ def build_splitting(model, spec, q=None):
         coeff = np.linalg.solve(gram, d @ g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric("restricted metric Gram matrix is singular") from exc
-    p = d.T @ coeff
-    eye = np.eye(model.rank_e)
-    dperp = numerics.rref_null_space(d @ g)
-    return OrthogonalSplitting(d_basis=d, dperp_basis=dperp,
-                               projector_p=p, projector_q=eye - p, coeff_map=coeff)
+    return OrthogonalSplitting(d_basis=d, metric=g, coeff_map=coeff)
 
 
 def project_bracket(model, splitting, q=None):
@@ -262,9 +264,15 @@ class ConstrainedSystem:
         self.dim_q = model.dim_q
         self._cache = {}
 
+    @property
+    def constant_drift(self):
+        """True when Gamma is constant and there is no potential, so that the
+        drift Gamma(y, y) has no q-Jacobian and one Gamma serves every row."""
+        return self.parent.q_independent and (self.dim_q == 0 or self.parent.zero_potential)
+
     def geometry(self, q):
-        """Projected data bundle at q, cached: structure_d, anchor_d, metric_d,
-        metric_d_inv (plus gamma once requested).  Treat as read-only."""
+        """Projected data at q, cached complete and never changed after:
+        structure_d, anchor_d, metric_d, metric_d_inv and gamma.  Read-only."""
         q = self.parent.chart_point(q)
         key = b"const" if self.parent.q_independent else q.tobytes()
         hit = self._cache.get(key)
@@ -274,12 +282,12 @@ class ConstrainedSystem:
                  else build_splitting(self.parent, self.spec, q))
         gd, gd_inv = restrict_metric(self.parent, split, q)
         geo = {
-            "split": split,
             "structure_d": project_bracket(self.parent, split, q),
             "anchor_d": split.d_basis @ np.asarray(self.parent.anchor(q), dtype=float),
             "metric_d": gd,
             "metric_d_inv": gd_inv,
         }
+        geo["gamma"] = _koszul_gamma(self, q, geo)
         if len(self._cache) > 64:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = geo
@@ -306,16 +314,10 @@ class ConstrainedSystem:
         structure_d[:, a, b].  The three anchor-derivative terms use the
         model partials (finite differences by default) and vanish
         identically for chart-independent models; the three bracket terms
-        use the projected structure functions.
-
-        Cached alongside the projected data: gamma depends only on the
-        metric, structure and anchor fields, which are what the cache key
-        tracks (a single entry for chart-independent models).
+        use the projected structure functions.  Built with the rest of the
+        geometry at q, so this is a lookup.
         """
-        geo = self.geometry(q)
-        if "gamma" not in geo:
-            geo["gamma"] = _koszul_gamma(self, self.parent.chart_point(q), geo)
-        return geo["gamma"]
+        return self.geometry(q)["gamma"]
 
     def metric_d_dq(self, q=None):
         """Stacked chart derivatives of the restricted metric."""

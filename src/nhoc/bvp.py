@@ -41,6 +41,8 @@ class ShootingProblem:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise DimensionMismatch("Newton tolerance must be positive")
+        if self.max_iterations < 0:
+            raise DimensionMismatch("Newton iteration budget must not be negative")
         prob = self.hs.problem
         for name in ("q0", "y0", "qT", "yT"):
             val = getattr(prob, name)

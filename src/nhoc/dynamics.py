@@ -55,12 +55,9 @@ class Trajectory:
         return len(self.times)
 
 
-def drift_acceleration(system, q, y, geo=None):
+def drift_acceleration(system, q, y):
     """Geometric drift Gamma(y, y) + grad V; the free flow has ydot = -drift."""
-    gamma = geo.get("gamma") if geo is not None else None
-    if gamma is None:
-        gamma = system.gamma(q)
-    acc = np.einsum("cab,a,b->c", gamma, y, y)
+    acc = np.einsum("cab,a,b->c", system.gamma(q), y, y)
     if system.dim_q > 0:
         acc = acc + grad_potential(system, q)
     return acc
@@ -74,8 +71,7 @@ def _free_kernels(system):
     are hoisted and all rows are evaluated at once; otherwise each row takes
     the per-point formulas at its own chart point.
     """
-    model = system.parent
-    if model.q_independent and (system.dim_q == 0 or model.zero_potential):
+    if system.constant_drift:
         gamma, anchor_t = system.gamma(), system.anchor_d().T
         return (lambda q, y: matvec_rows(anchor_t, y),
                 lambda q, y: -np.einsum("cab,...a,...b->...c", gamma, y, y))
@@ -88,7 +84,7 @@ def _free_kernels(system):
         return kernel
 
     return (rowwise(lambda q, y: system.anchor_d(q).T @ y),
-            rowwise(lambda q, y: -drift_acceleration(system, q, y, system.geometry(q))))
+            rowwise(lambda q, y: -drift_acceleration(system, q, y)))
 
 
 def nonholonomic_field(system, s):

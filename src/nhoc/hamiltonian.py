@@ -207,20 +207,18 @@ class HamiltonianSystem:
 
     def value(self, phase):
         q, y, p_q, p_y = phase.q, phase.y, phase.p_q, phase.p_y
-        geo = self.system.geometry(q)
         u = _optimal_control(self.problem, q, y, p_y)
-        ydot = _actuation(self.problem, u) - drift_acceleration(self.system, q, y, geo)
-        return float(p_y @ ydot + p_q @ (geo["anchor_d"].T @ y)
+        ydot = _actuation(self.problem, u) - drift_acceleration(self.system, q, y)
+        return float(p_y @ ydot + p_q @ (self.system.anchor_d(q).T @ y)
                      - self.problem.cost.value(q, y, u))
 
     def _point_partials(self, q, y, p_q, p_y):
         """(dH/dx, dH/dp) at one phase point."""
         cost = self.problem.cost
-        geo = self.system.geometry(q)
+        anchor = self.system.anchor_d(q)
         u = _optimal_control(self.problem, q, y, p_y)
-        delta = drift_acceleration(self.system, q, y, geo)
-        ddq, ddy = drift_jacobians(self.system, q, y, geo)
-        anchor = geo["anchor_d"]
+        delta = drift_acceleration(self.system, q, y)
+        ddq, ddy = drift_jacobians(self.system, q, y)
         d_pq = anchor.T @ y
         d_py = _actuation(self.problem, u) - delta
         d_y = -ddy.T @ p_y + anchor @ p_q
@@ -244,12 +242,10 @@ class HamiltonianSystem:
 
     @property
     def _stacks_at_once(self):
-        """True when the kernel evaluates a whole stack at once (quadratic cost,
-        chart-independent model without potential), so that extra rows of a
+        """True when the kernel evaluates a whole stack at once (quadratic cost
+        and ``ConstrainedSystem.constant_drift``), so that extra rows of a
         flow cost little; False when each row takes the per-point formulas."""
-        model = self.system.parent
-        return bool(self.problem.cost.quadratic and model.q_independent
-                    and (self.dim_q == 0 or model.zero_potential))
+        return bool(self.problem.cost.quadratic and self.system.constant_drift)
 
     def _build_kernel(self):
         problem, system, n = self.problem, self.system, self.dim_q

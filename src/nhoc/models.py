@@ -135,6 +135,13 @@ def _require(doc, key, typ):
     return value
 
 
+def _float_array(value, what):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+
+
 def _structure_from_triples(rank_e, entries):
     c = np.zeros((rank_e, rank_e, rank_e))
     seen = np.zeros((rank_e, rank_e, rank_e), dtype=bool)
@@ -201,7 +208,7 @@ def load_model_config(document):
     entries = _require(doc, "structure_constants", list)
     structure = _structure_from_triples(rank_e, entries)
 
-    metric = np.asarray(_require(doc, "metric", list), dtype=float)
+    metric = _float_array(_require(doc, "metric", list), "metric")
     if metric.shape != (rank_e, rank_e):
         raise ValidationError(f"metric must be {rank_e}x{rank_e}")
     if not np.all(np.isfinite(metric)):
@@ -213,10 +220,10 @@ def load_model_config(document):
 
     constraint = _require(doc, "constraint", dict)
     if set(constraint) == {"annihilator"}:
-        rows = np.atleast_2d(np.asarray(constraint["annihilator"], dtype=float))
+        rows = np.atleast_2d(_float_array(constraint["annihilator"], "constraint annihilator"))
         spec_kwargs = {"annihilator": rows}
     elif set(constraint) == {"span"}:
-        rows = np.atleast_2d(np.asarray(constraint["span"], dtype=float))
+        rows = np.atleast_2d(_float_array(constraint["span"], "constraint span"))
         spec_kwargs = {"span_basis": rows}
     else:
         raise ValidationError("constraint must have exactly one of 'annihilator' or 'span'")

@@ -257,26 +257,19 @@ def unpack_extremal(problem, z, k=None):
                          lam=z[nq + m + k:2 * nq + m + k], lam_bar=z[2 * nq + m + k:])
 
 
-def drift_jacobians(system, q, y, geo=None):
+def drift_jacobians(system, q, y):
     """Partials of the drift Gamma(y,y) + grad V with respect to q and y.
 
     Returns (d_drift/dq of shape (rank_d, dim_q), d_drift/dy of shape
     (rank_d, rank_d)).  The q-derivative is finite-differenced through the
-    geometry (step 1e-6); it vanishes for chart-independent models with a
-    chart-independent potential gradient, which the FD reproduces cheaply.
+    geometry (step 1e-6); it vanishes without a chart or when the system's
+    drift is constant (``ConstrainedSystem.constant_drift``).
     """
-    if geo is not None:
-        gamma = geo.get("gamma")
-        if gamma is None:
-            gamma = system.gamma(q)
-    else:
-        gamma = system.gamma(q)
+    gamma = system.gamma(q)
     ddy = np.einsum("cab,b->ca", gamma, y) + np.einsum("cab,a->cb", gamma, y)
-    if system.dim_q == 0:
-        return np.zeros((system.rank_d, 0)), ddy
+    if system.dim_q == 0 or system.constant_drift:
+        return np.zeros((system.rank_d, system.dim_q)), ddy
     if system.parent.q_independent:
-        if system.parent.zero_potential:
-            return np.zeros((system.rank_d, system.dim_q)), ddy
         # only the potential gradient can vary with q
         ddq = fd_jacobian(lambda qq: grad_potential(system, qq), q)
     else:
@@ -346,11 +339,10 @@ def necessary_conditions_field(problem, state):
     if lam_bar.shape != (ctrl.rank_d - ctrl.k,):
         raise DimensionMismatch(f"lambda_bar must have length {ctrl.rank_d - ctrl.k}")
 
-    geo = system.geometry(q)
-    anchor = geo["anchor_d"]
-    delta = drift_acceleration(system, q, y, geo)
+    anchor = system.anchor_d(q)
+    delta = drift_acceleration(system, q, y)
     u = v + delta[act]
-    ddq, ddy = drift_jacobians(system, q, y, geo)
+    ddq, ddy = drift_jacobians(system, q, y)
 
     ydot = np.empty(system.rank_d)
     ydot[act] = v

@@ -47,11 +47,6 @@ def curved_model():
         c[0, 0, 1], c[0, 1, 0] = np.sin(q[0]), -np.sin(q[0])
         return c
 
-    def structure_dq(q):
-        dc = np.zeros((1, 2, 2, 2))
-        dc[0, 0, 0, 1], dc[0, 0, 1, 0] = np.cos(q[0]), -np.cos(q[0])
-        return dc
-
     def metric(q):
         return np.array([[1.0 + q[0] ** 2, 0.2], [0.2, 2.0 + np.sin(q[0]) ** 2]])
 
@@ -64,7 +59,7 @@ def curved_model():
         dim_q=1, rank_e=2,
         structure=structure, anchor=lambda q: anchor, metric=metric,
         potential=lambda q: 0.25 * q[0] ** 2,
-        partials=ModelPartials(structure_dq=structure_dq, metric_dq=metric_dq,
+        partials=ModelPartials(metric_dq=metric_dq,
                                anchor_dq=lambda q: np.zeros((1, 2, 1)),
                                potential_dq=lambda q: np.array([0.5 * q[0]])))
 

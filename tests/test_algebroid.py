@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, build_constrained_system, build_splitting,
+from nhoc import (ConstraintSpec, StateQY, build_constrained_system, build_splitting,
                   constant_model, grad_potential, make_chaplygin,
-                  make_suslov, project_bracket, restrict_metric)
+                  make_suslov, numerics, project_bracket, restrict_metric, simulate)
 from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
 
 from conftest import SUSLOV_PARAMS, curved_model
@@ -296,3 +296,18 @@ class TestConstrainedSystem:
     def test_chart_point_validation(self, suslov_system):
         with pytest.raises(DimensionMismatch):
             suslov_system.parent.chart_point([1.0])
+
+    def test_per_point_geometry_is_built_once_and_lean(self, monkeypatch):
+        system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        calls = []
+        null_space = numerics.rref_null_space
+        monkeypatch.setattr(numerics, "rref_null_space",
+                            lambda a: calls.append(a) or null_space(a))
+        simulate(system, StateQY(q=[0.1], y=[0.3, -0.2]), 0.05, 0.01)
+        assert calls == []  # no D-perp basis at any chart point of the flow
+        q = np.array([0.2])
+        geo = system.geometry(q)
+        keys = set(geo)
+        assert "gamma" in keys
+        assert system.gamma(q) is geo["gamma"]
+        assert set(system.geometry(q)) == keys

@@ -281,6 +281,11 @@ class TestSolveBVP:
         with pytest.raises(DimensionMismatch):
             shooting_for(double_integrator_problem, tolerance=tolerance)
 
+    def test_iteration_budget_must_not_be_negative(self, double_integrator_problem):
+        with pytest.raises(DimensionMismatch):
+            shooting_for(double_integrator_problem, max_iterations=-1)
+        assert shooting_for(double_integrator_problem, max_iterations=0).max_iterations == 0
+
 
 def _sleigh_problem():
     system = build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))

@@ -129,6 +129,14 @@ class TestOptimize:
         assert code == 2
         assert "DimensionMismatch" in capsys.readouterr().err
 
+    def test_negative_iteration_budget_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["optimize", "--builtin", "chaplygin", "--y0", "0,0", "--yT", "0.1,0.1",
+                     "--T", "1", "--dt", "0.1", "--max-iterations", "-1", "--out", str(out)])
+        assert code == 2
+        assert "DimensionMismatch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonconvergence_exits_4_with_best_iterate(self, tmp_path, capsys):
         out = tmp_path / "best.csv"
         code = main(["optimize", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0",
@@ -200,6 +208,15 @@ class TestCheck:
                "constraint": {"annihilator": [[0.0, 0.0, 1.0]]}, field: value}
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))  # writes the NaN literal, which json reads back
+        assert main(["check", "--config", str(path)]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+
+    def test_malformed_config_array_exits_2(self, tmp_path, capsys):
+        doc = {"name": "ragged", "kind": "lie_algebra_constant", "rank_e": 2,
+               "structure_constants": [], "metric": [[1, "a"], [0, 1]],
+               "constraint": {"span": [[1.0, 0.0]]}}
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(doc))
         assert main(["check", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 

@@ -196,6 +196,16 @@ class TestLoader:
         with pytest.raises(ValidationError, match="non-finite|not finite"):
             load_model_config(suslov_config(**overrides))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(metric=[[2.0, "a", 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]]),
+        dict(metric=[[2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]]),
+        dict(constraint={"span": [[1.0, 0.0, 0.0], [0.0, 1.0]]}),
+        dict(constraint={"annihilator": [[0.0, "x", 1.0]]}),
+    ], ids=["metric-string", "metric-ragged", "span-ragged", "annihilator-string"])
+    def test_malformed_arrays_rejected(self, overrides):
+        with pytest.raises(ValidationError, match="rectangular array of numbers"):
+            load_model_config(suslov_config(**overrides))
+
     @pytest.mark.parametrize("n", [np.nan, np.inf])
     def test_non_finite_builtin_dimension_rejected(self, n):
         with pytest.raises(ValidationError, match="bad parameters"):

@@ -197,6 +197,25 @@ class OrthogonalSplitting:
         return numerics.rref_null_space(self.d_basis @ self.metric)
 
 
+def _at_points(f, qs):
+    """Stack of f(q) over the rows of qs: model callables see one chart point
+    at a time."""
+    return np.stack([np.asarray(f(q), dtype=float) for q in qs])
+
+
+def _split(d, g):
+    """Splitting for the adapted basis d and the bundle metric g, one matrix
+    or a stack of them (leading axis), each checked positive-definite."""
+    if not numerics.symmetric_positive_definite(g):
+        raise SingularMetric("bundle metric is not symmetric positive-definite at q")
+    dg = d @ g
+    try:
+        coeff = np.linalg.solve(dg @ d.T, dg)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric("restricted metric Gram matrix is singular") from exc
+    return OrthogonalSplitting(d_basis=d, metric=g, coeff_map=coeff)
+
+
 def build_splitting(model, spec, q=None):
     """Adapted basis of D and the coefficient map of the orthogonal
     projection onto it at q, for a metric checked positive-definite there."""
@@ -205,15 +224,16 @@ def build_splitting(model, spec, q=None):
     if d.shape[1] != model.rank_e:
         raise DimensionMismatch(
             f"constraint is on a rank-{d.shape[1]} bundle, model has rank {model.rank_e}")
-    g = np.asarray(model.metric(q), dtype=float)
-    if not numerics.symmetric_positive_definite(g):
-        raise SingularMetric("bundle metric is not symmetric positive-definite at q")
-    gram = d @ g @ d.T
-    try:
-        coeff = np.linalg.solve(gram, d @ g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric("restricted metric Gram matrix is singular") from exc
-    return OrthogonalSplitting(d_basis=d, metric=g, coeff_map=coeff)
+    return _split(d, np.asarray(model.metric(q), dtype=float))
+
+
+def _bracket(c, splitting):
+    """Projected structure functions for the E-frame structure functions c,
+    one point or a stack matching the splitting's."""
+    d = splitting.d_basis
+    bracket = np.einsum("...cAB,aA,bB->...cab", c, d, d)
+    s = np.einsum("...cE,...Eab->...cab", splitting.coeff_map, bracket)
+    return 0.5 * (s - s.swapaxes(-1, -2))
 
 
 def project_bracket(model, splitting, q=None):
@@ -223,28 +243,48 @@ def project_bracket(model, splitting, q=None):
     bracket of frame sections carries no anchor-derivative terms.
     """
     q = model.chart_point(q)
-    c = np.asarray(model.structure(q), dtype=float)
-    d = splitting.d_basis
-    bracket = np.einsum("cAB,aA,bB->cab", c, d, d)
-    s = np.einsum("cE,Eab->cab", splitting.coeff_map, bracket)
-    return 0.5 * (s - s.swapaxes(1, 2))
+    return _bracket(np.asarray(model.structure(q), dtype=float), splitting)
 
 
-def restrict_metric(model, splitting, q=None):
-    """Restricted metric G^D and its inverse in the adapted basis."""
-    q = model.chart_point(q)
-    g = np.asarray(model.metric(q), dtype=float)
+def restrict_metric(splitting):
+    """Restricted metric G^D and its inverse in the adapted basis.
+
+    A splitting on a stack of chart points (metric of shape (B, r, r)) gives
+    stacks; every inverse is checked to a residual of 1e-12.
+    """
     d = splitting.d_basis
-    gd = d @ g @ d.T
-    gd = 0.5 * (gd + gd.T)
+    gd = d @ splitting.metric @ d.T
+    gd = 0.5 * (gd + gd.swapaxes(-1, -2))
     try:
         gd_inv = np.linalg.inv(gd)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric("restricted metric is singular") from exc
-    residual = np.abs(gd @ gd_inv - np.eye(gd.shape[0])).max()
-    if residual > 1e-12:
+    residual = np.abs(gd @ gd_inv - np.eye(gd.shape[-1])).max()
+    if not residual <= 1e-12:
         raise SingularMetric(f"restricted metric inverse residual {residual:.2e} > 1e-12")
     return gd, gd_inv
+
+
+def _restrict_dq(dg, d):
+    """Chart derivatives of the restricted metric from those of the bundle
+    metric (chart index first, after any stack axis)."""
+    return np.einsum("...iAB,aA,bB->...iab", dg, d, d)
+
+
+def _chart_geometry(model, d, qs):
+    """Projected data at every row of the chart-point stack qs (B, dim_q) in
+    one pass: each model callable is called once per point, and every
+    numeric step runs once on the stack.  Each array has a leading axis B."""
+    split = _split(d, _at_points(model.metric, qs))
+    gd, gd_inv = restrict_metric(split)
+    geo = {
+        "structure_d": _bracket(_at_points(model.structure, qs), split),
+        "anchor_d": d @ _at_points(model.anchor, qs),
+        "metric_d": gd,
+        "metric_d_inv": gd_inv,
+    }
+    geo["gamma"] = _koszul_gamma(model, d, qs, geo)
+    return geo
 
 
 class ConstrainedSystem:
@@ -253,13 +293,15 @@ class ConstrainedSystem:
     Wraps a parent model plus a constraint and exposes the projected
     structure functions, restricted anchor/metric, Christoffel field and
     potential gradient as functions of the chart point.  Values are immutable;
-    a small per-point cache makes repeated evaluation along trajectories cheap.
+    a small per-point cache makes repeated evaluation along trajectories cheap,
+    and ``geometry_rows`` builds a whole stack of chart points in one pass.
     """
 
     def __init__(self, model, spec):
         self.parent = model
         self.spec = spec
         self.splitting = build_splitting(model, spec)
+        self.d_basis = self.splitting.d_basis
         self.rank_d = self.splitting.rank_d
         self.dim_q = model.dim_q
         self._cache = {}
@@ -270,24 +312,29 @@ class ConstrainedSystem:
         drift Gamma(y, y) has no q-Jacobian and one Gamma serves every row."""
         return self.parent.q_independent and (self.dim_q == 0 or self.parent.zero_potential)
 
+    def geometry_rows(self, qs):
+        """Projected data at every row of a stack of chart points (B, dim_q):
+        the record of ``geometry`` with a leading axis B on each array, from
+        one stacked build.  Not cached; a chart-independent model broadcasts
+        its one record.  Read-only."""
+        qs = np.asarray(qs, dtype=float)
+        if qs.ndim != 2 or qs.shape[1] != self.dim_q:
+            raise DimensionMismatch(f"chart points must have shape (B, {self.dim_q})")
+        if self.parent.q_independent:
+            return {k: np.broadcast_to(v, (len(qs),) + v.shape)
+                    for k, v in self.geometry(None).items()}
+        return _chart_geometry(self.parent, self.d_basis, qs)
+
     def geometry(self, q):
         """Projected data at q, cached complete and never changed after:
-        structure_d, anchor_d, metric_d, metric_d_inv and gamma.  Read-only."""
+        structure_d, anchor_d, metric_d, metric_d_inv and gamma.  The
+        one-row case of ``geometry_rows``.  Read-only."""
         q = self.parent.chart_point(q)
         key = b"const" if self.parent.q_independent else q.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        split = (self.splitting if self.parent.q_independent
-                 else build_splitting(self.parent, self.spec, q))
-        gd, gd_inv = restrict_metric(self.parent, split, q)
-        geo = {
-            "structure_d": project_bracket(self.parent, split, q),
-            "anchor_d": split.d_basis @ np.asarray(self.parent.anchor(q), dtype=float),
-            "metric_d": gd,
-            "metric_d_inv": gd_inv,
-        }
-        geo["gamma"] = _koszul_gamma(self, q, geo)
+        geo = {k: v[0] for k, v in _chart_geometry(self.parent, self.d_basis, q[None]).items()}
         if len(self._cache) > 64:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = geo
@@ -312,24 +359,25 @@ class ConstrainedSystem:
         ``gamma[c, a, b]`` solves the Koszul relation for nabla_{e_a} e_b
         along e_c; torsion identity: gamma[:, a, b] - gamma[:, b, a] =
         structure_d[:, a, b].  The three anchor-derivative terms use the
-        model partials (finite differences by default) and vanish
-        identically for chart-independent models; the three bracket terms
-        use the projected structure functions.  Built with the rest of the
-        geometry at q, so this is a lookup.
+        model partials (complex-step or finite-difference derivatives by
+        default) and vanish identically for chart-independent models; the
+        three bracket terms use the projected structure functions.  Built
+        with the rest of the geometry at q, so this is a lookup.
         """
         return self.geometry(q)["gamma"]
 
     def metric_d_dq(self, q=None):
         """Stacked chart derivatives of the restricted metric."""
-        q = self.parent.chart_point(q)
-        dg = self.parent.metric_dq(q)
-        d = self.splitting.d_basis
-        return np.einsum("iAB,aA,bB->iab", dg, d, d)
+        return _restrict_dq(self.parent.metric_dq(self.parent.chart_point(q)), self.d_basis)
 
     def anchor_d_dq(self, q=None):
-        q = self.parent.chart_point(q)
-        da = self.parent.anchor_dq(q)
-        return np.einsum("iAj,aA->iaj", da, self.splitting.d_basis)
+        """Stacked chart derivatives of the restricted anchor; a stack of
+        chart points (B, dim_q) gives a leading axis B."""
+        if np.ndim(q) == 2:
+            da = _at_points(self.parent.anchor_dq, q)
+        else:
+            da = self.parent.anchor_dq(self.parent.chart_point(q))
+        return np.einsum("...iAj,aA->...iaj", da, self.d_basis)
 
     def energy(self, q, y):
         """Restricted kinetic energy plus potential, conserved by the free flow."""
@@ -343,35 +391,43 @@ def build_constrained_system(model, spec):
     return ConstrainedSystem(model, spec)
 
 
-def _koszul_gamma(system, q, geo):
+def _koszul_gamma(model, d, qs, geo):
+    """Christoffel symbols at each row of the chart-point stack qs from the
+    stacked record ``geo`` (the solve of ``ConstrainedSystem.gamma``)."""
     gd = geo["metric_d"]
     cd = geo["structure_d"]
-    m = system.rank_d
-    rhs = (np.einsum("am,mcb->cab", gd, cd)
-           + np.einsum("bm,mca->cab", gd, cd)
-           - np.einsum("cm,mba->cab", gd, cd))
-    if system.dim_q > 0 and not system.parent.q_independent:
-        dgd = system.metric_d_dq(q)
+    rhs = (np.einsum("...am,...mcb->...cab", gd, cd)
+           + np.einsum("...bm,...mca->...cab", gd, cd)
+           - np.einsum("...cm,...mba->...cab", gd, cd))
+    if model.dim_q > 0 and not model.q_independent:
+        dgd = _restrict_dq(_at_points(model.metric_dq, qs), d)
         rho = geo["anchor_d"]
-        rhs = rhs + (np.einsum("ai,ibc->cab", rho, dgd)
-                     + np.einsum("bi,iac->cab", rho, dgd)
-                     - np.einsum("ci,iab->cab", rho, dgd))
+        rhs = rhs + (np.einsum("...ai,...ibc->...cab", rho, dgd)
+                     + np.einsum("...bi,...iac->...cab", rho, dgd)
+                     - np.einsum("...ci,...iab->...cab", rho, dgd))
     try:
-        return 0.5 * np.linalg.solve(gd, rhs.reshape(m, -1)).reshape(m, m, m)
+        return 0.5 * np.linalg.solve(gd, rhs.reshape(rhs.shape[:-2] + (-1,))).reshape(rhs.shape)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric("restricted metric is singular in the Koszul solve") from exc
+
+
+def potential_gradients(system, qs, geo):
+    """Metric gradient of the potential at every row of the chart-point stack
+    qs, from the stacked record ``geo`` there (``ConstrainedSystem.geometry_rows``)."""
+    if system.dim_q == 0 or system.parent.zero_potential:
+        return np.zeros((len(qs), system.rank_d))
+    dv = _at_points(system.parent.potential_dq, qs)
+    rhs = numerics.matvec_rows(geo["anchor_d"], dv)
+    try:
+        grad = np.linalg.solve(geo["metric_d"], rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric("restricted metric is singular in grad_potential") from exc
+    # exact zeros where dV vanishes, as without the solve
+    return np.where(dv.any(axis=-1)[:, None], grad, 0.0)
 
 
 def grad_potential(system, q=None):
     """Metric gradient of the potential on D: (G^D)^{CB} rho^i_B dV/dq^i."""
     q = system.parent.chart_point(q)
-    if system.dim_q == 0 or system.parent.zero_potential:
-        return np.zeros(system.rank_d)
-    dv = system.parent.potential_dq(q)
-    if not dv.any():
-        return np.zeros(system.rank_d)
-    rhs = system.anchor_d(q) @ dv
-    try:
-        return np.linalg.solve(system.metric_d(q), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric("restricted metric is singular in grad_potential") from exc
+    geo = system.geometry(q)
+    return potential_gradients(system, q[None], {k: v[None] for k, v in geo.items()})[0]

@@ -6,7 +6,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
-                     NonFiniteState, SingularJacobian)
+                     NonFiniteState, SingularJacobian, SingularMetric)
 # inverse_legendre is not called here; perfbench/tracing.py patches it under this name
 from .hamiltonian import (PhasePoint, _optimal_control, inverse_legendre,  # noqa: F401
                           integrate_hamiltonian)
@@ -141,15 +141,17 @@ class ShootingResult:
 def solve_bvp(sp, p0_guess=None):
     """Damped Newton on the shooting residual with a forward-difference Jacobian.
 
-    Each Newton iteration integrates one flow.  When the Hamiltonian kernel
-    evaluates a stack at once, the full-step trial p0 + step (and the initial
-    guess) is integrated together with its columns p0 + step + h e_i, so an
-    accepted trial brings the next Jacobian with it; the halved trials of the
-    line search are integrated alone.  On the per-row kernel, where every
-    extra row costs a full flow, the columns are integrated only for the
-    iterate the line search accepted.  Every residual and Jacobian has the
+    Each Newton iteration integrates one flow.  With a quadratic cost the
+    Hamiltonian kernel evaluates a stack at once, on chart-dependent models
+    too, so the full-step trial p0 + step (and the initial guess) is
+    integrated together with its columns p0 + step + h e_i, and an accepted
+    trial brings the next Jacobian with it; the halved trials of the line
+    search are integrated alone.  On the per-row kernel of a non-quadratic
+    cost, where every extra row costs a full flow, the columns are integrated
+    only for the iterate the line search accepted.  Every residual and Jacobian has the
     floats of the single calls (``shooting_residual`` and ``fd_jacobian``),
-    and should the stacked flow fail, the trial is integrated alone.  The
+    and should the stacked flow fail (a non-finite state, a diverging
+    implicit substep or a singular metric), the trial is integrated alone.  The
     accepted flow's samples become the extremal, which is not integrated
     again.
 
@@ -174,7 +176,7 @@ def solve_bvp(sp, p0_guess=None):
         if with_columns and speculate:
             try:
                 res, times, phases = _flow(sp, np.vstack([p, p + columns]))
-            except (NonFiniteState, FixedPointDivergence):
+            except (NonFiniteState, FixedPointDivergence, SingularMetric):
                 pass  # the failing row may be a column's: integrate p alone
             else:
                 return res[0], (times, phases[:, 0]), ((res[1:] - res[0]) / h).T

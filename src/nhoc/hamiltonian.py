@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence
                      SingularHessian)
 from .numerics import (fd_jacobian, integrate_fixed_steps, matvec_rows, rk4_step,
                        step_count)
-from .optimal_control import ExtremalState, drift_jacobians, recover_controls
+from .optimal_control import ExtremalState, drift_jacobians, drift_rows, recover_controls
 
 SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
 
@@ -192,10 +192,12 @@ class HamiltonianSystem:
     at the optimal u, which vanish for quadratic costs.
 
     The partials are compiled on first use into one kernel on stacks of
-    phase rows.  With a quadratic cost on a chart-independent model without
-    potential, Gamma, the anchor and the Legendre map are hoisted out of it
-    and every row is evaluated at once; otherwise each row takes the
-    per-point formulas.
+    phase rows.  With a quadratic cost every row is evaluated at once: on a
+    chart-independent model without potential Gamma, the anchor and the
+    Legendre map are hoisted out of the kernel, and otherwise one stacked
+    geometry build per evaluation covers the rows and the stencil of their
+    drift q-Jacobians.  A non-quadratic cost takes the per-point formulas
+    row by row.
     """
 
     def __init__(self, problem):
@@ -233,7 +235,7 @@ class HamiltonianSystem:
         return np.concatenate([d_q, d_y]), np.concatenate([d_pq, d_py])
 
     def _rowwise_partials(self, x, p):
-        """The kernel of chart-dependent models and non-quadratic costs."""
+        """The kernel of non-quadratic costs: the per-point formulas, row by row."""
         n = self.dim_q
         gx, gp = np.empty_like(x), np.empty_like(p)
         for i in range(len(x)):
@@ -242,31 +244,50 @@ class HamiltonianSystem:
 
     @property
     def _stacks_at_once(self):
-        """True when the kernel evaluates a whole stack at once (quadratic cost
-        and ``ConstrainedSystem.constant_drift``), so that extra rows of a
-        flow cost little; False when each row takes the per-point formulas."""
-        return bool(self.problem.cost.quadratic and self.system.constant_drift)
+        """True when the kernel evaluates a whole stack at once, which it does
+        for every quadratic cost, so that extra rows of a flow cost little;
+        False when each row takes the per-point formulas."""
+        return bool(self.problem.cost.quadratic)
 
     def _build_kernel(self):
         problem, system, n = self.problem, self.system, self.dim_q
         cost, ctrl = problem.cost, problem.controls
         if not self._stacks_at_once:
             return self._rowwise_partials
-        # constant geometry and no potential: the drift has no q-Jacobian
-        gamma, anchor = system.gamma(), system.anchor_d()
         input_m = None if ctrl._identity else ctrl.input_matrix
         weight = None if cost.weight_identity else cost.weight
 
-        def kernel(x, p):
-            y, p_q, p_y = x[:, n:], p[:, :n], p[:, n:]
-            # Legendre map u = W^-1 B^T p_y and its actuation B u
+        def actuation(p_y):
+            """B u for the Legendre map u = W^-1 B^T p_y of every row."""
             u = p_y if input_m is None else matvec_rows(input_m.T, p_y)
             if weight is not None:
                 try:
                     u = np.linalg.solve(weight, u[:, :, None])[:, :, 0]
                 except np.linalg.LinAlgError as exc:
                     raise SingularHessian("quadratic cost weight is singular") from exc
-            bu = u if input_m is None else matvec_rows(input_m, u)
+            return u if input_m is None else matvec_rows(input_m, u)
+
+        if not system.constant_drift:
+            # chart-dependent drift: one stacked geometry build per evaluation
+            # covers the rows and the stencil of their drift q-Jacobians
+            def chart_kernel(x, p):
+                q, y, p_q, p_y = x[:, :n], x[:, n:], p[:, :n], p[:, n:]
+                delta, ddq, ddy, geo = drift_rows(system, q, y)
+                anchor = geo["anchor_d"]
+                d_y = matvec_rows(-ddy.swapaxes(1, 2), p_y) + matvec_rows(anchor, p_q)
+                d_q = (matvec_rows(-ddq.swapaxes(1, 2), p_y)
+                       + np.einsum("...iAj,...j,...A->...i", system.anchor_d_dq(q), p_q, y))
+                return (np.concatenate([d_q, d_y], axis=1),
+                        np.concatenate([matvec_rows(anchor.swapaxes(1, 2), y),
+                                        actuation(p_y) - delta], axis=1))
+
+            return chart_kernel
+        # constant geometry and no potential: the drift has no q-Jacobian
+        gamma, anchor = system.gamma(), system.anchor_d()
+
+        def kernel(x, p):
+            y, p_q, p_y = x[:, n:], p[:, :n], p[:, n:]
+            bu = actuation(p_y)
             delta = np.einsum("cab,...a,...b->...c", gamma, y, y)
             ddy = (np.einsum("cab,...b->...ca", gamma, y)
                    + np.einsum("cab,...a->...cb", gamma, y))

@@ -2,7 +2,8 @@
 step counts and the one fixed-step driver with its finite-state guard.
 
 Every finite-difference derivative in the package goes through
-``fd_partials`` or ``fd_jacobian``.
+``fd_partials``, ``fd_jacobian`` or the stacked stencil of
+``central_stencil`` and ``central_differences``.
 """
 
 import numpy as np
@@ -58,6 +59,27 @@ def fd_jacobian(f, x, step=FD_STEP, f0=None):
         dx[i] = step
         cols.append((np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2.0 * step))
     return np.column_stack(cols) if cols else np.zeros((np.size(f(x)), 0))
+
+
+def central_stencil(x):
+    """The rows of a stack x (B, n) followed by their central-difference
+    points: x + FD_STEP e_i for every row and i, then x - FD_STEP e_i, each
+    block row-major in (row, i); shape ((1 + 2n) B, n)."""
+    b, n = x.shape
+    steps = FD_STEP * np.eye(n)
+    return np.concatenate([x, (x[:, None] + steps).reshape(b * n, n),
+                           (x[:, None] - steps).reshape(b * n, n)])
+
+
+def central_differences(values, n):
+    """Jacobians (B, k, n) at the rows of ``central_stencil`` from the values
+    (B (1 + 2n), k) of a map at all its points; each Jacobian has the floats
+    of the central ``fd_jacobian`` at its row."""
+    b = len(values) // (1 + 2 * n)
+    plus = values[b:b + b * n].reshape(b, n, values.shape[1])
+    minus = values[b + b * n:].reshape(b, n, values.shape[1])
+    # C order, as ``fd_jacobian`` returns: a product's floats depend on layout
+    return np.ascontiguousarray(((plus - minus) / (2.0 * FD_STEP)).swapaxes(1, 2))
 
 
 def step_count(t_final, dt):
@@ -171,11 +193,14 @@ def rk4_step(f, t, x, dt):
 
 
 def symmetric_positive_definite(a):
-    """True when `a` is symmetric and positive-definite."""
+    """True when `a`, one square matrix or a stack of them, is finite,
+    symmetric (to 1e-12 of each matrix's largest entry, at least 1) and
+    positive-definite; a stack passes only when every matrix does."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not np.isfinite(a).all():
         return False
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if (np.abs(a - a.swapaxes(-1, -2)) > 1e-12 * scale[..., None, None]).any():
         return False
     try:
         np.linalg.cholesky(a)

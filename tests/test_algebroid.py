@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, StateQY, build_constrained_system, build_splitting,
-                  constant_model, grad_potential, make_chaplygin,
-                  make_suslov, numerics, project_bracket, restrict_metric, simulate)
+from dataclasses import replace
+
+from nhoc import (ConstraintSpec, OrthogonalSplitting, StateQY, algebroid,
+                  build_constrained_system, build_splitting, constant_model, grad_potential,
+                  make_chaplygin, make_suslov, numerics, project_bracket, restrict_metric,
+                  simulate)
 from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
 
 from conftest import SUSLOV_PARAMS, curved_model
@@ -117,20 +120,20 @@ class TestProjectBracket:
 class TestRestrictMetric:
     def test_suslov_diagonal(self):
         model, spec = make_suslov(**SUSLOV_PARAMS)
-        gd, gd_inv = restrict_metric(model, build_splitting(model, spec))
+        gd, gd_inv = restrict_metric(build_splitting(model, spec))
         assert np.allclose(gd, np.diag([2.0, 3.0]), atol=1e-14)
         assert np.abs(gd @ gd_inv - np.eye(2)).max() < 1e-12
 
     def test_chaplygin_quadratic_form(self):
         m, J, a, b = 1.0, 1.0, 1.0, 0.5
         model, spec = make_chaplygin(m, J, a, b)
-        gd, _ = restrict_metric(model, build_splitting(model, spec))
+        gd, _ = restrict_metric(build_splitting(model, spec))
         expected = np.array([[J + m * (a * a + b * b), -b * m], [-b * m, m]])
         assert np.abs(gd - expected).max() < 1e-14
 
     def test_identity_case(self):
         model = constant_model(np.zeros((3, 3, 3)), np.eye(3))
-        gd, gd_inv = restrict_metric(model, build_splitting(
+        gd, gd_inv = restrict_metric(build_splitting(
             model, ConstraintSpec(span_basis=np.eye(3)[:2])))
         assert np.allclose(gd, np.eye(2), atol=1e-15)
         assert np.allclose(gd_inv, np.eye(2), atol=1e-15)
@@ -138,9 +141,10 @@ class TestRestrictMetric:
     def test_singular_restriction_raises(self):
         base = constant_model(np.zeros((2, 2, 2)), np.eye(2))
         split = build_splitting(base, ConstraintSpec(span_basis=np.eye(2)))
-        degenerate = AlgebroidReplaceMetric(base, np.zeros((2, 2)))
+        degenerate = OrthogonalSplitting(d_basis=split.d_basis, metric=np.zeros((2, 2)),
+                                         coeff_map=split.coeff_map)
         with pytest.raises(SingularMetric):
-            restrict_metric(degenerate, split)
+            restrict_metric(degenerate)
 
 
 class TestChristoffel:
@@ -311,3 +315,70 @@ class TestConstrainedSystem:
         assert "gamma" in keys
         assert system.gamma(q) is geo["gamma"]
         assert set(system.geometry(q)) == keys
+
+    def test_metric_evaluated_once_per_build(self, monkeypatch):
+        model = curved_model()  # analytic metric_dq: only the build reads the metric
+        calls, builds = [], []
+        counted = replace(model, metric=lambda q: calls.append(q) or model.metric(q))
+        system = build_constrained_system(counted, ConstraintSpec(span_basis=np.eye(2)))
+        restrict = algebroid.restrict_metric
+        monkeypatch.setattr(algebroid, "restrict_metric",
+                            lambda split: builds.append(split) or restrict(split))
+        calls.clear()
+        simulate(system, StateQY(q=[0.1], y=[0.3, -0.2]), 0.05, 0.01)
+        # 20 rk4 stage points and the last sample, each built once
+        assert len(builds) == 21
+        assert len(calls) == 21
+
+    def test_adapted_basis_read_from_the_system(self, monkeypatch):
+        system = build_constrained_system(curved_model(), ConstraintSpec(annihilator=[[0.0, 1.0]]))
+        calls = []
+        null_space = numerics.rref_null_space
+        monkeypatch.setattr(numerics, "rref_null_space",
+                            lambda a: calls.append(a) or null_space(a))
+        simulate(system, StateQY(q=[0.1], y=[0.3]), 0.05, 0.01)
+        assert calls == []
+
+
+BAD_METRICS = {
+    "indefinite": np.diag([1.0, -1.0]),
+    "asymmetric": np.array([[1.0, 0.5], [0.0, 1.0]]),
+    "nan": np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    "nan_diagonal": np.array([[np.nan, 0.2], [0.2, 1.0]]),
+}
+
+
+class TestStackedGeometry:
+    def test_stack_equals_one_point_builds(self):
+        spec = ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]])
+        qs = np.array([[-0.7], [0.0], [0.35], [1.3]])
+        stack = build_constrained_system(curved_model(), spec).geometry_rows(qs)
+        for k, q in enumerate(qs):
+            single = build_constrained_system(curved_model(), spec).geometry(q)
+            assert set(single) == set(stack)
+            for name, value in single.items():
+                assert stack[name].shape == (len(qs),) + value.shape
+                assert stack[name][k].tobytes() == value.tobytes(), name
+
+    def test_chart_independent_stack_broadcasts_one_record(self, suslov_system):
+        stack = suslov_system.geometry_rows(np.zeros((3, 0)))
+        for name, value in suslov_system.geometry(None).items():
+            assert all(row.tobytes() == value.tobytes() for row in stack[name])
+
+    @pytest.mark.parametrize("bad", sorted(BAD_METRICS))
+    def test_one_bad_metric_row_raises(self, bad):
+        good = curved_model()
+        model = replace(good, metric=lambda q: BAD_METRICS[bad] if q[0] > 1.0 else good.metric(q))
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        with pytest.raises(SingularMetric):
+            system.geometry_rows(np.array([[0.1], [1.5], [0.2]]))
+        with pytest.raises(SingularMetric):
+            system.geometry(np.array([1.5]))
+        assert np.isfinite(system.geometry_rows(np.array([[0.1], [0.2]]))["gamma"]).all()
+
+    def test_stack_shape_checked(self):
+        system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        with pytest.raises(DimensionMismatch):
+            system.geometry_rows(np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            system.geometry_rows(np.zeros(3))

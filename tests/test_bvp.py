@@ -57,6 +57,13 @@ def sleigh_problem(system):
                      y0=[0.5, 0.2], yT=[0.4, 0.3])
 
 
+def curved_quadratic_problem():
+    system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+    return OCProblem(system=system, controls=ControlDistribution.full(2),
+                     cost=quadratic_cost(np.eye(2)), horizon=1.0,
+                     q0=[0.0], y0=[0.1, 0.0], qT=[0.2], yT=[0.0, 0.1])
+
+
 def curved_quartic_problem():
     system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
     return OCProblem(system=system, controls=ControlDistribution.full(2),
@@ -89,6 +96,15 @@ class TestBatchedResidual:
         # constant geometry and a quadratic cost: the hoisted kernel
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1, scheme=scheme)
         stack = np.array([[0.0, 0.0], [0.4, -0.3], [2.0, 1.5]])
+        self.assert_rows_match_single_calls(sp, stack)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_curved_quadratic_rows_equal_single_calls(self, scheme):
+        # chart-dependent model and a quadratic cost: one stacked geometry
+        # build per evaluation covers every row and its drift stencil
+        sp = shooting_for(curved_quadratic_problem(), dt=0.1, scheme=scheme)
+        assert sp.hs._stacks_at_once
+        stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, -0.3], [1.0, 1.5, 1.2]])
         self.assert_rows_match_single_calls(sp, stack)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -135,15 +151,19 @@ class TestOneFlowPerIteration:
                     == getattr(expected, name).tobytes()), name
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("model", ["sleigh", "double_integrator"])
+    @pytest.mark.parametrize("model", ["sleigh", "double_integrator", "curved"])
     def test_one_flow_per_iteration(self, model, scheme, flow_rows, chaplygin_system,
                                     double_integrator_problem):
-        problem = (sleigh_problem(chaplygin_system) if model == "sleigh"
-                   else double_integrator_problem)
-        sp = shooting_for(problem, dt=1e-2, scheme=scheme)
+        if model == "curved":
+            # chart-dependent geometry, quadratic cost: the stacked kernel
+            sp = shooting_for(curved_quadratic_problem(), dt=0.1, scheme=scheme)
+        else:
+            problem = (sleigh_problem(chaplygin_system) if model == "sleigh"
+                       else double_integrator_problem)
+            sp = shooting_for(problem, dt=1e-2, scheme=scheme)
         assert sp.hs._stacks_at_once
         rows, _ = flow_rows
-        result = solve_bvp(sp, np.zeros(2))
+        result = solve_bvp(sp, np.zeros(sp.n_momenta))
         assert result.iterations >= 1
         # no step was halved: every flow carried the columns of its momenta
         assert rows == [sp.n_momenta + 1] * (1 + result.iterations)

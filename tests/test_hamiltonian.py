@@ -253,6 +253,37 @@ class TestHamiltonianField:
             exact = np.concatenate(hs.partials(hs.unflatten(z)))
             assert np.abs(exact - fd).max() < 1e-7
 
+    @pytest.mark.parametrize("inputs", ["full", "weighted", "one", "mixing"])
+    @pytest.mark.parametrize("model", ["curved", "constant_with_potential"])
+    def test_stacked_chart_kernel_rows_equal_point_formulas(self, model, inputs):
+        # a quadratic cost on a model without constant drift takes the
+        # stacked kernel; each of its rows has the per-point floats
+        if model == "curved":
+            system = build_constrained_system(
+                curved_model(), ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]]))
+        else:
+            system = build_constrained_system(
+                constant_model(np.zeros((2, 2, 2)), [[2.0, 0.3], [0.3, 1.0]],
+                               anchor=[[1.0], [0.4]], dim_q=1,
+                               potential=lambda q: 0.5 * q[0] ** 2 + 0.1 * q[0] ** 3),
+                ConstraintSpec(span_basis=np.eye(2)))
+        controls, weight = {
+            "full": (ControlDistribution.full(2), np.eye(2)),
+            "weighted": (ControlDistribution.full(2), [[2.0, 0.1], [0.1, 1.5]]),
+            "one": (ControlDistribution.on_indices(2, [1]), [[0.5]]),
+            "mixing": (ControlDistribution(np.array([[1.0, 0.5], [0.2, 1.0]])), np.eye(2)),
+        }[inputs]
+        hs = HamiltonianSystem(OCProblem(system=system, controls=controls,
+                                         cost=quadratic_cost(weight), horizon=1.0))
+        assert hs._stacks_at_once and not system.constant_drift
+        rng = np.random.default_rng(7)
+        x, p = rng.uniform(-0.6, 0.6, (5, 3)), rng.uniform(-1.0, 1.0, (5, 3))
+        gx, gp = hs._grads(x, p)
+        for i in range(len(x)):
+            ex, ep = hs._point_partials(x[i, :1], x[i, 1:], p[i, :1], p[i, 1:])
+            assert gx[i].tobytes() == ex.tobytes()
+            assert gp[i].tobytes() == ep.tobytes()
+
     def test_lagrangian_trajectory_satisfies_hamilton_equations(self, chaplygin_system):
         problem = full_actuation_problem(chaplygin_system)
         hs = HamiltonianSystem(problem)

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from nhoc import (ControlDistribution, ExtremalState, OCProblem, StateQY,
-                  controlled_field, integrate_extremal, lift_cost,
-                  necessary_conditions_field, quadratic_cost, recover_controls)
-from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian, ValidationError
+from dataclasses import replace
 
-from conftest import full_actuation_problem
+from nhoc import (ConstraintSpec, ControlDistribution, ExtremalState, ModelPartials, OCProblem,
+                  StateQY, build_constrained_system, controlled_field, drift_acceleration,
+                  integrate_extremal, lift_cost, necessary_conditions_field, quadratic_cost,
+                  recover_controls)
+from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian, ValidationError
+from nhoc.numerics import fd_jacobian
+from nhoc.optimal_control import drift_jacobians, drift_rows
+
+from conftest import curved_model, full_actuation_problem
 
 
 def maxabs(a):
@@ -254,3 +259,24 @@ class TestCostModel:
         with pytest.raises(DimensionMismatch):
             OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
                       cost=quadratic_cost(np.eye(2)), horizon=1.0, y0=[1.0])
+
+
+class TestDriftJacobians:
+    @pytest.mark.parametrize("partials", ["analytic", "default"])
+    def test_stacked_rows_have_the_floats_of_the_point_formulas(self, partials):
+        model = curved_model()
+        if partials == "default":
+            model = replace(model, partials=ModelPartials())
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        q = np.array([[0.4], [-0.3], [1.1]])
+        y = np.array([[0.3, -0.2], [0.0, 0.5], [-1.0, 0.7]])
+        drift, ddq, ddy, geo = drift_rows(system, q, y)
+        for k in range(len(q)):
+            assert drift[k].tobytes() == drift_acceleration(system, q[k], y[k]).tobytes()
+            # the central difference of fd_jacobian, through the geometry
+            central = fd_jacobian(lambda qq: drift_acceleration(system, qq, y[k]), q[k])
+            assert ddq[k].tobytes() == central.tobytes()
+            point_ddq, point_ddy = drift_jacobians(system, q[k], y[k])
+            assert point_ddq.tobytes() == central.tobytes()
+            assert ddy[k].tobytes() == point_ddy.tobytes()
+            assert geo["gamma"][k].tobytes() == system.gamma(q[k]).tobytes()

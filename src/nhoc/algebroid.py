@@ -380,9 +380,17 @@ class ConstrainedSystem:
         return np.einsum("...iAj,aA->...iaj", da, self.d_basis)
 
     def energy(self, q, y):
-        """Restricted kinetic energy plus potential, conserved by the free flow."""
-        q = self.parent.chart_point(q)
+        """Restricted kinetic energy plus potential, conserved by the free flow.
+
+        Stacks of rows q (B, dim_q) and y (B, rank_d) give the B energies from
+        one stacked geometry build, each with the floats of its single call.
+        """
         y = np.asarray(y, dtype=float)
+        if y.ndim == 2:
+            metrics = self.geometry_rows(q)["metric_d"]
+            return np.array([0.5 * yk @ gk @ yk + float(self.parent.potential(qk))
+                             for qk, yk, gk in zip(np.asarray(q, dtype=float), y, metrics)])
+        q = self.parent.chart_point(q)
         return 0.5 * y @ self.metric_d(q) @ y + float(self.parent.potential(q))
 
 

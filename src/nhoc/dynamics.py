@@ -181,6 +181,6 @@ def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
 
     times, zs = integrate_fixed_steps(step, np.concatenate([s0.q, s0.y]), n_steps, dt)
     us = None if u is None else np.array([_control_vector(controls, u(t)) for t in times])
-    energies = np.array([system.energy(zs[k, :nq], zs[k, nq:]) for k in range(n_steps + 1)])
+    energies = system.energy(zs[:, :nq], zs[:, nq:])
     return Trajectory(times=times, qs=zs[:, :nq].copy(), ys=zs[:, nq:].copy(),
                       controls=us, energies=energies)

@@ -316,19 +316,29 @@ class TestConstrainedSystem:
         assert system.gamma(q) is geo["gamma"]
         assert set(system.geometry(q)) == keys
 
-    def test_metric_evaluated_once_per_build(self, monkeypatch):
+    def test_metric_evaluated_once_per_built_point(self, monkeypatch):
         model = curved_model()  # analytic metric_dq: only the build reads the metric
-        calls, builds = [], []
+        calls, points = [], []
         counted = replace(model, metric=lambda q: calls.append(q) or model.metric(q))
         system = build_constrained_system(counted, ConstraintSpec(span_basis=np.eye(2)))
         restrict = algebroid.restrict_metric
         monkeypatch.setattr(algebroid, "restrict_metric",
-                            lambda split: builds.append(split) or restrict(split))
+                            lambda split: points.append(len(split.metric)) or restrict(split))
         calls.clear()
         simulate(system, StateQY(q=[0.1], y=[0.3, -0.2]), 0.05, 0.01)
-        # 20 rk4 stage points and the last sample, each built once
-        assert len(builds) == 21
-        assert len(calls) == 21
+        # one-row builds at the 20 rk4 stage points, then one stacked build
+        # over the 6 samples for their energies
+        assert points == [1] * 20 + [6]
+        assert len(calls) == sum(points)
+
+    def test_stacked_energies_equal_single_calls(self):
+        system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        qs = np.array([[-0.4], [0.1], [0.9]])
+        ys = np.array([[0.3, -0.2], [1.0, 0.5], [0.0, 2.0]])
+        energies = system.energy(qs, ys)
+        assert energies.shape == (3,)
+        for e, q, y in zip(energies, qs, ys):
+            assert e.tobytes() == np.float64(system.energy(q, y)).tobytes()
 
     def test_adapted_basis_read_from_the_system(self, monkeypatch):
         system = build_constrained_system(curved_model(), ConstraintSpec(annihilator=[[0.0, 1.0]]))

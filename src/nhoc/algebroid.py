@@ -29,9 +29,12 @@ class ModelPartials:
     """Optional analytic partial derivatives of the model fields.
 
     Each callable returns the stacked derivatives with the chart index first,
-    e.g. ``metric_dq(q)[i] == d metric / d q^i``.  Fields left as None fall
-    back to central finite differences with step ``numerics.FD_STEP``.  The
-    structure functions need none: the Koszul formula does not read them.
+    e.g. ``metric_dq(q)[i] == d metric / d q^i``.  Fields left as None are
+    computed by the complex step (``numerics.complex_step_partials``), exact
+    to rounding: the model callable is evaluated at q + i h e_i.  Where it
+    drops the imaginary part they are central finite differences with step
+    ``numerics.FD_STEP``.  The structure functions need none: the Koszul
+    formula does not read them.
     """
 
     anchor_dq: Optional[Callable] = None
@@ -47,6 +50,14 @@ class AlgebroidModel:
     whose structure, anchor and metric do not depend on the chart point; it
     lets the downstream geometry build once and skip derivative terms that
     vanish identically.  ``zero_potential`` marks a model without potential.
+
+    The anchor, metric and potential of a chart-dependent model without
+    analytic ``partials`` are differentiated by the complex step, so their
+    callables should accept a complex chart point and carry its imaginary
+    part through (numpy's elementary functions do).  A callable that drops it
+    (returns a real array, raises TypeError or casts complex to real) is
+    differentiated by central finite differences, about 1e-10 accurate.
+    Every callable is called with one chart point at a time.
     """
 
     dim_q: int
@@ -68,27 +79,26 @@ class AlgebroidModel:
             raise DimensionMismatch(f"chart point has shape {q.shape}, expected ({self.dim_q},)")
         return q
 
-    # Stacked q-derivatives of the model fields; analytic partials win.
+    # Stacked q-derivatives of the model fields (chart index first) at q, or
+    # at each row of a stack of chart points; analytic partials win.
     def anchor_dq(self, q):
-        if self.q_independent or self.dim_q == 0:
-            return np.zeros((self.dim_q, self.rank_e, self.dim_q))
-        if self.partials.anchor_dq is not None:
-            return np.asarray(self.partials.anchor_dq(q), dtype=float)
-        return numerics.fd_partials(self.anchor, q)
+        return self._dq(self.anchor, self.partials.anchor_dq, q,
+                        (self.rank_e, self.dim_q), self.q_independent)
 
     def metric_dq(self, q):
-        if self.q_independent or self.dim_q == 0:
-            return np.zeros((self.dim_q, self.rank_e, self.rank_e))
-        if self.partials.metric_dq is not None:
-            return np.asarray(self.partials.metric_dq(q), dtype=float)
-        return numerics.fd_partials(self.metric, q)
+        return self._dq(self.metric, self.partials.metric_dq, q,
+                        (self.rank_e, self.rank_e), self.q_independent)
 
     def potential_dq(self, q):
-        if self.dim_q == 0:
-            return np.zeros(0)
-        if self.partials.potential_dq is not None:
-            return np.asarray(self.partials.potential_dq(q), dtype=float)
-        return numerics.fd_partials(lambda qq: np.asarray(self.potential(qq), dtype=float), q)
+        return self._dq(self.potential, self.partials.potential_dq, q, (), False)
+
+    def _dq(self, f, analytic, q, shape, constant):
+        q = np.asarray(q, dtype=float)
+        if constant or self.dim_q == 0:
+            return np.zeros(q.shape[:-1] + (self.dim_q,) + shape)
+        if analytic is None:
+            return numerics.complex_step_partials(f, q)
+        return _at_points(analytic, q) if q.ndim == 2 else np.asarray(analytic(q), dtype=float)
 
 
 def constant_model(structure, metric, anchor=None, dim_q=0, potential=None):
@@ -373,11 +383,8 @@ class ConstrainedSystem:
     def anchor_d_dq(self, q=None):
         """Stacked chart derivatives of the restricted anchor; a stack of
         chart points (B, dim_q) gives a leading axis B."""
-        if np.ndim(q) == 2:
-            da = _at_points(self.parent.anchor_dq, q)
-        else:
-            da = self.parent.anchor_dq(self.parent.chart_point(q))
-        return np.einsum("...iAj,aA->...iaj", da, self.d_basis)
+        q = q if np.ndim(q) == 2 else self.parent.chart_point(q)
+        return np.einsum("...iAj,aA->...iaj", self.parent.anchor_dq(q), self.d_basis)
 
     def energy(self, q, y):
         """Restricted kinetic energy plus potential, conserved by the free flow.
@@ -408,7 +415,7 @@ def _koszul_gamma(model, d, qs, geo):
            + np.einsum("...bm,...mca->...cab", gd, cd)
            - np.einsum("...cm,...mba->...cab", gd, cd))
     if model.dim_q > 0 and not model.q_independent:
-        dgd = _restrict_dq(_at_points(model.metric_dq, qs), d)
+        dgd = _restrict_dq(model.metric_dq(qs), d)
         rho = geo["anchor_d"]
         rhs = rhs + (np.einsum("...ai,...ibc->...cab", rho, dgd)
                      + np.einsum("...bi,...iac->...cab", rho, dgd)
@@ -424,7 +431,7 @@ def potential_gradients(system, qs, geo):
     qs, from the stacked record ``geo`` there (``ConstrainedSystem.geometry_rows``)."""
     if system.dim_q == 0 or system.parent.zero_potential:
         return np.zeros((len(qs), system.rank_d))
-    dv = _at_points(system.parent.potential_dq, qs)
+    dv = system.parent.potential_dq(qs)
     rhs = numerics.matvec_rows(geo["anchor_d"], dv)
     try:
         grad = np.linalg.solve(geo["metric_d"], rhs[..., None])[..., 0]

@@ -1,16 +1,28 @@
-"""Small shared numerical helpers: finite differences, null spaces, steppers,
-step counts and the one fixed-step driver with its finite-state guard.
+"""Small shared numerical helpers: derivatives, null spaces, steppers, step
+counts and the one fixed-step driver with its finite-state guard.
 
-Every finite-difference derivative in the package goes through
+Every derivative in the package that is not given in closed form goes
+through this module: the complex step of ``complex_step_partials`` (model
+callables without analytic partials), or finite differences through
 ``fd_partials``, ``fd_jacobian`` or the stacked stencil of
 ``central_stencil`` and ``central_differences``.
 """
+
+import warnings
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState, RankDeficient, ValidationError
 
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:  # numpy < 1.25
+    from numpy import ComplexWarning
+
 FD_STEP = 1e-6
+# imaginary step of the complex-step derivative: no difference is taken, so
+# the step can be far below rounding and the derivative is exact to rounding
+COMPLEX_STEP = 1e-30
 # second derivatives by nested differences: wider step, since two differences
 # of a 1e-6 stencil would lose most of the precision
 FD2_STEP = 1e-4
@@ -28,13 +40,55 @@ def fd_partials(f, q, step=FD_STEP):
     q = np.asarray(q, dtype=float)
     if q.size == 0:
         return np.zeros((0,) + np.shape(f(q)))
-    out = []
+    out = None
     for i in range(q.size):
         dq = np.zeros_like(q)
         dq[i] = step
-        out.append((np.asarray(f(q + dq), dtype=float)
-                    - np.asarray(f(q - dq), dtype=float)) / (2.0 * step))
-    return np.stack(out)
+        d = (np.asarray(f(q + dq), dtype=float)
+             - np.asarray(f(q - dq), dtype=float)) / (2.0 * step)
+        if out is None:
+            out = np.empty((q.size,) + d.shape)
+        out[i] = d
+    return out
+
+
+def _complex_step(f, q):
+    """Im f(q + i h e_i) / h for each i, or None when f drops the imaginary
+    part.  Runs where ComplexWarning is an error."""
+    out = None
+    try:
+        for i in range(q.size):
+            qc = q.astype(complex)
+            qc[i] += COMPLEX_STEP * 1j
+            value = np.asarray(f(qc))
+            if not np.iscomplexobj(value):
+                return None
+            if out is None:
+                out = np.empty((q.size,) + value.shape)
+            out[i] = value.imag
+    except (TypeError, ComplexWarning):
+        return None
+    return None if out is None else out / COMPLEX_STEP
+
+
+def complex_step_partials(f, q):
+    """Partials of an array-valued function of the chart point by the complex
+    step (Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003).
+
+    Entry [i] is Im f(q + i h e_i) / h with h = ``COMPLEX_STEP``: exact to
+    rounding for a real-analytic f, one call of f per chart direction.  At a
+    point where f drops the imaginary part (it returns a real array, raises
+    TypeError or casts complex to real with numpy's ComplexWarning) the
+    partials are central differences (``fd_partials``) instead.  ``q`` may be
+    a stack of chart points (B, n), giving a leading axis B.
+    """
+    q = np.asarray(q, dtype=float)
+    points = q.reshape(-1, q.shape[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        out = [_complex_step(f, point) for point in points]
+    out = [fd_partials(f, point) if d is None else d for d, point in zip(out, points)]
+    return out[0] if q.ndim == 1 else np.stack(out)
 
 
 def fd_jacobian(f, x, step=FD_STEP, f0=None):

@@ -3,11 +3,13 @@ import pytest
 
 from dataclasses import replace
 
-from nhoc import (ConstraintSpec, OrthogonalSplitting, StateQY, algebroid,
+from nhoc import (ConstraintSpec, ModelPartials, OrthogonalSplitting, StateQY, algebroid,
                   build_constrained_system, build_splitting, constant_model, grad_potential,
                   make_chaplygin, make_suslov, numerics, project_bracket, restrict_metric,
                   simulate)
 from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
+from nhoc.dynamics import drift_acceleration
+from nhoc.optimal_control import drift_jacobians
 
 from conftest import SUSLOV_PARAMS, curved_model
 
@@ -392,3 +394,33 @@ class TestStackedGeometry:
             system.geometry_rows(np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
             system.geometry_rows(np.zeros(3))
+
+
+class TestDefaultPartials:
+    """Without analytic partials the model callables are differentiated by
+    the complex step, exact to rounding."""
+
+    def test_complex_step_matches_analytic_partials(self):
+        analytic = curved_model()
+        default = replace(analytic, partials=ModelPartials())
+        for q0 in (-0.7, 0.4, 1.3):
+            q = np.array([q0])
+            assert np.abs(default.metric_dq(q) - analytic.metric_dq(q)).max() < 1e-15
+            assert np.abs(default.potential_dq(q) - analytic.potential_dq(q)).max() < 1e-15
+            # the constant anchor is a real array: central differences, all zero
+            assert not default.anchor_dq(q).any()
+
+    def test_drift_q_jacobian_matches_analytic_partials(self):
+        spec = ConstraintSpec(span_basis=np.eye(2))
+        analytic = build_constrained_system(curved_model(), spec)
+        default = build_constrained_system(replace(curved_model(), partials=ModelPartials()),
+                                           spec)
+        for q0 in (0.4, -0.3):
+            for y in ([0.3, -0.2], [1.0, 0.5], [2.0, -1.0]):
+                q = np.array([q0])
+                gap = np.abs(drift_jacobians(analytic, q, y)[0]
+                             - drift_jacobians(default, q, y)[0]).max()
+                # left: the rounding of the one outer central difference, a
+                # few ulps of the drift over the stencil width 2 FD_STEP
+                drift = np.abs(drift_acceleration(analytic, q, y)).max()
+                assert gap <= max(1e-10, 4.0 * np.spacing(drift) / (2.0 * numerics.FD_STEP))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
+from dataclasses import replace
+
+from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState, ModelPartials,
                   HamiltonianSystem, OCProblem, PhasePoint, ShootingProblem, StateQY,
                   Trajectory, build_constrained_system, build_splitting,
                   extremal_trajectory, make_chaplygin, quadratic_cost, regularity_matrix,
@@ -198,6 +200,35 @@ class TestOneFlowPerIteration:
         n = sp.n_momenta
         assert rows == [n + 1, 1] + [n, n + 1, 1] * result.iterations
         self.assert_trajectory_is_extremal_of_p0(sp, result)
+
+
+class TestChartDerivatives:
+    """Shooting on the curved model without analytic partials: the model
+    callables are differentiated by the complex step, so the drift Jacobians
+    carry no nested finite-difference error."""
+
+    def shooting(self, q_target, partials):
+        model = curved_model()
+        if not partials:
+            model = replace(model, partials=ModelPartials())
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        problem = OCProblem(system=system, controls=ControlDistribution.full(2),
+                            cost=quadratic_cost(np.eye(2)), horizon=1.0,
+                            q0=[0.0], y0=[0.0, 0.0], qT=[q_target], yT=[0.0, 0.0])
+        return shooting_for(problem, dt=0.1)
+
+    def test_near_target_takes_the_analytic_iterations(self):
+        default = solve_bvp(self.shooting(0.025, partials=False))
+        analytic = solve_bvp(self.shooting(0.025, partials=True))
+        assert default.iterations == analytic.iterations == 2
+        assert np.abs(default.p0 - analytic.p0).max() < 1e-9
+
+    def test_far_target_converges(self):
+        # stalled at a residual of 8e-3 with finite-difference model partials
+        result = solve_bvp(self.shooting(-0.3, partials=False))
+        assert result.iterations == 4
+        assert result.residual_norm < 1e-10
+        assert np.abs(result.p0 - [-2.5227, -1.4226, -0.6748]).max() < 1e-4
 
 
 class TestSolveBVP:

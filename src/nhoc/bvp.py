@@ -148,12 +148,12 @@ def solve_bvp(sp, p0_guess=None):
     trial brings the next Jacobian with it; the halved trials of the line
     search are integrated alone.  On the per-row kernel of a non-quadratic
     cost, where every extra row costs a full flow, the columns are integrated
-    only for the iterate the line search accepted.  Every residual and Jacobian has the
-    floats of the single calls (``shooting_residual`` and ``fd_jacobian``),
-    and should the stacked flow fail (a non-finite state, a diverging
-    implicit substep or a singular metric), the trial is integrated alone.  The
-    accepted flow's samples become the extremal, which is not integrated
-    again.
+    only for the iterate the line search accepted.  Every residual and
+    Jacobian has the floats of the single calls (``shooting_residual`` and
+    ``fd_jacobian``), and should the stacked flow fail (a non-finite state, a
+    diverging implicit substep or a singular metric), the trial is
+    integrated alone.  The accepted flow's samples become the extremal, which
+    is not integrated again.
 
     Raises NewtonDivergence (best iterate, its residual norm and the number of
     iterations attached) when the residual cannot be driven below the

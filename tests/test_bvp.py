@@ -10,7 +10,7 @@ from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
                   shooting_residual, simulate, solve_bvp)
 from nhoc import bvp
 from nhoc.errors import (DimensionMismatch, LegendreDivergence, NewtonDivergence,
-                         NonFiniteState)
+                         NonFiniteState, SingularMetric)
 
 from conftest import curved_model, full_actuation_problem, quartic_cost
 
@@ -202,6 +202,25 @@ class TestOneFlowPerIteration:
         self.assert_trajectory_is_extremal_of_p0(sp, result)
 
 
+    def test_singular_metric_in_a_stack_falls_back_to_the_trial_alone(
+            self, monkeypatch, chaplygin_system):
+        # on a chart-dependent model a column's row can leave the region
+        # where the metric is positive-definite
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
+        reference = solve_bvp(sp, np.zeros(2))
+        flow = bvp.integrate_hamiltonian
+
+        def failing(hs, phase0, *args):
+            if phase0.p_y.ndim == 2 and len(phase0.p_y) == sp.n_momenta + 1:
+                raise SingularMetric("stacked flow failure forced by the test")
+            return flow(hs, phase0, *args)
+
+        monkeypatch.setattr(bvp, "integrate_hamiltonian", failing)
+        result = solve_bvp(sp, np.zeros(2))
+        assert result.p0.tobytes() == reference.p0.tobytes()
+        assert result.iterations == reference.iterations
+
+
 class TestChartDerivatives:
     """Shooting on the curved model without analytic partials: the model
     callables are differentiated by the complex step, so the drift Jacobians
@@ -222,6 +241,12 @@ class TestChartDerivatives:
         analytic = solve_bvp(self.shooting(0.025, partials=True))
         assert default.iterations == analytic.iterations == 2
         assert np.abs(default.p0 - analytic.p0).max() < 1e-9
+
+    @pytest.mark.parametrize("q_target", [0.08, 0.2, -0.15])
+    def test_targets_that_stalled_converge(self, q_target):
+        # each stalled with finite-difference model partials
+        result = solve_bvp(self.shooting(q_target, partials=False))
+        assert result.residual_norm < 1e-10
 
     def test_far_target_converges(self):
         # stalled at a residual of 8e-3 with finite-difference model partials

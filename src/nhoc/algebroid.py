@@ -311,7 +311,6 @@ class ConstrainedSystem:
         self.parent = model
         self.spec = spec
         self.splitting = build_splitting(model, spec)
-        self.d_basis = self.splitting.d_basis
         self.rank_d = self.splitting.rank_d
         self.dim_q = model.dim_q
         self._cache = {}
@@ -333,7 +332,7 @@ class ConstrainedSystem:
         if self.parent.q_independent:
             return {k: np.broadcast_to(v, (len(qs),) + v.shape)
                     for k, v in self.geometry(None).items()}
-        return _chart_geometry(self.parent, self.d_basis, qs)
+        return _chart_geometry(self.parent, self.splitting.d_basis, qs)
 
     def geometry(self, q):
         """Projected data at q, cached complete and never changed after:
@@ -344,7 +343,8 @@ class ConstrainedSystem:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        geo = {k: v[0] for k, v in _chart_geometry(self.parent, self.d_basis, q[None]).items()}
+        stack = _chart_geometry(self.parent, self.splitting.d_basis, q[None])
+        geo = {k: v[0] for k, v in stack.items()}
         if len(self._cache) > 64:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = geo
@@ -378,13 +378,14 @@ class ConstrainedSystem:
 
     def metric_d_dq(self, q=None):
         """Stacked chart derivatives of the restricted metric."""
-        return _restrict_dq(self.parent.metric_dq(self.parent.chart_point(q)), self.d_basis)
+        q = self.parent.chart_point(q)
+        return _restrict_dq(self.parent.metric_dq(q), self.splitting.d_basis)
 
     def anchor_d_dq(self, q=None):
         """Stacked chart derivatives of the restricted anchor; a stack of
         chart points (B, dim_q) gives a leading axis B."""
         q = q if np.ndim(q) == 2 else self.parent.chart_point(q)
-        return np.einsum("...iAj,aA->...iaj", self.parent.anchor_dq(q), self.d_basis)
+        return np.einsum("...iAj,aA->...iaj", self.parent.anchor_dq(q), self.splitting.d_basis)
 
     def energy(self, q, y):
         """Restricted kinetic energy plus potential, conserved by the free flow.
@@ -444,5 +445,7 @@ def potential_gradients(system, qs, geo):
 def grad_potential(system, q=None):
     """Metric gradient of the potential on D: (G^D)^{CB} rho^i_B dV/dq^i."""
     q = system.parent.chart_point(q)
+    if system.dim_q == 0 or system.parent.zero_potential:
+        return np.zeros(system.rank_d)
     geo = system.geometry(q)
     return potential_gradients(system, q[None], {k: v[None] for k, v in geo.items()})[0]

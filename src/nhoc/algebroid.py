@@ -12,7 +12,7 @@ Array conventions used throughout the package:
 
 The constraint subbundle D carries the orthogonally projected bracket, the
 restricted metric and its Levi-Civita connection; all of that is assembled
-here and cached per chart point.
+here, on a stack of chart points at once, and cached per chart point.
 """
 
 from dataclasses import dataclass, field
@@ -184,6 +184,8 @@ class OrthogonalSplitting:
     ``coeff_map @ v`` gives the adapted-basis coefficients of the projection
     of v onto D, orthogonal for the bundle ``metric`` at the point.  The
     projectors and the D-perp basis are derived on access; no flow reads them.
+    Inside a stacked geometry build ``metric`` and ``coeff_map`` carry a
+    leading axis, one entry per chart point.
     """
 
     d_basis: np.ndarray

@@ -357,6 +357,7 @@ BAD_METRICS = {
     "asymmetric": np.array([[1.0, 0.5], [0.0, 1.0]]),
     "nan": np.array([[1.0, np.nan], [np.nan, 1.0]]),
     "nan_diagonal": np.array([[np.nan, 0.2], [0.2, 1.0]]),
+    "inf_diagonal": np.diag([np.inf, 1.0]),
 }
 
 

@@ -329,8 +329,8 @@ class ConstrainedSystem:
         one stacked build.  Not cached; a chart-independent model broadcasts
         its one record.  Read-only."""
         qs = np.asarray(qs, dtype=float)
-        if qs.ndim != 2 or qs.shape[1] != self.dim_q:
-            raise DimensionMismatch(f"chart points must have shape (B, {self.dim_q})")
+        if qs.ndim != 2 or qs.shape[1] != self.dim_q or len(qs) == 0:
+            raise DimensionMismatch(f"chart points must have shape (B, {self.dim_q}), B > 0")
         if self.parent.q_independent:
             return {k: np.broadcast_to(v, (len(qs),) + v.shape)
                     for k, v in self.geometry(None).items()}
@@ -397,9 +397,12 @@ class ConstrainedSystem:
         """
         y = np.asarray(y, dtype=float)
         if y.ndim == 2:
+            q = np.asarray(q, dtype=float)
+            if y.shape != (len(q), self.rank_d):
+                raise DimensionMismatch(f"fiber rows must have shape ({len(q)}, {self.rank_d})")
             metrics = self.geometry_rows(q)["metric_d"]
             return np.array([0.5 * yk @ gk @ yk + float(self.parent.potential(qk))
-                             for qk, yk, gk in zip(np.asarray(q, dtype=float), y, metrics)])
+                             for qk, yk, gk in zip(q, y, metrics)])
         q = self.parent.chart_point(q)
         return 0.5 * y @ self.metric_d(q) @ y + float(self.parent.potential(q))
 

@@ -395,6 +395,10 @@ class TestStackedGeometry:
             system.geometry_rows(np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
             system.geometry_rows(np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            system.geometry_rows(np.zeros((0, 1)))
+        with pytest.raises(DimensionMismatch):
+            system.energy(np.zeros((3, 1)), np.zeros((2, 2)))
 
 
 class TestDefaultPartials:

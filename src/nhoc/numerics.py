@@ -11,18 +11,18 @@ callables without analytic partials), or finite differences through
 import warnings
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .errors import DimensionMismatch, NonFiniteState, RankDeficient, ValidationError
-
-try:
-    from numpy.exceptions import ComplexWarning
-except ImportError:  # numpy < 1.25
-    from numpy import ComplexWarning
 
 FD_STEP = 1e-6
 # imaginary step of the complex-step derivative: no difference is taken, so
 # the step can be far below rounding and the derivative is exact to rounding
 COMPLEX_STEP = 1e-30
+# largest gap, relative to the values' scale, between the complex-step
+# partials along a direction and its central difference (about 1e-10 apart
+# for a smooth callable)
+CS_CHECK_TOL = 1e-6
 # second derivatives by nested differences: wider step, since two differences
 # of a 1e-6 stencil would lose most of the precision
 FD2_STEP = 1e-4
@@ -40,16 +40,13 @@ def fd_partials(f, q, step=FD_STEP):
     q = np.asarray(q, dtype=float)
     if q.size == 0:
         return np.zeros((0,) + np.shape(f(q)))
-    out = None
+    out = []
     for i in range(q.size):
         dq = np.zeros_like(q)
         dq[i] = step
-        d = (np.asarray(f(q + dq), dtype=float)
-             - np.asarray(f(q - dq), dtype=float)) / (2.0 * step)
-        if out is None:
-            out = np.empty((q.size,) + d.shape)
-        out[i] = d
-    return out
+        out.append((np.asarray(f(q + dq), dtype=float)
+                    - np.asarray(f(q - dq), dtype=float)) / (2.0 * step))
+    return np.stack(out)
 
 
 def _complex_step(f, q):
@@ -71,22 +68,47 @@ def _complex_step(f, q):
     return None if out is None else out / COMPLEX_STEP
 
 
+def _drops_in_part(f, points, partials):
+    """True for each chart point whose complex-step partials (K, n, ...) miss
+    the central difference along one direction by more than ``CS_CHECK_TOL``
+    of the values' scale: an entry that dropped the imaginary part (abs,
+    real, a norm, ...) reads a wrong partial without any error."""
+    k, n = points.shape
+    v = np.sqrt(np.arange(1.0, n + 1))
+    plus = np.stack([np.asarray(f(point + FD_STEP * v), dtype=float) for point in points])
+    minus = np.stack([np.asarray(f(point - FD_STEP * v), dtype=float) for point in points])
+    along = (v @ partials.reshape(k, n, -1)).reshape(k, -1)
+    fd = ((plus - minus) / (2.0 * FD_STEP)).reshape(k, -1)
+    scale = np.maximum(1.0, np.maximum(np.abs(plus).reshape(k, -1).max(axis=1, initial=0.0),
+                                       np.abs(along).max(axis=1, initial=0.0)))
+    return np.abs(along - fd).max(axis=1, initial=0.0) > CS_CHECK_TOL * scale
+
+
 def complex_step_partials(f, q):
     """Partials of an array-valued function of the chart point by the complex
     step (Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003).
 
     Entry [i] is Im f(q + i h e_i) / h with h = ``COMPLEX_STEP``: exact to
-    rounding for a real-analytic f, one call of f per chart direction.  At a
-    point where f drops the imaginary part (it returns a real array, raises
-    TypeError or casts complex to real with numpy's ComplexWarning) the
-    partials are central differences (``fd_partials``) instead.  ``q`` may be
-    a stack of chart points (B, n), giving a leading axis B.
+    rounding for a real-analytic f, one call of f per chart direction.  Two
+    more calls check the partials along one direction against its central
+    difference.  At a point where f drops the imaginary part (it returns a
+    real array, raises TypeError, casts complex to real with numpy's
+    ComplexWarning, or drops it in some entries only, so that the check
+    fails by more than ``CS_CHECK_TOL`` of the values' scale) the partials
+    are central differences (``fd_partials``) instead.  ``q`` may be a stack
+    of chart points (B, n), giving a leading axis B.
     """
     q = np.asarray(q, dtype=float)
     points = q.reshape(-1, q.shape[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("error", ComplexWarning)
         out = [_complex_step(f, point) for point in points]
+    kept = [i for i, d in enumerate(out) if d is not None]
+    if kept:
+        for i, dropped in zip(kept, _drops_in_part(f, points[kept],
+                                                   np.stack([out[i] for i in kept]))):
+            if dropped:
+                out[i] = None
     out = [fd_partials(f, point) if d is None else d for d, point in zip(out, points)]
     return out[0] if q.ndim == 1 else np.stack(out)
 

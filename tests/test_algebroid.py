@@ -415,6 +415,25 @@ class TestDefaultPartials:
             # the constant anchor is a real array: central differences, all zero
             assert not default.anchor_dq(q).any()
 
+    def test_metric_with_an_abs_entry(self):
+        # the metric stays complex, but its first entry drops the imaginary
+        # part: the complex step alone would read d/dq of it as 0
+        def metric(q):
+            return np.array([[1.0 + np.abs(q[0]), 0.2], [0.2, 2.0 + q[0] ** 2]])
+
+        def metric_dq(q):
+            return np.array([[[np.sign(q[0]), 0.0], [0.0, 2.0 * q[0]]]])
+
+        base = replace(curved_model(), metric=metric)
+        analytic = replace(base, partials=replace(base.partials, metric_dq=metric_dq))
+        default = replace(base, partials=ModelPartials())
+        spec = ConstraintSpec(span_basis=np.eye(2))
+        systems = [build_constrained_system(m, spec) for m in (analytic, default)]
+        for q0 in (0.4, -0.3):
+            q = np.array([q0])
+            assert np.abs(default.metric_dq(q) - metric_dq(q)).max() < 1e-9
+            assert np.abs(systems[0].gamma(q) - systems[1].gamma(q)).max() < 1e-9
+
     def test_drift_q_jacobian_matches_analytic_partials(self):
         spec = ConstraintSpec(span_basis=np.eye(2))
         analytic = build_constrained_system(curved_model(), spec)

@@ -54,6 +54,22 @@ def cast_into_real_array(q):
     return out
 
 
+def abs_entry(q):
+    return metric_like(q) + np.diag([np.abs(q[0]), 0.0])
+
+
+def real_entry(q):
+    return metric_like(q) + np.diag([0.0, np.real(q[1]) ** 2])
+
+
+def norm_entry(q):
+    return metric_like(q) * np.linalg.norm(q)
+
+
+def conj_entry(q):
+    return metric_like(q) + np.diag([np.conj(q[0]), np.conj(q[0])])
+
+
 class TestComplexStep:
     def test_exact_to_rounding(self):
         q = np.array([0.4, -0.3])
@@ -67,6 +83,27 @@ class TestComplexStep:
     def test_callable_dropping_the_imaginary_part_keeps_central_differences(self, f):
         q = np.array([0.4, -0.3])
         assert complex_step_partials(f, q).tobytes() == fd_partials(f, q).tobytes()
+
+    @pytest.mark.parametrize("f", [abs_entry, real_entry, norm_entry, conj_entry])
+    def test_callable_dropping_it_in_some_entries_keeps_central_differences(self, f):
+        # the result stays complex, so only the check along one direction
+        # tells these partials from exact ones
+        z = np.array([0.4 + 1e-30j, -0.3])
+        assert np.iscomplexobj(f(z))
+        for q in (np.array([0.4, -0.3]), np.array([-0.2, 0.6])):
+            assert complex_step_partials(f, q).tobytes() == fd_partials(f, q).tobytes()
+        stack = np.array([[0.4, -0.3], [-0.2, 0.6]])
+        assert (complex_step_partials(f, stack).tobytes()
+                == np.stack([fd_partials(f, q) for q in stack]).tobytes())
+
+    def test_each_point_of_a_stack_gets_its_own_verdict(self):
+        # at q0 = 0 the abs entry has no partial to miss: the complex step stays
+        stack = np.array([[0.0, -0.3], [0.4, 0.6]])
+        out = complex_step_partials(abs_entry, stack)
+        for row, q in zip(out, stack):
+            assert row.tobytes() == complex_step_partials(abs_entry, q).tobytes()
+        assert out[0].tobytes() != fd_partials(abs_entry, stack[0]).tobytes()
+        assert out[1].tobytes() == fd_partials(abs_entry, stack[1]).tobytes()
 
     def test_those_callables_do_drop_the_imaginary_part(self):
         z = np.array([0.4 + 1e-30j, -0.3])

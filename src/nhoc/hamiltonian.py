@@ -269,14 +269,31 @@ class HamiltonianSystem:
 
         if not system.constant_drift:
             # chart-dependent drift: one stacked geometry build per evaluation
-            # covers the rows and the stencil of their drift q-Jacobians
-            def chart_kernel(x, p):
-                q, y, p_q, p_y = x[:, :n], x[:, n:], p[:, :n], p[:, n:]
+            # covers the rows and the stencil of their drift q-Jacobians.  The
+            # implicit substeps of the symplectic schemes iterate the momenta
+            # at fixed positions, so the position terms of the last stack are
+            # kept and its rows reused while they are asked for again.
+            seen, kept = {}, []
+
+            def position_terms(x):
+                """drift, its q- and y-Jacobians, the anchor and its
+                q-partials at the rows of x (B, dim_q + rank_d)."""
+                index = [seen.get(row.tobytes()) for row in x]
+                if None not in index:
+                    return [a[index] for a in kept]
+                q, y = x[:, :n], x[:, n:]
                 delta, ddq, ddy, geo = drift_rows(system, q, y)
-                anchor = geo["anchor_d"]
+                kept[:] = [delta, ddq, ddy, geo["anchor_d"], system.anchor_d_dq(q)]
+                seen.clear()
+                seen.update((row.tobytes(), i) for i, row in enumerate(x))
+                return kept
+
+            def chart_kernel(x, p):
+                y, p_q, p_y = x[:, n:], p[:, :n], p[:, n:]
+                delta, ddq, ddy, anchor, anchor_dq = position_terms(x)
                 d_y = matvec_rows(-ddy.swapaxes(1, 2), p_y) + matvec_rows(anchor, p_q)
                 d_q = (matvec_rows(-ddq.swapaxes(1, 2), p_y)
-                       + np.einsum("...iAj,...j,...A->...i", system.anchor_d_dq(q), p_q, y))
+                       + np.einsum("...iAj,...j,...A->...i", anchor_dq, p_q, y))
                 return (np.concatenate([d_q, d_y], axis=1),
                         np.concatenate([matvec_rows(anchor.swapaxes(1, 2), y),
                                         actuation(p_y) - delta], axis=1))

@@ -3,9 +3,11 @@ import pytest
 
 from nhoc import (ControlDistribution, CostModel, ExtremalState, HamiltonianSystem,
                   OCProblem, PhasePoint, build_constrained_system, constant_model,
-                  integrate_extremal, integrate_step, inverse_legendre, legendre_map,
+                  integrate_extremal, integrate_hamiltonian, integrate_step,
+                  inverse_legendre, legendre_map,
                   make_double_integrator, quadratic_cost, recover_controls,
                   regularity_matrix, symplecticity_defect)
+from nhoc import hamiltonian
 from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import DimensionMismatch, FixedPointDivergence, SingularHessian
@@ -333,6 +335,33 @@ class TestIntegrateStep:
         phase = PhasePoint(q=[], y=[5.0, 5.0], p_q=[], p_y=[5.0, 5.0])
         with pytest.raises(FixedPointDivergence):
             integrate_step(hs, phase, 10.0, "stormer_verlet")
+
+
+class TestChartKernel:
+    """The stacked kernel of a chart-dependent model with a quadratic cost."""
+
+    @pytest.mark.parametrize("scheme, builds", [("rk4", 40), ("symp_euler", 10),
+                                                ("stormer_verlet", 108)])
+    def test_fixed_positions_reuse_their_geometry(self, scheme, builds, monkeypatch):
+        problem = curved_problem(quadratic_cost(np.eye(2)))
+        phase = PhasePoint(q=[[0.0], [0.1], [0.2], [-0.1]],
+                           y=[[0.1, 0.0], [0.2, 0.1], [0.0, 0.3], [-0.1, 0.2]],
+                           p_q=[[0.3], [0.0], [-0.2], [0.1]],
+                           p_y=[[0.4, -0.3], [0.1, 0.2], [1.0, 1.5], [0.0, 0.0]])
+        per_row = HamiltonianSystem(problem)
+        per_row._kernel = per_row._rowwise_partials
+        _, expected = integrate_hamiltonian(per_row, phase, 1.0, 0.1, scheme)
+        calls = []
+        drift_rows = hamiltonian.drift_rows
+        monkeypatch.setattr(hamiltonian, "drift_rows",
+                            lambda *args: calls.append(1) or drift_rows(*args))
+        hs = HamiltonianSystem(problem)
+        assert hs._stacks_at_once
+        _, phases = integrate_hamiltonian(hs, phase, 1.0, 0.1, scheme)
+        assert phases.tobytes() == expected.tobytes()
+        # 10 steps: rk4 builds once per stage; the momentum iterations of the
+        # symplectic schemes hold the positions, whose build is kept
+        assert len(calls) == builds
 
 
 class TestSymplecticity:

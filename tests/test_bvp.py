@@ -94,19 +94,18 @@ class TestBatchedResidual:
             assert min(rows_seen) < len(stack)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_sleigh_rows_equal_single_calls(self, chaplygin_system, scheme):
-        # constant geometry and a quadratic cost: the hoisted kernel
-        sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1, scheme=scheme)
-        stack = np.array([[0.0, 0.0], [0.4, -0.3], [2.0, 1.5]])
-        self.assert_rows_match_single_calls(sp, stack)
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_curved_quadratic_rows_equal_single_calls(self, scheme):
-        # chart-dependent model and a quadratic cost: one stacked geometry
-        # build per evaluation covers every row and its drift stencil
-        sp = shooting_for(curved_quadratic_problem(), dt=0.1, scheme=scheme)
+    @pytest.mark.parametrize("model", ["sleigh", "curved"])
+    def test_rows_equal_single_calls(self, model, scheme, chaplygin_system):
+        if model == "sleigh":
+            # constant geometry and a quadratic cost: the hoisted kernel
+            sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1, scheme=scheme)
+            stack = np.array([[0.0, 0.0], [0.4, -0.3], [2.0, 1.5]])
+        else:
+            # chart-dependent model and a quadratic cost: one stacked geometry
+            # build per evaluation covers every row and its drift stencil
+            sp = shooting_for(curved_quadratic_problem(), dt=0.1, scheme=scheme)
+            stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, -0.3], [1.0, 1.5, 1.2]])
         assert sp.hs._stacks_at_once
-        stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, -0.3], [1.0, 1.5, 1.2]])
         self.assert_rows_match_single_calls(sp, stack)
 
     @pytest.mark.parametrize("scheme", SCHEMES)

@@ -31,9 +31,10 @@ class ModelPartials:
     Each callable returns the stacked derivatives with the chart index first,
     e.g. ``metric_dq(q)[i] == d metric / d q^i``.  Fields left as None are
     computed by the complex step (``numerics.complex_step_partials``), exact
-    to rounding: the model callable is evaluated at q + i h e_i.  Where it
-    drops the imaginary part they are central finite differences with step
-    ``numerics.FD_STEP``.  The structure functions need none: the Koszul
+    to rounding: the model callable is evaluated at q + i h e_i.  At a point
+    where it drops the imaginary part, in every entry or in some (which a
+    check along one direction detects), they are central finite differences
+    with step ``numerics.FD_STEP``.  The structure functions need none: the Koszul
     formula does not read them.
     """
 
@@ -53,10 +54,12 @@ class AlgebroidModel:
 
     The anchor, metric and potential of a chart-dependent model without
     analytic ``partials`` are differentiated by the complex step, so their
-    callables should accept a complex chart point and carry its imaginary
-    part through (numpy's elementary functions do).  A callable that drops it
-    (returns a real array, raises TypeError or casts complex to real) is
-    differentiated by central finite differences, about 1e-10 accurate.
+    callables should accept a complex chart point and be holomorphic in it
+    in every entry (numpy's elementary functions are; ``abs``, ``real``,
+    ``conj`` and norms are not).  At a point where a callable drops the
+    imaginary part (returns a real array, raises TypeError, casts complex to
+    real, or drops it in some entries only) it is differentiated by central
+    finite differences, about 1e-10 accurate.
     Every callable is called with one chart point at a time.
     """
 

@@ -196,8 +196,9 @@ class HamiltonianSystem:
     chart-independent model without potential Gamma, the anchor and the
     Legendre map are hoisted out of the kernel, and otherwise one stacked
     geometry build per evaluation covers the rows and the stencil of their
-    drift q-Jacobians.  A non-quadratic cost takes the per-point formulas
-    row by row.
+    drift q-Jacobians; rows at the positions of the last build reuse it, as
+    in the momentum iterations of the symplectic schemes.  A non-quadratic
+    cost takes the per-point formulas row by row.
     """
 
     def __init__(self, problem):

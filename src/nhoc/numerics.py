@@ -75,12 +75,12 @@ def _drops_in_part(f, points, partials):
     real, a norm, ...) reads a wrong partial without any error."""
     k, n = points.shape
     v = np.sqrt(np.arange(1.0, n + 1))
-    plus = np.stack([np.asarray(f(point + FD_STEP * v), dtype=float) for point in points])
-    minus = np.stack([np.asarray(f(point - FD_STEP * v), dtype=float) for point in points])
+    dv = FD_STEP * v
+    values = np.array([[f(point + dv), f(point - dv)] for point in points], dtype=float)
+    fd = ((values[:, 0] - values[:, 1]) / (2.0 * FD_STEP)).reshape(k, -1)
     along = (v @ partials.reshape(k, n, -1)).reshape(k, -1)
-    fd = ((plus - minus) / (2.0 * FD_STEP)).reshape(k, -1)
-    scale = np.maximum(1.0, np.maximum(np.abs(plus).reshape(k, -1).max(axis=1, initial=0.0),
-                                       np.abs(along).max(axis=1, initial=0.0)))
+    scale = np.abs(np.concatenate([values.reshape(k, -1), along], axis=1)).max(axis=1,
+                                                                               initial=1.0)
     return np.abs(along - fd).max(axis=1, initial=0.0) > CS_CHECK_TOL * scale
 
 

@@ -34,8 +34,8 @@ class ModelPartials:
     to rounding: the model callable is evaluated at q + i h e_i.  At a point
     where it drops the imaginary part, in every entry or in some (which a
     check along one direction detects), they are central finite differences
-    with step ``numerics.FD_STEP``.  The structure functions need none: the Koszul
-    formula does not read them.
+    with step ``numerics.FD_STEP``.  The structure functions need none: the
+    Koszul formula does not read them.
     """
 
     anchor_dq: Optional[Callable] = None

@@ -66,7 +66,9 @@ class SingularJacobian(NhocError):
 
 
 class FixedPointDivergence(NhocError):
-    """An implicit integrator substep failed to reach its fixed point."""
+    """An implicit integrator substep failed: its fixed point was not reached
+    or not finite, or its linear system (the kick of a quadratic cost) is
+    singular or gave non-finite momenta."""
 
 
 class ParseError(NhocError):

@@ -9,10 +9,17 @@ and its partials both follow from that u in closed form.
 The flows run on flat phase arrays with a leading batch axis: each
 ``HamiltonianSystem`` compiles its partials once into a kernel on row
 stacks, and every scheme steps a whole stack through the fixed-step driver
-``numerics.integrate_fixed_steps``.
+``numerics.integrate_fixed_steps``.  The kernel gives dH/dx and dH/dp
+apart, so each substep of the symplectic schemes evaluates only the half it
+uses.  With a quadratic cost dH/dx = M(x) p is linear in the momenta, and
+the kernel also gives the kick matrix M(x): the implicit momentum kick
+p' = p - tau M(x) p' is then one batched linear solve.  Fixed-point
+iteration remains for the implicit drift of Stormer-Verlet and the kicks
+of non-quadratic costs.
 """
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -181,6 +188,22 @@ def inverse_legendre(problem, phase):
                          lam_bar=phase.p_y[ctrl._una])
 
 
+class _Kernel(NamedTuple):
+    """The partials of a ``HamiltonianSystem`` compiled on stacks of rows:
+    positions x = (q, y) and momenta p = (p_q, p_y), each (B, dim_q + rank_d).
+
+    ``grads(x, p)`` gives (dH/dx, dH/dp); ``grad_x`` and ``grad_p`` give one
+    half each.  With a quadratic cost dH/dx = M(x) p is linear in the
+    momenta, and ``kick_matrix(x)`` gives M at every row, (B, d, d); for other
+    costs it is None.
+    """
+
+    grads: Callable
+    grad_x: Callable
+    grad_p: Callable
+    kick_matrix: Optional[Callable]
+
+
 class HamiltonianSystem:
     """Hamiltonian H(q, y, p_q, p_y) of the optimal control problem.
 
@@ -197,8 +220,8 @@ class HamiltonianSystem:
     Legendre map are hoisted out of the kernel, and otherwise one stacked
     geometry build per evaluation covers the rows and the stencil of their
     drift q-Jacobians; rows at the positions of the last build reuse it, as
-    in the momentum iterations of the symplectic schemes.  A non-quadratic
-    cost takes the per-point formulas row by row.
+    the kick matrix and the dH/dp half of the symplectic schemes do.  A
+    non-quadratic cost takes the per-point formulas row by row.
     """
 
     def __init__(self, problem):
@@ -228,20 +251,27 @@ class HamiltonianSystem:
         if self.dim_q > 0:
             d_q = -ddq.T @ p_y + np.einsum("iAj,j,A->i",
                                            self.system.anchor_d_dq(q), p_q, y)
+            if not cost.quadratic:
+                d_q = d_q - cost.dq(q, y, u)
         else:
             d_q = np.zeros(0)
         if not cost.quadratic:
-            d_q = d_q - cost.dq(q, y, u)
             d_y = d_y - cost.dy(q, y, u)
         return np.concatenate([d_q, d_y]), np.concatenate([d_pq, d_py])
 
-    def _rowwise_partials(self, x, p):
-        """The kernel of non-quadratic costs: the per-point formulas, row by row."""
+    def _rowwise_kernel(self):
+        """The kernel of non-quadratic costs: the per-point formulas, row by
+        row.  dH/dx is not linear in the momenta, so there is no kick matrix."""
         n = self.dim_q
-        gx, gp = np.empty_like(x), np.empty_like(p)
-        for i in range(len(x)):
-            gx[i], gp[i] = self._point_partials(x[i, :n], x[i, n:], p[i, :n], p[i, n:])
-        return gx, gp
+
+        def grads(x, p):
+            gx, gp = np.empty_like(x), np.empty_like(p)
+            for i in range(len(x)):
+                gx[i], gp[i] = self._point_partials(x[i, :n], x[i, n:], p[i, :n], p[i, n:])
+            return gx, gp
+
+        return _Kernel(grads=grads, grad_x=lambda x, p: grads(x, p)[0],
+                       grad_p=lambda x, p: grads(x, p)[1], kick_matrix=None)
 
     @property
     def _stacks_at_once(self):
@@ -254,7 +284,7 @@ class HamiltonianSystem:
         problem, system, n = self.problem, self.system, self.dim_q
         cost, ctrl = problem.cost, problem.controls
         if not self._stacks_at_once:
-            return self._rowwise_partials
+            return self._rowwise_kernel()
         input_m = None if ctrl._identity else ctrl.input_matrix
         weight = None if cost.weight_identity else cost.weight
 
@@ -271,9 +301,9 @@ class HamiltonianSystem:
         if not system.constant_drift:
             # chart-dependent drift: one stacked geometry build per evaluation
             # covers the rows and the stencil of their drift q-Jacobians.  The
-            # implicit substeps of the symplectic schemes iterate the momenta
-            # at fixed positions, so the position terms of the last stack are
-            # kept and its rows reused while they are asked for again.
+            # kick matrix and the momentum half of the symplectic schemes are
+            # taken at the same positions, so the position terms of the last
+            # stack are kept and its rows reused while they are asked for again.
             seen, kept = {}, []
 
             def position_terms(x):
@@ -289,48 +319,82 @@ class HamiltonianSystem:
                 seen.update((row.tobytes(), i) for i, row in enumerate(x))
                 return kept
 
-            def chart_kernel(x, p):
+            def x_half(x, p, terms):
                 y, p_q, p_y = x[:, n:], p[:, :n], p[:, n:]
-                delta, ddq, ddy, anchor, anchor_dq = position_terms(x)
+                _, ddq, ddy, anchor, anchor_dq = terms
                 d_y = matvec_rows(-ddy.swapaxes(1, 2), p_y) + matvec_rows(anchor, p_q)
                 d_q = (matvec_rows(-ddq.swapaxes(1, 2), p_y)
                        + np.einsum("...iAj,...j,...A->...i", anchor_dq, p_q, y))
-                return (np.concatenate([d_q, d_y], axis=1),
-                        np.concatenate([matvec_rows(anchor.swapaxes(1, 2), y),
-                                        actuation(p_y) - delta], axis=1))
+                return np.concatenate([d_q, d_y], axis=1)
 
-            return chart_kernel
+            def p_half(x, p, terms):
+                delta, _, _, anchor, _ = terms
+                return np.concatenate([matvec_rows(anchor.swapaxes(1, 2), x[:, n:]),
+                                       actuation(p[:, n:]) - delta], axis=1)
+
+            def chart_grads(x, p):
+                terms = position_terms(x)
+                return x_half(x, p, terms), p_half(x, p, terms)
+
+            def chart_kick_matrix(x):
+                _, ddq, ddy, anchor, anchor_dq = position_terms(x)
+                top = np.concatenate([np.einsum("...iAj,...A->...ij", anchor_dq, x[:, n:]),
+                                      -ddq.swapaxes(1, 2)], axis=2)
+                return np.concatenate([top, np.concatenate([anchor, -ddy.swapaxes(1, 2)],
+                                                           axis=2)], axis=1)
+
+            return _Kernel(grads=chart_grads,
+                           grad_x=lambda x, p: x_half(x, p, position_terms(x)),
+                           grad_p=lambda x, p: p_half(x, p, position_terms(x)),
+                           kick_matrix=chart_kick_matrix)
         # constant geometry and no potential: the drift has no q-Jacobian
         gamma, anchor = system.gamma(), system.anchor_d()
 
-        def kernel(x, p):
-            y, p_q, p_y = x[:, n:], p[:, :n], p[:, n:]
-            bu = actuation(p_y)
-            delta = np.einsum("cab,...a,...b->...c", gamma, y, y)
+        def minus_ddy_t(y):
+            """-(d drift/dy)^T at every row."""
             ddy = (np.einsum("cab,...b->...ca", gamma, y)
                    + np.einsum("cab,...a->...cb", gamma, y))
-            d_y = matvec_rows(-ddy.swapaxes(1, 2), p_y)
+            return -ddy.swapaxes(1, 2)
+
+        def grad_x(x, p):
+            d_y = matvec_rows(minus_ddy_t(x[:, n:]), p[:, n:])
             if n == 0:
-                return d_y, bu - delta
-            d_pq = matvec_rows(anchor.T, y)
-            return (np.concatenate([np.zeros_like(d_pq), d_y + matvec_rows(anchor, p_q)], axis=1),
-                    np.concatenate([d_pq, bu - delta], axis=1))
+                return d_y
+            return np.concatenate([np.zeros((len(x), n)), d_y + matvec_rows(anchor, p[:, :n])],
+                                  axis=1)
 
-        return kernel
+        def grad_p(x, p):
+            y = x[:, n:]
+            d_py = actuation(p[:, n:]) - np.einsum("cab,...a,...b->...c", gamma, y, y)
+            if n == 0:
+                return d_py
+            return np.concatenate([matvec_rows(anchor.T, y), d_py], axis=1)
 
-    def _grads(self, x, p):
-        """(dH/dx, dH/dp) for positions x = (q, y) and momenta p = (p_q, p_y)
-        stacked as rows of shape (B, dim_q + rank_d)."""
+        def kick_matrix(x):
+            m_y = minus_ddy_t(x[:, n:])
+            if n == 0:
+                return m_y
+            b, m = len(x), self.rank_d
+            return np.concatenate([np.zeros((b, n, n + m)),
+                                   np.concatenate([np.broadcast_to(anchor, (b, m, n)), m_y],
+                                                  axis=2)], axis=1)
+
+        return _Kernel(grads=lambda x, p: (grad_x(x, p), grad_p(x, p)),
+                       grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix)
+
+    @property
+    def _compiled(self):
+        """The kernel of this system, compiled on first use."""
         if self._kernel is None:
             self._kernel = self._build_kernel()
-        return self._kernel(x, p)
+        return self._kernel
 
     def partials(self, phase):
         """(dH/dq, dH/dy, dH/dp_q, dH/dp_y) in closed form, batched like phase."""
         n = self.dim_q
         x = np.concatenate([phase.q, phase.y], axis=-1)
         p = np.concatenate([phase.p_q, phase.p_y], axis=-1)
-        gx, gp = self._grads(x.reshape(-1, x.shape[-1]), p.reshape(-1, p.shape[-1]))
+        gx, gp = self._compiled.grads(x.reshape(-1, x.shape[-1]), p.reshape(-1, p.shape[-1]))
         gx, gp = gx.reshape(x.shape), gp.reshape(p.shape)
         return gx[..., :n], gx[..., n:], gp[..., :n], gp[..., n:]
 
@@ -380,36 +444,59 @@ def _check_scheme(dt, scheme):
         raise DimensionMismatch(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
+def _kick(kernel, x, p, tau):
+    """Momenta p' = p - tau dH/dx(x, p') of an implicit kick at the rows of x.
+
+    With a quadratic cost dH/dx = M(x) p, so p' solves (I + tau M(x)) p' = p,
+    one batched linear solve (Hairer, Lubich & Wanner, Geometric Numerical
+    Integration, VI.3); a singular system or a non-finite p' raises
+    FixedPointDivergence.  Other costs take the fixed-point iteration.
+    """
+    if kernel.kick_matrix is None:
+        return _fixed_point(lambda rows, pp: p[rows] - tau * kernel.grad_x(x[rows], pp), p)
+    lhs = tau * kernel.kick_matrix(x) + np.eye(p.shape[1])
+    try:
+        p_new = np.linalg.solve(lhs, p[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise FixedPointDivergence("implicit kick is singular") from exc
+    if not np.isfinite(p_new).all():
+        raise FixedPointDivergence("implicit kick produced non-finite values")
+    return p_new
+
+
 def _flat_step(hs, z, dt, scheme):
     """One step of every row of a (B, 2(n + m)) stack of phase rows."""
     d = hs.dim_q + hs.rank_d
-    grads = hs._grads
+    kernel = hs._compiled
     if scheme == "rk4":
         def field(t, zz):
-            gx, gp = grads(zz[:, :d], zz[:, d:])
+            gx, gp = kernel.grads(zz[:, :d], zz[:, d:])
             return np.concatenate([gp, -gx], axis=1)
         return rk4_step(field, 0.0, z, dt)
     x, p = z[:, :d], z[:, d:]
     if scheme == "symp_euler":
-        p_new = _fixed_point(lambda rows, pp: p[rows] - dt * grads(x[rows], pp)[0], p)
-        x_new = x + dt * grads(x, p_new)[1]
-        return np.concatenate([x_new, p_new], axis=1)
+        p_new = _kick(kernel, x, p, dt)
+        return np.concatenate([x + dt * kernel.grad_p(x, p_new), p_new], axis=1)
     # generalized Stormer-Verlet: implicit half-kick, implicit drift, half-kick
-    p_half = _fixed_point(lambda rows, pp: p[rows] - 0.5 * dt * grads(x[rows], pp)[0], p)
-    gp_left = grads(x, p_half)[1]
+    p_half = _kick(kernel, x, p, 0.5 * dt)
+    gp_left = kernel.grad_p(x, p_half)
     x_new = _fixed_point(lambda rows, xx: x[rows] + 0.5 * dt * (
-        gp_left[rows] + grads(xx, p_half[rows])[1]), x)
-    p_new = p_half - 0.5 * dt * grads(x_new, p_half)[0]
+        gp_left[rows] + kernel.grad_p(xx, p_half[rows])), x)
+    p_new = p_half - 0.5 * dt * kernel.grad_x(x_new, p_half)
     return np.concatenate([x_new, p_new], axis=1)
 
 
 def integrate_step(hs, phase, dt, scheme="stormer_verlet"):
     """One step of rk4, symplectic Euler, or generalized Stormer-Verlet.
 
-    The Hamiltonian is not separable, so the symplectic schemes solve their
-    implicit substeps by fixed-point iteration (tol 1e-12, max 100).  The
-    fields of ``phase`` may carry leading batch axes; the rows are stepped
-    together, each with the iterates it would take alone.
+    The Hamiltonian is not separable, so the symplectic schemes have
+    implicit substeps.  With a quadratic cost their momentum kicks are
+    linear, one solve of (I + tau M(x)) p' = p; the drift of Stormer-Verlet,
+    and the kicks of other costs, take fixed-point iteration (tol 1e-12,
+    max 100).  A singular kick, or a fixed point that fails, raises
+    FixedPointDivergence.  The fields of ``phase`` may carry leading batch
+    axes; the rows are stepped together, each with the floats it would get
+    alone.
     """
     _check_scheme(dt, scheme)
     z = phase.flat()
@@ -428,9 +515,11 @@ def symplecticity_defect(hs, phase, dt, scheme):
     def step_map(z):
         return integrate_step(hs, hs.unflatten(z), dt, scheme).flat()
 
-    # the implicit substeps stop at a 1e-12 fixed-point tolerance, which a
-    # difference quotient of step h reads as a defect of about 1e-12 / h:
-    # 1e-8 at h = 1e-4, where the default 1e-6 stencil would read 1e-6
+    # where a fixed point remains (the drift of Stormer-Verlet, the kicks of
+    # non-quadratic costs) it stops at a 1e-12 tolerance, which a difference
+    # quotient of step h reads as a defect of about 1e-12 / h: 1e-8 at
+    # h = 1e-4, where the default 1e-6 stencil would read 1e-6; the linear
+    # kicks of quadratic costs are solved to rounding
     dpsi = fd_jacobian(step_map, phase.flat(), step=1e-4)
     return float(np.abs(dpsi.T @ jmat @ dpsi - jmat).max())
 

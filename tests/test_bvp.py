@@ -9,8 +9,8 @@ from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
                   extremal_trajectory, make_chaplygin, quadratic_cost, regularity_matrix,
                   shooting_residual, simulate, solve_bvp)
 from nhoc import bvp
-from nhoc.errors import (DimensionMismatch, LegendreDivergence, NewtonDivergence,
-                         NonFiniteState, SingularMetric)
+from nhoc.errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
+                         NewtonDivergence, NonFiniteState, SingularMetric)
 
 from conftest import curved_model, full_actuation_problem, quartic_cost
 
@@ -80,18 +80,30 @@ class TestBatchedResidual:
 
     def assert_rows_match_single_calls(self, sp, stack):
         rows_seen = []
-        grads = sp.hs._grads
-        sp.hs._grads = lambda x, p: rows_seen.append(len(x)) or grads(x, p)
+        kernel = sp.hs._compiled
+
+        def counted(f):
+            return lambda x, *args: rows_seen.append(len(x)) or f(x, *args)
+
+        sp.hs._kernel = kernel._replace(
+            grads=counted(kernel.grads), grad_x=counted(kernel.grad_x),
+            grad_p=counted(kernel.grad_p),
+            kick_matrix=kernel.kick_matrix and counted(kernel.kick_matrix))
         try:
             batched = shooting_residual(sp, stack)
         finally:
-            del sp.hs._grads
+            sp.hs._kernel = kernel
         assert batched.shape == (len(stack), sp.n_momenta)
         for row, p0 in zip(batched, stack):
             assert row.tobytes() == shooting_residual(sp, p0).tobytes()
-        if sp.scheme != "rk4":
-            # some substeps went on with part of the stack only
+        if sp.scheme == "stormer_verlet" or (sp.scheme == "symp_euler"
+                                             and kernel.kick_matrix is None):
+            # a fixed point remains: some substeps went on with part of the
+            # stack only
             assert min(rows_seen) < len(stack)
+        else:
+            # explicit stages and linear kicks: every call takes the stack
+            assert set(rows_seen) == {len(stack)}
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("model", ["sleigh", "curved"])
@@ -218,6 +230,27 @@ class TestOneFlowPerIteration:
         result = solve_bvp(sp, np.zeros(2))
         assert result.p0.tobytes() == reference.p0.tobytes()
         assert result.iterations == reference.iterations
+
+    def test_singular_kick_in_a_stack_falls_back_to_the_trial_alone(self, flow_rows,
+                                                                     chaplygin_system):
+        # the sleigh's kick matrix at y = (0, c) is diag(-c / 2, 0), so with
+        # dt = 0.5 the kick's I + M / 2 is singular at y = (0, 4).  From y = 0
+        # the first step takes y to p0 / 2: the second kick is singular for
+        # the column p0 + h e_1, whose p0 / 2 is exactly (0, 4), not the trial
+        problem = replace(sleigh_problem(chaplygin_system), y0=[0.0, 0.0])
+        sp = shooting_for(problem, dt=0.5, scheme="symp_euler")
+        p0 = np.array([0.0, 8.0 - bvp.JACOBIAN_STEP])
+        assert 0.5 * (p0[1] + bvp.JACOBIAN_STEP) == 4.0
+        shooting_residual(sp, p0)
+        with pytest.raises(FixedPointDivergence):
+            shooting_residual(sp, p0 + bvp.JACOBIAN_STEP * np.eye(2)[1])
+        rows, _ = flow_rows
+        rows.clear()
+        with pytest.raises(FixedPointDivergence):
+            solve_bvp(sp, p0)
+        # the stack failed, the trial was integrated alone, and the columns
+        # of its Jacobian failed again
+        assert rows == [3, 1, 2]
 
 
 class TestChartDerivatives:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from nhoc import hamiltonian
 from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import DimensionMismatch, FixedPointDivergence, SingularHessian
+from nhoc.numerics import matvec_rows
 
 from conftest import curved_model, full_actuation_problem, quartic_cost
 
@@ -255,6 +258,27 @@ class TestHamiltonianField:
             exact = np.concatenate(hs.partials(hs.unflatten(z)))
             assert np.abs(exact - fd).max() < 1e-7
 
+    def test_empty_chart_takes_no_cost_q_partial(self, chaplygin_system):
+        # C_y by central differences costs two evaluations per fiber
+        # direction; on an empty chart there is no C_q to evaluate at all
+        calls = []
+
+        def evaluator(q, y, u):
+            calls.append(1)
+            return 0.5 * u @ u + 0.25 * (u @ u) ** 2
+
+        base = quartic_cost()
+        hs = HamiltonianSystem(OCProblem(system=chaplygin_system,
+                                         controls=ControlDistribution.full(2),
+                                         cost=CostModel(evaluator=evaluator, k=2, cu=base.cu,
+                                                        cuu=base.cuu), horizon=1.0))
+        assert not hs._stacks_at_once
+        phase = PhasePoint(q=np.zeros((3, 0)), y=[[0.4, -0.3], [0.1, 0.2], [1.0, 0.5]],
+                           p_q=np.zeros((3, 0)), p_y=[[0.8, 0.2], [-0.5, 0.1], [0.3, 0.3]])
+        d_q, d_y, _, _ = hs.partials(phase)
+        assert d_q.shape == (3, 0) and d_y.shape == (3, 2)
+        assert len(calls) == 3 * 2 * 2
+
     @pytest.mark.parametrize("inputs", ["full", "weighted", "one", "mixing"])
     @pytest.mark.parametrize("model", ["curved", "constant_with_potential"])
     def test_stacked_chart_kernel_rows_equal_point_formulas(self, model, inputs):
@@ -280,7 +304,7 @@ class TestHamiltonianField:
         assert hs._stacks_at_once and not system.constant_drift
         rng = np.random.default_rng(7)
         x, p = rng.uniform(-0.6, 0.6, (5, 3)), rng.uniform(-1.0, 1.0, (5, 3))
-        gx, gp = hs._grads(x, p)
+        gx, gp = hs._compiled.grads(x, p)
         for i in range(len(x)):
             ex, ep = hs._point_partials(x[i, :1], x[i, 1:], p[i, :1], p[i, 1:])
             assert gx[i].tobytes() == ex.tobytes()
@@ -337,6 +361,68 @@ class TestIntegrateStep:
             integrate_step(hs, phase, 10.0, "stormer_verlet")
 
 
+class TestKick:
+    """With a quadratic cost dH/dx = M(x) p, and the implicit kick
+    p' = p - tau dH/dx(x, p') of the symplectic schemes is one linear solve."""
+
+    @pytest.fixture(params=["sleigh", "double_integrator", "curved", "curved_anchor"])
+    def kernel_rows(self, request, chaplygin_system, double_integrator_problem):
+        """The kernel of a hoisted (sleigh, double integrator) or chart
+        (curved) quadratic problem, and four rows of positions and momenta.
+        ``curved_anchor`` gives the curved model a q-dependent anchor, which
+        fills the kick matrix's (q, p_q) block."""
+        if request.param == "sleigh":
+            problem = full_actuation_problem(chaplygin_system)
+        elif request.param == "double_integrator":
+            problem = double_integrator_problem
+        else:
+            model = curved_model()
+            if request.param == "curved_anchor":
+                model = replace(model,
+                                anchor=lambda q: np.array([[1.0 + 0.3 * np.sin(q[0])], [0.5]]),
+                                partials=replace(model.partials, anchor_dq=lambda q: np.array(
+                                    [[[0.3 * np.cos(q[0])], [0.0]]])))
+            system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+            problem = OCProblem(system=system, controls=ControlDistribution.full(2),
+                                cost=quadratic_cost(np.eye(2)), horizon=1.0)
+        hs = HamiltonianSystem(problem)
+        assert hs._compiled.kick_matrix is not None
+        rng = np.random.default_rng(11)
+        d = hs.dim_q + hs.rank_d
+        return hs._compiled, rng.uniform(-0.6, 0.6, (4, d)), rng.uniform(-1.0, 1.0, (4, d))
+
+    def test_kick_matrix_maps_momenta_to_dh_dx(self, kernel_rows):
+        kernel, x, p = kernel_rows
+        assert np.abs(matvec_rows(kernel.kick_matrix(x), p) - kernel.grad_x(x, p)).max() < 1e-15
+
+    @pytest.mark.parametrize("tau", [0.05, 0.1])
+    def test_solve_equals_fixed_point(self, kernel_rows, tau):
+        kernel, x, p = kernel_rows
+        fixed_point = kernel._replace(kick_matrix=None)
+        stacked = hamiltonian._kick(kernel, x, p, tau)
+        assert np.abs(stacked - hamiltonian._kick(fixed_point, x, p, tau)).max() < 1e-13
+        for i in range(len(x)):
+            one = hamiltonian._kick(kernel, x[i:i + 1], p[i:i + 1], tau)
+            assert one.tobytes() == stacked[i:i + 1].tobytes()
+            alone = hamiltonian._kick(fixed_point, x[i:i + 1], p[i:i + 1], tau)
+            assert np.abs(one - alone).max() < 1e-13
+
+    @pytest.mark.parametrize("scheme, dt", [("symp_euler", 0.5), ("stormer_verlet", 1.0)])
+    def test_singular_kick_raises(self, chaplygin_system, scheme, dt):
+        # the sleigh's kick matrix at y = (0, 4) is diag(-2, 0): the kick's
+        # I + M / 2 has a zero row, at one row and in a stack
+        hs = HamiltonianSystem(full_actuation_problem(chaplygin_system))
+        assert np.array_equal(hs._compiled.kick_matrix(np.array([[0.0, 4.0]])),
+                              [[[-2.0, 0.0], [0.0, 0.0]]])
+        with pytest.raises(FixedPointDivergence):
+            integrate_step(hs, PhasePoint(q=[], y=[0.0, 4.0], p_q=[], p_y=[0.3, 0.2]),
+                           dt, scheme)
+        stack = PhasePoint(q=np.zeros((3, 0)), y=[[0.1, 0.2], [0.0, 4.0], [0.3, -0.1]],
+                           p_q=np.zeros((3, 0)), p_y=[[0.3, 0.2], [0.3, 0.2], [0.1, 0.0]])
+        with pytest.raises(FixedPointDivergence):
+            integrate_hamiltonian(hs, stack, dt, dt, scheme)
+
+
 class TestChartKernel:
     """The stacked kernel of a chart-dependent model with a quadratic cost."""
 
@@ -349,8 +435,15 @@ class TestChartKernel:
                            p_q=[[0.3], [0.0], [-0.2], [0.1]],
                            p_y=[[0.4, -0.3], [0.1, 0.2], [1.0, 1.5], [0.0, 0.0]])
         per_row = HamiltonianSystem(problem)
-        per_row._kernel = per_row._rowwise_partials
+        per_row._kernel = per_row._rowwise_kernel()
         _, expected = integrate_hamiltonian(per_row, phase, 1.0, 0.1, scheme)
+        singles = [integrate_hamiltonian(HamiltonianSystem(problem), row, 1.0, 0.1, scheme)[1]
+                   for row in map(per_row.unflatten, phase.flat())]
+        # the per-row formulas with the stacked kernel's linear kick
+        linear_kick = HamiltonianSystem(problem)
+        linear_kick._kernel = per_row._kernel._replace(
+            kick_matrix=HamiltonianSystem(problem)._compiled.kick_matrix)
+        _, expected_linear = integrate_hamiltonian(linear_kick, phase, 1.0, 0.1, scheme)
         calls = []
         drift_rows = hamiltonian.drift_rows
         monkeypatch.setattr(hamiltonian, "drift_rows",
@@ -358,10 +451,29 @@ class TestChartKernel:
         hs = HamiltonianSystem(problem)
         assert hs._stacks_at_once
         _, phases = integrate_hamiltonian(hs, phase, 1.0, 0.1, scheme)
-        assert phases.tobytes() == expected.tobytes()
-        # 10 steps: rk4 builds once per stage; the momentum iterations of the
-        # symplectic schemes hold the positions, whose build is kept
+        # 10 steps: rk4 builds once per stage; the kick matrix and the
+        # momentum half of the symplectic schemes share the positions' build
         assert len(calls) == builds
+        for i, single in enumerate(singles):
+            assert phases[:, i].tobytes() == single.tobytes()
+        if scheme == "rk4":
+            assert phases.tobytes() == expected.tobytes()
+            return
+        # the kick is the one substep that differs from the per-row
+        # fixed-point flow; with the same kick the per-row formulas give the
+        # same bytes, and at every state the solve meets the kick's equation
+        # p' = p - tau dH/dx(x, p') of the per-row formulas to rounding
+        assert phases.tobytes() == expected_linear.tobytes()
+        tau = 0.1 if scheme == "symp_euler" else 0.05
+        for z in phases:
+            x, p = z[:, :3], z[:, 3:]
+            kicked = hamiltonian._kick(hs._compiled, x, p, tau)
+            assert np.abs(kicked - p + tau * per_row._kernel.grad_x(x, kicked)).max() < 1e-14
+        # the fixed point stops within 1e-12 of its update, and the positions
+        # of the first step keep to the per-row flow within 1e-13; later steps
+        # drift apart by about 5e-11, as the drift q-Jacobian, a central
+        # difference of step 1e-6, magnifies rounding-level position gaps
+        assert np.abs(phases[1, :, :3] - expected[1, :, :3]).max() < 1e-13
 
 
 class TestSymplecticity:

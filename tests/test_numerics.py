@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from nhoc.numerics import (ComplexWarning, central_differences, central_stencil,
-                           complex_step_partials, fd_jacobian, fd_partials)
+from nhoc.errors import NonFiniteState
+from nhoc.numerics import (BLOWUP_LIMIT, ComplexWarning, central_differences,
+                           central_stencil, check_finite, complex_step_partials,
+                           fd_jacobian, fd_partials)
 
 
 class TestFdJacobian:
@@ -132,3 +134,18 @@ class TestCentralStencil:
         assert jac.shape == (3, 3, 2) and jac.flags.c_contiguous
         for row, xr in zip(jac, x):
             assert row.tobytes() == fd_jacobian(f, xr).tobytes()
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 * BLOWUP_LIMIT,
+                                     -2.0 * BLOWUP_LIMIT])
+    def test_one_bad_entry_in_one_row_raises(self, bad):
+        stack = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        stack[1, 2] = bad
+        with pytest.raises(NonFiniteState):
+            check_finite(stack)
+
+    def test_finite_stack_passes(self):
+        stack = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        stack[2, 3] = BLOWUP_LIMIT
+        check_finite(stack)

@@ -91,3 +91,20 @@ def test_lagrangian_and_hamiltonian_flows_agree(drawn, seed):
     _, phases = integrate_hamiltonian(HamiltonianSystem(problem), legendre_map(problem, state0),
                                       0.1, 1e-3, "rk4")
     assert np.abs(legendre_map(problem, states[-1]).flat() - phases[-1]).max() < 1e-7
+
+
+@EXAMPLES
+@given(actuated_models(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["symp_euler", "stormer_verlet"]))
+def test_symplectic_stack_rows_equal_single_calls(drawn, seed, scheme):
+    # the kicks are batched linear solves; each row has the floats it takes alone
+    _, _, problem = drawn
+    rng = np.random.default_rng(seed)
+    m = problem.rank_d
+    stack = PhasePoint(q=np.zeros((3, 0)), y=rng.uniform(-1, 1, (3, m)),
+                       p_q=np.zeros((3, 0)), p_y=rng.uniform(-1, 1, (3, m)))
+    hs = HamiltonianSystem(problem)
+    _, phases = integrate_hamiltonian(hs, stack, 0.1, 1e-2, scheme)
+    for i, row in enumerate(stack.flat()):
+        _, single = integrate_hamiltonian(hs, hs.unflatten(row), 0.1, 1e-2, scheme)
+        assert phases[:, i].tobytes() == single.tobytes()

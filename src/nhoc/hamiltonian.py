@@ -9,13 +9,22 @@ and its partials both follow from that u in closed form.
 The flows run on flat phase arrays with a leading batch axis: each
 ``HamiltonianSystem`` compiles its partials once into a kernel on row
 stacks, and every scheme steps a whole stack through the fixed-step driver
-``numerics.integrate_fixed_steps``.  The kernel gives dH/dx and dH/dp
-apart, so each substep of the symplectic schemes evaluates only the half it
-uses.  With a quadratic cost dH/dx = M(x) p is linear in the momenta, and
-the kernel also gives the kick matrix M(x): the implicit momentum kick
-p' = p - tau M(x) p' is then one batched linear solve.  Fixed-point
-iteration remains for the implicit drift of Stormer-Verlet and the kicks
-of non-quadratic costs.
+``numerics.integrate_fixed_steps``.  The kernel's ``field`` gives the
+canonical field of flat phase rows, which rk4 steps as it is, and its
+``grad_x`` and ``grad_p`` give dH/dx and dH/dp apart, so each substep of
+the symplectic schemes evaluates only the half it uses.  On a
+chart-independent model without potential and with a quadratic cost, H is
+a cubic polynomial in (y, p), and each of these is one fixed matrix times
+the monomials of the rows (y, p and their products with y).
+
+With a quadratic cost dH/dx = M(x) p is linear in the momenta, and the
+kernel also gives the kick matrix M(x): the implicit momentum kick
+p' = p - tau M(x) p' is then one batched linear solve.  The implicit drift
+of Stormer-Verlet stays a fixed-point iteration.  Its position terms are
+quadratic in y, and a Newton solve of them would also converge where the
+fixed point diverges (the sleigh at dt = 10), so a step too large for the
+scheme would no longer raise FixedPointDivergence.  The kicks of
+non-quadratic costs iterate too.
 """
 
 from dataclasses import dataclass
@@ -26,8 +35,8 @@ import numpy as np
 from .dynamics import drift_acceleration
 from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
                      SingularHessian)
-from .numerics import (fd_jacobian, integrate_fixed_steps, matvec_rows, rk4_step,
-                       step_count)
+from .numerics import (fd_jacobian, integrate_fixed_steps, matvec_rows, outer_rows,
+                       rk4_step, step_count)
 from .optimal_control import ExtremalState, drift_jacobians, drift_rows, recover_controls
 
 SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
@@ -192,13 +201,14 @@ class _Kernel(NamedTuple):
     """The partials of a ``HamiltonianSystem`` compiled on stacks of rows:
     positions x = (q, y) and momenta p = (p_q, p_y), each (B, dim_q + rank_d).
 
-    ``grads(x, p)`` gives (dH/dx, dH/dp); ``grad_x`` and ``grad_p`` give one
-    half each.  With a quadratic cost dH/dx = M(x) p is linear in the
+    ``field(z)`` gives the canonical field zdot = (dH/dp, -dH/dx) of flat
+    phase rows z = (x, p); ``grad_x(x, p)`` and ``grad_p(x, p)`` give one
+    partial each.  With a quadratic cost dH/dx = M(x) p is linear in the
     momenta, and ``kick_matrix(x)`` gives M at every row, (B, d, d); for other
     costs it is None.
     """
 
-    grads: Callable
+    field: Callable
     grad_x: Callable
     grad_p: Callable
     kick_matrix: Optional[Callable]
@@ -215,13 +225,17 @@ class HamiltonianSystem:
     at the optimal u, which vanish for quadratic costs.
 
     The partials are compiled on first use into one kernel on stacks of
-    phase rows.  With a quadratic cost every row is evaluated at once: on a
-    chart-independent model without potential Gamma, the anchor and the
-    Legendre map are hoisted out of the kernel, and otherwise one stacked
-    geometry build per evaluation covers the rows and the stencil of their
-    drift q-Jacobians; rows at the positions of the last build reuse it, as
-    the kick matrix and the dH/dp half of the symplectic schemes do.  A
-    non-quadratic cost takes the per-point formulas row by row.
+    phase rows.  With a quadratic cost every row is evaluated at once.  On a
+    chart-independent model without potential H is a cubic polynomial in
+    (y, p): Gamma, the anchor and the Legendre map A = B W^-1 B^T are
+    constant, so the field is one fixed matrix times the monomials
+    (y, p_q, p_y) and their products with y, built once per system, and
+    each kernel entry is one product of a block of that matrix with the
+    monomials of its rows.  Otherwise one stacked geometry build per
+    evaluation covers the rows and the stencil of their drift q-Jacobians;
+    rows at the positions of the last build reuse it, as the kick matrix and
+    the dH/dp half of the symplectic schemes do.  A non-quadratic cost takes
+    the per-point formulas row by row.
     """
 
     def __init__(self, problem):
@@ -262,7 +276,7 @@ class HamiltonianSystem:
     def _rowwise_kernel(self):
         """The kernel of non-quadratic costs: the per-point formulas, row by
         row.  dH/dx is not linear in the momenta, so there is no kick matrix."""
-        n = self.dim_q
+        n, d = self.dim_q, self.dim_q + self.rank_d
 
         def grads(x, p):
             gx, gp = np.empty_like(x), np.empty_like(p)
@@ -270,7 +284,11 @@ class HamiltonianSystem:
                 gx[i], gp[i] = self._point_partials(x[i, :n], x[i, n:], p[i, :n], p[i, n:])
             return gx, gp
 
-        return _Kernel(grads=grads, grad_x=lambda x, p: grads(x, p)[0],
+        def field(z):
+            gx, gp = grads(z[:, :d], z[:, d:])
+            return np.concatenate([gp, -gx], axis=1)
+
+        return _Kernel(field=field, grad_x=lambda x, p: grads(x, p)[0],
                        grad_p=lambda x, p: grads(x, p)[1], kick_matrix=None)
 
     @property
@@ -281,7 +299,8 @@ class HamiltonianSystem:
         return bool(self.problem.cost.quadratic)
 
     def _build_kernel(self):
-        problem, system, n = self.problem, self.system, self.dim_q
+        problem, system = self.problem, self.system
+        n, d = self.dim_q, self.dim_q + self.rank_d
         cost, ctrl = problem.cost, problem.controls
         if not self._stacks_at_once:
             return self._rowwise_kernel()
@@ -332,9 +351,10 @@ class HamiltonianSystem:
                 return np.concatenate([matvec_rows(anchor.swapaxes(1, 2), x[:, n:]),
                                        actuation(p[:, n:]) - delta], axis=1)
 
-            def chart_grads(x, p):
+            def chart_field(z):
+                x, p = z[:, :d], z[:, d:]
                 terms = position_terms(x)
-                return x_half(x, p, terms), p_half(x, p, terms)
+                return np.concatenate([p_half(x, p, terms), -x_half(x, p, terms)], axis=1)
 
             def chart_kick_matrix(x):
                 _, ddq, ddy, anchor, anchor_dq = position_terms(x)
@@ -343,44 +363,48 @@ class HamiltonianSystem:
                 return np.concatenate([top, np.concatenate([anchor, -ddy.swapaxes(1, 2)],
                                                            axis=2)], axis=1)
 
-            return _Kernel(grads=chart_grads,
+            return _Kernel(field=chart_field,
                            grad_x=lambda x, p: x_half(x, p, position_terms(x)),
                            grad_p=lambda x, p: p_half(x, p, position_terms(x)),
                            kick_matrix=chart_kick_matrix)
-        # constant geometry and no potential: the drift has no q-Jacobian
+        # constant Gamma and anchor, no potential: H is cubic in (y, p), and
+        # its field one fixed matrix of coefficients times the monomials of
+        # v = (y, p_q, p_y): v itself and v (x) y, at index (i, b) -> v_i y_b
+        m = self.rank_d
         gamma, anchor = system.gamma(), system.anchor_d()
+        lin, quad = np.zeros((2 * d, m + d)), np.zeros((2 * d, m + d, m))
+        # qdot = rho^T y and ydot = A p_y - Gamma(y, y), A = B W^-1 B^T
+        lin[:n, :m] = anchor.T
+        lin[n:d, m + n:] = actuation(np.eye(m)).T
+        quad[n:d, :m] = -gamma
+        # pdot_q = 0 and pdot_y^e = -dH/dy^e = S^c_eb p_c y^b - (rho p_q)^e,
+        # with S^c_eb = Gamma^c_eb + Gamma^c_be
+        lin[d + n:, m:m + n] = -anchor
+        quad[d + n:, m + n:] = gamma.swapaxes(0, 1) + gamma.transpose(2, 0, 1)
+        field_coeffs = np.concatenate([lin, quad.reshape(2 * d, -1)], axis=1)
+        # dH/dp: the coefficients of y, p and y (x) y
+        p_coeffs = np.concatenate([lin[:d], quad[:d, :m].reshape(d, m * m)], axis=1)
+        # dH/dx = M(x) p: its coefficients of p and p (x) y, which give M
+        kick_const, kick_y = -lin[d:, m:], -quad[d:, m:].reshape(d * d, m)
+        x_coeffs = np.concatenate([kick_const, kick_y.reshape(d, d * m)], axis=1)
 
-        def minus_ddy_t(y):
-            """-(d drift/dy)^T at every row."""
-            ddy = (np.einsum("cab,...b->...ca", gamma, y)
-                   + np.einsum("cab,...a->...cb", gamma, y))
-            return -ddy.swapaxes(1, 2)
+        def monomials(v, y):
+            return np.concatenate([v, outer_rows(v, y)], axis=1)
+
+        def field(z):
+            return matvec_rows(field_coeffs, monomials(z[:, n:], z[:, n:d]))
 
         def grad_x(x, p):
-            d_y = matvec_rows(minus_ddy_t(x[:, n:]), p[:, n:])
-            if n == 0:
-                return d_y
-            return np.concatenate([np.zeros((len(x), n)), d_y + matvec_rows(anchor, p[:, :n])],
-                                  axis=1)
+            return matvec_rows(x_coeffs, monomials(p, x[:, n:]))
 
         def grad_p(x, p):
             y = x[:, n:]
-            d_py = actuation(p[:, n:]) - np.einsum("cab,...a,...b->...c", gamma, y, y)
-            if n == 0:
-                return d_py
-            return np.concatenate([matvec_rows(anchor.T, y), d_py], axis=1)
+            return matvec_rows(p_coeffs, np.concatenate([y, p, outer_rows(y, y)], axis=1))
 
         def kick_matrix(x):
-            m_y = minus_ddy_t(x[:, n:])
-            if n == 0:
-                return m_y
-            b, m = len(x), self.rank_d
-            return np.concatenate([np.zeros((b, n, n + m)),
-                                   np.concatenate([np.broadcast_to(anchor, (b, m, n)), m_y],
-                                                  axis=2)], axis=1)
+            return kick_const + matvec_rows(kick_y, x[:, n:]).reshape(-1, d, d)
 
-        return _Kernel(grads=lambda x, p: (grad_x(x, p), grad_p(x, p)),
-                       grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix)
+        return _Kernel(field=field, grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix)
 
     @property
     def _compiled(self):
@@ -391,17 +415,13 @@ class HamiltonianSystem:
 
     def partials(self, phase):
         """(dH/dq, dH/dy, dH/dp_q, dH/dp_y) in closed form, batched like phase."""
-        n = self.dim_q
-        x = np.concatenate([phase.q, phase.y], axis=-1)
-        p = np.concatenate([phase.p_q, phase.p_y], axis=-1)
-        gx, gp = self._compiled.grads(x.reshape(-1, x.shape[-1]), p.reshape(-1, p.shape[-1]))
-        gx, gp = gx.reshape(x.shape), gp.reshape(p.shape)
-        return gx[..., :n], gx[..., n:], gp[..., :n], gp[..., n:]
+        zdot = self.field(phase)
+        return -zdot.p_q, -zdot.p_y, zdot.q, zdot.y
 
     def field(self, phase):
         """Canonical Hamiltonian vector field as a PhasePoint of derivatives."""
-        d_q, d_y, d_pq, d_py = self.partials(phase)
-        return PhasePoint(q=d_pq, y=d_py, p_q=-d_q, p_y=-d_y)
+        z = phase.flat()
+        return self.unflatten(self._compiled.field(z.reshape(-1, z.shape[-1])).reshape(z.shape))
 
     def unflatten(self, z):
         """PhasePoint of flat phase rows of shape (..., 2(dim_q + rank_d))."""
@@ -423,17 +443,19 @@ def _fixed_point(gfun, z0):
     """
     z = np.array(z0, dtype=float)
     rows = slice(None)
-    for _ in range(100):
-        z_old = z[rows]
-        z_new = gfun(rows, z_old)
-        if not np.isfinite(z_new).all():
-            raise FixedPointDivergence("implicit substep produced non-finite values")
-        moving = np.abs(z_new - z_old).max(axis=1) > 1e-12
-        z[rows] = z_new
-        if not moving.any():
-            return z
-        if not moving.all():
-            rows = np.arange(len(z))[rows][moving]
+    # a diverging map overflows on the way; the finiteness check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            z_old = z[rows]
+            z_new = gfun(rows, z_old)
+            if not np.isfinite(z_new).all():
+                raise FixedPointDivergence("implicit substep produced non-finite values")
+            moving = np.abs(z_new - z_old).max(axis=1) > 1e-12
+            z[rows] = z_new
+            if not moving.any():
+                return z
+            if not moving.all():
+                rows = np.arange(len(z))[rows][moving]
     raise FixedPointDivergence("implicit substep did not converge within 100 iterations")
 
 
@@ -469,10 +491,7 @@ def _flat_step(hs, z, dt, scheme):
     d = hs.dim_q + hs.rank_d
     kernel = hs._compiled
     if scheme == "rk4":
-        def field(t, zz):
-            gx, gp = kernel.grads(zz[:, :d], zz[:, d:])
-            return np.concatenate([gp, -gx], axis=1)
-        return rk4_step(field, 0.0, z, dt)
+        return rk4_step(lambda t, zz: kernel.field(zz), 0.0, z, dt)
     x, p = z[:, :d], z[:, d:]
     if scheme == "symp_euler":
         p_new = _kick(kernel, x, p, dt)

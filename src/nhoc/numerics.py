@@ -263,6 +263,13 @@ def matvec_rows(a, v):
     return (a @ v[..., None])[..., 0]
 
 
+def outer_rows(u, v):
+    """The products u_i v_j of the matching rows of two stacks (..., a) and
+    (..., b), flattened to (..., a b) at index i b + j: the quadratic
+    monomials that a constant (c, a b) matrix contracts with ``matvec_rows``."""
+    return (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (-1,))
+
+
 def rk4_step(f, t, x, dt):
     """One classical Runge-Kutta step for x' = f(t, x)."""
     k1 = f(t, x)

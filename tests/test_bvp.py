@@ -86,7 +86,7 @@ class TestBatchedResidual:
             return lambda x, *args: rows_seen.append(len(x)) or f(x, *args)
 
         sp.hs._kernel = kernel._replace(
-            grads=counted(kernel.grads), grad_x=counted(kernel.grad_x),
+            field=counted(kernel.field), grad_x=counted(kernel.grad_x),
             grad_p=counted(kernel.grad_p),
             kick_matrix=kernel.kick_matrix and counted(kernel.kick_matrix))
         try:

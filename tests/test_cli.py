@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from nhoc import StateQY, build_constrained_system, make_suslov, simulate
+from nhoc import (ControlDistribution, HamiltonianSystem, OCProblem, ShootingProblem, StateQY,
+                  build_constrained_system, make_chaplygin, make_suslov, quadratic_cost,
+                  simulate, solve_bvp)
 from nhoc.cli import main
+from nhoc.errors import NewtonDivergence
 
 from conftest import SUSLOV_PARAMS
 
@@ -147,14 +150,25 @@ class TestOptimize:
         assert "NewtonDivergence" in capsys.readouterr().err
 
     def test_stall_reports_iterations_taken(self, tmp_path, capsys):
-        # the line search stalls at the 9th Newton step, after 8 accepted ones
+        # a tolerance below rounding makes the line search stall, at a Newton
+        # step that moves with any rounding-level change of the flow, so the
+        # count is read from the same solve made directly
+        model, spec = make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0)
+        problem = OCProblem(system=build_constrained_system(model, spec),
+                            controls=ControlDistribution.full(2),
+                            cost=quadratic_cost(np.eye(2)), horizon=1.0,
+                            y0=[0.5, 0.2], yT=[5.0, -4.0])
+        sp = ShootingProblem(hs=HamiltonianSystem(problem), dt=0.01, tolerance=1e-17)
+        with pytest.raises(NewtonDivergence, match="line search stalled") as stalled:
+            solve_bvp(sp, np.zeros(2))
+        assert stalled.value.iterations > 0
         code = main(["optimize", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0",
                      "--y0", "0.5,0.2", "--yT", "5,-4", "--T", "1", "--dt", "0.01",
                      "--newton-tol", "1e-17", "--out", str(tmp_path / "best.csv")])
         assert code == 4
         captured = capsys.readouterr()
         assert "shooting line search stalled" in captured.err
-        assert "iterations: 8" in captured.out.splitlines()
+        assert f"iterations: {stalled.value.iterations}" in captured.out.splitlines()
 
     def test_legendre_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         from nhoc import cli

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -304,11 +305,14 @@ class TestHamiltonianField:
         assert hs._stacks_at_once and not system.constant_drift
         rng = np.random.default_rng(7)
         x, p = rng.uniform(-0.6, 0.6, (5, 3)), rng.uniform(-1.0, 1.0, (5, 3))
-        gx, gp = hs._compiled.grads(x, p)
+        kernel = hs._compiled
+        zdot = kernel.field(np.concatenate([x, p], axis=1))
+        gx, gp = kernel.grad_x(x, p), kernel.grad_p(x, p)
         for i in range(len(x)):
             ex, ep = hs._point_partials(x[i, :1], x[i, 1:], p[i, :1], p[i, 1:])
             assert gx[i].tobytes() == ex.tobytes()
             assert gp[i].tobytes() == ep.tobytes()
+            assert zdot[i].tobytes() == np.concatenate([ep, -ex]).tobytes()
 
     def test_lagrangian_trajectory_satisfies_hamilton_equations(self, chaplygin_system):
         problem = full_actuation_problem(chaplygin_system)
@@ -359,6 +363,15 @@ class TestIntegrateStep:
         phase = PhasePoint(q=[], y=[5.0, 5.0], p_q=[], p_y=[5.0, 5.0])
         with pytest.raises(FixedPointDivergence):
             integrate_step(hs, phase, 10.0, "stormer_verlet")
+
+    def test_fixed_point_divergence_warns_nothing(self, chaplygin_system):
+        # the overflow of a diverging map is reported as the named error only
+        hs = HamiltonianSystem(full_actuation_problem(chaplygin_system))
+        phase = PhasePoint(q=[], y=[5.0, 5.0], p_q=[], p_y=[5.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FixedPointDivergence):
+                integrate_step(hs, phase, 10.0, "stormer_verlet")
 
 
 class TestKick:
@@ -421,6 +434,70 @@ class TestKick:
                            p_q=np.zeros((3, 0)), p_y=[[0.3, 0.2], [0.3, 0.2], [0.1, 0.0]])
         with pytest.raises(FixedPointDivergence):
             integrate_hamiltonian(hs, stack, dt, dt, scheme)
+
+
+@pytest.mark.parametrize("model", ["sleigh", "double_integrator"])
+class TestHoistedKernel:
+    """The kernel of a chart-independent model without potential and a
+    quadratic cost: each entry is one constant matrix times the monomials
+    of (y, p) of its rows."""
+
+    @pytest.fixture(params=["full", "weighted", "one", "mixing"])
+    def hoisted(self, request, chaplygin_system, model):
+        if model == "sleigh":
+            system = chaplygin_system
+        else:
+            system = build_constrained_system(*make_double_integrator(2))
+        controls, weight = {
+            "full": (ControlDistribution.full(2), np.eye(2)),
+            "weighted": (ControlDistribution.full(2), [[2.0, 0.1], [0.1, 1.5]]),
+            "one": (ControlDistribution.on_indices(2, [1]), [[0.5]]),
+            "mixing": (ControlDistribution(np.array([[1.0, 0.5], [0.2, 1.0]])), np.eye(2)),
+        }[request.param]
+        hs = HamiltonianSystem(OCProblem(system=system, controls=controls,
+                                         cost=quadratic_cost(weight), horizon=1.0))
+        assert system.constant_drift and hs._stacks_at_once
+        rng = np.random.default_rng(5)
+        d = hs.dim_q + hs.rank_d
+        return hs, rng.uniform(-1.5, 1.5, (5, d)), rng.uniform(-2.0, 2.0, (5, d))
+
+    @staticmethod
+    def assert_close(actual, expected):
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert np.abs(actual - expected).max() <= 1e-15 * scale
+
+    def test_entries_match_point_formulas(self, hoisted):
+        hs, x, p = hoisted
+        kernel, n, d = hs._compiled, hs.dim_q, hs.dim_q + hs.rank_d
+        zdot = kernel.field(np.concatenate([x, p], axis=1))
+        gx, gp, kick = kernel.grad_x(x, p), kernel.grad_p(x, p), kernel.kick_matrix(x)
+        for i in range(len(x)):
+            q, y = x[i, :n], x[i, n:]
+            ex, ep = hs._point_partials(q, y, p[i, :n], p[i, n:])
+            self.assert_close(gx[i], ex)
+            self.assert_close(gp[i], ep)
+            self.assert_close(zdot[i], np.concatenate([ep, -ex]))
+            # dH/dx is linear in p: column j of the kick matrix is dH/dx at p = e_j
+            columns = [hs._point_partials(q, y, e[:n], e[n:])[0] for e in np.eye(d)]
+            self.assert_close(kick[i], np.stack(columns, axis=1))
+
+    def test_stack_rows_equal_one_row_calls(self, hoisted):
+        hs, x, p = hoisted
+        kernel = hs._compiled
+        z = np.concatenate([x, p], axis=1)
+        zdot, gx, gp = kernel.field(z), kernel.grad_x(x, p), kernel.grad_p(x, p)
+        kick = kernel.kick_matrix(x)
+        for i in range(len(x)):
+            row = slice(i, i + 1)
+            assert kernel.field(z[row]).tobytes() == zdot[row].tobytes()
+            assert kernel.grad_x(x[row], p[row]).tobytes() == gx[row].tobytes()
+            assert kernel.grad_p(x[row], p[row]).tobytes() == gp[row].tobytes()
+            assert kernel.kick_matrix(x[row]).tobytes() == kick[row].tobytes()
+
+    def test_kick_matrix_maps_momenta_to_dh_dx(self, hoisted):
+        hs, x, p = hoisted
+        kernel = hs._compiled
+        self.assert_close(matvec_rows(kernel.kick_matrix(x), p), kernel.grad_x(x, p))
 
 
 class TestChartKernel:

@@ -395,19 +395,21 @@ class ConstrainedSystem:
     def energy(self, q, y):
         """Restricted kinetic energy plus potential, conserved by the free flow.
 
-        Stacks of rows q (B, dim_q) and y (B, rank_d) give the B energies from
-        one stacked geometry build, each with the floats of its single call.
+        One formula over stacks of rows q (B, dim_q) and y (B, rank_d) from one
+        stacked geometry build; a single call is its one-row case.  Only a
+        model with a potential has it called, once per row.
         """
         y = np.asarray(y, dtype=float)
-        if y.ndim == 2:
-            q = np.asarray(q, dtype=float)
-            if y.shape != (len(q), self.rank_d):
-                raise DimensionMismatch(f"fiber rows must have shape ({len(q)}, {self.rank_d})")
-            metrics = self.geometry_rows(q)["metric_d"]
-            return np.array([0.5 * yk @ gk @ yk + float(self.parent.potential(qk))
-                             for qk, yk, gk in zip(q, y, metrics)])
-        q = self.parent.chart_point(q)
-        return 0.5 * y @ self.metric_d(q) @ y + float(self.parent.potential(q))
+        if y.ndim == 1:
+            return self.energy(self.parent.chart_point(q)[None], y[None])[0]
+        q = np.asarray(q, dtype=float)
+        if y.shape != (len(q), self.rank_d):
+            raise DimensionMismatch(f"fiber rows must have shape ({len(q)}, {self.rank_d})")
+        metrics = self.geometry_rows(q)["metric_d"]
+        energy = 0.5 * (y * numerics.matvec_rows(metrics, y)).sum(axis=1)
+        if self.parent.zero_potential:
+            return energy
+        return energy + np.array([float(self.parent.potential(qk)) for qk in q])
 
 
 def build_constrained_system(model, spec):

@@ -100,13 +100,12 @@ def _extremal(sp, times, phases):
     problem = hs.problem
     n_samples = len(times)
     controls = np.empty((n_samples, problem.controls.k))
-    energies = np.empty(n_samples)
     hamiltonians = np.empty(n_samples)
     for k in range(n_samples):
         phase = hs.unflatten(phases[k])
         controls[k] = _optimal_control(problem, phase.q, phase.y, phase.p_y)
-        energies[k] = problem.system.energy(phase.q, phase.y)
         hamiltonians[k] = hs.value(phase)
+    energies = problem.system.energy(phases[:, :n], phases[:, n:n + m])
     return Trajectory(times=times, qs=phases[:, :n].copy(), ys=phases[:, n:n + m].copy(),
                       controls=controls, p_qs=phases[:, n + m:2 * n + m].copy(),
                       p_ys=phases[:, 2 * n + m:].copy(), energies=energies,

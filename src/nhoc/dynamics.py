@@ -1,7 +1,7 @@
 """Nonholonomic and controlled flows on D, plus an independent d'Alembert oracle.
 
-The free field is compiled per system into a flat kernel on stacked (q, y)
-rows, and ``simulate`` steps it through ``numerics.integrate_fixed_steps``.
+The free field is compiled into one function on flat (q, y) rows, one row
+or a stack, which ``simulate`` steps through ``numerics.integrate_fixed_steps``.
 """
 
 from dataclasses import dataclass
@@ -9,10 +9,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebroid import grad_potential
+from .algebroid import grad_potential, potential_gradients
 from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteState,
                      SingularMetric)
-from .numerics import integrate_fixed_steps, matvec_rows, rk4_step, step_count
+from .numerics import integrate_fixed_steps, matvec_rows, outer_rows, rk4_step, step_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,43 +63,62 @@ def drift_acceleration(system, q, y):
     return acc
 
 
-def _free_kernels(system):
-    """The free field as two flat kernels qdot(q, y) = rho^T y and
-    ydot(q, y) = -drift on (q, y) rows with leading batch axes.
+def _free_field(system):
+    """The free field zdot = (rho_D^T y, -Gamma(y, y) - grad V) on flat (q, y)
+    rows: one row, or a stack whose rows each get the floats of a one-row call.
 
-    On a chart-independent model without potential, Gamma and the anchor
-    are hoisted and all rows are evaluated at once; otherwise each row takes
-    the per-point formulas at its own chart point.
+    With constant drift it is one fixed matrix, blocks rho_D^T and -Gamma
+    reshaped to (m, m^2), times the monomials y and y (x) y.  Otherwise each
+    evaluation takes one stacked geometry build and grad V at its chart points.
     """
+    nq, m = system.dim_q, system.rank_d
     if system.constant_drift:
-        gamma, anchor_t = system.gamma(), system.anchor_d().T
-        return (lambda q, y: matvec_rows(anchor_t, y),
-                lambda q, y: -np.einsum("cab,...a,...b->...c", gamma, y, y))
+        coeffs = np.zeros((nq + m, m + m * m))
+        coeffs[:nq, :m] = system.anchor_d().T
+        coeffs[nq:, m:] = -system.gamma().reshape(m, m * m)
 
-    def rowwise(point):
-        def kernel(q, y):
-            if y.ndim == 1:
-                return point(q, y)
-            return np.stack([kernel(a, b) for a, b in zip(q, y)])
-        return kernel
+        def field(z):
+            if z.ndim == 1:  # the stepped row: same floats, fewer numpy calls
+                y = z[nq:]
+                return coeffs @ np.concatenate([y, (y[:, None] * y).ravel()])
+            y = z[..., nq:]
+            return matvec_rows(coeffs, np.concatenate([y, outer_rows(y, y)], axis=-1))
+        return field
 
-    return (rowwise(lambda q, y: system.anchor_d(q).T @ y),
-            rowwise(lambda q, y: -drift_acceleration(system, q, y)))
+    last = {}  # (geometry, grad V) at the last chart points; semi-implicit Euler reuses them
+
+    def field(z):
+        rows = z.reshape(-1, nq + m)
+        qs, ys = rows[:, :nq], rows[:, nq:]
+        key = len(qs), qs.tobytes()  # with dim_q = 0 every stack has the same bytes
+        if key not in last:
+            geo = system.geometry_rows(qs)
+            last.clear()
+            last[key] = geo, potential_gradients(system, qs, geo)
+        geo, grad_v = last[key]
+        drift = np.einsum("...cab,...a,...b->...c", geo["gamma"], ys, ys) + grad_v
+        return np.concatenate([matvec_rows(geo["anchor_d"].swapaxes(1, 2), ys), -drift],
+                              axis=1).reshape(z.shape)
+    return field
 
 
 def nonholonomic_field(system, s):
     """Right-hand side of the free nonholonomic equations at a state.
 
-    qdot^i = rho^i_A y^A and ydot^C = -Gamma^C_AB y^A y^B - (grad V)^C.
+    qdot^i = rho^i_A y^A and ydot^C = -Gamma^C_AB y^A y^B - (grad V)^C.  Stacks
+    of rows q (B, dim_q) and y (B, rank_d) give rows with single-call floats.
     """
-    qdot, ydot = _free_kernels(system)
-    return qdot(s.q, s.y), ydot(s.q, s.y)
+    zdot = _free_field(system)(np.concatenate([s.q, s.y], axis=-1))
+    return zdot[..., :system.dim_q], zdot[..., system.dim_q:]
 
 
-def _control_vector(controls, u):
+def _control_vector(controls, u, t=None):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (controls.k,):
         raise DimensionMismatch(f"control has shape {u.shape}, expected ({controls.k},)")
+    if not np.isfinite(u).all():
+        when = "" if t is None else f" at t = {t:g}"
+        raise NonFiniteState(f"control {u}{when} is not finite")
     return u
 
 
@@ -145,13 +164,14 @@ def dalembert_oracle_field(model, spec, xi):
 def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
     """Integrate the free or controlled flow with a fixed step.
 
-    ``u`` is a callable t -> control vector (requires ``controls``); without
-    it the free nonholonomic field is integrated.  The field is the system's
-    flat kernel, which takes a leading batch axis of (q, y) rows, stepped by
-    the package's one fixed-step driver.  Returned samples satisfy the
-    admissibility equation qdot = rho_D y by construction, and carry the
-    energy diagnostic ell = (1/2) G^D(y, y) + V(q) per instant.  Raises
-    DimensionMismatch unless dt divides t_final.
+    ``u`` is a callable t -> control vector (requires ``controls`` on D);
+    without it the free nonholonomic field is integrated.  The field is
+    compiled once per call on flat (q, y) rows, controls add (0; B) u(t), and
+    the package's one fixed-step driver steps it.  Returned samples satisfy
+    qdot = rho_D y by construction, and carry the energy diagnostic
+    ell = (1/2) G^D(y, y) + V(q) per instant, from one stacked call.  Raises
+    DimensionMismatch unless dt divides t_final, NonFiniteState for a
+    non-finite control.
     """
     n_steps = step_count(t_final, dt)
     if integrator not in ("rk4", "symp_euler"):
@@ -161,26 +181,25 @@ def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
     nq, ny = system.dim_q, system.rank_d
     if s0.q.shape != (nq,) or s0.y.shape != (ny,):
         raise DimensionMismatch("initial state does not match the system")
-    qdot, ydot = _free_kernels(system)
-
-    def accel(t, q, y):
-        acc = ydot(q, y)
-        return acc if u is None else acc + controls.input_matrix @ _control_vector(controls, u(t))
-
-    def rhs(t, z):
-        q, y = z[:nq], z[nq:]
-        return np.concatenate([qdot(q, y), accel(t, q, y)])
+    if controls is not None and controls.rank_d != ny:
+        raise DimensionMismatch(f"input sections have {controls.rank_d} rows, D has rank {ny}")
+    field = _free_field(system)
+    f = lambda t, z: field(z)
+    if u is not None:
+        block = np.concatenate([np.zeros((nq, controls.k)), controls.input_matrix])
+        f = lambda t, z: field(z) + block @ _control_vector(controls, u(t), t)
 
     def step(t, z):
         if integrator == "rk4":
-            return rk4_step(rhs, t, z, dt)
-        # semi-implicit Euler: fiber velocity first, base point with it
-        q, y = z[:nq], z[nq:]
-        y_next = y + dt * accel(t, q, y)
-        return np.concatenate([q + dt * qdot(q, y_next), y_next])
+            return rk4_step(f, t, z, dt)
+        z = z.copy()  # semi-implicit Euler: y first, then q with the new y
+        z[nq:] += dt * f(t, z)[nq:]
+        if nq:
+            z[:nq] += dt * field(z)[:nq]
+        return z
 
     times, zs = integrate_fixed_steps(step, np.concatenate([s0.q, s0.y]), n_steps, dt)
-    us = None if u is None else np.array([_control_vector(controls, u(t)) for t in times])
+    us = None if u is None else np.array([_control_vector(controls, u(t), t) for t in times])
     energies = system.energy(zs[:, :nq], zs[:, nq:])
     return Trajectory(times=times, qs=zs[:, :nq].copy(), ys=zs[:, nq:].copy(),
                       controls=us, energies=energies)

@@ -1,13 +1,92 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nhoc import (ConstraintSpec, ControlDistribution, StateQY, build_constrained_system,
-                  constant_model, controlled_field, dalembert_oracle_field,
+                  constant_model, controlled_field, dalembert_oracle_field, drift_acceleration,
                   make_chaplygin, make_double_integrator, make_suslov,
                   nonholonomic_field, simulate)
+from nhoc.dynamics import _free_field
 from nhoc.errors import ConstraintViolated, DimensionMismatch, NonFiniteState
+from nhoc.numerics import rk4_step
 
 from conftest import SUSLOV_PARAMS, curved_model
+
+
+def field_systems():
+    """One system per branch and shape of the compiled free field: constant
+    drift with dim_q = 0 (Suslov, the sleigh) and with an anchor (the double
+    integrator), and the chart branch with a model without the constant
+    flags, a constant model with potential and the curved model."""
+    structure = np.array([[[0.0, 0.4], [-0.4, 0.0]], [[0.0, -0.3], [0.3, 0.0]]])
+    with_potential = constant_model(structure, [[2.0, 0.3], [0.3, 1.0]],
+                                    anchor=[[1.0, 0.2], [0.0, 1.0]],
+                                    dim_q=2, potential=lambda q: q[0] ** 2 + 0.5 * q[0] * q[1])
+    suslov, suslov_spec = make_suslov(**SUSLOV_PARAMS)
+    return {
+        "suslov": build_constrained_system(suslov, suslov_spec),
+        # dim_q = 0 through the chart branch: every stack has the same chart bytes
+        "suslov_unflagged": build_constrained_system(
+            replace(suslov, q_independent=False, zero_potential=False), suslov_spec),
+        "sleigh": build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0)),
+        "double_integrator": build_constrained_system(*make_double_integrator(2)),
+        "constant_with_potential": build_constrained_system(
+            with_potential, ConstraintSpec(span_basis=np.eye(2))),
+        "curved": build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2))),
+    }
+
+
+FIELD_SYSTEMS = sorted(field_systems())
+
+
+def random_rows(system, rng, count):
+    return rng.uniform(-1.0, 1.0, (count, system.dim_q + system.rank_d))
+
+
+class TestFreeField:
+    """The compiled field against the per-point formulas rho_D(q)^T y and
+    -drift_acceleration, on every branch."""
+
+    @pytest.mark.parametrize("name", FIELD_SYSTEMS)
+    def test_rows_match_point_formulas(self, name):
+        system = field_systems()[name]
+        n = system.dim_q
+        rows = random_rows(system, np.random.default_rng(11), 5)
+        stacked = _free_field(system)(rows)
+        assert stacked.shape == rows.shape
+        for z, got in zip(rows, stacked):
+            q, y = z[:n], z[n:]
+            expected = np.concatenate([system.anchor_d(q).T @ y,
+                                       -drift_acceleration(system, q, y)])
+            assert np.abs(got - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
+
+    @pytest.mark.parametrize("name", FIELD_SYSTEMS)
+    def test_stack_rows_equal_one_row_calls(self, name):
+        system = field_systems()[name]
+        field = _free_field(system)
+        rows = random_rows(system, np.random.default_rng(12), 4)
+        stacked = field(rows)
+        for z, got in zip(rows, stacked):
+            assert got.tobytes() == field(z).tobytes()
+        # leading batch axes beyond one
+        assert field(rows.reshape(2, 2, -1)).tobytes() == stacked.tobytes()
+
+    def test_chart_field_reuses_geometry_at_repeated_points(self, monkeypatch):
+        system = field_systems()["curved"]
+        reference = _free_field(field_systems()["curved"])
+        builds = []
+        rows = system.geometry_rows
+        monkeypatch.setattr(system, "geometry_rows", lambda qs: builds.append(len(qs)) or rows(qs))
+        field = _free_field(system)
+        z = np.array([0.2, 0.3, -0.1])
+        assert field(z).tobytes() == reference(z).tobytes()
+        # the same chart point with a new velocity, as semi-implicit Euler's
+        # position update takes it: no second build, the same floats
+        moved = z + [0.0, 0.5, 0.25]
+        assert field(moved).tobytes() == reference(moved).tobytes()
+        assert builds == [1]
 
 
 class TestNonholonomicField:
@@ -19,11 +98,13 @@ class TestNonholonomicField:
         _, ydot = nonholonomic_field(suslov_system, StateQY(q=[], y=[1.0, 1.0]))
         assert np.abs(ydot - [-0.15, 0.1]).max() < 1e-14
 
-    def test_stacked_states_equal_single_calls(self, chaplygin_system):
-        # hoisted constant geometry, and the per-point path of a curved model
+    def test_stacked_states_equal_single_calls(self, chaplygin_system, suslov_system):
+        # hoisted constant geometry, with and without an anchor, and the
+        # stacked chart build of a curved model
         curved = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        double_integrator = build_constrained_system(*make_double_integrator(2))
         rng = np.random.default_rng(7)
-        for system in (chaplygin_system, curved):
+        for system in (chaplygin_system, suslov_system, double_integrator, curved):
             qs = rng.uniform(-0.5, 0.5, (4, system.dim_q))
             ys = rng.uniform(-1.0, 1.0, (4, system.rank_d))
             qdot, ydot = nonholonomic_field(system, StateQY(q=qs, y=ys))
@@ -63,6 +144,11 @@ class TestControlledField:
         with pytest.raises(DimensionMismatch):
             controlled_field(suslov_system, ControlDistribution.full(2),
                              StateQY(q=[], y=[1.0, 1.0]), [1.0])
+
+    def test_non_finite_control_rejected(self, suslov_system):
+        with pytest.raises(NonFiniteState, match="control"):
+            controlled_field(suslov_system, ControlDistribution.full(2),
+                             StateQY(q=[], y=[1.0, 1.0]), [np.nan, 0.0])
 
 
 class TestSimulate:
@@ -127,6 +213,51 @@ class TestSimulate:
         traj = simulate(chaplygin_system, StateQY(q=[], y=[0.2, 0.1]), 0.5, 1e-3,
                         controls=controls, u=u)
         assert traj.controls is not None and traj.controls.shape == (501, 2)
+
+    @pytest.mark.parametrize("name", ["double_integrator", "curved"])
+    @pytest.mark.parametrize("integrator", ["rk4", "symp_euler"])
+    def test_controlled_step_is_free_field_plus_input(self, name, integrator):
+        system = field_systems()[name]
+        n = system.dim_q
+        controls = ControlDistribution(input_matrix=[[1.0], [0.5]])
+        u = lambda t: np.array([np.sin(3.0 * t) + 0.4])
+        z0 = np.array([0.2] * n + [0.3, -0.1])
+        dt = 0.05
+
+        def free(z):
+            return np.concatenate(nonholonomic_field(system, StateQY(q=z[:n], y=z[n:])))
+
+        def forced(t, z):
+            return free(z) + np.concatenate([np.zeros(n), controls.input_matrix @ u(t)])
+
+        traj = simulate(system, StateQY(q=z0[:n], y=z0[n:]), 2 * dt, dt, integrator=integrator,
+                        controls=controls, u=u)
+        # the second step, which starts at t = dt
+        z1 = np.concatenate([traj.qs[1], traj.ys[1]])
+        if integrator == "rk4":
+            expected = rk4_step(forced, dt, z1, dt)
+        else:
+            y2 = z1[n:] + dt * forced(dt, z1)[n:]
+            expected = np.concatenate([z1[:n] + dt * free(np.concatenate([z1[:n], y2]))[:n], y2])
+        got = np.concatenate([traj.qs[2], traj.ys[2]])
+        assert np.abs(got - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
+        assert traj.controls[2].tobytes() == u(2 * dt).tobytes()
+
+    def test_controls_must_span_the_rank_of_d(self, suslov_system):
+        # Suslov's D has rank 2; three input sections are rejected before
+        # the first step instead of failing inside it
+        with pytest.raises(DimensionMismatch, match="rank 2"):
+            simulate(suslov_system, StateQY(q=[], y=[1.0, 0.5]), 0.1, 0.01,
+                     controls=ControlDistribution.full(3), u=lambda t: np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_control_named_without_warnings(self, suslov_system, bad):
+        u = lambda t: np.array([bad if t > 0.03 else 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState, match=r"control .* at t = 0\.035"):
+                simulate(suslov_system, StateQY(q=[], y=[1.0, 0.5]), 0.1, 0.01,
+                         controls=ControlDistribution.full(2), u=u)
 
     def test_blow_up_guard(self):
         # quadratic drift with a huge state blows past the 1e12 guard

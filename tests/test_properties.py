@@ -20,9 +20,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from nhoc import (ControlDistribution, ExtremalState, HamiltonianSystem, OCProblem,
-                  PhasePoint, build_constrained_system, integrate_extremal,
-                  integrate_hamiltonian, inverse_legendre, legendre_map,
-                  load_model_config, quadratic_cost)
+                  PhasePoint, StateQY, build_constrained_system, drift_acceleration,
+                  integrate_extremal, integrate_hamiltonian, inverse_legendre, legendre_map,
+                  load_model_config, nonholonomic_field, quadratic_cost)
 from nhoc.checks import run_all
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=25)
@@ -110,3 +110,19 @@ def test_symplectic_stack_rows_equal_single_calls(drawn, seed, scheme):
     for i, row in enumerate(stack.flat()):
         _, single = integrate_hamiltonian(hs, hs.unflatten(row), 0.1, 1e-2, scheme)
         assert phases[:, i].tobytes() == single.tobytes()
+
+
+@EXAMPLES
+@given(actuated_models(), st.integers(0, 2 ** 32 - 1))
+def test_free_field_and_energy_stacks_equal_single_calls(drawn, seed):
+    # the compiled free field and the energy are one formula over rows
+    system = drawn[2].system
+    rng = np.random.default_rng(seed)
+    qs, ys = np.zeros((4, 0)), rng.uniform(-1, 1, (4, system.rank_d))
+    _, ydot = nonholonomic_field(system, StateQY(q=qs, y=ys))
+    energies = system.energy(qs, ys)
+    for q, y, row, energy in zip(qs, ys, ydot, energies):
+        assert row.tobytes() == nonholonomic_field(system, StateQY(q=q, y=y))[1].tobytes()
+        expected = -drift_acceleration(system, q, y)
+        assert np.abs(row - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
+        assert energy.tobytes() == np.float64(system.energy(q, y)).tobytes()

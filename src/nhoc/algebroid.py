@@ -60,7 +60,10 @@ class AlgebroidModel:
     imaginary part (returns a real array, raises TypeError, casts complex to
     real, or drops it in some entries only) it is differentiated by central
     finite differences, about 1e-10 accurate.
-    Every callable is called with one chart point at a time.
+    Every callable is called with one chart point at a time: per point, the
+    geometry and grad V call the metric 1 + dim_q + 2 times, the potential
+    dim_q + 2 times, and the structure and the anchor once, and invert G^D
+    once; that checked inverse serves the projection, Koszul solve and grad V.
     """
 
     dim_q: int
@@ -187,13 +190,14 @@ class OrthogonalSplitting:
     ``coeff_map @ v`` gives the adapted-basis coefficients of the projection
     of v onto D, orthogonal for the bundle ``metric`` at the point.  The
     projectors and the D-perp basis are derived on access; no flow reads them.
-    Inside a stacked geometry build ``metric`` and ``coeff_map`` carry a
-    leading axis, one entry per chart point.
+    Inside a stacked geometry build ``metric`` carries a leading axis, one
+    entry per chart point, and ``coeff_map`` is None: the build takes the map
+    from the checked inverse of G^D that ``restrict_metric`` returns.
     """
 
     d_basis: np.ndarray
     metric: np.ndarray
-    coeff_map: np.ndarray
+    coeff_map: Optional[np.ndarray]
 
     @property
     def rank_d(self):
@@ -215,20 +219,7 @@ class OrthogonalSplitting:
 def _at_points(f, qs):
     """Stack of f(q) over the rows of qs: model callables see one chart point
     at a time."""
-    return np.stack([np.asarray(f(q), dtype=float) for q in qs])
-
-
-def _split(d, g):
-    """Splitting for the adapted basis d and the bundle metric g, one matrix
-    or a stack of them (leading axis), each checked positive-definite."""
-    if not numerics.symmetric_positive_definite(g):
-        raise SingularMetric("bundle metric is not symmetric positive-definite at q")
-    dg = d @ g
-    try:
-        coeff = np.linalg.solve(dg @ d.T, dg)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric("restricted metric Gram matrix is singular") from exc
-    return OrthogonalSplitting(d_basis=d, metric=g, coeff_map=coeff)
+    return np.array([f(q) for q in qs], dtype=float)
 
 
 def build_splitting(model, spec, q=None):
@@ -239,15 +230,22 @@ def build_splitting(model, spec, q=None):
     if d.shape[1] != model.rank_e:
         raise DimensionMismatch(
             f"constraint is on a rank-{d.shape[1]} bundle, model has rank {model.rank_e}")
-    return _split(d, np.asarray(model.metric(q), dtype=float))
+    g = np.asarray(model.metric(q), dtype=float)
+    if not numerics.symmetric_positive_definite(g):
+        raise SingularMetric("bundle metric is not symmetric positive-definite at q")
+    dg = d @ g
+    try:
+        coeff = np.linalg.solve(dg @ d.T, dg)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric("restricted metric Gram matrix is singular") from exc
+    return OrthogonalSplitting(d_basis=d, metric=g, coeff_map=coeff)
 
 
-def _bracket(c, splitting):
-    """Projected structure functions for the E-frame structure functions c,
-    one point or a stack matching the splitting's."""
-    d = splitting.d_basis
-    bracket = np.einsum("...cAB,aA,bB->...cab", c, d, d)
-    s = np.einsum("...cE,...Eab->...cab", splitting.coeff_map, bracket)
+def _bracket(c, coeff_map, kron_dd):
+    """Projected structure functions for the E-frame structure functions c
+    and the splitting's coefficient map, one point or a stack (leading axis)."""
+    r = coeff_map.shape[-2]
+    s = (coeff_map @ (c.reshape(c.shape[:-2] + (-1,)) @ kron_dd)).reshape(c.shape[:-3] + (r, r, r))
     return 0.5 * (s - s.swapaxes(-1, -2))
 
 
@@ -258,14 +256,18 @@ def project_bracket(model, splitting, q=None):
     bracket of frame sections carries no anchor-derivative terms.
     """
     q = model.chart_point(q)
-    return _bracket(np.asarray(model.structure(q), dtype=float), splitting)
+    d = splitting.d_basis
+    return _bracket(np.asarray(model.structure(q), dtype=float), splitting.coeff_map,
+                    np.kron(d, d).T)
 
 
 def restrict_metric(splitting):
     """Restricted metric G^D and its inverse in the adapted basis.
 
     A splitting on a stack of chart points (metric of shape (B, r, r)) gives
-    stacks; every inverse is checked to a residual of 1e-12.
+    stacks; every inverse is checked to a residual of 1e-12.  A geometry
+    build inverts G^D here once per chart point, and that inverse serves the
+    coefficient map of the splitting, the Koszul solve and grad V.
     """
     d = splitting.d_basis
     gd = d @ splitting.metric @ d.T
@@ -280,26 +282,28 @@ def restrict_metric(splitting):
     return gd, gd_inv
 
 
-def _restrict_dq(dg, d):
-    """Chart derivatives of the restricted metric from those of the bundle
-    metric (chart index first, after any stack axis)."""
-    return np.einsum("...iAB,aA,bB->...iab", dg, d, d)
-
-
-def _chart_geometry(model, d, qs):
+def _chart_geometry(system, qs):
     """Projected data at every row of the chart-point stack qs (B, dim_q) in
-    one pass: each model callable is called once per point, and every
-    numeric step runs once on the stack.  Each array has a leading axis B."""
-    split = _split(d, _at_points(model.metric, qs))
-    gd, gd_inv = restrict_metric(split)
-    geo = {
-        "structure_d": _bracket(_at_points(model.structure, qs), split),
-        "anchor_d": d @ _at_points(model.anchor, qs),
-        "metric_d": gd,
-        "metric_d_inv": gd_inv,
-    }
-    geo["gamma"] = _koszul_gamma(model, d, qs, geo)
-    return geo
+    one flat pass, each step one product over the stack; each array has a
+    leading axis B."""
+    model, d, kron_dd = system.parent, system.splitting.d_basis, system._kron_dd
+    b, r = len(qs), len(d)
+    g = _at_points(model.metric, qs)
+    if not numerics.symmetric_positive_definite(g):
+        raise SingularMetric("bundle metric is not symmetric positive-definite at q")
+    gd, gd_inv = restrict_metric(OrthogonalSplitting(d_basis=d, metric=g, coeff_map=None))
+    cd = _bracket(_at_points(model.structure, qs), gd_inv @ (d @ g), kron_dd)
+    rho = d @ _at_points(model.anchor, qs)
+    # Koszul: 2 G^D Gamma[c, a, b] = T[a, c, b] + T[b, c, a] - T[c, b, a] with
+    # T = G^D c_D, plus U[a, b, c] + U[b, a, c] - U[c, a, b] with U = rho dG^D
+    t = (gd @ cd.reshape(b, r, r * r)).reshape(b, r, r, r)
+    rhs = t.transpose(0, 2, 1, 3) + t.transpose(0, 2, 3, 1) - t.swapaxes(2, 3)
+    if model.dim_q > 0 and not model.q_independent:
+        u = (rho @ (model.metric_dq(qs).reshape(b, model.dim_q, -1) @ kron_dd)).reshape(b, r, r, r)
+        rhs += u.transpose(0, 3, 1, 2) + u.transpose(0, 3, 2, 1) - u
+    gamma = 0.5 * (gd_inv @ rhs.reshape(b, r, r * r)).reshape(b, r, r, r)
+    return {"structure_d": cd, "anchor_d": rho, "metric_d": gd, "metric_d_inv": gd_inv,
+            "gamma": gamma}
 
 
 class ConstrainedSystem:
@@ -317,6 +321,10 @@ class ConstrainedSystem:
         self.spec = spec
         self.splitting = build_splitting(model, spec)
         self.rank_d = self.splitting.rank_d
+        d = self.splitting.d_basis
+        # one product with kron(d, d)^T takes a flattened (rank_e, rank_e)
+        # block a to the flattened d a d^T
+        self._kron_dd = np.kron(d, d).T
         self.dim_q = model.dim_q
         self._cache = {}
 
@@ -337,7 +345,7 @@ class ConstrainedSystem:
         if self.parent.q_independent:
             return {k: np.broadcast_to(v, (len(qs),) + v.shape)
                     for k, v in self.geometry(None).items()}
-        return _chart_geometry(self.parent, self.splitting.d_basis, qs)
+        return _chart_geometry(self, qs)
 
     def geometry(self, q):
         """Projected data at q, cached complete and never changed after:
@@ -348,7 +356,7 @@ class ConstrainedSystem:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        stack = _chart_geometry(self.parent, self.splitting.d_basis, q[None])
+        stack = _chart_geometry(self, q[None])
         geo = {k: v[0] for k, v in stack.items()}
         if len(self._cache) > 64:
             self._cache.pop(next(iter(self._cache)))
@@ -369,7 +377,7 @@ class ConstrainedSystem:
 
     def gamma(self, q=None):
         """Christoffel symbols of the restricted metric at q, from the full
-        Koszul formula (linear solve in G^D).
+        Koszul formula (solved with the checked inverse of G^D).
 
         ``gamma[c, a, b]`` solves the Koszul relation for nabla_{e_a} e_b
         along e_c; torsion identity: gamma[:, a, b] - gamma[:, b, a] =
@@ -384,7 +392,7 @@ class ConstrainedSystem:
     def metric_d_dq(self, q=None):
         """Stacked chart derivatives of the restricted metric."""
         q = self.parent.chart_point(q)
-        return _restrict_dq(self.parent.metric_dq(q), self.splitting.d_basis)
+        return np.einsum("iAB,aA,bB->iab", self.parent.metric_dq(q), *[self.splitting.d_basis] * 2)
 
     def anchor_d_dq(self, q=None):
         """Stacked chart derivatives of the restricted anchor; a stack of
@@ -405,11 +413,14 @@ class ConstrainedSystem:
         q = np.asarray(q, dtype=float)
         if y.shape != (len(q), self.rank_d):
             raise DimensionMismatch(f"fiber rows must have shape ({len(q)}, {self.rank_d})")
-        metrics = self.geometry_rows(q)["metric_d"]
-        energy = 0.5 * (y * numerics.matvec_rows(metrics, y)).sum(axis=1)
+        return self._energies(q, y, self.geometry_rows(q))
+
+    def _energies(self, qs, ys, geo):
+        """Energies at the rows of qs and ys from their stacked record ``geo``."""
+        energy = 0.5 * (ys * numerics.matvec_rows(geo["metric_d"], ys)).sum(axis=1)
         if self.parent.zero_potential:
             return energy
-        return energy + np.array([float(self.parent.potential(qk)) for qk in q])
+        return energy + np.array([float(self.parent.potential(q)) for q in qs])
 
 
 def build_constrained_system(model, spec):
@@ -417,45 +428,17 @@ def build_constrained_system(model, spec):
     return ConstrainedSystem(model, spec)
 
 
-def _koszul_gamma(model, d, qs, geo):
-    """Christoffel symbols at each row of the chart-point stack qs from the
-    stacked record ``geo`` (the solve of ``ConstrainedSystem.gamma``)."""
-    gd = geo["metric_d"]
-    cd = geo["structure_d"]
-    rhs = (np.einsum("...am,...mcb->...cab", gd, cd)
-           + np.einsum("...bm,...mca->...cab", gd, cd)
-           - np.einsum("...cm,...mba->...cab", gd, cd))
-    if model.dim_q > 0 and not model.q_independent:
-        dgd = _restrict_dq(model.metric_dq(qs), d)
-        rho = geo["anchor_d"]
-        rhs = rhs + (np.einsum("...ai,...ibc->...cab", rho, dgd)
-                     + np.einsum("...bi,...iac->...cab", rho, dgd)
-                     - np.einsum("...ci,...iab->...cab", rho, dgd))
-    try:
-        return 0.5 * np.linalg.solve(gd, rhs.reshape(rhs.shape[:-2] + (-1,))).reshape(rhs.shape)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric("restricted metric is singular in the Koszul solve") from exc
-
-
 def potential_gradients(system, qs, geo):
     """Metric gradient of the potential at every row of the chart-point stack
     qs, from the stacked record ``geo`` there (``ConstrainedSystem.geometry_rows``)."""
     if system.dim_q == 0 or system.parent.zero_potential:
         return np.zeros((len(qs), system.rank_d))
-    dv = system.parent.potential_dq(qs)
-    rhs = numerics.matvec_rows(geo["anchor_d"], dv)
-    try:
-        grad = np.linalg.solve(geo["metric_d"], rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric("restricted metric is singular in grad_potential") from exc
-    # exact zeros where dV vanishes, as without the solve
-    return np.where(dv.any(axis=-1)[:, None], grad, 0.0)
+    rhs = numerics.matvec_rows(geo["anchor_d"], system.parent.potential_dq(qs))
+    return numerics.matvec_rows(geo["metric_d_inv"], rhs)
 
 
 def grad_potential(system, q=None):
     """Metric gradient of the potential on D: (G^D)^{CB} rho^i_B dV/dq^i."""
     q = system.parent.chart_point(q)
-    if system.dim_q == 0 or system.parent.zero_potential:
-        return np.zeros(system.rank_d)
     geo = system.geometry(q)
     return potential_gradients(system, q[None], {k: v[None] for k, v in geo.items()})[0]

@@ -8,8 +8,7 @@ from .dynamics import Trajectory
 from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
                      NonFiniteState, SingularJacobian, SingularMetric)
 # inverse_legendre is not called here; perfbench/tracing.py patches it under this name
-from .hamiltonian import (PhasePoint, _optimal_control, inverse_legendre,  # noqa: F401
-                          integrate_hamiltonian)
+from .hamiltonian import PhasePoint, inverse_legendre, integrate_hamiltonian  # noqa: F401
 from .numerics import fd_jacobian, step_count
 
 
@@ -94,22 +93,15 @@ def shooting_residual(sp, p0):
 
 
 def _extremal(sp, times, phases):
-    """Trajectory of integrated phase samples with controls and diagnostics."""
+    """Trajectory of integrated phase samples with controls and diagnostics:
+    H and the energies come from one stacked geometry build of the samples."""
     hs = sp.hs
-    n, m = hs.dim_q, hs.rank_d
-    problem = hs.problem
-    n_samples = len(times)
-    controls = np.empty((n_samples, problem.controls.k))
-    hamiltonians = np.empty(n_samples)
-    for k in range(n_samples):
-        phase = hs.unflatten(phases[k])
-        controls[k] = _optimal_control(problem, phase.q, phase.y, phase.p_y)
-        hamiltonians[k] = hs.value(phase)
-    energies = problem.system.energy(phases[:, :n], phases[:, n:n + m])
-    return Trajectory(times=times, qs=phases[:, :n].copy(), ys=phases[:, n:n + m].copy(),
-                      controls=controls, p_qs=phases[:, n + m:2 * n + m].copy(),
-                      p_ys=phases[:, 2 * n + m:].copy(), energies=energies,
-                      hamiltonians=hamiltonians)
+    ph = hs.unflatten(phases)
+    geo = hs.system.geometry_rows(ph.q)
+    controls, hamiltonians = hs._controls_and_values(phases, geo)
+    return Trajectory(times=times, qs=ph.q.copy(), ys=ph.y.copy(), controls=controls,
+                      p_qs=ph.p_q.copy(), p_ys=ph.p_y.copy(),
+                      energies=hs.system._energies(ph.q, ph.y, geo), hamiltonians=hamiltonians)
 
 
 def extremal_trajectory(sp, p0):

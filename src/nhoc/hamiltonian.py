@@ -32,6 +32,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .algebroid import potential_gradients
 from .dynamics import drift_acceleration
 from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
                      SingularHessian)
@@ -246,11 +247,27 @@ class HamiltonianSystem:
         self._kernel = None
 
     def value(self, phase):
-        q, y, p_q, p_y = phase.q, phase.y, phase.p_q, phase.p_y
-        u = _optimal_control(self.problem, q, y, p_y)
-        ydot = _actuation(self.problem, u) - drift_acceleration(self.system, q, y)
-        return float(p_y @ ydot + p_q @ (self.system.anchor_d(q).T @ y)
-                     - self.problem.cost.value(q, y, u))
+        """H at one phase point, by the stacked formula of extremal samples."""
+        z = phase.flat()[None]
+        geo = self.system.geometry_rows(z[:, :self.dim_q])
+        return float(self._controls_and_values(z, geo)[1][0])
+
+    def _controls_and_values(self, z, geo):
+        """Optimal controls (B, k) and H (B,) at the flat phase rows z, given
+        the stacked geometry record ``geo`` at their chart points: one
+        Legendre inversion per row, every other term one product over the
+        stack."""
+        problem, system, ctrl = self.problem, self.system, self.problem.controls
+        n, m = self.dim_q, self.rank_d
+        q, y, p_q, p_y = z[:, :n], z[:, n:n + m], z[:, n + m:2 * n + m], z[:, 2 * n + m:]
+        u = np.array([_optimal_control(problem, *row) for row in zip(q, y, p_y)])
+        drift = (np.einsum("...cab,...a,...b->...c", geo["gamma"], y, y)
+                 + potential_gradients(system, q, geo))
+        ydot = (u if ctrl._identity else matvec_rows(ctrl.input_matrix, u)) - drift
+        qdot = matvec_rows(geo["anchor_d"].swapaxes(1, 2), y)
+        cost = np.array([problem.cost.value(*row) for row in zip(q, y, u)])
+        # row dot products as (1, m) @ (m, 1): the floats of p_y @ ydot at one point
+        return u, (matvec_rows(p_y[:, None], ydot) + matvec_rows(p_q[:, None], qdot))[:, 0] - cost
 
     def _point_partials(self, q, y, p_q, p_y):
         """(dH/dx, dH/dp) at one phase point."""

@@ -8,6 +8,7 @@ callables without analytic partials), or finite differences through
 ``central_stencil`` and ``central_differences``.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -36,36 +37,32 @@ def fd_partials(f, q, step=FD_STEP):
 
     Returns an array of shape (len(q),) + f(q).shape; entry [i] is the partial
     derivative with respect to q^i.  For an empty chart the result is empty.
+    ``q`` may be a stack of chart points (B, n), giving a leading axis B: all
+    2 n B points are evaluated in one pass, and each point gets the floats
+    of its own call.
     """
     q = np.asarray(q, dtype=float)
-    if q.size == 0:
-        return np.zeros((0,) + np.shape(f(q)))
-    out = []
-    for i in range(q.size):
-        dq = np.zeros_like(q)
-        dq[i] = step
-        out.append((np.asarray(f(q + dq), dtype=float)
-                    - np.asarray(f(q - dq), dtype=float)) / (2.0 * step))
-    return np.stack(out)
+    points = np.atleast_2d(q)
+    k, n = points.shape
+    if n == 0:
+        return np.zeros(q.shape + np.shape(f(points[0])))
+    steps = step * np.eye(n)
+    shifted = np.concatenate([points[:, None] + steps, points[:, None] - steps], axis=1)
+    values = np.array([f(x) for x in shifted.reshape(-1, n)], dtype=float)
+    values = values.reshape((k, 2, n) + values.shape[1:])
+    out = (values[:, 0] - values[:, 1]) / (2.0 * step)
+    return out[0] if q.ndim == 1 else out
 
 
-def _complex_step(f, q):
-    """Im f(q + i h e_i) / h for each i, or None when f drops the imaginary
-    part.  Runs where ComplexWarning is an error."""
-    out = None
-    try:
-        for i in range(q.size):
-            qc = q.astype(complex)
-            qc[i] += COMPLEX_STEP * 1j
-            value = np.asarray(f(qc))
-            if not np.iscomplexobj(value):
-                return None
-            if out is None:
-                out = np.empty((q.size,) + value.shape)
-            out[i] = value.imag
-    except (TypeError, ComplexWarning):
-        return None
-    return None if out is None else out / COMPLEX_STEP
+@functools.lru_cache
+def _steps(n):
+    """The imaginary steps i h e_j (n, n) of an n-dimensional chart, the
+    direction v of the check and its real steps +-FD_STEP v (2, n); read-only."""
+    v = np.sqrt(np.arange(1.0, n + 1))
+    steps = (COMPLEX_STEP * 1j) * np.eye(n), v, FD_STEP * np.array([v, -v])
+    for a in steps:
+        a.setflags(write=False)
+    return steps
 
 
 def _drops_in_part(f, points, partials):
@@ -74,14 +71,14 @@ def _drops_in_part(f, points, partials):
     of the values' scale: an entry that dropped the imaginary part (abs,
     real, a norm, ...) reads a wrong partial without any error."""
     k, n = points.shape
-    v = np.sqrt(np.arange(1.0, n + 1))
-    dv = FD_STEP * v
-    values = np.array([[f(point + dv), f(point - dv)] for point in points], dtype=float)
-    fd = ((values[:, 0] - values[:, 1]) / (2.0 * FD_STEP)).reshape(k, -1)
-    along = (v @ partials.reshape(k, n, -1)).reshape(k, -1)
-    scale = np.abs(np.concatenate([values.reshape(k, -1), along], axis=1)).max(axis=1,
-                                                                               initial=1.0)
-    return np.abs(along - fd).max(axis=1, initial=0.0) > CS_CHECK_TOL * scale
+    _, v, dv = _steps(n)
+    values = np.array([f(x) for x in (points[:, None] + dv).reshape(-1, n)],
+                      dtype=float).reshape(k, 2, -1)
+    along = v @ partials.reshape(k, n, -1)
+    gap = np.abs(along - (values[:, 0] - values[:, 1]) / (2.0 * FD_STEP))
+    scale = np.abs(np.concatenate([values.reshape(k, -1), along], axis=1))
+    return (np.maximum.reduce(gap, axis=1, initial=0.0)
+            > CS_CHECK_TOL * np.maximum.reduce(scale, axis=1, initial=1.0))
 
 
 def complex_step_partials(f, q):
@@ -91,36 +88,50 @@ def complex_step_partials(f, q):
     Entry [i] is Im f(q + i h e_i) / h with h = ``COMPLEX_STEP``: exact to
     rounding for a real-analytic f, one call of f per chart direction.  Two
     more calls check the partials along one direction against its central
-    difference.  At a point where f drops the imaginary part (it returns a
-    real array, raises TypeError, casts complex to real with numpy's
-    ComplexWarning, or drops it in some entries only, so that the check
-    fails by more than ``CS_CHECK_TOL`` of the values' scale) the partials
-    are central differences (``fd_partials``) instead.  ``q`` may be a stack
-    of chart points (B, n), giving a leading axis B.
+    difference, so f is called dim_q + 2 times per point.  At a point where
+    f drops the imaginary part (it returns a real array, raises TypeError,
+    casts complex to real with numpy's ComplexWarning, or drops it in some
+    entries only, so that the check fails by more than ``CS_CHECK_TOL`` of
+    the values' scale) the partials are central differences
+    (``fd_partials``) instead.  ``q`` may be a stack of chart points (B, n),
+    giving a leading axis B: every point and direction is evaluated in one
+    pass.  Each point gets the verdict and the floats of its own call; a
+    stack whose points get different verdicts is evaluated again point by
+    point.
     """
     q = np.asarray(q, dtype=float)
-    points = q.reshape(-1, q.shape[-1])
+    points = np.atleast_2d(q)
+    k, n = points.shape
+    values = []  # None where f drops the imaginary part
     with warnings.catch_warnings():
         warnings.simplefilter("error", ComplexWarning)
-        out = [_complex_step(f, point) for point in points]
-    kept = [i for i, d in enumerate(out) if d is not None]
-    if kept:
-        for i, dropped in zip(kept, _drops_in_part(f, points[kept],
-                                                   np.stack([out[i] for i in kept]))):
-            if dropped:
-                out[i] = None
-    out = [fd_partials(f, point) if d is None else d for d, point in zip(out, points)]
-    return out[0] if q.ndim == 1 else np.stack(out)
+        for z in (points[:, None] + _steps(n)[0]).reshape(-1, n):
+            try:
+                value = f(z)
+            except (TypeError, ComplexWarning):
+                value = None
+            values.append(value if np.iscomplexobj(value) else None)
+    kept = [n > 0 and all(v is not None for v in values[j * n:(j + 1) * n]) for j in range(k)]
+    if all(kept):
+        out = np.array(values)
+        out = (out.imag / COMPLEX_STEP).reshape((k, n) + out.shape[1:])
+        kept = ~_drops_in_part(f, points, out)
+        if kept.all():
+            return out[0] if q.ndim == 1 else out
+    if not any(kept):
+        return fd_partials(f, q)
+    return np.stack([complex_step_partials(f, point) for point in points])
 
 
 def fd_jacobian(f, x, step=FD_STEP, f0=None):
     """Finite-difference Jacobian of a vector map; columns are partials.
 
-    Central differences by default, two evaluations of ``f`` per column.
-    Given ``f0 = f(x)``, forward differences that reuse it: ``f`` is then
-    called once, on the stack of points x + step e_i (shape (len(x), len(x))),
-    and must return one row per point, so a batched map such as the shooting
-    residual integrates all columns as one flow.
+    Central differences (``fd_partials``) by default, two evaluations of
+    ``f`` per column.  Given ``f0 = f(x)``, forward differences that reuse
+    it: ``f`` is then called once, on the stack of points x + step e_i
+    (shape (len(x), len(x))), and must return one row per point, so a
+    batched map such as the shooting residual integrates all columns as one
+    flow.
     """
     x = np.asarray(x, dtype=float)
     if f0 is not None:
@@ -129,12 +140,8 @@ def fd_jacobian(f, x, step=FD_STEP, f0=None):
             return np.zeros((f0.size, 0))
         rows = np.asarray(f(x + step * np.eye(x.size)), dtype=float)
         return ((rows - f0) / step).T
-    cols = []
-    for i in range(x.size):
-        dx = np.zeros_like(x)
-        dx[i] = step
-        cols.append((np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2.0 * step))
-    return np.column_stack(cols) if cols else np.zeros((np.size(f(x)), 0))
+    # C order, as a product's floats depend on layout
+    return np.ascontiguousarray(fd_partials(f, x, step).T)
 
 
 def central_stencil(x):

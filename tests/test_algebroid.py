@@ -1,12 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
-from nhoc import (ConstraintSpec, ModelPartials, OrthogonalSplitting, StateQY, algebroid,
-                  build_constrained_system, build_splitting, constant_model, grad_potential,
-                  make_chaplygin, make_suslov, numerics, project_bracket, restrict_metric,
-                  simulate)
+from nhoc import (AlgebroidModel, ConstraintSpec, ModelPartials, OrthogonalSplitting, StateQY,
+                  algebroid, build_constrained_system, build_splitting, constant_model,
+                  grad_potential, make_chaplygin, make_suslov, numerics, project_bracket,
+                  restrict_metric, simulate)
 from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
 from nhoc.dynamics import drift_acceleration
 from nhoc.optimal_control import drift_jacobians
@@ -401,6 +403,61 @@ class TestStackedGeometry:
             system.energy(np.zeros((3, 1)), np.zeros((2, 2)))
 
 
+def rank3_chart_model():
+    """dim_q = 2, rank-3 model without partials: chart-dependent structure
+    functions, anchor, non-diagonal metric and potential, all holomorphic."""
+
+    def structure(q):
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2], c[1, 0, 2], c[2, 0, 1] = np.sin(q[0]), q[0] * q[1], 0.3 + np.cos(q[1])
+        return c - c.swapaxes(1, 2)
+
+    def metric(q):
+        return np.array([[2.0 + q[0] ** 2, 0.3 * np.sin(q[1]), 0.1],
+                         [0.3 * np.sin(q[1]), 1.5 + np.cos(q[0]) ** 2, 0.2 * q[0]],
+                         [0.1, 0.2 * q[0], 3.0 + q[1] ** 2]])
+
+    def anchor(q):
+        return np.array([[1.0, 0.2 * q[1]], [np.sin(q[0]), 0.5], [0.3, 1.0 + q[0] ** 2]])
+
+    return AlgebroidModel(dim_q=2, rank_e=3, structure=structure, anchor=anchor, metric=metric,
+                          potential=lambda q: 0.25 * q[0] ** 2 + np.cos(q[1]))
+
+
+class TestFlatKoszul:
+    """The stacked build against the einsum Koszul formula written out here.
+    A drift contracts Gamma with the symmetric y (x) y, so flow tests cannot
+    see a permutation of Gamma's lower indices; this test and the torsion
+    identity can."""
+
+    def test_gamma_matches_the_einsum_koszul_formula(self):
+        model = rank3_chart_model()
+        spec = ConstraintSpec(annihilator=[[0.3, -1.0, 0.5]])
+        system = build_constrained_system(model, spec)
+        qs = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 2))
+        geo = system.geometry_rows(qs)
+        d = spec.d_basis()
+        r = len(d)
+        for k, q in enumerate(qs):
+            g = model.metric(q)
+            gd = d @ g @ d.T
+            s = np.einsum("cE,EAB,aA,bB->cab", np.linalg.solve(gd, d @ g),
+                          model.structure(q), d, d)
+            cd = 0.5 * (s - s.swapaxes(1, 2))
+            rho = d @ model.anchor(q)
+            dgd = np.einsum("iAB,aA,bB->iab", model.metric_dq(q), d, d)
+            rhs = (np.einsum("am,mcb->cab", gd, cd) + np.einsum("bm,mca->cab", gd, cd)
+                   - np.einsum("cm,mba->cab", gd, cd) + np.einsum("ai,ibc->cab", rho, dgd)
+                   + np.einsum("bi,iac->cab", rho, dgd) - np.einsum("ci,iab->cab", rho, dgd))
+            gamma = 0.5 * np.linalg.solve(gd, rhs.reshape(r, r * r)).reshape(r, r, r)
+            assert np.abs(gamma).max() > 0.5 and np.abs(gamma - gamma.swapaxes(1, 2)).max() > 0.5
+            for name, expected in (("gamma", gamma), ("structure_d", cd), ("metric_d", gd)):
+                gap = np.abs(geo[name][k] - expected) / np.maximum(1.0, np.abs(expected))
+                assert gap.max() < 1e-14, name
+            torsion = geo["gamma"][k] - geo["gamma"][k].swapaxes(1, 2) - geo["structure_d"][k]
+            assert np.abs(torsion).max() < 1e-14
+
+
 class TestDefaultPartials:
     """Without analytic partials the model callables are differentiated by
     the complex step, exact to rounding."""
@@ -414,6 +471,24 @@ class TestDefaultPartials:
             assert np.abs(default.potential_dq(q) - analytic.potential_dq(q)).max() < 1e-15
             # the constant anchor is a real array: central differences, all zero
             assert not default.anchor_dq(q).any()
+
+    @pytest.mark.parametrize("make", [curved_model, rank3_chart_model])
+    def test_each_callable_called_once_per_use_per_point(self, make):
+        # geometry and grad V per chart point: the metric once for its value,
+        # dim_q times for its complex-step partials and twice for their check;
+        # the potential dim_q + 2 times for its partials; the rest once
+        counts = Counter()
+        base = replace(make(), partials=ModelPartials())
+        names = ("structure", "anchor", "metric", "potential")
+        model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
+                                 counts.update([name]) or f(q) for name in names})
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(model.rank_e)))
+        qs = np.random.default_rng(2).uniform(-0.8, 0.8, (3, model.dim_q))
+        counts.clear()
+        algebroid.potential_gradients(system, qs, system.geometry_rows(qs))
+        n = model.dim_q
+        assert counts == {"metric": 3 * (1 + n + 2), "potential": 3 * (n + 2),
+                          "structure": 3, "anchor": 3}
 
     def test_metric_with_an_abs_entry(self):
         # the metric stays complex, but its first entry drops the imaginary

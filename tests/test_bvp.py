@@ -9,6 +9,7 @@ from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
                   extremal_trajectory, make_chaplygin, quadratic_cost, regularity_matrix,
                   shooting_residual, simulate, solve_bvp)
 from nhoc import bvp
+from nhoc.dynamics import drift_acceleration
 from nhoc.errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
                          NewtonDivergence, NonFiniteState, SingularMetric)
 
@@ -286,6 +287,29 @@ class TestChartDerivatives:
         assert result.iterations == 4
         assert result.residual_norm < 1e-10
         assert np.abs(result.p0 - [-2.5227, -1.4226, -0.6748]).max() < 1e-4
+
+
+class TestExtremalDiagnostics:
+    @pytest.mark.parametrize("cost", [quadratic_cost(np.diag([1.0, 2.0])), quartic_cost()])
+    def test_stacked_samples_equal_the_per_point_formulas(self, cost):
+        # one stacked geometry build gives H and the energies of all samples
+        model = replace(curved_model(), partials=ModelPartials())
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        problem = OCProblem(system=system, controls=ControlDistribution([[1.0, 0.5], [0.0, 1.0]]),
+                            cost=cost, horizon=0.2, q0=[0.1], y0=[0.3, -0.2], qT=[0.2],
+                            yT=[0.0, 0.0])
+        sp = shooting_for(problem, dt=0.05)
+        traj = extremal_trajectory(sp, [0.5, -0.4, 0.3])
+        for k in range(len(traj)):
+            q, y, p_q, p_y = traj.qs[k], traj.ys[k], traj.p_qs[k], traj.p_ys[k]
+            phase = PhasePoint(q=q, y=y, p_q=p_q, p_y=p_y)
+            assert np.float64(sp.hs.value(phase)).tobytes() == traj.hamiltonians[k].tobytes()
+            assert np.float64(system.energy(q, y)).tobytes() == traj.energies[k].tobytes()
+            u = traj.controls[k]
+            assert np.abs(cost.du(q, y, u) - problem.controls.input_matrix.T @ p_y).max() < 1e-12
+            h = (p_y @ (problem.controls.input_matrix @ u - drift_acceleration(system, q, y))
+                 + p_q @ (system.anchor_d(q).T @ y) - cost.value(q, y, u))
+            assert abs(traj.hamiltonians[k] - h) <= 1e-14 * max(1.0, abs(h))
 
 
 class TestSolveBVP:

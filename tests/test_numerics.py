@@ -106,6 +106,16 @@ class TestComplexStep:
             assert row.tobytes() == complex_step_partials(abs_entry, q).tobytes()
         assert out[0].tobytes() != fd_partials(abs_entry, stack[0]).tobytes()
         assert out[1].tobytes() == fd_partials(abs_entry, stack[1]).tobytes()
+        # callables that raise TypeError, or cast into a real array, at some
+        # points of a stack only: those points alone take central differences
+        stack = np.array([[0.4, -0.3], [-0.2, 0.6], [0.1, 0.2], [-0.5, -0.1]])
+        for dropping in (float_conversion, cast_into_real_array, real_part_only):
+            f = lambda q, g=dropping: g(q) if q.real[0] > 0 else metric_like(q)
+            out = complex_step_partials(f, stack)
+            for row, q in zip(out, stack):
+                assert row.tobytes() == complex_step_partials(f, q).tobytes()
+                fd = fd_partials(f, q).tobytes()
+                assert (row.tobytes() == fd) == (q[0] > 0), (dropping.__name__, q)
 
     def test_those_callables_do_drop_the_imaginary_part(self):
         z = np.array([0.4 + 1e-30j, -0.3])

@@ -93,21 +93,24 @@ def shooting_residual(sp, p0):
 
 
 def _extremal(sp, times, phases):
-    """Trajectory of integrated phase samples with controls and diagnostics:
-    H and the energies come from one stacked geometry build of the samples."""
+    """Trajectory of integrated phase samples with controls and diagnostics,
+    and its cost: H, the energies and the running cost come from one stacked
+    geometry build of the samples."""
     hs = sp.hs
     ph = hs.unflatten(phases)
     geo = hs.system.geometry_rows(ph.q)
-    controls, hamiltonians = hs._controls_and_values(phases, geo)
-    return Trajectory(times=times, qs=ph.q.copy(), ys=ph.y.copy(), controls=controls,
-                      p_qs=ph.p_q.copy(), p_ys=ph.p_y.copy(),
-                      energies=hs.system._energies(ph.q, ph.y, geo), hamiltonians=hamiltonians)
+    controls, hamiltonians, running = hs._controls_and_values(phases, geo)
+    trajectory = Trajectory(times=times, qs=ph.q.copy(), ys=ph.y.copy(), controls=controls,
+                            p_qs=ph.p_q.copy(), p_ys=ph.p_y.copy(),
+                            energies=hs.system._energies(ph.q, ph.y, geo),
+                            hamiltonians=hamiltonians)
+    return trajectory, float(np.trapezoid(running, times))
 
 
 def extremal_trajectory(sp, p0):
     """Integrate the extremal for p0 and attach controls and diagnostics."""
     _, times, phases = _flow(sp, np.atleast_1d(np.asarray(p0, dtype=float)))
-    return _extremal(sp, times, phases)
+    return _extremal(sp, times, phases)[0]
 
 
 def trajectory_cost(sp, trajectory):
@@ -208,6 +211,6 @@ def solve_bvp(sp, p0_guess=None):
         norm = float(np.abs(res).max())
         if norm < best_norm:
             best_p0, best_norm = p0.copy(), norm
-    trajectory = _extremal(sp, *samples)
-    return ShootingResult(p0=p0, trajectory=trajectory, cost=trajectory_cost(sp, trajectory),
+    trajectory, cost = _extremal(sp, *samples)
+    return ShootingResult(p0=p0, trajectory=trajectory, cost=cost,
                           iterations=iterations, residual_norm=float(np.abs(res).max()))

@@ -1,11 +1,12 @@
 """Command-line front-end: simulate, optimize, check and derive.
 
 Exit codes: 0 success, 1 invariant-check failure, 2 configuration or parse
-error, 3 numerical failure, 4 shooting non-convergence (best iterate is
-still written).
+error (an unwritable --out included), 3 numerical failure, 4 shooting
+non-convergence (best iterate is still written).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -61,41 +62,30 @@ def load_model(args):
     return make_builtin(args.builtin, **parse_params(args.params))
 
 
-def format_value(x):
-    return f"{x:.17g}"
-
-
 def write_trajectory_csv(path, traj):
     """Delimited output: t, q_*, y_*, pq_*, py_*, u_*, energy, hamiltonian.
 
     Blocks that are absent from the trajectory are omitted entirely; values
-    carry 17 significant digits so parsing recovers them exactly.
+    carry 17 significant digits so parsing recovers them exactly.  A path
+    that cannot be written raises ValidationError.
     """
-    blocks = [("t", traj.times.reshape(-1, 1))]
-    if traj.qs is not None and traj.qs.shape[1] > 0:
-        blocks.append(("q", traj.qs))
-    blocks.append(("y", traj.ys))
-    if traj.p_qs is not None and traj.p_qs.shape[1] > 0:
-        blocks.append(("pq", traj.p_qs))
-    if traj.p_ys is not None:
-        blocks.append(("py", traj.p_ys))
-    if traj.controls is not None:
-        blocks.append(("u", traj.controls))
-    if traj.energies is not None:
-        blocks.append(("energy", traj.energies.reshape(-1, 1)))
-    if traj.hamiltonians is not None:
-        blocks.append(("hamiltonian", traj.hamiltonians.reshape(-1, 1)))
-    header = []
-    for name, arr in blocks:
-        if arr.shape[1] == 1 and name in ("t", "energy", "hamiltonian"):
-            header.append(name)
-        else:
-            header.extend(f"{name}_{i}" for i in range(arr.shape[1]))
-    data = np.hstack([arr for _, arr in blocks])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    named = [(name, arr) for name, arr in (
+        ("t", traj.times), ("q", traj.qs), ("y", traj.ys), ("pq", traj.p_qs), ("py", traj.p_ys),
+        ("u", traj.controls), ("energy", traj.energies), ("hamiltonian", traj.hamiltonians))
+        if arr is not None]
+    header = [name if arr.ndim == 1 else f"{name}_{i}"
+              for name, arr in named for i in range(1 if arr.ndim == 1 else arr.shape[1])]
+    data = np.column_stack([arr for _, arr in named])
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+    # one "%.17g" format per row, over blocks of rows as Python floats
+    row_format = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with fh:
         fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        for start in range(0, len(data), 4096):
+            fh.writelines(row_format % tuple(row) for row in data[start:start + 4096].tolist())
 
 
 def cmd_simulate(args):
@@ -152,7 +142,7 @@ def cmd_optimize(args):
         write_trajectory_csv(args.out, traj)
         max_dh = float(np.abs(traj.hamiltonians - traj.hamiltonians[0]).max())
         print(f"wrote {len(traj)} samples to {args.out}")
-        print(f"p0: {','.join(format_value(v) for v in p0)}")
+        print("p0: " + ",".join(["%.17g"] * len(p0)) % tuple(p0))
         print(f"cost: {cost:.12g}")
         print(f"iterations: {iterations}")
         print(f"residual: {residual_norm:.6e}")
@@ -215,7 +205,9 @@ def add_model_arguments(parser):
                         help="builtin parameters as key=value pairs, comma separated")
 
 
+@functools.cache
 def build_parser():
+    """The parser of ``main``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nhoc",
         description="nonholonomic mechanics and optimal control on constrained bundles")
@@ -260,8 +252,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CONFIG_ERRORS as exc:

@@ -20,11 +20,12 @@ the monomials of the rows (y, p and their products with y).
 With a quadratic cost dH/dx = M(x) p is linear in the momenta, and the
 kernel also gives the kick matrix M(x): the implicit momentum kick
 p' = p - tau M(x) p' is then one batched linear solve.  The implicit drift
-of Stormer-Verlet stays a fixed-point iteration.  Its position terms are
-quadratic in y, and a Newton solve of them would also converge where the
-fixed point diverges (the sleigh at dt = 10), so a step too large for the
-scheme would no longer raise FixedPointDivergence.  The kicks of
-non-quadratic costs iterate too.
+of Stormer-Verlet, the kernel's ``drift`` entry, is a fixed-point iteration
+from the explicit predictor; on the hoisted kernel only the velocities
+iterate.  Newton would also converge where the fixed point diverges (the
+sleigh at dt = 10), so a step too large for the scheme would no longer raise
+FixedPointDivergence, and it measured slower.  The kicks of non-quadratic
+costs iterate too.
 """
 
 from dataclasses import dataclass
@@ -206,13 +207,15 @@ class _Kernel(NamedTuple):
     phase rows z = (x, p); ``grad_x(x, p)`` and ``grad_p(x, p)`` give one
     partial each.  With a quadratic cost dH/dx = M(x) p is linear in the
     momenta, and ``kick_matrix(x)`` gives M at every row, (B, d, d); for other
-    costs it is None.
+    costs it is None.  ``drift(x, p, tau)`` solves X = x + tau (dH/dp(x, p) +
+    dH/dp(X, p)) by fixed-point iteration from X = x + 2 tau dH/dp(x, p).
     """
 
     field: Callable
     grad_x: Callable
     grad_p: Callable
     kick_matrix: Optional[Callable]
+    drift: Callable
 
 
 class HamiltonianSystem:
@@ -253,10 +256,10 @@ class HamiltonianSystem:
         return float(self._controls_and_values(z, geo)[1][0])
 
     def _controls_and_values(self, z, geo):
-        """Optimal controls (B, k) and H (B,) at the flat phase rows z, given
-        the stacked geometry record ``geo`` at their chart points: one
-        Legendre inversion per row, every other term one product over the
-        stack."""
+        """Optimal controls (B, k), H (B,) and the running cost (B,) at the
+        flat phase rows z, given the stacked geometry record ``geo`` at their
+        chart points: one Legendre inversion and one cost value per row,
+        every other term one product over the stack."""
         problem, system, ctrl = self.problem, self.system, self.problem.controls
         n, m = self.dim_q, self.rank_d
         q, y, p_q, p_y = z[:, :n], z[:, n:n + m], z[:, n + m:2 * n + m], z[:, 2 * n + m:]
@@ -267,7 +270,8 @@ class HamiltonianSystem:
         qdot = matvec_rows(geo["anchor_d"].swapaxes(1, 2), y)
         cost = np.array([problem.cost.value(*row) for row in zip(q, y, u)])
         # row dot products as (1, m) @ (m, 1): the floats of p_y @ ydot at one point
-        return u, (matvec_rows(p_y[:, None], ydot) + matvec_rows(p_q[:, None], qdot))[:, 0] - cost
+        pairing = (matvec_rows(p_y[:, None], ydot) + matvec_rows(p_q[:, None], qdot))[:, 0]
+        return u, pairing - cost, cost
 
     def _point_partials(self, q, y, p_q, p_y):
         """(dH/dx, dH/dp) at one phase point."""
@@ -305,8 +309,11 @@ class HamiltonianSystem:
             gx, gp = grads(z[:, :d], z[:, d:])
             return np.concatenate([gp, -gx], axis=1)
 
-        return _Kernel(field=field, grad_x=lambda x, p: grads(x, p)[0],
-                       grad_p=lambda x, p: grads(x, p)[1], kick_matrix=None)
+        def grad_p(x, p):
+            return grads(x, p)[1]
+
+        return _Kernel(field=field, grad_x=lambda x, p: grads(x, p)[0], grad_p=grad_p,
+                       kick_matrix=None, drift=_drift(grad_p))
 
     @property
     def _stacks_at_once(self):
@@ -380,10 +387,13 @@ class HamiltonianSystem:
                 return np.concatenate([top, np.concatenate([anchor, -ddy.swapaxes(1, 2)],
                                                            axis=2)], axis=1)
 
+            def chart_grad_p(x, p):
+                return p_half(x, p, position_terms(x))
+
             return _Kernel(field=chart_field,
                            grad_x=lambda x, p: x_half(x, p, position_terms(x)),
-                           grad_p=lambda x, p: p_half(x, p, position_terms(x)),
-                           kick_matrix=chart_kick_matrix)
+                           grad_p=chart_grad_p, kick_matrix=chart_kick_matrix,
+                           drift=_drift(chart_grad_p))
         # constant Gamma and anchor, no potential: H is cubic in (y, p), and
         # its field one fixed matrix of coefficients times the monomials of
         # v = (y, p_q, p_y): v itself and v (x) y, at index (i, b) -> v_i y_b
@@ -404,6 +414,7 @@ class HamiltonianSystem:
         # dH/dx = M(x) p: its coefficients of p and p (x) y, which give M
         kick_const, kick_y = -lin[d:, m:], -quad[d:, m:].reshape(d * d, m)
         x_coeffs = np.concatenate([kick_const, kick_y.reshape(d, d * m)], axis=1)
+        rho_t, legendre, y_quad = lin[:n, :m], lin[n:d, m + n:], quad[n:d, :m].reshape(m, m * m)
 
         def monomials(v, y):
             return np.concatenate([v, outer_rows(v, y)], axis=1)
@@ -421,7 +432,19 @@ class HamiltonianSystem:
         def kick_matrix(x):
             return kick_const + matvec_rows(kick_y, x[:, n:]).reshape(-1, d, d)
 
-        return _Kernel(field=field, grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix)
+        def drift(x, p, tau):
+            # dH/dp = (rho^T y, A p_y - Gamma(y, y)) reads y only: the velocities
+            # iterate Y <- c - tau Gamma(Y, Y), then the chart positions take one step
+            gp, y = grad_p(x, p), x[:, n:]
+            gp_q, gp_y = gp[:, :n], gp[:, n:]
+            c = y + tau * (gp_y + matvec_rows(legendre, p[:, n:]))
+            v = _fixed_point(
+                lambda rows, vv: c[rows] + tau * matvec_rows(y_quad, outer_rows(vv, vv)),
+                y + tau * (gp_y + gp_y))
+            return np.concatenate([x[:, :n] + tau * (gp_q + matvec_rows(rho_t, v)), v], axis=1)
+
+        return _Kernel(field=field, grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix,
+                       drift=drift)
 
     @property
     def _compiled(self):
@@ -451,7 +474,7 @@ class HamiltonianSystem:
 
 
 def _fixed_point(gfun, z0):
-    """Rows z solving z = gfun(rows, z) by fixed-point iteration.
+    """Rows z solving z = gfun(rows, z) by fixed-point iteration from z0.
 
     ``gfun(rows, z)`` evaluates the map on the rows of the stack selected by
     the index ``rows``.  A row stops updating once its own update is within
@@ -460,20 +483,34 @@ def _fixed_point(gfun, z0):
     """
     z = np.array(z0, dtype=float)
     rows = slice(None)
-    # a diverging map overflows on the way; the finiteness check names it
+    # a diverging map overflows on the way, and its update, infinite or NaN
+    # through the max, decides finiteness and convergence in one reduction
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(100):
             z_old = z[rows]
             z_new = gfun(rows, z_old)
-            if not np.isfinite(z_new).all():
-                raise FixedPointDivergence("implicit substep produced non-finite values")
-            moving = np.abs(z_new - z_old).max(axis=1) > 1e-12
+            update = np.abs(z_new - z_old).max(axis=1)
+            worst = update.max(initial=0.0)
             z[rows] = z_new
-            if not moving.any():
+            if worst <= 1e-12:
                 return z
-            if not moving.all():
-                rows = np.arange(len(z))[rows][moving]
+            if not worst < np.inf:
+                raise FixedPointDivergence("implicit substep produced non-finite values")
+            if not (update > 1e-12).all():
+                rows = np.arange(len(z))[rows][update > 1e-12]
     raise FixedPointDivergence("implicit substep did not converge within 100 iterations")
+
+
+def _drift(grad_p):
+    """The drift entry of a kernel with dH/dp = ``grad_p``: the map
+    X -> x + tau (dH/dp(x, p) + dH/dp(X, p)), iterated from its value at X = x."""
+
+    def drift(x, p, tau):
+        gp = grad_p(x, p)
+        return _fixed_point(lambda rows, xx: x[rows] + tau * (gp[rows] + grad_p(xx, p[rows])),
+                            x + tau * (gp + gp))
+
+    return drift
 
 
 def _check_scheme(dt, scheme):
@@ -515,9 +552,7 @@ def _flat_step(hs, z, dt, scheme):
         return np.concatenate([x + dt * kernel.grad_p(x, p_new), p_new], axis=1)
     # generalized Stormer-Verlet: implicit half-kick, implicit drift, half-kick
     p_half = _kick(kernel, x, p, 0.5 * dt)
-    gp_left = kernel.grad_p(x, p_half)
-    x_new = _fixed_point(lambda rows, xx: x[rows] + 0.5 * dt * (
-        gp_left[rows] + kernel.grad_p(xx, p_half[rows])), x)
+    x_new = kernel.drift(x, p_half, 0.5 * dt)
     p_new = p_half - 0.5 * dt * kernel.grad_x(x_new, p_half)
     return np.concatenate([x_new, p_new], axis=1)
 
@@ -529,7 +564,8 @@ def integrate_step(hs, phase, dt, scheme="stormer_verlet"):
     implicit substeps.  With a quadratic cost their momentum kicks are
     linear, one solve of (I + tau M(x)) p' = p; the drift of Stormer-Verlet,
     and the kicks of other costs, take fixed-point iteration (tol 1e-12,
-    max 100).  A singular kick, or a fixed point that fails, raises
+    max 100); the drift starts from the explicit predictor x + dt dH/dp(x,
+    p_half).  A singular kick, or a fixed point that fails, raises
     FixedPointDivergence.  The fields of ``phase`` may carry leading batch
     axes; the rows are stepped together, each with the floats it would get
     alone.

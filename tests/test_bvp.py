@@ -7,8 +7,8 @@ from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
                   HamiltonianSystem, OCProblem, PhasePoint, ShootingProblem, StateQY,
                   Trajectory, build_constrained_system, build_splitting,
                   extremal_trajectory, make_chaplygin, quadratic_cost, regularity_matrix,
-                  shooting_residual, simulate, solve_bvp)
-from nhoc import bvp
+                  shooting_residual, simulate, solve_bvp, trajectory_cost)
+from nhoc import bvp, hamiltonian
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
                          NewtonDivergence, NonFiniteState, SingularMetric)
@@ -79,36 +79,45 @@ class TestBatchedResidual:
     bit for bit, also where the rows' implicit substeps converge after
     different numbers of fixed-point iterations."""
 
-    def assert_rows_match_single_calls(self, sp, stack):
-        rows_seen = []
+    def assert_rows_match_single_calls(self, sp, stack, monkeypatch):
+        rows_seen, map_rows = [], []
         kernel = sp.hs._compiled
+        fixed_point = hamiltonian._fixed_point
 
         def counted(f):
             return lambda x, *args: rows_seen.append(len(x)) or f(x, *args)
 
+        def counted_fixed_point(gfun, z0):
+            return fixed_point(lambda rows, z: map_rows.append(len(z)) or gfun(rows, z), z0)
+
         sp.hs._kernel = kernel._replace(
             field=counted(kernel.field), grad_x=counted(kernel.grad_x),
-            grad_p=counted(kernel.grad_p),
+            grad_p=counted(kernel.grad_p), drift=counted(kernel.drift),
             kick_matrix=kernel.kick_matrix and counted(kernel.kick_matrix))
+        monkeypatch.setattr(hamiltonian, "_fixed_point", counted_fixed_point)
         try:
             batched = shooting_residual(sp, stack)
         finally:
             sp.hs._kernel = kernel
+            monkeypatch.undo()
         assert batched.shape == (len(stack), sp.n_momenta)
         for row, p0 in zip(batched, stack):
             assert row.tobytes() == shooting_residual(sp, p0).tobytes()
+        if kernel.kick_matrix is not None:
+            # explicit stages, linear kicks and the drift: every kernel call
+            # takes the stack
+            assert set(rows_seen) == {len(stack)}
         if sp.scheme == "stormer_verlet" or (sp.scheme == "symp_euler"
                                              and kernel.kick_matrix is None):
-            # a fixed point remains: some substeps went on with part of the
-            # stack only
-            assert min(rows_seen) < len(stack)
+            # a fixed point remains: some of its map evaluations went on with
+            # part of the stack only
+            assert min(map_rows) < len(stack)
         else:
-            # explicit stages and linear kicks: every call takes the stack
-            assert set(rows_seen) == {len(stack)}
+            assert map_rows == []
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("model", ["sleigh", "curved"])
-    def test_rows_equal_single_calls(self, model, scheme, chaplygin_system):
+    def test_rows_equal_single_calls(self, model, scheme, chaplygin_system, monkeypatch):
         if model == "sleigh":
             # constant geometry and a quadratic cost: the hoisted kernel
             sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1, scheme=scheme)
@@ -119,14 +128,14 @@ class TestBatchedResidual:
             sp = shooting_for(curved_quadratic_problem(), dt=0.1, scheme=scheme)
             stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, -0.3], [1.0, 1.5, 1.2]])
         assert sp.hs._stacks_at_once
-        self.assert_rows_match_single_calls(sp, stack)
+        self.assert_rows_match_single_calls(sp, stack, monkeypatch)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_curved_quartic_rows_equal_single_calls(self, scheme):
+    def test_curved_quartic_rows_equal_single_calls(self, scheme, monkeypatch):
         # chart-dependent model and a non-quadratic cost: the per-row kernel
         sp = shooting_for(curved_quartic_problem(), dt=0.1, scheme=scheme)
         stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, -0.3], [1.0, 1.5, 1.2]])
-        self.assert_rows_match_single_calls(sp, stack)
+        self.assert_rows_match_single_calls(sp, stack, monkeypatch)
 
     def test_one_row_blowing_up_raises(self, chaplygin_system):
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1)
@@ -310,6 +319,17 @@ class TestExtremalDiagnostics:
             h = (p_y @ (problem.controls.input_matrix @ u - drift_acceleration(system, q, y))
                  + p_q @ (system.anchor_d(q).T @ y) - cost.value(q, y, u))
             assert abs(traj.hamiltonians[k] - h) <= 1e-14 * max(1.0, abs(h))
+
+    @pytest.mark.parametrize("problem", ["sleigh", "curved_quartic"])
+    def test_cost_is_the_quadrature_of_the_running_cost(self, problem, chaplygin_system):
+        # solve_bvp takes the running cost of the extremal's own samples
+        problem = (sleigh_problem(chaplygin_system) if problem == "sleigh"
+                   else curved_quartic_problem())
+        sp = shooting_for(problem, dt=0.1, scheme="stormer_verlet")
+        result = solve_bvp(sp)
+        assert result.cost > 0
+        assert np.float64(result.cost).tobytes() == np.float64(
+            trajectory_cost(sp, result.trajectory)).tobytes()
 
 
 class TestSolveBVP:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nhoc import (ControlDistribution, HamiltonianSystem, OCProblem, ShootingProblem, StateQY,
-                  build_constrained_system, make_chaplygin, make_suslov, quadratic_cost,
-                  simulate, solve_bvp)
+                  Trajectory, build_constrained_system, make_chaplygin, make_suslov,
+                  quadratic_cost, simulate, solve_bvp)
+from nhoc import cli
 from nhoc.cli import main
-from nhoc.errors import NewtonDivergence
+from nhoc.errors import NewtonDivergence, ValidationError
 
 from conftest import SUSLOV_PARAMS
 
@@ -244,3 +245,66 @@ class TestDerive:
         assert abs(doc["structure_constants"][0][0][1] - 0.05) < 1e-14
         assert abs(doc["christoffel"][0][1][1] - 0.1) < 1e-14
         assert doc["restricted_metric"] == [[2.0, 0.0], [0.0, 3.0]]
+
+
+class TestOutput:
+    """The CSV writer, unwritable output paths and the parser kept per process."""
+
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_rows_equal_the_per_value_format(self, tmp_path, integral):
+        times, ys = np.arange(4.0), np.array([[-0.0, 5e-324], [1e308, -1e308],
+                                               [3.0, -7.0], [0.1, 2.0 ** 60]])
+        energies = np.array([1.5, -2.25, 0.0, 1e-300])
+        if integral:  # integer samples format as their float values
+            times, ys = np.arange(4), np.array([[0, -3], [7, 2 ** 60], [-5, 1], [11, 12]])
+            energies = np.array([2, -1, 0, 10 ** 18])
+        traj = Trajectory(times=times, qs=np.zeros((4, 0)), ys=ys, energies=energies)
+        cli.write_trajectory_csv(tmp_path / "v.csv", traj)
+        # the writer's former form: one "%.17g" format call per value
+        rows = np.hstack([times.reshape(-1, 1), ys, energies.reshape(-1, 1)])
+        expected = "t,y_0,y_1,energy\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+        assert (tmp_path / "v.csv").read_text() == expected
+
+    def test_unwritable_path_raises_validation_error(self, tmp_path):
+        traj = Trajectory(times=np.arange(2.0), qs=np.zeros((2, 0)), ys=np.ones((2, 1)))
+        with pytest.raises(ValidationError):
+            cli.write_trajectory_csv(tmp_path / "missing" / "t.csv", traj)
+        with pytest.raises(ValidationError):
+            cli.write_trajectory_csv(tmp_path, traj)
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", *SUSLOV_ARGS, "--y0", "1,1", "--T", "0.1", "--dt", "0.01"],
+        ["optimize", "--builtin", "double_integrator", "--params", "n=1", "--q0", "0",
+         "--qT", "1", "--y0", "0", "--yT", "0", "--T", "1", "--dt", "0.01"]])
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "t.csv"
+        assert main(command + ["--out", str(out)]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_in_process_calls_match_fresh_calls(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        commands = [
+            ["simulate", *SUSLOV_ARGS, "--y0", "1,1", "--T", "0.1", "--dt", "0.01",
+             "--out", str(out)],
+            ["optimize", "--builtin", "chaplygin", "--y0", "0,0", "--yT", "0.1,0.1", "--T", "1",
+             "--dt", "0.1", "--integrator", "stormer_verlet", "--out", str(out)],
+            ["check", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0"],
+            ["derive", *SUSLOV_ARGS, "--q", ""],
+            ["simulate", *SUSLOV_ARGS, "--y0", "1", "--T", "0.1", "--dt", "0.01",
+             "--out", str(out)],
+            ["optimize", "--builtin", "chaplygin", "--y0", "0,0", "--yT", "0.1,0.1", "--T", "1",
+             "--dt", "0.1", "--max-iterations", "0", "--out", str(out)],
+        ]
+
+        def run(command):
+            out.unlink(missing_ok=True)
+            code = main(command)
+            return code, capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+        in_process = [run(command) for command in commands]
+        assert [result[0] for result in in_process] == [0, 0, 0, 0, 2, 4]
+        for command, result in zip(commands, in_process):
+            cli.build_parser.cache_clear()
+            assert run(command) == result

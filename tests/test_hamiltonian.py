@@ -499,6 +499,48 @@ class TestHoistedKernel:
         kernel = hs._compiled
         self.assert_close(matvec_rows(kernel.kick_matrix(x), p), kernel.grad_x(x, p))
 
+    def test_drift_solves_its_equation(self, hoisted):
+        hs, x, p = hoisted
+        assert_drift_solves_its_equation(hs._compiled, x, 0.1 * p, 0.05)
+
+    def test_drift_rows_equal_one_row_calls(self, hoisted):
+        hs, x, p = hoisted
+        kernel = hs._compiled
+        stacked = kernel.drift(x, 0.1 * p, 0.05)
+        for i in range(len(x)):
+            row = slice(i, i + 1)
+            assert kernel.drift(x[row], 0.1 * p[row], 0.05).tobytes() == stacked[row].tobytes()
+
+    def test_velocity_drift_agrees_with_the_generic_map(self, hoisted):
+        # the generic map iterates all positions through dH/dp
+        hs, x, p = hoisted
+        kernel = hs._compiled
+        generic = hamiltonian._drift(kernel.grad_p)(x, 0.1 * p, 0.05)
+        assert np.abs(kernel.drift(x, 0.1 * p, 0.05) - generic).max() <= 1e-13
+
+    def test_drift_iterates_from_the_predictor(self, hoisted, model, monkeypatch):
+        # with Gamma = 0 dH/dp does not read the positions, and the predictor
+        # is the solution: the double integrator's drift takes one map
+        # evaluation; the velocities never take more than the generic map
+        hs, x, p = hoisted
+        kernel, evaluations = hs._compiled, []
+        fixed_point = hamiltonian._fixed_point
+        monkeypatch.setattr(hamiltonian, "_fixed_point", lambda gfun, z0: fixed_point(
+            lambda rows, z: evaluations.append(len(z)) or gfun(rows, z), z0))
+        kernel.drift(x, 0.1 * p, 0.05)
+        velocity_only = len(evaluations)
+        hamiltonian._drift(kernel.grad_p)(x, 0.1 * p, 0.05)
+        assert velocity_only <= len(evaluations) - velocity_only
+        if model == "double_integrator":
+            assert evaluations[:velocity_only] == [len(x)]
+
+
+def assert_drift_solves_its_equation(kernel, x, p, tau):
+    """The drift X meets X = x + tau (dH/dp(x, p) + dH/dp(X, p)) within 1e-12 of scale."""
+    drifted = kernel.drift(x, p, tau)
+    residual = drifted - x - tau * (kernel.grad_p(x, p) + kernel.grad_p(drifted, p))
+    assert np.abs(residual).max() <= 1e-12 * max(1.0, float(np.abs(drifted).max()))
+
 
 class TestChartKernel:
     """The stacked kernel of a chart-dependent model with a quadratic cost."""
@@ -551,6 +593,12 @@ class TestChartKernel:
         # drift apart by about 5e-11, as the drift q-Jacobian, a central
         # difference of step 1e-6, magnifies rounding-level position gaps
         assert np.abs(phases[1, :, :3] - expected[1, :, :3]).max() < 1e-13
+
+    def test_drift_solves_its_equation(self):
+        hs = HamiltonianSystem(curved_problem(quadratic_cost(np.eye(2))))
+        rng = np.random.default_rng(3)
+        x, p = rng.uniform(-0.5, 0.5, (4, 3)), rng.uniform(-1.0, 1.0, (4, 3))
+        assert_drift_solves_its_equation(hs._compiled, x, p, 0.05)
 
 
 class TestSymplecticity:

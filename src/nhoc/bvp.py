@@ -100,17 +100,17 @@ def _extremal(sp, times, phases):
     ph = hs.unflatten(phases)
     geo = hs.system.geometry_rows(ph.q)
     controls, hamiltonians, running = hs._controls_and_values(phases, geo)
-    trajectory = Trajectory(times=times, qs=ph.q.copy(), ys=ph.y.copy(), controls=controls,
-                            p_qs=ph.p_q.copy(), p_ys=ph.p_y.copy(),
-                            energies=hs.system._energies(ph.q, ph.y, geo),
-                            hamiltonians=hamiltonians)
-    return trajectory, float(np.trapezoid(running, times))
+    return (Trajectory(times=times, qs=ph.q.copy(), ys=ph.y.copy(), controls=controls,
+                       p_qs=ph.p_q.copy(), p_ys=ph.p_y.copy(),
+                       energies=hs.system._energies(ph.q, ph.y, geo), hamiltonians=hamiltonians),
+            float(np.trapezoid(running, times)))
 
 
-def extremal_trajectory(sp, p0):
-    """Integrate the extremal for p0 and attach controls and diagnostics."""
-    _, times, phases = _flow(sp, np.atleast_1d(np.asarray(p0, dtype=float)))
-    return _extremal(sp, times, phases)[0]
+def extremal_trajectory(sp, p0, with_cost=False):
+    """Integrate the extremal for p0 and attach controls and diagnostics;
+    with ``with_cost``, return (trajectory, cost)."""
+    extremal = _extremal(sp, *_flow(sp, np.atleast_1d(np.asarray(p0, dtype=float)))[1:])
+    return extremal if with_cost else extremal[0]
 
 
 def trajectory_cost(sp, trajectory):

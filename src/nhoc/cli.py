@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .algebroid import build_constrained_system
-from .bvp import ShootingProblem, extremal_trajectory, solve_bvp, trajectory_cost
+from .bvp import ShootingProblem, extremal_trajectory, solve_bvp
 from .checks import run_all
 from .dynamics import StateQY, simulate
 from .errors import (DimensionMismatch, NewtonDivergence, NhocError, NotPositiveDefinite,
@@ -153,9 +153,8 @@ def cmd_optimize(args):
     except NewtonDivergence as exc:
         if exc.best is None:
             raise
-        traj = extremal_trajectory(sp, exc.best)
-        report_trajectory(traj, exc.best, exc.iterations,
-                          exc.residual_norm, trajectory_cost(sp, traj))
+        traj, cost = extremal_trajectory(sp, exc.best, with_cost=True)
+        report_trajectory(traj, exc.best, exc.iterations, exc.residual_norm, cost)
         print(f"error: NewtonDivergence: {exc}", file=sys.stderr)
         return 4
     report_trajectory(result.trajectory, result.p0, result.iterations,

@@ -22,10 +22,9 @@ kernel also gives the kick matrix M(x): the implicit momentum kick
 p' = p - tau M(x) p' is then one batched linear solve.  The implicit drift
 of Stormer-Verlet, the kernel's ``drift`` entry, is a fixed-point iteration
 from the explicit predictor; on the hoisted kernel only the velocities
-iterate.  Newton would also converge where the fixed point diverges (the
-sleigh at dt = 10), so a step too large for the scheme would no longer raise
-FixedPointDivergence, and it measured slower.  The kicks of non-quadratic
-costs iterate too.
+iterate.  Newton measured slower, and it would converge where the fixed point
+diverges (the sleigh at dt = 10), so a step too large for the scheme would no
+longer raise FixedPointDivergence.  Kicks of non-quadratic costs iterate too.
 """
 
 from dataclasses import dataclass
@@ -437,10 +436,11 @@ class HamiltonianSystem:
             # iterate Y <- c - tau Gamma(Y, Y), then the chart positions take one step
             gp, y = grad_p(x, p), x[:, n:]
             gp_q, gp_y = gp[:, :n], gp[:, n:]
-            c = y + tau * (gp_y + matvec_rows(legendre, p[:, n:]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = y + tau * (gp_y + matvec_rows(legendre, p[:, n:]))
+                v0 = y + tau * (gp_y + gp_y)
             v = _fixed_point(
-                lambda rows, vv: c[rows] + tau * matvec_rows(y_quad, outer_rows(vv, vv)),
-                y + tau * (gp_y + gp_y))
+                lambda rows, vv: c[rows] + tau * matvec_rows(y_quad, outer_rows(vv, vv)), v0)
             return np.concatenate([x[:, :n] + tau * (gp_q + matvec_rows(rho_t, v)), v], axis=1)
 
         return _Kernel(field=field, grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix,
@@ -507,8 +507,9 @@ def _drift(grad_p):
 
     def drift(x, p, tau):
         gp = grad_p(x, p)
-        return _fixed_point(lambda rows, xx: x[rows] + tau * (gp[rows] + grad_p(xx, p[rows])),
-                            x + tau * (gp + gp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0 = x + tau * (gp + gp)
+        return _fixed_point(lambda rows, xx: x[rows] + tau * (gp[rows] + grad_p(xx, p[rows])), x0)
 
     return drift
 

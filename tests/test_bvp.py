@@ -103,10 +103,6 @@ class TestBatchedResidual:
         assert batched.shape == (len(stack), sp.n_momenta)
         for row, p0 in zip(batched, stack):
             assert row.tobytes() == shooting_residual(sp, p0).tobytes()
-        if kernel.kick_matrix is not None:
-            # explicit stages, linear kicks and the drift: every kernel call
-            # takes the stack
-            assert set(rows_seen) == {len(stack)}
         if sp.scheme == "stormer_verlet" or (sp.scheme == "symp_euler"
                                              and kernel.kick_matrix is None):
             # a fixed point remains: some of its map evaluations went on with
@@ -114,6 +110,10 @@ class TestBatchedResidual:
             assert min(map_rows) < len(stack)
         else:
             assert map_rows == []
+        if kernel.kick_matrix is not None or not map_rows:
+            # explicit stages, linear kicks and the drift entry: every kernel
+            # call takes the stack
+            assert set(rows_seen) == {len(stack)}
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("model", ["sleigh", "curved"])
@@ -330,6 +330,10 @@ class TestExtremalDiagnostics:
         assert result.cost > 0
         assert np.float64(result.cost).tobytes() == np.float64(
             trajectory_cost(sp, result.trajectory)).tobytes()
+        # the exit-4 path of `nhoc optimize` takes its cost the same way
+        trajectory, cost = extremal_trajectory(sp, result.p0, with_cost=True)
+        assert np.float64(cost).tobytes() == np.float64(
+            trajectory_cost(sp, trajectory)).tobytes()
 
 
 class TestSolveBVP:

@@ -373,6 +373,17 @@ class TestIntegrateStep:
             with pytest.raises(FixedPointDivergence):
                 integrate_step(hs, phase, 10.0, "stormer_verlet")
 
+    def test_drift_predictor_overflow_warns_nothing(self, double_integrator_problem):
+        # dH/dp = (y, p_y) is finite, but the predictor y + tau (p_y + p_y) and
+        # the velocities' constant overflow: both drifts name it as the error
+        kernel = HamiltonianSystem(double_integrator_problem)._compiled
+        x, p = np.zeros((1, 2)), np.array([[0.0, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for drift in (kernel.drift, hamiltonian._drift(kernel.grad_p)):
+                with pytest.raises(FixedPointDivergence):
+                    drift(x, p, 0.5)
+
 
 class TestKick:
     """With a quadratic cost dH/dx = M(x) p, and the implicit kick

@@ -8,6 +8,7 @@ non-convergence (best iterate is still written).
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -88,6 +89,20 @@ def write_trajectory_csv(path, traj):
             fh.writelines(row_format % tuple(row) for row in data[start:start + 4096].tolist())
 
 
+def check_out_path(path):
+    """Raise the ValidationError of ``write_trajectory_csv`` before any flow
+    or solve runs, when ``path`` cannot be a file: its directory is missing
+    or not a directory, or the path is itself a directory.  Creates nothing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        reason = "Not a directory" if os.path.exists(parent) else "No such file or directory"
+    elif os.path.isdir(path):
+        reason = "Is a directory"
+    else:
+        return
+    raise ValidationError(f"cannot write {path}: {reason}")
+
+
 def cmd_simulate(args):
     model, spec = load_model(args)
     system = build_constrained_system(model, spec)
@@ -99,6 +114,7 @@ def cmd_simulate(args):
         raise ValidationError(f"--y0 must have length {system.rank_d}")
     if q0.shape != (model.dim_q,):
         raise ValidationError(f"--q0 must have length {model.dim_q}")
+    check_out_path(args.out)
     traj = simulate(system, StateQY(q=q0, y=y0), args.T, args.dt, integrator=args.integrator)
     write_trajectory_csv(args.out, traj)
     drift = float(np.abs(traj.energies - traj.energies[0]).max())
@@ -148,6 +164,7 @@ def cmd_optimize(args):
         print(f"residual: {residual_norm:.6e}")
         print(f"max |dH|: {max_dh:.6e}")
 
+    check_out_path(args.out)
     try:
         result = solve_bvp(sp, guess)
     except NewtonDivergence as exc:

@@ -2,6 +2,7 @@
 
 The free field is compiled into one function on flat (q, y) rows, one row
 or a stack, which ``simulate`` steps through ``numerics.integrate_fixed_steps``.
+With constant drift its quadratic term is two matrix-vector products.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 from .algebroid import grad_potential, potential_gradients
 from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteState,
                      SingularMetric)
-from .numerics import integrate_fixed_steps, matvec_rows, outer_rows, rk4_step, step_count
+from .numerics import integrate_fixed_steps, matvec_rows, rk4_step, step_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,22 +68,22 @@ def _free_field(system):
     """The free field zdot = (rho_D^T y, -Gamma(y, y) - grad V) on flat (q, y)
     rows: one row, or a stack whose rows each get the floats of a one-row call.
 
-    With constant drift it is one fixed matrix, blocks rho_D^T and -Gamma
-    reshaped to (m, m^2), times the monomials y and y (x) y.  Otherwise each
-    evaluation takes one stacked geometry build and grad V at its chart points.
+    With constant drift it is rho_D^T y and two matrix-vector products,
+    -Gamma(y, y) = ((-Gamma) y) y.  Otherwise each evaluation takes one
+    stacked geometry build and grad V at its chart points.
     """
     nq, m = system.dim_q, system.rank_d
     if system.constant_drift:
-        coeffs = np.zeros((nq + m, m + m * m))
-        coeffs[:nq, :m] = system.anchor_d().T
-        coeffs[nq:, m:] = -system.gamma().reshape(m, m * m)
+        anchor_t, neg_gamma = system.anchor_d().T, -system.gamma()
 
         def field(z):
             if z.ndim == 1:  # the stepped row: same floats, fewer numpy calls
                 y = z[nq:]
-                return coeffs @ np.concatenate([y, (y[:, None] * y).ravel()])
+                ydot = (neg_gamma @ y) @ y
+                return np.concatenate([anchor_t @ y, ydot]) if nq else ydot
             y = z[..., nq:]
-            return matvec_rows(coeffs, np.concatenate([y, outer_rows(y, y)], axis=-1))
+            ydot = matvec_rows((neg_gamma @ y[..., None, :, None])[..., 0], y)
+            return np.concatenate([matvec_rows(anchor_t, y), ydot], axis=-1) if nq else ydot
         return field
 
     last = {}  # (geometry, grad V) at the last chart points; semi-implicit Euler reuses them

@@ -96,7 +96,10 @@ def make_builtin(name, **params):
             f"unknown builtin {name!r}; available: {sorted(BUILTIN_CONSTRUCTORS)}") from None
     try:
         if name == "double_integrator" and "n" in params:
-            params = dict(params, n=int(params["n"]))
+            n = params["n"]  # --params hands over floats: 2.0 is n = 2, 1.5 is no n
+            if isinstance(n, bool) or not float(n).is_integer():
+                raise ValueError(f"n = {n!r} is not an integer")
+            params = dict(params, n=int(n))
         return ctor(**params)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad parameters for builtin {name!r}: {exc}") from None

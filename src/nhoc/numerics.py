@@ -184,10 +184,11 @@ def step_count(t_final, dt):
 def check_finite(z):
     """Raise NonFiniteState when an integrated state is non-finite or blown up.
 
-    One reduction: the comparison is false for NaN and for an infinite
-    maximum, so it catches them together with entries above ``BLOWUP_LIMIT``.
+    One ufunc reduction, without the Python wrapper of ``ndarray.max``: the
+    comparison is false for NaN and for an infinite maximum, so it catches
+    them together with entries above ``BLOWUP_LIMIT``.
     """
-    if not np.abs(z).max() <= BLOWUP_LIMIT:
+    if not np.maximum.reduce(np.abs(z), axis=None) <= BLOWUP_LIMIT:
         raise NonFiniteState("state left the finite range during integration")
 
 

@@ -1,0 +1,59 @@
+"""The summary of ``tools/bench_pairs.py`` on synthetic run records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+BETTER = {"items_per_s": "higher", "item_p50_ms": "lower", "setup_s": "lower"}
+
+
+def record(items_per_s, p50, failed=0):
+    return {"correct": failed == 0, "attempted": 40, "failed": failed,
+            "metrics": {"items_per_s": {"value": items_per_s, "unit": "1/s"},
+                        "item_p50_ms": {"value": p50, "unit": "ms"}}}
+
+
+def pairs(parent, change):
+    return [dict(seed=7 + i, first="parent" if i % 2 == 0 else "change",
+                 parent=record(*p), change=record(*c))
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_medians_quartiles_wins_and_runs():
+    runs = pairs([(10.0, 20.0), (11.0, 21.0), (12.0, 20.0), (13.0, 19.0), (14.0, 20.0)],
+                 [(12.0, 18.0), (11.0, 21.0), (15.0, 22.0), (13.5, 17.0), (16.0, 18.0)])
+    runs[2]["change"]["failed"] = 1
+    summary = bench_pairs.summarize(runs, BETTER)
+    assert set(summary["metrics"]) == {"items_per_s", "item_p50_ms"}  # setup_s is absent
+
+    rate = summary["metrics"]["items_per_s"]
+    assert rate["unit"] == "1/s" and rate["better"] == "higher" and rate["pairs"] == 5
+    assert rate["parent"] == dict(median=12.0, q1=11.0, q3=13.0,
+                                  values=[10.0, 11.0, 12.0, 13.0, 14.0])
+    assert rate["change"]["median"] == 13.5
+    assert rate["change_wins"] == 4  # the tie at 11.0 counts for neither side
+    assert rate["ratio"] == pytest.approx(13.5 / 12.0)
+    assert rate["beyond_parent_iqr"] is False  # 1.5 apart, parent quartiles 2.0 apart
+
+    p50 = summary["metrics"]["item_p50_ms"]
+    assert p50["change_wins"] == 3  # lower is better; 22.0 loses, 21.0 ties
+    assert p50["parent"]["median"] == 20.0 and p50["change"]["median"] == 18.0
+    assert p50["beyond_parent_iqr"] is True  # 2.0 apart, parent quartiles 0.0 apart
+
+    assert [r["seed"] for r in summary["runs"]] == [7, 8, 9, 10, 11]
+    assert [r["first"] for r in summary["runs"]] == ["parent", "change"] * 2 + ["parent"]
+    assert summary["runs"][2]["change"] == {"correct": True, "attempted": 40, "failed": 1}
+    assert summary["runs"][0]["parent"] == {"correct": True, "attempted": 40, "failed": 0}
+
+
+def test_one_pair_has_degenerate_quartiles():
+    summary = bench_pairs.summarize(pairs([(10.0, 20.0)], [(9.0, 20.0)]), BETTER)
+    rate = summary["metrics"]["items_per_s"]
+    assert rate["parent"]["q1"] == rate["parent"]["q3"] == 10.0
+    assert rate["change_wins"] == 0 and summary["metrics"]["item_p50_ms"]["change_wins"] == 0

@@ -90,6 +90,17 @@ class TestSimulate:
         assert np.array_equal(data[:, 1:3], traj.ys)
         assert np.array_equal(data[:, 3], traj.energies)
 
+    @pytest.mark.parametrize("n, code", [("1.5", 2), ("2", 0)])
+    def test_double_integrator_dimension_must_be_integral(self, tmp_path, capsys, n, code):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--builtin", "double_integrator", "--params", f"n={n}",
+                     "--y0", "1,0", "--q0", "0,0", "--T", "0.1", "--dt", "0.01",
+                     "--out", str(out)]) == code
+        if code:
+            assert "ValidationError" in capsys.readouterr().err and not out.exists()
+        else:
+            assert read_csv(out)[0] == ["t", "q_0", "q_1", "y_0", "y_1", "energy"]
+
 
 class TestOptimize:
     def test_double_integrator_fixture(self, tmp_path, capsys):
@@ -282,6 +293,27 @@ class TestOutput:
         assert main(command + ["--out", str(out)]) == 2
         assert "ValidationError" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", *SUSLOV_ARGS, "--y0", "1,1", "--T", "0.1", "--dt", "0.01"],
+        ["optimize", "--builtin", "double_integrator", "--params", "n=1", "--q0", "0",
+         "--qT", "1", "--y0", "0", "--yT", "0", "--T", "1", "--dt", "0.01"]])
+    @pytest.mark.parametrize("where", ["missing_directory", "directory", "file_as_directory"])
+    def test_unwritable_out_rejected_before_the_flow(self, tmp_path, capsys, monkeypatch,
+                                                     command, where):
+        def never(*args, **kwargs):
+            raise AssertionError("the flow ran before --out was checked")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        monkeypatch.setattr(cli, "solve_bvp", never)
+        (tmp_path / "file").write_text("")
+        out = {"missing_directory": tmp_path / "missing" / "t.csv",
+               "directory": tmp_path,
+               "file_as_directory": tmp_path / "file" / "t.csv"}[where]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(command + ["--out", str(out)]) == 2
+        assert f"ValidationError: cannot write {out}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_in_process_calls_match_fresh_calls(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

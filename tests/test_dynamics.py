@@ -10,7 +10,7 @@ from nhoc import (ConstraintSpec, ControlDistribution, StateQY, build_constraine
                   nonholonomic_field, simulate)
 from nhoc.dynamics import _free_field
 from nhoc.errors import ConstraintViolated, DimensionMismatch, NonFiniteState
-from nhoc.numerics import rk4_step
+from nhoc.numerics import integrate_fixed_steps, rk4_step
 
 from conftest import SUSLOV_PARAMS, curved_model
 
@@ -87,6 +87,62 @@ class TestFreeField:
         moved = z + [0.0, 0.5, 0.25]
         assert field(moved).tobytes() == reference(moved).tobytes()
         assert builds == [1]
+
+
+def random_constant_system(seed, rank_d, dim_q):
+    """A constant model with a random antisymmetric bracket, metric
+    A A^T + I/2 and anchor, and D spanned by rank_d random rows of a rank
+    rank_d + 1 bundle, so that D != E."""
+    rng = np.random.default_rng(seed)
+    rank_e = rank_d + 1
+    c = rng.uniform(-1.0, 1.0, (rank_e,) * 3)
+    a = rng.uniform(-1.0, 1.0, (rank_e, rank_e))
+    model = constant_model(c - c.swapaxes(1, 2), a @ a.T + 0.5 * np.eye(rank_e),
+                           anchor=rng.uniform(-1.0, 1.0, (rank_e, dim_q)), dim_q=dim_q)
+    span = rng.uniform(-1.0, 1.0, (rank_d, rank_e))
+    return build_constrained_system(model, ConstraintSpec(span_basis=span))
+
+
+def einsum_field(system, gamma=None):
+    """The constant-drift free field as rho_D^T y and -Gamma^c_ab y^a y^b by
+    ``einsum``, one row at a time; |Gamma| for ``gamma`` gives the sizes of
+    the summed terms."""
+    n, anchor_t = system.dim_q, system.anchor_d().T
+    gamma = system.gamma() if gamma is None else gamma
+    return lambda t, z: np.concatenate([anchor_t @ z[n:],
+                                        -np.einsum("cab,a,b->c", gamma, z[n:], z[n:])])
+
+
+class TestConstantDriftProducts:
+    """The constant-drift field, ((-Gamma) y) y, on random models with D != E."""
+
+    @pytest.mark.parametrize("rank_d", [3, 4, 5])
+    @pytest.mark.parametrize("dim_q", [0, 2])
+    def test_rows_stacks_and_einsum_reference(self, rank_d, dim_q):
+        system = random_constant_system(100 + rank_d + dim_q, rank_d, dim_q)
+        assert system.constant_drift and system.rank_d < system.parent.rank_e
+        field, reference = _free_field(system), einsum_field(system)
+        terms = einsum_field(system, np.abs(system.gamma()))
+        rows = random_rows(system, np.random.default_rng(rank_d), 4)
+        stacked = field(rows)
+        assert field(rows.reshape(2, 2, -1)).tobytes() == stacked.tobytes()
+        for z, got in zip(rows, stacked):
+            assert got.tobytes() == field(z).tobytes()
+            # both forms round the same m^2 terms in another order: the bound
+            # is relative to the sum of their sizes, sum |Gamma^c_ab y^a y^b|
+            scale = np.maximum(1.0, np.abs(terms(0.0, np.abs(z))))
+            assert np.all(np.abs(got - reference(0.0, z)) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("name", ["suslov", "sleigh"])
+    def test_rk4_flow_matches_einsum_field(self, name):
+        system = field_systems()[name]
+        y0 = np.array([1.0, 0.5])
+        traj = simulate(system, StateQY(q=[], y=y0), 1.0, 1e-3)
+        f = einsum_field(system)
+        _, zs = integrate_fixed_steps(lambda t, z: rk4_step(f, t, z, 1e-3), y0, 1000, 1e-3)
+        assert len(traj) == 1001
+        scale = np.maximum(1.0, np.abs(zs).max(axis=1))
+        assert np.all(np.abs(traj.ys - zs).max(axis=1) <= 1e-14 * scale)
 
 
 class TestNonholonomicField:

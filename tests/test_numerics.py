@@ -159,3 +159,18 @@ class TestCheckFinite:
         stack = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
         stack[2, 3] = BLOWUP_LIMIT
         check_finite(stack)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4)])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, -0.5, -BLOWUP_LIMIT,
+                                       BLOWUP_LIMIT, np.nextafter(BLOWUP_LIMIT, np.inf),
+                                       -np.nextafter(BLOWUP_LIMIT, np.inf)])
+    def test_verdicts_of_the_former_max_form(self, shape, entry):
+        z = np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape)
+        z[(-1,) * len(shape)] = entry
+        passes = bool(np.abs(z).max() <= BLOWUP_LIMIT)  # the former check
+        assert passes == (abs(entry) <= BLOWUP_LIMIT)
+        if passes:
+            check_finite(z)
+        else:
+            with pytest.raises(NonFiniteState):
+                check_finite(z)

@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change pairs of perfbench runs, summarised to JSON.
+
+    python3 tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload free_flow \\
+        --pairs 10 --seconds 25 --seed 101 --out BENCH_n.json
+
+PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts.  Pair i runs
+``perfbench/run.py --trace 0`` once in each root, both with seed
+``--seed + i``; the parent runs first in even pairs and second in odd ones,
+so that a drift of the host's speed does not favour one side.  The last line
+of each run's standard output is its JSON record.  The summary gives, per
+end-to-end metric, each side's values, median and quartiles, the ratio of
+the medians, and the number of pairs the change wins (ties count for
+neither side), plus every run's ``correct``, ``attempted`` and ``failed``.
+The directions of the metrics come from CHANGE_ROOT/BENCHMARK.json.
+Standard library only; runs one benchmark process at a time.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="root of the parent checkout")
+    parser.add_argument("change", type=Path, help="root of the changed checkout")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="perfbench workload; repeat for several")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0,
+                        help="timed seconds per run (perfbench's --seconds)")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("need --pairs >= 1 and --seconds > 0")
+    return args
+
+
+def run_once(root, workload, seed, seconds):
+    """One untraced benchmark run in ``root``; returns its JSON record."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(cmd)} in {root} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) of one side's values."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(pairs, better):
+    """Summary of paired runs.
+
+    ``pairs`` is a list of dicts with keys ``seed``, ``first`` ("parent" or
+    "change"), ``parent`` and ``change``, the last two being run records as
+    perfbench prints them.  ``better`` maps each metric name to "higher" or
+    "lower"; metrics without a direction are left out.
+    """
+    metrics = {}
+    for name, direction in better.items():
+        sides = {side: [p[side]["metrics"][name]["value"] for p in pairs
+                        if name in p[side]["metrics"]] for side in ("parent", "change")}
+        if not sides["parent"] or len(sides["parent"]) != len(sides["change"]):
+            continue
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
+        entry = dict(unit=pairs[0]["parent"]["metrics"][name]["unit"], better=direction,
+                     pairs=len(sides["parent"]), change_wins=wins)
+        for side, values in sides.items():
+            q1, median, q3 = quartiles(values)
+            entry[side] = dict(median=median, q1=q1, q3=q3, values=values)
+        parent, change = entry["parent"], entry["change"]
+        entry["ratio"] = change["median"] / parent["median"] if parent["median"] else None
+        # the gap between the medians, against the parent's own spread
+        entry["beyond_parent_iqr"] = (abs(change["median"] - parent["median"])
+                                      > parent["q3"] - parent["q1"])
+        metrics[name] = entry
+    runs = [dict(seed=p["seed"], first=p["first"],
+                 **{side: {k: p[side][k] for k in ("correct", "attempted", "failed")}
+                    for side in ("parent", "change")}) for p in pairs]
+    return dict(metrics=metrics, runs=runs)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    roots = dict(parent=args.parent, change=args.change)
+    doc = dict(seconds=args.seconds, first_seed=args.seed,
+               host=dict(machine=platform.machine(), cpus=os.cpu_count(),
+                         python=platform.python_version()),
+               workloads={})
+    for workload in args.workload:
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = dict(seed=seed, first=order[0])
+            for side in order:
+                pair[side] = run_once(roots[side], workload, seed, args.seconds)
+                value = pair[side]["metrics"].get("items_per_s", {}).get("value")
+                print(f"{workload} seed {seed} {side}: items_per_s {value}", file=sys.stderr)
+            pairs.append(pair)
+        doc["workloads"][workload] = summarize(pairs, better)
+        with open(args.out, "w", encoding="utf-8") as fh:  # rewritten after each workload
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,8 @@ Array conventions used throughout the package:
 
 The constraint subbundle D carries the orthogonally projected bracket, the
 restricted metric and its Levi-Civita connection; all of that is assembled
-here, on a stack of chart points at once, and cached per chart point.
+here, on a stack of chart points at once, and cached per chart point.  The
+drift Gamma(y, y) + grad V that every flow reads has its one home here too.
 """
 
 from dataclasses import dataclass, field
@@ -314,6 +315,8 @@ class ConstrainedSystem:
     potential gradient as functions of the chart point.  Values are immutable;
     a small per-point cache makes repeated evaluation along trajectories cheap,
     and ``geometry_rows`` builds a whole stack of chart points in one pass.
+    It is the one home of the drift Gamma(y, y) + grad V and its Jacobians:
+    ``drift``, ``drift_dy`` and, on stacks from one build, ``drift_rows``.
     """
 
     def __init__(self, model, spec):
@@ -333,6 +336,58 @@ class ConstrainedSystem:
         """True when Gamma is constant and there is no potential, so that the
         drift Gamma(y, y) has no q-Jacobian and one Gamma serves every row."""
         return self.parent.q_independent and (self.dim_q == 0 or self.parent.zero_potential)
+
+    def fiber_row(self, q, y):
+        """Validate and coerce one row: a chart point (None means the origin)
+        and a fiber velocity of shape (rank_d,)."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.rank_d,):
+            raise DimensionMismatch(f"fiber velocity has shape {y.shape}, not ({self.rank_d},)")
+        return self.parent.chart_point(q), y
+
+    def drift(self, q, y, geo, grad_v=None):
+        """The drift Gamma(y, y) + grad V at chart points q and fiber
+        velocities y, from the geometry record ``geo`` there: one row, or
+        stacks with a matching leading axis; the free flow has ydot = -drift.
+        A caller that keeps grad V at q passes it as ``grad_v``."""
+        acc = np.einsum("...cab,...a,...b->...c", geo["gamma"], y, y)
+        if grad_v is None and self.dim_q == 0:
+            return acc
+        return acc + (self._grad_v(q, geo) if grad_v is None else grad_v)
+
+    @staticmethod
+    def drift_dy(y, geo):
+        """d(drift)/dy = Gamma(., y) + Gamma(y, .) from the record ``geo``, any leading shape."""
+        g = geo["gamma"]
+        return np.einsum("...cab,...b->...ca", g, y) + np.einsum("...cab,...a->...cb", g, y)
+
+    def drift_rows(self, qs, ys):
+        """(drift, d/dq, d/dy, record) at the rows of the stacks qs (B, dim_q)
+        and ys (B, rank_d), each with a leading axis B, the record that of
+        ``geometry_rows`` at qs.  One stacked build covers the rows and their
+        central-difference points (``numerics.central_stencil``), so d/dq has
+        the floats of ``fd_jacobian`` of the drift at each row, or of grad V
+        alone on a chart-independent model, whose Gamma is constant."""
+        n, b = self.dim_q, len(qs)
+        points = numerics.central_stencil(qs)
+        geo = self.geometry_rows(points)
+        rows = {k: v[:b] for k, v in geo.items()}
+        if self.parent.q_independent:  # Gamma is constant: only grad V varies
+            varying = self._grad_v(points, geo)
+            drift = self.drift(qs, ys, rows, varying[:b])
+        else:
+            stencil_ys = np.concatenate([ys] + [np.repeat(ys, n, axis=0)] * 2)
+            varying = self.drift(points, stencil_ys, geo)
+            drift = varying[:b]
+        return drift, numerics.central_differences(varying, n), self.drift_dy(ys, rows), rows
+
+    def _grad_v(self, q, geo):
+        """grad V = (G^D)^{CB} rho^i_B dV/dq^i at chart points q, one point or
+        a stack, from the geometry record ``geo`` there."""
+        if self.dim_q == 0 or self.parent.zero_potential:
+            return np.zeros(np.shape(q)[:-1] + (self.rank_d,))
+        rhs = numerics.matvec_rows(geo["anchor_d"], self.parent.potential_dq(q))
+        return numerics.matvec_rows(geo["metric_d_inv"], rhs)
 
     def geometry_rows(self, qs):
         """Projected data at every row of a stack of chart points (B, dim_q):
@@ -428,17 +483,6 @@ def build_constrained_system(model, spec):
     return ConstrainedSystem(model, spec)
 
 
-def potential_gradients(system, qs, geo):
-    """Metric gradient of the potential at every row of the chart-point stack
-    qs, from the stacked record ``geo`` there (``ConstrainedSystem.geometry_rows``)."""
-    if system.dim_q == 0 or system.parent.zero_potential:
-        return np.zeros((len(qs), system.rank_d))
-    rhs = numerics.matvec_rows(geo["anchor_d"], system.parent.potential_dq(qs))
-    return numerics.matvec_rows(geo["metric_d_inv"], rhs)
-
-
 def grad_potential(system, q=None):
     """Metric gradient of the potential on D: (G^D)^{CB} rho^i_B dV/dq^i."""
-    q = system.parent.chart_point(q)
-    geo = system.geometry(q)
-    return potential_gradients(system, q[None], {k: v[None] for k, v in geo.items()})[0]
+    return system._grad_v(system.parent.chart_point(q), system.geometry(q))

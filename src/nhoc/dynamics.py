@@ -10,7 +10,6 @@ from typing import Optional
 
 import numpy as np
 
-from .algebroid import grad_potential, potential_gradients
 from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteState,
                      SingularMetric)
 from .numerics import integrate_fixed_steps, matvec_rows, rk4_step, step_count
@@ -57,11 +56,10 @@ class Trajectory:
 
 
 def drift_acceleration(system, q, y):
-    """Geometric drift Gamma(y, y) + grad V; the free flow has ydot = -drift."""
-    acc = np.einsum("cab,a,b->c", system.gamma(q), y, y)
-    if system.dim_q > 0:
-        acc = acc + grad_potential(system, q)
-    return acc
+    """Geometric drift Gamma(y, y) + grad V at one row; the free flow has
+    ydot = -drift.  The one-row read of ``ConstrainedSystem.drift``."""
+    q, y = system.fiber_row(q, y)
+    return system.drift(q, y, system.geometry(q))
 
 
 def _free_field(system):
@@ -70,7 +68,8 @@ def _free_field(system):
 
     With constant drift it is rho_D^T y and two matrix-vector products,
     -Gamma(y, y) = ((-Gamma) y) y.  Otherwise each evaluation takes one
-    stacked geometry build and grad V at its chart points.
+    stacked geometry build and grad V at its chart points, and the drift
+    from its one home, ``ConstrainedSystem.drift``.
     """
     nq, m = system.dim_q, system.rank_d
     if system.constant_drift:
@@ -95,11 +94,10 @@ def _free_field(system):
         if key not in last:
             geo = system.geometry_rows(qs)
             last.clear()
-            last[key] = geo, potential_gradients(system, qs, geo)
+            last[key] = geo, system._grad_v(qs, geo)
         geo, grad_v = last[key]
-        drift = np.einsum("...cab,...a,...b->...c", geo["gamma"], ys, ys) + grad_v
-        return np.concatenate([matvec_rows(geo["anchor_d"].swapaxes(1, 2), ys), -drift],
-                              axis=1).reshape(z.shape)
+        return np.concatenate([matvec_rows(geo["anchor_d"].swapaxes(1, 2), ys),
+                               -system.drift(qs, ys, geo, grad_v)], axis=1).reshape(z.shape)
     return field
 
 

@@ -32,13 +32,12 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .algebroid import potential_gradients
 from .dynamics import drift_acceleration
 from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
                      SingularHessian)
 from .numerics import (fd_jacobian, integrate_fixed_steps, matvec_rows, outer_rows,
                        rk4_step, step_count)
-from .optimal_control import ExtremalState, drift_jacobians, drift_rows, recover_controls
+from .optimal_control import ExtremalState, drift_jacobians, recover_controls
 
 SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
 
@@ -48,7 +47,7 @@ class PhasePoint:
     """Point of T*D in induced coordinates (q, y, p_q, p_y).
 
     The fields may share leading batch axes; ``flat`` joins them along the
-    last axis.
+    last axis, and ``HamiltonianSystem.flatten`` also checks their shapes.
     """
 
     q: np.ndarray
@@ -225,7 +224,8 @@ class HamiltonianSystem:
     input matrix B of full column rank, so underactuated problems take the
     same flow.  By the envelope theorem its partials follow from that one
     inversion, for every cost: the drift and anchor terms plus -C_q and -C_y
-    at the optimal u, which vanish for quadratic costs.
+    at the optimal u, which vanish for quadratic costs.  The drift and its
+    Jacobians are read from their one home, ``ConstrainedSystem``.
 
     The partials are compiled on first use into one kernel on stacks of
     phase rows.  With a quadratic cost every row is evaluated at once.  On a
@@ -234,11 +234,11 @@ class HamiltonianSystem:
     constant, so the field is one fixed matrix times the monomials
     (y, p_q, p_y) and their products with y, built once per system, and
     each kernel entry is one product of a block of that matrix with the
-    monomials of its rows.  Otherwise one stacked geometry build per
-    evaluation covers the rows and the stencil of their drift q-Jacobians;
-    rows at the positions of the last build reuse it, as the kick matrix and
-    the dH/dp half of the symplectic schemes do.  A non-quadratic cost takes
-    the per-point formulas row by row.
+    monomials of its rows.  Otherwise each evaluation takes one
+    ``ConstrainedSystem.drift_rows`` over the rows and the stencil of their
+    drift q-Jacobians; rows at the positions of the last build reuse it, as
+    the kick matrix and the dH/dp half of the symplectic schemes do.  A
+    non-quadratic cost takes the per-point formulas row by row.
     """
 
     def __init__(self, problem):
@@ -250,7 +250,7 @@ class HamiltonianSystem:
 
     def value(self, phase):
         """H at one phase point, by the stacked formula of extremal samples."""
-        z = phase.flat()[None]
+        z = self.flatten(phase)[None]
         geo = self.system.geometry_rows(z[:, :self.dim_q])
         return float(self._controls_and_values(z, geo)[1][0])
 
@@ -263,8 +263,7 @@ class HamiltonianSystem:
         n, m = self.dim_q, self.rank_d
         q, y, p_q, p_y = z[:, :n], z[:, n:n + m], z[:, n + m:2 * n + m], z[:, 2 * n + m:]
         u = np.array([_optimal_control(problem, *row) for row in zip(q, y, p_y)])
-        drift = (np.einsum("...cab,...a,...b->...c", geo["gamma"], y, y)
-                 + potential_gradients(system, q, geo))
+        drift = system.drift(q, y, geo)
         ydot = (u if ctrl._identity else matvec_rows(ctrl.input_matrix, u)) - drift
         qdot = matvec_rows(geo["anchor_d"].swapaxes(1, 2), y)
         cost = np.array([problem.cost.value(*row) for row in zip(q, y, u)])
@@ -341,11 +340,9 @@ class HamiltonianSystem:
             return u if input_m is None else matvec_rows(input_m, u)
 
         if not system.constant_drift:
-            # chart-dependent drift: one stacked geometry build per evaluation
-            # covers the rows and the stencil of their drift q-Jacobians.  The
-            # kick matrix and the momentum half of the symplectic schemes are
-            # taken at the same positions, so the position terms of the last
-            # stack are kept and its rows reused while they are asked for again.
+            # chart-dependent drift: one drift_rows per evaluation; the kick
+            # matrix and the momentum half of the symplectic schemes reuse the
+            # rows of the last stack while they are asked for again
             seen, kept = {}, []
 
             def position_terms(x):
@@ -355,7 +352,7 @@ class HamiltonianSystem:
                 if None not in index:
                     return [a[index] for a in kept]
                 q, y = x[:, :n], x[:, n:]
-                delta, ddq, ddy, geo = drift_rows(system, q, y)
+                delta, ddq, ddy, geo = system.drift_rows(q, y)
                 kept[:] = [delta, ddq, ddy, geo["anchor_d"], system.anchor_d_dq(q)]
                 seen.clear()
                 seen.update((row.tobytes(), i) for i, row in enumerate(x))
@@ -460,8 +457,20 @@ class HamiltonianSystem:
 
     def field(self, phase):
         """Canonical Hamiltonian vector field as a PhasePoint of derivatives."""
-        z = phase.flat()
+        z = self.flatten(phase)
         return self.unflatten(self._compiled.field(z.reshape(-1, z.shape[-1])).reshape(z.shape))
+
+    def flatten(self, phase):
+        """Flat phase rows (..., 2(dim_q + rank_d)) of a PhasePoint, the
+        inverse of ``unflatten``.  Raises DimensionMismatch unless the fields
+        have lengths (dim_q, rank_d, dim_q, rank_d) and one leading batch shape."""
+        fields = phase.q, phase.y, phase.p_q, phase.p_y
+        shapes = [f.shape for f in fields]
+        expected = [shapes[0][:-1] + (k,) for k in (self.dim_q, self.rank_d) * 2]
+        if shapes != expected:
+            raise DimensionMismatch(f"phase fields (q, y, p_q, p_y) have shapes {shapes}, "
+                                    f"expected {expected}")
+        return np.concatenate(fields, axis=-1)
 
     def unflatten(self, z):
         """PhasePoint of flat phase rows of shape (..., 2(dim_q + rank_d))."""
@@ -572,7 +581,7 @@ def integrate_step(hs, phase, dt, scheme="stormer_verlet"):
     alone.
     """
     _check_scheme(dt, scheme)
-    z = phase.flat()
+    z = hs.flatten(phase)
     return hs.unflatten(_flat_step(hs, z.reshape(-1, z.shape[-1]), dt, scheme).reshape(z.shape))
 
 
@@ -593,7 +602,7 @@ def symplecticity_defect(hs, phase, dt, scheme):
     # quotient of step h reads as a defect of about 1e-12 / h: 1e-8 at
     # h = 1e-4, where the default 1e-6 stencil would read 1e-6; the linear
     # kicks of quadratic costs are solved to rounding
-    dpsi = fd_jacobian(step_map, phase.flat(), step=1e-4)
+    dpsi = fd_jacobian(step_map, hs.flatten(phase), step=1e-4)
     return float(np.abs(dpsi.T @ jmat @ dpsi - jmat).max())
 
 
@@ -609,7 +618,7 @@ def integrate_hamiltonian(hs, phase0, t_final, dt, scheme="stormer_verlet"):
     """
     n_steps = step_count(t_final, dt)
     _check_scheme(dt, scheme)
-    z0 = phase0.flat()
+    z0 = hs.flatten(phase0)
     times, phases = integrate_fixed_steps(lambda t, z: _flat_step(hs, z, dt, scheme),
                                           z0.reshape(-1, z0.shape[-1]), n_steps, dt)
     return times, phases.reshape((n_steps + 1,) + z0.shape)

@@ -13,12 +13,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebroid import potential_gradients
 from .dynamics import drift_acceleration
 from .errors import DimensionMismatch, SingularHessian, ValidationError
-from .numerics import (FD2_STEP, RANK_TOL, central_differences, central_stencil,
-                       fd_jacobian, fd_partials, integrate_fixed_steps, rk4_step,
-                       step_count)
+from .numerics import (FD2_STEP, RANK_TOL, fd_jacobian, fd_partials, integrate_fixed_steps,
+                       rk4_step, step_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,50 +256,19 @@ def unpack_extremal(problem, z, k=None):
                          lam=z[nq + m + k:2 * nq + m + k], lam_bar=z[2 * nq + m + k:])
 
 
-def _drift_dy(gamma, y):
-    """d(drift)/dy = Gamma(., y) + Gamma(y, .), one point or stacked rows."""
-    return np.einsum("...cab,...b->...ca", gamma, y) + np.einsum("...cab,...a->...cb", gamma, y)
-
-
-def drift_rows(system, q, y):
-    """Drift Gamma(y,y) + grad V and its partials at every row of the stacks
-    q (B, dim_q) and y (B, rank_d); returns (drift, d_drift/dq, d_drift/dy,
-    geometry), each with a leading axis B.
-
-    One stacked geometry build (``ConstrainedSystem.geometry_rows``) covers
-    the rows and their central-difference points q +- FD_STEP e_i, so the
-    q-Jacobian has the floats of ``fd_jacobian`` of the drift at each row
-    (of grad V alone on a chart-independent model, whose Gamma is constant).
-    """
-    n = system.dim_q
-    points = central_stencil(q)
-    ys = np.concatenate([y] + [np.repeat(y, n, axis=0)] * 2)
-    geo = system.geometry_rows(points)
-    varying = drift = np.einsum("...cab,...a,...b->...c", geo["gamma"], ys, ys)
-    if n > 0:
-        grad_v = potential_gradients(system, points, geo)
-        varying = drift = drift + grad_v
-        if system.parent.q_independent:
-            varying = grad_v
-    b = len(q)
-    rows = {k: v[:b] for k, v in geo.items()}
-    return drift[:b], central_differences(varying, n), _drift_dy(rows["gamma"], y), rows
-
-
 def drift_jacobians(system, q, y):
     """Partials of the drift Gamma(y,y) + grad V with respect to q and y.
 
     Returns (d_drift/dq of shape (rank_d, dim_q), d_drift/dy of shape
-    (rank_d, rank_d)): the one-row case of ``drift_rows``.  The q-derivative
-    is a central difference through the geometry (step 1e-6); it vanishes
-    without a chart or when the system's drift is constant
+    (rank_d, rank_d)): the one-row read of ``ConstrainedSystem.drift_rows``.
+    The q-derivative is a central difference through the geometry (step
+    1e-6); it vanishes without a chart or when the system's drift is constant
     (``ConstrainedSystem.constant_drift``).
     """
-    q = system.parent.chart_point(q)
-    y = np.asarray(y, dtype=float)
+    q, y = system.fiber_row(q, y)
     if system.dim_q == 0 or system.constant_drift:
-        return np.zeros((system.rank_d, system.dim_q)), _drift_dy(system.gamma(q), y)
-    _, ddq, ddy, _ = drift_rows(system, q[None], y[None])
+        return np.zeros((system.rank_d, system.dim_q)), system.drift_dy(y, system.geometry(q))
+    _, ddq, ddy, _ = system.drift_rows(q[None], y[None])
     return ddq[0], ddy[0]
 
 
@@ -313,10 +280,8 @@ def recover_controls(problem, q, y, ydot):
     input matrix must be square and u = B^{-1}(ydot + drift).
     """
     system = problem.system
-    q = system.parent.chart_point(q)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     ydot = np.atleast_1d(np.asarray(ydot, dtype=float))
-    delta = drift_acceleration(system, q, y)
+    delta = drift_acceleration(system, q, np.atleast_1d(y))
     ctrl = problem.controls
     if ctrl.actuated_indices is None:
         if ctrl._inverse is None:

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nhoc import (AlgebroidModel, ControlDistribution, CostModel, ModelPartials,
-                  OCProblem, build_constrained_system, make_chaplygin, make_double_integrator,
-                  make_suslov, quadratic_cost)
+from nhoc import (AlgebroidModel, ConstraintSpec, ControlDistribution, CostModel,
+                  ModelPartials, OCProblem, build_constrained_system, constant_model,
+                  make_chaplygin, make_double_integrator, make_suslov, quadratic_cost)
 
 SUSLOV_PARAMS = dict(I11=2.0, I22=3.0, I33=4.0, I13=0.1, I23=0.2)
 
@@ -62,6 +64,29 @@ def curved_model():
         partials=ModelPartials(metric_dq=metric_dq,
                                anchor_dq=lambda q: np.zeros((1, 2, 1)),
                                potential_dq=lambda q: np.array([0.5 * q[0]])))
+
+
+def field_systems():
+    """One system per branch and shape of the compiled free field: constant
+    drift with dim_q = 0 (Suslov, the sleigh) and with an anchor (the double
+    integrator), and the chart branch with a model without the constant
+    flags, a constant model with potential and the curved model."""
+    structure = np.array([[[0.0, 0.4], [-0.4, 0.0]], [[0.0, -0.3], [0.3, 0.0]]])
+    with_potential = constant_model(structure, [[2.0, 0.3], [0.3, 1.0]],
+                                    anchor=[[1.0, 0.2], [0.0, 1.0]],
+                                    dim_q=2, potential=lambda q: q[0] ** 2 + 0.5 * q[0] * q[1])
+    suslov, suslov_spec = make_suslov(**SUSLOV_PARAMS)
+    return {
+        "suslov": build_constrained_system(suslov, suslov_spec),
+        # dim_q = 0 through the chart branch: every stack has the same chart bytes
+        "suslov_unflagged": build_constrained_system(
+            replace(suslov, q_independent=False, zero_potential=False), suslov_spec),
+        "sleigh": build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0)),
+        "double_integrator": build_constrained_system(*make_double_integrator(2)),
+        "constant_with_potential": build_constrained_system(
+            with_potential, ConstraintSpec(span_basis=np.eye(2))),
+        "curved": build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2))),
+    }
 
 
 def quartic_cost():

@@ -485,7 +485,7 @@ class TestDefaultPartials:
         system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(model.rank_e)))
         qs = np.random.default_rng(2).uniform(-0.8, 0.8, (3, model.dim_q))
         counts.clear()
-        algebroid.potential_gradients(system, qs, system.geometry_rows(qs))
+        system._grad_v(qs, system.geometry_rows(qs))
         n = model.dim_q
         assert counts == {"metric": 3 * (1 + n + 2), "potential": 3 * (n + 2),
                           "structure": 3, "anchor": 3}

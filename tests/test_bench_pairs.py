@@ -1,6 +1,7 @@
 """The summary of ``tools/bench_pairs.py`` on synthetic run records."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,38 @@ def test_one_pair_has_degenerate_quartiles():
     rate = summary["metrics"]["items_per_s"]
     assert rate["parent"]["q1"] == rate["parent"]["q3"] == 10.0
     assert rate["change_wins"] == 0 and summary["metrics"]["item_p50_ms"]["change_wins"] == 0
+
+
+def bench_file(directory, n, medians):
+    """A BENCH_<n>.json whose workloads hold the given change medians."""
+    workloads = {name: {"metrics": {metric: {"change": {"median": value}}
+                                    for metric, value in metrics.items()}}
+                 for name, metrics in medians.items()}
+    path = directory / f"BENCH_{n}.json"
+    path.write_text(json.dumps({"workloads": workloads}))
+    return path
+
+
+def test_previous_file_is_the_highest_number_below_the_output(tmp_path):
+    for n in (3, 9, 12, 100):
+        bench_file(tmp_path, n, {})
+    (tmp_path / "BENCH_8.txt").write_text("")
+    (tmp_path / "BENCH_x.json").write_text("")
+    assert bench_pairs.previous_file(tmp_path / "BENCH_10.json").name == "BENCH_9.json"
+    assert bench_pairs.previous_file(tmp_path / "BENCH_12.json").name == "BENCH_9.json"
+    assert bench_pairs.previous_file(tmp_path / "BENCH_101.json").name == "BENCH_100.json"
+    assert bench_pairs.previous_file(tmp_path / "BENCH_3.json") is None
+    assert bench_pairs.previous_file(tmp_path / "out.json") is None
+    assert bench_pairs.previous_file(tmp_path / "other" / "BENCH_10.json") is None
+
+
+def test_previous_change_medians_and_ratios(tmp_path):
+    earlier = bench_file(tmp_path, 15, {"free_flow": {"items_per_s": 12.5, "setup_s": 0.5}})
+    runs = pairs([(10.0, 20.0), (11.0, 21.0), (12.0, 20.0)],
+                 [(12.0, 18.0), (15.0, 22.0), (13.0, 17.0)])
+    summary = bench_pairs.summarize(runs, BETTER)
+    workloads = json.loads(earlier.read_text())["workloads"]
+    previous = bench_pairs.compare_previous(summary, workloads["free_flow"], earlier.name)
+    # item_p50_ms is not in the earlier file, setup_s not in this one
+    assert previous == {"file": "BENCH_15.json",
+                        "metrics": {"items_per_s": {"median": 12.5, "ratio": 13.0 / 12.5}}}

@@ -575,8 +575,8 @@ class TestChartKernel:
             kick_matrix=HamiltonianSystem(problem)._compiled.kick_matrix)
         _, expected_linear = integrate_hamiltonian(linear_kick, phase, 1.0, 0.1, scheme)
         calls = []
-        drift_rows = hamiltonian.drift_rows
-        monkeypatch.setattr(hamiltonian, "drift_rows",
+        drift_rows = problem.system.drift_rows
+        monkeypatch.setattr(problem.system, "drift_rows",
                             lambda *args: calls.append(1) or drift_rows(*args))
         hs = HamiltonianSystem(problem)
         assert hs._stacks_at_once
@@ -664,3 +664,24 @@ class TestErrors:
         phase = PhasePoint(q=[], y=[0.1, 0.2], p_q=[], p_y=[0.1, 0.1])
         with pytest.raises(DimensionMismatch):
             integrate_step(hs, phase, dt, "rk4")
+
+    @pytest.mark.parametrize("phase", [
+        # re-split as y = (1, 2), p_y = (3, 1) if the fields were only joined
+        PhasePoint(q=[], y=[1.0, 2.0, 3.0], p_q=[], p_y=[1.0]),
+        # unequal leading batch shapes
+        PhasePoint(q=np.zeros((2, 0)), y=np.zeros((3, 2)), p_q=np.zeros((2, 0)),
+                   p_y=np.zeros((2, 2))),
+    ], ids=["wrong_lengths", "unequal_batches"])
+    @pytest.mark.parametrize("call", [
+        lambda hs, phase: hs.value(phase),
+        lambda hs, phase: hs.field(phase),
+        lambda hs, phase: hs.partials(phase),
+        lambda hs, phase: integrate_step(hs, phase, 0.1, "rk4"),
+        lambda hs, phase: integrate_hamiltonian(hs, phase, 0.2, 0.1, "symp_euler"),
+        lambda hs, phase: symplecticity_defect(hs, phase, 0.1, "stormer_verlet"),
+    ], ids=["value", "field", "partials", "integrate_step", "integrate_hamiltonian",
+            "symplecticity_defect"])
+    def test_mis_shaped_phase_points_are_named(self, chaplygin_system, phase, call):
+        hs = HamiltonianSystem(full_actuation_problem(chaplygin_system))
+        with pytest.raises(DimensionMismatch, match="phase fields"):
+            call(hs, phase)

@@ -4,14 +4,15 @@ import pytest
 from dataclasses import replace
 
 from nhoc import (ConstraintSpec, ControlDistribution, ExtremalState, ModelPartials, OCProblem,
-                  StateQY, build_constrained_system, controlled_field, drift_acceleration,
-                  integrate_extremal, lift_cost, necessary_conditions_field, quadratic_cost,
+                  PhasePoint, StateQY, build_constrained_system, controlled_field,
+                  drift_acceleration, grad_potential, integrate_extremal, inverse_legendre,
+                  legendre_map, lift_cost, necessary_conditions_field, quadratic_cost,
                   recover_controls)
 from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian, ValidationError
 from nhoc.numerics import fd_jacobian
-from nhoc.optimal_control import drift_jacobians, drift_rows
+from nhoc.optimal_control import drift_jacobians
 
-from conftest import curved_model, full_actuation_problem
+from conftest import curved_model, field_systems, full_actuation_problem
 
 
 def maxabs(a):
@@ -262,21 +263,50 @@ class TestCostModel:
 
 
 class TestDriftJacobians:
-    @pytest.mark.parametrize("partials", ["analytic", "default"])
-    def test_stacked_rows_have_the_floats_of_the_point_formulas(self, partials):
-        model = curved_model()
-        if partials == "default":
-            model = replace(model, partials=ModelPartials())
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
-        q = np.array([[0.4], [-0.3], [1.1]])
+    @pytest.mark.parametrize("name", ["analytic", "default", "constant_with_potential",
+                                      "suslov_unflagged"])
+    def test_stacked_rows_have_the_floats_of_the_point_formulas(self, name):
+        # the curved model with its analytic partials or without them, and
+        # two more systems of the free field's chart branch
+        if name in ("analytic", "default"):
+            model = curved_model()
+            if name == "default":
+                model = replace(model, partials=ModelPartials())
+            system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        else:
+            system = field_systems()[name]
+        q = np.array([[0.4, 0.2], [-0.3, 0.5], [1.1, -0.6]])[:, :system.dim_q]
         y = np.array([[0.3, -0.2], [0.0, 0.5], [-1.0, 0.7]])
-        drift, ddq, ddy, geo = drift_rows(system, q, y)
+        drift, ddq, ddy, geo = system.drift_rows(q, y)
         for k in range(len(q)):
             assert drift[k].tobytes() == drift_acceleration(system, q[k], y[k]).tobytes()
-            # the central difference of fd_jacobian, through the geometry
-            central = fd_jacobian(lambda qq: drift_acceleration(system, qq, y[k]), q[k])
-            assert ddq[k].tobytes() == central.tobytes()
+            # the central difference of fd_jacobian, through the geometry; on
+            # a chart-independent model Gamma is constant, and of grad V alone
+            if system.parent.q_independent:
+                central = fd_jacobian(lambda qq: grad_potential(system, qq), q[k])
+            else:
+                central = fd_jacobian(lambda qq: drift_acceleration(system, qq, y[k]), q[k])
+            assert ddq[k].shape == central.shape and ddq[k].tobytes() == central.tobytes()
             point_ddq, point_ddy = drift_jacobians(system, q[k], y[k])
             assert point_ddq.tobytes() == central.tobytes()
             assert ddy[k].tobytes() == point_ddy.tobytes()
             assert geo["gamma"][k].tobytes() == system.gamma(q[k]).tobytes()
+
+
+class TestFiberLength:
+    """A fiber velocity of the wrong length is a DimensionMismatch at every
+    one-row read of the drift, not an einsum error."""
+
+    @pytest.mark.parametrize("call", [
+        lambda p, y: drift_acceleration(p.system, [], y),
+        lambda p, y: drift_jacobians(p.system, [], y),
+        lambda p, y: recover_controls(p, [], y, [0.0, 0.0]),
+        lambda p, y: legendre_map(p, ExtremalState(q=[], y=y, v=[0.0, 0.0])),
+        lambda p, y: inverse_legendre(p, PhasePoint(q=[], y=y, p_q=[], p_y=[0.1, 0.2])),
+        lambda p, y: necessary_conditions_field(p, ExtremalState(q=[], y=y, v=[0.0, 0.0])),
+    ], ids=["drift_acceleration", "drift_jacobians", "recover_controls", "legendre_map",
+            "inverse_legendre", "necessary_conditions_field"])
+    @pytest.mark.parametrize("y", [[0.0, 0.0, 0.0], [0.5]])
+    def test_wrong_length_is_named(self, chaplygin_system, call, y):
+        with pytest.raises(DimensionMismatch, match="fiber velocity"):
+            call(full_actuation_problem(chaplygin_system), y)

@@ -14,12 +14,21 @@ the medians, and the number of pairs the change wins (ties count for
 neither side), plus every run's ``correct``, ``attempted`` and ``failed``.
 The directions of the metrics come from CHANGE_ROOT/BENCHMARK.json.
 Standard library only; runs one benchmark process at a time.
+
+When --out names ``BENCH_<n>.json``, each workload's summary also gains
+``previous``: the name of the highest-numbered ``BENCH_<k>.json`` with k < n
+beside the output file, and per metric that file's change median and the
+ratio of this file's change median to it.  That comparison spans two
+separate runs of this script and is unpaired: the host's speed may have
+moved between the two files, so only the pairs within one file measure a
+change.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -95,11 +104,46 @@ def summarize(pairs, better):
     return dict(metrics=metrics, runs=runs)
 
 
+def _bench_number(path):
+    """n of a file named BENCH_<n>.json, else None."""
+    match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    return int(match.group(1)) if match else None
+
+
+def previous_file(out):
+    """The highest-numbered BENCH_<k>.json beside ``out`` with k below the
+    number of ``out``, or None (also when ``out`` is not named BENCH_<n>.json)."""
+    n = _bench_number(out)
+    if n is None:
+        return None
+    earlier = [(k, path) for path in out.parent.glob("BENCH_*.json")
+               if (k := _bench_number(path)) is not None and k < n]
+    return max(earlier)[1] if earlier else None
+
+
+def compare_previous(summary, previous, name):
+    """The ``previous`` entry of a workload's summary against that
+    workload's summary in the earlier file ``name``: per metric present in
+    both, the earlier change median and the ratio of the medians."""
+    metrics = {}
+    for metric, entry in summary["metrics"].items():
+        if metric not in previous["metrics"]:
+            continue
+        median = previous["metrics"][metric]["change"]["median"]
+        metrics[metric] = dict(median=median,
+                               ratio=entry["change"]["median"] / median if median else None)
+    return dict(file=name, metrics=metrics)
+
+
 def main(argv=None):
     args = parse_args(argv)
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     roots = dict(parent=args.parent, change=args.change)
+    earlier = previous_file(args.out)
+    if earlier is not None:
+        with open(earlier, encoding="utf-8") as fh:
+            earlier_workloads = json.load(fh)["workloads"]
     doc = dict(seconds=args.seconds, first_seed=args.seed,
                host=dict(machine=platform.machine(), cpus=os.cpu_count(),
                          python=platform.python_version()),
@@ -115,7 +159,10 @@ def main(argv=None):
                 value = pair[side]["metrics"].get("items_per_s", {}).get("value")
                 print(f"{workload} seed {seed} {side}: items_per_s {value}", file=sys.stderr)
             pairs.append(pair)
-        doc["workloads"][workload] = summarize(pairs, better)
+        summary = doc["workloads"][workload] = summarize(pairs, better)
+        if earlier is not None and workload in earlier_workloads:
+            summary["previous"] = compare_previous(summary, earlier_workloads[workload],
+                                                   earlier.name)
         with open(args.out, "w", encoding="utf-8") as fh:  # rewritten after each workload
             json.dump(doc, fh, indent=1)
             fh.write("\n")

@@ -12,10 +12,12 @@ Array conventions used throughout the package:
 
 The constraint subbundle D carries the orthogonally projected bracket, the
 restricted metric and its Levi-Civita connection; all of that is assembled
-here, on a stack of chart points at once, and cached per chart point.  The
-drift Gamma(y, y) + grad V that every flow reads has its one home here too.
+here, on a stack of chart points at once, and a single point is the one-row
+case.  The drift Gamma(y, y) + grad V that every flow reads has its one home
+here too.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -312,9 +314,10 @@ class ConstrainedSystem:
 
     Wraps a parent model plus a constraint and exposes the projected
     structure functions, restricted anchor/metric, Christoffel field and
-    potential gradient as functions of the chart point.  Values are immutable;
-    a small per-point cache makes repeated evaluation along trajectories cheap,
-    and ``geometry_rows`` builds a whole stack of chart points in one pass.
+    potential gradient as functions of the chart point.  Values are immutable.
+    ``geometry_rows`` builds a whole stack of chart points in one pass, and a
+    single point is its one-row case; a chart-independent model builds its
+    one record once and every point reads it.
     It is the one home of the drift Gamma(y, y) + grad V and its Jacobians:
     ``drift``, ``drift_dy`` and, on stacks from one build, ``drift_rows``.
     """
@@ -329,7 +332,6 @@ class ConstrainedSystem:
         # block a to the flattened d a d^T
         self._kron_dd = np.kron(d, d).T
         self.dim_q = model.dim_q
-        self._cache = {}
 
     @property
     def constant_drift(self):
@@ -392,31 +394,29 @@ class ConstrainedSystem:
     def geometry_rows(self, qs):
         """Projected data at every row of a stack of chart points (B, dim_q):
         the record of ``geometry`` with a leading axis B on each array, from
-        one stacked build.  Not cached; a chart-independent model broadcasts
-        its one record.  Read-only."""
+        one stacked build; a chart-independent model broadcasts its one
+        record.  Read-only."""
         qs = np.asarray(qs, dtype=float)
         if qs.ndim != 2 or qs.shape[1] != self.dim_q or len(qs) == 0:
             raise DimensionMismatch(f"chart points must have shape (B, {self.dim_q}), B > 0")
         if self.parent.q_independent:
             return {k: np.broadcast_to(v, (len(qs),) + v.shape)
-                    for k, v in self.geometry(None).items()}
+                    for k, v in self._constant_geometry.items()}
         return _chart_geometry(self, qs)
 
     def geometry(self, q):
-        """Projected data at q, cached complete and never changed after:
-        structure_d, anchor_d, metric_d, metric_d_inv and gamma.  The
-        one-row case of ``geometry_rows``.  Read-only."""
+        """Projected data at q: structure_d, anchor_d, metric_d, metric_d_inv
+        and gamma, row 0 of a one-row build, or the one record of a
+        chart-independent model.  Read-only."""
         q = self.parent.chart_point(q)
-        key = b"const" if self.parent.q_independent else q.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        stack = _chart_geometry(self, q[None])
-        geo = {k: v[0] for k, v in stack.items()}
-        if len(self._cache) > 64:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = geo
-        return geo
+        if self.parent.q_independent:
+            return self._constant_geometry
+        return {k: v[0] for k, v in _chart_geometry(self, q[None]).items()}
+
+    @functools.cached_property
+    def _constant_geometry(self):
+        """The one record of a chart-independent model, built on first use."""
+        return {k: v[0] for k, v in _chart_geometry(self, np.zeros((1, self.dim_q))).items()}
 
     def structure_d(self, q=None):
         return self.geometry(q)["structure_d"]
@@ -440,7 +440,7 @@ class ConstrainedSystem:
         model partials (complex-step or finite-difference derivatives by
         default) and vanish identically for chart-independent models; the
         three bracket terms use the projected structure functions.  Built
-        with the rest of the geometry at q, so this is a lookup.
+        with the rest of the geometry at q.
         """
         return self.geometry(q)["gamma"]
 

@@ -75,16 +75,15 @@ def check_koszul(system, rng):
     finite differences (step 1e-5) for the anchor-derivative terms."""
     worst_koszul, worst_torsion = 0.0, 0.0
     for q in _random_chart_points(system.parent, rng, 3):
-        gd = system.metric_d(q)
-        cd = system.structure_d(q)
-        gamma = system.gamma(q)
+        geo = system.geometry(q)
+        gd, cd, gamma = geo["metric_d"], geo["structure_d"], geo["gamma"]
         lhs = 2.0 * np.einsum("cm,mab->cab", gd, gamma)
         rhs = (np.einsum("am,mcb->cab", gd, cd)
                + np.einsum("bm,mca->cab", gd, cd)
                - np.einsum("cm,mba->cab", gd, cd))
         if system.dim_q > 0:
             dgd = fd_partials(lambda qq: system.metric_d(qq), q, step=1e-5)
-            rho = system.anchor_d(q)
+            rho = geo["anchor_d"]
             rhs = rhs + (np.einsum("ai,ibc->cab", rho, dgd)
                          + np.einsum("bi,iac->cab", rho, dgd)
                          - np.einsum("ci,iab->cab", rho, dgd))

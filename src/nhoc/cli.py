@@ -201,12 +201,13 @@ def cmd_derive(args):
     q = parse_vector(args.q) if args.q else np.zeros(model.dim_q)
     if q.shape != (model.dim_q,):
         raise ValidationError(f"--q must have length {model.dim_q}")
+    geo = system.geometry(q)
     doc = {
         "q": q.tolist(),
-        "structure_constants": system.structure_d(q).tolist(),
-        "restricted_metric": system.metric_d(q).tolist(),
-        "restricted_metric_inverse": system.metric_d_inv(q).tolist(),
-        "christoffel": system.gamma(q).tolist(),
+        "structure_constants": geo["structure_d"].tolist(),
+        "restricted_metric": geo["metric_d"].tolist(),
+        "restricted_metric_inverse": geo["metric_d_inv"].tolist(),
+        "christoffel": geo["gamma"].tolist(),
     }
     print(json.dumps(doc, indent=2))
     return 0

@@ -130,19 +130,23 @@ def legendre_map(problem, state):
 
 
 def _optimal_control(problem, q, y, p_y):
-    """Control u solving C_u(q, y, u) = B^T p_y.
+    """Control u solving C_u(q, y, u) = B^T p_y at one row, or at every row
+    of stacks with a leading axis, each row with the floats of its own call.
 
-    Quadratic costs invert exactly: u = W^{-1} B^T p_y.  Otherwise damped
-    Newton from u = B^T p_y (tol 1e-12, max 50 iterations), raising
+    Quadratic costs invert exactly, u = W^{-1} B^T p_y, in one solve over the
+    stack; they read neither q nor y.  Otherwise damped Newton from
+    u = B^T p_y (tol 1e-12, max 50 iterations), row by row, raising
     LegendreDivergence on failure.
     """
     cost, ctrl = problem.cost, problem.controls
-    target = p_y if ctrl._identity else ctrl.input_matrix.T @ p_y
+    if not cost.quadratic and p_y.ndim == 2:
+        return np.array([_optimal_control(problem, *row) for row in zip(q, y, p_y)])
+    target = p_y if ctrl._identity else matvec_rows(ctrl.input_matrix.T, p_y)
     if cost.quadratic:
         if cost.weight_identity:
             return target
         try:
-            return np.linalg.solve(cost.weight, target)
+            return np.linalg.solve(cost.weight, target[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularHessian("quadratic cost weight is singular") from exc
     u = target.copy()
@@ -174,8 +178,9 @@ def _optimal_control(problem, q, y, p_y):
 
 
 def _actuation(problem, u):
+    """B u at one row or at every row of a stack."""
     ctrl = problem.controls
-    return u if ctrl._identity else ctrl.input_matrix @ u
+    return u if ctrl._identity else matvec_rows(ctrl.input_matrix, u)
 
 
 def inverse_legendre(problem, phase):
@@ -257,14 +262,14 @@ class HamiltonianSystem:
     def _controls_and_values(self, z, geo):
         """Optimal controls (B, k), H (B,) and the running cost (B,) at the
         flat phase rows z, given the stacked geometry record ``geo`` at their
-        chart points: one Legendre inversion and one cost value per row,
-        every other term one product over the stack."""
-        problem, system, ctrl = self.problem, self.system, self.problem.controls
+        chart points: one Legendre inversion of the stack and one cost value
+        per row, every other term one product over the stack."""
+        problem, system = self.problem, self.system
         n, m = self.dim_q, self.rank_d
         q, y, p_q, p_y = z[:, :n], z[:, n:n + m], z[:, n + m:2 * n + m], z[:, 2 * n + m:]
-        u = np.array([_optimal_control(problem, *row) for row in zip(q, y, p_y)])
-        drift = system.drift(q, y, geo)
-        ydot = (u if ctrl._identity else matvec_rows(ctrl.input_matrix, u)) - drift
+        # an array of its own: with B = W = I the controls are p_y itself
+        u = np.array(_optimal_control(problem, q, y, p_y))
+        ydot = _actuation(problem, u) - system.drift(q, y, geo)
         qdot = matvec_rows(geo["anchor_d"].swapaxes(1, 2), y)
         cost = np.array([problem.cost.value(*row) for row in zip(q, y, u)])
         # row dot products as (1, m) @ (m, 1): the floats of p_y @ ydot at one point
@@ -274,10 +279,9 @@ class HamiltonianSystem:
     def _point_partials(self, q, y, p_q, p_y):
         """(dH/dx, dH/dp) at one phase point."""
         cost = self.problem.cost
-        anchor = self.system.anchor_d(q)
         u = _optimal_control(self.problem, q, y, p_y)
-        delta = drift_acceleration(self.system, q, y)
-        ddq, ddy = drift_jacobians(self.system, q, y)
+        delta, ddq, ddy, geo = drift_jacobians(self.system, q, y)
+        anchor = geo["anchor_d"]
         d_pq = anchor.T @ y
         d_py = _actuation(self.problem, u) - delta
         d_y = -ddy.T @ p_y + anchor @ p_q
@@ -323,21 +327,12 @@ class HamiltonianSystem:
     def _build_kernel(self):
         problem, system = self.problem, self.system
         n, d = self.dim_q, self.dim_q + self.rank_d
-        cost, ctrl = problem.cost, problem.controls
         if not self._stacks_at_once:
             return self._rowwise_kernel()
-        input_m = None if ctrl._identity else ctrl.input_matrix
-        weight = None if cost.weight_identity else cost.weight
 
         def actuation(p_y):
             """B u for the Legendre map u = W^-1 B^T p_y of every row."""
-            u = p_y if input_m is None else matvec_rows(input_m.T, p_y)
-            if weight is not None:
-                try:
-                    u = np.linalg.solve(weight, u[:, :, None])[:, :, 0]
-                except np.linalg.LinAlgError as exc:
-                    raise SingularHessian("quadratic cost weight is singular") from exc
-            return u if input_m is None else matvec_rows(input_m, u)
+            return _actuation(problem, _optimal_control(problem, None, None, p_y))
 
         if not system.constant_drift:
             # chart-dependent drift: one drift_rows per evaluation; the kick

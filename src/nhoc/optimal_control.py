@@ -21,25 +21,34 @@ from .numerics import (FD2_STEP, RANK_TOL, fd_jacobian, fd_partials, integrate_f
 
 @dataclass(frozen=True, eq=False)
 class CostModel:
-    """Running cost C(q, y, u) with optional analytic partials.
+    """Running cost C(q, y, u) with optional analytic u-partials.
 
-    Partials left as None are evaluated by central finite differences
-    (``numerics.fd_partials``): first derivatives with step 1e-6, second
-    derivatives of a plain evaluator by nested differences with step 1e-4,
-    and second derivatives from an analytic ``cu`` by one difference of it
-    (step 1e-6).  A ``weight`` W marks C = (1/2) u^T W u (``quadratic``),
-    whose partials are exact and whose Legendre transform is closed-form.
+    Partials without an analytic callable are evaluated by central finite
+    differences (``numerics.fd_partials``): first derivatives with step 1e-6,
+    second derivatives of a plain evaluator by nested differences with step
+    1e-4, and second derivatives from an analytic ``cu`` by one difference of
+    it (step 1e-6).  A ``weight`` W marks C = (1/2) u^T W u (``quadratic``),
+    whose partials are exact and whose Legendre transform is closed-form; it
+    must be a finite symmetric (k, k) matrix.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
     k: int
-    cq: Optional[Callable] = None
-    cy: Optional[Callable] = None
     cu: Optional[Callable] = None
     cuu: Optional[Callable] = None
-    cuq: Optional[Callable] = None
-    cuy: Optional[Callable] = None
     weight: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.weight is None:
+            return
+        w = np.asarray(self.weight, dtype=float)
+        if w.shape != (self.k, self.k):
+            raise DimensionMismatch(f"cost weight has shape {w.shape}, not ({self.k}, {self.k})")
+        if not np.isfinite(w).all():
+            raise ValidationError("cost weight has non-finite entries")
+        if np.abs(w - w.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(w).max(initial=0.0)):
+            raise DimensionMismatch("quadratic cost weight must be symmetric")
+        object.__setattr__(self, "weight", w)
 
     @property
     def quadratic(self):
@@ -54,13 +63,9 @@ class CostModel:
         return fd_partials(lambda uu: self.evaluator(q, y, uu), u)
 
     def dy(self, q, y, u):
-        if self.cy is not None:
-            return np.asarray(self.cy(q, y, u), dtype=float)
         return fd_partials(lambda yy: self.evaluator(q, yy, u), y)
 
     def dq(self, q, y, u):
-        if self.cq is not None:
-            return np.asarray(self.cq(q, y, u), dtype=float)
         return fd_partials(lambda qq: self.evaluator(qq, y, u), q)
 
     def d2uu(self, q, y, u):
@@ -91,8 +96,6 @@ class CostModel:
             raise SingularHessian("cost Hessian is singular at the state") from exc
 
     def d2uq(self, q, y, u):
-        if self.cuq is not None:
-            return np.asarray(self.cuq(q, y, u), dtype=float)
         if np.size(q) == 0:
             return np.zeros((self.k, 0))
         if self.cu is not None:
@@ -101,8 +104,6 @@ class CostModel:
             lambda qq: self.evaluator(qq, y, uu), q, FD2_STEP), u, FD2_STEP)
 
     def d2uy(self, q, y, u):
-        if self.cuy is not None:
-            return np.asarray(self.cuy(q, y, u), dtype=float)
         if self.cu is not None:
             return fd_jacobian(lambda yy: self.cu(q, yy, u), y)
         return fd_partials(lambda uu: fd_partials(
@@ -112,8 +113,6 @@ class CostModel:
 def quadratic_cost(weight):
     """Control-effort cost (1/2) u^T W u with exact partials."""
     w = np.atleast_2d(np.asarray(weight, dtype=float))
-    if np.abs(w - w.T).max() > 1e-12 * max(1.0, np.abs(w).max()):
-        raise DimensionMismatch("quadratic cost weight must be symmetric")
     return CostModel(evaluator=lambda q, y, u: 0.5 * float(u @ w @ u), k=w.shape[0],
                      cu=lambda q, y, u: w @ u, cuu=lambda q, y, u: w, weight=w)
 
@@ -257,19 +256,23 @@ def unpack_extremal(problem, z, k=None):
 
 
 def drift_jacobians(system, q, y):
-    """Partials of the drift Gamma(y,y) + grad V with respect to q and y.
+    """The drift Gamma(y,y) + grad V and its partials with respect to q and y.
 
-    Returns (d_drift/dq of shape (rank_d, dim_q), d_drift/dy of shape
-    (rank_d, rank_d)): the one-row read of ``ConstrainedSystem.drift_rows``.
-    The q-derivative is a central difference through the geometry (step
-    1e-6); it vanishes without a chart or when the system's drift is constant
-    (``ConstrainedSystem.constant_drift``).
+    Returns (drift, d_drift/dq of shape (rank_d, dim_q), d_drift/dy of shape
+    (rank_d, rank_d), the geometry record at q), all from one build: the
+    one-row read of ``ConstrainedSystem.drift_rows``.  The q-derivative is a
+    central difference through the geometry (step 1e-6); it vanishes without
+    a chart or when the system's drift is constant
+    (``ConstrainedSystem.constant_drift``), and the record is then
+    ``geometry(q)``.
     """
     q, y = system.fiber_row(q, y)
     if system.dim_q == 0 or system.constant_drift:
-        return np.zeros((system.rank_d, system.dim_q)), system.drift_dy(y, system.geometry(q))
-    _, ddq, ddy, _ = system.drift_rows(q[None], y[None])
-    return ddq[0], ddy[0]
+        geo = system.geometry(q)
+        return (system.drift(q, y, geo), np.zeros((system.rank_d, system.dim_q)),
+                system.drift_dy(y, geo), geo)
+    drift, ddq, ddy, geo = system.drift_rows(q[None], y[None])
+    return drift[0], ddq[0], ddy[0], {k: v[0] for k, v in geo.items()}
 
 
 def recover_controls(problem, q, y, ydot):
@@ -332,10 +335,9 @@ def necessary_conditions_field(problem, state):
     if lam_bar.shape != (ctrl.rank_d - ctrl.k,):
         raise DimensionMismatch(f"lambda_bar must have length {ctrl.rank_d - ctrl.k}")
 
-    anchor = system.anchor_d(q)
-    delta = drift_acceleration(system, q, y)
+    delta, ddq, ddy, geo = drift_jacobians(system, q, y)
+    anchor = geo["anchor_d"]
     u = v + delta[act]
-    ddq, ddy = drift_jacobians(system, q, y)
 
     ydot = np.empty(system.rank_d)
     ydot[act] = v

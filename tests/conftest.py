@@ -99,8 +99,4 @@ def quartic_cost():
         return (1.0 + u @ u) * np.eye(u.size) + 2.0 * np.outer(u, u)
 
     return CostModel(evaluator=lambda q, y, u: 0.5 * u @ u + 0.25 * (u @ u) ** 2,
-                     k=2, cu=cu, cuu=cuu,
-                     cq=lambda q, y, u: np.zeros(np.size(q)),
-                     cy=lambda q, y, u: np.zeros(np.size(y)),
-                     cuq=lambda q, y, u: np.zeros((2, np.size(q))),
-                     cuy=lambda q, y, u: np.zeros((2, np.size(y))))
+                     k=2, cu=cu, cuu=cuu)

@@ -317,7 +317,7 @@ class TestConstrainedSystem:
         geo = system.geometry(q)
         keys = set(geo)
         assert "gamma" in keys
-        assert system.gamma(q) is geo["gamma"]
+        assert system.gamma(q).tobytes() == geo["gamma"].tobytes()
         assert set(system.geometry(q)) == keys
 
     def test_metric_evaluated_once_per_built_point(self, monkeypatch):
@@ -517,8 +517,8 @@ class TestDefaultPartials:
         for q0 in (0.4, -0.3):
             for y in ([0.3, -0.2], [1.0, 0.5], [2.0, -1.0]):
                 q = np.array([q0])
-                gap = np.abs(drift_jacobians(analytic, q, y)[0]
-                             - drift_jacobians(default, q, y)[0]).max()
+                gap = np.abs(drift_jacobians(analytic, q, y)[1]
+                             - drift_jacobians(default, q, y)[1]).max()
                 # left: the rounding of the one outer central difference, a
                 # few ulps of the drift over the stencil width 2 FD_STEP
                 drift = np.abs(drift_acceleration(analytic, q, y)).max()

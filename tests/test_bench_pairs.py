@@ -60,6 +60,26 @@ def test_one_pair_has_degenerate_quartiles():
     assert rate["change_wins"] == 0 and summary["metrics"]["item_p50_ms"]["change_wins"] == 0
 
 
+def verdicts(runs, bounds=None):
+    metrics = bench_pairs.summarize(runs, BETTER, bounds)["metrics"]
+    return {name: entry["worse_beyond_bound"] for name, entry in metrics.items()}
+
+
+def test_worse_beyond_bound_in_each_direction():
+    # medians: items_per_s 12.0 -> 10.0 (16.7% worse), item_p50_ms 20.0 -> 21.0 (5% worse)
+    runs = pairs([(11.0, 19.0), (12.0, 20.0), (13.0, 21.0)],
+                 [(9.0, 20.0), (10.0, 21.0), (11.0, 22.0)])
+    assert verdicts(runs, {"items_per_s": 0.2, "item_p50_ms": 0.04}) == {
+        "items_per_s": False, "item_p50_ms": True}
+    assert verdicts(runs, {"items_per_s": 0.1, "item_p50_ms": 0.06}) == {
+        "items_per_s": True, "item_p50_ms": False}
+    # a metric without a bound has no verdict, and a gain is never worse
+    assert verdicts(runs) == {"items_per_s": None, "item_p50_ms": None}
+    assert verdicts(pairs([(10.0, 20.0)], [(20.0, 10.0)]),
+                    {"items_per_s": 0.0, "item_p50_ms": 0.0}) == {
+        "items_per_s": False, "item_p50_ms": False}
+
+
 def bench_file(directory, n, medians):
     """A BENCH_<n>.json whose workloads hold the given change medians."""
     workloads = {name: {"metrics": {metric: {"change": {"median": value}}

@@ -8,9 +8,9 @@ from nhoc import (ControlDistribution, CostModel, ExtremalState, HamiltonianSyst
                   OCProblem, PhasePoint, build_constrained_system, constant_model,
                   integrate_extremal, integrate_hamiltonian, integrate_step,
                   inverse_legendre, legendre_map,
-                  make_double_integrator, quadratic_cost, recover_controls,
-                  regularity_matrix, symplecticity_defect)
-from nhoc import hamiltonian
+                  make_double_integrator, necessary_conditions_field, quadratic_cost,
+                  recover_controls, regularity_matrix, symplecticity_defect)
+from nhoc import algebroid, hamiltonian
 from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import DimensionMismatch, FixedPointDivergence, SingularHessian
@@ -142,6 +142,42 @@ class TestLegendre:
             legendre_map(problem, ExtremalState(y=y, v=[0.3]))
 
 
+def legendre_problems(system):
+    """Problems on a rank-2 system, one per branch of the Legendre inversion."""
+    full = ControlDistribution.full(2)
+    mixing = ControlDistribution(input_matrix=[[1.0, 0.5], [0.0, 1.0]])
+    weight = np.array([[2.0, 0.3], [0.3, 0.5]])
+    cases = {"full": (full, quadratic_cost(np.eye(2))),
+             "weighted": (full, quadratic_cost(weight)),
+             "one_input": (ControlDistribution.on_indices(2, [1]), quadratic_cost([[3.0]])),
+             "mixing": (mixing, quadratic_cost(weight)),
+             "quartic": (full, quartic_cost())}
+    return {name: OCProblem(system=system, controls=ctrl, cost=cost, horizon=1.0)
+            for name, (ctrl, cost) in cases.items()}
+
+
+class TestOneLegendreInversion:
+    @pytest.mark.parametrize("name", ["full", "weighted", "one_input", "mixing", "quartic"])
+    def test_stack_rows_have_the_floats_of_one_row_calls(self, chaplygin_system, name):
+        problem = legendre_problems(chaplygin_system)[name]
+        rng = np.random.default_rng(21)
+        q, y, p_y = np.zeros((5, 0)), rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2))
+        u = hamiltonian._optimal_control(problem, q, y, p_y)
+        bu = hamiltonian._actuation(problem, u)
+        assert u.shape == (5, problem.controls.k) and bu.shape == (5, 2)
+        for k in range(5):
+            row = hamiltonian._optimal_control(problem, q[k], y[k], p_y[k])
+            assert u[k].tobytes() == row.tobytes()
+            assert bu[k].tobytes() == hamiltonian._actuation(problem, row).tobytes()
+
+    def test_controls_are_an_array_of_their_own(self, chaplygin_system):
+        # with B = W = I the Legendre map is the identity on p_y
+        hs = HamiltonianSystem(legendre_problems(chaplygin_system)["full"])
+        z = np.random.default_rng(5).uniform(-1, 1, (4, 4))
+        u = hs._controls_and_values(z, chaplygin_system.geometry_rows(z[:, :0]))[0]
+        assert u.tobytes() == z[:, 2:].tobytes() and not np.shares_memory(u, z)
+
+
 class TestRegularity:
     def test_lie_algebra_identity_weight(self, suslov_system):
         problem = full_actuation_problem(suslov_system)
@@ -231,8 +267,7 @@ class TestHamiltonianField:
         problem = full_actuation_problem(chaplygin_system)
         hs_closed = HamiltonianSystem(problem)
         base = problem.cost
-        fd_cost = CostModel(evaluator=base.evaluator, k=2, cu=base.cu, cuu=base.cuu,
-                            cq=base.cq, cy=base.cy, cuq=base.cuq, cuy=base.cuy)
+        fd_cost = CostModel(evaluator=base.evaluator, k=2, cu=base.cu, cuu=base.cuu)
         hs_fd = HamiltonianSystem(OCProblem(system=chaplygin_system,
                                             controls=problem.controls,
                                             cost=fd_cost, horizon=1.0))
@@ -604,6 +639,23 @@ class TestChartKernel:
         # drift apart by about 5e-11, as the drift q-Jacobian, a central
         # difference of step 1e-6, magnifies rounding-level position gaps
         assert np.abs(phases[1, :, :3] - expected[1, :, :3]).max() < 1e-13
+
+    @pytest.mark.parametrize("cost", [quadratic_cost(np.eye(2)), quartic_cost()],
+                             ids=["quadratic", "quartic"])
+    def test_point_evaluations_build_one_stack(self, cost, monkeypatch):
+        # the drift, its Jacobians and the anchor at a point come from the one
+        # build over the point and its central-difference stencil
+        problem = curved_problem(cost)
+        sizes = []
+        build = algebroid._chart_geometry
+        monkeypatch.setattr(algebroid, "_chart_geometry",
+                            lambda system, qs: sizes.append(len(qs)) or build(system, qs))
+        q, y = np.array([0.2]), np.array([0.3, -0.4])
+        HamiltonianSystem(problem)._point_partials(q, y, np.array([0.5]), np.array([0.1, 0.2]))
+        assert sizes == [1 + 2 * problem.dim_q]
+        sizes.clear()
+        necessary_conditions_field(problem, ExtremalState(q=q, y=y, v=[0.1, -0.2], lam=[0.5]))
+        assert sizes == [1 + 2 * problem.dim_q]
 
     def test_drift_solves_its_equation(self):
         hs = HamiltonianSystem(curved_problem(quadratic_cost(np.eye(2))))

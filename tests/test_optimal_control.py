@@ -3,8 +3,8 @@ import pytest
 
 from dataclasses import replace
 
-from nhoc import (ConstraintSpec, ControlDistribution, ExtremalState, ModelPartials, OCProblem,
-                  PhasePoint, StateQY, build_constrained_system, controlled_field,
+from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState, ModelPartials,
+                  OCProblem, PhasePoint, StateQY, build_constrained_system, controlled_field,
                   drift_acceleration, grad_potential, integrate_extremal, inverse_legendre,
                   legendre_map, lift_cost, necessary_conditions_field, quadratic_cost,
                   recover_controls)
@@ -225,7 +225,6 @@ class TestCostModel:
     def test_fd_partials_match_quadratic(self):
         w = np.array([[2.0, 0.3], [0.3, 1.0]])
         exact = quadratic_cost(w)
-        from nhoc import CostModel
         fd = CostModel(evaluator=exact.evaluator, k=2)
         q, y, u = np.zeros(0), np.zeros(2), np.array([0.7, -0.4])
         assert np.abs(exact.du(q, y, u) - fd.du(q, y, u)).max() < 1e-9
@@ -234,6 +233,18 @@ class TestCostModel:
     def test_weight_symmetry_required(self):
         with pytest.raises(DimensionMismatch):
             quadratic_cost([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: CostModel(evaluator=lambda q, y, u: 0.5 * float(u @ u), k=2,
+                           weight=np.eye(3)), DimensionMismatch),
+        (lambda: CostModel(evaluator=lambda q, y, u: 0.5 * float(u @ u), k=2,
+                           weight=[[1.0, 0.5], [0.0, 1.0]]), DimensionMismatch),
+        (lambda: quadratic_cost([[np.nan, 0.0], [0.0, 1.0]]), ValidationError),
+    ], ids=["shape", "asymmetric", "non_finite"])
+    def test_every_weighted_cost_checks_its_weight(self, make, error):
+        # the one home of the check is CostModel, which every weighted cost passes
+        with pytest.raises(error):
+            make()
 
     @pytest.mark.parametrize("horizon,boundary", [
         (np.nan, {}), (np.inf, {}),
@@ -287,8 +298,10 @@ class TestDriftJacobians:
             else:
                 central = fd_jacobian(lambda qq: drift_acceleration(system, qq, y[k]), q[k])
             assert ddq[k].shape == central.shape and ddq[k].tobytes() == central.tobytes()
-            point_ddq, point_ddy = drift_jacobians(system, q[k], y[k])
+            point_drift, point_ddq, point_ddy, point_geo = drift_jacobians(system, q[k], y[k])
+            assert point_drift.tobytes() == drift[k].tobytes()
             assert point_ddq.tobytes() == central.tobytes()
+            assert point_geo["anchor_d"].tobytes() == geo["anchor_d"][k].tobytes()
             assert ddy[k].tobytes() == point_ddy.tobytes()
             assert geo["gamma"][k].tobytes() == system.gamma(q[k]).tobytes()
 

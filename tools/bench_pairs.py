@@ -10,9 +10,11 @@ PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts.  Pair i runs
 so that a drift of the host's speed does not favour one side.  The last line
 of each run's standard output is its JSON record.  The summary gives, per
 end-to-end metric, each side's values, median and quartiles, the ratio of
-the medians, and the number of pairs the change wins (ties count for
-neither side), plus every run's ``correct``, ``attempted`` and ``failed``.
-The directions of the metrics come from CHANGE_ROOT/BENCHMARK.json.
+the medians, the number of pairs the change wins (ties count for neither
+side) and ``worse_beyond_bound``: whether the change median is worse than the
+parent median by more than the metric's relative bound; plus every run's
+``correct``, ``attempted`` and ``failed``.  The directions and the bounds of
+the metrics come from CHANGE_ROOT/BENCHMARK.json.
 Standard library only; runs one benchmark process at a time.
 
 When --out names ``BENCH_<n>.json``, each workload's summary also gains
@@ -71,14 +73,18 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarize(pairs, better):
+def summarize(pairs, better, bounds=None):
     """Summary of paired runs.
 
     ``pairs`` is a list of dicts with keys ``seed``, ``first`` ("parent" or
     "change"), ``parent`` and ``change``, the last two being run records as
     perfbench prints them.  ``better`` maps each metric name to "higher" or
-    "lower"; metrics without a direction are left out.
+    "lower"; metrics without a direction are left out.  ``bounds`` maps a
+    metric name to the largest relative worsening of its median allowed, as
+    a fraction of the parent median; ``worse_beyond_bound`` is None for a
+    metric without one.
     """
+    bounds = bounds or {}
     metrics = {}
     for name, direction in better.items():
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs
@@ -97,6 +103,9 @@ def summarize(pairs, better):
         # the gap between the medians, against the parent's own spread
         entry["beyond_parent_iqr"] = (abs(change["median"] - parent["median"])
                                       > parent["q3"] - parent["q1"])
+        bound = bounds.get(name)
+        entry["worse_beyond_bound"] = None if bound is None else bool(
+            sign * (change["median"] - parent["median"]) < -bound * abs(parent["median"]))
         metrics[name] = entry
     runs = [dict(seed=p["seed"], first=p["first"],
                  **{side: {k: p[side][k] for k in ("correct", "attempted", "failed")}
@@ -138,7 +147,9 @@ def compare_previous(summary, previous, name):
 def main(argv=None):
     args = parse_args(argv)
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
     roots = dict(parent=args.parent, change=args.change)
     earlier = previous_file(args.out)
     if earlier is not None:
@@ -159,7 +170,7 @@ def main(argv=None):
                 value = pair[side]["metrics"].get("items_per_s", {}).get("value")
                 print(f"{workload} seed {seed} {side}: items_per_s {value}", file=sys.stderr)
             pairs.append(pair)
-        summary = doc["workloads"][workload] = summarize(pairs, better)
+        summary = doc["workloads"][workload] = summarize(pairs, better, bounds)
         if earlier is not None and workload in earlier_workloads:
             summary["previous"] = compare_previous(summary, earlier_workloads[workload],
                                                    earlier.name)

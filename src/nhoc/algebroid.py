@@ -13,8 +13,11 @@ Array conventions used throughout the package:
 The constraint subbundle D carries the orthogonally projected bracket, the
 restricted metric and its Levi-Civita connection; all of that is assembled
 here, on a stack of chart points at once, and a single point is the one-row
-case.  The drift Gamma(y, y) + grad V that every flow reads has its one home
-here too.
+case.  One step, ``_split``, splits E = D + D-perp for every build: the
+geometry of a stack of chart points and the splitting at one point both take
+their coefficient map from it, and the projected bracket has its one home in
+the stacked build.  The drift Gamma(y, y) + grad V that every flow reads has
+its one home here too.
 """
 
 import functools
@@ -24,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numerics
-from .errors import DimensionMismatch, RankDeficient, SingularMetric
+from .errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,8 @@ class AlgebroidModel:
         q = np.atleast_1d(np.asarray(q, dtype=float))
         if q.shape != (self.dim_q,):
             raise DimensionMismatch(f"chart point has shape {q.shape}, expected ({self.dim_q},)")
+        if not np.isfinite(q).all():
+            raise ValidationError("chart point has non-finite entries")
         return q
 
     # Stacked q-derivatives of the model fields (chart index first) at q, or
@@ -191,16 +196,14 @@ class OrthogonalSplitting:
     """Metric-orthogonal decomposition E = D + D-perp at a chart point.
 
     ``coeff_map @ v`` gives the adapted-basis coefficients of the projection
-    of v onto D, orthogonal for the bundle ``metric`` at the point.  The
+    of v onto D, orthogonal for the bundle ``metric`` at the point; it is
+    row 0 of ``_split``, the step every geometry build splits E with.  The
     projectors and the D-perp basis are derived on access; no flow reads them.
-    Inside a stacked geometry build ``metric`` carries a leading axis, one
-    entry per chart point, and ``coeff_map`` is None: the build takes the map
-    from the checked inverse of G^D that ``restrict_metric`` returns.
     """
 
     d_basis: np.ndarray
     metric: np.ndarray
-    coeff_map: Optional[np.ndarray]
+    coeff_map: np.ndarray
 
     @property
     def rank_d(self):
@@ -227,53 +230,26 @@ def _at_points(f, qs):
 
 def build_splitting(model, spec, q=None):
     """Adapted basis of D and the coefficient map of the orthogonal
-    projection onto it at q, for a metric checked positive-definite there."""
+    projection onto it at q, for a metric checked positive-definite there:
+    the one-row case of ``_split``."""
     q = model.chart_point(q)
     d = spec.d_basis()
     if d.shape[1] != model.rank_e:
         raise DimensionMismatch(
             f"constraint is on a rank-{d.shape[1]} bundle, model has rank {model.rank_e}")
     g = np.asarray(model.metric(q), dtype=float)
-    if not numerics.symmetric_positive_definite(g):
-        raise SingularMetric("bundle metric is not symmetric positive-definite at q")
-    dg = d @ g
-    try:
-        coeff = np.linalg.solve(dg @ d.T, dg)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric("restricted metric Gram matrix is singular") from exc
-    return OrthogonalSplitting(d_basis=d, metric=g, coeff_map=coeff)
+    return OrthogonalSplitting(d_basis=d, metric=g, coeff_map=_split(d, g[None])[2][0])
 
 
-def _bracket(c, coeff_map, kron_dd):
-    """Projected structure functions for the E-frame structure functions c
-    and the splitting's coefficient map, one point or a stack (leading axis)."""
-    r = coeff_map.shape[-2]
-    s = (coeff_map @ (c.reshape(c.shape[:-2] + (-1,)) @ kron_dd)).reshape(c.shape[:-3] + (r, r, r))
-    return 0.5 * (s - s.swapaxes(-1, -2))
+def restrict_metric(d_basis, metric):
+    """Restricted metric G^D and its inverse in the adapted basis ``d_basis``.
 
-
-def project_bracket(model, splitting, q=None):
-    """Structure functions of D: adapted coefficients of P[e_a, e_b]_E.
-
-    The adapted frame has constant coefficients in the E-frame, so the
-    bracket of frame sections carries no anchor-derivative terms.
+    A stack of bundle metrics (B, r, r) gives stacks; every inverse is
+    checked to a residual of 1e-12.  A geometry build inverts G^D here once
+    per chart point, and that inverse serves the coefficient map of the
+    splitting, the Koszul solve and grad V.
     """
-    q = model.chart_point(q)
-    d = splitting.d_basis
-    return _bracket(np.asarray(model.structure(q), dtype=float), splitting.coeff_map,
-                    np.kron(d, d).T)
-
-
-def restrict_metric(splitting):
-    """Restricted metric G^D and its inverse in the adapted basis.
-
-    A splitting on a stack of chart points (metric of shape (B, r, r)) gives
-    stacks; every inverse is checked to a residual of 1e-12.  A geometry
-    build inverts G^D here once per chart point, and that inverse serves the
-    coefficient map of the splitting, the Koszul solve and grad V.
-    """
-    d = splitting.d_basis
-    gd = d @ splitting.metric @ d.T
+    gd = d_basis @ metric @ d_basis.T
     gd = 0.5 * (gd + gd.swapaxes(-1, -2))
     try:
         gd_inv = np.linalg.inv(gd)
@@ -285,6 +261,17 @@ def restrict_metric(splitting):
     return gd, gd_inv
 
 
+def _split(d, g):
+    """The splitting E = D + D-perp for the adapted basis d at a stack of
+    bundle metrics g (B, rank_e, rank_e), each checked symmetric
+    positive-definite: G^D, its checked inverse and the coefficient map of
+    the projection onto D, each with a leading axis B."""
+    if not numerics.symmetric_positive_definite(g):
+        raise SingularMetric("bundle metric is not symmetric positive-definite at q")
+    gd, gd_inv = restrict_metric(d, g)
+    return gd, gd_inv, gd_inv @ (d @ g)
+
+
 def _chart_geometry(system, qs):
     """Projected data at every row of the chart-point stack qs (B, dim_q) in
     one flat pass, each step one product over the stack; each array has a
@@ -292,10 +279,12 @@ def _chart_geometry(system, qs):
     model, d, kron_dd = system.parent, system.splitting.d_basis, system._kron_dd
     b, r = len(qs), len(d)
     g = _at_points(model.metric, qs)
-    if not numerics.symmetric_positive_definite(g):
-        raise SingularMetric("bundle metric is not symmetric positive-definite at q")
-    gd, gd_inv = restrict_metric(OrthogonalSplitting(d_basis=d, metric=g, coeff_map=None))
-    cd = _bracket(_at_points(model.structure, qs), gd_inv @ (d @ g), kron_dd)
+    gd, gd_inv, coeff_map = _split(d, g)
+    # the projected bracket: adapted coefficients of P[e_a, e_b]_E.  The
+    # adapted frame has constant E-frame coefficients, so no anchor terms.
+    c = _at_points(model.structure, qs).reshape(b, model.rank_e, -1)
+    s = (coeff_map @ (c @ kron_dd)).reshape(b, r, r, r)
+    cd = 0.5 * (s - s.swapaxes(-1, -2))
     rho = d @ _at_points(model.anchor, qs)
     # Koszul: 2 G^D Gamma[c, a, b] = T[a, c, b] + T[b, c, a] - T[c, b, a] with
     # T = G^D c_D, plus U[a, b, c] + U[b, a, c] - U[c, a, b] with U = rho dG^D
@@ -345,6 +334,8 @@ class ConstrainedSystem:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.rank_d,):
             raise DimensionMismatch(f"fiber velocity has shape {y.shape}, not ({self.rank_d},)")
+        if not np.isfinite(y).all():
+            raise ValidationError("fiber velocity has non-finite entries")
         return self.parent.chart_point(q), y
 
     def drift(self, q, y, geo, grad_v=None):
@@ -427,9 +418,6 @@ class ConstrainedSystem:
     def metric_d(self, q=None):
         return self.geometry(q)["metric_d"]
 
-    def metric_d_inv(self, q=None):
-        return self.geometry(q)["metric_d_inv"]
-
     def gamma(self, q=None):
         """Christoffel symbols of the restricted metric at q, from the full
         Koszul formula (solved with the checked inverse of G^D).
@@ -462,10 +450,10 @@ class ConstrainedSystem:
         stacked geometry build; a single call is its one-row case.  Only a
         model with a potential has it called, once per row.
         """
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return self.energy(self.parent.chart_point(q)[None], y[None])[0]
-        q = np.asarray(q, dtype=float)
+        if np.ndim(y) == 1:
+            q, y = self.fiber_row(q, y)
+            return self.energy(q[None], y[None])[0]
+        q, y = np.asarray(q, dtype=float), np.asarray(y, dtype=float)
         if y.shape != (len(q), self.rank_d):
             raise DimensionMismatch(f"fiber rows must have shape ({len(q)}, {self.rank_d})")
         return self._energies(q, y, self.geometry_rows(q))

@@ -8,7 +8,6 @@ from .algebroid import build_constrained_system, build_splitting
 from .dynamics import StateQY, dalembert_oracle_field, nonholonomic_field
 from .hamiltonian import (HamiltonianSystem, PhasePoint, inverse_legendre,
                           legendre_map, symplecticity_defect)
-from .numerics import fd_partials
 from .optimal_control import ControlDistribution, OCProblem, quadratic_cost
 
 
@@ -24,9 +23,8 @@ class CheckResult:
 
 
 def _random_chart_points(model, rng, count):
-    if model.dim_q == 0:
-        return [np.zeros(0)] * count
-    return [0.3 * rng.standard_normal(model.dim_q) for _ in range(count)]
+    """A stack (count, dim_q) of random chart points."""
+    return 0.3 * rng.standard_normal((count, model.dim_q))
 
 
 def check_projectors(model, spec, rng):
@@ -63,30 +61,34 @@ def check_span_annihilator(model, spec):
 
 
 def check_bracket_antisymmetry(system, rng):
-    worst = 0.0
-    for q in _random_chart_points(system.parent, rng, 3):
-        cd = system.structure_d(q)
-        worst = max(worst, float(np.abs(cd + cd.swapaxes(1, 2)).max()))
-    return [CheckResult("projected bracket antisymmetry", worst, 1e-14)]
+    cd = system.geometry_rows(_random_chart_points(system.parent, rng, 3))["structure_d"]
+    return [CheckResult("projected bracket antisymmetry",
+                        float(np.abs(cd + cd.swapaxes(2, 3)).max()), 1e-14)]
 
 
 def check_koszul(system, rng):
     """Defining relation of the Levi-Civita connection, with independent
-    finite differences (step 1e-5) for the anchor-derivative terms."""
+    central differences of G^D (step 1e-5, as ``fd_partials`` takes them)
+    for the anchor-derivative terms; one stacked geometry build covers the
+    points and their neighbours."""
+    n, count, step = system.dim_q, 3, 1e-5
+    qs = _random_chart_points(system.parent, rng, count)
+    steps = step * np.eye(n)
+    near = np.concatenate([qs[:, None] + steps, qs[:, None] - steps], axis=1)
+    geo = system.geometry_rows(np.concatenate([qs, near.reshape(2 * n * count, n)]))
+    gd_near = geo["metric_d"][count:].reshape((count, 2, n) + geo["metric_d"].shape[1:])
+    dgds = (gd_near[:, 0] - gd_near[:, 1]) / (2.0 * step)
     worst_koszul, worst_torsion = 0.0, 0.0
-    for q in _random_chart_points(system.parent, rng, 3):
-        geo = system.geometry(q)
-        gd, cd, gamma = geo["metric_d"], geo["structure_d"], geo["gamma"]
+    # zip stops at the points, the first ``count`` rows of the build
+    for gd, cd, gamma, rho, dgd in zip(geo["metric_d"], geo["structure_d"], geo["gamma"],
+                                       geo["anchor_d"], dgds):
         lhs = 2.0 * np.einsum("cm,mab->cab", gd, gamma)
-        rhs = (np.einsum("am,mcb->cab", gd, cd)
-               + np.einsum("bm,mca->cab", gd, cd)
-               - np.einsum("cm,mba->cab", gd, cd))
-        if system.dim_q > 0:
-            dgd = fd_partials(lambda qq: system.metric_d(qq), q, step=1e-5)
-            rho = geo["anchor_d"]
-            rhs = rhs + (np.einsum("ai,ibc->cab", rho, dgd)
-                         + np.einsum("bi,iac->cab", rho, dgd)
-                         - np.einsum("ci,iab->cab", rho, dgd))
+        rhs = ((np.einsum("am,mcb->cab", gd, cd)
+                + np.einsum("bm,mca->cab", gd, cd)
+                - np.einsum("cm,mba->cab", gd, cd))
+               + (np.einsum("ai,ibc->cab", rho, dgd)
+                  + np.einsum("bi,iac->cab", rho, dgd)
+                  - np.einsum("ci,iab->cab", rho, dgd)))
         worst_koszul = max(worst_koszul, float(np.abs(lhs - rhs).max()))
         worst_torsion = max(worst_torsion,
                             float(np.abs(gamma - gamma.swapaxes(1, 2) - cd).max()))

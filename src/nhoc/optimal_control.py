@@ -206,14 +206,13 @@ class OCProblem:
             val = getattr(self, name)
             if val is None:
                 continue
-            if name[0] == "q":
-                arr = self.system.parent.chart_point(val)
-            else:
-                arr = np.atleast_1d(np.asarray(val, dtype=float))
-                if arr.shape != (self.system.rank_d,):
-                    raise DimensionMismatch(f"{name} must have length {self.system.rank_d}")
+            arr = np.atleast_1d(np.asarray(val, dtype=float))
             if not np.all(np.isfinite(arr)):
                 raise DimensionMismatch(f"boundary value {name} must be finite")
+            if name[0] == "q":
+                arr = self.system.parent.chart_point(arr)
+            elif arr.shape != (self.system.rank_d,):
+                raise DimensionMismatch(f"{name} must have length {self.system.rank_d}")
             object.__setattr__(self, name, arr)
 
     @property

@@ -5,15 +5,14 @@ import pytest
 
 from dataclasses import replace
 
-from nhoc import (AlgebroidModel, ConstraintSpec, ModelPartials, OrthogonalSplitting, StateQY,
-                  algebroid, build_constrained_system, build_splitting, constant_model,
-                  grad_potential, make_chaplygin, make_suslov, numerics, project_bracket,
-                  restrict_metric, simulate)
+from nhoc import (AlgebroidModel, ConstraintSpec, ModelPartials, StateQY, algebroid,
+                  build_constrained_system, build_splitting, constant_model, grad_potential,
+                  make_chaplygin, make_suslov, numerics, restrict_metric, simulate)
 from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
 from nhoc.dynamics import drift_acceleration
 from nhoc.optimal_control import drift_jacobians
 
-from conftest import SUSLOV_PARAMS, curved_model
+from conftest import SUSLOV_PARAMS, curved_model, field_systems
 
 
 def collinear(u, v, tol=1e-10):
@@ -87,6 +86,18 @@ class TestBuildSplitting:
         with pytest.raises(SingularMetric):
             build_splitting(bad, ConstraintSpec(span_basis=np.eye(3)[:2]))
 
+    @pytest.mark.parametrize("model, spec, q", [
+        (*make_chaplygin(1.3, 0.8, 0.6, -0.4), None),
+        (*make_chaplygin(1.7, 0.9, 0.5, 0.2), None),
+        (curved_model(), ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]]), [-0.7]),
+        (curved_model(), ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]]), [0.35]),
+    ], ids=["sleigh", "sleigh_offset", "curved_negative", "curved_positive"])
+    def test_coefficient_map_is_the_one_of_the_geometry_build(self, model, spec, q):
+        split = build_splitting(model, spec, q)
+        geo = build_constrained_system(model, spec).geometry(q)
+        g = model.metric(model.chart_point(q))
+        assert split.coeff_map.tobytes() == (geo["metric_d_inv"] @ (split.d_basis @ g)).tobytes()
+
 
 def AlgebroidReplaceMetric(model, new_metric):
     from dataclasses import replace
@@ -95,60 +106,51 @@ def AlgebroidReplaceMetric(model, new_metric):
 
 class TestProjectBracket:
     def test_suslov_constants(self):
-        model, spec = make_suslov(**SUSLOV_PARAMS)
-        split = build_splitting(model, spec)
-        cd = project_bracket(model, split)
+        cd = build_constrained_system(*make_suslov(**SUSLOV_PARAMS)).structure_d()
         assert abs(cd[0, 0, 1] - 0.1 / 2.0) < 1e-14
         assert abs(cd[1, 0, 1] - 0.2 / 3.0) < 1e-14
 
     def test_chaplygin_constants(self):
         m, J, a, b = 1.3, 0.8, 0.6, -0.4
-        model, spec = make_chaplygin(m, J, a, b)
-        split = build_splitting(model, spec)
-        cd = project_bracket(model, split)
+        cd = build_constrained_system(*make_chaplygin(m, J, a, b)).structure_d()
         assert abs(cd[0, 0, 1] - m * a / (J + m * a * a)) < 1e-13
         assert abs(cd[1, 0, 1] - m * a * b / (J + m * a * a)) < 1e-13
 
     def test_abelian_projects_to_zero(self):
         model = constant_model(np.zeros((4, 4, 4)), np.diag([1.0, 2.0, 3.0, 4.0]))
         spec = ConstraintSpec(annihilator=[[0.0, 0.0, 1.0, 1.0]])
-        cd = project_bracket(model, build_splitting(model, spec))
+        cd = build_constrained_system(model, spec).structure_d()
         assert np.abs(cd).max() == 0.0
 
     def test_exact_antisymmetry(self):
-        model, spec = make_chaplygin(1.7, 0.9, 0.5, 0.2)
-        cd = project_bracket(model, build_splitting(model, spec))
+        cd = build_constrained_system(*make_chaplygin(1.7, 0.9, 0.5, 0.2)).structure_d()
         assert np.abs(cd + cd.swapaxes(1, 2)).max() < 1e-14
 
 
 class TestRestrictMetric:
     def test_suslov_diagonal(self):
         model, spec = make_suslov(**SUSLOV_PARAMS)
-        gd, gd_inv = restrict_metric(build_splitting(model, spec))
+        split = build_splitting(model, spec)
+        gd, gd_inv = restrict_metric(split.d_basis, split.metric)
         assert np.allclose(gd, np.diag([2.0, 3.0]), atol=1e-14)
         assert np.abs(gd @ gd_inv - np.eye(2)).max() < 1e-12
 
     def test_chaplygin_quadratic_form(self):
         m, J, a, b = 1.0, 1.0, 1.0, 0.5
         model, spec = make_chaplygin(m, J, a, b)
-        gd, _ = restrict_metric(build_splitting(model, spec))
+        split = build_splitting(model, spec)
+        gd, _ = restrict_metric(split.d_basis, split.metric)
         expected = np.array([[J + m * (a * a + b * b), -b * m], [-b * m, m]])
         assert np.abs(gd - expected).max() < 1e-14
 
     def test_identity_case(self):
-        model = constant_model(np.zeros((3, 3, 3)), np.eye(3))
-        gd, gd_inv = restrict_metric(build_splitting(
-            model, ConstraintSpec(span_basis=np.eye(3)[:2])))
+        gd, gd_inv = restrict_metric(np.eye(3)[:2], np.eye(3))
         assert np.allclose(gd, np.eye(2), atol=1e-15)
         assert np.allclose(gd_inv, np.eye(2), atol=1e-15)
 
     def test_singular_restriction_raises(self):
-        base = constant_model(np.zeros((2, 2, 2)), np.eye(2))
-        split = build_splitting(base, ConstraintSpec(span_basis=np.eye(2)))
-        degenerate = OrthogonalSplitting(d_basis=split.d_basis, metric=np.zeros((2, 2)),
-                                         coeff_map=split.coeff_map)
         with pytest.raises(SingularMetric):
-            restrict_metric(degenerate)
+            restrict_metric(np.eye(2), np.zeros((2, 2)))
 
 
 class TestChristoffel:
@@ -327,7 +329,7 @@ class TestConstrainedSystem:
         system = build_constrained_system(counted, ConstraintSpec(span_basis=np.eye(2)))
         restrict = algebroid.restrict_metric
         monkeypatch.setattr(algebroid, "restrict_metric",
-                            lambda split: points.append(len(split.metric)) or restrict(split))
+                            lambda d, g: points.append(len(g)) or restrict(d, g))
         calls.clear()
         simulate(system, StateQY(q=[0.1], y=[0.3, -0.2]), 0.05, 0.01)
         # one-row builds at the 20 rk4 stage points, then one stacked build
@@ -523,3 +525,22 @@ class TestDefaultPartials:
                 # few ulps of the drift over the stencil width 2 FD_STEP
                 drift = np.abs(drift_acceleration(analytic, q, y)).max()
                 assert gap <= max(1e-10, 4.0 * np.spacing(drift) / (2.0 * numerics.FD_STEP))
+
+
+class TestNonFiniteRows:
+    SYSTEMS = field_systems()
+    READS = {
+        "drift_q": lambda s: drift_acceleration(s, [np.nan, 0.0], [0.1, 0.2]),
+        "drift_y": lambda s: drift_acceleration(s, [0.3, -0.1], [np.nan, 0.2]),
+        "grad_potential": lambda s: grad_potential(s, [np.inf, 0.0]),
+        "energy": lambda s: s.energy([np.nan, 0.0], [0.1, 0.2]),
+    }
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_one_row_reads_reject_non_finite_entries(self, read):
+        with pytest.raises(ValidationError):
+            self.READS[read](self.SYSTEMS["constant_with_potential"])
+
+    def test_chart_point_of_a_curved_model(self):
+        with pytest.raises(ValidationError):
+            self.SYSTEMS["curved"].geometry([np.nan])

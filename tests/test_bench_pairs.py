@@ -113,3 +113,26 @@ def test_previous_change_medians_and_ratios(tmp_path):
     # item_p50_ms is not in the earlier file, setup_s not in this one
     assert previous == {"file": "BENCH_15.json",
                         "metrics": {"items_per_s": {"median": 12.5, "ratio": 13.0 / 12.5}}}
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # parent quartiles: items_per_s 11.5..12.5 around 12.0 (relative spread 1/12),
+    # item_p50_ms 19.5..20.5 around 20.0 (relative spread 0.05)
+    parent = [(11.0, 19.0), (12.0, 20.0), (13.0, 21.0)]
+    runs = pairs(parent, [(12.5, 19.5), (12.0, 20.0), (12.5, 18.5)])
+    metrics = bench_pairs.summarize(runs, BETTER, {"items_per_s": 0.05,
+                                                   "item_p50_ms": 0.1})["metrics"]
+    assert metrics["items_per_s"]["unresolved"] is True
+    assert metrics["item_p50_ms"]["unresolved"] is False  # the spread is within the bound
+    metrics = bench_pairs.summarize(runs, BETTER, {"items_per_s": 0.1})["metrics"]
+    assert metrics["items_per_s"]["unresolved"] is False
+    assert metrics["item_p50_ms"]["unresolved"] is None  # no bound, no verdict
+    # every change run better than every parent run resolves a wide spread, in
+    # each direction; a tie with the best parent run is not better
+    wide = {"items_per_s": 0.05, "item_p50_ms": 0.01}
+    apart = pairs(parent, [(13.5, 18.5), (14.0, 18.0), (15.0, 17.0)])
+    tied = pairs(parent, [(13.0, 19.0), (14.0, 18.0), (15.0, 17.0)])
+    for runs, expected in ((apart, False), (tied, True)):
+        metrics = bench_pairs.summarize(runs, BETTER, wide)["metrics"]
+        assert metrics["items_per_s"]["unresolved"] is expected
+        assert metrics["item_p50_ms"]["unresolved"] is expected

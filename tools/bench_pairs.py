@@ -11,10 +11,12 @@ so that a drift of the host's speed does not favour one side.  The last line
 of each run's standard output is its JSON record.  The summary gives, per
 end-to-end metric, each side's values, median and quartiles, the ratio of
 the medians, the number of pairs the change wins (ties count for neither
-side) and ``worse_beyond_bound``: whether the change median is worse than the
-parent median by more than the metric's relative bound; plus every run's
-``correct``, ``attempted`` and ``failed``.  The directions and the bounds of
-the metrics come from CHANGE_ROOT/BENCHMARK.json.
+side), ``worse_beyond_bound``: whether the change median is worse than the
+parent median by more than the metric's relative bound, and ``unresolved``:
+whether the parent's quartile spread, relative to its median, is wider than
+that bound while not every change run reads better than every parent run;
+plus every run's ``correct``, ``attempted`` and ``failed``.  The directions
+and the bounds of the metrics come from CHANGE_ROOT/BENCHMARK.json.
 Standard library only; runs one benchmark process at a time.
 
 When --out names ``BENCH_<n>.json``, each workload's summary also gains
@@ -81,8 +83,8 @@ def summarize(pairs, better, bounds=None):
     perfbench prints them.  ``better`` maps each metric name to "higher" or
     "lower"; metrics without a direction are left out.  ``bounds`` maps a
     metric name to the largest relative worsening of its median allowed, as
-    a fraction of the parent median; ``worse_beyond_bound`` is None for a
-    metric without one.
+    a fraction of the parent median; ``worse_beyond_bound`` and
+    ``unresolved`` are None for a metric without one.
     """
     bounds = bounds or {}
     metrics = {}
@@ -106,6 +108,12 @@ def summarize(pairs, better, bounds=None):
         bound = bounds.get(name)
         entry["worse_beyond_bound"] = None if bound is None else bool(
             sign * (change["median"] - parent["median"]) < -bound * abs(parent["median"]))
+        # a spread wider than the bound cannot tell "unchanged" from "worse",
+        # unless the two sides do not overlap at all
+        all_better = (min(sign * c for c in change["values"])
+                      > max(sign * p for p in parent["values"]))
+        entry["unresolved"] = None if bound is None else bool(
+            parent["q3"] - parent["q1"] > bound * abs(parent["median"]) and not all_better)
         metrics[name] = entry
     runs = [dict(seed=p["seed"], first=p["first"],
                  **{side: {k: p[side][k] for k in ("correct", "attempted", "failed")}

@@ -9,9 +9,9 @@ from .bvp import (ShootingProblem, ShootingResult, extremal_trajectory,
 from .dynamics import (StateQY, Trajectory, controlled_field,
                        dalembert_oracle_field, drift_acceleration,
                        nonholonomic_field, simulate)
-from .hamiltonian import (HamiltonianSystem, PhasePoint, RegularityReport,
-                          integrate_hamiltonian, integrate_step, inverse_legendre,
-                          legendre_map, regularity_matrix, symplecticity_defect)
+from .hamiltonian import (HamiltonianSystem, PhasePoint, integrate_hamiltonian,
+                          integrate_step, inverse_legendre, legendre_map,
+                          regularity_matrix, symplecticity_defect)
 from .models import (load_model_config, make_builtin, make_chaplygin,
                      make_double_integrator, make_suslov)
 from .optimal_control import (ControlDistribution, CostModel, ExtremalState,
@@ -31,8 +31,8 @@ __all__ = [
     "ControlDistribution", "CostModel", "ExtremalState", "OCProblem",
     "integrate_extremal", "lift_cost", "necessary_conditions_field",
     "quadratic_cost", "recover_controls",
-    "HamiltonianSystem", "PhasePoint", "RegularityReport", "integrate_hamiltonian", "integrate_step", "inverse_legendre", "legendre_map",
-    "regularity_matrix", "symplecticity_defect",
+    "HamiltonianSystem", "PhasePoint", "integrate_hamiltonian", "integrate_step",
+    "inverse_legendre", "legendre_map", "regularity_matrix", "symplecticity_defect",
     "ShootingProblem", "ShootingResult", "extremal_trajectory",
     "shooting_residual", "solve_bvp", "trajectory_cost",
     "load_model_config", "make_builtin", "make_chaplygin",

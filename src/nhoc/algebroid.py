@@ -56,7 +56,8 @@ class AlgebroidModel:
     ``q_independent`` is a flag, set by ``constant_model``, marking models
     whose structure, anchor and metric do not depend on the chart point; it
     lets the downstream geometry build once and skip derivative terms that
-    vanish identically.  ``zero_potential`` marks a model without potential.
+    vanish identically.  ``potential`` is None for a model without
+    potential: it is then never called, and grad V is zero.
 
     The anchor, metric and potential of a chart-dependent model without
     analytic ``partials`` are differentiated by the complex step, so their
@@ -67,7 +68,7 @@ class AlgebroidModel:
     real, or drops it in some entries only) it is differentiated by central
     finite differences, about 1e-10 accurate.
     Every callable is called with one chart point at a time: per point, the
-    geometry and grad V call the metric 1 + dim_q + 2 times, the potential
+    geometry and grad V call the metric 1 + dim_q + 2 times, a potential
     dim_q + 2 times, and the structure and the anchor once, and invert G^D
     once; that checked inverse serves the projection, Koszul solve and grad V.
     """
@@ -77,10 +78,9 @@ class AlgebroidModel:
     structure: Callable[[np.ndarray], np.ndarray]
     anchor: Callable[[np.ndarray], np.ndarray]
     metric: Callable[[np.ndarray], np.ndarray]
-    potential: Callable[[np.ndarray], float] = lambda q: 0.0
+    potential: Optional[Callable[[np.ndarray], float]] = None
     partials: ModelPartials = field(default_factory=ModelPartials)
     q_independent: bool = False
-    zero_potential: bool = False
 
     def chart_point(self, q=None):
         """Validate and coerce a chart point (None means the origin)."""
@@ -104,7 +104,8 @@ class AlgebroidModel:
                         (self.rank_e, self.rank_e), self.q_independent)
 
     def potential_dq(self, q):
-        return self._dq(self.potential, self.partials.potential_dq, q, (), False)
+        return self._dq(self.potential, self.partials.potential_dq, q, (),
+                        self.potential is None)
 
     def _dq(self, f, analytic, q, shape, constant):
         q = np.asarray(q, dtype=float)
@@ -136,8 +137,7 @@ def constant_model(structure, metric, anchor=None, dim_q=0, potential=None):
         structure=lambda q, _c=structure: _c,
         anchor=lambda q, _a=anchor: _a,
         metric=lambda q, _g=metric: _g,
-        potential=(lambda q: 0.0) if potential is None else potential,
-        q_independent=True, zero_potential=potential is None)
+        potential=potential, q_independent=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +313,6 @@ class ConstrainedSystem:
 
     def __init__(self, model, spec):
         self.parent = model
-        self.spec = spec
         self.splitting = build_splitting(model, spec)
         self.rank_d = self.splitting.rank_d
         d = self.splitting.d_basis
@@ -326,7 +325,7 @@ class ConstrainedSystem:
     def constant_drift(self):
         """True when Gamma is constant and there is no potential, so that the
         drift Gamma(y, y) has no q-Jacobian and one Gamma serves every row."""
-        return self.parent.q_independent and (self.dim_q == 0 or self.parent.zero_potential)
+        return self.parent.q_independent and (self.dim_q == 0 or self.parent.potential is None)
 
     def fiber_row(self, q, y):
         """Validate and coerce one row: a chart point (None means the origin)
@@ -377,7 +376,7 @@ class ConstrainedSystem:
     def _grad_v(self, q, geo):
         """grad V = (G^D)^{CB} rho^i_B dV/dq^i at chart points q, one point or
         a stack, from the geometry record ``geo`` there."""
-        if self.dim_q == 0 or self.parent.zero_potential:
+        if self.dim_q == 0 or self.parent.potential is None:
             return np.zeros(np.shape(q)[:-1] + (self.rank_d,))
         rhs = numerics.matvec_rows(geo["anchor_d"], self.parent.potential_dq(q))
         return numerics.matvec_rows(geo["metric_d_inv"], rhs)
@@ -432,11 +431,6 @@ class ConstrainedSystem:
         """
         return self.geometry(q)["gamma"]
 
-    def metric_d_dq(self, q=None):
-        """Stacked chart derivatives of the restricted metric."""
-        q = self.parent.chart_point(q)
-        return np.einsum("iAB,aA,bB->iab", self.parent.metric_dq(q), *[self.splitting.d_basis] * 2)
-
     def anchor_d_dq(self, q=None):
         """Stacked chart derivatives of the restricted anchor; a stack of
         chart points (B, dim_q) gives a leading axis B."""
@@ -448,7 +442,8 @@ class ConstrainedSystem:
 
         One formula over stacks of rows q (B, dim_q) and y (B, rank_d) from one
         stacked geometry build; a single call is its one-row case.  Only a
-        model with a potential has it called, once per row.
+        model with a potential has it called, once per row.  Raises
+        ValidationError for a non-finite entry, before the build.
         """
         if np.ndim(y) == 1:
             q, y = self.fiber_row(q, y)
@@ -456,12 +451,14 @@ class ConstrainedSystem:
         q, y = np.asarray(q, dtype=float), np.asarray(y, dtype=float)
         if y.shape != (len(q), self.rank_d):
             raise DimensionMismatch(f"fiber rows must have shape ({len(q)}, {self.rank_d})")
+        if not (np.isfinite(q).all() and np.isfinite(y).all()):
+            raise ValidationError("chart points or fiber velocities have non-finite entries")
         return self._energies(q, y, self.geometry_rows(q))
 
     def _energies(self, qs, ys, geo):
         """Energies at the rows of qs and ys from their stacked record ``geo``."""
         energy = 0.5 * (ys * numerics.matvec_rows(geo["metric_d"], ys)).sum(axis=1)
-        if self.parent.zero_potential:
+        if self.parent.potential is None:
             return energy
         return energy + np.array([float(self.parent.potential(q)) for q in qs])
 

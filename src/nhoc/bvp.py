@@ -1,14 +1,16 @@
 """Two-point boundary value problems for extremals by single shooting."""
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory
 from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
-                     NonFiniteState, SingularJacobian, SingularMetric)
+                     NonFiniteState, SingularJacobian, SingularMetric, ValidationError)
 # inverse_legendre is not called here; perfbench/tracing.py patches it under this name
-from .hamiltonian import PhasePoint, inverse_legendre, integrate_hamiltonian  # noqa: F401
+from .hamiltonian import (PhasePoint, _check_scheme, inverse_legendre,  # noqa: F401
+                          integrate_hamiltonian)
 from .numerics import fd_jacobian, step_count
 
 
@@ -23,8 +25,9 @@ MAX_HALVINGS = 20
 class ShootingProblem:
     """Shooting setup: Hamiltonian system, step, scheme and Newton stopping rule.
 
-    The boundary data are read from the underlying ``OCProblem``; a missing
-    chart boundary defaults to the empty point when ``dim_q == 0``.
+    The fields' defaults are those of ``nhoc optimize``, and every setting is
+    checked here.  The horizon and the boundary data are read from the
+    underlying ``OCProblem``, which must hold all four boundary values.
     """
 
     hs: object
@@ -32,29 +35,18 @@ class ShootingProblem:
     scheme: str = "rk4"
     tolerance: float = 1e-10
     max_iterations: int = 50
-    q0: np.ndarray = field(init=False)
-    y0: np.ndarray = field(init=False)
-    qT: np.ndarray = field(init=False)
-    yT: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise DimensionMismatch("Newton tolerance must be positive")
-        if self.max_iterations < 0:
-            raise DimensionMismatch("Newton iteration budget must not be negative")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 0:
+            raise DimensionMismatch("Newton iteration budget must be a non-negative integer")
         prob = self.hs.problem
         for name in ("q0", "y0", "qT", "yT"):
-            val = getattr(prob, name)
-            if val is None:
-                if name[0] != "q" or prob.dim_q != 0:
-                    raise DimensionMismatch(f"boundary value {name} is missing")
-                val = np.zeros(0)
-            object.__setattr__(self, name, val)
+            if getattr(prob, name) is None:
+                raise DimensionMismatch(f"boundary value {name} is missing")
         step_count(prob.horizon, self.dt)
-
-    @property
-    def horizon(self):
-        return self.hs.problem.horizon
+        _check_scheme(self.dt, self.scheme)
 
     @property
     def n_momenta(self):
@@ -62,21 +54,21 @@ class ShootingProblem:
 
 
 def _initial_phase(sp, p0):
-    n = sp.hs.dim_q
+    prob, n = sp.hs.problem, sp.hs.dim_q
     batch = p0.shape[:-1]
-    return PhasePoint(q=np.broadcast_to(sp.q0, batch + sp.q0.shape),
-                      y=np.broadcast_to(sp.y0, batch + sp.y0.shape),
+    return PhasePoint(q=np.broadcast_to(prob.q0, batch + prob.q0.shape),
+                      y=np.broadcast_to(prob.y0, batch + prob.y0.shape),
                       p_q=p0[..., :n], p_y=p0[..., n:])
 
 
 def _flow(sp, p0):
     """(residual, times, samples) of the flow from the boundary point and
     momenta p0, which may be a stack with leading batch axes."""
+    prob, n, m = sp.hs.problem, sp.hs.dim_q, sp.hs.rank_d
     times, phases = integrate_hamiltonian(sp.hs, _initial_phase(sp, p0),
-                                          sp.horizon, sp.dt, sp.scheme)
-    n, m = sp.hs.dim_q, sp.hs.rank_d
+                                          prob.horizon, sp.dt, sp.scheme)
     end = phases[-1]
-    res = np.concatenate([end[..., :n] - sp.qT, end[..., n:n + m] - sp.yT], axis=-1)
+    res = np.concatenate([end[..., :n] - prob.qT, end[..., n:n + m] - prob.yT], axis=-1)
     return res, times, phases
 
 
@@ -106,11 +98,10 @@ def _extremal(sp, times, phases):
             float(np.trapezoid(running, times)))
 
 
-def extremal_trajectory(sp, p0, with_cost=False):
+def extremal_trajectory(sp, p0):
     """Integrate the extremal for p0 and attach controls and diagnostics;
-    with ``with_cost``, return (trajectory, cost)."""
-    extremal = _extremal(sp, *_flow(sp, np.atleast_1d(np.asarray(p0, dtype=float)))[1:])
-    return extremal if with_cost else extremal[0]
+    returns (trajectory, cost)."""
+    return _extremal(sp, *_flow(sp, np.atleast_1d(np.asarray(p0, dtype=float)))[1:])
 
 
 def trajectory_cost(sp, trajectory):
@@ -160,7 +151,7 @@ def solve_bvp(sp, p0_guess=None):
         raise DimensionMismatch("initial momenta guess must be finite")
     if p0.shape != (sp.n_momenta,):
         raise DimensionMismatch(f"p0 must have length {sp.n_momenta}")
-    speculate = sp.hs._stacks_at_once
+    speculate = sp.hs.problem.cost.quadratic
     h = JACOBIAN_STEP
     columns = h * np.eye(sp.n_momenta)
 
@@ -196,8 +187,8 @@ def solve_bvp(sp, p0_guess=None):
             trial = p0 + scale * step
             try:
                 trial_res, trial_samples, trial_jac = evaluate(trial, halving == 0)
-            except NonFiniteState:
-                # overshooting trial blew up the flow: treat as no decrease
+            except (NonFiniteState, ValidationError):
+                # overshooting trial blew up the flow or overflowed: no decrease
                 scale *= DAMPING
                 continue
             if np.abs(trial_res).max() < np.abs(res).max():

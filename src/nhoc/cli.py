@@ -16,11 +16,11 @@ import numpy as np
 from .algebroid import build_constrained_system
 from .bvp import ShootingProblem, extremal_trajectory, solve_bvp
 from .checks import run_all
-from .dynamics import StateQY, simulate
+from .dynamics import INTEGRATORS, StateQY, simulate
 from .errors import (DimensionMismatch, NewtonDivergence, NhocError, NotPositiveDefinite,
-                     ParseError, RankDeficient, SingularHessian, ValidationError)
-from .hamiltonian import HamiltonianSystem, regularity_matrix
-from .models import load_model_config, make_builtin
+                     ParseError, RankDeficient, ValidationError)
+from .hamiltonian import SCHEMES, HamiltonianSystem, regularity_matrix
+from .models import BUILTIN_CONSTRUCTORS, load_model_config, make_builtin
 from .optimal_control import (ControlDistribution, ExtremalState, OCProblem,
                               quadratic_cost)
 
@@ -143,10 +143,7 @@ def cmd_optimize(args):
     controls = ControlDistribution.full(system.rank_d)
     problem = OCProblem(system=system, controls=controls, cost=quadratic_cost(np.diag(weights)),
                         horizon=args.T, q0=q0, y0=y0, qT=qT, yT=yT)
-    report = regularity_matrix(problem, ExtremalState(q=q0, y=y0, v=np.zeros(system.rank_d)))
-    if not report.is_regular:
-        raise SingularHessian(
-            f"regularity matrix is singular (det = {report.determinant:.3e})")
+    regularity_matrix(problem, ExtremalState(q=q0, y=y0, v=np.zeros(system.rank_d)))
     hs = HamiltonianSystem(problem)
     sp = ShootingProblem(hs=hs, dt=args.dt, scheme=args.integrator,
                          tolerance=args.newton_tol, max_iterations=args.max_iterations)
@@ -170,7 +167,7 @@ def cmd_optimize(args):
     except NewtonDivergence as exc:
         if exc.best is None:
             raise
-        traj, cost = extremal_trajectory(sp, exc.best, with_cost=True)
+        traj, cost = extremal_trajectory(sp, exc.best)
         report_trajectory(traj, exc.best, exc.iterations, exc.residual_norm, cost)
         print(f"error: NewtonDivergence: {exc}", file=sys.stderr)
         return 4
@@ -215,8 +212,7 @@ def cmd_derive(args):
 
 def add_model_arguments(parser):
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", choices=["suslov", "chaplygin", "double_integrator"],
-                       help="built-in model name")
+    group.add_argument("--builtin", choices=BUILTIN_CONSTRUCTORS, help="built-in model name")
     group.add_argument("--config", help="path to a model config JSON document")
     parser.add_argument("--params", default="",
                         help="builtin parameters as key=value pairs, comma separated")
@@ -236,7 +232,7 @@ def build_parser():
     p_sim.add_argument("--y0", required=True, help="initial fiber velocity (comma separated)")
     p_sim.add_argument("--T", type=float, required=True, help="final time")
     p_sim.add_argument("--dt", type=float, required=True, help="fixed step size")
-    p_sim.add_argument("--integrator", choices=["rk4", "symp_euler"], default="rk4")
+    p_sim.add_argument("--integrator", choices=INTEGRATORS, default="rk4")
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -247,13 +243,15 @@ def build_parser():
     p_opt.add_argument("--y0", required=True, help="initial fiber velocity")
     p_opt.add_argument("--yT", required=True, help="terminal fiber velocity")
     p_opt.add_argument("--T", type=float, required=True, help="horizon")
-    p_opt.add_argument("--dt", type=float, default=1e-3, help="integration step")
-    p_opt.add_argument("--integrator", choices=["rk4", "symp_euler", "stormer_verlet"],
-                       default="rk4")
+    # the defaults are ShootingProblem's: a dataclass field's default is its class attribute
+    p_opt.add_argument("--dt", type=float, default=ShootingProblem.dt, help="integration step")
+    p_opt.add_argument("--integrator", choices=SCHEMES, default=ShootingProblem.scheme)
     p_opt.add_argument("--weights", default="", help="diagonal cost weights")
     p_opt.add_argument("--guess", default="", help="initial momenta guess")
-    p_opt.add_argument("--newton-tol", type=float, default=1e-10, dest="newton_tol")
-    p_opt.add_argument("--max-iterations", type=int, default=50, dest="max_iterations")
+    p_opt.add_argument("--newton-tol", type=float, default=ShootingProblem.tolerance,
+                       dest="newton_tol")
+    p_opt.add_argument("--max-iterations", type=int, default=ShootingProblem.max_iterations,
+                       dest="max_iterations")
     p_opt.add_argument("--out", required=True, help="output CSV path")
     p_opt.set_defaults(func=cmd_optimize)
 

@@ -14,6 +14,8 @@ from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteState,
                      SingularMetric)
 from .numerics import integrate_fixed_steps, matvec_rows, rk4_step, step_count
 
+INTEGRATORS = ("rk4", "symp_euler")
+
 
 @dataclass(frozen=True, eq=False)
 class StateQY:
@@ -173,7 +175,7 @@ def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
     non-finite control.
     """
     n_steps = step_count(t_final, dt)
-    if integrator not in ("rk4", "symp_euler"):
+    if integrator not in INTEGRATORS:
         raise DimensionMismatch(f"unknown integrator {integrator!r}")
     if (u is None) != (controls is None):
         raise DimensionMismatch("controls and u must be supplied together")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import drift_acceleration
 from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
-                     SingularHessian)
+                     SingularHessian, ValidationError)
 from .numerics import (fd_jacobian, integrate_fixed_steps, matvec_rows, outer_rows,
                        rk4_step, step_count)
 from .optimal_control import ExtremalState, drift_jacobians, recover_controls
@@ -66,16 +66,6 @@ class PhasePoint:
         return np.concatenate([self.q, self.y, self.p_q, self.p_y], axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class RegularityReport:
-    """Bordered Hessian of the constrained Legendre map and its verdict."""
-
-    matrix_m: np.ndarray
-    determinant: float
-    condition: float
-    is_regular: bool
-
-
 def regularity_matrix(problem, state):
     """Bordered matrix of the vakonomic Legendre transform at a state.
 
@@ -83,6 +73,8 @@ def regularity_matrix(problem, state):
     (zero except the cost block d2L/dydot2) bordered by the constraint
     velocity-gradient df^j/dqdot^i = delta^j_i.  Regular iff the determinant
     is away from zero, which reduces to invertibility of the cost Hessian.
+    Returns the matrix of a regular state, and raises SingularHessian, with
+    the determinant in the message, at a singular one.
     """
     n, m = problem.dim_q, problem.rank_d
     ctrl = problem.controls
@@ -102,10 +94,9 @@ def regularity_matrix(problem, state):
     mat[:n, n + m:] = np.eye(n)
     mat[n + m:, :n] = np.eye(n)
     det = float(np.linalg.det(mat))
-    cond = float(np.linalg.cond(mat)) if size else 1.0
-    scale = max(1.0, float(np.abs(mat).max())) ** size
-    return RegularityReport(matrix_m=mat, determinant=det, condition=cond,
-                            is_regular=bool(abs(det) > 1e-10 * scale))
+    if not abs(det) > 1e-10 * max(1.0, float(np.abs(mat).max())) ** size:
+        raise SingularHessian(f"regularity matrix is singular (det = {det:.3e})")
+    return mat
 
 
 def legendre_map(problem, state):
@@ -317,17 +308,10 @@ class HamiltonianSystem:
         return _Kernel(field=field, grad_x=lambda x, p: grads(x, p)[0], grad_p=grad_p,
                        kick_matrix=None, drift=_drift(grad_p))
 
-    @property
-    def _stacks_at_once(self):
-        """True when the kernel evaluates a whole stack at once, which it does
-        for every quadratic cost, so that extra rows of a flow cost little;
-        False when each row takes the per-point formulas."""
-        return bool(self.problem.cost.quadratic)
-
     def _build_kernel(self):
         problem, system = self.problem, self.system
         n, d = self.dim_q, self.dim_q + self.rank_d
-        if not self._stacks_at_once:
+        if not problem.cost.quadratic:
             return self._rowwise_kernel()
 
         def actuation(p_y):
@@ -458,14 +442,18 @@ class HamiltonianSystem:
     def flatten(self, phase):
         """Flat phase rows (..., 2(dim_q + rank_d)) of a PhasePoint, the
         inverse of ``unflatten``.  Raises DimensionMismatch unless the fields
-        have lengths (dim_q, rank_d, dim_q, rank_d) and one leading batch shape."""
+        have lengths (dim_q, rank_d, dim_q, rank_d) and one leading batch
+        shape, and ValidationError unless every entry is finite."""
         fields = phase.q, phase.y, phase.p_q, phase.p_y
         shapes = [f.shape for f in fields]
         expected = [shapes[0][:-1] + (k,) for k in (self.dim_q, self.rank_d) * 2]
         if shapes != expected:
             raise DimensionMismatch(f"phase fields (q, y, p_q, p_y) have shapes {shapes}, "
                                     f"expected {expected}")
-        return np.concatenate(fields, axis=-1)
+        z = np.concatenate(fields, axis=-1)
+        if not np.isfinite(z).all():
+            raise ValidationError("phase point has non-finite entries")
+        return z
 
     def unflatten(self, z):
         """PhasePoint of flat phase rows of shape (..., 2(dim_q + rank_d))."""
@@ -562,7 +550,7 @@ def _flat_step(hs, z, dt, scheme):
     return np.concatenate([x_new, p_new], axis=1)
 
 
-def integrate_step(hs, phase, dt, scheme="stormer_verlet"):
+def integrate_step(hs, phase, dt, scheme):
     """One step of rk4, symplectic Euler, or generalized Stormer-Verlet.
 
     The Hamiltonian is not separable, so the symplectic schemes have
@@ -601,7 +589,7 @@ def symplecticity_defect(hs, phase, dt, scheme):
     return float(np.abs(dpsi.T @ jmat @ dpsi - jmat).max())
 
 
-def integrate_hamiltonian(hs, phase0, t_final, dt, scheme="stormer_verlet"):
+def integrate_hamiltonian(hs, phase0, t_final, dt, scheme):
     """Fixed-step integration of Hamilton's equations; returns (times, phases).
 
     ``phases`` holds the flattened phase points, of shape (n_steps + 1,

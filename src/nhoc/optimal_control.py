@@ -184,7 +184,10 @@ class ControlDistribution:
 
 @dataclass(frozen=True, eq=False)
 class OCProblem:
-    """Constrained system + inputs + cost + horizon + boundary data on D."""
+    """Constrained system + inputs + cost + horizon + boundary data on D.
+
+    The boundary data are optional here and required by ``ShootingProblem``;
+    a model with ``dim_q == 0`` has q0 and qT on its empty chart point."""
 
     system: object
     controls: ControlDistribution
@@ -204,6 +207,8 @@ class OCProblem:
             raise DimensionMismatch("cost control dimension does not match input count")
         for name in ("q0", "y0", "qT", "yT"):
             val = getattr(self, name)
+            if val is None and name[0] == "q" and self.dim_q == 0:
+                val = ()  # the one chart point of a model over a point
             if val is None:
                 continue
             arr = np.atleast_1d(np.asarray(val, dtype=float))

@@ -80,7 +80,7 @@ def field_systems():
         "suslov": build_constrained_system(suslov, suslov_spec),
         # dim_q = 0 through the chart branch: every stack has the same chart bytes
         "suslov_unflagged": build_constrained_system(
-            replace(suslov, q_independent=False, zero_potential=False), suslov_spec),
+            replace(suslov, q_independent=False), suslov_spec),
         "sleigh": build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0)),
         "double_integrator": build_constrained_system(*make_double_integrator(2)),
         "constant_with_potential": build_constrained_system(

@@ -229,7 +229,9 @@ class TestChristoffel:
                         - np.einsum("ci,iab->cab", rho, dgd))
 
             # analytic derivative terms: residual at solver precision
-            assert np.abs(lhs - rhs_with(system.metric_d_dq(q))).max() < 1e-12
+            d = system.splitting.d_basis
+            dgd = np.einsum("iAB,aA,bB->iab", system.parent.metric_dq(q), d, d)
+            assert np.abs(lhs - rhs_with(dgd)).max() < 1e-12
             # independent finite-difference derivative terms: loose tolerance
             h = 1e-5
             dgd_fd = np.array([(system.metric_d(q + h) - system.metric_d(q - h)) / (2 * h)])
@@ -544,3 +546,12 @@ class TestNonFiniteRows:
     def test_chart_point_of_a_curved_model(self):
         with pytest.raises(ValidationError):
             self.SYSTEMS["curved"].geometry([np.nan])
+
+    @pytest.mark.parametrize("system, q, y", [
+        ("constant_with_potential", [[np.nan, 0.0]], [[0.1, 0.2]]),
+        ("constant_with_potential", [[0.3, -0.1], [0.0, 0.0]], [[0.1, 0.2], [np.inf, 0.0]]),
+        ("curved", [[np.nan]], [[0.1, 0.2]]),
+    ], ids=["nan_chart_point", "infinite_velocity_row", "curved_nan_chart_point"])
+    def test_stacked_energy_rejects_non_finite_rows(self, system, q, y):
+        with pytest.raises(ValidationError):
+            self.SYSTEMS[system].energy(q, y)

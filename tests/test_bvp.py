@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState, ModelPartials,
                   HamiltonianSystem, OCProblem, PhasePoint, ShootingProblem, StateQY,
                   Trajectory, build_constrained_system, build_splitting,
-                  extremal_trajectory, make_chaplygin, quadratic_cost, regularity_matrix,
+                  extremal_trajectory, make_chaplygin, quadratic_cost,
                   shooting_residual, simulate, solve_bvp, trajectory_cost)
 from nhoc import bvp, hamiltonian
 from nhoc.dynamics import drift_acceleration
@@ -127,7 +127,7 @@ class TestBatchedResidual:
             # build per evaluation covers every row and its drift stencil
             sp = shooting_for(curved_quadratic_problem(), dt=0.1, scheme=scheme)
             stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, -0.3], [1.0, 1.5, 1.2]])
-        assert sp.hs._stacks_at_once
+        assert sp.hs.problem.cost.quadratic
         self.assert_rows_match_single_calls(sp, stack, monkeypatch)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -168,7 +168,7 @@ class TestOneFlowPerIteration:
         return rows, fail_rows
 
     def assert_trajectory_is_extremal_of_p0(self, sp, result):
-        expected = extremal_trajectory(sp, result.p0)
+        expected = extremal_trajectory(sp, result.p0)[0]
         for name in TRAJECTORY_FIELDS:
             assert (getattr(result.trajectory, name).tobytes()
                     == getattr(expected, name).tobytes()), name
@@ -184,7 +184,7 @@ class TestOneFlowPerIteration:
             problem = (sleigh_problem(chaplygin_system) if model == "sleigh"
                        else double_integrator_problem)
             sp = shooting_for(problem, dt=1e-2, scheme=scheme)
-        assert sp.hs._stacks_at_once
+        assert sp.hs.problem.cost.quadratic
         rows, _ = flow_rows
         result = solve_bvp(sp, np.zeros(sp.n_momenta))
         assert result.iterations >= 1
@@ -196,7 +196,7 @@ class TestOneFlowPerIteration:
     def test_per_row_kernel_integrates_columns_for_accepted_iterates_only(self, scheme,
                                                                           flow_rows):
         sp = shooting_for(curved_quartic_problem(), dt=0.1, scheme=scheme)
-        assert not sp.hs._stacks_at_once
+        assert not sp.hs.problem.cost.quadratic
         rows, _ = flow_rows
         result = solve_bvp(sp, np.zeros(3))
         assert result.iterations >= 1
@@ -308,7 +308,7 @@ class TestExtremalDiagnostics:
                             cost=cost, horizon=0.2, q0=[0.1], y0=[0.3, -0.2], qT=[0.2],
                             yT=[0.0, 0.0])
         sp = shooting_for(problem, dt=0.05)
-        traj = extremal_trajectory(sp, [0.5, -0.4, 0.3])
+        traj = extremal_trajectory(sp, [0.5, -0.4, 0.3])[0]
         for k in range(len(traj)):
             q, y, p_q, p_y = traj.qs[k], traj.ys[k], traj.p_qs[k], traj.p_ys[k]
             phase = PhasePoint(q=q, y=y, p_q=p_q, p_y=p_y)
@@ -331,7 +331,7 @@ class TestExtremalDiagnostics:
         assert np.float64(result.cost).tobytes() == np.float64(
             trajectory_cost(sp, result.trajectory)).tobytes()
         # the exit-4 path of `nhoc optimize` takes its cost the same way
-        trajectory, cost = extremal_trajectory(sp, result.p0, with_cost=True)
+        trajectory, cost = extremal_trajectory(sp, result.p0)
         assert np.float64(cost).tobytes() == np.float64(
             trajectory_cost(sp, trajectory)).tobytes()
 
@@ -442,6 +442,26 @@ class TestSolveBVP:
             shooting_for(double_integrator_problem, max_iterations=-1)
         assert shooting_for(double_integrator_problem, max_iterations=0).max_iterations == 0
 
+    @pytest.mark.parametrize("settings", [dict(scheme="bogus"), dict(max_iterations=2.5),
+                                          dict(max_iterations=3.0)],
+                             ids=["unknown_scheme", "fractional_budget", "float_budget"])
+    def test_bad_settings_rejected_before_any_flow(self, double_integrator_problem, settings,
+                                                   monkeypatch):
+        monkeypatch.setattr(bvp, "integrate_hamiltonian", None)
+        with pytest.raises(DimensionMismatch):
+            shooting_for(double_integrator_problem, **settings)
+
+    def test_boundary_data_are_read_from_the_problem(self, chaplygin_system):
+        # a model over a point has its chart boundary on the empty chart point
+        problem = sleigh_problem(chaplygin_system)
+        assert problem.q0.shape == problem.qT.shape == (0,)
+        sp = ShootingProblem(hs=HamiltonianSystem(problem), dt=0.1)
+        assert len(fields(sp)) == 5
+        p0 = np.array([0.3, -0.2])
+        _, phases = hamiltonian.integrate_hamiltonian(
+            sp.hs, PhasePoint(q=problem.q0, y=problem.y0, p_q=[], p_y=p0), 1.0, 0.1, "rk4")
+        assert shooting_residual(sp, p0).tobytes() == (phases[-1, :2] - problem.yT).tobytes()
+
 
 def _sleigh_problem():
     system = build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))
@@ -464,8 +484,6 @@ ARRAY_HOLDERS = {
     "OCProblem": _sleigh_problem,
     "ExtremalState": lambda: ExtremalState(y=[1.0, 0.0], v=[0.0, 0.0]),
     "PhasePoint": lambda: PhasePoint(q=[], y=[1.0, 0.0], p_q=[], p_y=[0.0, 1.0]),
-    "RegularityReport": lambda: regularity_matrix(
-        _sleigh_problem(), ExtremalState(y=[0.5, 0.2], v=[0.0, 0.0])),
     "ShootingProblem": lambda: shooting_for(_sleigh_problem(), dt=0.1),
     "ShootingResult": lambda: bvp.ShootingResult(p0=np.zeros(2), trajectory=_trajectory(),
                                                  cost=0.0, iterations=0, residual_norm=0.0),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,9 @@ from nhoc import (ControlDistribution, HamiltonianSystem, OCProblem, ShootingPro
                   quadratic_cost, simulate, solve_bvp)
 from nhoc import cli
 from nhoc.cli import main
+from nhoc.dynamics import INTEGRATORS
+from nhoc.hamiltonian import SCHEMES
+from nhoc.models import BUILTIN_CONSTRUCTORS
 from nhoc.errors import NewtonDivergence, ValidationError
 
 from conftest import SUSLOV_PARAMS
@@ -135,7 +139,22 @@ class TestOptimize:
                      "--y0", "1,0", "--yT", "0.5,0.5", "--T", "1", "--weights", "1,0",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
-        assert "SingularHessian" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: SingularHessian: regularity matrix is singular (det = 0.000e+00)\n")
+
+    def test_defaults_and_choices_are_the_shooting_setup_s(self):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices
+        actions = {cmd: {a.dest: a for a in sub[cmd]._actions} for cmd in sub}
+        opt = actions["optimize"]
+        assert (opt["dt"].default, opt["integrator"].default, opt["newton_tol"].default,
+                opt["max_iterations"].default) == (1e-3, "rk4", 1e-10, 50)
+        defaults = {f.name: f.default for f in dataclasses.fields(ShootingProblem)}
+        assert defaults == dict(hs=dataclasses.MISSING, dt=1e-3, scheme="rk4",
+                                tolerance=1e-10, max_iterations=50)
+        assert tuple(opt["integrator"].choices) == SCHEMES
+        assert tuple(actions["simulate"]["integrator"].choices) == INTEGRATORS
+        for cmd in sub:
+            assert list(actions[cmd]["builtin"].choices) == list(BUILTIN_CONSTRUCTORS)
 
     def test_non_finite_newton_tolerance_rejected(self, tmp_path, capsys):
         code = main(["optimize", "--builtin", "chaplygin", "--y0", "0,0", "--yT", "0.1,0.1",

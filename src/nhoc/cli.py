@@ -232,7 +232,7 @@ def build_parser():
     p_sim.add_argument("--y0", required=True, help="initial fiber velocity (comma separated)")
     p_sim.add_argument("--T", type=float, required=True, help="final time")
     p_sim.add_argument("--dt", type=float, required=True, help="fixed step size")
-    p_sim.add_argument("--integrator", choices=INTEGRATORS, default="rk4")
+    p_sim.add_argument("--integrator", choices=INTEGRATORS, default=INTEGRATORS[0])
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -14,7 +14,7 @@ from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteState,
                      SingularMetric)
 from .numerics import integrate_fixed_steps, matvec_rows, rk4_step, step_count
 
-INTEGRATORS = ("rk4", "symp_euler")
+INTEGRATORS = ("rk4", "symp_euler")  # the first is the default
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +162,7 @@ def dalembert_oracle_field(model, spec, xi):
     return np.linalg.solve(gram, d @ inertia @ xidot)
 
 
-def simulate(system, s0, t_final, dt, integrator="rk4", controls=None, u=None):
+def simulate(system, s0, t_final, dt, integrator=INTEGRATORS[0], controls=None, u=None):
     """Integrate the free or controlled flow with a fixed step.
 
     ``u`` is a callable t -> control vector (requires ``controls`` on D);

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -142,19 +143,27 @@ class TestOptimize:
         assert capsys.readouterr().err == (
             "error: SingularHessian: regularity matrix is singular (det = 0.000e+00)\n")
 
-    def test_defaults_and_choices_are_the_shooting_setup_s(self):
-        sub = cli.build_parser()._subparsers._group_actions[0].choices
-        actions = {cmd: {a.dest: a for a in sub[cmd]._actions} for cmd in sub}
-        opt = actions["optimize"]
-        assert (opt["dt"].default, opt["integrator"].default, opt["newton_tol"].default,
-                opt["max_iterations"].default) == (1e-3, "rk4", 1e-10, 50)
+    def test_defaults_and_choices_are_the_shooting_setup_s(self, capsys):
+        parse = cli.build_parser().parse_args
+        model = ["--builtin", "chaplygin", "--y0", "0,0", "--T", "1", "--out", "x.csv"]
+        opt = parse(["optimize", *model, "--yT", "0,0"])
         defaults = {f.name: f.default for f in dataclasses.fields(ShootingProblem)}
         assert defaults == dict(hs=dataclasses.MISSING, dt=1e-3, scheme="rk4",
                                 tolerance=1e-10, max_iterations=50)
-        assert tuple(opt["integrator"].choices) == SCHEMES
-        assert tuple(actions["simulate"]["integrator"].choices) == INTEGRATORS
-        for cmd in sub:
-            assert list(actions[cmd]["builtin"].choices) == list(BUILTIN_CONSTRUCTORS)
+        assert (opt.dt, opt.integrator, opt.newton_tol, opt.max_iterations) == (
+            defaults["dt"], defaults["scheme"], defaults["tolerance"], defaults["max_iterations"])
+        sim = parse(["simulate", *model, "--dt", "0.1"])
+        assert sim.integrator == inspect.signature(simulate).parameters["integrator"].default
+        assert sim.integrator == "rk4"
+        builtins = "--builtin {" + ",".join(BUILTIN_CONSTRUCTORS) + "}"
+        for cmd, schemes in [("optimize", SCHEMES), ("simulate", INTEGRATORS),
+                             ("check", None), ("derive", None)]:
+            with pytest.raises(SystemExit):
+                parse([cmd, "--help"])
+            text = capsys.readouterr().out
+            assert builtins in text
+            if schemes is not None:
+                assert "--integrator {" + ",".join(schemes) + "}" in text
 
     def test_non_finite_newton_tolerance_rejected(self, tmp_path, capsys):
         code = main(["optimize", "--builtin", "chaplygin", "--y0", "0,0", "--yT", "0.1,0.1",

@@ -72,10 +72,10 @@ def test_comparison_names_differing_and_missing_items():
 
 
 def test_the_repository_against_itself():
-    done = subprocess.run([sys.executable, str(_PATH), str(ROOT), str(ROOT), "--seed", "7",
-                           "--rounds", "1"], capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, str(_PATH), str(ROOT), str(ROOT)],
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["free_flow: 8 equal, 0 differ",
-                                        "optimize: 10 equal, 0 differ",
-                                        "chart_dependent: 7 equal, 0 differ",
-                                        "25 of 25 equal"]
+    assert done.stdout.splitlines() == ["free_flow: 24 equal, 0 differ",
+                                        "optimize: 30 equal, 0 differ",
+                                        "chart_dependent: 21 equal, 0 differ",
+                                        "75 of 75 equal"]

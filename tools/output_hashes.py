@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Whether two checkouts give the benchmark items the same output bytes.
 
-    python3 tools/output_hashes.py PARENT_ROOT CHANGE_ROOT --seed 7 --rounds 3
+    python3 tools/output_hashes.py PARENT_ROOT CHANGE_ROOT
 
 PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts.  Each is hashed
-in a subprocess of its own (``--one ROOT``), since both import ``nhoc`` and
-perfbench's ``workloads``.  That subprocess builds every perfbench workload
-once and runs the items of rounds 0 to ``--rounds`` - 1 for ``--seed``, one
-after another and untimed, through ``workloads.run_item``.  Each item's
-outcome is hashed: arrays by dtype, shape and bytes, dataclasses field by
-field with the field names, floats by their exact hex form, strings with
-the temporary output directory masked, and a failed item's error text.  An
-``optimize`` item also hashes the CSV file it wrote.  The comparison prints,
-per workload, how many items hash the same and how many differ, and names
-each differing item; it exits 1 if any differ.  perfbench/ is only read.
+in a subprocess of its own, since both import ``nhoc`` and perfbench's
+``workloads``.  That subprocess builds every perfbench workload once and
+runs the items of rounds 0 to ROUNDS - 1 for SEED, one after another and
+untimed, through ``workloads.run_item``.  Each item's outcome is hashed:
+arrays by dtype, shape and bytes, dataclasses field by field with the field
+names, floats by their exact hex form, strings with the temporary output
+directory masked, and a failed item's error text.  An ``optimize`` item also
+hashes the CSV file it wrote.  The comparison prints, per workload, how many
+items hash the same and how many differ, and names each differing item; it
+exits 1 if any differ.  perfbench/ is only read.
 """
 
 import argparse
@@ -29,6 +29,8 @@ from pathlib import Path
 import numpy as np
 
 MASK = "<out>"
+SEED = 7
+ROUNDS = 3  # 75 items: 25 per round over the three workloads
 
 
 def feed(h, obj, out_dir):
@@ -63,7 +65,7 @@ def feed(h, obj, out_dir):
         raise TypeError(f"cannot hash {type(obj).__name__}")
 
 
-def hash_checkout(root, seed, rounds):
+def hash_checkout(root):
     """{workload: [[round, kind, digest], ...]} of the checkout at ``root``;
     imports its ``nhoc`` and ``workloads``, so run it once per process."""
     root = Path(root).resolve()
@@ -75,8 +77,8 @@ def hash_checkout(root, seed, rounds):
             workload = make(out_dir)
             csv_path = getattr(workload, "csv_path", None)
             rows = digests[name] = []
-            for round_index in range(rounds):
-                for item in workload.round_items(seed, round_index):
+            for round_index in range(ROUNDS):
+                for item in workload.round_items(SEED, round_index):
                     h = hashlib.sha256()
                     feed(h, workloads.run_item(workload, item), out_dir)
                     if csv_path is not None and os.path.exists(csv_path):
@@ -86,15 +88,17 @@ def hash_checkout(root, seed, rounds):
     return digests
 
 
-def run_checkout(root, seed, rounds):
+def run_checkout(root):
     """``hash_checkout`` of ``root`` in a subprocess of its own."""
-    cmd = [sys.executable, str(Path(__file__).resolve()), str(root), "--one",
-           "--seed", str(seed), "--rounds", str(rounds)]
+    root, tool = Path(root).resolve(), Path(__file__).resolve()
+    entry = (f"import json, runpy; hash_checkout = runpy.run_path({str(tool)!r})['hash_checkout']; "
+             f"print(json.dumps(hash_checkout({str(root)!r})))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", entry], cwd=root, env=env,
+                          capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise SystemExit(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+        raise SystemExit(f"hashing {root} exited {done.returncode}:\n{done.stderr}")
     return json.loads(lines[-1])
 
 
@@ -117,28 +121,12 @@ def compare(parent, change):
     return lines, differ_total
 
 
-def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("roots", type=Path, nargs="+", metavar="ROOT",
-                        help="PARENT_ROOT CHANGE_ROOT, or the one root to hash with --one")
-    parser.add_argument("--one", action="store_true",
-                        help="print the digests of the one ROOT as JSON")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--rounds", type=int, default=3)
-    args = parser.parse_args(argv)
-    if len(args.roots) != (1 if args.one else 2):
-        parser.error("give PARENT_ROOT and CHANGE_ROOT, or one ROOT with --one")
-    if args.rounds < 1:
-        parser.error("need --rounds >= 1")
-    return args
-
-
 def main(argv=None):
-    args = parse_args(argv)
-    if args.one:
-        print(json.dumps(hash_checkout(args.roots[0], args.seed, args.rounds)))
-        return 0
-    parent, change = (run_checkout(root, args.seed, args.rounds) for root in args.roots)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, metavar="PARENT_ROOT")
+    parser.add_argument("change", type=Path, metavar="CHANGE_ROOT")
+    args = parser.parse_args(argv)
+    parent, change = (run_checkout(root) for root in (args.parent, args.change))
     lines, differ = compare(parent, change)
     print("\n".join(lines))
     return 1 if differ else 0

@@ -1,9 +1,8 @@
 """Nonholonomic mechanics and optimal control on skew-symmetric algebroids."""
 
 from .algebroid import (AlgebroidModel, ConstraintSpec, ConstrainedSystem,
-                        ModelPartials, OrthogonalSplitting, build_constrained_system,
-                        build_splitting, constant_model, grad_potential,
-                        restrict_metric)
+                        ModelPartials, build_constrained_system, constant_model,
+                        grad_potential, restrict_metric)
 from .bvp import (ShootingProblem, ShootingResult, extremal_trajectory,
                   shooting_residual, solve_bvp, trajectory_cost)
 from .dynamics import (StateQY, Trajectory, controlled_field,
@@ -24,8 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebroidModel", "ConstraintSpec", "ConstrainedSystem", "ModelPartials",
-    "OrthogonalSplitting", "build_constrained_system", "build_splitting",
-    "constant_model", "grad_potential", "restrict_metric",
+    "build_constrained_system", "constant_model", "grad_potential", "restrict_metric",
     "StateQY", "Trajectory", "controlled_field", "dalembert_oracle_field",
     "drift_acceleration", "nonholonomic_field", "simulate",
     "ControlDistribution", "CostModel", "ExtremalState", "OCProblem",

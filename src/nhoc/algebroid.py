@@ -13,14 +13,14 @@ Array conventions used throughout the package:
 The constraint subbundle D carries the orthogonally projected bracket, the
 restricted metric and its Levi-Civita connection; all of that is assembled
 here, on a stack of chart points at once, and a single point is the one-row
-case.  One step, ``_split``, splits E = D + D-perp for every build: the
-geometry of a stack of chart points and the splitting at one point both take
-their coefficient map from it, and the projected bracket has its one home in
-the stacked build.  The drift Gamma(y, y) + grad V that every flow reads has
-its one home here too.
+case.  One step, ``_split``, splits E = D + D-perp for every build, and the
+geometry record is the one home of that splitting: its ``coeff_map`` maps a
+vector of E to the adapted coefficients of its projection onto D, so the
+projector is P = d_basis^T coeff_map.  The projected bracket has its one home
+in the stacked build, and the drift Gamma(y, y) + grad V that every flow
+reads has its one home here too.
 """
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -191,54 +191,10 @@ class ConstraintSpec:
         return numerics.rref_null_space(self.span_basis)
 
 
-@dataclass(frozen=True, eq=False)
-class OrthogonalSplitting:
-    """Metric-orthogonal decomposition E = D + D-perp at a chart point.
-
-    ``coeff_map @ v`` gives the adapted-basis coefficients of the projection
-    of v onto D, orthogonal for the bundle ``metric`` at the point; it is
-    row 0 of ``_split``, the step every geometry build splits E with.  The
-    projectors and the D-perp basis are derived on access; no flow reads them.
-    """
-
-    d_basis: np.ndarray
-    metric: np.ndarray
-    coeff_map: np.ndarray
-
-    @property
-    def rank_d(self):
-        return self.d_basis.shape[0]
-
-    @property
-    def projector_p(self):
-        return self.d_basis.T @ self.coeff_map
-
-    @property
-    def projector_q(self):
-        return np.eye(self.metric.shape[0]) - self.projector_p
-
-    @property
-    def dperp_basis(self):
-        return numerics.rref_null_space(self.d_basis @ self.metric)
-
-
 def _at_points(f, qs):
     """Stack of f(q) over the rows of qs: model callables see one chart point
     at a time."""
     return np.array([f(q) for q in qs], dtype=float)
-
-
-def build_splitting(model, spec, q=None):
-    """Adapted basis of D and the coefficient map of the orthogonal
-    projection onto it at q, for a metric checked positive-definite there:
-    the one-row case of ``_split``."""
-    q = model.chart_point(q)
-    d = spec.d_basis()
-    if d.shape[1] != model.rank_e:
-        raise DimensionMismatch(
-            f"constraint is on a rank-{d.shape[1]} bundle, model has rank {model.rank_e}")
-    g = np.asarray(model.metric(q), dtype=float)
-    return OrthogonalSplitting(d_basis=d, metric=g, coeff_map=_split(d, g[None])[2][0])
 
 
 def restrict_metric(d_basis, metric):
@@ -276,7 +232,7 @@ def _chart_geometry(system, qs):
     """Projected data at every row of the chart-point stack qs (B, dim_q) in
     one flat pass, each step one product over the stack; each array has a
     leading axis B."""
-    model, d, kron_dd = system.parent, system.splitting.d_basis, system._kron_dd
+    model, d, kron_dd = system.parent, system.d_basis, system._kron_dd
     b, r = len(qs), len(d)
     g = _at_points(model.metric, qs)
     gd, gd_inv, coeff_map = _split(d, g)
@@ -295,7 +251,7 @@ def _chart_geometry(system, qs):
         rhs += u.transpose(0, 3, 1, 2) + u.transpose(0, 3, 2, 1) - u
     gamma = 0.5 * (gd_inv @ rhs.reshape(b, r, r * r)).reshape(b, r, r, r)
     return {"structure_d": cd, "anchor_d": rho, "metric_d": gd, "metric_d_inv": gd_inv,
-            "gamma": gamma}
+            "coeff_map": coeff_map, "gamma": gamma}
 
 
 class ConstrainedSystem:
@@ -305,21 +261,26 @@ class ConstrainedSystem:
     structure functions, restricted anchor/metric, Christoffel field and
     potential gradient as functions of the chart point.  Values are immutable.
     ``geometry_rows`` builds a whole stack of chart points in one pass, and a
-    single point is its one-row case; a chart-independent model builds its
-    one record once and every point reads it.
+    single point is its one-row case.  The origin is built once, when the
+    system is made, which checks the metric there; a chart-independent model
+    keeps that record for every point.
     It is the one home of the drift Gamma(y, y) + grad V and its Jacobians:
     ``drift``, ``drift_dy`` and, on stacks from one build, ``drift_rows``.
     """
 
     def __init__(self, model, spec):
         self.parent = model
-        self.splitting = build_splitting(model, spec)
-        self.rank_d = self.splitting.rank_d
-        d = self.splitting.d_basis
+        self.dim_q = model.dim_q
+        self.d_basis = d = spec.d_basis()
+        if d.shape[1] != model.rank_e:
+            raise DimensionMismatch(
+                f"constraint is on a rank-{d.shape[1]} bundle, model has rank {model.rank_e}")
+        self.rank_d = len(d)
         # one product with kron(d, d)^T takes a flattened (rank_e, rank_e)
         # block a to the flattened d a d^T
         self._kron_dd = np.kron(d, d).T
-        self.dim_q = model.dim_q
+        origin = {k: v[0] for k, v in _chart_geometry(self, np.zeros((1, self.dim_q))).items()}
+        self._constant = origin if model.q_independent else None
 
     @property
     def constant_drift(self):
@@ -389,24 +350,23 @@ class ConstrainedSystem:
         qs = np.asarray(qs, dtype=float)
         if qs.ndim != 2 or qs.shape[1] != self.dim_q or len(qs) == 0:
             raise DimensionMismatch(f"chart points must have shape (B, {self.dim_q}), B > 0")
-        if self.parent.q_independent:
+        if self._constant is not None:
             return {k: np.broadcast_to(v, (len(qs),) + v.shape)
-                    for k, v in self._constant_geometry.items()}
+                    for k, v in self._constant.items()}
         return _chart_geometry(self, qs)
 
     def geometry(self, q):
-        """Projected data at q: structure_d, anchor_d, metric_d, metric_d_inv
-        and gamma, row 0 of a one-row build, or the one record of a
+        """Projected data at q: structure_d, anchor_d, metric_d, metric_d_inv,
+        coeff_map and gamma, row 0 of a one-row build, or the one record of a
         chart-independent model.  Read-only."""
-        q = self.parent.chart_point(q)
-        if self.parent.q_independent:
-            return self._constant_geometry
-        return {k: v[0] for k, v in _chart_geometry(self, q[None]).items()}
+        return self._geometry_at(self.parent.chart_point(q))
 
-    @functools.cached_property
-    def _constant_geometry(self):
-        """The one record of a chart-independent model, built on first use."""
-        return {k: v[0] for k, v in _chart_geometry(self, np.zeros((1, self.dim_q))).items()}
+    def _geometry_at(self, q):
+        """The record of ``geometry`` at a chart point that ``chart_point``
+        has already checked."""
+        if self._constant is not None:
+            return self._constant
+        return {k: v[0] for k, v in _chart_geometry(self, q[None]).items()}
 
     def structure_d(self, q=None):
         return self.geometry(q)["structure_d"]
@@ -435,7 +395,7 @@ class ConstrainedSystem:
         """Stacked chart derivatives of the restricted anchor; a stack of
         chart points (B, dim_q) gives a leading axis B."""
         q = q if np.ndim(q) == 2 else self.parent.chart_point(q)
-        return np.einsum("...iAj,aA->...iaj", self.parent.anchor_dq(q), self.splitting.d_basis)
+        return np.einsum("...iAj,aA->...iaj", self.parent.anchor_dq(q), self.d_basis)
 
     def energy(self, q, y):
         """Restricted kinetic energy plus potential, conserved by the free flow.
@@ -464,10 +424,11 @@ class ConstrainedSystem:
 
 
 def build_constrained_system(model, spec):
-    """Assemble the constrained system (splitting validated at the origin)."""
+    """Assemble the constrained system (its origin build checks the metric)."""
     return ConstrainedSystem(model, spec)
 
 
 def grad_potential(system, q=None):
     """Metric gradient of the potential on D: (G^D)^{CB} rho^i_B dV/dq^i."""
-    return system._grad_v(system.parent.chart_point(q), system.geometry(q))
+    q = system.parent.chart_point(q)
+    return system._grad_v(q, system._geometry_at(q))

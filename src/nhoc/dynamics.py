@@ -61,7 +61,7 @@ def drift_acceleration(system, q, y):
     """Geometric drift Gamma(y, y) + grad V at one row; the free flow has
     ydot = -drift.  The one-row read of ``ConstrainedSystem.drift``."""
     q, y = system.fiber_row(q, y)
-    return system.drift(q, y, system.geometry(q))
+    return system.drift(q, y, system._geometry_at(q))
 
 
 def _free_field(system):

@@ -72,9 +72,11 @@ def regularity_matrix(problem, state):
     Blocks over the velocities (qdot, ydot): the extended-Lagrangian Hessian
     (zero except the cost block d2L/dydot2) bordered by the constraint
     velocity-gradient df^j/dqdot^i = delta^j_i.  Regular iff the determinant
-    is away from zero, which reduces to invertibility of the cost Hessian.
-    Returns the matrix of a regular state, and raises SingularHessian, with
-    the determinant in the message, at a singular one.
+    is away from zero, which reduces to invertibility of the cost Hessian:
+    singular means |det| <= 1e-10 times the product of the row norms (the
+    Hadamard bound on |det|), a test that does not depend on the units of the
+    cost.  Returns the matrix of a regular state, and raises SingularHessian,
+    with the determinant in the message, at a singular one.
     """
     n, m = problem.dim_q, problem.rank_d
     ctrl = problem.controls
@@ -94,7 +96,7 @@ def regularity_matrix(problem, state):
     mat[:n, n + m:] = np.eye(n)
     mat[n + m:, :n] = np.eye(n)
     det = float(np.linalg.det(mat))
-    if not abs(det) > 1e-10 * max(1.0, float(np.abs(mat).max())) ** size:
+    if not abs(det) > 1e-10 * float(np.prod(np.linalg.norm(mat, axis=1))):
         raise SingularHessian(f"regularity matrix is singular (det = {det:.3e})")
     return mat
 

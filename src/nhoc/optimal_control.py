@@ -272,7 +272,7 @@ def drift_jacobians(system, q, y):
     """
     q, y = system.fiber_row(q, y)
     if system.dim_q == 0 or system.constant_drift:
-        geo = system.geometry(q)
+        geo = system._geometry_at(q)
         return (system.drift(q, y, geo), np.zeros((system.rank_d, system.dim_q)),
                 system.drift_dy(y, geo), geo)
     drift, ddq, ddy, geo = system.drift_rows(q[None], y[None])

@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from nhoc import (AlgebroidModel, ConstraintSpec, ModelPartials, StateQY, algebroid,
-                  build_constrained_system, build_splitting, constant_model, grad_potential,
+                  build_constrained_system, constant_model, grad_potential,
                   make_chaplygin, make_suslov, numerics, restrict_metric, simulate)
 from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
 from nhoc.dynamics import drift_acceleration
@@ -20,40 +20,50 @@ def collinear(u, v, tol=1e-10):
     return np.abs(np.outer(u, v) - np.outer(v, u)).max() < tol
 
 
-class TestBuildSplitting:
+def projector(system, q=None):
+    """P = d^T coeff_map at q, from the system's geometry record."""
+    return system.d_basis.T @ system.geometry(q)["coeff_map"]
+
+
+def complement_direction(system):
+    """The one vector spanning the range of Q = I - P at the origin (D-perp)."""
+    q = np.eye(system.parent.rank_e) - projector(system)
+    assert np.linalg.matrix_rank(q) == 1
+    return np.linalg.svd(q)[0][:, 0]
+
+
+class TestSplitting:
     def test_suslov_adapted_basis_and_complement(self):
-        model, spec = make_suslov(**SUSLOV_PARAMS)
-        split = build_splitting(model, spec)
-        assert np.allclose(split.d_basis, [[1, 0, 0], [0, 1, 0]], atol=1e-14)
+        system = build_constrained_system(*make_suslov(**SUSLOV_PARAMS))
+        assert np.allclose(system.d_basis, [[1, 0, 0], [0, 1, 0]], atol=1e-14)
         I11, I22, I13, I23 = 2.0, 3.0, 0.1, 0.2
         z_expected = np.array([I22 * I13, I11 * I23, -I11 * I22])
-        assert split.dperp_basis.shape == (1, 3)
-        assert collinear(split.dperp_basis[0], z_expected)
+        assert collinear(complement_direction(system), z_expected)
 
     def test_orthonormal_span_gives_diagonal_projector(self):
         model = constant_model(np.zeros((3, 3, 3)), np.eye(3))
-        spec = ConstraintSpec(span_basis=np.eye(3)[:2])
-        split = build_splitting(model, spec)
-        assert np.allclose(split.projector_p, np.diag([1.0, 1.0, 0.0]), atol=1e-14)
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(3)[:2]))
+        assert np.allclose(projector(system), np.diag([1.0, 1.0, 0.0]), atol=1e-14)
 
     def test_chaplygin_complement(self):
         # the complement must be metric-orthogonal to D; for the sleigh that
         # is the span of (abm, J+ma^2, am) in the (E1, E2, E3) frame
         m, J, a, b = 2.0, 1.5, 0.7, 0.3
         model, spec = make_chaplygin(m, J, a, b)
-        split = build_splitting(model, spec)
-        z = split.dperp_basis[0]
+        system = build_constrained_system(model, spec)
+        z = complement_direction(system)
         assert collinear(z, [a * b * m, J + m * a * a, a * m])
         g = model.metric(model.chart_point())
-        assert np.abs(split.d_basis @ g @ z).max() < 1e-10
+        assert np.abs(system.d_basis @ g @ z).max() < 1e-10
 
     def test_projector_invariants(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             model, spec = make_chaplygin(1.0 + rng.random(), 1.0 + rng.random(),
                                          rng.uniform(-1, 1), rng.uniform(-1, 1))
-            split = build_splitting(model, spec)
-            p, q = split.projector_p, split.projector_q
+            system = build_constrained_system(model, spec)
+            p = projector(system)
+            q = np.eye(3) - p
             assert np.abs(p @ p - p).max() < 1e-12
             assert np.abs(p + q - np.eye(3)).max() < 1e-14
             g = model.metric(model.chart_point())
@@ -61,13 +71,13 @@ class TestBuildSplitting:
                 v = rng.standard_normal(3)
                 w = rng.standard_normal(3)
                 assert abs((p @ v) @ g @ (q @ w)) < 1e-10
-            assert np.abs(p @ split.d_basis.T - split.d_basis.T).max() < 1e-12
+            assert np.abs(p @ system.d_basis.T - system.d_basis.T).max() < 1e-12
 
     def test_span_and_annihilator_agree(self):
         model, spec = make_suslov(**SUSLOV_PARAMS)
-        from_ann = build_splitting(model, spec)
-        from_span = build_splitting(model, ConstraintSpec(span_basis=spec.d_basis()))
-        assert np.abs(from_ann.projector_p - from_span.projector_p).max() < 1e-10
+        from_ann = build_constrained_system(model, spec)
+        from_span = build_constrained_system(model, ConstraintSpec(span_basis=spec.d_basis()))
+        assert np.abs(projector(from_ann) - projector(from_span)).max() < 1e-10
 
     def test_rank_deficient_spec(self):
         with pytest.raises(RankDeficient):
@@ -84,19 +94,41 @@ class TestBuildSplitting:
         model = constant_model(np.zeros((3, 3, 3)), np.eye(3))
         bad = AlgebroidReplaceMetric(model, np.diag([1.0, 1.0, -1.0]))
         with pytest.raises(SingularMetric):
-            build_splitting(bad, ConstraintSpec(span_basis=np.eye(3)[:2]))
+            build_constrained_system(bad, ConstraintSpec(span_basis=np.eye(3)[:2]))
 
-    @pytest.mark.parametrize("model, spec, q", [
-        (*make_chaplygin(1.3, 0.8, 0.6, -0.4), None),
-        (*make_chaplygin(1.7, 0.9, 0.5, 0.2), None),
-        (curved_model(), ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]]), [-0.7]),
-        (curved_model(), ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]]), [0.35]),
-    ], ids=["sleigh", "sleigh_offset", "curved_negative", "curved_positive"])
-    def test_coefficient_map_is_the_one_of_the_geometry_build(self, model, spec, q):
-        split = build_splitting(model, spec, q)
-        geo = build_constrained_system(model, spec).geometry(q)
-        g = model.metric(model.chart_point(q))
-        assert split.coeff_map.tobytes() == (geo["metric_d_inv"] @ (split.d_basis @ g)).tobytes()
+    def test_constraint_of_another_rank_rejected(self):
+        model = constant_model(np.zeros((3, 3, 3)), np.eye(3))
+        with pytest.raises(DimensionMismatch, match="rank-2 bundle, model has rank 3"):
+            build_constrained_system(model, ConstraintSpec(span_basis=[[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("model, spec, qs", [
+        (*make_chaplygin(1.3, 0.8, 0.6, -0.4), np.zeros((3, 0))),
+        (*make_chaplygin(1.7, 0.9, 0.5, 0.2), np.zeros((2, 0))),
+        (curved_model(), ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]]),
+         np.array([[-0.7], [0.35], [0.0]])),
+    ], ids=["sleigh", "sleigh_offset", "curved"])
+    def test_coefficient_map_is_the_one_of_the_geometry_build(self, model, spec, qs):
+        system = build_constrained_system(model, spec)
+        stack = system.geometry_rows(qs)["coeff_map"]
+        for row, q in zip(stack, qs):
+            geo = system.geometry(q)
+            assert row.tobytes() == geo["coeff_map"].tobytes()
+            g = model.metric(model.chart_point(q))
+            assert row.tobytes() == (geo["metric_d_inv"] @ (system.d_basis @ g)).tobytes()
+
+    def test_chart_independent_system_splits_its_metric_once(self, monkeypatch):
+        counts = Counter()
+        restrict = algebroid.restrict_metric
+        monkeypatch.setattr(algebroid, "restrict_metric",
+                            lambda d, g: counts.update(["split"]) or restrict(d, g))
+        system = build_constrained_system(*make_chaplygin())
+        assert counts["split"] == 1
+        system.geometry(None)
+        system.geometry_rows(np.zeros((4, 0)))
+        system.gamma()
+        drift_acceleration(system, None, [0.3, -0.2])
+        simulate(system, StateQY(q=[], y=[0.3, -0.2]), 0.05, 0.01)
+        assert counts["split"] == 1
 
 
 def AlgebroidReplaceMetric(model, new_metric):
@@ -130,16 +162,14 @@ class TestProjectBracket:
 class TestRestrictMetric:
     def test_suslov_diagonal(self):
         model, spec = make_suslov(**SUSLOV_PARAMS)
-        split = build_splitting(model, spec)
-        gd, gd_inv = restrict_metric(split.d_basis, split.metric)
+        gd, gd_inv = restrict_metric(spec.d_basis(), model.metric(model.chart_point()))
         assert np.allclose(gd, np.diag([2.0, 3.0]), atol=1e-14)
         assert np.abs(gd @ gd_inv - np.eye(2)).max() < 1e-12
 
     def test_chaplygin_quadratic_form(self):
         m, J, a, b = 1.0, 1.0, 1.0, 0.5
         model, spec = make_chaplygin(m, J, a, b)
-        split = build_splitting(model, spec)
-        gd, _ = restrict_metric(split.d_basis, split.metric)
+        gd, _ = restrict_metric(spec.d_basis(), model.metric(model.chart_point()))
         expected = np.array([[J + m * (a * a + b * b), -b * m], [-b * m, m]])
         assert np.abs(gd - expected).max() < 1e-14
 
@@ -229,7 +259,7 @@ class TestChristoffel:
                         - np.einsum("ci,iab->cab", rho, dgd))
 
             # analytic derivative terms: residual at solver precision
-            d = system.splitting.d_basis
+            d = system.d_basis
             dgd = np.einsum("iAB,aA,bB->iab", system.parent.metric_dq(q), d, d)
             assert np.abs(lhs - rhs_with(dgd)).max() < 1e-12
             # independent finite-difference derivative terms: loose tolerance
@@ -308,6 +338,22 @@ class TestConstrainedSystem:
     def test_chart_point_validation(self, suslov_system):
         with pytest.raises(DimensionMismatch):
             suslov_system.parent.chart_point([1.0])
+
+    @pytest.mark.parametrize("read", [
+        lambda system, q, y: drift_acceleration(system, q, y),
+        lambda system, q, y: drift_jacobians(system, q, y),
+        lambda system, q, y: grad_potential(system, q),
+        lambda system, q, y: system.geometry(q),
+    ], ids=["drift_acceleration", "drift_jacobians", "grad_potential", "geometry"])
+    @pytest.mark.parametrize("name", ["curved", "constant_with_potential", "sleigh"])
+    def test_one_row_read_checks_its_chart_point_once(self, monkeypatch, read, name):
+        system = field_systems()[name]
+        calls = []
+        check = AlgebroidModel.chart_point
+        monkeypatch.setattr(AlgebroidModel, "chart_point",
+                            lambda model, q=None: calls.append(q) or check(model, q))
+        read(system, [0.1] * system.dim_q, [0.3, -0.2])
+        assert len(calls) == 1
 
     def test_per_point_geometry_is_built_once_and_lean(self, monkeypatch):
         system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState, ModelPartials,
                   HamiltonianSystem, OCProblem, PhasePoint, ShootingProblem, StateQY,
-                  Trajectory, build_constrained_system, build_splitting,
+                  Trajectory, build_constrained_system,
                   extremal_trajectory, make_chaplygin, quadratic_cost,
                   shooting_residual, simulate, solve_bvp, trajectory_cost)
 from nhoc import bvp, hamiltonian
@@ -476,7 +476,6 @@ def _trajectory():
 
 ARRAY_HOLDERS = {
     "ConstraintSpec": lambda: ConstraintSpec(annihilator=[[0.0, 0.0, 1.0]]),
-    "OrthogonalSplitting": lambda: build_splitting(*make_chaplygin()),
     "StateQY": lambda: StateQY(q=[], y=[1.0, 0.0]),
     "Trajectory": _trajectory,
     "CostModel": lambda: quadratic_cost(np.eye(2)),

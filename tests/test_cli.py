@@ -143,6 +143,18 @@ class TestOptimize:
         assert capsys.readouterr().err == (
             "error: SingularHessian: regularity matrix is singular (det = 0.000e+00)\n")
 
+    def test_uniformly_small_weights_scale_the_momenta(self, tmp_path, capsys):
+        p0 = {}
+        for weights in ("1,1", "1e-6,1e-6"):
+            code = main(["optimize", "--builtin", "chaplygin", "--y0", "0,0", "--yT", "0.3,0.2",
+                         "--T", "1", "--dt", "0.01", "--weights", weights,
+                         "--out", str(tmp_path / "x.csv")])
+            out = capsys.readouterr().out
+            assert code == 0, out
+            line = next(line for line in out.splitlines() if line.startswith("p0: "))
+            p0[weights] = np.array(line[4:].split(","), dtype=float)
+        assert np.allclose(p0["1e-6,1e-6"], 1e-6 * p0["1,1"], rtol=1e-8, atol=0.0)
+
     def test_defaults_and_choices_are_the_shooting_setup_s(self, capsys):
         parse = cli.build_parser().parse_args
         model = ["--builtin", "chaplygin", "--y0", "0,0", "--T", "1", "--out", "x.csv"]

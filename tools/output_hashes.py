@@ -11,14 +11,18 @@ untimed, through ``workloads.run_item``.  Each item's outcome is hashed:
 arrays by dtype, shape and bytes, dataclasses field by field with the field
 names, floats by their exact hex form, strings with the temporary output
 directory masked, and a failed item's error text.  An ``optimize`` item also
-hashes the CSV file it wrote.  The comparison prints, per workload, how many
-items hash the same and how many differ, and names each differing item; it
-exits 1 if any differ.  perfbench/ is only read.
+hashes the CSV file it wrote.  A last group, ``cli``, hashes the exit code
+and standard output of each command line in CLI_RUNS (``nhoc check`` and
+``nhoc derive``), run in-process through ``nhoc.cli.main``.  The comparison
+prints, per group, how many items hash the same and how many differ, and
+names each differing item; it exits 1 if any differ.  perfbench/ is only read.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -31,6 +35,9 @@ import numpy as np
 MASK = "<out>"
 SEED = 7
 ROUNDS = 3  # 75 items: 25 per round over the three workloads
+BUILTINS = ("suslov", "chaplygin", "double_integrator")
+CLI_RUNS = ([[command, "--builtin", name] for command in ("check", "derive") for name in BUILTINS]
+            + [["derive", "--builtin", "double_integrator", "--params", "n=2", "--q", "0.3,-0.2"]])
 
 
 def feed(h, obj, out_dir):
@@ -66,11 +73,13 @@ def feed(h, obj, out_dir):
 
 
 def hash_checkout(root):
-    """{workload: [[round, kind, digest], ...]} of the checkout at ``root``;
-    imports its ``nhoc`` and ``workloads``, so run it once per process."""
+    """{group: [[round, kind, digest], ...]} of the checkout at ``root``, one
+    group per workload and one for CLI_RUNS; imports its ``nhoc`` and
+    ``workloads``, so run it once per process."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
+    from nhoc import cli
     digests = {}
     with tempfile.TemporaryDirectory() as out_dir:
         for name, make in workloads.WORKLOADS.items():
@@ -85,6 +94,14 @@ def hash_checkout(root):
                         feed(h, Path(csv_path).read_bytes(), out_dir)
                         os.remove(csv_path)  # a later item that fails writes none
                     rows.append([round_index, item.kind, h.hexdigest()])
+        rows = digests["cli"] = []
+        for argv in CLI_RUNS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            h = hashlib.sha256()
+            feed(h, (code, out.getvalue()), out_dir)
+            rows.append([0, " ".join(argv), h.hexdigest()])
     return digests
 
 

@@ -14,7 +14,7 @@ from .hamiltonian import (HamiltonianSystem, PhasePoint, integrate_hamiltonian,
 from .models import (load_model_config, make_builtin, make_chaplygin,
                      make_double_integrator, make_suslov)
 from .optimal_control import (ControlDistribution, CostModel, ExtremalState,
-                              OCProblem, integrate_extremal, lift_cost,
+                              OCProblem, integrate_extremal,
                               necessary_conditions_field, quadratic_cost,
                               recover_controls)
 from . import errors
@@ -27,7 +27,7 @@ __all__ = [
     "StateQY", "Trajectory", "controlled_field", "dalembert_oracle_field",
     "drift_acceleration", "nonholonomic_field", "simulate",
     "ControlDistribution", "CostModel", "ExtremalState", "OCProblem",
-    "integrate_extremal", "lift_cost", "necessary_conditions_field",
+    "integrate_extremal", "necessary_conditions_field",
     "quadratic_cost", "recover_controls",
     "HamiltonianSystem", "PhasePoint", "integrate_hamiltonian", "integrate_step",
     "inverse_legendre", "legendre_map", "regularity_matrix", "symplecticity_defect",

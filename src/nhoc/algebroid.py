@@ -164,11 +164,6 @@ class ConstraintSpec:
             numerics.check_full_rank(arr, what="annihilator")
             object.__setattr__(self, "annihilator", arr)
 
-    @property
-    def rank_e(self):
-        arr = self.span_basis if self.span_basis is not None else self.annihilator
-        return arr.shape[1]
-
     def rank_d(self):
         if self.span_basis is not None:
             return self.span_basis.shape[0]

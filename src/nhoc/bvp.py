@@ -6,8 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
-                     NonFiniteState, SingularJacobian, SingularMetric, ValidationError)
+from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
+                     NewtonDivergence, NonFiniteState, SingularHessian, SingularJacobian,
+                     SingularMetric, ValidationError)
 # inverse_legendre is not called here; perfbench/tracing.py patches it under this name
 from .hamiltonian import (PhasePoint, _check_scheme, inverse_legendre,  # noqa: F401
                           integrate_hamiltonian)
@@ -126,19 +127,17 @@ class ShootingResult:
 def solve_bvp(sp, p0_guess=None):
     """Damped Newton on the shooting residual with a forward-difference Jacobian.
 
-    Each Newton iteration integrates one flow.  With a quadratic cost the
-    Hamiltonian kernel evaluates a stack at once, on chart-dependent models
-    too, so the full-step trial p0 + step (and the initial guess) is
-    integrated together with its columns p0 + step + h e_i, and an accepted
-    trial brings the next Jacobian with it; the halved trials of the line
-    search are integrated alone.  On the per-row kernel of a non-quadratic
-    cost, where every extra row costs a full flow, the columns are integrated
-    only for the iterate the line search accepted.  Every residual and
-    Jacobian has the floats of the single calls (``shooting_residual`` and
-    ``fd_jacobian``), and should the stacked flow fail (a non-finite state, a
-    diverging implicit substep or a singular metric), the trial is
-    integrated alone.  The accepted flow's samples become the extremal, which
-    is not integrated again.
+    Each Newton iteration integrates one flow.  The Hamiltonian kernel
+    evaluates a stack at once, for every cost and model, so the full-step
+    trial p0 + step (and the initial guess) is integrated together with its
+    columns p0 + step + h e_i, and an accepted trial brings the next Jacobian
+    with it; the halved trials of the line search are integrated alone.
+    Every residual and Jacobian has the floats of the single calls
+    (``shooting_residual`` and ``fd_jacobian``), and should the stacked flow
+    fail (a non-finite state, a diverging implicit substep, a singular metric
+    or a failed Legendre inversion), the trial is integrated alone.  The
+    accepted flow's samples become the extremal, which is not integrated
+    again.
 
     Raises NewtonDivergence (best iterate, its residual norm and the number of
     iterations attached) when the residual cannot be driven below the
@@ -151,17 +150,17 @@ def solve_bvp(sp, p0_guess=None):
         raise DimensionMismatch("initial momenta guess must be finite")
     if p0.shape != (sp.n_momenta,):
         raise DimensionMismatch(f"p0 must have length {sp.n_momenta}")
-    speculate = sp.hs.problem.cost.quadratic
     h = JACOBIAN_STEP
     columns = h * np.eye(sp.n_momenta)
 
     def evaluate(p, with_columns):
         """Residual at p, the (times, samples) of its flow, and the
         forward-difference Jacobian at p if its columns rode along, else None."""
-        if with_columns and speculate:
+        if with_columns:
             try:
                 res, times, phases = _flow(sp, np.vstack([p, p + columns]))
-            except (NonFiniteState, FixedPointDivergence, SingularMetric):
+            except (NonFiniteState, FixedPointDivergence, SingularMetric, LegendreDivergence,
+                    SingularHessian):
                 pass  # the failing row may be a column's: integrate p alone
             else:
                 return res[0], (times, phases[:, 0]), ((res[1:] - res[0]) / h).T

@@ -12,10 +12,13 @@ stacks, and every scheme steps a whole stack through the fixed-step driver
 ``numerics.integrate_fixed_steps``.  The kernel's ``field`` gives the
 canonical field of flat phase rows, which rk4 steps as it is, and its
 ``grad_x`` and ``grad_p`` give dH/dx and dH/dp apart, so each substep of
-the symplectic schemes evaluates only the half it uses.  On a
-chart-independent model without potential and with a quadratic cost, H is
-a cubic polynomial in (y, p), and each of these is one fixed matrix times
-the monomials of the rows (y, p and their products with y).
+the symplectic schemes evaluates only the half it uses.  There is one
+kernel per form of the drift: on a chart-independent model without
+potential each of these is one fixed matrix times the monomials of the rows
+(y, p and their products with y), and otherwise one stacked geometry build
+per evaluation gives them.  A non-quadratic cost adds its control terms to
+the same kernel, row by row: one Legendre inversion gives u, B u joins
+dH/dp_y, and the cost partials (C_q, C_y) leave dH/dx.
 
 With a quadratic cost dH/dx = M(x) p is linear in the momenta, and the
 kernel also gives the kick matrix M(x): the implicit momentum kick
@@ -37,7 +40,8 @@ from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence
                      SingularHessian, ValidationError)
 from .numerics import (fd_jacobian, integrate_fixed_steps, matvec_rows, outer_rows,
                        rk4_step, step_count)
-from .optimal_control import ExtremalState, drift_jacobians, recover_controls
+# drift_jacobians is not called here; perfbench/tracing.py patches it under this name
+from .optimal_control import ExtremalState, drift_jacobians, recover_controls  # noqa: F401
 
 SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
 
@@ -226,17 +230,18 @@ class HamiltonianSystem:
     Jacobians are read from their one home, ``ConstrainedSystem``.
 
     The partials are compiled on first use into one kernel on stacks of
-    phase rows.  With a quadratic cost every row is evaluated at once.  On a
-    chart-independent model without potential H is a cubic polynomial in
-    (y, p): Gamma, the anchor and the Legendre map A = B W^-1 B^T are
-    constant, so the field is one fixed matrix times the monomials
-    (y, p_q, p_y) and their products with y, built once per system, and
-    each kernel entry is one product of a block of that matrix with the
-    monomials of its rows.  Otherwise each evaluation takes one
-    ``ConstrainedSystem.drift_rows`` over the rows and the stencil of their
-    drift q-Jacobians; rows at the positions of the last build reuse it, as
-    the kick matrix and the dH/dp half of the symplectic schemes do.  A
-    non-quadratic cost takes the per-point formulas row by row.
+    phase rows, which evaluates every row at once.  On a chart-independent
+    model without potential the drift and anchor terms are a cubic
+    polynomial in (y, p), and with a quadratic cost so is H: Gamma, the
+    anchor and the Legendre map A = B W^-1 B^T are constant, so the field is
+    one fixed matrix times the monomials (y, p_q, p_y) and their products
+    with y, built once per system, and each kernel entry is one product of a
+    block of that matrix with the monomials of its rows.  Otherwise each
+    evaluation takes one ``ConstrainedSystem.drift_rows`` over the rows and
+    the stencil of their drift q-Jacobians; rows at the positions of the
+    last build reuse it, as the kick matrix and the dH/dp half of the
+    symplectic schemes do.  A non-quadratic cost adds B u and -(C_q, C_y)
+    to either kernel, with u from one Legendre inversion per row.
     """
 
     def __init__(self, problem):
@@ -269,55 +274,18 @@ class HamiltonianSystem:
         pairing = (matvec_rows(p_y[:, None], ydot) + matvec_rows(p_q[:, None], qdot))[:, 0]
         return u, pairing - cost, cost
 
-    def _point_partials(self, q, y, p_q, p_y):
-        """(dH/dx, dH/dp) at one phase point."""
-        cost = self.problem.cost
-        u = _optimal_control(self.problem, q, y, p_y)
-        delta, ddq, ddy, geo = drift_jacobians(self.system, q, y)
-        anchor = geo["anchor_d"]
-        d_pq = anchor.T @ y
-        d_py = _actuation(self.problem, u) - delta
-        d_y = -ddy.T @ p_y + anchor @ p_q
-        if self.dim_q > 0:
-            d_q = -ddq.T @ p_y + np.einsum("iAj,j,A->i",
-                                           self.system.anchor_d_dq(q), p_q, y)
-            if not cost.quadratic:
-                d_q = d_q - cost.dq(q, y, u)
-        else:
-            d_q = np.zeros(0)
-        if not cost.quadratic:
-            d_y = d_y - cost.dy(q, y, u)
-        return np.concatenate([d_q, d_y]), np.concatenate([d_pq, d_py])
-
-    def _rowwise_kernel(self):
-        """The kernel of non-quadratic costs: the per-point formulas, row by
-        row.  dH/dx is not linear in the momenta, so there is no kick matrix."""
-        n, d = self.dim_q, self.dim_q + self.rank_d
-
-        def grads(x, p):
-            gx, gp = np.empty_like(x), np.empty_like(p)
-            for i in range(len(x)):
-                gx[i], gp[i] = self._point_partials(x[i, :n], x[i, n:], p[i, :n], p[i, n:])
-            return gx, gp
-
-        def field(z):
-            gx, gp = grads(z[:, :d], z[:, d:])
-            return np.concatenate([gp, -gx], axis=1)
-
-        def grad_p(x, p):
-            return grads(x, p)[1]
-
-        return _Kernel(field=field, grad_x=lambda x, p: grads(x, p)[0], grad_p=grad_p,
-                       kick_matrix=None, drift=_drift(grad_p))
-
     def _build_kernel(self):
+        """The kernel of the drift form of H: the hoisted polynomial when the
+        drift is constant, else the chart kernel over ``drift_rows``.  A
+        non-quadratic cost leaves its controls out, for ``_with_controls``."""
         problem, system = self.problem, self.system
         n, d = self.dim_q, self.dim_q + self.rank_d
-        if not problem.cost.quadratic:
-            return self._rowwise_kernel()
 
         def actuation(p_y):
-            """B u for the Legendre map u = W^-1 B^T p_y of every row."""
+            """B u for the Legendre map u = W^-1 B^T p_y of every row of a
+            quadratic cost, and 0 for any other cost."""
+            if not problem.cost.quadratic:
+                return np.zeros_like(p_y)
             return _actuation(problem, _optimal_control(problem, None, None, p_y))
 
         if not system.constant_drift:
@@ -424,11 +392,52 @@ class HamiltonianSystem:
         return _Kernel(field=field, grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix,
                        drift=drift)
 
+    def _with_controls(self, kernel):
+        """The kernel of a non-quadratic cost, from the kernel of its drift
+        form: per row one Legendre inversion gives u, B u joins dH/dp_y, and
+        the cost partials (C_q, C_y) at u leave dH/dx.  dH/dx is then not
+        linear in the momenta, so there is no kick matrix, and the drift
+        iterates the generic map."""
+        problem, cost = self.problem, self.problem.cost
+        n, d = self.dim_q, self.dim_q + self.rank_d
+
+        def controls(x, p):
+            return _optimal_control(problem, x[:, :n], x[:, n:], p[:, n:])
+
+        def add_actuation(gp, u):
+            gp[:, n:] += _actuation(problem, u)
+            return gp
+
+        def less_cost_partials(gx, x, u):
+            for row, q, y, u_row in zip(gx, x[:, :n], x[:, n:], u):
+                # without a chart there is no C_q to evaluate
+                if n > 0:
+                    row[:n] -= cost.dq(q, y, u_row)
+                row[n:] -= cost.dy(q, y, u_row)
+            return gx
+
+        def field(z):
+            x, p = z[:, :d], z[:, d:]
+            u = controls(x, p)
+            return np.concatenate([add_actuation(kernel.grad_p(x, p), u),
+                                   -less_cost_partials(kernel.grad_x(x, p), x, u)], axis=1)
+
+        def grad_x(x, p):
+            return less_cost_partials(kernel.grad_x(x, p), x, controls(x, p))
+
+        def grad_p(x, p):
+            return add_actuation(kernel.grad_p(x, p), controls(x, p))
+
+        return _Kernel(field=field, grad_x=grad_x, grad_p=grad_p, kick_matrix=None,
+                       drift=_drift(grad_p))
+
     @property
     def _compiled(self):
         """The kernel of this system, compiled on first use."""
         if self._kernel is None:
-            self._kernel = self._build_kernel()
+            kernel = self._build_kernel()
+            self._kernel = (kernel if self.problem.cost.quadratic
+                            else self._with_controls(kernel))
         return self._kernel
 
     def partials(self, phase):

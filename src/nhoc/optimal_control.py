@@ -301,14 +301,6 @@ def recover_controls(problem, q, y, ydot):
     return ydot + delta[ctrl._act]
 
 
-def lift_cost(problem, q, y, ydot):
-    """Cost Lagrangian on the second-order constraint space: C at the
-    control recovered from (q, y, ydot)."""
-    u = recover_controls(problem, q, y, ydot)
-    q = problem.system.parent.chart_point(q)
-    return problem.cost.value(q, np.atleast_1d(np.asarray(y, dtype=float)), u)
-
-
 def necessary_conditions_field(problem, state):
     """Explicit ODE of the necessary conditions for basis-aligned inputs.
 

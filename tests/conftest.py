@@ -6,6 +6,8 @@ import pytest
 from nhoc import (AlgebroidModel, ConstraintSpec, ControlDistribution, CostModel,
                   ModelPartials, OCProblem, build_constrained_system, constant_model,
                   make_chaplygin, make_double_integrator, make_suslov, quadratic_cost)
+from nhoc.hamiltonian import _actuation, _optimal_control
+from nhoc.optimal_control import drift_jacobians
 
 SUSLOV_PARAMS = dict(I11=2.0, I22=3.0, I33=4.0, I13=0.1, I23=0.2)
 
@@ -100,3 +102,24 @@ def quartic_cost():
 
     return CostModel(evaluator=lambda q, y, u: 0.5 * u @ u + 0.25 * (u @ u) ** 2,
                      k=2, cu=cu, cuu=cuu)
+
+
+def point_partials(hs, q, y, p_q, p_y):
+    """(dH/dx, dH/dp) of the HamiltonianSystem ``hs`` at one phase point, by
+    the per-point formulas: the oracle of the stacked kernels."""
+    cost = hs.problem.cost
+    u = _optimal_control(hs.problem, q, y, p_y)
+    delta, ddq, ddy, geo = drift_jacobians(hs.system, q, y)
+    anchor = geo["anchor_d"]
+    d_pq = anchor.T @ y
+    d_py = _actuation(hs.problem, u) - delta
+    d_y = -ddy.T @ p_y + anchor @ p_q
+    if hs.dim_q > 0:
+        d_q = -ddq.T @ p_y + np.einsum("iAj,j,A->i", hs.system.anchor_d_dq(q), p_q, y)
+        if not cost.quadratic:
+            d_q = d_q - cost.dq(q, y, u)
+    else:
+        d_q = np.zeros(0)
+    if not cost.quadratic:
+        d_y = d_y - cost.dy(q, y, u)
+    return np.concatenate([d_q, d_y]), np.concatenate([d_pq, d_py])

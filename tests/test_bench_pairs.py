@@ -136,3 +136,41 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
         metrics = bench_pairs.summarize(runs, BETTER, wide)["metrics"]
         assert metrics["items_per_s"]["unresolved"] is expected
         assert metrics["item_p50_ms"]["unresolved"] is expected
+
+
+def test_item_kinds_per_side():
+    # the per-kind medians show which kind a change acted on: here only "b"
+    runs = pairs([(10.0, 20.0)] * 3, [(10.0, 20.0)] * 3)
+    parent_kinds = [{"a": 5.0, "b": 40.0, "c": 1.0}, {"a": 6.0, "b": 44.0},
+                    {"a": 4.0, "b": 42.0, "c": 2.0}]
+    change_kinds = [{"a": 5.5, "b": 30.0, "c": 1.0}, {"a": 4.5, "b": 33.0, "c": 1.5},
+                    {"a": 6.5, "b": 31.0, "c": 1.0}]
+    for run, parent, change in zip(runs, parent_kinds, change_kinds):
+        run["parent"]["kinds"], run["change"]["kinds"] = parent, change
+    kinds = bench_pairs.summarize(runs, BETTER)["kinds"]
+    assert set(kinds) == {"a", "b"}  # "c" is missing from one parent run
+    assert kinds["a"]["parent"] == dict(values=[5.0, 6.0, 4.0], median=5.0)
+    assert kinds["a"]["change"] == dict(values=[5.5, 4.5, 6.5], median=5.5)
+    assert kinds["a"]["ratio"] == pytest.approx(1.1)
+    assert kinds["b"]["parent"]["median"] == 42.0 and kinds["b"]["change"]["median"] == 31.0
+    assert kinds["b"]["ratio"] == pytest.approx(31.0 / 42.0)
+    # records without kinds give none
+    assert bench_pairs.summarize(pairs([(10.0, 20.0)], [(9.0, 20.0)]), BETTER)["kinds"] == {}
+
+
+def test_run_once_reads_the_kind_medians_of_its_result_file(tmp_path, monkeypatch):
+    out = tmp_path / ".perfbench_out"
+    out.mkdir()
+    (out / "result-optimize-seed3-trace0.json").write_text(json.dumps(
+        {"kinds": {"sleigh/solve_bvp": {"items": 4, "median_ms": 12.5, "wall_median_ms": 11.0}}}))
+
+    class Done:
+        returncode, stderr = 0, ""
+        stdout = "optimize seed 3: ...\n" + json.dumps({"correct": True, "metrics": {}})
+
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, **kwargs: calls.append((cmd, kwargs["cwd"])) or Done())
+    record = bench_pairs.run_once(tmp_path, "optimize", 3, 1.0)
+    assert record == {"correct": True, "metrics": {}, "kinds": {"sleigh/solve_bvp": 12.5}}
+    assert calls[0][1] == tmp_path and calls[0][0][-2:] == ["--trace", "0"]

@@ -11,7 +11,7 @@ from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
 from nhoc import bvp, hamiltonian
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
-                         NewtonDivergence, NonFiniteState, SingularMetric)
+                         NewtonDivergence, NonFiniteState, SingularHessian, SingularMetric)
 
 from conftest import curved_model, full_actuation_problem, quartic_cost
 
@@ -54,10 +54,9 @@ TRAJECTORY_FIELDS = ("times", "qs", "ys", "controls", "p_qs", "p_ys", "energies"
                      "hamiltonians")
 
 
-def sleigh_problem(system):
-    return OCProblem(system=system, controls=ControlDistribution.full(2),
-                     cost=quadratic_cost(np.eye(2)), horizon=1.0,
-                     y0=[0.5, 0.2], yT=[0.4, 0.3])
+def sleigh_problem(system, cost=quadratic_cost(np.eye(2))):
+    return OCProblem(system=system, controls=ControlDistribution.full(2), cost=cost,
+                     horizon=1.0, y0=[0.5, 0.2], yT=[0.4, 0.3])
 
 
 def curved_quadratic_problem():
@@ -132,7 +131,8 @@ class TestBatchedResidual:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_curved_quartic_rows_equal_single_calls(self, scheme, monkeypatch):
-        # chart-dependent model and a non-quadratic cost: the per-row kernel
+        # chart-dependent model and a non-quadratic cost: the chart kernel
+        # with the control terms of each row
         sp = shooting_for(curved_quartic_problem(), dt=0.1, scheme=scheme)
         stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, -0.3], [1.0, 1.5, 1.2]])
         self.assert_rows_match_single_calls(sp, stack, monkeypatch)
@@ -146,9 +146,9 @@ class TestBatchedResidual:
 
 
 class TestOneFlowPerIteration:
-    """On the hoisted kernel each Newton iteration integrates one flow, the
-    full-step trial stacked with its Jacobian columns; the accepted flow is
-    the extremal."""
+    """For every cost and model each Newton iteration integrates one flow,
+    the full-step trial stacked with its Jacobian columns; the accepted flow
+    is the extremal."""
 
     @pytest.fixture
     def flow_rows(self, monkeypatch):
@@ -174,17 +174,24 @@ class TestOneFlowPerIteration:
                     == getattr(expected, name).tobytes()), name
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("model", ["sleigh", "double_integrator", "curved"])
+    @pytest.mark.parametrize("model", ["sleigh", "double_integrator", "curved",
+                                       "sleigh_quartic", "curved_quartic"])
     def test_one_flow_per_iteration(self, model, scheme, flow_rows, chaplygin_system,
                                     double_integrator_problem):
         if model == "curved":
             # chart-dependent geometry, quadratic cost: the stacked kernel
             sp = shooting_for(curved_quadratic_problem(), dt=0.1, scheme=scheme)
+        elif model == "curved_quartic":
+            # a non-quadratic cost adds its control terms to the same kernels
+            sp = shooting_for(curved_quartic_problem(), dt=0.1, scheme=scheme)
+        elif model == "sleigh_quartic":
+            sp = shooting_for(sleigh_problem(chaplygin_system, quartic_cost()), dt=0.1,
+                              scheme=scheme)
         else:
             problem = (sleigh_problem(chaplygin_system) if model == "sleigh"
                        else double_integrator_problem)
             sp = shooting_for(problem, dt=1e-2, scheme=scheme)
-        assert sp.hs.problem.cost.quadratic
+        assert sp.hs.problem.cost.quadratic == (not model.endswith("quartic"))
         rows, _ = flow_rows
         result = solve_bvp(sp, np.zeros(sp.n_momenta))
         assert result.iterations >= 1
@@ -193,22 +200,14 @@ class TestOneFlowPerIteration:
         self.assert_trajectory_is_extremal_of_p0(sp, result)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_per_row_kernel_integrates_columns_for_accepted_iterates_only(self, scheme,
-                                                                          flow_rows):
-        sp = shooting_for(curved_quartic_problem(), dt=0.1, scheme=scheme)
-        assert not sp.hs.problem.cost.quadratic
-        rows, _ = flow_rows
-        result = solve_bvp(sp, np.zeros(3))
-        assert result.iterations >= 1
-        # the guess, then per iteration the columns at p0 and the full-step
-        # trial, each trial accepted; the extremal is not integrated again
-        assert rows == [1] + [sp.n_momenta, 1] * result.iterations
-        self.assert_trajectory_is_extremal_of_p0(sp, result)
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_failing_stack_falls_back_to_the_trial_alone(self, scheme, flow_rows,
+    @pytest.mark.parametrize("cost", ["quadratic", "quartic"])
+    def test_failing_stack_falls_back_to_the_trial_alone(self, cost, scheme, flow_rows,
                                                          chaplygin_system):
-        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2, scheme=scheme)
+        if cost == "quadratic":
+            sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2, scheme=scheme)
+        else:
+            sp = shooting_for(sleigh_problem(chaplygin_system, quartic_cost()), dt=0.1,
+                              scheme=scheme)
         rows, fail_rows = flow_rows
         reference = solve_bvp(sp, np.zeros(2))
         rows.clear()
@@ -217,23 +216,24 @@ class TestOneFlowPerIteration:
         assert result.p0.tobytes() == reference.p0.tobytes()
         assert result.iterations == reference.iterations
         # each stack failed and was followed by its trial alone, then by the
-        # columns of the accepted trial, as on the per-row kernel
+        # columns of the accepted trial
         n = sp.n_momenta
         assert rows == [n + 1, 1] + [n, n + 1, 1] * result.iterations
         self.assert_trajectory_is_extremal_of_p0(sp, result)
 
-
-    def test_singular_metric_in_a_stack_falls_back_to_the_trial_alone(
-            self, monkeypatch, chaplygin_system):
+    @pytest.mark.parametrize("error", [SingularMetric, LegendreDivergence, SingularHessian])
+    def test_failing_geometry_or_legendre_map_in_a_stack_falls_back_to_the_trial_alone(
+            self, error, monkeypatch, chaplygin_system):
         # on a chart-dependent model a column's row can leave the region
-        # where the metric is positive-definite
+        # where the metric is positive-definite, and with a non-quadratic cost
+        # its Legendre inversion can diverge or meet a singular cost Hessian
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
         reference = solve_bvp(sp, np.zeros(2))
         flow = bvp.integrate_hamiltonian
 
         def failing(hs, phase0, *args):
             if phase0.p_y.ndim == 2 and len(phase0.p_y) == sp.n_momenta + 1:
-                raise SingularMetric("stacked flow failure forced by the test")
+                raise error("stacked flow failure forced by the test")
             return flow(hs, phase0, *args)
 
         monkeypatch.setattr(bvp, "integrate_hamiltonian", failing)

@@ -17,7 +17,7 @@ from nhoc.errors import (DimensionMismatch, FixedPointDivergence, SingularHessia
                          ValidationError)
 from nhoc.numerics import matvec_rows
 
-from conftest import curved_model, full_actuation_problem, quartic_cost
+from conftest import curved_model, full_actuation_problem, point_partials, quartic_cost
 
 
 def state_dependent_cost():
@@ -39,6 +39,17 @@ def curved_problem(cost):
     system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
     return OCProblem(system=system, controls=ControlDistribution.full(2), cost=cost,
                      horizon=1.0)
+
+
+# the inputs and costs of the kernel tests: one per branch of the Legendre
+# map of a quadratic cost, and a cost that is not quadratic
+KERNEL_COSTS = {
+    "full": (ControlDistribution.full(2), quadratic_cost(np.eye(2))),
+    "weighted": (ControlDistribution.full(2), quadratic_cost([[2.0, 0.1], [0.1, 1.5]])),
+    "one": (ControlDistribution.on_indices(2, [1]), quadratic_cost([[0.5]])),
+    "mixing": (ControlDistribution(np.array([[1.0, 0.5], [0.2, 1.0]])), quadratic_cost(np.eye(2))),
+    "quartic": (ControlDistribution.full(2), quartic_cost()),
+}
 
 
 def flat_lie_algebra_problem():
@@ -314,11 +325,12 @@ class TestHamiltonianField:
         assert d_q.shape == (3, 0) and d_y.shape == (3, 2)
         assert len(calls) == 3 * 2 * 2
 
-    @pytest.mark.parametrize("inputs", ["full", "weighted", "one", "mixing"])
+    @pytest.mark.parametrize("inputs", ["full", "weighted", "one", "mixing", "quartic"])
     @pytest.mark.parametrize("model", ["curved", "constant_with_potential"])
     def test_stacked_chart_kernel_rows_equal_point_formulas(self, model, inputs):
-        # a quadratic cost on a model without constant drift takes the
-        # stacked kernel; each of its rows has the per-point floats
+        # a model without constant drift takes the stacked chart kernel, and a
+        # non-quadratic cost adds its control terms row by row; each row has
+        # the per-point floats and the floats of a one-row call
         if model == "curved":
             system = build_constrained_system(
                 curved_model(), ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]]))
@@ -328,25 +340,26 @@ class TestHamiltonianField:
                                anchor=[[1.0], [0.4]], dim_q=1,
                                potential=lambda q: 0.5 * q[0] ** 2 + 0.1 * q[0] ** 3),
                 ConstraintSpec(span_basis=np.eye(2)))
-        controls, weight = {
-            "full": (ControlDistribution.full(2), np.eye(2)),
-            "weighted": (ControlDistribution.full(2), [[2.0, 0.1], [0.1, 1.5]]),
-            "one": (ControlDistribution.on_indices(2, [1]), [[0.5]]),
-            "mixing": (ControlDistribution(np.array([[1.0, 0.5], [0.2, 1.0]])), np.eye(2)),
-        }[inputs]
-        hs = HamiltonianSystem(OCProblem(system=system, controls=controls,
-                                         cost=quadratic_cost(weight), horizon=1.0))
-        assert hs.problem.cost.quadratic and not system.constant_drift
+        controls, cost = KERNEL_COSTS[inputs]
+        problem = OCProblem(system=system, controls=controls, cost=cost, horizon=1.0)
+        hs = HamiltonianSystem(problem)
+        assert hs.problem.cost.quadratic == (inputs != "quartic")
+        assert not system.constant_drift
         rng = np.random.default_rng(7)
         x, p = rng.uniform(-0.6, 0.6, (5, 3)), rng.uniform(-1.0, 1.0, (5, 3))
         kernel = hs._compiled
-        zdot = kernel.field(np.concatenate([x, p], axis=1))
+        z = np.concatenate([x, p], axis=1)
+        zdot = kernel.field(z)
         gx, gp = kernel.grad_x(x, p), kernel.grad_p(x, p)
         for i in range(len(x)):
-            ex, ep = hs._point_partials(x[i, :1], x[i, 1:], p[i, :1], p[i, 1:])
+            ex, ep = point_partials(hs, x[i, :1], x[i, 1:], p[i, :1], p[i, 1:])
             assert gx[i].tobytes() == ex.tobytes()
             assert gp[i].tobytes() == ep.tobytes()
             assert zdot[i].tobytes() == np.concatenate([ep, -ex]).tobytes()
+            row, one = slice(i, i + 1), HamiltonianSystem(problem)._compiled
+            assert one.field(z[row]).tobytes() == zdot[row].tobytes()
+            assert one.grad_x(x[row], p[row]).tobytes() == gx[row].tobytes()
+            assert one.grad_p(x[row], p[row]).tobytes() == gp[row].tobytes()
 
     def test_lagrangian_trajectory_satisfies_hamilton_equations(self, chaplygin_system):
         problem = full_actuation_problem(chaplygin_system)
@@ -483,28 +496,36 @@ class TestKick:
 
 @pytest.mark.parametrize("model", ["sleigh", "double_integrator"])
 class TestHoistedKernel:
-    """The kernel of a chart-independent model without potential and a
-    quadratic cost: each entry is one constant matrix times the monomials
-    of (y, p) of its rows."""
+    """The kernel of a chart-independent model without potential: each entry
+    of its drift form is one constant matrix times the monomials of (y, p) of
+    its rows, and a non-quadratic cost adds its control terms row by row."""
 
-    @pytest.fixture(params=["full", "weighted", "one", "mixing"])
-    def hoisted(self, request, chaplygin_system, model):
-        if model == "sleigh":
-            system = chaplygin_system
-        else:
-            system = build_constrained_system(*make_double_integrator(2))
-        controls, weight = {
-            "full": (ControlDistribution.full(2), np.eye(2)),
-            "weighted": (ControlDistribution.full(2), [[2.0, 0.1], [0.1, 1.5]]),
-            "one": (ControlDistribution.on_indices(2, [1]), [[0.5]]),
-            "mixing": (ControlDistribution(np.array([[1.0, 0.5], [0.2, 1.0]])), np.eye(2)),
-        }[request.param]
-        hs = HamiltonianSystem(OCProblem(system=system, controls=controls,
-                                         cost=quadratic_cost(weight), horizon=1.0))
-        assert system.constant_drift and hs.problem.cost.quadratic
+    @staticmethod
+    def rows(system, inputs):
+        controls, cost = KERNEL_COSTS[inputs]
+        hs = HamiltonianSystem(OCProblem(system=system, controls=controls, cost=cost,
+                                         horizon=1.0))
+        assert system.constant_drift and hs.problem.cost.quadratic == (inputs != "quartic")
         rng = np.random.default_rng(5)
         d = hs.dim_q + hs.rank_d
         return hs, rng.uniform(-1.5, 1.5, (5, d)), rng.uniform(-2.0, 2.0, (5, d))
+
+    @staticmethod
+    def system(model, chaplygin_system):
+        if model == "sleigh":
+            return chaplygin_system
+        return build_constrained_system(*make_double_integrator(2))
+
+    @pytest.fixture(params=list(KERNEL_COSTS))
+    def hoisted(self, request, chaplygin_system, model):
+        """A system and five rows of positions and momenta, for every cost."""
+        return self.rows(self.system(model, chaplygin_system), request.param)
+
+    @pytest.fixture(params=[name for name in KERNEL_COSTS if name != "quartic"])
+    def quadratic(self, request, chaplygin_system, model):
+        """The same for the quadratic costs, whose kernel has a kick matrix
+        and iterates only the velocities in its drift."""
+        return self.rows(self.system(model, chaplygin_system), request.param)
 
     @staticmethod
     def assert_close(actual, expected):
@@ -515,32 +536,37 @@ class TestHoistedKernel:
         hs, x, p = hoisted
         kernel, n, d = hs._compiled, hs.dim_q, hs.dim_q + hs.rank_d
         zdot = kernel.field(np.concatenate([x, p], axis=1))
-        gx, gp, kick = kernel.grad_x(x, p), kernel.grad_p(x, p), kernel.kick_matrix(x)
+        gx, gp = kernel.grad_x(x, p), kernel.grad_p(x, p)
+        # only a quadratic cost gives dH/dx linear in p, and a kick matrix
+        assert (kernel.kick_matrix is None) == (not hs.problem.cost.quadratic)
+        kick = kernel.kick_matrix and kernel.kick_matrix(x)
         for i in range(len(x)):
             q, y = x[i, :n], x[i, n:]
-            ex, ep = hs._point_partials(q, y, p[i, :n], p[i, n:])
+            ex, ep = point_partials(hs, q, y, p[i, :n], p[i, n:])
             self.assert_close(gx[i], ex)
             self.assert_close(gp[i], ep)
             self.assert_close(zdot[i], np.concatenate([ep, -ex]))
-            # dH/dx is linear in p: column j of the kick matrix is dH/dx at p = e_j
-            columns = [hs._point_partials(q, y, e[:n], e[n:])[0] for e in np.eye(d)]
-            self.assert_close(kick[i], np.stack(columns, axis=1))
+            if kick is not None:
+                # column j of the kick matrix is dH/dx at p = e_j
+                columns = [point_partials(hs, q, y, e[:n], e[n:])[0] for e in np.eye(d)]
+                self.assert_close(kick[i], np.stack(columns, axis=1))
 
     def test_stack_rows_equal_one_row_calls(self, hoisted):
         hs, x, p = hoisted
         kernel = hs._compiled
         z = np.concatenate([x, p], axis=1)
         zdot, gx, gp = kernel.field(z), kernel.grad_x(x, p), kernel.grad_p(x, p)
-        kick = kernel.kick_matrix(x)
+        kick = kernel.kick_matrix and kernel.kick_matrix(x)
         for i in range(len(x)):
             row = slice(i, i + 1)
             assert kernel.field(z[row]).tobytes() == zdot[row].tobytes()
             assert kernel.grad_x(x[row], p[row]).tobytes() == gx[row].tobytes()
             assert kernel.grad_p(x[row], p[row]).tobytes() == gp[row].tobytes()
-            assert kernel.kick_matrix(x[row]).tobytes() == kick[row].tobytes()
+            if kick is not None:
+                assert kernel.kick_matrix(x[row]).tobytes() == kick[row].tobytes()
 
-    def test_kick_matrix_maps_momenta_to_dh_dx(self, hoisted):
-        hs, x, p = hoisted
+    def test_kick_matrix_maps_momenta_to_dh_dx(self, quadratic):
+        hs, x, p = quadratic
         kernel = hs._compiled
         self.assert_close(matvec_rows(kernel.kick_matrix(x), p), kernel.grad_x(x, p))
 
@@ -556,18 +582,18 @@ class TestHoistedKernel:
             row = slice(i, i + 1)
             assert kernel.drift(x[row], 0.1 * p[row], 0.05).tobytes() == stacked[row].tobytes()
 
-    def test_velocity_drift_agrees_with_the_generic_map(self, hoisted):
+    def test_velocity_drift_agrees_with_the_generic_map(self, quadratic):
         # the generic map iterates all positions through dH/dp
-        hs, x, p = hoisted
+        hs, x, p = quadratic
         kernel = hs._compiled
         generic = hamiltonian._drift(kernel.grad_p)(x, 0.1 * p, 0.05)
         assert np.abs(kernel.drift(x, 0.1 * p, 0.05) - generic).max() <= 1e-13
 
-    def test_drift_iterates_from_the_predictor(self, hoisted, model, monkeypatch):
+    def test_drift_iterates_from_the_predictor(self, quadratic, model, monkeypatch):
         # with Gamma = 0 dH/dp does not read the positions, and the predictor
         # is the solution: the double integrator's drift takes one map
         # evaluation; the velocities never take more than the generic map
-        hs, x, p = hoisted
+        hs, x, p = quadratic
         kernel, evaluations = hs._compiled, []
         fixed_point = hamiltonian._fixed_point
         monkeypatch.setattr(hamiltonian, "_fixed_point", lambda gfun, z0: fixed_point(
@@ -587,6 +613,28 @@ def assert_drift_solves_its_equation(kernel, x, p, tau):
     assert np.abs(residual).max() <= 1e-12 * max(1.0, float(np.abs(drifted).max()))
 
 
+def per_row_kernel(hs):
+    """A kernel of ``hs`` that takes the per-point formulas row by row, with
+    no kick matrix, so that its kicks iterate."""
+    n, d = hs.dim_q, hs.dim_q + hs.rank_d
+
+    def grads(x, p):
+        gx, gp = np.empty_like(x), np.empty_like(p)
+        for i in range(len(x)):
+            gx[i], gp[i] = point_partials(hs, x[i, :n], x[i, n:], p[i, :n], p[i, n:])
+        return gx, gp
+
+    def field(z):
+        gx, gp = grads(z[:, :d], z[:, d:])
+        return np.concatenate([gp, -gx], axis=1)
+
+    def grad_p(x, p):
+        return grads(x, p)[1]
+
+    return hamiltonian._Kernel(field=field, grad_x=lambda x, p: grads(x, p)[0], grad_p=grad_p,
+                               kick_matrix=None, drift=hamiltonian._drift(grad_p))
+
+
 class TestChartKernel:
     """The stacked kernel of a chart-dependent model with a quadratic cost."""
 
@@ -599,7 +647,7 @@ class TestChartKernel:
                            p_q=[[0.3], [0.0], [-0.2], [0.1]],
                            p_y=[[0.4, -0.3], [0.1, 0.2], [1.0, 1.5], [0.0, 0.0]])
         per_row = HamiltonianSystem(problem)
-        per_row._kernel = per_row._rowwise_kernel()
+        per_row._kernel = per_row_kernel(per_row)
         _, expected = integrate_hamiltonian(per_row, phase, 1.0, 0.1, scheme)
         singles = [integrate_hamiltonian(HamiltonianSystem(problem), row, 1.0, 0.1, scheme)[1]
                    for row in map(per_row.unflatten, phase.flat())]
@@ -650,7 +698,7 @@ class TestChartKernel:
         monkeypatch.setattr(algebroid, "_chart_geometry",
                             lambda system, qs: sizes.append(len(qs)) or build(system, qs))
         q, y = np.array([0.2]), np.array([0.3, -0.4])
-        HamiltonianSystem(problem)._point_partials(q, y, np.array([0.5]), np.array([0.1, 0.2]))
+        point_partials(HamiltonianSystem(problem), q, y, np.array([0.5]), np.array([0.1, 0.2]))
         assert sizes == [1 + 2 * problem.dim_q]
         sizes.clear()
         necessary_conditions_field(problem, ExtremalState(q=q, y=y, v=[0.1, -0.2], lam=[0.5]))

@@ -6,7 +6,7 @@ from dataclasses import replace
 from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState, ModelPartials,
                   OCProblem, PhasePoint, StateQY, build_constrained_system, controlled_field,
                   drift_acceleration, grad_potential, integrate_extremal, inverse_legendre,
-                  legendre_map, lift_cost, necessary_conditions_field, quadratic_cost,
+                  legendre_map, necessary_conditions_field, quadratic_cost,
                   recover_controls)
 from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian, ValidationError
 from nhoc.numerics import fd_jacobian
@@ -21,17 +21,24 @@ def maxabs(a):
 
 
 class TestLiftCost:
+    """The cost Lagrangian on the second-order constraint space: C at the
+    control recovered from (q, y, ydot)."""
+
     def test_flat_drift_free(self, double_integrator_problem):
-        assert lift_cost(double_integrator_problem, [0.0], [0.0], [0.0]) == 0.0
+        problem = double_integrator_problem
+        q, y, ydot = [0.0], [0.0], [0.0]
+        assert problem.cost.value(q, y, recover_controls(problem, q, y, ydot)) == 0.0
 
     def test_chaplygin_drift_cancellation_cost(self, chaplygin_system):
         problem = full_actuation_problem(chaplygin_system)
-        assert abs(lift_cost(problem, [], [1.0, 2.0], [0.0, 0.0]) - 1.0) < 1e-14
+        q, y, ydot = [], [1.0, 2.0], [0.0, 0.0]
+        assert abs(problem.cost.value(q, y, recover_controls(problem, q, y, ydot)) - 1.0) < 1e-14
 
     def test_uncontrolled_motion_is_free(self, suslov_system):
         problem = full_actuation_problem(suslov_system)
         # ydot equal to the drift needs no control
-        assert abs(lift_cost(problem, [], [1.0, 1.0], [-0.15, 0.1])) < 1e-25
+        q, y, ydot = [], [1.0, 1.0], [-0.15, 0.1]
+        assert abs(problem.cost.value(q, y, recover_controls(problem, q, y, ydot))) < 1e-25
 
 
 class TestRecoverControls:

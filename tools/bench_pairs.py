@@ -15,7 +15,10 @@ side), ``worse_beyond_bound``: whether the change median is worse than the
 parent median by more than the metric's relative bound, and ``unresolved``:
 whether the parent's quartile spread, relative to its median, is wider than
 that bound while not every change run reads better than every parent run;
-plus every run's ``correct``, ``attempted`` and ``failed``.  The directions
+per item kind, each side's median of the runs' nominal kind medians (read
+from ``.perfbench_out/result-<workload>-seed<N>-trace0.json`` in each root)
+and their ratio, which shows the kinds a change acted on; plus every run's
+``correct``, ``attempted`` and ``failed``.  The directions
 and the bounds of the metrics come from CHANGE_ROOT/BENCHMARK.json.
 Standard library only; runs one benchmark process at a time.
 
@@ -57,14 +60,21 @@ def parse_args(argv):
 
 
 def run_once(root, workload, seed, seconds):
-    """One untraced benchmark run in ``root``; returns its JSON record."""
+    """One untraced benchmark run in ``root``; returns its JSON record, with
+    ``kinds``: the nominal median in ms of each item kind, from the result
+    file the run wrote."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(lines[-1])
+    record = json.loads(lines[-1])
+    result = root / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
+    with open(result, encoding="utf-8") as fh:
+        record["kinds"] = {kind: entry["median_ms"]
+                           for kind, entry in json.load(fh)["kinds"].items()}
+    return record
 
 
 def quartiles(values):
@@ -118,7 +128,27 @@ def summarize(pairs, better, bounds=None):
     runs = [dict(seed=p["seed"], first=p["first"],
                  **{side: {k: p[side][k] for k in ("correct", "attempted", "failed")}
                     for side in ("parent", "change")}) for p in pairs]
-    return dict(metrics=metrics, runs=runs)
+    return dict(metrics=metrics, kinds=summarize_kinds(pairs), runs=runs)
+
+
+def summarize_kinds(pairs):
+    """Per item kind that every run of both sides timed: each side's nominal
+    kind medians (ms), one per run, their median, and the ratio of the
+    change median to the parent median.  Runs without ``kinds`` give none."""
+    common = None
+    for record in (p[side] for p in pairs for side in ("parent", "change")):
+        timed = set(record.get("kinds", ()))
+        common = timed if common is None else common & timed
+    kinds = {}
+    for kind in sorted(common or ()):
+        entry = {side: dict(values=[p[side]["kinds"][kind] for p in pairs])
+                 for side in ("parent", "change")}
+        for side in entry.values():
+            side["median"] = statistics.median(side["values"])
+        parent, change = entry["parent"]["median"], entry["change"]["median"]
+        entry["ratio"] = change / parent if parent else None
+        kinds[kind] = entry
+    return kinds
 
 
 def _bench_number(path):

@@ -36,12 +36,15 @@ class ModelPartials:
 
     Each callable returns the stacked derivatives with the chart index first,
     e.g. ``metric_dq(q)[i] == d metric / d q^i``.  Fields left as None are
-    computed by the complex step (``numerics.complex_step_partials``), exact
-    to rounding: the model callable is evaluated at q + i h e_i.  At a point
-    where it drops the imaginary part, in every entry or in some (which a
-    check along one direction detects), they are central finite differences
-    with step ``numerics.FD_STEP``.  The structure functions need none: the
-    Koszul formula does not read them.
+    computed by the complex step, exact to rounding: the model callable is
+    evaluated at q + i h e_i, and a geometry build takes the partials of all
+    the callables it reads in one pass (``numerics.complex_step_pass``).  At
+    a point where a callable drops the imaginary part, in every entry or in
+    some (which a check along one direction detects), they are central
+    finite differences with step ``numerics.FD_STEP``; the anchor's at the
+    rows of ``ConstrainedSystem.drift_rows`` are read from the anchor values
+    of the build's stencil, the same points and formula.  The structure
+    functions need none: the Koszul formula does not read them.
     """
 
     anchor_dq: Optional[Callable] = None
@@ -71,6 +74,11 @@ class AlgebroidModel:
     geometry and grad V call the metric 1 + dim_q + 2 times, a potential
     dim_q + 2 times, and the structure and the anchor once, and invert G^D
     once; that checked inverse serves the projection, Koszul solve and grad V.
+    A stacked build differentiates all these callables in one complex-step
+    pass: the metric, the potential when its caller reads grad V, and in
+    ``drift_rows`` the anchor at the rows only, dim_q more calls per row.
+    The shape of each callable's value is checked once, at the origin, when
+    a ``ConstrainedSystem`` is made.
     """
 
     dim_q: int
@@ -93,27 +101,45 @@ class AlgebroidModel:
             raise ValidationError("chart point has non-finite entries")
         return q
 
+    def field_shape(self, name):
+        """Shape of the value of the model field ``name`` at one chart point."""
+        r = self.rank_e
+        return {"structure": (r, r, r), "anchor": (r, self.dim_q), "metric": (r, r),
+                "potential": ()}[name]
+
     # Stacked q-derivatives of the model fields (chart index first) at q, or
     # at each row of a stack of chart points; analytic partials win.
     def anchor_dq(self, q):
-        return self._dq(self.anchor, self.partials.anchor_dq, q,
-                        (self.rank_e, self.dim_q), self.q_independent)
+        return self.partials_at(anchor=q)["anchor"]
 
     def metric_dq(self, q):
-        return self._dq(self.metric, self.partials.metric_dq, q,
-                        (self.rank_e, self.rank_e), self.q_independent)
+        return self.partials_at(metric=q)["metric"]
 
     def potential_dq(self, q):
-        return self._dq(self.potential, self.partials.potential_dq, q, (),
-                        self.potential is None)
+        return self.partials_at(potential=q)["potential"]
 
-    def _dq(self, f, analytic, q, shape, constant):
-        q = np.asarray(q, dtype=float)
-        if constant or self.dim_q == 0:
-            return np.zeros(q.shape[:-1] + (self.dim_q,) + shape)
-        if analytic is None:
-            return numerics.complex_step_partials(f, q)
-        return _at_points(analytic, q) if q.ndim == 2 else np.asarray(analytic(q), dtype=float)
+    def partials_at(self, fd=None, **points):
+        """Stacked q-derivatives of the named fields ("anchor", "metric",
+        "potential"), each at its own chart point or stack of chart points:
+        ``partials_at(metric=qs, anchor=rows)``.  Analytic partials win, a
+        constant field's are zero, and the rest come from one complex-step
+        pass (``numerics.complex_step_pass``), which takes the central
+        differences ``fd[name]`` the caller holds in place of its own."""
+        out, names, jobs = {}, [], []
+        for name, q in points.items():
+            analytic = getattr(self.partials, name + "_dq")
+            constant = self.potential is None if name == "potential" else self.q_independent
+            if constant or self.dim_q == 0:
+                out[name] = np.zeros(np.shape(q)[:-1] + (self.dim_q,) + self.field_shape(name))
+            elif analytic is not None:
+                out[name] = (_at_points(analytic, q) if np.ndim(q) == 2
+                             else np.asarray(analytic(q), dtype=float))
+            else:
+                names.append(name)
+                jobs.append((getattr(self, name), q, None if fd is None else fd.get(name)))
+        if jobs:
+            out.update(zip(names, numerics.complex_step_pass(jobs)))
+        return out
 
 
 def constant_model(structure, metric, anchor=None, dim_q=0, potential=None):
@@ -223,12 +249,27 @@ def _split(d, g):
     return gd, gd_inv, gd_inv @ (d @ g)
 
 
-def _chart_geometry(system, qs):
+def _restrict_anchor_dq(d, anchor_dq):
+    """Chart derivatives of the restricted anchor d rho from those of the
+    model anchor, any leading shape."""
+    return np.einsum("...iAj,aA->...iaj", anchor_dq, d)
+
+
+def _chart_geometry(system, qs, grad_v=False, anchor_rows=0):
     """Projected data at every row of the chart-point stack qs (B, dim_q) in
     one flat pass, each step one product over the stack; each array has a
-    leading axis B."""
+    leading axis B.
+
+    The model partials that the build reads come from one complex-step pass:
+    the metric's, with ``grad_v`` the potential's too, and the record then
+    holds grad V ("grad_v").  With ``anchor_rows`` b > 0, qs is the
+    ``numerics.central_stencil`` of its first b rows, and the record also
+    holds the chart derivatives of the restricted anchor at those rows
+    ("anchor_d_dq", leading axis b); where the anchor drops the imaginary
+    part they are the central differences of the stencil's anchor values.
+    """
     model, d, kron_dd = system.parent, system.d_basis, system._kron_dd
-    b, r = len(qs), len(d)
+    b, r, n = len(qs), len(d), model.dim_q
     g = _at_points(model.metric, qs)
     gd, gd_inv, coeff_map = _split(d, g)
     # the projected bracket: adapted coefficients of P[e_a, e_b]_E.  The
@@ -236,17 +277,32 @@ def _chart_geometry(system, qs):
     c = _at_points(model.structure, qs).reshape(b, model.rank_e, -1)
     s = (coeff_map @ (c @ kron_dd)).reshape(b, r, r, r)
     cd = 0.5 * (s - s.swapaxes(-1, -2))
-    rho = d @ _at_points(model.anchor, qs)
+    anchor = _at_points(model.anchor, qs)
+    rho = d @ anchor
+    chart = n > 0 and not model.q_independent
+    points = {"metric": qs} if chart else {}
+    if grad_v:
+        points["potential"] = qs
+    fd = None
+    if anchor_rows:
+        points["anchor"] = qs[:anchor_rows]
+        fd = {"anchor": numerics.stencil_partials(anchor, n)}
+    dq = model.partials_at(fd, **points)
     # Koszul: 2 G^D Gamma[c, a, b] = T[a, c, b] + T[b, c, a] - T[c, b, a] with
     # T = G^D c_D, plus U[a, b, c] + U[b, a, c] - U[c, a, b] with U = rho dG^D
     t = (gd @ cd.reshape(b, r, r * r)).reshape(b, r, r, r)
     rhs = t.transpose(0, 2, 1, 3) + t.transpose(0, 2, 3, 1) - t.swapaxes(2, 3)
-    if model.dim_q > 0 and not model.q_independent:
-        u = (rho @ (model.metric_dq(qs).reshape(b, model.dim_q, -1) @ kron_dd)).reshape(b, r, r, r)
+    if chart:
+        u = (rho @ (dq["metric"].reshape(b, n, -1) @ kron_dd)).reshape(b, r, r, r)
         rhs += u.transpose(0, 3, 1, 2) + u.transpose(0, 3, 2, 1) - u
     gamma = 0.5 * (gd_inv @ rhs.reshape(b, r, r * r)).reshape(b, r, r, r)
-    return {"structure_d": cd, "anchor_d": rho, "metric_d": gd, "metric_d_inv": gd_inv,
-            "coeff_map": coeff_map, "gamma": gamma}
+    geo = {"structure_d": cd, "anchor_d": rho, "metric_d": gd, "metric_d_inv": gd_inv,
+           "coeff_map": coeff_map, "gamma": gamma}
+    if "potential" in dq:
+        geo["grad_v"] = system._grad_v(qs, geo, dq["potential"])
+    if anchor_rows:
+        geo["anchor_d_dq"] = _restrict_anchor_dq(d, dq["anchor"])
+    return geo
 
 
 class ConstrainedSystem:
@@ -271,11 +327,17 @@ class ConstrainedSystem:
             raise DimensionMismatch(
                 f"constraint is on a rank-{d.shape[1]} bundle, model has rank {model.rank_e}")
         self.rank_d = len(d)
+        origin = np.zeros(self.dim_q)
+        for name in ("structure", "anchor", "metric", "potential"):
+            f, expected = getattr(model, name), model.field_shape(name)
+            if f is not None and (shape := np.shape(f(origin))) != expected:
+                raise DimensionMismatch(
+                    f"model {name} has shape {shape} at the origin, expected {expected}")
         # one product with kron(d, d)^T takes a flattened (rank_e, rank_e)
         # block a to the flattened d a d^T
         self._kron_dd = np.kron(d, d).T
-        origin = {k: v[0] for k, v in _chart_geometry(self, np.zeros((1, self.dim_q))).items()}
-        self._constant = origin if model.q_independent else None
+        record = {k: v[0] for k, v in _chart_geometry(self, origin[None]).items()}
+        self._constant = record if model.q_independent else None
 
     @property
     def constant_drift(self):
@@ -312,13 +374,17 @@ class ConstrainedSystem:
     def drift_rows(self, qs, ys):
         """(drift, d/dq, d/dy, record) at the rows of the stacks qs (B, dim_q)
         and ys (B, rank_d), each with a leading axis B, the record that of
-        ``geometry_rows`` at qs.  One stacked build covers the rows and their
-        central-difference points (``numerics.central_stencil``), so d/dq has
-        the floats of ``fd_jacobian`` of the drift at each row, or of grad V
-        alone on a chart-independent model, whose Gamma is constant."""
+        ``geometry_rows`` at qs with grad V and the chart derivatives of the
+        restricted anchor ("grad_v", "anchor_d_dq").  One stacked build covers
+        the rows and their central-difference points
+        (``numerics.central_stencil``), so d/dq has the floats of
+        ``fd_jacobian`` of the drift at each row, or of grad V alone on a
+        chart-independent model, whose Gamma is constant; its one
+        complex-step pass takes the partials of the metric, the potential and
+        the anchor, the last at the rows only."""
         n, b = self.dim_q, len(qs)
         points = numerics.central_stencil(qs)
-        geo = self.geometry_rows(points)
+        geo = self.geometry_rows(points, grad_v=True, anchor_rows=b)
         rows = {k: v[:b] for k, v in geo.items()}
         if self.parent.q_independent:  # Gamma is constant: only grad V varies
             varying = self._grad_v(points, geo)
@@ -329,26 +395,36 @@ class ConstrainedSystem:
             drift = varying[:b]
         return drift, numerics.central_differences(varying, n), self.drift_dy(ys, rows), rows
 
-    def _grad_v(self, q, geo):
+    def _grad_v(self, q, geo, dv=None):
         """grad V = (G^D)^{CB} rho^i_B dV/dq^i at chart points q, one point or
-        a stack, from the geometry record ``geo`` there."""
+        a stack, from the geometry record ``geo`` there: the record's own when
+        its build took it, else from the potential partials ``dv`` at q,
+        which are taken here when not given."""
+        if "grad_v" in geo:
+            return geo["grad_v"]
         if self.dim_q == 0 or self.parent.potential is None:
             return np.zeros(np.shape(q)[:-1] + (self.rank_d,))
-        rhs = numerics.matvec_rows(geo["anchor_d"], self.parent.potential_dq(q))
-        return numerics.matvec_rows(geo["metric_d_inv"], rhs)
+        dv = self.parent.potential_dq(q) if dv is None else dv
+        return numerics.matvec_rows(geo["metric_d_inv"], numerics.matvec_rows(geo["anchor_d"], dv))
 
-    def geometry_rows(self, qs):
+    def geometry_rows(self, qs, grad_v=False, anchor_rows=0):
         """Projected data at every row of a stack of chart points (B, dim_q):
         the record of ``geometry`` with a leading axis B on each array, from
         one stacked build; a chart-independent model broadcasts its one
-        record.  Read-only."""
+        record.  A caller that reads grad V passes ``grad_v``, and the build
+        takes the potential partials in the metric's complex-step pass; with
+        ``anchor_rows`` b > 0, qs is the central stencil of its first b rows
+        and the record holds the anchor's chart derivatives there (see
+        ``_chart_geometry``).  Read-only."""
         qs = np.asarray(qs, dtype=float)
         if qs.ndim != 2 or qs.shape[1] != self.dim_q or len(qs) == 0:
             raise DimensionMismatch(f"chart points must have shape (B, {self.dim_q}), B > 0")
-        if self._constant is not None:
-            return {k: np.broadcast_to(v, (len(qs),) + v.shape)
-                    for k, v in self._constant.items()}
-        return _chart_geometry(self, qs)
+        if self._constant is None:
+            return _chart_geometry(self, qs, grad_v, anchor_rows)
+        geo = {k: np.broadcast_to(v, (len(qs),) + v.shape) for k, v in self._constant.items()}
+        if anchor_rows:
+            geo["anchor_d_dq"] = self.anchor_d_dq(qs[:anchor_rows])
+        return geo
 
     def geometry(self, q):
         """Projected data at q: structure_d, anchor_d, metric_d, metric_d_inv,
@@ -390,7 +466,7 @@ class ConstrainedSystem:
         """Stacked chart derivatives of the restricted anchor; a stack of
         chart points (B, dim_q) gives a leading axis B."""
         q = q if np.ndim(q) == 2 else self.parent.chart_point(q)
-        return np.einsum("...iAj,aA->...iaj", self.parent.anchor_dq(q), self.d_basis)
+        return _restrict_anchor_dq(self.d_basis, self.parent.anchor_dq(q))
 
     def energy(self, q, y):
         """Restricted kinetic energy plus potential, conserved by the free flow.

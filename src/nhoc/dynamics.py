@@ -94,7 +94,7 @@ def _free_field(system):
         qs, ys = rows[:, :nq], rows[:, nq:]
         key = len(qs), qs.tobytes()  # with dim_q = 0 every stack has the same bytes
         if key not in last:
-            geo = system.geometry_rows(qs)
+            geo = system.geometry_rows(qs, grad_v=True)
             last.clear()
             last[key] = geo, system._grad_v(qs, geo)
         geo, grad_v = last[key]

@@ -16,9 +16,11 @@ the symplectic schemes evaluates only the half it uses.  There is one
 kernel per form of the drift: on a chart-independent model without
 potential each of these is one fixed matrix times the monomials of the rows
 (y, p and their products with y), and otherwise one stacked geometry build
-per evaluation gives them.  A non-quadratic cost adds its control terms to
-the same kernel, row by row: one Legendre inversion gives u, B u joins
-dH/dp_y, and the cost partials (C_q, C_y) leave dH/dx.
+per evaluation gives them, with every model partial it reads from one
+complex-step pass.  A non-quadratic cost adds its control terms to the same
+kernel: one Legendre inversion per row gives u, B u joins dH/dp_y, and the
+cost partials (C_q, C_y) of all rows, from one central-difference pass over
+the stack, leave dH/dx.
 
 With a quadratic cost dH/dx = M(x) p is linear in the momenta, and the
 kernel also gives the kick matrix M(x): the implicit momentum kick
@@ -30,6 +32,7 @@ diverges (the sleigh at dt = 10), so a step too large for the scheme would no
 longer raise FixedPointDivergence.  Kicks of non-quadratic costs iterate too.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -155,11 +158,13 @@ def _optimal_control(problem, q, y, p_y):
             step = -np.linalg.solve(cost.d2uu(q, y, u), res)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian("cost Hessian is singular in Legendre inversion") from exc
+        # the 2-norm as np.linalg.norm takes it for a 1-d array, once per iteration
+        norm = math.sqrt(res.dot(res))
         scale = 1.0
         for _ in range(20):
             trial = u + scale * step
             trial_res = cost.du(q, y, trial) - target
-            if np.linalg.norm(trial_res) < np.linalg.norm(res):
+            if math.sqrt(trial_res.dot(trial_res)) < norm:
                 u, res = trial, trial_res
                 break
             scale *= 0.5
@@ -302,7 +307,7 @@ class HamiltonianSystem:
                     return [a[index] for a in kept]
                 q, y = x[:, :n], x[:, n:]
                 delta, ddq, ddy, geo = system.drift_rows(q, y)
-                kept[:] = [delta, ddq, ddy, geo["anchor_d"], system.anchor_d_dq(q)]
+                kept[:] = [delta, ddq, ddy, geo["anchor_d"], geo["anchor_d_dq"]]
                 seen.clear()
                 seen.update((row.tobytes(), i) for i, row in enumerate(x))
                 return kept
@@ -395,7 +400,8 @@ class HamiltonianSystem:
     def _with_controls(self, kernel):
         """The kernel of a non-quadratic cost, from the kernel of its drift
         form: per row one Legendre inversion gives u, B u joins dH/dp_y, and
-        the cost partials (C_q, C_y) at u leave dH/dx.  dH/dx is then not
+        the cost partials (C_q, C_y) at u, from one pass over the stack
+        (``CostModel.dx_rows``), leave dH/dx.  dH/dx is then not
         linear in the momenta, so there is no kick matrix, and the drift
         iterates the generic map."""
         problem, cost = self.problem, self.problem.cost
@@ -409,11 +415,7 @@ class HamiltonianSystem:
             return gp
 
         def less_cost_partials(gx, x, u):
-            for row, q, y, u_row in zip(gx, x[:, :n], x[:, n:], u):
-                # without a chart there is no C_q to evaluate
-                if n > 0:
-                    row[:n] -= cost.dq(q, y, u_row)
-                row[n:] -= cost.dy(q, y, u_row)
+            gx -= np.concatenate(cost.dx_rows(x[:, :n], x[:, n:], u), axis=1)
             return gx
 
         def field(z):

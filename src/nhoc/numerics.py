@@ -2,10 +2,11 @@
 counts and the one fixed-step driver with its finite-state guard.
 
 Every derivative in the package that is not given in closed form goes
-through this module: the complex step of ``complex_step_partials`` (model
-callables without analytic partials), or finite differences through
+through this module: the complex step of ``complex_step_pass`` (the model
+callables without analytic partials, several in one pass) and its
+one-callable case ``complex_step_partials``, or finite differences through
 ``fd_partials``, ``fd_jacobian`` or the stacked stencil of
-``central_stencil`` and ``central_differences``.
+``central_stencil``, ``stencil_partials`` and ``central_differences``.
 """
 
 import functools
@@ -81,9 +82,82 @@ def _drops_in_part(f, points, partials):
             > CS_CHECK_TOL * np.maximum.reduce(scale, axis=1, initial=1.0))
 
 
+def complex_step_pass(jobs):
+    """Partials of several array-valued functions of the chart point by the
+    complex step (Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003), in one
+    pass.
+
+    ``jobs`` holds triples (f, q, fd): a callable, its chart point or stack
+    of chart points (B, n), and None or the central differences of f there
+    that the caller already holds, shaped as ``fd_partials`` returns them.
+    Returns one array of partials per job, shaped as ``fd_partials``.  Every
+    complex point of every job is evaluated under one ``catch_warnings``,
+    then each job makes one check of its points, so each callable and each
+    point keeps the verdict and the floats of its own
+    ``complex_step_partials`` call; where f drops the imaginary part the
+    partials are ``fd``, or ``fd_partials`` when none is given.
+    """
+    pending = []  # per job its stacks and one value per complex point, None where f drops it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        for f, q, fd in jobs:
+            q = np.asarray(q, dtype=float)
+            points = np.atleast_2d(q)
+            n = points.shape[1]
+            values, dropped = [], 0
+            for z in (points[:, None] + _steps(n)[0]).reshape(-1, n):
+                try:
+                    value = f(z)
+                except (TypeError, ComplexWarning):
+                    value = None
+                # np.iscomplexobj, read straight from the dtype of an array
+                # or numpy scalar, which spares its dispatch on each call
+                kind = getattr(getattr(value, "dtype", None), "kind", None)
+                if not (np.iscomplexobj(value) if kind is None else kind == "c"):
+                    value, dropped = None, dropped + 1
+                values.append(value)
+            pending.append((f, q, points, fd, values, dropped))
+    return [_checked_partials(*job) for job in pending]
+
+
+def _checked_partials(f, q, points, fd, values, dropped):
+    """The partials of one job of ``complex_step_pass`` at the chart point or
+    stack q (as ``points``, (B, n)) from its complex values, of which
+    ``dropped`` are None: complex-step partials at the points where every
+    value is complex and the check passes, central differences at the
+    others."""
+    k, n = points.shape
+    if n == 0 or dropped == len(values):
+        return fd_partials(f, q) if fd is None else fd
+    out = None
+    if not dropped:
+        out = np.array(values)
+        out = (out.imag / COMPLEX_STEP).reshape((k, n) + out.shape[1:])
+        kept = ~_drops_in_part(f, points, out)
+        if kept.all():
+            return out[0] if q.ndim == 1 else out
+    else:
+        kept = [all(v is not None for v in values[j * n:(j + 1) * n]) for j in range(k)]
+    if not any(kept):
+        return fd_partials(f, q) if fd is None else fd
+    # mixed verdicts: the points that kept every imaginary part take their
+    # own check, the others central differences
+    kept = np.asarray(kept)
+    if out is None:
+        out = _checked_partials(f, points[kept], points[kept],
+                                None if fd is None else fd[kept],
+                                [v for v, keep in zip(values, np.repeat(kept, n)) if keep], 0)
+    else:
+        out = out[kept]
+    mixed = np.empty((k,) + out.shape[1:])
+    mixed[kept] = out
+    mixed[~kept] = fd_partials(f, points[~kept]) if fd is None else fd[~kept]
+    return mixed
+
+
 def complex_step_partials(f, q):
     """Partials of an array-valued function of the chart point by the complex
-    step (Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003).
+    step: the one-callable case of ``complex_step_pass``.
 
     Entry [i] is Im f(q + i h e_i) / h with h = ``COMPLEX_STEP``: exact to
     rounding for a real-analytic f, one call of f per chart direction.  Two
@@ -95,32 +169,9 @@ def complex_step_partials(f, q):
     the values' scale) the partials are central differences
     (``fd_partials``) instead.  ``q`` may be a stack of chart points (B, n),
     giving a leading axis B: every point and direction is evaluated in one
-    pass.  Each point gets the verdict and the floats of its own call; a
-    stack whose points get different verdicts is evaluated again point by
-    point.
+    pass, and each point gets the verdict and the floats of its own call.
     """
-    q = np.asarray(q, dtype=float)
-    points = np.atleast_2d(q)
-    k, n = points.shape
-    values = []  # None where f drops the imaginary part
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ComplexWarning)
-        for z in (points[:, None] + _steps(n)[0]).reshape(-1, n):
-            try:
-                value = f(z)
-            except (TypeError, ComplexWarning):
-                value = None
-            values.append(value if np.iscomplexobj(value) else None)
-    kept = [n > 0 and all(v is not None for v in values[j * n:(j + 1) * n]) for j in range(k)]
-    if all(kept):
-        out = np.array(values)
-        out = (out.imag / COMPLEX_STEP).reshape((k, n) + out.shape[1:])
-        kept = ~_drops_in_part(f, points, out)
-        if kept.all():
-            return out[0] if q.ndim == 1 else out
-    if not any(kept):
-        return fd_partials(f, q)
-    return np.stack([complex_step_partials(f, point) for point in points])
+    return complex_step_pass([(f, q, None)])[0]
 
 
 def fd_jacobian(f, x, step=FD_STEP, f0=None):
@@ -154,15 +205,23 @@ def central_stencil(x):
                            (x[:, None] - steps).reshape(b * n, n)])
 
 
+def stencil_partials(values, n):
+    """Partials (B, n, ...) at the rows of ``central_stencil``, chart index
+    first, from the values (B (1 + 2n), ...) of a function at all its points;
+    each row's partials have the floats of ``fd_partials`` there, whose
+    points and formula these are."""
+    b = len(values) // (1 + 2 * n)
+    plus = values[b:b + b * n].reshape((b, n) + values.shape[1:])
+    minus = values[b + b * n:].reshape((b, n) + values.shape[1:])
+    return (plus - minus) / (2.0 * FD_STEP)
+
+
 def central_differences(values, n):
     """Jacobians (B, k, n) at the rows of ``central_stencil`` from the values
     (B (1 + 2n), k) of a map at all its points; each Jacobian has the floats
     of the central ``fd_jacobian`` at its row."""
-    b = len(values) // (1 + 2 * n)
-    plus = values[b:b + b * n].reshape(b, n, values.shape[1])
-    minus = values[b + b * n:].reshape(b, n, values.shape[1])
     # C order, as ``fd_jacobian`` returns: a product's floats depend on layout
-    return np.ascontiguousarray(((plus - minus) / (2.0 * FD_STEP)).swapaxes(1, 2))
+    return np.ascontiguousarray(stencil_partials(values, n).swapaxes(1, 2))
 
 
 def step_count(t_final, dt):

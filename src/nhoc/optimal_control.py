@@ -15,8 +15,8 @@ import numpy as np
 
 from .dynamics import drift_acceleration
 from .errors import DimensionMismatch, SingularHessian, ValidationError
-from .numerics import (FD2_STEP, RANK_TOL, fd_jacobian, fd_partials, integrate_fixed_steps,
-                       rk4_step, step_count)
+from .numerics import (FD2_STEP, FD_STEP, RANK_TOL, fd_jacobian, fd_partials,
+                       integrate_fixed_steps, rk4_step, step_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,6 +25,7 @@ class CostModel:
 
     Partials without an analytic callable are evaluated by central finite
     differences (``numerics.fd_partials``): first derivatives with step 1e-6,
+    and C_q and C_y at a whole stack of rows in one pass (``dx_rows``),
     second derivatives of a plain evaluator by nested differences with step
     1e-4, and second derivatives from an analytic ``cu`` by one difference of
     it (step 1e-6).  A ``weight`` W marks C = (1/2) u^T W u (``quadratic``),
@@ -67,6 +68,26 @@ class CostModel:
 
     def dq(self, q, y, u):
         return fd_partials(lambda qq: self.evaluator(qq, y, u), q)
+
+    def dx_rows(self, q, y, u):
+        """(C_q, C_y) at every row of the stacks q (B, dim_q), y (B, rank_d)
+        and u (B, k) from one central-difference pass over the stack: each
+        row has the shifted points and the formula of ``dq`` and ``dy``, and
+        so their floats."""
+        n, m = q.shape[1], y.shape[1]
+        steps_q, steps_y = FD_STEP * np.eye(n), FD_STEP * np.eye(m)
+        # each row's points q + h e_i, then q - h e_i, as ``fd_partials`` shifts them
+        q_shifted = np.concatenate([q[:, None] + steps_q, q[:, None] - steps_q], axis=1)
+        y_shifted = np.concatenate([y[:, None] + steps_y, y[:, None] - steps_y], axis=1)
+        f = self.evaluator
+        values = np.array([[f(s, y_row, u_row) for s in q_points]
+                           + [f(q_row, s, u_row) for s in y_points]
+                           for q_row, y_row, u_row, q_points, y_points
+                           in zip(q, y, u, q_shifted, y_shifted)], dtype=float)
+        values = values.reshape(len(q), -1)
+        c_q = (values[:, :n] - values[:, n:2 * n]) / (2.0 * FD_STEP)
+        c_y = (values[:, 2 * n:2 * n + m] - values[:, 2 * n + m:]) / (2.0 * FD_STEP)
+        return c_q, c_y
 
     def d2uu(self, q, y, u):
         if self.cuu is not None:

@@ -575,6 +575,72 @@ class TestDefaultPartials:
                 assert gap <= max(1e-10, 4.0 * np.spacing(drift) / (2.0 * numerics.FD_STEP))
 
 
+def abs_anchor_model():
+    """The curved model without partials, its anchor with an abs entry."""
+    return replace(curved_model(), partials=ModelPartials(),
+                   anchor=lambda q: np.array([[1.0 + np.abs(q[0])], [0.5 * q[0]]]))
+
+
+class TestStackReads:
+    """Partials that ``drift_rows`` reads on its stack against single calls."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: replace(curved_model(), partials=ModelPartials()),  # a constant real array
+        rank3_chart_model, abs_anchor_model,
+        lambda: field_systems()["constant_with_potential"].parent,
+    ], ids=["constant", "holomorphic", "abs", "chart_independent"])
+    def test_anchor_partials_equal_single_calls(self, make):
+        model = make()
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(model.rank_e)))
+        qs = np.array([[0.4, -0.2], [-0.3, 0.5], [0.7, 0.1]])[:, :model.dim_q]
+        ys = np.array([[0.3, -0.2, 0.1], [0.0, 0.5, 1.0], [-1.0, 0.7, 0.2]])[:, :system.rank_d]
+        anchor_d_dq = system.drift_rows(qs, ys)[3]["anchor_d_dq"]
+        assert anchor_d_dq.shape == (len(qs), model.dim_q, system.rank_d, model.dim_q)
+        assert anchor_d_dq.tobytes() == system.anchor_d_dq(qs).tobytes()
+        for q, row in zip(qs, anchor_d_dq):
+            assert row.tobytes() == system.anchor_d_dq(q).tobytes()
+
+    def test_abs_anchor_takes_central_differences(self):
+        system = build_constrained_system(abs_anchor_model(), ConstraintSpec(span_basis=np.eye(2)))
+        qs = np.array([[0.4], [-0.3]])
+        anchor_d_dq = system.drift_rows(qs, np.zeros((2, 2)))[3]["anchor_d_dq"]
+        d_anchor = system.parent.anchor
+        for q, row in zip(qs, anchor_d_dq):
+            assert row.tobytes() == numerics.fd_partials(d_anchor, q).tobytes()
+            assert np.abs(row[0] - [[np.sign(q[0])], [0.5]]).max() < 1e-9
+
+
+class TestModelShapes:
+    """A model callable of the wrong shape is rejected when the system is
+    made, from one call at the origin."""
+
+    @staticmethod
+    def model(**fields):
+        return replace(curved_model(), partials=ModelPartials(), **fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(anchor=lambda q: np.array([[1.0, 0.5]])),
+        dict(anchor=lambda q: np.array([1.0, 0.5])),
+        dict(metric=lambda q: np.eye(3) + q[0] ** 2),
+        dict(structure=lambda q: np.zeros((2, 2))),
+        dict(potential=lambda q: np.array([0.25 * q[0] ** 2])),
+    ], ids=["transposed_anchor", "flat_anchor", "metric_3x3", "structure_2x2",
+            "potential_shape_1"])
+    def test_wrong_shape_raises_at_construction(self, fields):
+        with pytest.raises(DimensionMismatch, match=next(iter(fields))):
+            build_constrained_system(self.model(**fields), ConstraintSpec(span_basis=np.eye(2)))
+
+    def test_each_callable_is_checked_once(self):
+        counts = Counter()
+        base = self.model()
+        names = ("structure", "anchor", "metric", "potential")
+        model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
+                                 counts.update([name]) or f(q) for name in names})
+        build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        # one call for the check; the origin build then calls the rest once more
+        assert counts == {"structure": 2, "anchor": 2, "metric": 2 + 1 + 2, "potential": 1}
+
+
 class TestNonFiniteRows:
     SYSTEMS = field_systems()
     READS = {

@@ -112,7 +112,25 @@ def test_previous_change_medians_and_ratios(tmp_path):
     previous = bench_pairs.compare_previous(summary, workloads["free_flow"], earlier.name)
     # item_p50_ms is not in the earlier file, setup_s not in this one
     assert previous == {"file": "BENCH_15.json",
-                        "metrics": {"items_per_s": {"median": 12.5, "ratio": 13.0 / 12.5}}}
+                        "metrics": {"items_per_s": {"median": 12.5, "ratio": 13.0 / 12.5}},
+                        "kinds": {}}
+
+
+def test_previous_kind_medians_and_ratios(tmp_path):
+    # kind "b" is in both files, "a" only in this one, "c" only in the earlier one
+    earlier = bench_file(tmp_path, 21, {"chart_dependent": {"items_per_s": 14.0}})
+    doc = json.loads(earlier.read_text())
+    doc["workloads"]["chart_dependent"]["kinds"] = {"b": {"change": {"median": 40.0}},
+                                                    "c": {"change": {"median": 9.0}}}
+    runs = pairs([(10.0, 20.0)] * 3, [(15.0, 18.0)] * 3)
+    for run, b in zip(runs, (30.0, 32.0, 36.0)):
+        run["parent"]["kinds"] = {"a": 5.0, "b": 44.0}
+        run["change"]["kinds"] = {"a": 4.0, "b": b}
+    summary = bench_pairs.summarize(runs, BETTER)
+    previous = bench_pairs.compare_previous(summary, doc["workloads"]["chart_dependent"],
+                                            earlier.name)
+    assert previous["kinds"] == {"b": {"median": 40.0, "ratio": 32.0 / 40.0}}
+    assert previous["metrics"] == {"items_per_s": {"median": 14.0, "ratio": 15.0 / 14.0}}
 
 
 def test_unresolved_when_the_parent_spreads_wider_than_the_bound():

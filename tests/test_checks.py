@@ -47,7 +47,8 @@ def test_koszul_check_takes_one_stacked_build(monkeypatch, partials):
     sizes = []
     build = algebroid._chart_geometry
     monkeypatch.setattr(algebroid, "_chart_geometry",
-                        lambda system, qs: sizes.append(len(qs)) or build(system, qs))
+                        lambda system, qs, *args:
+                        sizes.append(len(qs)) or build(system, qs, *args))
     results = check_koszul(system, np.random.default_rng(20260810))
     assert sizes == [9]  # 3 points and their 6 neighbours at step 1e-5
     assert tuple(r.value for r in results) == tuple(map(float.fromhex, KOSZUL_VALUES[partials]))

@@ -1,6 +1,7 @@
 import warnings
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nhoc import (ConstraintSpec, ControlDistribution, ModelPartials, StateQY,
                   constant_model, controlled_field, dalembert_oracle_field, drift_acceleration,
                   make_chaplygin, make_double_integrator, make_suslov,
                   nonholonomic_field, simulate)
+from nhoc import numerics
 from nhoc.dynamics import _free_field
 from nhoc.errors import ConstraintViolated, DimensionMismatch, NonFiniteState
 from nhoc.numerics import integrate_fixed_steps, rk4_step
@@ -67,7 +69,8 @@ class TestFreeField:
         reference = _free_field(build_constrained_system(base, spec))
         builds = []
         rows = system.geometry_rows
-        monkeypatch.setattr(system, "geometry_rows", lambda qs: builds.append(len(qs)) or rows(qs))
+        monkeypatch.setattr(system, "geometry_rows",
+                            lambda qs, **kw: builds.append(len(qs)) or rows(qs, **kw))
         field = _free_field(system)
         z = np.array([0.2, 0.3, -0.1])
         counts.clear()
@@ -81,6 +84,27 @@ class TestFreeField:
         assert field(moved).tobytes() == reference(moved).tobytes()
         assert builds == [1]
         assert counts == once
+
+
+    def test_chart_field_takes_one_complex_step_pass(self, monkeypatch):
+        # the metric and potential partials of a stacked evaluation, the
+        # latter for grad V, come from one pass; the energy, which does not
+        # read grad V, calls the potential once per row only
+        calls = []
+        base = replace(curved_model(), partials=ModelPartials())
+        model = replace(base, potential=lambda q: calls.append(1) or base.potential(q))
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        entered = []
+        catch_warnings = warnings.catch_warnings
+        monkeypatch.setattr(numerics, "warnings", SimpleNamespace(
+            catch_warnings=lambda: entered.append(1) or catch_warnings(),
+            simplefilter=warnings.simplefilter))
+        rows = np.array([[0.2, 0.3, -0.1], [-0.4, 0.1, 0.5]])
+        _free_field(system)(rows)
+        assert len(entered) == 1
+        calls.clear()
+        system.energy(rows[:, :1], rows[:, 1:])
+        assert len(calls) == len(rows)
 
 
 def random_constant_system(seed, rank_d, dim_q):

@@ -1,4 +1,6 @@
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ from nhoc import (ControlDistribution, CostModel, ExtremalState, HamiltonianSyst
                   inverse_legendre, legendre_map,
                   make_double_integrator, necessary_conditions_field, quadratic_cost,
                   recover_controls, regularity_matrix, symplecticity_defect)
-from nhoc import algebroid, hamiltonian
+from nhoc import ModelPartials, algebroid, hamiltonian, numerics
 from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import (DimensionMismatch, FixedPointDivergence, SingularHessian,
@@ -696,13 +698,64 @@ class TestChartKernel:
         sizes = []
         build = algebroid._chart_geometry
         monkeypatch.setattr(algebroid, "_chart_geometry",
-                            lambda system, qs: sizes.append(len(qs)) or build(system, qs))
+                            lambda system, qs, *args:
+                            sizes.append(len(qs)) or build(system, qs, *args))
         q, y = np.array([0.2]), np.array([0.3, -0.4])
         point_partials(HamiltonianSystem(problem), q, y, np.array([0.5]), np.array([0.1, 0.2]))
         assert sizes == [1 + 2 * problem.dim_q]
         sizes.clear()
         necessary_conditions_field(problem, ExtremalState(q=q, y=y, v=[0.1, -0.2], lam=[0.5]))
         assert sizes == [1 + 2 * problem.dim_q]
+
+    def test_one_complex_step_pass_per_evaluation(self, monkeypatch):
+        # without analytic partials: the metric, the potential and the anchor
+        # are differentiated in one pass; the constant real anchor is called
+        # at the rows and their stencil by the build, and dim_q more times at
+        # each row for its complex step, whose fallback reads the stencil
+        counts = Counter()
+        base = replace(curved_model(), partials=ModelPartials())
+        names = ("structure", "anchor", "metric", "potential")
+        model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
+                                 counts.update([name]) or f(q) for name in names})
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        hs = HamiltonianSystem(OCProblem(system=system, controls=ControlDistribution.full(2),
+                                         cost=quadratic_cost(np.eye(2)), horizon=1.0))
+        entered = []
+        catch_warnings = warnings.catch_warnings
+        monkeypatch.setattr(numerics, "warnings", SimpleNamespace(
+            catch_warnings=lambda: entered.append(1) or catch_warnings(),
+            simplefilter=warnings.simplefilter))
+        rows, n = 4, system.dim_q
+        z = np.random.default_rng(5).uniform(-0.5, 0.5, (rows, 2 * (n + system.rank_d)))
+        counts.clear()
+        hs._compiled.field(z)
+        assert len(entered) == 1
+        points = rows * (1 + 2 * n)
+        assert counts == {"anchor": rows * (1 + 3 * n), "structure": points,
+                          "metric": points * (1 + n + 2), "potential": points * (n + 2)}
+
+    @pytest.mark.parametrize("problem", ["curved_quartic", "curved_state_dependent",
+                                         "sleigh_quartic"])
+    def test_stacked_cost_partials_equal_per_row_calls(self, problem, chaplygin_system):
+        if problem == "sleigh_quartic":
+            prob = full_actuation_problem(chaplygin_system)
+            prob = replace(prob, cost=quartic_cost())
+        else:
+            prob = curved_problem(quartic_cost() if problem == "curved_quartic"
+                                  else state_dependent_cost())
+        n, m = prob.dim_q, prob.rank_d
+        rng = np.random.default_rng(8)
+        q, y, p_y = (rng.uniform(-0.6, 0.6, (5, n)), rng.uniform(-1.0, 1.0, (5, m)),
+                     rng.uniform(-1.0, 1.0, (5, m)))
+        u = hamiltonian._optimal_control(prob, q, y, p_y)
+        c_q, c_y = prob.cost.dx_rows(q, y, u)
+        assert c_q.shape == (5, n) and c_y.shape == (5, m)
+        for k in range(5):
+            assert c_y[k].tobytes() == prob.cost.dy(q[k], y[k], u[k]).tobytes()
+            if n:
+                assert c_q[k].tobytes() == prob.cost.dq(q[k], y[k], u[k]).tobytes()
+        if problem == "curved_state_dependent":
+            assert np.abs(c_q).min() > 0.0 and np.abs(c_y).min() > 0.0
 
     def test_drift_solves_its_equation(self):
         hs = HamiltonianSystem(curved_problem(quadratic_cost(np.eye(2))))

@@ -1,12 +1,16 @@
+from collections import Counter
+from types import SimpleNamespace
 import warnings
 
 import numpy as np
 import pytest
 
+from nhoc import numerics
 from nhoc.errors import NonFiniteState
 from nhoc.numerics import (BLOWUP_LIMIT, ComplexWarning, central_differences,
-                           central_stencil, check_finite, complex_step_partials,
-                           fd_jacobian, fd_partials)
+                           central_stencil, check_finite, complex_step_pass,
+                           complex_step_partials, fd_jacobian, fd_partials,
+                           stencil_partials)
 
 
 class TestFdJacobian:
@@ -132,6 +136,73 @@ class TestComplexStep:
         assert d.shape == (1,) and abs(d[0] - 0.35) <= 1e-16
 
 
+CONSTANT_ANCHOR = np.array([[1.0, 0.2], [0.5, -0.3]])
+
+
+def constant_anchor(q):
+    return CONSTANT_ANCHOR  # a real array at every point, complex or not
+
+
+def abs_where_positive(q):
+    # drops the imaginary part only at the points where q0 > 0
+    return 0.25 * q[0] ** 2 + np.cos(q[1]) + (np.abs(q[0]) if q.real[0] > 0 else 0.0)
+
+
+class TestComplexStepPass:
+    """One pass over several callables, each at its own stack of chart points."""
+
+    STACK = np.array([[0.4, -0.3], [-0.2, 0.6], [0.1, 0.2], [-0.5, -0.1], [-0.05, 0.3]])
+
+    def jobs(self):
+        rows = self.STACK[:2]
+        return [(metric_like, self.STACK), (constant_anchor, rows),
+                (abs_where_positive, self.STACK), (float_conversion, rows)]
+
+    def test_mixed_stack_equals_single_calls(self, monkeypatch):
+        entered = []
+        catch_warnings = warnings.catch_warnings
+        monkeypatch.setattr(numerics, "warnings", SimpleNamespace(
+            catch_warnings=lambda: entered.append(1) or catch_warnings(),
+            simplefilter=warnings.simplefilter))
+        out = complex_step_pass([(f, q, None) for f, q in self.jobs()])
+        assert len(entered) == 1
+        monkeypatch.undo()
+        for (f, q), partials in zip(self.jobs(), out):
+            assert partials.tobytes() == complex_step_partials(f, q).tobytes(), f.__name__
+            assert partials.shape == (len(q),) + fd_partials(f, q).shape[1:]
+            # the verdicts: central differences exactly where f drops the
+            # imaginary part (abs_where_positive: at q0 > 0 only)
+            dropped = [partials[j].tobytes() == fd_partials(f, point).tobytes()
+                       for j, point in enumerate(q)]
+            expected = {"metric_like": [False] * len(q), "constant_anchor": [True] * len(q),
+                        "float_conversion": [True] * len(q),
+                        "abs_where_positive": list(q[:, 0] > 0)}[f.__name__]
+            assert dropped == expected, f.__name__
+
+    def test_each_callable_called_as_in_its_own_call(self):
+        counts, single = Counter(), Counter()
+
+        def counted(f, counter):
+            return lambda q: counter.update([f.__name__]) or f(q)
+
+        complex_step_pass([(counted(f, counts), q, None) for f, q in self.jobs()])
+        for f, q in self.jobs():
+            complex_step_partials(counted(f, single), q)
+        assert counts == single
+
+    def test_given_central_differences_replace_the_fallback(self):
+        # the caller's differences are used as they are, at the dropped points only
+        rows = self.STACK
+        held = np.arange(rows.size, dtype=float).reshape(rows.shape) + 0.5
+        out = complex_step_pass([(abs_where_positive, rows, held),
+                                 (constant_anchor, rows[:2], np.ones((2, 2, 2, 2)))])
+        exact = complex_step_partials(abs_where_positive, rows)
+        for j, q in enumerate(rows):
+            expected = held[j] if q[0] > 0 else exact[j]
+            assert out[0][j].tobytes() == expected.tobytes()
+        assert out[1].tobytes() == np.ones((2, 2, 2, 2)).tobytes()
+
+
 class TestCentralStencil:
     def test_rows_and_jacobians_equal_fd_jacobian(self):
         x = np.array([[0.3, -0.7], [1.1, 0.2], [0.0, 0.5]])
@@ -144,6 +215,14 @@ class TestCentralStencil:
         assert jac.shape == (3, 3, 2) and jac.flags.c_contiguous
         for row, xr in zip(jac, x):
             assert row.tobytes() == fd_jacobian(f, xr).tobytes()
+
+    def test_partials_equal_fd_partials(self):
+        x = np.array([[0.3, -0.7], [1.1, 0.2], [0.0, 0.5]])
+        values = np.array([metric_like(p) for p in central_stencil(x)])
+        partials = stencil_partials(values, 2)
+        assert partials.shape == (3, 2, 2, 2)
+        for row, xr in zip(partials, x):
+            assert row.tobytes() == fd_partials(metric_like, xr).tobytes()
 
 
 class TestCheckFinite:

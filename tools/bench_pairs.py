@@ -24,8 +24,8 @@ Standard library only; runs one benchmark process at a time.
 
 When --out names ``BENCH_<n>.json``, each workload's summary also gains
 ``previous``: the name of the highest-numbered ``BENCH_<k>.json`` with k < n
-beside the output file, and per metric that file's change median and the
-ratio of this file's change median to it.  That comparison spans two
+beside the output file, and per metric and per item kind that file's change
+median and the ratio of this file's change median to it.  That comparison spans two
 separate runs of this script and is unpaired: the host's speed may have
 moved between the two files, so only the pairs within one file measure a
 change.
@@ -170,16 +170,19 @@ def previous_file(out):
 
 def compare_previous(summary, previous, name):
     """The ``previous`` entry of a workload's summary against that
-    workload's summary in the earlier file ``name``: per metric present in
-    both, the earlier change median and the ratio of the medians."""
-    metrics = {}
-    for metric, entry in summary["metrics"].items():
-        if metric not in previous["metrics"]:
-            continue
-        median = previous["metrics"][metric]["change"]["median"]
-        metrics[metric] = dict(median=median,
-                               ratio=entry["change"]["median"] / median if median else None)
-    return dict(file=name, metrics=metrics)
+    workload's summary in the earlier file ``name``: per metric, and per item
+    kind, present in both, the earlier change median and the ratio of the
+    medians.  An earlier file without kinds gives none."""
+    entry = dict(file=name)
+    for group in ("metrics", "kinds"):
+        entry[group] = {}
+        for key, current in summary.get(group, {}).items():
+            if key not in previous.get(group, {}):
+                continue
+            median = previous[group][key]["change"]["median"]
+            entry[group][key] = dict(
+                median=median, ratio=current["change"]["median"] / median if median else None)
+    return entry
 
 
 def main(argv=None):

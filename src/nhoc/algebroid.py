@@ -172,7 +172,9 @@ class ConstraintSpec:
 
     Exactly one of ``span_basis`` (rank_d x rank_e, rows spanning D) or
     ``annihilator`` ((rank_e - rank_d) x rank_e, rows mu with D = ker mu)
-    must be given.  Rows must be independent (rank tolerance 1e-10).
+    must be given.  Rows must be independent (rank tolerance 1e-10), and D
+    must not be {0}: an empty span or an annihilator of full rank raises
+    RankDeficient.
     """
 
     span_basis: Optional[np.ndarray] = None
@@ -189,6 +191,8 @@ class ConstraintSpec:
             arr = np.atleast_2d(np.asarray(self.annihilator, dtype=float))
             numerics.check_full_rank(arr, what="annihilator")
             object.__setattr__(self, "annihilator", arr)
+        if self.rank_d() == 0:
+            raise RankDeficient("the constraint leaves D = {0}, which carries no motion")
 
     def rank_d(self):
         if self.span_basis is not None:
@@ -471,10 +475,13 @@ class ConstrainedSystem:
     def energy(self, q, y):
         """Restricted kinetic energy plus potential, conserved by the free flow.
 
-        One formula over stacks of rows q (B, dim_q) and y (B, rank_d) from one
-        stacked geometry build; a single call is its one-row case.  Only a
-        model with a potential has it called, once per row.  Raises
-        ValidationError for a non-finite entry, before the build.
+        One formula over stacks of rows q (B, dim_q) and y (B, rank_d); a
+        single call is its one-row case.  It reads G^D only: on a
+        chart-dependent model one metric call per row, split as a geometry
+        build splits it (the same SPD check and checked inverse), and no
+        other part of the build.  Only a model with a potential has it
+        called, once per row.  Raises ValidationError for a non-finite
+        entry, before any call.
         """
         if np.ndim(y) == 1:
             q, y = self.fiber_row(q, y)
@@ -484,11 +491,16 @@ class ConstrainedSystem:
             raise DimensionMismatch(f"fiber rows must have shape ({len(q)}, {self.rank_d})")
         if not (np.isfinite(q).all() and np.isfinite(y).all()):
             raise ValidationError("chart points or fiber velocities have non-finite entries")
-        return self._energies(q, y, self.geometry_rows(q))
+        if self._constant is not None:
+            metric_d = self._constant["metric_d"]
+        else:
+            metric_d = _split(self.d_basis, _at_points(self.parent.metric, q))[0]
+        return self._energies(q, y, metric_d)
 
-    def _energies(self, qs, ys, geo):
-        """Energies at the rows of qs and ys from their stacked record ``geo``."""
-        energy = 0.5 * (ys * numerics.matvec_rows(geo["metric_d"], ys)).sum(axis=1)
+    def _energies(self, qs, ys, metric_d):
+        """Energies at the rows of qs and ys from G^D there, one matrix or a
+        stack."""
+        energy = 0.5 * (ys * numerics.matvec_rows(metric_d, ys)).sum(axis=1)
         if self.parent.potential is None:
             return energy
         return energy + np.array([float(self.parent.potential(q)) for q in qs])

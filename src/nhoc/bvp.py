@@ -95,7 +95,8 @@ def _extremal(sp, times, phases):
     controls, hamiltonians, running = hs._controls_and_values(phases, geo)
     return (Trajectory(times=times, qs=ph.q.copy(), ys=ph.y.copy(), controls=controls,
                        p_qs=ph.p_q.copy(), p_ys=ph.p_y.copy(),
-                       energies=hs.system._energies(ph.q, ph.y, geo), hamiltonians=hamiltonians),
+                       energies=hs.system._energies(ph.q, ph.y, geo["metric_d"]),
+                       hamiltonians=hamiltonians),
             float(np.trapezoid(running, times)))
 
 

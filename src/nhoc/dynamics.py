@@ -167,8 +167,9 @@ def simulate(system, s0, t_final, dt, integrator=INTEGRATORS[0], controls=None, 
 
     ``u`` is a callable t -> control vector (requires ``controls`` on D);
     without it the free nonholonomic field is integrated.  The field is
-    compiled once per call on flat (q, y) rows, controls add (0; B) u(t), and
-    the package's one fixed-step driver steps it.  Returned samples satisfy
+    compiled once per call on flat (q, y) rows, controls add (0; B) u(t), the
+    step function of the integrator is chosen once, and the package's one
+    fixed-step driver steps it.  Returned samples satisfy
     qdot = rho_D y by construction, and carry the energy diagnostic
     ell = (1/2) G^D(y, y) + V(q) per instant, from one stacked call.  Raises
     DimensionMismatch unless dt divides t_final, NonFiniteState for a
@@ -190,14 +191,16 @@ def simulate(system, s0, t_final, dt, integrator=INTEGRATORS[0], controls=None, 
         block = np.concatenate([np.zeros((nq, controls.k)), controls.input_matrix])
         f = lambda t, z: field(z) + block @ _control_vector(controls, u(t), t)
 
-    def step(t, z):
-        if integrator == "rk4":
+    if integrator == "rk4":
+        def step(t, z):
             return rk4_step(f, t, z, dt)
-        z = z.copy()  # semi-implicit Euler: y first, then q with the new y
-        z[nq:] += dt * f(t, z)[nq:]
-        if nq:
-            z[:nq] += dt * field(z)[:nq]
-        return z
+    else:
+        def step(t, z):
+            z = z.copy()  # semi-implicit Euler: y first, then q with the new y
+            z[nq:] += dt * f(t, z)[nq:]
+            if nq:
+                z[:nq] += dt * field(z)[:nq]
+            return z
 
     times, zs = integrate_fixed_steps(step, np.concatenate([s0.q, s0.y]), n_steps, dt)
     us = None if u is None else np.array([_control_vector(controls, u(t), t) for t in times])

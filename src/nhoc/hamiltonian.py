@@ -8,8 +8,10 @@ and its partials both follow from that u in closed form.
 
 The flows run on flat phase arrays with a leading batch axis: each
 ``HamiltonianSystem`` compiles its partials once into a kernel on row
-stacks, and every scheme steps a whole stack through the fixed-step driver
-``numerics.integrate_fixed_steps``.  The kernel's ``field`` gives the
+stacks, each flow builds one stepper from it (the scheme's branch, its half
+step and the kick's identity, chosen once), and that stepper steps a whole
+stack through the fixed-step driver ``numerics.integrate_fixed_steps``;
+``integrate_step`` is its one-step case.  The kernel's ``field`` gives the
 canonical field of flat phase rows, which rk4 steps as it is, and its
 ``grad_x`` and ``grad_p`` give dH/dx and dH/dp apart, so each substep of
 the symplectic schemes evaluates only the half it uses.  There is one
@@ -41,8 +43,7 @@ import numpy as np
 from .dynamics import drift_acceleration
 from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
                      SingularHessian, ValidationError)
-from .numerics import (fd_jacobian, integrate_fixed_steps, matvec_rows, outer_rows,
-                       rk4_step, step_count)
+from .numerics import fd_jacobian, integrate_fixed_steps, matvec_rows, rk4_step, step_count
 # drift_jacobians is not called here; perfbench/tracing.py patches it under this name
 from .optimal_control import ExtremalState, drift_jacobians, recover_controls  # noqa: F401
 
@@ -202,6 +203,13 @@ def inverse_legendre(problem, phase):
         return ExtremalState(q=q, y=y, v=_actuation(problem, u) - delta, lam=phase.p_q)
     return ExtremalState(q=q, y=y, v=u - delta[ctrl._act], lam=phase.p_q,
                          lam_bar=phase.p_y[ctrl._una])
+
+
+def _outer_rows(u, v):
+    """The products u_i v_j of the matching rows of two stacks (..., a) and
+    (..., b), flattened to (..., a b) at index i b + j: the quadratic
+    monomials that a constant (c, a b) matrix contracts with ``matvec_rows``."""
+    return (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (-1,))
 
 
 class _Kernel(NamedTuple):
@@ -367,7 +375,7 @@ class HamiltonianSystem:
         rho_t, legendre, y_quad = lin[:n, :m], lin[n:d, m + n:], quad[n:d, :m].reshape(m, m * m)
 
         def monomials(v, y):
-            return np.concatenate([v, outer_rows(v, y)], axis=1)
+            return np.concatenate([v, _outer_rows(v, y)], axis=1)
 
         def field(z):
             return matvec_rows(field_coeffs, monomials(z[:, n:], z[:, n:d]))
@@ -377,7 +385,7 @@ class HamiltonianSystem:
 
         def grad_p(x, p):
             y = x[:, n:]
-            return matvec_rows(p_coeffs, np.concatenate([y, p, outer_rows(y, y)], axis=1))
+            return matvec_rows(p_coeffs, np.concatenate([y, p, _outer_rows(y, y)], axis=1))
 
         def kick_matrix(x):
             return kick_const + matvec_rows(kick_y, x[:, n:]).reshape(-1, d, d)
@@ -391,7 +399,7 @@ class HamiltonianSystem:
                 c = y + tau * (gp_y + matvec_rows(legendre, p[:, n:]))
                 v0 = y + tau * (gp_y + gp_y)
             v = _fixed_point(
-                lambda rows, vv: c[rows] + tau * matvec_rows(y_quad, outer_rows(vv, vv)), v0)
+                lambda rows, vv: c[rows] + tau * matvec_rows(y_quad, _outer_rows(vv, vv)), v0)
             return np.concatenate([x[:, :n] + tau * (gp_q + matvec_rows(rho_t, v)), v], axis=1)
 
         return _Kernel(field=field, grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix,
@@ -526,17 +534,18 @@ def _check_scheme(dt, scheme):
         raise DimensionMismatch(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
-def _kick(kernel, x, p, tau):
+def _kick(kernel, x, p, tau, identity):
     """Momenta p' = p - tau dH/dx(x, p') of an implicit kick at the rows of x.
 
     With a quadratic cost dH/dx = M(x) p, so p' solves (I + tau M(x)) p' = p,
     one batched linear solve (Hairer, Lubich & Wanner, Geometric Numerical
-    Integration, VI.3); a singular system or a non-finite p' raises
-    FixedPointDivergence.  Other costs take the fixed-point iteration.
+    Integration, VI.3), with ``identity`` the I of the momenta; a singular
+    system or a non-finite p' raises FixedPointDivergence.  Other costs take
+    the fixed-point iteration.
     """
     if kernel.kick_matrix is None:
         return _fixed_point(lambda rows, pp: p[rows] - tau * kernel.grad_x(x[rows], pp), p)
-    lhs = tau * kernel.kick_matrix(x) + np.eye(p.shape[1])
+    lhs = tau * kernel.kick_matrix(x) + identity
     try:
         p_new = np.linalg.solve(lhs, p[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
@@ -546,25 +555,40 @@ def _kick(kernel, x, p, tau):
     return p_new
 
 
-def _flat_step(hs, z, dt, scheme):
-    """One step of every row of a (B, 2(n + m)) stack of phase rows."""
+def _stepper(hs, dt, scheme):
+    """The step function (t, z) -> z' of one flow of ``hs``, built once per
+    flow: one step of the scheme for every row of a (B, 2(n + m)) stack of
+    phase rows.  It holds the compiled kernel, the scheme's branch, the half
+    step and the kick's identity; the field is autonomous, so t is unused."""
     d = hs.dim_q + hs.rank_d
     kernel = hs._compiled
     if scheme == "rk4":
-        return rk4_step(lambda t, zz: kernel.field(zz), 0.0, z, dt)
-    x, p = z[:, :d], z[:, d:]
+        def field(t, z):
+            return kernel.field(z)
+
+        # rk4_step is looked up at each step, where perfbench/tracing.py patches it
+        return lambda t, z: rk4_step(field, t, z, dt)
+    identity = np.eye(d)
     if scheme == "symp_euler":
-        p_new = _kick(kernel, x, p, dt)
-        return np.concatenate([x + dt * kernel.grad_p(x, p_new), p_new], axis=1)
-    # generalized Stormer-Verlet: implicit half-kick, implicit drift, half-kick
-    p_half = _kick(kernel, x, p, 0.5 * dt)
-    x_new = kernel.drift(x, p_half, 0.5 * dt)
-    p_new = p_half - 0.5 * dt * kernel.grad_x(x_new, p_half)
-    return np.concatenate([x_new, p_new], axis=1)
+        def symplectic_euler(t, z):
+            x, p = z[:, :d], z[:, d:]
+            p_new = _kick(kernel, x, p, dt, identity)
+            return np.concatenate([x + dt * kernel.grad_p(x, p_new), p_new], axis=1)
+        return symplectic_euler
+    half = 0.5 * dt
+
+    def stormer_verlet(t, z):
+        # generalized Stormer-Verlet: implicit half-kick, implicit drift, half-kick
+        x, p = z[:, :d], z[:, d:]
+        p_half = _kick(kernel, x, p, half, identity)
+        x_new = kernel.drift(x, p_half, half)
+        return np.concatenate([x_new, p_half - half * kernel.grad_x(x_new, p_half)], axis=1)
+    return stormer_verlet
 
 
 def integrate_step(hs, phase, dt, scheme):
-    """One step of rk4, symplectic Euler, or generalized Stormer-Verlet.
+    """One step of rk4, symplectic Euler, or generalized Stormer-Verlet: the
+    one-step case of the stepper that ``integrate_hamiltonian`` builds.
 
     The Hamiltonian is not separable, so the symplectic schemes have
     implicit substeps.  With a quadratic cost their momentum kicks are
@@ -578,7 +602,8 @@ def integrate_step(hs, phase, dt, scheme):
     """
     _check_scheme(dt, scheme)
     z = hs.flatten(phase)
-    return hs.unflatten(_flat_step(hs, z.reshape(-1, z.shape[-1]), dt, scheme).reshape(z.shape))
+    step = _stepper(hs, dt, scheme)
+    return hs.unflatten(step(0.0, z.reshape(-1, z.shape[-1])).reshape(z.shape))
 
 
 def symplecticity_defect(hs, phase, dt, scheme):
@@ -615,6 +640,6 @@ def integrate_hamiltonian(hs, phase0, t_final, dt, scheme):
     n_steps = step_count(t_final, dt)
     _check_scheme(dt, scheme)
     z0 = hs.flatten(phase0)
-    times, phases = integrate_fixed_steps(lambda t, z: _flat_step(hs, z, dt, scheme),
+    times, phases = integrate_fixed_steps(_stepper(hs, dt, scheme),
                                           z0.reshape(-1, z0.shape[-1]), n_steps, dt)
     return times, phases.reshape((n_steps + 1,) + z0.shape)

@@ -1,5 +1,6 @@
-"""Small shared numerical helpers: derivatives, null spaces, steppers, step
-counts and the one fixed-step driver with its finite-state guard.
+"""Small shared numerical helpers: derivatives, null spaces, row products, the
+rk4 step, step counts and the one fixed-step driver with its finite-state
+guard.
 
 Every derivative in the package that is not given in closed form goes
 through this module: the complex step of ``complex_step_pass`` (the model
@@ -29,6 +30,10 @@ CS_CHECK_TOL = 1e-6
 # of a 1e-6 stencil would lose most of the precision
 FD2_STEP = 1e-4
 BLOWUP_LIMIT = 1e12
+# steps of the fixed-step driver per finiteness check: a check after every
+# step cost 10-25% of a free-flow step, and one check of a block costs
+# little more than one of those
+CHECK_EVERY = 32
 # rows, columns and pivots at or below this size count as dependent
 RANK_TOL = 1e-10
 
@@ -245,9 +250,10 @@ def check_finite(z):
 
     One ufunc reduction, without the Python wrapper of ``ndarray.max``: the
     comparison is false for NaN and for an infinite maximum, so it catches
-    them together with entries above ``BLOWUP_LIMIT``.
+    them together with entries above ``BLOWUP_LIMIT``.  ``z`` may be a stack
+    of states, or empty.
     """
-    if not np.maximum.reduce(np.abs(z), axis=None) <= BLOWUP_LIMIT:
+    if not np.maximum.reduce(np.abs(z), axis=None, initial=0.0) <= BLOWUP_LIMIT:
         raise NonFiniteState("state left the finite range during integration")
 
 
@@ -255,16 +261,32 @@ def integrate_fixed_steps(step, z0, n_steps, dt):
     """The fixed-step driver of every flow in the package.
 
     Takes ``n_steps`` steps z_{k+1} = step(t_k, z_k) with t_k = k dt from
-    ``z0``, whose leading axes (if any) are a batch of independent states,
-    and checks the whole state for finiteness after every step.  Returns
-    ``(times, samples)``; ``samples`` has shape (n_steps + 1,) + z0.shape.
+    ``z0``, whose leading axes (if any) are a batch of independent states.
+    Returns ``(times, samples)``; ``samples`` has shape (n_steps + 1,) +
+    z0.shape.
+
+    The steps run in blocks of ``CHECK_EVERY``, and one ``check_finite``
+    call covers each block's new samples, under one ``np.errstate`` that
+    keeps the steps past a blow-up from printing overflow warnings.  The
+    verdict is that of a check after every step: when a step raises, the
+    block's earlier samples are checked first, so a state that left the
+    finite range raises NonFiniteState, not the error its next step ran
+    into (a fixed point or a Legendre inversion that failed on it, a
+    singular metric); otherwise the step's own error propagates unchanged.
     """
     times = np.arange(n_steps + 1) * dt
     samples = np.empty((n_steps + 1,) + np.shape(z0))
     samples[0] = z0
-    for k in range(n_steps):
-        samples[k + 1] = step(times[k], samples[k])
-        check_finite(samples[k + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, CHECK_EVERY):
+            end = min(start + CHECK_EVERY, n_steps)
+            try:
+                for k in range(start, end):
+                    samples[k + 1] = step(k * dt, samples[k])
+            except Exception:
+                check_finite(samples[start + 1:k + 1])
+                raise
+            check_finite(samples[start + 1:end + 1])
     return times, samples
 
 
@@ -330,20 +352,25 @@ def matvec_rows(a, v):
     return (a @ v[..., None])[..., 0]
 
 
-def outer_rows(u, v):
-    """The products u_i v_j of the matching rows of two stacks (..., a) and
-    (..., b), flattened to (..., a b) at index i b + j: the quadratic
-    monomials that a constant (c, a b) matrix contracts with ``matvec_rows``."""
-    return (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (-1,))
-
-
 def rk4_step(f, t, x, dt):
-    """One classical Runge-Kutta step for x' = f(t, x)."""
+    """One classical Runge-Kutta step for x' = f(t, x).
+
+    The stages are summed into one new array, in place, in the order of
+    x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4); sums and products commute bit for
+    bit, so the floats are that formula's.  No array that f returned is
+    written to.
+    """
     k1 = f(t, x)
     k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
     k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
     k4 = f(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = 2.0 * k2
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= dt / 6.0
+    acc += x
+    return acc
 
 
 def symmetric_positive_definite(a):

@@ -85,6 +85,14 @@ class TestSplitting:
         with pytest.raises(RankDeficient):
             ConstraintSpec(annihilator=[[0.0, 1.0, 1.0], [0.0, 2.0, 2.0]])
 
+    @pytest.mark.parametrize("spec", [dict(annihilator=np.eye(3)),
+                                      dict(annihilator=[[1.0, 2.0], [0.0, 1.0]]),
+                                      dict(span_basis=np.zeros((0, 3)))],
+                             ids=["identity_annihilator", "full_rank_annihilator", "empty_span"])
+    def test_zero_subbundle_is_named(self, spec):
+        with pytest.raises(RankDeficient, match=r"D = \{0\}"):
+            ConstraintSpec(**spec)
+
     @pytest.mark.parametrize("field", ["span_basis", "annihilator"])
     def test_non_finite_spec(self, field):
         with pytest.raises(ValidationError):
@@ -384,6 +392,27 @@ class TestConstrainedSystem:
         # over the 6 samples for their energies
         assert points == [1] * 20 + [6]
         assert len(calls) == sum(points)
+
+    def test_energy_reads_the_metric_only(self):
+        # the conftest curved model without partials: one metric call per
+        # row, no structure or anchor call, and the energies of the full
+        # stacked build
+        base = replace(curved_model(), partials=ModelPartials())
+        calls = Counter()
+
+        def counted(name):
+            f = getattr(base, name)
+            return lambda q: calls.update([name]) or f(q)
+
+        model = replace(base, **{name: counted(name) for name in ("structure", "anchor", "metric")})
+        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        rng = np.random.default_rng(5)
+        qs, ys = rng.uniform(-1.0, 1.0, (101, 1)), rng.uniform(-1.0, 1.0, (101, 2))
+        calls.clear()
+        energies = system.energy(qs, ys)
+        assert calls == Counter(metric=101)
+        full_build = system._energies(qs, ys, system.geometry_rows(qs)["metric_d"])
+        assert energies.tobytes() == full_build.tobytes()
 
     def test_stacked_energies_equal_single_calls(self):
         system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))

@@ -277,6 +277,17 @@ class TestCheck:
         assert main(["check", "--config", str(path)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "derive"])
+    def test_zero_subbundle_config_exits_2(self, tmp_path, capsys, command):
+        # an annihilator of full rank leaves D = {0}
+        doc = {"name": "rigid", "kind": "lie_algebra_constant", "rank_e": 3,
+               "structure_constants": [[2, 0, 1, 1.0]], "metric": np.eye(3).tolist(),
+               "constraint": {"annihilator": np.eye(3).tolist()}}
+        path = tmp_path / "rigid.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path)]) == 2
+        assert "D = {0}" in capsys.readouterr().err
+
     def test_malformed_config_array_exits_2(self, tmp_path, capsys):
         doc = {"name": "ragged", "kind": "lie_algebra_constant", "rank_e": 2,
                "structure_constants": [], "metric": [[1, "a"], [0, 1]],

@@ -472,12 +472,13 @@ class TestKick:
     def test_solve_equals_fixed_point(self, kernel_rows, tau):
         kernel, x, p = kernel_rows
         fixed_point = kernel._replace(kick_matrix=None)
-        stacked = hamiltonian._kick(kernel, x, p, tau)
-        assert np.abs(stacked - hamiltonian._kick(fixed_point, x, p, tau)).max() < 1e-13
+        identity = np.eye(x.shape[1])
+        stacked = hamiltonian._kick(kernel, x, p, tau, identity)
+        assert np.abs(stacked - hamiltonian._kick(fixed_point, x, p, tau, identity)).max() < 1e-13
         for i in range(len(x)):
-            one = hamiltonian._kick(kernel, x[i:i + 1], p[i:i + 1], tau)
+            one = hamiltonian._kick(kernel, x[i:i + 1], p[i:i + 1], tau, identity)
             assert one.tobytes() == stacked[i:i + 1].tobytes()
-            alone = hamiltonian._kick(fixed_point, x[i:i + 1], p[i:i + 1], tau)
+            alone = hamiltonian._kick(fixed_point, x[i:i + 1], p[i:i + 1], tau, identity)
             assert np.abs(one - alone).max() < 1e-13
 
     @pytest.mark.parametrize("scheme, dt", [("symp_euler", 0.5), ("stormer_verlet", 1.0)])
@@ -681,7 +682,7 @@ class TestChartKernel:
         tau = 0.1 if scheme == "symp_euler" else 0.05
         for z in phases:
             x, p = z[:, :3], z[:, 3:]
-            kicked = hamiltonian._kick(hs._compiled, x, p, tau)
+            kicked = hamiltonian._kick(hs._compiled, x, p, tau, np.eye(3))
             assert np.abs(kicked - p + tau * per_row._kernel.grad_x(x, kicked)).max() < 1e-14
         # the fixed point stops within 1e-12 of its update, and the positions
         # of the first step keep to the per-row flow within 1e-13; later steps

@@ -234,6 +234,10 @@ class TestCheckFinite:
         with pytest.raises(NonFiniteState):
             check_finite(stack)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 4)])
+    def test_empty_stack_passes(self, shape):
+        check_finite(np.empty(shape))
+
     def test_finite_stack_passes(self):
         stack = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
         stack[2, 3] = BLOWUP_LIMIT

@@ -173,8 +173,10 @@ class ConstraintSpec:
     Exactly one of ``span_basis`` (rank_d x rank_e, rows spanning D) or
     ``annihilator`` ((rank_e - rank_d) x rank_e, rows mu with D = ker mu)
     must be given.  Rows must be independent (rank tolerance 1e-10), and D
-    must not be {0}: an empty span or an annihilator of full rank raises
-    RankDeficient.
+    must not be {0}: an empty span (``[]``, ``[[]]`` or no rows) or an
+    annihilator of full rank raises RankDeficient.  An annihilator without
+    columns raises DimensionMismatch: no constraint on E is the (0, rank_e)
+    annihilator.
     """
 
     span_basis: Optional[np.ndarray] = None
@@ -185,10 +187,14 @@ class ConstraintSpec:
             raise DimensionMismatch("give exactly one of span_basis or annihilator")
         if self.span_basis is not None:
             arr = np.atleast_2d(np.asarray(self.span_basis, dtype=float))
+            if arr.size == 0:  # [] and [[]] read as one row of length 0
+                arr = arr.reshape(0, arr.shape[1])
             numerics.check_full_rank(arr, what="span basis")
             object.__setattr__(self, "span_basis", arr)
         else:
             arr = np.atleast_2d(np.asarray(self.annihilator, dtype=float))
+            if arr.shape[1] == 0:
+                raise DimensionMismatch("an empty annihilator must have shape (0, rank_e)")
             numerics.check_full_rank(arr, what="annihilator")
             object.__setattr__(self, "annihilator", arr)
         if self.rank_d() == 0:

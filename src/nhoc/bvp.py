@@ -125,6 +125,13 @@ class ShootingResult:
     residual_norm: float
 
 
+def _predicts_convergence(previous, norm, tolerance):
+    """Whether Newton's quadratic model, after a full step that took the
+    residual norm from ``previous`` to ``norm``, expects the next full step
+    to end the solve: norm * (norm / previous)**2 <= tolerance."""
+    return norm * (norm / previous) ** 2 <= tolerance
+
+
 def solve_bvp(sp, p0_guess=None):
     """Damped Newton on the shooting residual with a forward-difference Jacobian.
 
@@ -132,7 +139,12 @@ def solve_bvp(sp, p0_guess=None):
     evaluates a stack at once, for every cost and model, so the full-step
     trial p0 + step (and the initial guess) is integrated together with its
     columns p0 + step + h e_i, and an accepted trial brings the next Jacobian
-    with it; the halved trials of the line search are integrated alone.
+    with it; the halved trials of the line search are integrated alone.  So
+    is a full-step trial that Newton's quadratic model expects to end the
+    solve: after a full step took the residual norm from r_prev to r, the
+    next is predicted to be r * (r / r_prev)**2, and at or below the
+    tolerance no columns ride.  Should such a trial be accepted above the
+    tolerance, its Jacobian is one flow of its columns (``fd_jacobian``).
     Every residual and Jacobian has the floats of the single calls
     (``shooting_residual`` and ``fd_jacobian``), and should the stacked flow
     fail (a non-finite state, a diverging implicit substep, a singular metric
@@ -169,9 +181,10 @@ def solve_bvp(sp, p0_guess=None):
         return res, (times, phases), None
 
     res, samples, jac = evaluate(p0, True)
-    best_p0, best_norm = p0.copy(), float(np.abs(res).max())
-    iterations = 0
-    while float(np.abs(res).max()) > sp.tolerance:
+    norm = float(np.abs(res).max())
+    best_p0, best_norm = p0.copy(), norm
+    iterations, last = 0, False
+    while norm > sp.tolerance:
         if iterations >= sp.max_iterations:
             raise NewtonDivergence(
                 f"shooting Newton did not converge in {sp.max_iterations} iterations",
@@ -186,12 +199,12 @@ def solve_bvp(sp, p0_guess=None):
         for halving in range(MAX_HALVINGS + 1):
             trial = p0 + scale * step
             try:
-                trial_res, trial_samples, trial_jac = evaluate(trial, halving == 0)
+                trial_res, trial_samples, trial_jac = evaluate(trial, halving == 0 and not last)
             except (NonFiniteState, ValidationError):
                 # overshooting trial blew up the flow or overflowed: no decrease
                 scale *= DAMPING
                 continue
-            if np.abs(trial_res).max() < np.abs(res).max():
+            if np.abs(trial_res).max() < norm:
                 p0, res, samples, jac = trial, trial_res, trial_samples, trial_jac
                 break
             scale *= DAMPING
@@ -199,9 +212,10 @@ def solve_bvp(sp, p0_guess=None):
             raise NewtonDivergence("shooting line search stalled", best=best_p0,
                                    residual_norm=best_norm, iterations=iterations)
         iterations += 1
-        norm = float(np.abs(res).max())
+        previous, norm = norm, float(np.abs(res).max())
+        last = halving == 0 and _predicts_convergence(previous, norm, sp.tolerance)
         if norm < best_norm:
             best_p0, best_norm = p0.copy(), norm
     trajectory, cost = _extremal(sp, *samples)
     return ShootingResult(p0=p0, trajectory=trajectory, cost=cost,
-                          iterations=iterations, residual_norm=float(np.abs(res).max()))
+                          iterations=iterations, residual_norm=norm)

@@ -87,11 +87,21 @@ class TestSplitting:
 
     @pytest.mark.parametrize("spec", [dict(annihilator=np.eye(3)),
                                       dict(annihilator=[[1.0, 2.0], [0.0, 1.0]]),
-                                      dict(span_basis=np.zeros((0, 3)))],
-                             ids=["identity_annihilator", "full_rank_annihilator", "empty_span"])
+                                      dict(span_basis=np.zeros((0, 3))),
+                                      dict(span_basis=[]), dict(span_basis=[[]])],
+                             ids=["identity_annihilator", "full_rank_annihilator", "empty_span",
+                                  "empty_list_span", "empty_row_span"])
     def test_zero_subbundle_is_named(self, spec):
         with pytest.raises(RankDeficient, match=r"D = \{0\}"):
             ConstraintSpec(**spec)
+
+    @pytest.mark.parametrize("annihilator", [[], [[]], np.zeros((0, 0))],
+                             ids=["empty_list", "empty_row", "no_columns"])
+    def test_empty_annihilator_needs_the_bundle_rank(self, annihilator):
+        with pytest.raises(DimensionMismatch, match=r"shape \(0, rank_e\)"):
+            ConstraintSpec(annihilator=annihilator)
+        # with its columns it leaves D = E
+        assert ConstraintSpec(annihilator=np.zeros((0, 3))).rank_d() == 3
 
     @pytest.mark.parametrize("field", ["span_basis", "annihilator"])
     def test_non_finite_spec(self, field):

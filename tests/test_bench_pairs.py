@@ -80,6 +80,32 @@ def test_worse_beyond_bound_in_each_direction():
         "items_per_s": False, "item_p50_ms": False}
 
 
+def gains(runs):
+    metrics = bench_pairs.summarize(runs, BETTER)["metrics"]
+    return {name: entry["gain_shown"] for name, entry in metrics.items()}
+
+
+def test_gain_shown_needs_nine_wins_in_ten_and_the_better_direction():
+    parent = [(10.0 + 0.1 * i, 20.0 + 0.1 * i) for i in range(10)]  # quartiles 0.45 apart
+    # faster and quicker in every pair, medians 1.0 beyond the parent's
+    runs = pairs(parent, [(r + 1.0, p - 1.0) for r, p in parent])
+    assert gains(runs) == {"items_per_s": True, "item_p50_ms": True}
+    # slower and slower by as much: beyond the spread, but the worse way
+    runs = pairs(parent, [(r - 1.0, p + 1.0) for r, p in parent])
+    metrics = bench_pairs.summarize(runs, BETTER)["metrics"]
+    assert all(entry["beyond_parent_iqr"] for entry in metrics.values())
+    assert gains(runs) == {"items_per_s": False, "item_p50_ms": False}
+    # one tie in ten still wins 9; two ties leave 8
+    change = [(r + 1.0, p - 1.0) for r, p in parent]
+    change[0] = parent[0]
+    assert gains(pairs(parent, change)) == {"items_per_s": True, "item_p50_ms": True}
+    change[1] = parent[1]
+    assert gains(pairs(parent, change)) == {"items_per_s": False, "item_p50_ms": False}
+    # every pair won, but by less than the parent's quartile spread
+    runs = pairs(parent, [(r + 0.3, p - 0.3) for r, p in parent])
+    assert gains(runs) == {"items_per_s": False, "item_p50_ms": False}
+
+
 def bench_file(directory, n, medians):
     """A BENCH_<n>.json whose workloads hold the given change medians."""
     workloads = {name: {"metrics": {metric: {"change": {"median": value}}

@@ -145,10 +145,13 @@ class TestBatchedResidual:
             shooting_residual(sp, np.array([[0.1, 0.1], [1e3, 1e3], [0.2, -0.1]]))
 
 
+MODELS = ("sleigh", "double_integrator", "curved", "sleigh_quartic", "curved_quartic")
+
+
 class TestOneFlowPerIteration:
     """For every cost and model each Newton iteration integrates one flow,
-    the full-step trial stacked with its Jacobian columns; the accepted flow
-    is the extremal."""
+    the full-step trial stacked with its Jacobian columns unless it is
+    predicted to be the last; the accepted flow is the extremal."""
 
     @pytest.fixture
     def flow_rows(self, monkeypatch):
@@ -173,11 +176,8 @@ class TestOneFlowPerIteration:
             assert (getattr(result.trajectory, name).tobytes()
                     == getattr(expected, name).tobytes()), name
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("model", ["sleigh", "double_integrator", "curved",
-                                       "sleigh_quartic", "curved_quartic"])
-    def test_one_flow_per_iteration(self, model, scheme, flow_rows, chaplygin_system,
-                                    double_integrator_problem):
+    @staticmethod
+    def shooting_model(model, scheme, chaplygin_system, double_integrator_problem):
         if model == "curved":
             # chart-dependent geometry, quadratic cost: the stacked kernel
             sp = shooting_for(curved_quadratic_problem(), dt=0.1, scheme=scheme)
@@ -192,11 +192,19 @@ class TestOneFlowPerIteration:
                        else double_integrator_problem)
             sp = shooting_for(problem, dt=1e-2, scheme=scheme)
         assert sp.hs.problem.cost.quadratic == (not model.endswith("quartic"))
+        return sp
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_one_flow_per_iteration(self, model, scheme, flow_rows, chaplygin_system,
+                                    double_integrator_problem):
+        sp = self.shooting_model(model, scheme, chaplygin_system, double_integrator_problem)
         rows, _ = flow_rows
         result = solve_bvp(sp, np.zeros(sp.n_momenta))
         assert result.iterations >= 1
-        # no step was halved: every flow carried the columns of its momenta
-        assert rows == [sp.n_momenta + 1] * (1 + result.iterations)
+        # no step was halved: every flow carried the columns of its momenta,
+        # but the last trial, which the quadratic model saw converge
+        assert rows == [sp.n_momenta + 1] * result.iterations + [1]
         self.assert_trajectory_is_extremal_of_p0(sp, result)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -216,10 +224,89 @@ class TestOneFlowPerIteration:
         assert result.p0.tobytes() == reference.p0.tobytes()
         assert result.iterations == reference.iterations
         # each stack failed and was followed by its trial alone, then by the
-        # columns of the accepted trial
+        # columns of the accepted trial; the predicted last trial came alone
         n = sp.n_momenta
-        assert rows == [n + 1, 1] + [n, n + 1, 1] * result.iterations
+        assert rows == [n + 1, 1] + [n, n + 1, 1] * (result.iterations - 1) + [n, 1]
         self.assert_trajectory_is_extremal_of_p0(sp, result)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_predicted_last_trial_changes_no_byte(self, model, scheme, chaplygin_system,
+                                                  double_integrator_problem, monkeypatch):
+        sp = self.shooting_model(model, scheme, chaplygin_system, double_integrator_problem)
+        result = solve_bvp(sp, np.zeros(sp.n_momenta))
+        # columns ride on every full step, as if no trial were predicted last
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
+        riding = solve_bvp(sp, np.zeros(sp.n_momenta))
+        assert result.p0.tobytes() == riding.p0.tobytes()
+        assert result.iterations == riding.iterations
+        assert result.residual_norm == riding.residual_norm
+        assert np.float64(result.cost).tobytes() == np.float64(riding.cost).tobytes()
+        for name in TRAJECTORY_FIELDS:
+            assert (getattr(result.trajectory, name).tobytes()
+                    == getattr(riding.trajectory, name).tobytes()), name
+
+    def test_mispredicted_trial_takes_its_columns_in_a_flow_of_their_own(
+            self, flow_rows, chaplygin_system, monkeypatch):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
+        rows, _ = flow_rows
+        reference = solve_bvp(sp, np.zeros(2))
+        assert reference.iterations == 3
+        rows.clear()
+        # every full step is predicted to be the last: the second trial is
+        # accepted above the tolerance and lacks its Jacobian
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
+        result = solve_bvp(sp, np.zeros(2))
+        assert rows == [3, 3, 1, 2, 1]
+        assert result.p0.tobytes() == reference.p0.tobytes()
+        assert result.iterations == reference.iterations
+        self.assert_trajectory_is_extremal_of_p0(sp, result)
+
+    def test_model_can_mispredict_without_forcing(self, flow_rows, chaplygin_system,
+                                                   monkeypatch):
+        problem = replace(sleigh_problem(chaplygin_system, quartic_cost()), yT=[-1.0, 2.0])
+        sp = shooting_for(problem, dt=1e-2)
+        rows, _ = flow_rows
+        result = solve_bvp(sp, np.zeros(2))
+        # the sixth trial was predicted last but stopped above the tolerance
+        assert rows == [3] * 6 + [1, 2, 1]
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
+        riding = solve_bvp(sp, np.zeros(2))
+        assert result.p0.tobytes() == riding.p0.tobytes()
+        assert result.iterations == riding.iterations == 7
+
+    def test_trial_after_a_damped_step_rides_with_its_columns(self, flow_rows,
+                                                               chaplygin_system, monkeypatch):
+        problem = replace(sleigh_problem(chaplygin_system), yT=[3.0, -2.0])
+        sp = shooting_for(problem, dt=1e-2)
+        rows, _ = flow_rows
+        reference = solve_bvp(sp, np.zeros(2))
+        # the first full step is refused and its half accepted
+        assert rows == [3, 3, 1, 2, 3, 3, 3, 1]
+        rows.clear()
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
+        result = solve_bvp(sp, np.zeros(2))
+        # the damped first step predicts nothing: the second trial rides, and
+        # every later one comes alone and takes its columns in a flow of their own
+        assert rows == [3, 3, 1, 2, 3] + [1, 2] * 2 + [1]
+        assert result.p0.tobytes() == reference.p0.tobytes()
+
+    def test_budget_spent_on_a_predicted_trial_still_diverges(self, flow_rows,
+                                                              chaplygin_system, monkeypatch):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2, max_iterations=2)
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
+        with pytest.raises(NewtonDivergence) as riding:
+            solve_bvp(sp, np.zeros(2))
+        rows, _ = flow_rows
+        rows.clear()
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
+        with pytest.raises(NewtonDivergence) as predicted:
+            solve_bvp(sp, np.zeros(2))
+        # the second and last trial came alone, and no columns followed it
+        assert rows == [3, 3, 1]
+        assert predicted.value.best.tobytes() == riding.value.best.tobytes()
+        assert predicted.value.residual_norm == riding.value.residual_norm
+        assert predicted.value.iterations == riding.value.iterations == 2
 
     @pytest.mark.parametrize("error", [SingularMetric, LegendreDivergence, SingularHessian])
     def test_failing_geometry_or_legendre_map_in_a_stack_falls_back_to_the_trial_alone(

@@ -288,6 +288,18 @@ class TestCheck:
         assert main([command, "--config", str(path)]) == 2
         assert "D = {0}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("constraint", [{"span": []}, {"span": [[]]}, {"annihilator": []}],
+                             ids=["empty_span", "empty_row_span", "empty_annihilator"])
+    def test_empty_constraint_config_exits_2(self, tmp_path, capsys, constraint):
+        # a document cannot spell a (0, rank_e) array: [] is a row of length 0
+        doc = {"name": "empty", "kind": "lie_algebra_constant", "rank_e": 3,
+               "structure_constants": [[2, 0, 1, 1.0]], "metric": np.eye(3).tolist(),
+               "constraint": constraint}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--config", str(path)]) == 2
+        assert "constraint rows must have length rank_e=3" in capsys.readouterr().err
+
     def test_malformed_config_array_exits_2(self, tmp_path, capsys):
         doc = {"name": "ragged", "kind": "lie_algebra_constant", "rank_e": 2,
                "structure_constants": [], "metric": [[1, "a"], [0, 1]],

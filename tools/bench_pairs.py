@@ -11,8 +11,11 @@ so that a drift of the host's speed does not favour one side.  The last line
 of each run's standard output is its JSON record.  The summary gives, per
 end-to-end metric, each side's values, median and quartiles, the ratio of
 the medians, the number of pairs the change wins (ties count for neither
-side), ``worse_beyond_bound``: whether the change median is worse than the
-parent median by more than the metric's relative bound, and ``unresolved``:
+side), ``gain_shown``: whether the change wins at least 9 in 10 of the
+pairs and its median lies beyond the parent's quartile spread in the
+metric's better direction, ``worse_beyond_bound``: whether the change
+median is worse than the parent median by more than the metric's relative
+bound, and ``unresolved``:
 whether the parent's quartile spread, relative to its median, is wider than
 that bound while not every change run reads better than every parent run;
 per item kind, each side's median of the runs' nominal kind medians (read
@@ -113,8 +116,10 @@ def summarize(pairs, better, bounds=None):
         parent, change = entry["parent"], entry["change"]
         entry["ratio"] = change["median"] / parent["median"] if parent["median"] else None
         # the gap between the medians, against the parent's own spread
-        entry["beyond_parent_iqr"] = (abs(change["median"] - parent["median"])
-                                      > parent["q3"] - parent["q1"])
+        spread = parent["q3"] - parent["q1"]
+        entry["beyond_parent_iqr"] = abs(change["median"] - parent["median"]) > spread
+        entry["gain_shown"] = bool(10 * wins >= 9 * entry["pairs"]
+                                   and sign * (change["median"] - parent["median"]) > spread)
         bound = bounds.get(name)
         entry["worse_beyond_bound"] = None if bound is None else bool(
             sign * (change["median"] - parent["median"]) < -bound * abs(parent["median"]))

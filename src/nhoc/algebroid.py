@@ -35,7 +35,8 @@ class ModelPartials:
     """Optional analytic partial derivatives of the model fields.
 
     Each callable returns the stacked derivatives with the chart index first,
-    e.g. ``metric_dq(q)[i] == d metric / d q^i``.  Fields left as None are
+    e.g. ``metric_dq(q)[i] == d metric / d q^i``; the one place that reads
+    them is ``AlgebroidModel.partials_at``.  Fields left as None are
     computed by the complex step, exact to rounding: the model callable is
     evaluated at q + i h e_i, and a geometry build takes the partials of all
     the callables it reads in one pass (``numerics.complex_step_pass``).  At
@@ -78,7 +79,8 @@ class AlgebroidModel:
     pass: the metric, the potential when its caller reads grad V, and in
     ``drift_rows`` the anchor at the rows only, dim_q more calls per row.
     The shape of each callable's value is checked once, at the origin, when
-    a ``ConstrainedSystem`` is made.
+    a ``ConstrainedSystem`` is made.  ``partials_at`` is the one entry to
+    the fields' partials.
     """
 
     dim_q: int
@@ -106,17 +108,6 @@ class AlgebroidModel:
         r = self.rank_e
         return {"structure": (r, r, r), "anchor": (r, self.dim_q), "metric": (r, r),
                 "potential": ()}[name]
-
-    # Stacked q-derivatives of the model fields (chart index first) at q, or
-    # at each row of a stack of chart points; analytic partials win.
-    def anchor_dq(self, q):
-        return self.partials_at(anchor=q)["anchor"]
-
-    def metric_dq(self, q):
-        return self.partials_at(metric=q)["metric"]
-
-    def potential_dq(self, q):
-        return self.partials_at(potential=q)["potential"]
 
     def partials_at(self, fd=None, **points):
         """Stacked q-derivatives of the named fields ("anchor", "metric",
@@ -272,8 +263,8 @@ def _chart_geometry(system, qs, grad_v=False, anchor_rows=0):
 
     The model partials that the build reads come from one complex-step pass:
     the metric's, with ``grad_v`` the potential's too, and the record then
-    holds grad V ("grad_v").  With ``anchor_rows`` b > 0, qs is the
-    ``numerics.central_stencil`` of its first b rows, and the record also
+    holds grad V ("grad_v").  With ``anchor_rows`` b > 0, qs is its first b
+    rows followed by their ``numerics.central_stencil``, and the record also
     holds the chart derivatives of the restricted anchor at those rows
     ("anchor_d_dq", leading axis b); where the anchor drops the imaginary
     part they are the central differences of the stencil's anchor values.
@@ -296,7 +287,7 @@ def _chart_geometry(system, qs, grad_v=False, anchor_rows=0):
     fd = None
     if anchor_rows:
         points["anchor"] = qs[:anchor_rows]
-        fd = {"anchor": numerics.stencil_partials(anchor, n)}
+        fd = {"anchor": numerics.stencil_partials(anchor[anchor_rows:], anchor_rows)}
     dq = model.partials_at(fd, **points)
     # Koszul: 2 G^D Gamma[c, a, b] = T[a, c, b] + T[b, c, a] - T[c, b, a] with
     # T = G^D c_D, plus U[a, b, c] + U[b, a, c] - U[c, a, b] with U = rho dG^D
@@ -393,7 +384,7 @@ class ConstrainedSystem:
         complex-step pass takes the partials of the metric, the potential and
         the anchor, the last at the rows only."""
         n, b = self.dim_q, len(qs)
-        points = numerics.central_stencil(qs)
+        points = np.concatenate([qs, numerics.central_stencil(qs)])
         geo = self.geometry_rows(points, grad_v=True, anchor_rows=b)
         rows = {k: v[:b] for k, v in geo.items()}
         if self.parent.q_independent:  # Gamma is constant: only grad V varies
@@ -403,7 +394,7 @@ class ConstrainedSystem:
             stencil_ys = np.concatenate([ys] + [np.repeat(ys, n, axis=0)] * 2)
             varying = self.drift(points, stencil_ys, geo)
             drift = varying[:b]
-        return drift, numerics.central_differences(varying, n), self.drift_dy(ys, rows), rows
+        return drift, numerics.central_differences(varying[b:], b), self.drift_dy(ys, rows), rows
 
     def _grad_v(self, q, geo, dv=None):
         """grad V = (G^D)^{CB} rho^i_B dV/dq^i at chart points q, one point or
@@ -414,7 +405,7 @@ class ConstrainedSystem:
             return geo["grad_v"]
         if self.dim_q == 0 or self.parent.potential is None:
             return np.zeros(np.shape(q)[:-1] + (self.rank_d,))
-        dv = self.parent.potential_dq(q) if dv is None else dv
+        dv = self.parent.partials_at(potential=q)["potential"] if dv is None else dv
         return numerics.matvec_rows(geo["metric_d_inv"], numerics.matvec_rows(geo["anchor_d"], dv))
 
     def geometry_rows(self, qs, grad_v=False, anchor_rows=0):
@@ -423,9 +414,9 @@ class ConstrainedSystem:
         one stacked build; a chart-independent model broadcasts its one
         record.  A caller that reads grad V passes ``grad_v``, and the build
         takes the potential partials in the metric's complex-step pass; with
-        ``anchor_rows`` b > 0, qs is the central stencil of its first b rows
-        and the record holds the anchor's chart derivatives there (see
-        ``_chart_geometry``).  Read-only."""
+        ``anchor_rows`` b > 0, qs is its first b rows followed by their
+        central stencil, and the record holds the anchor's chart derivatives
+        there (see ``_chart_geometry``).  Read-only."""
         qs = np.asarray(qs, dtype=float)
         if qs.ndim != 2 or qs.shape[1] != self.dim_q or len(qs) == 0:
             raise DimensionMismatch(f"chart points must have shape (B, {self.dim_q}), B > 0")
@@ -476,7 +467,7 @@ class ConstrainedSystem:
         """Stacked chart derivatives of the restricted anchor; a stack of
         chart points (B, dim_q) gives a leading axis B."""
         q = q if np.ndim(q) == 2 else self.parent.chart_point(q)
-        return _restrict_anchor_dq(self.d_basis, self.parent.anchor_dq(q))
+        return _restrict_anchor_dq(self.d_basis, self.parent.partials_at(anchor=q)["anchor"])
 
     def energy(self, q, y):
         """Restricted kinetic energy plus potential, conserved by the free flow.

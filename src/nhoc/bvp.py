@@ -12,7 +12,7 @@ from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence
 # inverse_legendre is not called here; perfbench/tracing.py patches it under this name
 from .hamiltonian import (PhasePoint, _check_scheme, inverse_legendre,  # noqa: F401
                           integrate_hamiltonian)
-from .numerics import fd_jacobian, step_count
+from .numerics import step_count
 
 
 # damped-Newton constants of the shooting solve: forward-difference step of
@@ -38,8 +38,8 @@ class ShootingProblem:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise DimensionMismatch("Newton tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise DimensionMismatch("Newton tolerance must be positive and finite")
         if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 0:
             raise DimensionMismatch("Newton iteration budget must be a non-negative integer")
         prob = self.hs.problem
@@ -144,13 +144,14 @@ def solve_bvp(sp, p0_guess=None):
     solve: after a full step took the residual norm from r_prev to r, the
     next is predicted to be r * (r / r_prev)**2, and at or below the
     tolerance no columns ride.  Should such a trial be accepted above the
-    tolerance, its Jacobian is one flow of its columns (``fd_jacobian``).
-    Every residual and Jacobian has the floats of the single calls
-    (``shooting_residual`` and ``fd_jacobian``), and should the stacked flow
-    fail (a non-finite state, a diverging implicit substep, a singular metric
-    or a failed Legendre inversion), the trial is integrated alone.  The
-    accepted flow's samples become the extremal, which is not integrated
-    again.
+    tolerance, its Jacobian is one flow of its columns.  Both take the one
+    forward formula (r(p + h e_i) - r(p)) / h, h = ``JACOBIAN_STEP``, so a
+    Jacobian has the same floats on either path.  Every residual has the
+    floats of its single call (``shooting_residual``), and should the
+    stacked flow fail (a non-finite state, a diverging implicit substep, a
+    singular metric or a failed Legendre inversion), the trial is
+    integrated alone.  The accepted flow's samples become the extremal,
+    which is not integrated again.
 
     Raises NewtonDivergence (best iterate, its residual norm and the number of
     iterations attached) when the residual cannot be driven below the
@@ -166,6 +167,11 @@ def solve_bvp(sp, p0_guess=None):
     h = JACOBIAN_STEP
     columns = h * np.eye(sp.n_momenta)
 
+    def forward(res, column_res):
+        """The forward-difference Jacobian from the residual at p and those
+        at its columns p + h e_i."""
+        return ((column_res - res) / h).T
+
     def evaluate(p, with_columns):
         """Residual at p, the (times, samples) of its flow, and the
         forward-difference Jacobian at p if its columns rode along, else None."""
@@ -176,7 +182,7 @@ def solve_bvp(sp, p0_guess=None):
                     SingularHessian):
                 pass  # the failing row may be a column's: integrate p alone
             else:
-                return res[0], (times, phases[:, 0]), ((res[1:] - res[0]) / h).T
+                return res[0], (times, phases[:, 0]), forward(res[0], res[1:])
         res, times, phases = _flow(sp, p)
         return res, (times, phases), None
 
@@ -190,7 +196,7 @@ def solve_bvp(sp, p0_guess=None):
                 f"shooting Newton did not converge in {sp.max_iterations} iterations",
                 best=best_p0, residual_norm=best_norm, iterations=iterations)
         if jac is None:
-            jac = fd_jacobian(lambda p: _flow(sp, p)[0], p0, step=h, f0=res)
+            jac = forward(res, _flow(sp, p0 + columns)[0])
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:

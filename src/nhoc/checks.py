@@ -8,6 +8,7 @@ from .algebroid import ConstraintSpec, build_constrained_system
 from .dynamics import StateQY, dalembert_oracle_field, nonholonomic_field
 from .hamiltonian import (HamiltonianSystem, PhasePoint, inverse_legendre,
                           legendre_map, symplecticity_defect)
+from .numerics import central_stencil, stencil_partials
 from .optimal_control import ControlDistribution, OCProblem, quadratic_cost
 
 
@@ -73,16 +74,13 @@ def check_bracket_antisymmetry(system, rng):
 
 def check_koszul(system, rng):
     """Defining relation of the Levi-Civita connection, with independent
-    central differences of G^D (step 1e-5, as ``fd_partials`` takes them)
-    for the anchor-derivative terms; one stacked geometry build covers the
-    points and their neighbours."""
-    n, count, step = system.dim_q, 3, 1e-5
+    central differences of G^D (step 1e-5, on the ``numerics`` stencil) for
+    the anchor-derivative terms; one stacked geometry build covers the
+    points and their stencil."""
+    count, step = 3, 1e-5
     qs = _random_chart_points(system.parent, rng, count)
-    steps = step * np.eye(n)
-    near = np.concatenate([qs[:, None] + steps, qs[:, None] - steps], axis=1)
-    geo = system.geometry_rows(np.concatenate([qs, near.reshape(2 * n * count, n)]))
-    gd_near = geo["metric_d"][count:].reshape((count, 2, n) + geo["metric_d"].shape[1:])
-    dgds = (gd_near[:, 0] - gd_near[:, 1]) / (2.0 * step)
+    geo = system.geometry_rows(np.concatenate([qs, central_stencil(qs, step)]))
+    dgds = stencil_partials(geo["metric_d"][count:], count, step)
     worst_koszul, worst_torsion = 0.0, 0.0
     # zip stops at the points, the first ``count`` rows of the build
     for gd, cd, gamma, rho, dgd in zip(geo["metric_d"], geo["structure_d"], geo["gamma"],

@@ -114,11 +114,14 @@ def legendre_map(problem, state):
 
     With basis-aligned inputs p_y = C_u(q, y, u) on the actuated rows, with
     u = v + delta there, and p_y = lambda_bar on the unactuated rows.  A
-    square input matrix gives p_y = B^{-T} C_u.
+    square input matrix gives p_y = B^{-T} C_u.  Raises DimensionMismatch
+    unless lambda has length dim_q.
     """
     ctrl = problem.controls
     q, y = state.q, state.y
     u = recover_controls(problem, q, y, state.v)
+    if state.lam.shape != (problem.dim_q,):
+        raise DimensionMismatch(f"lambda must have length {problem.dim_q}")
     cu = problem.cost.du(q, y, u)
     if ctrl.actuated_indices is None:
         return PhasePoint(q=q, y=y, p_q=state.lam, p_y=ctrl._inverse.T @ cu)

@@ -4,10 +4,11 @@ guard.
 
 Every derivative in the package that is not given in closed form goes
 through this module: the complex step of ``complex_step_pass`` (the model
-callables without analytic partials, several in one pass) and its
-one-callable case ``complex_step_partials``, or finite differences through
-``fd_partials``, ``fd_jacobian`` or the stacked stencil of
-``central_stencil``, ``stencil_partials`` and ``central_differences``.
+callables without analytic partials, several in one pass), or central
+differences, whose one stencil is ``central_stencil`` (the points
+x +- h e_i) with ``stencil_partials`` (the formula (f+ - f-) / 2h).
+``fd_partials`` and ``fd_jacobian`` call f at that stencil themselves, and
+``central_differences`` reads Jacobians from values a caller took there.
 """
 
 import functools
@@ -43,20 +44,15 @@ def fd_partials(f, q, step=FD_STEP):
 
     Returns an array of shape (len(q),) + f(q).shape; entry [i] is the partial
     derivative with respect to q^i.  For an empty chart the result is empty.
-    ``q`` may be a stack of chart points (B, n), giving a leading axis B: all
-    2 n B points are evaluated in one pass, and each point gets the floats
-    of its own call.
+    ``q`` may be a stack of chart points (B, n), giving a leading axis B: f
+    is called at every point of their ``central_stencil`` in one pass.
     """
     q = np.asarray(q, dtype=float)
     points = np.atleast_2d(q)
-    k, n = points.shape
-    if n == 0:
+    if points.shape[1] == 0:  # no point to call f at, but the shape of its value
         return np.zeros(q.shape + np.shape(f(points[0])))
-    steps = step * np.eye(n)
-    shifted = np.concatenate([points[:, None] + steps, points[:, None] - steps], axis=1)
-    values = np.array([f(x) for x in shifted.reshape(-1, n)], dtype=float)
-    values = values.reshape((k, 2, n) + values.shape[1:])
-    out = (values[:, 0] - values[:, 1]) / (2.0 * step)
+    values = np.array([f(x) for x in central_stencil(points, step)], dtype=float)
+    out = stencil_partials(values, len(points), step)
     return out[0] if q.ndim == 1 else out
 
 
@@ -95,12 +91,18 @@ def complex_step_pass(jobs):
     ``jobs`` holds triples (f, q, fd): a callable, its chart point or stack
     of chart points (B, n), and None or the central differences of f there
     that the caller already holds, shaped as ``fd_partials`` returns them.
-    Returns one array of partials per job, shaped as ``fd_partials``.  Every
-    complex point of every job is evaluated under one ``catch_warnings``,
-    then each job makes one check of its points, so each callable and each
-    point keeps the verdict and the floats of its own
-    ``complex_step_partials`` call; where f drops the imaginary part the
-    partials are ``fd``, or ``fd_partials`` when none is given.
+    Returns one array of partials per job, shaped as ``fd_partials``: entry
+    [i] is Im f(q + i h e_i) / h with h = ``COMPLEX_STEP``, exact to rounding
+    for a real-analytic f.  Two more calls check the partials along one
+    direction against its central difference, so f is called dim_q + 2
+    times per point.  Where f drops the imaginary part (it returns a real
+    array, raises TypeError, casts complex to real with numpy's
+    ComplexWarning, or drops it in some entries only, so that the check
+    misses by more than ``CS_CHECK_TOL`` of the values' scale) the partials
+    are ``fd``, or ``fd_partials`` (2 dim_q more calls) when none is given.
+    Every complex point is evaluated under one ``catch_warnings``, and each
+    job checks its own points, so each callable and point keeps the verdict
+    and the floats it has in a job of its own.
     """
     pending = []  # per job its stacks and one value per complex point, None where f drops it
     with warnings.catch_warnings():
@@ -160,73 +162,37 @@ def _checked_partials(f, q, points, fd, values, dropped):
     return mixed
 
 
-def complex_step_partials(f, q):
-    """Partials of an array-valued function of the chart point by the complex
-    step: the one-callable case of ``complex_step_pass``.
-
-    Entry [i] is Im f(q + i h e_i) / h with h = ``COMPLEX_STEP``: exact to
-    rounding for a real-analytic f, one call of f per chart direction.  Two
-    more calls check the partials along one direction against its central
-    difference, so f is called dim_q + 2 times per point.  At a point where
-    f drops the imaginary part (it returns a real array, raises TypeError,
-    casts complex to real with numpy's ComplexWarning, or drops it in some
-    entries only, so that the check fails by more than ``CS_CHECK_TOL`` of
-    the values' scale) the partials are central differences
-    (``fd_partials``) instead.  ``q`` may be a stack of chart points (B, n),
-    giving a leading axis B: every point and direction is evaluated in one
-    pass, and each point gets the verdict and the floats of its own call.
-    """
-    return complex_step_pass([(f, q, None)])[0]
-
-
-def fd_jacobian(f, x, step=FD_STEP, f0=None):
-    """Finite-difference Jacobian of a vector map; columns are partials.
-
-    Central differences (``fd_partials``) by default, two evaluations of
-    ``f`` per column.  Given ``f0 = f(x)``, forward differences that reuse
-    it: ``f`` is then called once, on the stack of points x + step e_i
-    (shape (len(x), len(x))), and must return one row per point, so a
-    batched map such as the shooting residual integrates all columns as one
-    flow.
-    """
-    x = np.asarray(x, dtype=float)
-    if f0 is not None:
-        f0 = np.asarray(f0, dtype=float)
-        if x.size == 0:
-            return np.zeros((f0.size, 0))
-        rows = np.asarray(f(x + step * np.eye(x.size)), dtype=float)
-        return ((rows - f0) / step).T
+def fd_jacobian(f, x, step=FD_STEP):
+    """Central finite-difference Jacobian of a vector map; columns are
+    partials (``fd_partials``), two evaluations of ``f`` per column."""
     # C order, as a product's floats depend on layout
     return np.ascontiguousarray(fd_partials(f, x, step).T)
 
 
-def central_stencil(x):
-    """The rows of a stack x (B, n) followed by their central-difference
-    points: x + FD_STEP e_i for every row and i, then x - FD_STEP e_i, each
-    block row-major in (row, i); shape ((1 + 2n) B, n)."""
+def central_stencil(x, step=FD_STEP):
+    """The central-difference points of the rows of a stack x (B, n):
+    x + step e_i for every row and i, then x - step e_i, each block
+    row-major in (row, i); shape (2 n B, n)."""
     b, n = x.shape
-    steps = FD_STEP * np.eye(n)
-    return np.concatenate([x, (x[:, None] + steps).reshape(b * n, n),
+    steps = step * np.eye(n)
+    return np.concatenate([(x[:, None] + steps).reshape(b * n, n),
                            (x[:, None] - steps).reshape(b * n, n)])
 
 
-def stencil_partials(values, n):
-    """Partials (B, n, ...) at the rows of ``central_stencil``, chart index
-    first, from the values (B (1 + 2n), ...) of a function at all its points;
-    each row's partials have the floats of ``fd_partials`` there, whose
-    points and formula these are."""
-    b = len(values) // (1 + 2 * n)
-    plus = values[b:b + b * n].reshape((b, n) + values.shape[1:])
-    minus = values[b + b * n:].reshape((b, n) + values.shape[1:])
-    return (plus - minus) / (2.0 * FD_STEP)
+def stencil_partials(values, b, step=FD_STEP):
+    """Partials (b, n, ...) at the b rows of a ``central_stencil``, chart
+    index first, from the values (2 n b, ...) of a function at its points:
+    (f(x + step e_i) - f(x - step e_i)) / (2 step)."""
+    plus, minus = values.reshape((2, b, len(values) // (2 * b)) + values.shape[1:])
+    return (plus - minus) / (2.0 * step)
 
 
-def central_differences(values, n):
-    """Jacobians (B, k, n) at the rows of ``central_stencil`` from the values
-    (B (1 + 2n), k) of a map at all its points; each Jacobian has the floats
-    of the central ``fd_jacobian`` at its row."""
+def central_differences(values, b):
+    """Jacobians (b, k, n) at the b rows of a ``central_stencil`` from the
+    values (2 n b, k) of a map at its points; each Jacobian has the floats
+    of ``fd_jacobian`` at its row."""
     # C order, as ``fd_jacobian`` returns: a product's floats depend on layout
-    return np.ascontiguousarray(stencil_partials(values, n).swapaxes(1, 2))
+    return np.ascontiguousarray(stencil_partials(values, b).swapaxes(1, 2))
 
 
 def step_count(t_final, dt):

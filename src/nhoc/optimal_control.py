@@ -15,8 +15,8 @@ import numpy as np
 
 from .dynamics import drift_acceleration
 from .errors import DimensionMismatch, SingularHessian, ValidationError
-from .numerics import (FD2_STEP, FD_STEP, RANK_TOL, fd_jacobian, fd_partials,
-                       integrate_fixed_steps, rk4_step, step_count)
+from .numerics import (FD2_STEP, RANK_TOL, central_stencil, fd_jacobian, fd_partials,
+                       integrate_fixed_steps, rk4_step, stencil_partials, step_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,8 +24,8 @@ class CostModel:
     """Running cost C(q, y, u) with optional analytic u-partials.
 
     Partials without an analytic callable are evaluated by central finite
-    differences (``numerics.fd_partials``): first derivatives with step 1e-6,
-    and C_q and C_y at a whole stack of rows in one pass (``dx_rows``),
+    differences (``numerics.fd_partials``): first derivatives with step 1e-6
+    (C_q and C_y always, at a stack of rows in one pass: ``dx_rows``),
     second derivatives of a plain evaluator by nested differences with step
     1e-4, and second derivatives from an analytic ``cu`` by one difference of
     it (step 1e-6).  A ``weight`` W marks C = (1/2) u^T W u (``quadratic``),
@@ -63,31 +63,18 @@ class CostModel:
             return np.asarray(self.cu(q, y, u), dtype=float)
         return fd_partials(lambda uu: self.evaluator(q, y, uu), u)
 
-    def dy(self, q, y, u):
-        return fd_partials(lambda yy: self.evaluator(q, yy, u), y)
-
-    def dq(self, q, y, u):
-        return fd_partials(lambda qq: self.evaluator(qq, y, u), q)
-
     def dx_rows(self, q, y, u):
         """(C_q, C_y) at every row of the stacks q (B, dim_q), y (B, rank_d)
-        and u (B, k) from one central-difference pass over the stack: each
-        row has the shifted points and the formula of ``dq`` and ``dy``, and
-        so their floats."""
-        n, m = q.shape[1], y.shape[1]
-        steps_q, steps_y = FD_STEP * np.eye(n), FD_STEP * np.eye(m)
-        # each row's points q + h e_i, then q - h e_i, as ``fd_partials`` shifts them
-        q_shifted = np.concatenate([q[:, None] + steps_q, q[:, None] - steps_q], axis=1)
-        y_shifted = np.concatenate([y[:, None] + steps_y, y[:, None] - steps_y], axis=1)
-        f = self.evaluator
-        values = np.array([[f(s, y_row, u_row) for s in q_points]
-                           + [f(q_row, s, u_row) for s in y_points]
-                           for q_row, y_row, u_row, q_points, y_points
-                           in zip(q, y, u, q_shifted, y_shifted)], dtype=float)
-        values = values.reshape(len(q), -1)
-        c_q = (values[:, :n] - values[:, n:2 * n]) / (2.0 * FD_STEP)
-        c_y = (values[:, 2 * n:2 * n + m] - values[:, 2 * n + m:]) / (2.0 * FD_STEP)
-        return c_q, c_y
+        and u (B, k): the evaluator is called at the ``central_stencil`` of
+        the joined rows (q, y), each point with its row's u, so each row has
+        the floats of ``fd_partials`` of the evaluator in q and in y (for an
+        evaluator that does not tell -0.0 from 0.0)."""
+        n, x = q.shape[1], np.concatenate([q, y], axis=1)
+        us = np.tile(np.repeat(u, x.shape[1], axis=0), (2, 1))
+        values = np.array([self.evaluator(s[:n], s[n:], w)
+                           for s, w in zip(central_stencil(x), us)], dtype=float)
+        c_x = stencil_partials(values, len(x))
+        return c_x[:, :n], c_x[:, n:]
 
     def d2uu(self, q, y, u):
         if self.cuu is not None:
@@ -284,18 +271,19 @@ def drift_jacobians(system, q, y):
     """The drift Gamma(y,y) + grad V and its partials with respect to q and y.
 
     Returns (drift, d_drift/dq of shape (rank_d, dim_q), d_drift/dy of shape
-    (rank_d, rank_d), the geometry record at q), all from one build: the
-    one-row read of ``ConstrainedSystem.drift_rows``.  The q-derivative is a
-    central difference through the geometry (step 1e-6); it vanishes without
-    a chart or when the system's drift is constant
-    (``ConstrainedSystem.constant_drift``), and the record is then
-    ``geometry(q)``.
+    (rank_d, rank_d), the geometry record at q with the restricted anchor's
+    chart derivatives "anchor_d_dq"), all from one build: the one-row read
+    of ``ConstrainedSystem.drift_rows``.  The q-derivative is a central
+    difference through the geometry (step 1e-6); it vanishes, and so do the
+    anchor derivatives, without a chart or when the system's drift is
+    constant (``ConstrainedSystem.constant_drift``), and the record is then
+    ``geometry(q)`` with them.
     """
     q, y = system.fiber_row(q, y)
     if system.dim_q == 0 or system.constant_drift:
-        geo = system._geometry_at(q)
-        return (system.drift(q, y, geo), np.zeros((system.rank_d, system.dim_q)),
-                system.drift_dy(y, geo), geo)
+        geo, n, r = system._geometry_at(q), system.dim_q, system.rank_d
+        return (system.drift(q, y, geo), np.zeros((r, n)), system.drift_dy(y, geo),
+                dict(geo, anchor_d_dq=np.zeros((n, r, n))))
     drift, ddq, ddy, geo = system.drift_rows(q[None], y[None])
     return drift[0], ddq[0], ddy[0], {k: v[0] for k, v in geo.items()}
 
@@ -339,7 +327,8 @@ def necessary_conditions_field(problem, state):
 
     the acceleration vdot is resolved through the cost Hessian.  With every
     row actuated lambda_bar is empty and these are the fully actuated
-    conditions.  Raises DimensionMismatch unless the inputs are basis-aligned.
+    conditions.  Raises DimensionMismatch unless the inputs are basis-aligned
+    and the state's parts have their lengths.
     """
     ctrl = problem.controls
     if ctrl.actuated_indices is None:
@@ -351,6 +340,8 @@ def necessary_conditions_field(problem, state):
         raise DimensionMismatch(f"v must hold the {ctrl.k} actuated accelerations")
     if lam_bar.shape != (ctrl.rank_d - ctrl.k,):
         raise DimensionMismatch(f"lambda_bar must have length {ctrl.rank_d - ctrl.k}")
+    if lam.shape != (problem.dim_q,):
+        raise DimensionMismatch(f"lambda must have length {problem.dim_q}")
 
     delta, ddq, ddy, geo = drift_jacobians(system, q, y)
     anchor = geo["anchor_d"]
@@ -362,7 +353,10 @@ def necessary_conditions_field(problem, state):
     qdot = anchor.T @ y
 
     cu = cost.du(q, y, u)
-    l_y = ddy[act].T @ cu if cost.quadratic else cost.dy(q, y, u) + ddy[act].T @ cu
+    l_q, l_y = ddq[act].T @ cu, ddy[act].T @ cu
+    if not cost.quadratic:
+        c_q, c_y = cost.dx_rows(q[None], y[None], u[None])
+        l_q, l_y = c_q[0] + l_q, c_y[0] + l_y
     rho_lam = anchor @ lam
     ddy_una = ddy[una]
 
@@ -374,12 +368,7 @@ def necessary_conditions_field(problem, state):
 
     lam_bar_dot = l_y[una] - rho_lam[una] + ddy_una[:, una].T @ lam_bar
 
-    if problem.dim_q > 0:
-        l_q = ddq[act].T @ cu if cost.quadratic else cost.dq(q, y, u) + ddq[act].T @ cu
-        lamdot = (l_q + ddq[una].T @ lam_bar
-                  - np.einsum("iAj,j,A->i", system.anchor_d_dq(q), lam, y))
-    else:
-        lamdot = np.zeros(0)
+    lamdot = l_q + ddq[una].T @ lam_bar - np.einsum("iAj,j,A->i", geo["anchor_d_dq"], lam, y)
     return ExtremalState(q=qdot, y=ydot, v=vdot, lam=lamdot, lam_bar=lam_bar_dot)
 
 
@@ -388,10 +377,13 @@ def integrate_extremal(problem, state0, t_final, dt):
     (times, states).
 
     The steps run through the package's one fixed-step driver.  Raises
-    DimensionMismatch unless dt divides t_final or unless the inputs are
-    basis-aligned, and NonFiniteState when the state leaves the finite range.
+    DimensionMismatch unless dt divides t_final, the inputs are
+    basis-aligned and lambda has length dim_q, and NonFiniteState when the
+    state leaves the finite range.
     """
     k = problem.controls.k
+    if state0.lam.shape != (problem.dim_q,):
+        raise DimensionMismatch(f"lambda must have length {problem.dim_q}")
 
     def rhs(t, z):
         ds = necessary_conditions_field(problem, unpack_extremal(problem, z, k=k))

@@ -7,6 +7,7 @@ from nhoc import (AlgebroidModel, ConstraintSpec, ControlDistribution, CostModel
                   ModelPartials, OCProblem, build_constrained_system, constant_model,
                   make_chaplygin, make_double_integrator, make_suslov, quadratic_cost)
 from nhoc.hamiltonian import _actuation, _optimal_control
+from nhoc.numerics import fd_partials
 from nhoc.optimal_control import drift_jacobians
 
 SUSLOV_PARAMS = dict(I11=2.0, I22=3.0, I33=4.0, I13=0.1, I23=0.2)
@@ -117,9 +118,9 @@ def point_partials(hs, q, y, p_q, p_y):
     if hs.dim_q > 0:
         d_q = -ddq.T @ p_y + np.einsum("iAj,j,A->i", hs.system.anchor_d_dq(q), p_q, y)
         if not cost.quadratic:
-            d_q = d_q - cost.dq(q, y, u)
+            d_q = d_q - fd_partials(lambda qq: cost.evaluator(qq, y, u), q)
     else:
         d_q = np.zeros(0)
     if not cost.quadratic:
-        d_y = d_y - cost.dy(q, y, u)
+        d_y = d_y - fd_partials(lambda yy: cost.evaluator(q, yy, u), y)
     return np.concatenate([d_q, d_y]), np.concatenate([d_pq, d_py])

@@ -278,7 +278,7 @@ class TestChristoffel:
 
             # analytic derivative terms: residual at solver precision
             d = system.d_basis
-            dgd = np.einsum("iAB,aA,bB->iab", system.parent.metric_dq(q), d, d)
+            dgd = np.einsum("iAB,aA,bB->iab", system.parent.partials_at(metric=q)["metric"], d, d)
             assert np.abs(lhs - rhs_with(dgd)).max() < 1e-12
             # independent finite-difference derivative terms: loose tolerance
             h = 1e-5
@@ -534,7 +534,7 @@ class TestFlatKoszul:
                           model.structure(q), d, d)
             cd = 0.5 * (s - s.swapaxes(1, 2))
             rho = d @ model.anchor(q)
-            dgd = np.einsum("iAB,aA,bB->iab", model.metric_dq(q), d, d)
+            dgd = np.einsum("iAB,aA,bB->iab", model.partials_at(metric=q)["metric"], d, d)
             rhs = (np.einsum("am,mcb->cab", gd, cd) + np.einsum("bm,mca->cab", gd, cd)
                    - np.einsum("cm,mba->cab", gd, cd) + np.einsum("ai,ibc->cab", rho, dgd)
                    + np.einsum("bi,iac->cab", rho, dgd) - np.einsum("ci,iab->cab", rho, dgd))
@@ -556,10 +556,12 @@ class TestDefaultPartials:
         default = replace(analytic, partials=ModelPartials())
         for q0 in (-0.7, 0.4, 1.3):
             q = np.array([q0])
-            assert np.abs(default.metric_dq(q) - analytic.metric_dq(q)).max() < 1e-15
-            assert np.abs(default.potential_dq(q) - analytic.potential_dq(q)).max() < 1e-15
+            want = analytic.partials_at(metric=q, potential=q)
+            got = default.partials_at(metric=q, potential=q, anchor=q)
+            assert np.abs(got["metric"] - want["metric"]).max() < 1e-15
+            assert np.abs(got["potential"] - want["potential"]).max() < 1e-15
             # the constant anchor is a real array: central differences, all zero
-            assert not default.anchor_dq(q).any()
+            assert not got["anchor"].any()
 
     @pytest.mark.parametrize("make", [curved_model, rank3_chart_model])
     def test_each_callable_called_once_per_use_per_point(self, make):
@@ -595,7 +597,7 @@ class TestDefaultPartials:
         systems = [build_constrained_system(m, spec) for m in (analytic, default)]
         for q0 in (0.4, -0.3):
             q = np.array([q0])
-            assert np.abs(default.metric_dq(q) - metric_dq(q)).max() < 1e-9
+            assert np.abs(default.partials_at(metric=q)["metric"] - metric_dq(q)).max() < 1e-9
             assert np.abs(systems[0].gamma(q) - systems[1].gamma(q)).max() < 1e-9
 
     def test_drift_q_jacobian_matches_analytic_partials(self):

@@ -519,9 +519,9 @@ class TestSolveBVP:
         with pytest.raises(DimensionMismatch):
             ShootingProblem(hs=hs, dt=1e-3)
 
-    @pytest.mark.parametrize("tolerance", [np.nan, 0.0, -1.0])
-    def test_tolerance_must_be_positive(self, double_integrator_problem, tolerance):
-        with pytest.raises(DimensionMismatch):
+    @pytest.mark.parametrize("tolerance", [np.nan, 0.0, -1.0, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, double_integrator_problem, tolerance):
+        with pytest.raises(DimensionMismatch, match="positive and finite"):
             shooting_for(double_integrator_problem, tolerance=tolerance)
 
     def test_iteration_budget_must_not_be_negative(self, double_integrator_problem):

@@ -177,12 +177,19 @@ class TestOptimize:
             if schemes is not None:
                 assert "--integrator {" + ",".join(schemes) + "}" in text
 
-    def test_non_finite_newton_tolerance_rejected(self, tmp_path, capsys):
-        code = main(["optimize", "--builtin", "chaplygin", "--y0", "0,0", "--yT", "0.1,0.1",
-                     "--T", "1", "--dt", "0.1", "--newton-tol", "nan",
-                     "--out", str(tmp_path / "x.csv")])
+    @pytest.mark.parametrize("builtin,boundary", [
+        ("chaplygin", ["--y0", "0,0", "--yT", "0.1,0.1"]),
+        # an infinite tolerance once passed the zero guess as solved: exit 0
+        ("double_integrator", ["--q0", "0", "--qT", "1", "--y0", "0", "--yT", "0"])])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_newton_tolerance_rejected(self, tmp_path, capsys, tolerance, builtin,
+                                                  boundary):
+        out = tmp_path / "x.csv"
+        code = main(["optimize", "--builtin", builtin, *boundary, "--T", "1", "--dt", "0.1",
+                     "--newton-tol", tolerance, "--out", str(out)])
         assert code == 2
         assert "DimensionMismatch" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_iteration_budget_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -7,39 +7,26 @@ import pytest
 
 from nhoc import numerics
 from nhoc.errors import NonFiniteState
-from nhoc.numerics import (BLOWUP_LIMIT, ComplexWarning, central_differences,
-                           central_stencil, check_finite, complex_step_pass,
-                           complex_step_partials, fd_jacobian, fd_partials,
-                           stencil_partials)
+from nhoc.numerics import (BLOWUP_LIMIT, FD_STEP, ComplexWarning, central_differences,
+                           central_stencil, check_finite, complex_step_pass, fd_jacobian,
+                           fd_partials, stencil_partials)
+
+
+def complex_step_partials(f, q):
+    """The complex-step partials of one callable: a pass of one job."""
+    return complex_step_pass([(f, q, None)])[0]
 
 
 class TestFdJacobian:
     def test_empty_point_keeps_the_rows_of_f(self):
         f = lambda x: np.ones(3)
         assert fd_jacobian(f, np.zeros(0)).shape == (3, 0)
-        assert fd_jacobian(f, np.zeros(0), f0=f(np.zeros(0))).shape == (3, 0)
 
-    def test_forward_form_evaluates_the_stacked_points_once(self):
-        calls = []
-
-        def f(x):
-            calls.append(x.shape)
-            return np.stack([x[..., 0] * x[..., 1], x[..., 0] ** 2, np.sin(x[..., 1])],
-                            axis=-1)
-
-        x = np.array([0.3, -0.7])
-        f0 = f(x)
-        jac = fd_jacobian(f, x, step=1e-7, f0=f0)
-        assert calls == [(2,), (2, 2)]
-        exact = np.array([[x[1], x[0]], [2.0 * x[0], 0.0], [0.0, np.cos(x[1])]])
-        assert np.abs(jac - exact).max() < 1e-6
-
-    def test_central_form_matches_forward_form(self):
+    def test_central_form_matches_the_exact_jacobian(self):
         f = lambda x: np.stack([np.exp(x[..., 0]) * x[..., 1], x[..., 1] ** 3], axis=-1)
         x = np.array([0.2, 0.5])
-        central = fd_jacobian(f, x)
-        forward = fd_jacobian(f, x, step=1e-7, f0=f(x))
-        assert np.abs(central - forward).max() < 1e-6
+        exact = np.array([[np.exp(x[0]) * x[1], np.exp(x[0])], [0.0, 3.0 * x[1] ** 2]])
+        assert np.abs(fd_jacobian(f, x) - exact).max() < 1e-9
 
 
 def metric_like(q):
@@ -204,25 +191,43 @@ class TestComplexStepPass:
 
 
 class TestCentralStencil:
-    def test_rows_and_jacobians_equal_fd_jacobian(self):
-        x = np.array([[0.3, -0.7], [1.1, 0.2], [0.0, 0.5]])
+    X = np.array([[0.3, -0.7], [1.1, 0.2], [0.0, 0.5]])
+
+    @pytest.mark.parametrize("step", [FD_STEP, 1e-4])
+    def test_points_are_the_shifted_rows_only(self, step):
+        x = self.X
+        points = central_stencil(x, step)
+        assert points.shape == (len(x) * 4, 2)
+        shifts = step * np.eye(2)
+        for j, row in enumerate(x):
+            for i in range(2):
+                assert points[2 * j + i].tobytes() == (row + shifts[i]).tobytes()
+                assert points[6 + 2 * j + i].tobytes() == (row - shifts[i]).tobytes()
+
+    def test_jacobians_equal_fd_jacobian(self):
+        x = self.X
         f = lambda p: np.stack([p[..., 0] * p[..., 1], np.sin(p[..., 1]), p[..., 0] ** 3],
                                axis=-1)
-        points = central_stencil(x)
-        assert points.shape == (len(x) * 5, 2)
-        assert points[:len(x)].tobytes() == x.tobytes()
-        jac = central_differences(f(points), 2)
+        jac = central_differences(f(central_stencil(x)), len(x))
         assert jac.shape == (3, 3, 2) and jac.flags.c_contiguous
         for row, xr in zip(jac, x):
             assert row.tobytes() == fd_jacobian(f, xr).tobytes()
 
-    def test_partials_equal_fd_partials(self):
-        x = np.array([[0.3, -0.7], [1.1, 0.2], [0.0, 0.5]])
-        values = np.array([metric_like(p) for p in central_stencil(x)])
-        partials = stencil_partials(values, 2)
+    @pytest.mark.parametrize("step", [FD_STEP, 1e-4])
+    def test_partials_equal_fd_partials(self, step):
+        x = self.X
+        values = np.array([metric_like(p) for p in central_stencil(x, step)])
+        partials = stencil_partials(values, len(x), step)
         assert partials.shape == (3, 2, 2, 2)
+        assert partials.tobytes() == fd_partials(metric_like, x, step).tobytes()
         for row, xr in zip(partials, x):
-            assert row.tobytes() == fd_partials(metric_like, xr).tobytes()
+            assert row.tobytes() == fd_partials(metric_like, xr, step).tobytes()
+
+    def test_empty_chart_has_no_points_and_empty_partials(self):
+        x = np.zeros((3, 0))
+        assert central_stencil(x).shape == (0, 0)
+        assert stencil_partials(np.zeros((0, 2, 2)), 3).shape == (3, 0, 2, 2)
+        assert fd_partials(lambda q: np.ones((2, 2)), x).shape == (3, 0, 2, 2)
 
 
 class TestCheckFinite:

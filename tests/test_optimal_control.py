@@ -1,18 +1,19 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState, ModelPartials,
                   OCProblem, PhasePoint, StateQY, build_constrained_system, controlled_field,
                   drift_acceleration, grad_potential, integrate_extremal, inverse_legendre,
-                  legendre_map, necessary_conditions_field, quadratic_cost,
-                  recover_controls)
+                  legendre_map, make_double_integrator, necessary_conditions_field,
+                  quadratic_cost, recover_controls)
 from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian, ValidationError
 from nhoc.numerics import fd_jacobian
 from nhoc.optimal_control import drift_jacobians
 
-from conftest import curved_model, field_systems, full_actuation_problem
+from conftest import curved_model, field_systems, full_actuation_problem, quartic_cost
 
 
 def maxabs(a):
@@ -311,6 +312,51 @@ class TestDriftJacobians:
             assert point_geo["anchor_d"].tobytes() == geo["anchor_d"][k].tobytes()
             assert ddy[k].tobytes() == point_ddy.tobytes()
             assert geo["gamma"][k].tobytes() == system.gamma(q[k]).tobytes()
+
+
+class TestMultiplierLength:
+    """A multiplier lambda of the wrong length is a DimensionMismatch, not a
+    matmul error or a phase point of the wrong shape."""
+
+    def test_suslov_field_and_flow(self, suslov_system):
+        problem = full_actuation_problem(suslov_system)
+        state = ExtremalState(y=[0.4, 0.3], v=[0.1, -0.2], lam=[1.0])
+        with pytest.raises(DimensionMismatch, match="lambda must have length 0"):
+            necessary_conditions_field(problem, state)
+        with pytest.raises(DimensionMismatch, match="lambda must have length 0"):
+            integrate_extremal(problem, state, 0.1, 0.01)
+
+    @pytest.mark.parametrize("lam", [[1.0], None])
+    def test_double_integrator_legendre_map(self, lam):
+        system = build_constrained_system(*make_double_integrator(2))
+        problem = full_actuation_problem(system)
+        state = ExtremalState(q=[0.1, 0.2], y=[0.3, -0.1], v=[0.2, 0.1],
+                              **({} if lam is None else {"lam": lam}))
+        for call in (legendre_map, necessary_conditions_field):
+            with pytest.raises(DimensionMismatch, match="lambda must have length 2"):
+                call(problem, state)
+        with pytest.raises(DimensionMismatch, match="lambda must have length 2"):
+            integrate_extremal(problem, state, 0.1, 0.01)
+        assert legendre_map(problem, replace(state, lam=np.array([0.5, -0.5]))).p_q.shape == (2,)
+
+
+class TestFieldCalls:
+    def test_field_reads_the_anchor_partials_of_its_build(self):
+        # one build at the row and its stencil (1 + 2 dim_q points), and one
+        # complex step of the real anchor at the row, whose fallback reads
+        # the stencil: no second anchor pass; the metric at every point, once
+        # per chart direction for its complex step and twice for its check
+        counts = Counter()
+        base = replace(curved_model(), partials=ModelPartials())
+        model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
+                                 counts.update([name]) or f(q) for name in ("anchor", "metric")})
+        problem = full_actuation_problem(
+            build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2))))
+        for cost in (quadratic_cost(np.eye(2)), quartic_cost()):
+            counts.clear()
+            necessary_conditions_field(replace(problem, cost=cost), ExtremalState(
+                q=[0.2], y=[0.3, -0.4], v=[0.1, -0.2], lam=[0.5]))
+            assert counts == {"anchor": 4, "metric": 3 * (1 + 1 + 2)}
 
 
 class TestFiberLength:

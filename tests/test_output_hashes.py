@@ -78,5 +78,6 @@ def test_the_repository_against_itself():
     assert done.stdout.splitlines() == ["free_flow: 24 equal, 0 differ",
                                         "optimize: 30 equal, 0 differ",
                                         "chart_dependent: 21 equal, 0 differ",
+                                        "extremal: 7 equal, 0 differ",
                                         "cli: 7 equal, 0 differ",
-                                        "82 of 82 equal"]
+                                        "89 of 89 equal"]

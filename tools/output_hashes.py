@@ -11,11 +11,17 @@ untimed, through ``workloads.run_item``.  Each item's outcome is hashed:
 arrays by dtype, shape and bytes, dataclasses field by field with the field
 names, floats by their exact hex form, strings with the temporary output
 directory masked, and a failed item's error text.  An ``optimize`` item also
-hashes the CSV file it wrote.  A last group, ``cli``, hashes the exit code
-and standard output of each command line in CLI_RUNS (``nhoc check`` and
-``nhoc derive``), run in-process through ``nhoc.cli.main``.  The comparison
-prints, per group, how many items hash the same and how many differ, and
-names each differing item; it exits 1 if any differ.  perfbench/ is only read.
+hashes the CSV file it wrote.  The group ``extremal`` hashes the Lagrangian
+path, which no workload runs: the ``integrate_extremal`` states (T = 0.1,
+dt = 0.01) of the three builtin cases of acceptance criterion 4 and of three
+cases on perfbench's curved model (full actuation with a quadratic and with
+the quartic cost, one input with a quadratic cost), and the ``run_all``
+invariant values of that curved model.  A last group, ``cli``, hashes the
+exit code and standard output of each command line in CLI_RUNS (``nhoc
+check`` and ``nhoc derive``), run in-process through ``nhoc.cli.main``.
+The comparison prints, per group, how many items hash the same and how many
+differ, and names each differing item; it exits 1 if any differ.
+perfbench/ is only read.
 """
 
 import argparse
@@ -38,6 +44,43 @@ ROUNDS = 3  # 75 items: 25 per round over the three workloads
 BUILTINS = ("suslov", "chaplygin", "double_integrator")
 CLI_RUNS = ([[command, "--builtin", name] for command in ("check", "derive") for name in BUILTINS]
             + [["derive", "--builtin", "double_integrator", "--params", "n=2", "--q", "0.3,-0.2"]])
+EXTREMAL_T, EXTREMAL_DT = 0.1, 0.01
+
+
+def extremal_runs(workloads):
+    """[(label, outcome)] of the ``extremal`` group: ``integrate_extremal``
+    states of the builtin and curved cases, then the curved invariant
+    values; builds on the ``nhoc`` that ``workloads`` imported."""
+    import nhoc
+    from nhoc import checks, optimal_control as oc
+
+    def run(system, state, inputs=None, cost=None):
+        controls = (oc.ControlDistribution.full(system.rank_d) if inputs is None
+                    else oc.ControlDistribution.on_indices(system.rank_d, inputs))
+        cost = oc.quadratic_cost(np.eye(controls.k)) if cost is None else cost
+        problem = oc.OCProblem(system=system, controls=controls, cost=cost, horizon=1.0)
+        return oc.integrate_extremal(problem, oc.ExtremalState(**state),
+                                     EXTREMAL_T, EXTREMAL_DT)
+
+    builtins = {  # the cases of acceptance criterion 4
+        "double_integrator": (nhoc.make_double_integrator(1),
+                              dict(q=[0.2], y=[0.1], v=[0.3], lam=[0.4])),
+        "suslov": (nhoc.make_suslov(I11=2.0, I22=3.0, I33=4.0, I13=0.1, I23=0.2),
+                   dict(y=[0.4, 0.3], v=[0.1, -0.2])),
+        "chaplygin": (nhoc.make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0),
+                      dict(y=[0.3, 0.2], v=[0.05, -0.1])),
+    }
+    runs = [(name, run(nhoc.build_constrained_system(*pair), state))
+            for name, (pair, state) in builtins.items()]
+    model = workloads.make_curved_model()
+    spec = nhoc.ConstraintSpec(span_basis=np.eye(2))
+    curved = nhoc.build_constrained_system(model, spec)
+    full = dict(q=[0.1], y=[0.3, -0.2], v=[0.1, 0.2], lam=[0.05])
+    runs += [("curved/quadratic", run(curved, full)),
+             ("curved/quartic", run(curved, full, cost=workloads.quartic_cost())),
+             ("curved/one_input", run(curved, dict(full, v=[0.1], lam_bar=[0.02]), inputs=[0])),
+             ("curved/run_all", checks.run_all(model, spec))]
+    return runs
 
 
 def feed(h, obj, out_dir):
@@ -74,7 +117,8 @@ def feed(h, obj, out_dir):
 
 def hash_checkout(root):
     """{group: [[round, kind, digest], ...]} of the checkout at ``root``, one
-    group per workload and one for CLI_RUNS; imports its ``nhoc`` and
+    group per workload, one for the extremal runs and one for CLI_RUNS;
+    imports its ``nhoc`` and
     ``workloads``, so run it once per process."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -94,6 +138,11 @@ def hash_checkout(root):
                         feed(h, Path(csv_path).read_bytes(), out_dir)
                         os.remove(csv_path)  # a later item that fails writes none
                     rows.append([round_index, item.kind, h.hexdigest()])
+        rows = digests["extremal"] = []
+        for label, outcome in extremal_runs(workloads):
+            h = hashlib.sha256()
+            feed(h, outcome, out_dir)
+            rows.append([0, label, h.hexdigest()])
         rows = digests["cli"] = []
         for argv in CLI_RUNS:
             out = io.StringIO()

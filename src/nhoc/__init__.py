@@ -4,7 +4,7 @@ from .algebroid import (AlgebroidModel, ConstraintSpec, ConstrainedSystem,
                         ModelPartials, build_constrained_system, constant_model,
                         grad_potential, restrict_metric)
 from .bvp import (ShootingProblem, ShootingResult, extremal_trajectory,
-                  shooting_residual, solve_bvp, trajectory_cost)
+                  shooting_residual, solve_bvp)
 from .dynamics import (StateQY, Trajectory, controlled_field,
                        dalembert_oracle_field, drift_acceleration,
                        nonholonomic_field, simulate)
@@ -32,7 +32,7 @@ __all__ = [
     "HamiltonianSystem", "PhasePoint", "integrate_hamiltonian", "integrate_step",
     "inverse_legendre", "legendre_map", "regularity_matrix", "symplecticity_defect",
     "ShootingProblem", "ShootingResult", "extremal_trajectory",
-    "shooting_residual", "solve_bvp", "trajectory_cost",
+    "shooting_residual", "solve_bvp",
     "load_model_config", "make_builtin", "make_chaplygin",
     "make_double_integrator", "make_suslov",
     "errors",

@@ -1,7 +1,23 @@
-"""Two-point boundary value problems for extremals by single shooting."""
+"""Two-point boundary value problems for extremals by shooting.
+
+``solve_bvp`` finds the initial momenta p0 whose extremal meets the target
+positions by damped Newton with forward-difference Jacobians, shooting over
+M segments of L = n_steps / M steps (multiple shooting; Stoer & Bulirsch,
+Introduction to Numerical Analysis, 7.3.5).  M is the largest divisor of
+the step count that is at most ``MAX_SEGMENTS`` and leaves at least
+``MIN_SEGMENT_STEPS`` steps per segment, so a horizon of at most 19 steps or
+a prime step count keeps one segment, which is single shooting.  A
+non-quadratic cost keeps one segment too: its kernel runs a Legendre Newton
+per row, so a stack of segments costs more than the shorter flow saves.
+A flow costs its sequential steps far more than its rows, and each Newton
+iteration after the first integrates every segment and its Jacobian columns
+as one stacked flow of L steps.  Only two flows span the horizon: the
+guess's, with its columns, and the answer's, on one row.
+"""
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -10,7 +26,7 @@ from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence
                      NewtonDivergence, NonFiniteState, SingularHessian, SingularJacobian,
                      SingularMetric, ValidationError)
 # inverse_legendre is not called here; perfbench/tracing.py patches it under this name
-from .hamiltonian import (PhasePoint, _check_scheme, inverse_legendre,  # noqa: F401
+from .hamiltonian import (_check_scheme, inverse_legendre,  # noqa: F401
                           integrate_hamiltonian)
 from .numerics import step_count
 
@@ -20,6 +36,13 @@ from .numerics import step_count
 JACOBIAN_STEP = 1e-7
 DAMPING = 0.5
 MAX_HALVINGS = 20
+# segment rule of the multiple shooting: at most MAX_SEGMENTS segments, of at
+# least MIN_SEGMENT_STEPS steps each
+MAX_SEGMENTS = 32
+MIN_SEGMENT_STEPS = 10
+# errors of a stacked flow that a Jacobian column's row alone may cause
+_STACK_FAILURES = (NonFiniteState, FixedPointDivergence, SingularMetric, LegendreDivergence,
+                   SingularHessian)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,23 +77,26 @@ class ShootingProblem:
         return self.hs.dim_q + self.hs.rank_d
 
 
-def _initial_phase(sp, p0):
-    prob, n = sp.hs.problem, sp.hs.dim_q
-    batch = p0.shape[:-1]
-    return PhasePoint(q=np.broadcast_to(prob.q0, batch + prob.q0.shape),
-                      y=np.broadcast_to(prob.y0, batch + prob.y0.shape),
-                      p_q=p0[..., :n], p_y=p0[..., n:])
+def _boundary(sp):
+    """The start positions x0 = (q0, y0) and the target positions (qT, yT)."""
+    prob = sp.hs.problem
+    return np.concatenate([prob.q0, prob.y0]), np.concatenate([prob.qT, prob.yT])
+
+
+def _flow_rows(sp, rows, n_steps):
+    """(times, samples) of ``n_steps`` steps from flat phase rows (q, y, p_q,
+    p_y), which may carry leading batch axes."""
+    return integrate_hamiltonian(sp.hs, sp.hs.unflatten(rows), n_steps * sp.dt, sp.dt,
+                                 sp.scheme)
 
 
 def _flow(sp, p0):
     """(residual, times, samples) of the flow from the boundary point and
     momenta p0, which may be a stack with leading batch axes."""
-    prob, n, m = sp.hs.problem, sp.hs.dim_q, sp.hs.rank_d
-    times, phases = integrate_hamiltonian(sp.hs, _initial_phase(sp, p0),
-                                          prob.horizon, sp.dt, sp.scheme)
-    end = phases[-1]
-    res = np.concatenate([end[..., :n] - prob.qT, end[..., n:n + m] - prob.yT], axis=-1)
-    return res, times, phases
+    x0, target = _boundary(sp)
+    rows = np.concatenate([np.broadcast_to(x0, p0.shape[:-1] + x0.shape), p0], axis=-1)
+    times, phases = _flow_rows(sp, rows, step_count(sp.hs.problem.horizon, sp.dt))
+    return phases[-1][..., :len(x0)] - target, times, phases
 
 
 def shooting_residual(sp, p0):
@@ -106,14 +132,6 @@ def extremal_trajectory(sp, p0):
     return _extremal(sp, *_flow(sp, np.atleast_1d(np.asarray(p0, dtype=float)))[1:])
 
 
-def trajectory_cost(sp, trajectory):
-    """Trapezoidal quadrature of the running cost along a trajectory."""
-    cost = sp.hs.problem.cost
-    values = np.array([cost.value(trajectory.qs[k], trajectory.ys[k], trajectory.controls[k])
-                       for k in range(len(trajectory))])
-    return float(np.trapezoid(values, trajectory.times))
-
-
 @dataclass(frozen=True, eq=False)
 class ShootingResult:
     """Converged initial momenta plus the extremal trajectory and diagnostics."""
@@ -123,6 +141,126 @@ class ShootingResult:
     cost: float
     iterations: int
     residual_norm: float
+
+
+def _segment_count(sp, n_steps):
+    """M, the number of shooting segments (see the module docstring)."""
+    if not sp.hs.problem.cost.quadratic:
+        return 1
+    return max((m for m in range(2, MAX_SEGMENTS + 1)
+                if n_steps % m == 0 and n_steps // m >= MIN_SEGMENT_STEPS), default=1)
+
+
+class _Segments:
+    """M segments of L steps each.  The unknowns are u = (p0, s_1, ...,
+    s_{M-1}), s_j the phase row where segment j starts, and the residual
+    holds the defects (end of segment j - 1) - s_j, then the terminal
+    mismatch of the positions; both have length n + (M - 1) 2n.  With M = 1
+    they are p0 and the shooting residual."""
+
+    def __init__(self, sp, count, steps):
+        self.count, self.steps, self.n = count, steps, sp.n_momenta
+        self.x0, target = _boundary(sp)
+        # what the end of the last segment must meet; its momenta are free
+        self.goal = np.concatenate([target, np.zeros(self.n)])
+        self.size = self.n + (count - 1) * 2 * self.n
+        # the segment that each unknown, and so its Jacobian column, starts
+        self.owner = np.repeat(np.arange(count), [self.n] + [2 * self.n] * (count - 1))
+
+    def starts(self, u):
+        """(M, 2n) start rows of the segments."""
+        n = self.n
+        return np.vstack([np.concatenate([self.x0, u[:n]]), u[n:].reshape(-1, 2 * n)])
+
+    def column_rows(self, u, starts):
+        """Start rows of the forward-difference columns, one per unknown: the
+        first segment's momenta p0 + h e_i, then each later s_j + h e_i."""
+        n, h = self.n, JACOBIAN_STEP
+        return np.vstack([np.hstack([np.broadcast_to(self.x0, (n, n)), u[:n] + h * np.eye(n)]),
+                          (starts[1:, None] + h * np.eye(2 * n)).reshape(-1, 2 * n)])
+
+    def mismatch(self, ends, starts, owner=slice(None)):
+        """End rows less the rows they must meet: the next segment's start,
+        and for the last segment the target (``owner`` picks the segments)."""
+        return ends - np.vstack([starts[1:], self.goal])[owner]
+
+    def jacobian(self, mismatch, column_mismatch):
+        """The block-bidiagonal Jacobian: each column row's forward difference
+        (r(u + h e_i) - r(u)) / h fills its own segment's block, and the -I
+        of each start s_j that its defect subtracts."""
+        n2 = 2 * self.n
+        jac = np.zeros((self.count * n2, self.size))
+        jac[self.owner[:, None] * n2 + np.arange(n2), np.arange(self.size)[:, None]] = (
+            (column_mismatch - mismatch[self.owner]) / JACOBIAN_STEP)
+        link = np.arange((self.count - 1) * n2)
+        jac[link, self.n + link] = -1.0
+        return jac[:self.size]
+
+
+class _Evaluation(NamedTuple):
+    """One flow of the segments at the unknowns u: their samples, the
+    mismatch of their ends, and the Jacobian with its columns' samples
+    when those were integrated."""
+
+    segments: _Segments
+    u: np.ndarray
+    mismatch: np.ndarray
+    times: np.ndarray
+    phases: np.ndarray
+    jac: np.ndarray = None
+    column_phases: np.ndarray = None
+
+    @property
+    def residual(self):
+        return self.mismatch.ravel()[:self.segments.size]
+
+    @property
+    def norm(self):
+        return float(np.abs(self.residual).max())
+
+
+def _evaluate(sp, segments, u, with_columns):
+    """The segments' flow at u, stacked with its Jacobian columns if asked.
+    Should that stack fail (a non-finite state, a diverging implicit
+    substep, a singular metric or a failed Legendre inversion), the failing
+    row may be a column's, and the segments are integrated alone."""
+    starts, m = segments.starts(u), segments.count
+    if with_columns:
+        try:
+            times, phases = _flow_rows(sp, np.vstack([starts, segments.column_rows(u, starts)]),
+                                       segments.steps)
+        except _STACK_FAILURES:
+            pass
+        else:
+            ev = _Evaluation(segments, u, segments.mismatch(phases[-1, :m], starts), times,
+                             phases[:, :m])
+            return _with_columns(sp, ev, phases[:, m:])
+    times, phases = _flow_rows(sp, starts, segments.steps)
+    return _Evaluation(segments, u, segments.mismatch(phases[-1], starts), times, phases)
+
+
+def _with_columns(sp, ev, column_phases=None):
+    """``ev`` with its Jacobian, from the samples of its columns: those given,
+    or one flow of its columns alone."""
+    segments = ev.segments
+    starts = segments.starts(ev.u)
+    if column_phases is None:
+        column_phases = _flow_rows(sp, segments.column_rows(ev.u, starts), segments.steps)[1]
+    column_mismatch = segments.mismatch(column_phases[-1], starts, segments.owner)
+    return ev._replace(jac=segments.jacobian(ev.mismatch, column_mismatch),
+                       column_phases=column_phases)
+
+
+def _seeded(segments, ev, step):
+    """The guess ``ev``, one full-horizon flow with its columns, and its
+    Newton step of p0, as unknowns of the segments and a step of them: s_j
+    is the guess's sample at t_j = j L, and moves with the step as the
+    linearized flow, step . (column - base) / h at that sample."""
+    at = segments.steps * np.arange(1, segments.count)
+    base = ev.phases[at, 0]
+    tangents = (ev.column_phases[at] - base[:, None]) / JACOBIAN_STEP
+    return (np.concatenate([ev.u, base.ravel()]),
+            np.concatenate([step, np.einsum("i,jik->jk", step, tangents).ravel()]))
 
 
 def _predicts_convergence(previous, norm, tolerance):
@@ -135,28 +273,39 @@ def _predicts_convergence(previous, norm, tolerance):
 def solve_bvp(sp, p0_guess=None):
     """Damped Newton on the shooting residual with a forward-difference Jacobian.
 
-    Each Newton iteration integrates one flow.  The Hamiltonian kernel
-    evaluates a stack at once, for every cost and model, so the full-step
-    trial p0 + step (and the initial guess) is integrated together with its
-    columns p0 + step + h e_i, and an accepted trial brings the next Jacobian
-    with it; the halved trials of the line search are integrated alone.  So
-    is a full-step trial that Newton's quadratic model expects to end the
-    solve: after a full step took the residual norm from r_prev to r, the
-    next is predicted to be r * (r / r_prev)**2, and at or below the
-    tolerance no columns ride.  Should such a trial be accepted above the
-    tolerance, its Jacobian is one flow of its columns.  Both take the one
-    forward formula (r(p + h e_i) - r(p)) / h, h = ``JACOBIAN_STEP``, so a
-    Jacobian has the same floats on either path.  Every residual has the
-    floats of its single call (``shooting_residual``), and should the
-    stacked flow fail (a non-finite state, a diverging implicit substep, a
-    singular metric or a failed Legendre inversion), the trial is
-    integrated alone.  The accepted flow's samples become the extremal,
-    which is not integrated again.
+    The horizon splits into M segments of L steps (the module docstring
+    gives the rule).  The guess is integrated over the full horizon,
+    stacked with its columns p0 + h e_i, and if it meets the tolerance it
+    is the answer, after 0 iterations.  Otherwise its Newton step is that of
+    single shooting, and the guess's own samples at t_j = j L, moved along
+    their columns, seed the segment starts s_j.  Each later trial
+    integrates all M segments as one stacked flow of L steps, with the
+    columns s_j + h e_i of every unknown when it is a full step, so an
+    accepted trial brings its Jacobian; the halved trials of the line
+    search are integrated without columns.  The block-bidiagonal Newton
+    system is solved densely, and the line search halves the step until
+    the max-norm of the residual (the continuity defects and the terminal
+    mismatch) falls.  With M = 1 all of this is single shooting.
 
-    Raises NewtonDivergence (best iterate, its residual norm and the number of
-    iterations attached) when the residual cannot be driven below the
-    tolerance; callers can still build the best-iterate trajectory via
-    extremal_trajectory.
+    Only a full-horizon flow decides convergence.  After a full step took
+    the residual norm from r_prev to r, Newton's quadratic model predicts
+    the next to be r * (r / r_prev)**2; at or below the tolerance (or when
+    r itself is), that trial is one full-horizon flow of its p0 on one row.
+    If it meets the tolerance, its samples become the extremal, which is not
+    integrated again.  Otherwise its segments are integrated with their
+    columns as any full step's (with M = 1 the full flow is its segment,
+    and an accepted trial takes its columns in a flow of their own).  Every
+    Jacobian takes the one forward formula (r(u + h e_i) - r(u)) / h, h =
+    ``JACOBIAN_STEP``.  Should a stacked flow fail (a non-finite state, a
+    diverging implicit substep, a singular metric or a failed Legendre
+    inversion), the segments are integrated alone and their columns follow.
+
+    Raises NewtonDivergence when the iteration budget is spent or the line
+    search stalls, with the best p0, the max-norm residual of that p0's own
+    full-horizon flow and the number of iterations attached: the best p0 is
+    the accepted iterate of least residual, or the guess where that
+    iterate's full flow fails or ends farther off.  Callers can still build
+    its trajectory via extremal_trajectory.
     """
     p0 = (np.zeros(sp.n_momenta) if p0_guess is None
           else np.atleast_1d(np.asarray(p0_guess, dtype=float)).copy())
@@ -164,64 +313,73 @@ def solve_bvp(sp, p0_guess=None):
         raise DimensionMismatch("initial momenta guess must be finite")
     if p0.shape != (sp.n_momenta,):
         raise DimensionMismatch(f"p0 must have length {sp.n_momenta}")
-    h = JACOBIAN_STEP
-    columns = h * np.eye(sp.n_momenta)
+    n_steps = step_count(sp.hs.problem.horizon, sp.dt)
+    count = _segment_count(sp, n_steps)
+    whole = _Segments(sp, 1, n_steps)
+    split = whole if count == 1 else _Segments(sp, count, n_steps // count)
 
-    def forward(res, column_res):
-        """The forward-difference Jacobian from the residual at p and those
-        at its columns p + h e_i."""
-        return ((column_res - res) / h).T
+    def done(ev):
+        return ev.segments is whole and ev.norm <= sp.tolerance
 
-    def evaluate(p, with_columns):
-        """Residual at p, the (times, samples) of its flow, and the
-        forward-difference Jacobian at p if its columns rode along, else None."""
-        if with_columns:
+    def judge(u, with_columns, predicted):
+        """The trial u: a predicted last trial is first one full-horizon flow."""
+        if predicted:
+            full = _evaluate(sp, whole, u[:sp.n_momenta], False)
+            if split is whole or done(full):
+                return full
+            with_columns = True
+        return _evaluate(sp, split, u, with_columns)
+
+    def divergence(message):
+        """NewtonDivergence at the best iterate, judged by its own full flow,
+        or at the guess where that flow fails or ends farther off."""
+        reported = best
+        if best.segments is not whole:
             try:
-                res, times, phases = _flow(sp, np.vstack([p, p + columns]))
-            except (NonFiniteState, FixedPointDivergence, SingularMetric, LegendreDivergence,
-                    SingularHessian):
-                pass  # the failing row may be a column's: integrate p alone
-            else:
-                return res[0], (times, phases[:, 0]), forward(res[0], res[1:])
-        res, times, phases = _flow(sp, p)
-        return res, (times, phases), None
+                full = _evaluate(sp, whole, best.u[:sp.n_momenta], False)
+                reported = min(guess, full, key=lambda ev: ev.norm)
+            except _STACK_FAILURES + (ValidationError,):
+                reported = guess
+        return NewtonDivergence(message, best=reported.u.copy(), residual_norm=reported.norm,
+                                iterations=iterations)
 
-    res, samples, jac = evaluate(p0, True)
-    norm = float(np.abs(res).max())
-    best_p0, best_norm = p0.copy(), norm
+    ev = guess = best = _evaluate(sp, whole, p0, True)
+    norm = ev.norm
     iterations, last = 0, False
-    while norm > sp.tolerance:
+    while not done(ev):
         if iterations >= sp.max_iterations:
-            raise NewtonDivergence(
-                f"shooting Newton did not converge in {sp.max_iterations} iterations",
-                best=best_p0, residual_norm=best_norm, iterations=iterations)
-        if jac is None:
-            jac = forward(res, _flow(sp, p0 + columns)[0])
+            raise divergence(f"shooting Newton did not converge in {sp.max_iterations} "
+                             "iterations")
+        if ev.jac is None:
+            ev = _with_columns(sp, ev)
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(ev.jac, -ev.residual)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian("shooting Jacobian is singular") from exc
+        u = ev.u
+        if ev.segments is not split:
+            u, step = _seeded(split, ev, step)
         scale = 1.0
         for halving in range(MAX_HALVINGS + 1):
-            trial = p0 + scale * step
             try:
-                trial_res, trial_samples, trial_jac = evaluate(trial, halving == 0 and not last)
+                trial = judge(u + scale * step, halving == 0 and not last,
+                              halving == 0 and last)
             except (NonFiniteState, ValidationError):
                 # overshooting trial blew up the flow or overflowed: no decrease
                 scale *= DAMPING
                 continue
-            if np.abs(trial_res).max() < norm:
-                p0, res, samples, jac = trial, trial_res, trial_samples, trial_jac
+            if trial.norm < norm or done(trial):
+                ev = trial
                 break
             scale *= DAMPING
         else:
-            raise NewtonDivergence("shooting line search stalled", best=best_p0,
-                                   residual_norm=best_norm, iterations=iterations)
+            raise divergence("shooting line search stalled")
         iterations += 1
-        previous, norm = norm, float(np.abs(res).max())
-        last = halving == 0 and _predicts_convergence(previous, norm, sp.tolerance)
-        if norm < best_norm:
-            best_p0, best_norm = p0.copy(), norm
-    trajectory, cost = _extremal(sp, *samples)
-    return ShootingResult(p0=p0, trajectory=trajectory, cost=cost,
+        previous, norm = norm, ev.norm
+        last = norm <= sp.tolerance or (
+            halving == 0 and _predicts_convergence(previous, norm, sp.tolerance))
+        if norm < best.norm:
+            best = ev
+    trajectory, cost = _extremal(sp, ev.times, ev.phases[:, 0])
+    return ShootingResult(p0=ev.u.copy(), trajectory=trajectory, cost=cost,
                           iterations=iterations, residual_norm=norm)

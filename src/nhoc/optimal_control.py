@@ -353,10 +353,10 @@ def necessary_conditions_field(problem, state):
     qdot = anchor.T @ y
 
     cu = cost.du(q, y, u)
-    l_q, l_y = ddq[act].T @ cu, ddy[act].T @ cu
+    l_y = ddy[act].T @ cu
     if not cost.quadratic:
         c_q, c_y = cost.dx_rows(q[None], y[None], u[None])
-        l_q, l_y = c_q[0] + l_q, c_y[0] + l_y
+        l_y = c_y[0] + l_y
     rho_lam = anchor @ lam
     ddy_una = ddy[una]
 
@@ -368,7 +368,10 @@ def necessary_conditions_field(problem, state):
 
     lam_bar_dot = l_y[una] - rho_lam[una] + ddy_una[:, una].T @ lam_bar
 
-    lamdot = l_q + ddq[una].T @ lam_bar - np.einsum("iAj,j,A->i", geo["anchor_d_dq"], lam, y)
+    lamdot = np.zeros(0)
+    if problem.dim_q:  # without a chart lambda-dot is empty: no products on empty arrays
+        l_q = ddq[act].T @ cu if cost.quadratic else c_q[0] + ddq[act].T @ cu
+        lamdot = l_q + ddq[una].T @ lam_bar - np.einsum("iAj,j,A->i", geo["anchor_d_dq"], lam, y)
     return ExtremalState(q=qdot, y=ydot, v=vdot, lam=lamdot, lam_bar=lam_bar_dot)
 
 

@@ -7,7 +7,7 @@ from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
                   HamiltonianSystem, OCProblem, PhasePoint, ShootingProblem, StateQY,
                   Trajectory, build_constrained_system,
                   extremal_trajectory, make_chaplygin, quadratic_cost,
-                  shooting_residual, simulate, solve_bvp, trajectory_cost)
+                  shooting_residual, simulate, solve_bvp)
 from nhoc import bvp, hamiltonian
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
@@ -20,6 +20,15 @@ SCHEMES = ("rk4", "symp_euler", "stormer_verlet")
 
 def shooting_for(problem, dt=1e-3, scheme="rk4", **newton):
     return ShootingProblem(hs=HamiltonianSystem(problem), dt=dt, scheme=scheme, **newton)
+
+
+def trajectory_cost(sp, trajectory):
+    """The reference quadrature: trapezoidal rule of the running cost, one
+    sample at a time."""
+    cost = sp.hs.problem.cost
+    values = np.array([cost.value(trajectory.qs[k], trajectory.ys[k], trajectory.controls[k])
+                       for k in range(len(trajectory))])
+    return float(np.trapezoid(values, trajectory.times))
 
 
 class TestShootingResidual:
@@ -145,30 +154,37 @@ class TestBatchedResidual:
             shooting_residual(sp, np.array([[0.1, 0.1], [1e3, 1e3], [0.2, -0.1]]))
 
 
+@pytest.fixture
+def flows(monkeypatch):
+    """(rows, steps) of every flow bvp integrates, in order; ``fail_rows``
+    makes every stack of that many rows raise NonFiniteState."""
+    seen, fail_rows = [], []
+    flow = bvp.integrate_hamiltonian
+
+    def counting(hs, phase0, t_final, dt, scheme):
+        rows = 1 if phase0.p_y.ndim == 1 else len(phase0.p_y)
+        seen.append((rows, round(t_final / dt)))
+        if rows in fail_rows:
+            raise NonFiniteState("stacked flow failure forced by the test")
+        return flow(hs, phase0, t_final, dt, scheme)
+
+    monkeypatch.setattr(bvp, "integrate_hamiltonian", counting)
+    return seen, fail_rows
+
+
+def full_horizon(rows, steps=10):
+    """The flows of single shooting: each of ``rows`` rows spans all ``steps``."""
+    return [(count, steps) for count in rows]
+
+
 MODELS = ("sleigh", "double_integrator", "curved", "sleigh_quartic", "curved_quartic")
 
 
 class TestOneFlowPerIteration:
-    """For every cost and model each Newton iteration integrates one flow,
-    the full-step trial stacked with its Jacobian columns unless it is
+    """Single shooting, on horizons of at most 19 steps, which keep one
+    segment: for every cost and model each Newton iteration integrates one
+    flow, the full-step trial stacked with its Jacobian columns unless it is
     predicted to be the last; the accepted flow is the extremal."""
-
-    @pytest.fixture
-    def flow_rows(self, monkeypatch):
-        """Rows of every flow bvp integrates, in order; ``fail_rows`` makes
-        every stack of that many rows raise NonFiniteState."""
-        rows, fail_rows = [], []
-        flow = bvp.integrate_hamiltonian
-
-        def counting(hs, phase0, *args):
-            count = 1 if phase0.p_y.ndim == 1 else len(phase0.p_y)
-            rows.append(count)
-            if count in fail_rows:
-                raise NonFiniteState("stacked flow failure forced by the test")
-            return flow(hs, phase0, *args)
-
-        monkeypatch.setattr(bvp, "integrate_hamiltonian", counting)
-        return rows, fail_rows
 
     def assert_trajectory_is_extremal_of_p0(self, sp, result):
         expected = extremal_trajectory(sp, result.p0)[0]
@@ -178,47 +194,42 @@ class TestOneFlowPerIteration:
 
     @staticmethod
     def shooting_model(model, scheme, chaplygin_system, double_integrator_problem):
-        if model == "curved":
-            # chart-dependent geometry, quadratic cost: the stacked kernel
-            sp = shooting_for(curved_quadratic_problem(), dt=0.1, scheme=scheme)
-        elif model == "curved_quartic":
-            # a non-quadratic cost adds its control terms to the same kernels
-            sp = shooting_for(curved_quartic_problem(), dt=0.1, scheme=scheme)
-        elif model == "sleigh_quartic":
-            sp = shooting_for(sleigh_problem(chaplygin_system, quartic_cost()), dt=0.1,
-                              scheme=scheme)
-        else:
-            problem = (sleigh_problem(chaplygin_system) if model == "sleigh"
-                       else double_integrator_problem)
-            sp = shooting_for(problem, dt=1e-2, scheme=scheme)
+        # the curved models run the chart kernel, and a non-quadratic cost adds
+        # its control terms to the same kernels
+        problem = {"sleigh": lambda: sleigh_problem(chaplygin_system),
+                   "double_integrator": lambda: double_integrator_problem,
+                   "curved": curved_quadratic_problem,
+                   "sleigh_quartic": lambda: sleigh_problem(chaplygin_system, quartic_cost()),
+                   "curved_quartic": curved_quartic_problem}[model]()
+        sp = shooting_for(problem, dt=0.1, scheme=scheme)
         assert sp.hs.problem.cost.quadratic == (not model.endswith("quartic"))
         return sp
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("model", MODELS)
-    def test_one_flow_per_iteration(self, model, scheme, flow_rows, chaplygin_system,
+    def test_one_flow_per_iteration(self, model, scheme, flows, chaplygin_system,
                                     double_integrator_problem):
         sp = self.shooting_model(model, scheme, chaplygin_system, double_integrator_problem)
-        rows, _ = flow_rows
+        seen, _ = flows
         result = solve_bvp(sp, np.zeros(sp.n_momenta))
         assert result.iterations >= 1
         # no step was halved: every flow carried the columns of its momenta,
         # but the last trial, which the quadratic model saw converge
-        assert rows == [sp.n_momenta + 1] * result.iterations + [1]
+        assert seen == full_horizon([sp.n_momenta + 1] * result.iterations + [1])
         self.assert_trajectory_is_extremal_of_p0(sp, result)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("cost", ["quadratic", "quartic"])
-    def test_failing_stack_falls_back_to_the_trial_alone(self, cost, scheme, flow_rows,
+    def test_failing_stack_falls_back_to_the_trial_alone(self, cost, scheme, flows,
                                                          chaplygin_system):
         if cost == "quadratic":
-            sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2, scheme=scheme)
+            sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1, scheme=scheme)
         else:
             sp = shooting_for(sleigh_problem(chaplygin_system, quartic_cost()), dt=0.1,
                               scheme=scheme)
-        rows, fail_rows = flow_rows
+        seen, fail_rows = flows
         reference = solve_bvp(sp, np.zeros(2))
-        rows.clear()
+        seen.clear()
         fail_rows.append(sp.n_momenta + 1)
         result = solve_bvp(sp, np.zeros(2))
         assert result.p0.tobytes() == reference.p0.tobytes()
@@ -226,7 +237,8 @@ class TestOneFlowPerIteration:
         # each stack failed and was followed by its trial alone, then by the
         # columns of the accepted trial; the predicted last trial came alone
         n = sp.n_momenta
-        assert rows == [n + 1, 1] + [n, n + 1, 1] * (result.iterations - 1) + [n, 1]
+        assert seen == full_horizon([n + 1, 1] + [n, n + 1, 1] * (result.iterations - 1)
+                                    + [n, 1])
         self.assert_trajectory_is_extremal_of_p0(sp, result)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -247,66 +259,68 @@ class TestOneFlowPerIteration:
                     == getattr(riding.trajectory, name).tobytes()), name
 
     def test_mispredicted_trial_takes_its_columns_in_a_flow_of_their_own(
-            self, flow_rows, chaplygin_system, monkeypatch):
-        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
-        rows, _ = flow_rows
+            self, flows, chaplygin_system, monkeypatch):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1)
+        seen, _ = flows
         reference = solve_bvp(sp, np.zeros(2))
         assert reference.iterations == 3
-        rows.clear()
+        seen.clear()
         # every full step is predicted to be the last: the second trial is
         # accepted above the tolerance and lacks its Jacobian
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
         result = solve_bvp(sp, np.zeros(2))
-        assert rows == [3, 3, 1, 2, 1]
+        assert seen == full_horizon([3, 3, 1, 2, 1])
         assert result.p0.tobytes() == reference.p0.tobytes()
         assert result.iterations == reference.iterations
         self.assert_trajectory_is_extremal_of_p0(sp, result)
 
-    def test_model_can_mispredict_without_forcing(self, flow_rows, chaplygin_system,
+    def test_model_can_mispredict_without_forcing(self, flows, chaplygin_system,
                                                    monkeypatch):
         problem = replace(sleigh_problem(chaplygin_system, quartic_cost()), yT=[-1.0, 2.0])
         sp = shooting_for(problem, dt=1e-2)
-        rows, _ = flow_rows
+        seen, _ = flows
         result = solve_bvp(sp, np.zeros(2))
         # the sixth trial was predicted last but stopped above the tolerance
-        assert rows == [3] * 6 + [1, 2, 1]
+        assert seen == full_horizon([3] * 6 + [1, 2, 1], 100)
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
         riding = solve_bvp(sp, np.zeros(2))
         assert result.p0.tobytes() == riding.p0.tobytes()
         assert result.iterations == riding.iterations == 7
 
-    def test_trial_after_a_damped_step_rides_with_its_columns(self, flow_rows,
+    def test_trial_after_a_damped_step_rides_with_its_columns(self, flows,
                                                                chaplygin_system, monkeypatch):
         problem = replace(sleigh_problem(chaplygin_system), yT=[3.0, -2.0])
-        sp = shooting_for(problem, dt=1e-2)
-        rows, _ = flow_rows
+        sp = shooting_for(problem, dt=0.1)
+        seen, _ = flows
         reference = solve_bvp(sp, np.zeros(2))
         # the first full step is refused and its half accepted
-        assert rows == [3, 3, 1, 2, 3, 3, 3, 1]
-        rows.clear()
+        assert seen == full_horizon([3, 3, 1, 2, 3, 3, 3, 1])
+        seen.clear()
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
         result = solve_bvp(sp, np.zeros(2))
         # the damped first step predicts nothing: the second trial rides, and
         # every later one comes alone and takes its columns in a flow of their own
-        assert rows == [3, 3, 1, 2, 3] + [1, 2] * 2 + [1]
+        assert seen == full_horizon([3, 3, 1, 2, 3] + [1, 2] * 2 + [1])
         assert result.p0.tobytes() == reference.p0.tobytes()
 
-    def test_budget_spent_on_a_predicted_trial_still_diverges(self, flow_rows,
+    def test_budget_spent_on_a_predicted_trial_still_diverges(self, flows,
                                                               chaplygin_system, monkeypatch):
-        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2, max_iterations=2)
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1, max_iterations=2)
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
         with pytest.raises(NewtonDivergence) as riding:
             solve_bvp(sp, np.zeros(2))
-        rows, _ = flow_rows
-        rows.clear()
+        seen, _ = flows
+        seen.clear()
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
         with pytest.raises(NewtonDivergence) as predicted:
             solve_bvp(sp, np.zeros(2))
         # the second and last trial came alone, and no columns followed it
-        assert rows == [3, 3, 1]
+        assert seen == full_horizon([3, 3, 1])
         assert predicted.value.best.tobytes() == riding.value.best.tobytes()
         assert predicted.value.residual_norm == riding.value.residual_norm
         assert predicted.value.iterations == riding.value.iterations == 2
+        assert predicted.value.residual_norm == np.abs(
+            shooting_residual(sp, predicted.value.best)).max()
 
     @pytest.mark.parametrize("error", [SingularMetric, LegendreDivergence, SingularHessian])
     def test_failing_geometry_or_legendre_map_in_a_stack_falls_back_to_the_trial_alone(
@@ -314,7 +328,7 @@ class TestOneFlowPerIteration:
         # on a chart-dependent model a column's row can leave the region
         # where the metric is positive-definite, and with a non-quadratic cost
         # its Legendre inversion can diverge or meet a singular cost Hessian
-        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1)
         reference = solve_bvp(sp, np.zeros(2))
         flow = bvp.integrate_hamiltonian
 
@@ -328,7 +342,7 @@ class TestOneFlowPerIteration:
         assert result.p0.tobytes() == reference.p0.tobytes()
         assert result.iterations == reference.iterations
 
-    def test_singular_kick_in_a_stack_falls_back_to_the_trial_alone(self, flow_rows,
+    def test_singular_kick_in_a_stack_falls_back_to_the_trial_alone(self, flows,
                                                                      chaplygin_system):
         # the sleigh's kick matrix at y = (0, c) is diag(-c / 2, 0), so with
         # dt = 0.5 the kick's I + M / 2 is singular at y = (0, 4).  From y = 0
@@ -341,13 +355,144 @@ class TestOneFlowPerIteration:
         shooting_residual(sp, p0)
         with pytest.raises(FixedPointDivergence):
             shooting_residual(sp, p0 + bvp.JACOBIAN_STEP * np.eye(2)[1])
-        rows, _ = flow_rows
-        rows.clear()
+        seen, _ = flows
+        seen.clear()
         with pytest.raises(FixedPointDivergence):
             solve_bvp(sp, p0)
         # the stack failed, the trial was integrated alone, and the columns
         # of its Jacobian failed again
-        assert rows == [3, 1, 2]
+        assert seen == full_horizon([3, 1, 2], 2)
+
+
+class TestMultipleShooting:
+    """A horizon of 100 steps with a quadratic cost splits into 10 segments of
+    10 steps (20 steps into 2).  The guess is one full-horizon flow with its
+    columns; every later full step is one stacked flow of 10 steps: the 10
+    segment rows and the columns of the n + 9 * 2n unknowns.  The answer is
+    one full-horizon flow on one row, and it is the extremal."""
+
+    @staticmethod
+    def single_shooting(sp, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(bvp, "MAX_SEGMENTS", 1)
+            return solve_bvp(sp)
+
+    def assert_answer(self, sp, result, reference):
+        """result is converged, its trajectory is the extremal of its p0, and
+        it agrees with the single-shooting reference."""
+        assert result.residual_norm == np.abs(shooting_residual(sp, result.p0)).max()
+        assert result.residual_norm <= sp.tolerance
+        assert np.abs(result.p0 - reference.p0).max() <= 1e-9 * np.abs(reference.p0).max()
+        assert abs(result.cost - reference.cost) <= 1e-9 * abs(reference.cost)
+        expected = extremal_trajectory(sp, result.p0)[0]
+        for name in TRAJECTORY_FIELDS:
+            assert (getattr(result.trajectory, name).tobytes()
+                    == getattr(expected, name).tobytes()), name
+
+    @pytest.mark.parametrize("steps, count", [(1, 1), (10, 1), (19, 1), (20, 2), (64, 4),
+                                              (97, 1), (100, 10), (320, 32), (1000, 25),
+                                              (10000, 25)])
+    def test_segment_rule(self, steps, count, chaplygin_system):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1.0 / steps)
+        assert bvp._segment_count(sp, steps) == count
+        # a non-quadratic cost keeps one segment
+        quartic = shooting_for(sleigh_problem(chaplygin_system, quartic_cost()), dt=1.0 / steps)
+        assert bvp._segment_count(quartic, steps) == 1
+
+    @pytest.mark.parametrize("model, scheme", [(model, scheme) for scheme in SCHEMES
+                                               for model in ("sleigh", "double_integrator")]
+                             + [("curved", "rk4")])
+    def test_one_stacked_flow_of_segments_per_iteration(self, model, scheme, flows,
+                                                        chaplygin_system,
+                                                        double_integrator_problem,
+                                                        monkeypatch):
+        # the chart kernel on 20 steps: two segments of 10
+        problem, steps, count = {
+            "sleigh": (sleigh_problem(chaplygin_system), 100, 10),
+            "double_integrator": (double_integrator_problem, 100, 10),
+            "curved": (curved_quadratic_problem(), 20, 2)}[model]
+        sp = shooting_for(problem, dt=1.0 / steps, scheme=scheme)
+        reference = self.single_shooting(sp, monkeypatch)
+        seen, _ = flows
+        seen.clear()
+        result = solve_bvp(sp)
+        n = sp.n_momenta
+        assert result.iterations == reference.iterations >= 2
+        # no step was halved, and the predicted last trial met the tolerance
+        stack = (count + n + (count - 1) * 2 * n, steps // count)
+        assert seen == ([(n + 1, steps)] + [stack] * (result.iterations - 1) + [(1, steps)])
+        self.assert_answer(sp, result, reference)
+
+    def test_mispredicted_trial_takes_its_segment_columns_in_a_stacked_flow(
+            self, flows, chaplygin_system, monkeypatch):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
+        reference = self.single_shooting(sp, monkeypatch)
+        seen, _ = flows
+        seen.clear()
+        # every full step is predicted to be the last: the second trial's full
+        # flow misses the tolerance, and its segments ride with their columns
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
+        result = solve_bvp(sp)
+        assert seen == [(3, 100), (48, 10), (1, 100), (48, 10), (1, 100)]
+        assert result.iterations == 3
+        self.assert_answer(sp, result, reference)
+
+    def test_segments_within_the_tolerance_send_the_next_trial_to_the_full_flow(
+            self, flows, chaplygin_system, monkeypatch):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
+        reference = self.single_shooting(sp, monkeypatch)
+        seen, _ = flows
+        seen.clear()
+        # nothing is predicted: only the residual of the segments, once at or
+        # below the tolerance, sends a trial to the full flow
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
+        result = solve_bvp(sp)
+        assert seen == [(3, 100)] + [(48, 10)] * 3 + [(1, 100)]
+        self.assert_answer(sp, result, reference)
+
+    def test_failing_stack_falls_back_to_the_segments_alone(self, flows, chaplygin_system):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
+        reference = solve_bvp(sp)
+        seen, fail_rows = flows
+        seen.clear()
+        fail_rows.append(48)
+        result = solve_bvp(sp)
+        # each stack failed and was followed by its 10 segments alone, then by
+        # the 38 columns of the accepted trial
+        assert seen == [(3, 100)] + [(48, 10), (10, 10), (38, 10)] * 2 + [(1, 100)]
+        assert result.p0.tobytes() == reference.p0.tobytes()
+        assert result.iterations == reference.iterations
+
+    def test_guess_that_meets_the_tolerance_is_the_answer(self, flows, chaplygin_system):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
+        solved = solve_bvp(sp)
+        seen, _ = flows
+        seen.clear()
+        result = solve_bvp(sp, solved.p0)
+        assert seen == [(3, 100)]
+        assert result.iterations == 0
+        assert result.p0.tobytes() == solved.p0.tobytes()
+        assert result.residual_norm == solved.residual_norm
+        for name in TRAJECTORY_FIELDS:
+            assert (getattr(result.trajectory, name).tobytes()
+                    == getattr(solved.trajectory, name).tobytes()), name
+
+    @pytest.mark.parametrize("y_target, budget, moved", [([5.0, -4.0], 1, True),
+                                                         ([5.0, -4.0], 3, True),
+                                                         ([40.0, 40.0], 2, False)])
+    def test_divergence_reports_the_full_flow_residual_of_its_best(self, y_target, budget,
+                                                                   moved, chaplygin_system):
+        problem = replace(sleigh_problem(chaplygin_system), y0=[1.0, 0.0], yT=y_target)
+        sp = shooting_for(problem, dt=1e-2, max_iterations=budget)
+        with pytest.raises(NewtonDivergence) as info:
+            solve_bvp(sp)
+        best = info.value.best
+        assert info.value.iterations == budget
+        assert info.value.residual_norm == np.abs(shooting_residual(sp, best)).max()
+        # the best iterate of the segments, unless its full flow ends farther
+        # off than the guess's
+        assert np.any(best != 0.0) == moved
+        assert info.value.residual_norm <= np.abs(shooting_residual(sp, np.zeros(2))).max()
 
 
 class TestChartDerivatives:

@@ -71,6 +71,39 @@ def test_comparison_names_differing_and_missing_items():
         ["free_flow: 2 equal, 0 differ", "optimize: 1 equal, 0 differ", "3 of 3 equal"], 0)
 
 
+def test_a_differing_item_reports_its_largest_gaps():
+    out_dir = "/tmp/run-7"
+
+    def item(text, values):
+        # an exit code, printed numbers with the output path, and a float array
+        return output_hashes.row(0, "chaplygin/rk4",
+                                 [(0, text + f" to {out_dir}/a.csv\n"), np.array(values)],
+                                 out_dir)
+
+    parent = {"optimize": [item("p0: 0.5,1e-3", [1.0, 2.0]), item("p0: 1", [3.0])]}
+    change = {"optimize": [item("p0: 0.5,1.5e-3", [1.0, 2.0 + 1e-9]), item("p0: 1", [3.0])]}
+    lines, differ = output_hashes.compare(parent, change)
+    assert differ == 1
+    # the float leaves are 0 (of "p0"), 0.5, the perturbed 1e-3 and the two
+    # array entries; the masked path adds none
+    assert lines == ["optimize: 1 equal, 1 differ",
+                     "  differs: round 0 item 0 chaplygin/rk4; largest gap abs 0.0005 at "
+                     "0.001, rel 0.333 at 0.001 over 5 float leaves",
+                     "1 of 2 equal"]
+    longer = {"optimize": [item("p0: 0.5,1e-3,2", [1.0, 2.0]), parent["optimize"][1]]}
+    assert output_hashes.compare(parent, longer)[0][1].endswith("float leaves 5 against 6")
+
+
+def test_gaps_of_equal_and_nan_leaves_are_zero():
+    a = np.array([1.0, np.nan, 0.0, -2.0])
+    assert output_hashes.largest_gaps(a, a.copy()) == ((0.0, None), (0.0, None))
+    # the absolute gap falls on -2.0, the relative one on the zero leaf
+    assert output_hashes.largest_gaps(a, np.array([1.0, np.nan, 1e-3, -2.5])) == (
+        (0.5, 3), (1.0, 2))
+    assert output_hashes.largest_gaps(a, np.array([1.0, 0.0, 0.0, -2.0])) == (
+        (np.inf, 1), (np.inf, 1))
+
+
 def test_the_repository_against_itself():
     done = subprocess.run([sys.executable, str(_PATH), str(ROOT), str(ROOT)],
                           capture_output=True, text=True, timeout=300)

@@ -20,17 +20,24 @@ invariant values of that curved model.  A last group, ``cli``, hashes the
 exit code and standard output of each command line in CLI_RUNS (``nhoc
 check`` and ``nhoc derive``), run in-process through ``nhoc.cli.main``.
 The comparison prints, per group, how many items hash the same and how many
-differ, and names each differing item; it exits 1 if any differ.
+differ, and names each differing item; it exits 1 if any differ.  A
+differing item also gets its largest absolute and largest relative gap
+(|a - b| / max(|a|, |b|)) over its float leaves, each with the parent's
+leaf where it falls: the leaves are the entries of float arrays, the
+floats, and the numbers written in its strings and bytes (the CLI's output
+and CSV files), in the order that the hash reads them.
 perfbench/ is only read.
 """
 
 import argparse
+import base64
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -83,40 +90,95 @@ def extremal_runs(workloads):
     return runs
 
 
-def feed(h, obj, out_dir):
-    """Update the hash ``h`` with ``obj``, masking ``out_dir`` in strings.
-    Raises TypeError for a type it has no byte form for."""
+# a number written in text, as the CLI prints its floats and integers
+NUMBER = re.compile(rb"[-+]?(?:nan|inf|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def feed(h, obj, out_dir, leaves=None):
+    """Update the hash ``h`` with ``obj``, masking ``out_dir`` in strings,
+    and append its float leaves to the list ``leaves`` if given: float array
+    entries, floats, and the numbers in strings and bytes (read after the
+    mask, so that the directory's digits are not).  Raises TypeError for a
+    type it has no byte form for."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         h.update(f"{type(obj).__name__}{{".encode())
         for f in dataclasses.fields(obj):
             h.update(f"{f.name}=".encode())
-            feed(h, getattr(obj, f.name), out_dir)
+            feed(h, getattr(obj, f.name), out_dir, leaves)
         h.update(b"}")
     elif isinstance(obj, np.ndarray):
         if obj.dtype.hasobject:
             raise TypeError("cannot hash an array of Python objects")
         h.update(f"ndarray[{obj.dtype.str}{obj.shape}]".encode())
         h.update(np.ascontiguousarray(obj).tobytes())
+        if leaves is not None and obj.dtype.kind == "f":
+            leaves.extend(obj.ravel().tolist())
     elif isinstance(obj, float):
         h.update(f"float:{float(obj).hex()};".encode())
+        if leaves is not None:
+            leaves.append(obj)
     elif obj is None or isinstance(obj, (bool, int)):
         h.update(f"{type(obj).__name__}:{obj!r};".encode())
-    elif isinstance(obj, str):
-        text = obj.replace(out_dir, MASK).encode()
-        h.update(f"str[{len(text)}]:".encode() + text)
-    elif isinstance(obj, bytes):
-        data = obj.replace(out_dir.encode(), MASK.encode())
-        h.update(f"bytes[{len(data)}]:".encode() + data)
+    elif isinstance(obj, (str, bytes)):
+        name = type(obj).__name__
+        data = (obj.encode() if name == "str" else obj).replace(out_dir.encode(), MASK.encode())
+        h.update(f"{name}[{len(data)}]:".encode() + data)
+        if leaves is not None:
+            leaves.extend(float(m) for m in NUMBER.findall(data))
     elif isinstance(obj, (tuple, list)):
         h.update(f"{type(obj).__name__}[{len(obj)}]".encode())
         for value in obj:
-            feed(h, value, out_dir)
+            feed(h, value, out_dir, leaves)
     else:
         raise TypeError(f"cannot hash {type(obj).__name__}")
 
 
+def encode_leaves(values):
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode()
+
+
+def largest_gaps(a, b):
+    """((largest absolute gap, index), (largest relative gap, index)) of two
+    float-leaf arrays of one length.  Equal entries, NaNs included, have gap
+    0; a NaN or infinite gap counts as infinite.  Both indices are None where
+    nothing differs."""
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        gap = np.where(same, 0.0, np.abs(a - b))
+        rel = np.where(same, 0.0, gap / np.maximum(np.abs(a), np.abs(b)))
+    gap, rel = np.nan_to_num(gap, nan=np.inf), np.nan_to_num(rel, nan=np.inf)
+    if same.all():
+        return (0.0, None), (0.0, None)
+    i, j = int(np.argmax(gap)), int(np.argmax(rel))
+    return (float(gap[i]), i), (float(rel[j]), j)
+
+
+def gap_text(a, b):
+    """The gap report of one differing item from the encoded float leaves of
+    its two sides, with the parent's leaf at each largest gap, so that a
+    large relative gap on a rounding-level leaf reads as such."""
+    a, b = (np.frombuffer(base64.b64decode(side), dtype="<f8") for side in (a, b))
+    if len(a) != len(b):
+        return f"float leaves {len(a)} against {len(b)}"
+    (gap, i), (rel, j) = largest_gaps(a, b)
+    if i is None:
+        return f"{len(a)} float leaves equal"
+    return (f"largest gap abs {gap:.3g} at {a[i]:.3g}, rel {rel:.3g} at {a[j]:.3g} "
+            f"over {len(a)} float leaves")
+
+
+def row(round_index, kind, parts, out_dir):
+    """[round, kind, digest, leaves] of an item whose outcome is ``parts``,
+    fed to one hash in turn."""
+    h, leaves = hashlib.sha256(), []
+    for part in parts:
+        feed(h, part, out_dir, leaves)
+    return [round_index, kind, h.hexdigest(), encode_leaves(leaves)]
+
+
 def hash_checkout(root):
-    """{group: [[round, kind, digest], ...]} of the checkout at ``root``, one
+    """{group: [[round, kind, digest, leaves], ...]} of the checkout at
+    ``root``, with each item's float leaves base64-encoded, one
     group per workload, one for the extremal runs and one for CLI_RUNS;
     imports its ``nhoc`` and
     ``workloads``, so run it once per process."""
@@ -132,25 +194,20 @@ def hash_checkout(root):
             rows = digests[name] = []
             for round_index in range(ROUNDS):
                 for item in workload.round_items(SEED, round_index):
-                    h = hashlib.sha256()
-                    feed(h, workloads.run_item(workload, item), out_dir)
+                    outcome = [workloads.run_item(workload, item)]
                     if csv_path is not None and os.path.exists(csv_path):
-                        feed(h, Path(csv_path).read_bytes(), out_dir)
+                        outcome.append(Path(csv_path).read_bytes())
                         os.remove(csv_path)  # a later item that fails writes none
-                    rows.append([round_index, item.kind, h.hexdigest()])
+                    rows.append(row(round_index, item.kind, outcome, out_dir))
         rows = digests["extremal"] = []
         for label, outcome in extremal_runs(workloads):
-            h = hashlib.sha256()
-            feed(h, outcome, out_dir)
-            rows.append([0, label, h.hexdigest()])
+            rows.append(row(0, label, [outcome], out_dir))
         rows = digests["cli"] = []
         for argv in CLI_RUNS:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = cli.main(argv)
-            h = hashlib.sha256()
-            feed(h, (code, out.getvalue()), out_dir)
-            rows.append([0, " ".join(argv), h.hexdigest()])
+            rows.append(row(0, " ".join(argv), [(code, out.getvalue())], out_dir))
     return digests
 
 
@@ -170,17 +227,22 @@ def run_checkout(root):
 
 def compare(parent, change):
     """(report lines, number of differing items) of two ``hash_checkout``
-    results; an item present on one side only differs."""
+    results; an item present on one side only differs.  Items compare by
+    round, kind and digest; a differing item present on both sides with its
+    float leaves also reports its largest gaps."""
     lines, equal_total, differ_total = [], 0, 0
     for name in list(parent) + [name for name in change if name not in parent]:
         a, b = parent.get(name, []), change.get(name, [])
         differ = [i for i in range(max(len(a), len(b)))
-                  if i >= len(a) or i >= len(b) or a[i] != b[i]]
+                  if i >= len(a) or i >= len(b) or a[i][:3] != b[i][:3]]
         equal = max(len(a), len(b)) - len(differ)
         lines.append(f"{name}: {equal} equal, {len(differ)} differ")
         for i in differ:
-            round_index, kind, _ = (a if i < len(a) else b)[i]
-            lines.append(f"  differs: round {round_index} item {i} {kind}")
+            round_index, kind = (a if i < len(a) else b)[i][:2]
+            line = f"  differs: round {round_index} item {i} {kind}"
+            if i < len(a) and i < len(b) and len(a[i]) > 3 and len(b[i]) > 3:
+                line += f"; {gap_text(a[i][3], b[i][3])}"
+            lines.append(line)
         equal_total += equal
         differ_total += len(differ)
     lines.append(f"{equal_total} of {equal_total + differ_total} equal")

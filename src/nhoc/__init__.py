@@ -2,12 +2,11 @@
 
 from .algebroid import (AlgebroidModel, ConstraintSpec, ConstrainedSystem,
                         ModelPartials, build_constrained_system, constant_model,
-                        grad_potential, restrict_metric)
+                        restrict_metric)
 from .bvp import (ShootingProblem, ShootingResult, extremal_trajectory,
                   shooting_residual, solve_bvp)
-from .dynamics import (StateQY, Trajectory, controlled_field,
-                       dalembert_oracle_field, drift_acceleration,
-                       nonholonomic_field, simulate)
+from .dynamics import (StateQY, Trajectory, dalembert_oracle_field,
+                       drift_acceleration, nonholonomic_field, simulate)
 from .hamiltonian import (HamiltonianSystem, PhasePoint, integrate_hamiltonian,
                           integrate_step, inverse_legendre, legendre_map,
                           regularity_matrix, symplecticity_defect)
@@ -23,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebroidModel", "ConstraintSpec", "ConstrainedSystem", "ModelPartials",
-    "build_constrained_system", "constant_model", "grad_potential", "restrict_metric",
-    "StateQY", "Trajectory", "controlled_field", "dalembert_oracle_field",
+    "build_constrained_system", "constant_model", "restrict_metric",
+    "StateQY", "Trajectory", "dalembert_oracle_field",
     "drift_acceleration", "nonholonomic_field", "simulate",
     "ControlDistribution", "CostModel", "ExtremalState", "OCProblem",
     "integrate_extremal", "necessary_conditions_field",

@@ -506,9 +506,3 @@ class ConstrainedSystem:
 def build_constrained_system(model, spec):
     """Assemble the constrained system (its origin build checks the metric)."""
     return ConstrainedSystem(model, spec)
-
-
-def grad_potential(system, q=None):
-    """Metric gradient of the potential on D: (G^D)^{CB} rho^i_B dV/dq^i."""
-    q = system.parent.chart_point(q)
-    return system._grad_v(q, system._geometry_at(q))

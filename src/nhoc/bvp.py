@@ -11,8 +11,8 @@ non-quadratic cost keeps one segment too: its kernel runs a Legendre Newton
 per row, so a stack of segments costs more than the shorter flow saves.
 A flow costs its sequential steps far more than its rows, and each Newton
 iteration after the first integrates every segment and its Jacobian columns
-as one stacked flow of L steps.  Only two flows span the horizon: the
-guess's, with its columns, and the answer's, on one row.
+as one stacked flow of L steps.  Full-horizon flows judge only the guess,
+with its columns, and the trials that may end the solve, each on one row.
 """
 
 import numbers
@@ -263,6 +263,21 @@ def _seeded(segments, ev, step):
             np.concatenate([step, np.einsum("i,jik->jk", step, tangents).ravel()]))
 
 
+def _full_flow_estimate(ev):
+    """The max-norm residual that the full-horizon flow of the p0 of ``ev``,
+    segments with their Jacobian, has to first order: each continuity
+    defect carried to the end through the later segments' blocks
+    d(end_j)/d(s_j), which the terminal mismatch then joins.  The segment
+    residual alone can read several times lower: 1.1e-7 on the sleigh at
+    dt = 1e-2, whose full flow ends 5.0e-7 off, as this estimate reads."""
+    n, n2 = ev.segments.n, 2 * ev.segments.n
+    carried = ev.mismatch[0]
+    for j in range(1, ev.segments.count):
+        block = ev.jac[j * n2:(j + 1) * n2, j * n2 - n:(j + 1) * n2 - n]
+        carried = ev.mismatch[j, :len(block)] + block @ carried
+    return float(np.abs(carried).max())
+
+
 def _predicts_convergence(previous, norm, tolerance):
     """Whether Newton's quadratic model, after a full step that took the
     residual norm from ``previous`` to ``norm``, expects the next full step
@@ -287,15 +302,21 @@ def solve_bvp(sp, p0_guess=None):
     the max-norm of the residual (the continuity defects and the terminal
     mismatch) falls.  With M = 1 all of this is single shooting.
 
-    Only a full-horizon flow decides convergence.  After a full step took
-    the residual norm from r_prev to r, Newton's quadratic model predicts
-    the next to be r * (r / r_prev)**2; at or below the tolerance (or when
-    r itself is), that trial is one full-horizon flow of its p0 on one row.
-    If it meets the tolerance, its samples become the extremal, which is not
-    integrated again.  Otherwise its segments are integrated with their
+    Only a full-horizon flow decides convergence, and a full flow that
+    meets the tolerance gives its samples to the extremal, which is not
+    integrated again.  After a full step took the residual norm from r_prev
+    to r, Newton's quadratic model predicts the next to be
+    r * (r / r_prev)**2; at or below the tolerance (or when r itself is),
+    that trial is first one full-horizon flow of its p0 on one row, and
+    where that flow misses, its segments are integrated with their
     columns as any full step's (with M = 1 the full flow is its segment,
-    and an accepted trial takes its columns in a flow of their own).  Every
-    Jacobian takes the one forward formula (r(u + h e_i) - r(u)) / h, h =
+    and an accepted trial takes its columns in a flow of their own).  Any
+    other trial whose segments meet the tolerance, and whose continuity
+    defects carried through its Jacobian leave the full flow within it too
+    (``_full_flow_estimate``), is judged at once by the full-horizon flow
+    of its p0; where that flow misses, the trial keeps its segments and the
+    next Newton step goes ahead, and where it fails, the trial has failed.
+    Every Jacobian takes the one forward formula (r(u + h e_i) - r(u)) / h, h =
     ``JACOBIAN_STEP``.  Should a stacked flow fail (a non-finite state, a
     diverging implicit substep, a singular metric or a failed Legendre
     inversion), the segments are integrated alone and their columns follow.
@@ -322,13 +343,21 @@ def solve_bvp(sp, p0_guess=None):
         return ev.segments is whole and ev.norm <= sp.tolerance
 
     def judge(u, with_columns, predicted):
-        """The trial u: a predicted last trial is first one full-horizon flow."""
+        """The trial u: a predicted last trial is first one full-horizon flow,
+        and other segments that meet the tolerance, with a full flow
+        expected to meet it too, are then judged by the full flow of their
+        p0.  Where that flow misses, the trial keeps its segments; where it
+        fails, the trial has failed."""
         if predicted:
             full = _evaluate(sp, whole, u[:sp.n_momenta], False)
             if split is whole or done(full):
                 return full
-            with_columns = True
-        return _evaluate(sp, split, u, with_columns)
+        trial = _evaluate(sp, split, u, with_columns or predicted)
+        if (predicted or split is whole or trial.norm > sp.tolerance or trial.jac is None
+                or _full_flow_estimate(trial) > sp.tolerance):
+            return trial
+        full = _evaluate(sp, whole, u[:sp.n_momenta], False)
+        return full if done(full) else trial
 
     def divergence(message):
         """NewtonDivergence at the best iterate, judged by its own full flow,

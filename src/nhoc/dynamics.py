@@ -113,21 +113,13 @@ def nonholonomic_field(system, s):
     return zdot[..., :system.dim_q], zdot[..., system.dim_q:]
 
 
-def _control_vector(controls, u, t=None):
+def _control_vector(controls, u, t):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (controls.k,):
         raise DimensionMismatch(f"control has shape {u.shape}, expected ({controls.k},)")
     if not np.isfinite(u).all():
-        when = "" if t is None else f" at t = {t:g}"
-        raise NonFiniteState(f"control {u}{when} is not finite")
+        raise NonFiniteState(f"control {u} at t = {t:g} is not finite")
     return u
-
-
-def controlled_field(system, controls, s, u):
-    """Free field plus input_matrix @ u along the actuated sections."""
-    u = _control_vector(controls, u)
-    qdot, ydot = nonholonomic_field(system, s)
-    return qdot, ydot + controls.input_matrix @ u
 
 
 def dalembert_oracle_field(model, spec, xi):

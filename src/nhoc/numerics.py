@@ -136,28 +136,23 @@ def _checked_partials(f, q, points, fd, values, dropped):
     k, n = points.shape
     if n == 0 or dropped == len(values):
         return fd_partials(f, q) if fd is None else fd
-    out = None
-    if not dropped:
-        out = np.array(values)
-        out = (out.imag / COMPLEX_STEP).reshape((k, n) + out.shape[1:])
-        kept = ~_drops_in_part(f, points, out)
-        if kept.all():
-            return out[0] if q.ndim == 1 else out
-    else:
-        kept = [all(v is not None for v in values[j * n:(j + 1) * n]) for j in range(k)]
-    if not any(kept):
+    whole = slice(None)  # the points whose every value is complex: all, or a mask
+    if dropped:
+        whole = np.array([v is not None for v in values]).reshape(k, n).all(axis=1)
+        values = [v for v, keep in zip(values, np.repeat(whole, n)) if keep]
+        if not values:
+            return fd_partials(f, q) if fd is None else fd
+    out = np.array(values)
+    out = (out.imag / COMPLEX_STEP).reshape((-1, n) + out.shape[1:])
+    passed = ~_drops_in_part(f, points[whole], out)
+    if not dropped and passed.all():
+        return out[0] if q.ndim == 1 else out
+    kept = np.zeros(k, dtype=bool)
+    kept[whole] = passed
+    if not kept.any():
         return fd_partials(f, q) if fd is None else fd
-    # mixed verdicts: the points that kept every imaginary part take their
-    # own check, the others central differences
-    kept = np.asarray(kept)
-    if out is None:
-        out = _checked_partials(f, points[kept], points[kept],
-                                None if fd is None else fd[kept],
-                                [v for v, keep in zip(values, np.repeat(kept, n)) if keep], 0)
-    else:
-        out = out[kept]
     mixed = np.empty((k,) + out.shape[1:])
-    mixed[kept] = out
+    mixed[kept] = out[passed]
     mixed[~kept] = fd_partials(f, points[~kept]) if fd is None else fd[~kept]
     return mixed
 

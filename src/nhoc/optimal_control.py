@@ -28,9 +28,11 @@ class CostModel:
     (C_q and C_y always, at a stack of rows in one pass: ``dx_rows``),
     second derivatives of a plain evaluator by nested differences with step
     1e-4, and second derivatives from an analytic ``cu`` by one difference of
-    it (step 1e-6).  A ``weight`` W marks C = (1/2) u^T W u (``quadratic``),
-    whose partials are exact and whose Legendre transform is closed-form; it
-    must be a finite symmetric (k, k) matrix.
+    it (step 1e-6); the mixed ones C_uq and C_uy come from one difference
+    over the joined (q, y) (``d2ux``).  A ``weight`` W marks
+    C = (1/2) u^T W u (``quadratic``), whose partials are exact and whose
+    Legendre transform is closed-form; it must be a finite symmetric (k, k)
+    matrix.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
@@ -103,19 +105,18 @@ class CostModel:
         except np.linalg.LinAlgError as exc:
             raise SingularHessian("cost Hessian is singular at the state") from exc
 
-    def d2uq(self, q, y, u):
-        if np.size(q) == 0:
-            return np.zeros((self.k, 0))
+    def d2ux(self, q, y, u):
+        """(C_uq, C_uy) at one row, from one difference over the joined
+        (q, y), as ``dx_rows`` takes the first partials.  Each block is
+        C-contiguous, as ``fd_jacobian`` returns it: a product's floats
+        depend on layout."""
+        n, x = len(q), np.concatenate([q, y])
         if self.cu is not None:
-            return fd_jacobian(lambda qq: self.cu(qq, y, u), q)
-        return fd_partials(lambda uu: fd_partials(
-            lambda qq: self.evaluator(qq, y, uu), q, FD2_STEP), u, FD2_STEP)
-
-    def d2uy(self, q, y, u):
-        if self.cu is not None:
-            return fd_jacobian(lambda yy: self.cu(q, yy, u), y)
-        return fd_partials(lambda uu: fd_partials(
-            lambda yy: self.evaluator(q, yy, uu), y, FD2_STEP), u, FD2_STEP)
+            c_ux = fd_jacobian(lambda xx: self.cu(xx[:n], xx[n:], u), x)
+        else:
+            c_ux = fd_partials(lambda uu: fd_partials(
+                lambda xx: self.evaluator(xx[:n], xx[n:], uu), x, FD2_STEP), u, FD2_STEP)
+        return np.ascontiguousarray(c_ux[:, :n]), np.ascontiguousarray(c_ux[:, n:])
 
 
 def quadratic_cost(weight):
@@ -183,12 +184,6 @@ class ControlDistribution:
     def fully_actuated(self):
         return self.k == self.rank_d
 
-    @property
-    def unactuated_indices(self):
-        if self.actuated_indices is None:
-            raise DimensionMismatch("input sections are not basis-aligned")
-        return tuple(i for i in range(self.rank_d) if i not in self.actuated_indices)
-
 
 @dataclass(frozen=True, eq=False)
 class OCProblem:
@@ -253,18 +248,6 @@ class ExtremalState:
             if type(value) is not np.ndarray or value.ndim != 1:
                 object.__setattr__(self, name,
                                    np.atleast_1d(np.asarray(value, dtype=float)))
-
-
-def pack_extremal(state):
-    return np.concatenate([state.q, state.y, state.v, state.lam, state.lam_bar])
-
-
-def unpack_extremal(problem, z, k=None):
-    nq, m = problem.dim_q, problem.rank_d
-    k = problem.controls.k if k is None else k
-    z = np.asarray(z, dtype=float)
-    return ExtremalState(q=z[:nq], y=z[nq:nq + m], v=z[nq + m:nq + m + k],
-                         lam=z[nq + m + k:2 * nq + m + k], lam_bar=z[2 * nq + m + k:])
 
 
 def drift_jacobians(system, q, y):
@@ -363,7 +346,8 @@ def necessary_conditions_field(problem, state):
     rhs_a = l_y[act] - rho_lam[act] + ddy_una[:, act].T @ lam_bar
     delta_dot = ddq @ qdot + ddy @ ydot
     if not cost.quadratic:
-        rhs_a = rhs_a - cost.d2uq(q, y, u) @ qdot - cost.d2uy(q, y, u) @ ydot
+        c_uq, c_uy = cost.d2ux(q, y, u)
+        rhs_a = rhs_a - c_uq @ qdot - c_uy @ ydot
     vdot = cost.solve_hessian(q, y, u, rhs_a) - delta_dot[act]
 
     lam_bar_dot = l_y[una] - rho_lam[una] + ddy_una[:, una].T @ lam_bar
@@ -384,14 +368,20 @@ def integrate_extremal(problem, state0, t_final, dt):
     basis-aligned and lambda has length dim_q, and NonFiniteState when the
     state leaves the finite range.
     """
-    k = problem.controls.k
-    if state0.lam.shape != (problem.dim_q,):
-        raise DimensionMismatch(f"lambda must have length {problem.dim_q}")
+    nq, m, k = problem.dim_q, problem.rank_d, problem.controls.k
+    if state0.lam.shape != (nq,):
+        raise DimensionMismatch(f"lambda must have length {nq}")
+
+    def flat(s):
+        return np.concatenate([s.q, s.y, s.v, s.lam, s.lam_bar])
+
+    def state(z):
+        return ExtremalState(q=z[:nq], y=z[nq:nq + m], v=z[nq + m:nq + m + k],
+                             lam=z[nq + m + k:2 * nq + m + k], lam_bar=z[2 * nq + m + k:])
 
     def rhs(t, z):
-        ds = necessary_conditions_field(problem, unpack_extremal(problem, z, k=k))
-        return np.concatenate([ds.q, ds.y, ds.v, ds.lam, ds.lam_bar])
+        return flat(necessary_conditions_field(problem, state(z)))
 
-    times, zs = integrate_fixed_steps(lambda t, z: rk4_step(rhs, t, z, dt),
-                                      pack_extremal(state0), step_count(t_final, dt), dt)
-    return times, [unpack_extremal(problem, z, k=k) for z in zs]
+    times, zs = integrate_fixed_steps(lambda t, z: rk4_step(rhs, t, z, dt), flat(state0),
+                                      step_count(t_final, dt), dt)
+    return times, [state(z) for z in zs]

@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from nhoc import (AlgebroidModel, ConstraintSpec, ModelPartials, StateQY, algebroid,
-                  build_constrained_system, constant_model, grad_potential,
+                  build_constrained_system, constant_model,
                   make_chaplygin, make_suslov, numerics, restrict_metric, simulate)
 from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
 from nhoc.dynamics import drift_acceleration
@@ -311,27 +311,33 @@ class TestChristoffel:
 
 
 class TestGradPotential:
+    """grad V, read as the drift at rest: Gamma(0, 0) + grad V."""
+
+    @staticmethod
+    def grad_v(system, q=None):
+        return drift_acceleration(system, q, np.zeros(system.rank_d))
+
     def test_lie_algebra_is_zero(self, suslov_system):
-        assert np.abs(grad_potential(suslov_system)).max() == 0.0
+        assert np.abs(self.grad_v(suslov_system)).max() == 0.0
 
     def test_identity_model_harmonic_potential(self):
         model = constant_model(np.zeros((1, 1, 1)), np.eye(1), anchor=np.eye(1),
                                dim_q=1, potential=lambda q: 0.5 * q[0] ** 2)
         system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(1)))
         q = np.array([1.7])
-        assert abs(grad_potential(system, q)[0] - 1.7) < 1e-9
+        assert abs(self.grad_v(system, q)[0] - 1.7) < 1e-9
 
     def test_scaled_metric_linear_potential(self):
         model = constant_model(np.zeros((1, 1, 1)), np.array([[2.0]]), anchor=np.eye(1),
                                dim_q=1, potential=lambda q: q[0])
         system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(1)))
-        assert abs(grad_potential(system, np.zeros(1))[0] - 0.5) < 1e-9
+        assert abs(self.grad_v(system, np.zeros(1))[0] - 0.5) < 1e-9
 
     def test_curved_model_against_fd(self):
         model = curved_model()
         system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
         q = np.array([0.8])
-        grad = grad_potential(system, q)
+        grad = self.grad_v(system, q)
         # defining relation: G^D(grad V, X) = rho(X)(V) for basis sections
         h = 1e-6
         pot = model.potential
@@ -360,9 +366,8 @@ class TestConstrainedSystem:
     @pytest.mark.parametrize("read", [
         lambda system, q, y: drift_acceleration(system, q, y),
         lambda system, q, y: drift_jacobians(system, q, y),
-        lambda system, q, y: grad_potential(system, q),
         lambda system, q, y: system.geometry(q),
-    ], ids=["drift_acceleration", "drift_jacobians", "grad_potential", "geometry"])
+    ], ids=["drift_acceleration", "drift_jacobians", "geometry"])
     @pytest.mark.parametrize("name", ["curved", "constant_with_potential", "sleigh"])
     def test_one_row_read_checks_its_chart_point_once(self, monkeypatch, read, name):
         system = field_systems()[name]
@@ -687,7 +692,7 @@ class TestNonFiniteRows:
     READS = {
         "drift_q": lambda s: drift_acceleration(s, [np.nan, 0.0], [0.1, 0.2]),
         "drift_y": lambda s: drift_acceleration(s, [0.3, -0.1], [np.nan, 0.2]),
-        "grad_potential": lambda s: grad_potential(s, [np.inf, 0.0]),
+        "grad_v": lambda s: drift_acceleration(s, [np.inf, 0.0], [0.0, 0.0]),
         "energy": lambda s: s.energy([np.nan, 0.0], [0.1, 0.2]),
     }
 

@@ -11,7 +11,8 @@ from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
 from nhoc import bvp, hamiltonian
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
-                         NewtonDivergence, NonFiniteState, SingularHessian, SingularMetric)
+                         NewtonDivergence, NonFiniteState, SingularHessian, SingularJacobian,
+                         SingularMetric)
 
 from conftest import curved_model, full_actuation_problem, quartic_cost
 
@@ -437,17 +438,104 @@ class TestMultipleShooting:
         assert result.iterations == 3
         self.assert_answer(sp, result, reference)
 
-    def test_segments_within_the_tolerance_send_the_next_trial_to_the_full_flow(
+    def test_segments_within_the_tolerance_are_judged_by_the_full_flow_of_their_p0(
             self, flows, chaplygin_system, monkeypatch):
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
         reference = self.single_shooting(sp, monkeypatch)
         seen, _ = flows
         seen.clear()
         # nothing is predicted: only the residual of the segments, once at or
-        # below the tolerance, sends a trial to the full flow
+        # below the tolerance, sends their own p0 to the full flow
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
         result = solve_bvp(sp)
         assert seen == [(3, 100)] + [(48, 10)] * 3 + [(1, 100)]
+        assert result.iterations == 3
+        self.assert_answer(sp, result, reference)
+
+    def test_full_flow_estimate_reads_the_full_flow_residual(self, chaplygin_system,
+                                                             monkeypatch):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
+        evaluate, gaps = bvp._evaluate, []
+
+        def recording(sp, segments, u, with_columns):
+            ev = evaluate(sp, segments, u, with_columns)
+            if ev.jac is not None and segments.count > 1:
+                full = np.abs(shooting_residual(sp, u[:sp.n_momenta])).max()
+                gaps.append((bvp._full_flow_estimate(ev), full, ev.norm))
+            return ev
+
+        monkeypatch.setattr(bvp, "_evaluate", recording)
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
+        solve_bvp(sp)
+        assert len(gaps) == 3
+        for estimate, full, _ in gaps:
+            assert abs(estimate - full) <= 1e-2 * full + 1e-13
+        # the segments' own residual reads several times lower
+        assert gaps[1][2] < gaps[1][1] / 4
+
+    def test_segments_are_judged_at_once_only_when_their_full_flow_is_expected_to_meet_it(
+            self, flows, chaplygin_system, monkeypatch):
+        # at this tolerance the second iterate's segments meet it (1.1e-7)
+        # while the full flow of its p0 misses it (5.0e-7)
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2, tolerance=2e-7)
+        reference = self.single_shooting(sp, monkeypatch)
+        seen, _ = flows
+        seen.clear()
+        assert solve_bvp(sp).iterations == 3
+        assert seen == [(3, 100), (48, 10), (1, 100), (48, 10), (1, 100)]
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(bvp, "_predicts_convergence", lambda *args: False)
+            result = solve_bvp(sp)
+        # the estimate reads the miss, so no full flow judges those segments
+        assert seen == [(3, 100), (48, 10), (48, 10), (1, 100)]
+        assert result.iterations == 3
+        assert result.residual_norm == np.abs(shooting_residual(sp, result.p0)).max()
+        assert result.residual_norm <= sp.tolerance
+        assert np.abs(result.p0 - reference.p0).max() <= 1e-6
+        # where the estimate errs: a predicted trial whose full flow missed
+        # is not judged by it twice, and otherwise the full flow that misses
+        # leaves the segments, and the next Newton step goes ahead
+        monkeypatch.setattr(bvp, "_full_flow_estimate", lambda ev: 0.0)
+        seen.clear()
+        assert solve_bvp(sp).iterations == 3
+        assert seen == [(3, 100), (48, 10), (1, 100), (48, 10), (1, 100)]
+        seen.clear()
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
+        erring = solve_bvp(sp)
+        assert seen == [(3, 100), (48, 10), (48, 10), (1, 100), (1, 100)]
+        assert erring.iterations == 3
+        assert erring.p0.tobytes() == result.p0.tobytes()
+
+    def test_failed_full_flow_fails_its_trial(self, flows, chaplygin_system, monkeypatch):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
+        seen, fail_rows = flows
+        fail_rows.append(1)  # every full flow on one row fails
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
+        with pytest.raises(NewtonDivergence, match="stalled") as info:
+            solve_bvp(sp)
+        # the third trial's segments met the tolerance and the full flow of
+        # their p0 failed: the line search halved the step, as for any trial
+        # whose flow fails, and the halved trial came without columns
+        assert seen[:6] == [(3, 100)] + [(48, 10)] * 3 + [(1, 100), (10, 10)]
+        # no full flow of an iterate succeeds, so the guess is reported
+        assert info.value.best.tobytes() == np.zeros(2).tobytes()
+
+    def test_linear_problem_met_by_its_first_segment_step_takes_one_iteration(
+            self, flows, double_integrator_problem, monkeypatch):
+        # the double integrator of a perfbench `optimize` item (seed 7, round
+        # 7, item 2): the segments of the first Newton step land within the
+        # tolerance, and so does the full flow of their p0, as single
+        # shooting's first step does
+        horizon = 2.0865066252965105
+        problem = replace(double_integrator_problem, horizon=horizon, qT=[-1.031022693202687])
+        sp = shooting_for(problem, dt=horizon / 100)
+        reference = self.single_shooting(sp, monkeypatch)
+        seen, _ = flows
+        seen.clear()
+        result = solve_bvp(sp)
+        assert seen == [(3, 100), (48, 10), (1, 100)]
+        assert result.iterations == reference.iterations == 1
         self.assert_answer(sp, result, reference)
 
     def test_failing_stack_falls_back_to_the_segments_alone(self, flows, chaplygin_system):
@@ -642,16 +730,50 @@ class TestSolveBVP:
         assert str(info.value) == "Legendre inversion stalled"
         assert info.value.control.shape == (2,)
 
-    def test_blowup_during_line_search_degrades_to_divergence(self, chaplygin_system):
-        # distant boundary: full Newton steps blow the flow up; trials must be
-        # damped away rather than aborting the solve with NonFiniteState
-        problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
-                            cost=quadratic_cost(np.eye(2)), horizon=1.0,
-                            y0=[1.0, 0.0], yT=[40.0, 40.0])
-        sp = shooting_for(problem, dt=1e-2, max_iterations=2)
+    def test_blowup_during_line_search_degrades_to_divergence(self, chaplygin_system,
+                                                              monkeypatch):
+        # single shooting (10 steps; segments of 10 steps would stay finite)
+        # to a distant target: the first full step's flow leaves the finite
+        # range, stacked and alone, and the line search halves the step
+        # instead of aborting the solve with NonFiniteState
+        problem = replace(sleigh_problem(chaplygin_system), y0=[1.0, 0.0], yT=[40.0, 40.0])
+        sp = shooting_for(problem, dt=0.1, max_iterations=1)
+        failed = []
+        flow = bvp.integrate_hamiltonian
+
+        def recording(hs, phase0, *args):
+            try:
+                return flow(hs, phase0, *args)
+            except NonFiniteState:
+                failed.append(phase0.p_y.shape)
+                raise
+
+        monkeypatch.setattr(bvp, "integrate_hamiltonian", recording)
         with pytest.raises(NewtonDivergence) as info:
-            solve_bvp(sp, np.zeros(2))
-        assert info.value.best is not None
+            solve_bvp(sp)
+        assert failed == [(3, 2), (1, 2)]
+        assert info.value.iterations == 1
+        # the accepted damped trial is the best iterate
+        assert np.any(info.value.best != 0.0)
+        assert info.value.residual_norm < np.abs(shooting_residual(sp, np.zeros(2))).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_guess_rejected_before_any_flow(self, bad, flows, chaplygin_system):
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1)
+        seen, _ = flows
+        with pytest.raises(DimensionMismatch, match="guess must be finite"):
+            solve_bvp(sp, [bad, 0.0])
+        assert seen == []
+
+    def test_one_input_from_rest_has_a_singular_jacobian(self, chaplygin_system):
+        # from rest, the unactuated momentum moves nothing to first order:
+        # its Jacobian column is zero
+        problem = OCProblem(system=chaplygin_system,
+                            controls=ControlDistribution.on_indices(2, [0]),
+                            cost=quadratic_cost(np.eye(1)), horizon=1.0,
+                            y0=[0.0, 0.0], yT=[0.3, 0.2])
+        with pytest.raises(SingularJacobian, match="shooting Jacobian is singular"):
+            solve_bvp(shooting_for(problem, dt=0.1))
 
     def test_dt_must_divide_horizon(self, double_integrator_problem):
         hs = HamiltonianSystem(double_integrator_problem)

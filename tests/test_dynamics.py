@@ -8,7 +8,7 @@ import pytest
 
 from nhoc import (ConstraintSpec, ControlDistribution, ModelPartials, StateQY,
                   build_constrained_system,
-                  constant_model, controlled_field, dalembert_oracle_field, drift_acceleration,
+                  constant_model, dalembert_oracle_field, drift_acceleration,
                   make_chaplygin, make_double_integrator, make_suslov,
                   nonholonomic_field, simulate)
 from nhoc import numerics
@@ -195,34 +195,38 @@ class TestNonholonomicField:
 
 
 class TestControlledField:
-    def test_zero_control_is_free_flow(self, suslov_system):
-        controls = ControlDistribution.full(2)
-        s = StateQY(q=[], y=[0.7, -0.3])
-        free = nonholonomic_field(suslov_system, s)[1]
-        forced = controlled_field(suslov_system, controls, s, np.zeros(2))[1]
-        assert np.abs(free - forced).max() == 0.0
+    """The controlled flow of ``simulate``: the free field plus (0; B) u(t)."""
 
-    def test_chaplygin_drift_cancellation(self, chaplygin_system):
-        controls = ControlDistribution.full(2)
-        _, ydot = controlled_field(chaplygin_system, controls,
-                                   StateQY(q=[], y=[1.0, 2.0]), [1.0, -1.0])
-        assert np.abs(ydot).max() < 1e-14
+    @pytest.mark.parametrize("integrator", ["rk4", "symp_euler"])
+    def test_zero_control_is_free_flow(self, suslov_system, integrator):
+        s0 = StateQY(q=[], y=[0.7, -0.3])
+        free = simulate(suslov_system, s0, 0.1, 0.01, integrator=integrator)
+        forced = simulate(suslov_system, s0, 0.1, 0.01, integrator=integrator,
+                          controls=ControlDistribution.full(2), u=lambda t: np.zeros(2))
+        assert np.abs(free.ys - forced.ys).max() == 0.0
 
-    def test_suslov_drift_cancellation(self, suslov_system):
+    @pytest.mark.parametrize("system, y, u", [("chaplygin_system", [1.0, 2.0], [1.0, -1.0]),
+                                              ("suslov_system", [1.0, 1.0], [0.15, -0.1])],
+                             ids=["chaplygin", "suslov"])
+    def test_drift_cancellation(self, system, y, u, request):
+        system = request.getfixturevalue(system)
         controls = ControlDistribution.full(2)
-        _, ydot = controlled_field(suslov_system, controls,
-                                   StateQY(q=[], y=[1.0, 1.0]), [0.15, -0.1])
-        assert np.abs(ydot).max() < 1e-14
+        s = StateQY(q=[], y=y)
+        assert np.abs(nonholonomic_field(system, s)[1]
+                      + controls.input_matrix @ np.array(u)).max() < 1e-14
+        # the cancelling control holds the velocity still along the flow
+        traj = simulate(system, s, 0.1, 0.01, controls=controls, u=lambda t: np.array(u))
+        assert np.abs(traj.ys - s.y).max() < 1e-14
 
     def test_control_length_checked(self, suslov_system):
-        with pytest.raises(DimensionMismatch):
-            controlled_field(suslov_system, ControlDistribution.full(2),
-                             StateQY(q=[], y=[1.0, 1.0]), [1.0])
+        with pytest.raises(DimensionMismatch, match="control has shape"):
+            simulate(suslov_system, StateQY(q=[], y=[1.0, 1.0]), 0.1, 0.01,
+                     controls=ControlDistribution.full(2), u=lambda t: np.array([1.0]))
 
     def test_non_finite_control_rejected(self, suslov_system):
-        with pytest.raises(NonFiniteState, match="control"):
-            controlled_field(suslov_system, ControlDistribution.full(2),
-                             StateQY(q=[], y=[1.0, 1.0]), [np.nan, 0.0])
+        with pytest.raises(NonFiniteState, match="control .* at t = 0 is not finite"):
+            simulate(suslov_system, StateQY(q=[], y=[1.0, 1.0]), 0.1, 0.01,
+                     controls=ControlDistribution.full(2), u=lambda t: np.array([np.nan, 0.0]))
 
 
 class TestSimulate:

@@ -156,6 +156,46 @@ class TestLegendre:
             legendre_map(problem, ExtremalState(y=y, v=[0.3]))
 
 
+class TestMixingInputs:
+    """A square input matrix that is not basis-aligned: v is the whole
+    acceleration B u - delta, and p_y = B^{-T} C_u."""
+
+    B = np.array([[1.0, 0.5], [0.2, 1.0]])
+    W = np.array([[2.0, 0.3], [0.3, 0.5]])
+
+    def problem(self, system):
+        return OCProblem(system=system, controls=ControlDistribution(input_matrix=self.B),
+                         cost=quadratic_cost(self.W), horizon=1.0)
+
+    def test_roundtrip(self, chaplygin_system):
+        problem = self.problem(chaplygin_system)
+        assert problem.controls.actuated_indices is None
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            phase = PhasePoint(q=[], y=rng.uniform(-1, 1, 2), p_q=[], p_y=rng.uniform(-1, 1, 2))
+            state = inverse_legendre(problem, phase)
+            # the control C_u = B^T p_y of the quadratic cost, along the free field
+            u = np.linalg.solve(self.W, self.B.T @ phase.p_y)
+            free = -drift_acceleration(chaplygin_system, [], phase.y)
+            assert np.abs(state.v - (free + self.B @ u)).max() < 1e-14
+            assert state.lam_bar.shape == (0,)
+            back = legendre_map(problem, state)
+            assert np.abs(back.flat() - phase.flat()).max() < 1e-14
+
+    def test_regularity_block_is_the_weight_through_the_inverse(self, chaplygin_system):
+        matrix = regularity_matrix(self.problem(chaplygin_system),
+                                   ExtremalState(y=[0.5, 0.1], v=[0.2, -0.3]))
+        b_inv = np.linalg.inv(self.B)
+        assert np.abs(matrix - b_inv.T @ self.W @ b_inv).max() < 1e-14
+
+    def test_inverse_needs_a_square_or_aligned_matrix(self, chaplygin_system):
+        problem = OCProblem(system=chaplygin_system,
+                            controls=ControlDistribution(input_matrix=[[0.6], [0.8]]),
+                            cost=quadratic_cost(np.eye(1)), horizon=1.0)
+        with pytest.raises(DimensionMismatch, match="neither basis-aligned nor square"):
+            inverse_legendre(problem, PhasePoint(q=[], y=[0.1, 0.2], p_q=[], p_y=[0.3, 0.4]))
+
+
 def legendre_problems(system):
     """Problems on a rank-2 system, one per branch of the Legendre inversion."""
     full = ControlDistribution.full(2)

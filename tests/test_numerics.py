@@ -90,13 +90,15 @@ class TestComplexStep:
                 == np.stack([fd_partials(f, q) for q in stack]).tobytes())
 
     def test_each_point_of_a_stack_gets_its_own_verdict(self):
-        # at q0 = 0 the abs entry has no partial to miss: the complex step stays
-        stack = np.array([[0.0, -0.3], [0.4, 0.6]])
-        out = complex_step_partials(abs_entry, stack)
-        for row, q in zip(out, stack):
-            assert row.tobytes() == complex_step_partials(abs_entry, q).tobytes()
-        assert out[0].tobytes() != fd_partials(abs_entry, stack[0]).tobytes()
-        assert out[1].tobytes() == fd_partials(abs_entry, stack[1]).tobytes()
+        # at q0 = 0 the abs entry has no partial to miss: the complex step
+        # stays, whether the point that misses comes before it or after
+        for stack in (np.array([[0.0, -0.3], [0.4, 0.6]]),
+                      np.array([[0.4, 0.6], [0.2, 0.1], [0.0, -0.3], [-0.1, 0.5]])):
+            out = complex_step_partials(abs_entry, stack)
+            for row, q in zip(out, stack):
+                assert row.tobytes() == complex_step_partials(abs_entry, q).tobytes()
+                fd = fd_partials(abs_entry, q).tobytes()
+                assert (row.tobytes() == fd) == (q[0] != 0.0), q
         # callables that raise TypeError, or cast into a real array, at some
         # points of a stack only: those points alone take central differences
         stack = np.array([[0.4, -0.3], [-0.2, 0.6], [0.1, 0.2], [-0.5, -0.1]])

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState, ModelPartials,
-                  OCProblem, PhasePoint, StateQY, build_constrained_system, controlled_field,
-                  drift_acceleration, grad_potential, integrate_extremal, inverse_legendre,
+                  OCProblem, PhasePoint, StateQY, build_constrained_system,
+                  drift_acceleration, integrate_extremal, inverse_legendre,
                   legendre_map, make_double_integrator, necessary_conditions_field,
-                  quadratic_cost, recover_controls)
+                  nonholonomic_field, quadratic_cost, recover_controls)
 from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian, ValidationError
 from nhoc.numerics import fd_jacobian
 from nhoc.optimal_control import drift_jacobians
@@ -57,15 +57,19 @@ class TestRecoverControls:
         u = recover_controls(double_integrator_problem, [0.2], [0.5], [3.0])
         assert np.abs(u - [3.0]).max() < 1e-15
 
-    def test_roundtrip_with_controlled_field(self, suslov_system):
+    @staticmethod
+    def controlled_ydot(system, controls, y, u):
+        """The controlled field's ydot: the free field's plus B u."""
+        return nonholonomic_field(system, StateQY(q=[], y=y))[1] + controls.input_matrix @ u
+
+    def test_roundtrip_with_the_free_field_plus_input(self, suslov_system):
         problem = full_actuation_problem(suslov_system)
         rng = np.random.default_rng(5)
         for _ in range(20):
             y = rng.uniform(-1, 1, 2)
             ydot = rng.uniform(-1, 1, 2)
             u = recover_controls(problem, [], y, ydot)
-            _, realized = controlled_field(suslov_system, problem.controls,
-                                           StateQY(q=[], y=y), u)
+            realized = self.controlled_ydot(suslov_system, problem.controls, y, u)
             assert np.abs(realized - ydot).max() < 1e-12
 
     def test_roundtrip_with_mixing_inputs(self, chaplygin_system):
@@ -74,7 +78,7 @@ class TestRecoverControls:
                             cost=quadratic_cost(np.eye(2)), horizon=1.0)
         y, ydot = np.array([0.4, -0.2]), np.array([0.3, 0.1])
         u = recover_controls(problem, [], y, ydot)
-        _, realized = controlled_field(chaplygin_system, controls, StateQY(q=[], y=y), u)
+        realized = self.controlled_ydot(chaplygin_system, controls, y, u)
         assert np.abs(realized - ydot).max() < 1e-13
 
 
@@ -203,7 +207,6 @@ class TestControlDistribution:
     def test_identity_matrix_is_basis_aligned(self):
         controls = ControlDistribution(input_matrix=np.eye(2))
         assert controls.actuated_indices == (0, 1)
-        assert controls.unactuated_indices == ()
         assert ControlDistribution.full(3).actuated_indices == (0, 1, 2)
 
     def test_non_finite_input_matrix_rejected(self):
@@ -213,15 +216,12 @@ class TestControlDistribution:
     def test_indices_follow_the_columns(self):
         controls = ControlDistribution.on_indices(3, [2, 0])
         assert controls.actuated_indices == (2, 0)
-        assert controls.unactuated_indices == (1,)
         assert np.array_equal(controls.input_matrix, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("matrix", [[[1.0], [1.0]], [[2.0], [0.0]], [[1.0, 1.0], [0.0, 1.0]]])
     def test_mixing_inputs_have_no_indices(self, matrix):
         controls = ControlDistribution(input_matrix=matrix)
         assert controls.actuated_indices is None
-        with pytest.raises(DimensionMismatch):
-            controls.unactuated_indices
 
     @pytest.mark.parametrize("indices", [[-1], [5], [0, 2], [0, 0]])
     def test_bad_indices_raise(self, indices):
@@ -229,7 +229,40 @@ class TestControlDistribution:
             ControlDistribution.on_indices(2, indices)
 
 
+def coupled_quartic(partials):
+    """C = |u|^2/2 + |u|^4/4 + 0.3 sin(q0) y.u, with the analytic ``cu`` only
+    when ``partials`` is "cu", and else with its evaluator alone."""
+    def cu(q, y, u):
+        return u * (1.0 + u @ u) + 0.3 * np.sin(q[0]) * y
+
+    return CostModel(evaluator=lambda q, y, u: (0.5 * u @ u + 0.25 * (u @ u) ** 2
+                                                + 0.3 * np.sin(q[0]) * (y @ u)),
+                     k=2, cu=cu if partials == "cu" else None)
+
+
 class TestCostModel:
+    @pytest.mark.parametrize("partials, tol", [("cu", 1e-9), ("evaluator", 1e-6)])
+    def test_second_derivatives_match_the_analytic_quartic(self, partials, tol):
+        cost = coupled_quartic(partials)
+        q, y, u = np.array([0.4]), np.array([0.7, -0.2]), np.array([0.5, -0.8])
+        cuu = (1.0 + u @ u) * np.eye(2) + 2.0 * np.outer(u, u)
+        assert np.abs(cost.d2uu(q, y, u) - cuu).max() < tol
+        c_uq, c_uy = cost.d2ux(q, y, u)
+        assert c_uq.shape == (2, 1) and c_uy.shape == (2, 2)
+        assert c_uq.flags.c_contiguous and c_uy.flags.c_contiguous
+        assert np.abs(c_uq[:, 0] - 0.3 * np.cos(q[0]) * y).max() < tol
+        assert np.abs(c_uy - 0.3 * np.sin(q[0]) * np.eye(2)).max() < tol
+
+    @pytest.mark.parametrize("partials", ["cu", "evaluator"])
+    def test_mixed_partials_without_a_chart(self, partials):
+        # a cost of (y, u) only, on an empty chart point: C_uq is (k, 0)
+        base = coupled_quartic(partials)
+        cost = replace(base, evaluator=lambda q, y, u: base.evaluator([0.5], y, u),
+                       cu=None if base.cu is None else lambda q, y, u: base.cu([0.5], y, u))
+        c_uq, c_uy = cost.d2ux(np.zeros(0), np.array([0.7, -0.2]), np.array([0.5, -0.8]))
+        assert c_uq.shape == (2, 0)
+        assert np.abs(c_uy - 0.3 * np.sin(0.5) * np.eye(2)).max() < 1e-6
+
     def test_fd_partials_match_quadratic(self):
         w = np.array([[2.0, 0.3], [0.3, 1.0]])
         exact = quadratic_cost(w)
@@ -302,7 +335,8 @@ class TestDriftJacobians:
             # the central difference of fd_jacobian, through the geometry; on
             # a chart-independent model Gamma is constant, and of grad V alone
             if system.parent.q_independent:
-                central = fd_jacobian(lambda qq: grad_potential(system, qq), q[k])
+                rest = np.zeros(system.rank_d)  # the drift at rest is grad V
+                central = fd_jacobian(lambda qq: drift_acceleration(system, qq, rest), q[k])
             else:
                 central = fd_jacobian(lambda qq: drift_acceleration(system, qq, y[k]), q[k])
             assert ddq[k].shape == central.shape and ddq[k].tobytes() == central.tobytes()

@@ -88,7 +88,7 @@ def test_lagrangian_and_hamiltonian_flows_agree(drawn, seed):
     rng = np.random.default_rng(seed)
     ctrl = problem.controls
     state0 = ExtremalState(y=rng.uniform(-1, 1, problem.rank_d), v=rng.uniform(-1, 1, ctrl.k),
-                           lam_bar=rng.uniform(-1, 1, len(ctrl.unactuated_indices)))
+                           lam_bar=rng.uniform(-1, 1, ctrl.rank_d - ctrl.k))
     _, states = integrate_extremal(problem, state0, 0.1, 2.5e-4)
     _, phases = integrate_hamiltonian(HamiltonianSystem(problem), legendre_map(problem, state0),
                                       0.1, 2.5e-4, "rk4")

@@ -10,9 +10,12 @@ a prime step count keeps one segment, which is single shooting.  A
 non-quadratic cost keeps one segment too: its kernel runs a Legendre Newton
 per row, so a stack of segments costs more than the shorter flow saves.
 A flow costs its sequential steps far more than its rows, and each Newton
-iteration after the first integrates every segment and its Jacobian columns
-as one stacked flow of L steps.  Full-horizon flows judge only the guess,
-with its columns, and the trials that may end the solve, each on one row.
+iteration integrates every segment and its Jacobian columns as one stacked
+flow of L steps.  Without a guess the segments start from the boundary
+data (p0 = 0, and the boundary positions interpolated linearly to each
+segment start, with zero momenta), so the first flow is such a stack too.
+Full-horizon flows judge only a given guess, with its columns, and the
+trials that may end the solve, each on one row.
 """
 
 import numbers
@@ -167,6 +170,13 @@ class _Segments:
         # the segment that each unknown, and so its Jacobian column, starts
         self.owner = np.repeat(np.arange(count), [self.n] + [2 * self.n] * (count - 1))
 
+    def seeds(self):
+        """The unknowns without a guess: p0 = 0, and each s_j the boundary
+        positions interpolated linearly to t_j = j L, with zero momenta."""
+        start = np.concatenate([self.x0, np.zeros(self.n)])
+        w = np.arange(1, self.count)[:, None] / self.count
+        return np.concatenate([np.zeros(self.n), ((1 - w) * start + w * self.goal).ravel()])
+
     def starts(self, u):
         """(M, 2n) start rows of the segments."""
         n = self.n
@@ -289,16 +299,21 @@ def solve_bvp(sp, p0_guess=None):
     """Damped Newton on the shooting residual with a forward-difference Jacobian.
 
     The horizon splits into M segments of L steps (the module docstring
-    gives the rule).  The guess is integrated over the full horizon,
-    stacked with its columns p0 + h e_i, and if it meets the tolerance it
-    is the answer, after 0 iterations.  Otherwise its Newton step is that of
-    single shooting, and the guess's own samples at t_j = j L, moved along
-    their columns, seed the segment starts s_j.  Each later trial
-    integrates all M segments as one stacked flow of L steps, with the
-    columns s_j + h e_i of every unknown when it is a full step, so an
-    accepted trial brings its Jacobian; the halved trials of the line
-    search are integrated without columns.  The block-bidiagonal Newton
-    system is solved densely, and the line search halves the step until
+    gives the rule).  Without a guess Newton starts from u = (0, s_1, ...,
+    s_{M-1}), each s_j = ((1 - j/M) x0 + (j/M) xT, 0): the boundary
+    positions interpolated linearly to t_j = j L, with zero momenta.  That
+    start is one stacked flow of its segments and their columns, judged as
+    any trial below, so seeds that meet the tolerance end the solve after 0
+    iterations; with M = 1 it is the zero guess.  A given guess is
+    integrated over the full horizon, stacked with its columns p0 + h e_i,
+    and if it meets the tolerance it is the answer, after 0 iterations.
+    Otherwise its Newton step is that of single shooting, and the guess's
+    own samples at t_j, moved along their columns, seed the segment starts
+    s_j.  Each later trial integrates all M segments as one stacked flow of
+    L steps, with the columns s_j + h e_i of every unknown when it is a full
+    step, so an accepted trial brings its Jacobian; the halved trials of
+    the line search are integrated without columns.  The block-bidiagonal
+    Newton system is solved densely, and the line search halves the step until
     the max-norm of the residual (the continuity defects and the terminal
     mismatch) falls.  With M = 1 all of this is single shooting.
 
@@ -324,16 +339,18 @@ def solve_bvp(sp, p0_guess=None):
     Raises NewtonDivergence when the iteration budget is spent or the line
     search stalls, with the best p0, the max-norm residual of that p0's own
     full-horizon flow and the number of iterations attached: the best p0 is
-    the accepted iterate of least residual, or the guess where that
-    iterate's full flow fails or ends farther off.  Callers can still build
-    its trajectory via extremal_trajectory.
+    the accepted iterate of least residual, or the guess (p0 = 0 without
+    one, whose full flow is then integrated, and whose failure propagates)
+    where that iterate's full flow fails or ends farther off.  Callers can
+    still build its trajectory via extremal_trajectory.
     """
-    p0 = (np.zeros(sp.n_momenta) if p0_guess is None
-          else np.atleast_1d(np.asarray(p0_guess, dtype=float)).copy())
-    if not np.all(np.isfinite(p0)):
-        raise DimensionMismatch("initial momenta guess must be finite")
-    if p0.shape != (sp.n_momenta,):
-        raise DimensionMismatch(f"p0 must have length {sp.n_momenta}")
+    n = sp.n_momenta
+    if p0_guess is not None:
+        p0 = np.atleast_1d(np.asarray(p0_guess, dtype=float)).copy()
+        if not np.all(np.isfinite(p0)):
+            raise DimensionMismatch("initial momenta guess must be finite")
+        if p0.shape != (n,):
+            raise DimensionMismatch(f"p0 must have length {n}")
     n_steps = step_count(sp.hs.problem.horizon, sp.dt)
     count = _segment_count(sp, n_steps)
     whole = _Segments(sp, 1, n_steps)
@@ -349,30 +366,36 @@ def solve_bvp(sp, p0_guess=None):
         p0.  Where that flow misses, the trial keeps its segments; where it
         fails, the trial has failed."""
         if predicted:
-            full = _evaluate(sp, whole, u[:sp.n_momenta], False)
+            full = _evaluate(sp, whole, u[:n], False)
             if split is whole or done(full):
                 return full
         trial = _evaluate(sp, split, u, with_columns or predicted)
         if (predicted or split is whole or trial.norm > sp.tolerance or trial.jac is None
                 or _full_flow_estimate(trial) > sp.tolerance):
             return trial
-        full = _evaluate(sp, whole, u[:sp.n_momenta], False)
+        full = _evaluate(sp, whole, u[:n], False)
         return full if done(full) else trial
 
     def divergence(message):
         """NewtonDivergence at the best iterate, judged by its own full flow,
-        or at the guess where that flow fails or ends farther off."""
+        or at the guess (p0 = 0 without one) where that flow fails or ends
+        farther off."""
         reported = best
         if best.segments is not whole:
+            fallback = guess if guess is not None else _evaluate(sp, whole, np.zeros(n), False)
             try:
-                full = _evaluate(sp, whole, best.u[:sp.n_momenta], False)
-                reported = min(guess, full, key=lambda ev: ev.norm)
+                full = _evaluate(sp, whole, best.u[:n], False)
+                reported = min(fallback, full, key=lambda ev: ev.norm)
             except _STACK_FAILURES + (ValidationError,):
-                reported = guess
+                reported = fallback
         return NewtonDivergence(message, best=reported.u.copy(), residual_norm=reported.norm,
                                 iterations=iterations)
 
-    ev = guess = best = _evaluate(sp, whole, p0, True)
+    if p0_guess is None:
+        guess = None
+        ev = best = judge(split.seeds(), True, False)
+    else:
+        ev = guess = best = _evaluate(sp, whole, p0, True)
     norm = ev.norm
     iterations, last = 0, False
     while not done(ev):

@@ -147,8 +147,8 @@ def cmd_optimize(args):
     hs = HamiltonianSystem(problem)
     sp = ShootingProblem(hs=hs, dt=args.dt, scheme=args.integrator,
                          tolerance=args.newton_tol, max_iterations=args.max_iterations)
-    guess = parse_vector(args.guess) if args.guess else np.zeros(sp.n_momenta)
-    if guess.shape != (sp.n_momenta,):
+    guess = parse_vector(args.guess) if args.guess else None
+    if guess is not None and guess.shape != (sp.n_momenta,):
         raise ValidationError(f"--guess must have length {sp.n_momenta}")
 
     def report_trajectory(traj, p0, iterations, residual_norm, cost):
@@ -247,7 +247,9 @@ def build_parser():
     p_opt.add_argument("--dt", type=float, default=ShootingProblem.dt, help="integration step")
     p_opt.add_argument("--integrator", choices=SCHEMES, default=ShootingProblem.scheme)
     p_opt.add_argument("--weights", default="", help="diagonal cost weights")
-    p_opt.add_argument("--guess", default="", help="initial momenta guess")
+    p_opt.add_argument("--guess", default="",
+                       help="initial momenta guess, judged first by its own full-horizon flow; "
+                            "without it the segments start from the boundary data")
     p_opt.add_argument("--newton-tol", type=float, default=ShootingProblem.tolerance,
                        dest="newton_tol")
     p_opt.add_argument("--max-iterations", type=int, default=ShootingProblem.max_iterations,

@@ -161,11 +161,12 @@ def simulate(system, s0, t_final, dt, integrator=INTEGRATORS[0], controls=None, 
     without it the free nonholonomic field is integrated.  The field is
     compiled once per call on flat (q, y) rows, controls add (0; B) u(t), the
     step function of the integrator is chosen once, and the package's one
-    fixed-step driver steps it.  Returned samples satisfy
-    qdot = rho_D y by construction, and carry the energy diagnostic
-    ell = (1/2) G^D(y, y) + V(q) per instant, from one stacked call.  Raises
-    DimensionMismatch unless dt divides t_final, NonFiniteState for a
-    non-finite control.
+    fixed-step driver steps it.  ``Trajectory.controls`` holds the control
+    that the first stage of each step evaluated at its t_k, and u(T).
+    Returned samples satisfy qdot = rho_D y by construction, and carry the
+    energy diagnostic ell = (1/2) G^D(y, y) + V(q) per instant, from one
+    stacked call.  Raises DimensionMismatch unless dt divides t_final,
+    NonFiniteState for a non-finite control.
     """
     n_steps = step_count(t_final, dt)
     if integrator not in INTEGRATORS:
@@ -179,10 +180,15 @@ def simulate(system, s0, t_final, dt, integrator=INTEGRATORS[0], controls=None, 
         raise DimensionMismatch(f"input sections have {controls.rank_d} rows, D has rank {ny}")
     field = _free_field(system)
     f = lambda t, z: field(z)
+    evaluated = []  # the control of every stage; each step's first is at its t_k
     if u is not None:
         block = np.concatenate([np.zeros((nq, controls.k)), controls.input_matrix])
-        f = lambda t, z: field(z) + block @ _control_vector(controls, u(t), t)
 
+        def f(t, z):
+            evaluated.append(_control_vector(controls, u(t), t))
+            return field(z) + block @ evaluated[-1]
+
+    stages = 4 if integrator == "rk4" else 1  # evaluations of f per step
     if integrator == "rk4":
         def step(t, z):
             return rk4_step(f, t, z, dt)
@@ -195,7 +201,8 @@ def simulate(system, s0, t_final, dt, integrator=INTEGRATORS[0], controls=None, 
             return z
 
     times, zs = integrate_fixed_steps(step, np.concatenate([s0.q, s0.y]), n_steps, dt)
-    us = None if u is None else np.array([_control_vector(controls, u(t), t) for t in times])
+    us = None if u is None else np.array(
+        evaluated[::stages] + [_control_vector(controls, u(times[-1]), times[-1])])
     energies = system.energy(zs[:, :nq], zs[:, nq:])
     return Trajectory(times=times, qs=zs[:, :nq].copy(), ys=zs[:, nq:].copy(),
                       controls=us, energies=energies)

@@ -367,10 +367,12 @@ class TestOneFlowPerIteration:
 
 class TestMultipleShooting:
     """A horizon of 100 steps with a quadratic cost splits into 10 segments of
-    10 steps (20 steps into 2).  The guess is one full-horizon flow with its
-    columns; every later full step is one stacked flow of 10 steps: the 10
-    segment rows and the columns of the n + 9 * 2n unknowns.  The answer is
-    one full-horizon flow on one row, and it is the extremal."""
+    10 steps (20 steps into 2).  Without a guess the segments start from the
+    boundary data, and the first flow is one stacked flow of 10 steps: the 10
+    segment rows and the columns of the n + 9 * 2n unknowns, as is every
+    later full step.  A given guess is first one full-horizon flow with its
+    columns.  The answer is one full-horizon flow on one row, and it is the
+    extremal."""
 
     @staticmethod
     def single_shooting(sp, monkeypatch):
@@ -421,7 +423,7 @@ class TestMultipleShooting:
         assert result.iterations == reference.iterations >= 2
         # no step was halved, and the predicted last trial met the tolerance
         stack = (count + n + (count - 1) * 2 * n, steps // count)
-        assert seen == ([(n + 1, steps)] + [stack] * (result.iterations - 1) + [(1, steps)])
+        assert seen == [stack] * result.iterations + [(1, steps)]
         self.assert_answer(sp, result, reference)
 
     def test_mispredicted_trial_takes_its_segment_columns_in_a_stacked_flow(
@@ -434,7 +436,7 @@ class TestMultipleShooting:
         # flow misses the tolerance, and its segments ride with their columns
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
         result = solve_bvp(sp)
-        assert seen == [(3, 100), (48, 10), (1, 100), (48, 10), (1, 100)]
+        assert seen == [(48, 10), (48, 10), (1, 100), (48, 10), (1, 100)]
         assert result.iterations == 3
         self.assert_answer(sp, result, reference)
 
@@ -448,7 +450,7 @@ class TestMultipleShooting:
         # below the tolerance, sends their own p0 to the full flow
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
         result = solve_bvp(sp)
-        assert seen == [(3, 100)] + [(48, 10)] * 3 + [(1, 100)]
+        assert seen == [(48, 10)] * 4 + [(1, 100)]
         assert result.iterations == 3
         self.assert_answer(sp, result, reference)
 
@@ -467,28 +469,29 @@ class TestMultipleShooting:
         monkeypatch.setattr(bvp, "_evaluate", recording)
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
         solve_bvp(sp)
-        assert len(gaps) == 3
+        # the start from the boundary data, then three Newton iterates
+        assert len(gaps) == 4
         for estimate, full, _ in gaps:
             assert abs(estimate - full) <= 1e-2 * full + 1e-13
         # the segments' own residual reads several times lower
-        assert gaps[1][2] < gaps[1][1] / 4
+        assert gaps[2][2] < gaps[2][1] / 4
 
     def test_segments_are_judged_at_once_only_when_their_full_flow_is_expected_to_meet_it(
             self, flows, chaplygin_system, monkeypatch):
-        # at this tolerance the second iterate's segments meet it (1.1e-7)
-        # while the full flow of its p0 misses it (5.0e-7)
-        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2, tolerance=2e-7)
+        # at this tolerance the second iterate's segments meet it (8.7e-9)
+        # while the full flow of its p0 misses it (4.6e-8)
+        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2, tolerance=2e-8)
         reference = self.single_shooting(sp, monkeypatch)
         seen, _ = flows
         seen.clear()
         assert solve_bvp(sp).iterations == 3
-        assert seen == [(3, 100), (48, 10), (1, 100), (48, 10), (1, 100)]
+        assert seen == [(48, 10)] * 3 + [(1, 100)]
         seen.clear()
         with monkeypatch.context() as patch:
             patch.setattr(bvp, "_predicts_convergence", lambda *args: False)
             result = solve_bvp(sp)
         # the estimate reads the miss, so no full flow judges those segments
-        assert seen == [(3, 100), (48, 10), (48, 10), (1, 100)]
+        assert seen == [(48, 10)] * 3 + [(1, 100)]
         assert result.iterations == 3
         assert result.residual_norm == np.abs(shooting_residual(sp, result.p0)).max()
         assert result.residual_norm <= sp.tolerance
@@ -498,12 +501,17 @@ class TestMultipleShooting:
         # leaves the segments, and the next Newton step goes ahead
         monkeypatch.setattr(bvp, "_full_flow_estimate", lambda ev: 0.0)
         seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(bvp, "_predicts_convergence", lambda *args: True)
+            assert solve_bvp(sp).iterations == 3
+        assert seen == [(48, 10)] * 2 + [(1, 100), (48, 10), (1, 100)]
+        seen.clear()
         assert solve_bvp(sp).iterations == 3
-        assert seen == [(3, 100), (48, 10), (1, 100), (48, 10), (1, 100)]
+        assert seen == [(48, 10)] * 3 + [(1, 100), (1, 100)]
         seen.clear()
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
         erring = solve_bvp(sp)
-        assert seen == [(3, 100), (48, 10), (48, 10), (1, 100), (1, 100)]
+        assert seen == [(48, 10)] * 3 + [(1, 100), (1, 100)]
         assert erring.iterations == 3
         assert erring.p0.tobytes() == result.p0.tobytes()
 
@@ -513,13 +521,21 @@ class TestMultipleShooting:
         fail_rows.append(1)  # every full flow on one row fails
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
         with pytest.raises(NewtonDivergence, match="stalled") as info:
-            solve_bvp(sp)
+            solve_bvp(sp, np.zeros(2))
         # the third trial's segments met the tolerance and the full flow of
         # their p0 failed: the line search halved the step, as for any trial
         # whose flow fails, and the halved trial came without columns
         assert seen[:6] == [(3, 100)] + [(48, 10)] * 3 + [(1, 100), (10, 10)]
         # no full flow of an iterate succeeds, so the guess is reported
         assert info.value.best.tobytes() == np.zeros(2).tobytes()
+        seen.clear()
+        # without a guess the same trial fails, and the zero guess's full
+        # flow, which the divergence would report, fails as a solve from it
+        # fails at its first flow
+        with pytest.raises(NonFiniteState, match="forced"):
+            solve_bvp(sp)
+        assert seen[:6] == [(48, 10)] * 4 + [(1, 100), (10, 10)]
+        assert seen[-1] == (1, 100)
 
     def test_linear_problem_met_by_its_first_segment_step_takes_one_iteration(
             self, flows, double_integrator_problem, monkeypatch):
@@ -533,9 +549,16 @@ class TestMultipleShooting:
         reference = self.single_shooting(sp, monkeypatch)
         seen, _ = flows
         seen.clear()
-        result = solve_bvp(sp)
+        result = solve_bvp(sp, np.zeros(2))
         assert seen == [(3, 100), (48, 10), (1, 100)]
         assert result.iterations == reference.iterations == 1
+        self.assert_answer(sp, result, reference)
+        # from the boundary data the first step lands at 1.9e-9, and the
+        # predicted second is one full flow: as many flows, two of them short
+        seen.clear()
+        result = solve_bvp(sp)
+        assert seen == [(48, 10), (48, 10), (1, 100)]
+        assert result.iterations == 2
         self.assert_answer(sp, result, reference)
 
     def test_failing_stack_falls_back_to_the_segments_alone(self, flows, chaplygin_system):
@@ -547,9 +570,42 @@ class TestMultipleShooting:
         result = solve_bvp(sp)
         # each stack failed and was followed by its 10 segments alone, then by
         # the 38 columns of the accepted trial
-        assert seen == [(3, 100)] + [(48, 10), (10, 10), (38, 10)] * 2 + [(1, 100)]
+        assert seen == [(48, 10), (10, 10), (38, 10)] * 3 + [(1, 100)]
         assert result.p0.tobytes() == reference.p0.tobytes()
         assert result.iterations == reference.iterations
+
+    @pytest.mark.parametrize("model", ["sleigh", "curved_quartic"])
+    def test_one_segment_without_a_guess_is_the_zero_guess(self, model, flows,
+                                                            chaplygin_system):
+        # 10 steps, or a non-quadratic cost, keep one segment
+        problem = (sleigh_problem(chaplygin_system) if model == "sleigh"
+                   else curved_quartic_problem())
+        sp = shooting_for(problem, dt=0.1 if model == "sleigh" else 0.05)
+        seen, _ = flows
+        result = solve_bvp(sp)
+        assert bvp._segment_count(sp, len(result.trajectory) - 1) == 1
+        unguessed = list(seen)
+        seen.clear()
+        zero = solve_bvp(sp, np.zeros(sp.n_momenta))
+        assert unguessed == seen
+        assert result.p0.tobytes() == zero.p0.tobytes()
+        assert result.iterations == zero.iterations
+        assert result.residual_norm == zero.residual_norm
+        assert np.float64(result.cost).tobytes() == np.float64(zero.cost).tobytes()
+        for name in TRAJECTORY_FIELDS:
+            assert (getattr(result.trajectory, name).tobytes()
+                    == getattr(zero.trajectory, name).tobytes()), name
+
+    def test_rest_to_rest_without_a_guess_is_its_seeds(self, flows, chaplygin_system):
+        # seeds at rest meet the tolerance, and the full flow of p0 = 0 judges them
+        problem = replace(sleigh_problem(chaplygin_system), y0=[0.0, 0.0], yT=[0.0, 0.0])
+        sp = shooting_for(problem, dt=1e-2)
+        seen, _ = flows
+        result = solve_bvp(sp)
+        assert seen == [(48, 10), (1, 100)]
+        assert result.iterations == 0
+        assert result.p0.tobytes() == np.zeros(2).tobytes()
+        assert result.residual_norm == 0.0
 
     def test_guess_that_meets_the_tolerance_is_the_answer(self, flows, chaplygin_system):
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
@@ -565,15 +621,17 @@ class TestMultipleShooting:
             assert (getattr(result.trajectory, name).tobytes()
                     == getattr(solved.trajectory, name).tobytes()), name
 
-    @pytest.mark.parametrize("y_target, budget, moved", [([5.0, -4.0], 1, True),
-                                                         ([5.0, -4.0], 3, True),
-                                                         ([40.0, 40.0], 2, False)])
+    @pytest.mark.parametrize("y_target, budget, guess, moved", [
+        ([5.0, -4.0], 1, None, False), ([5.0, -4.0], 3, None, True),
+        ([40.0, 40.0], 2, None, True), ([5.0, -4.0], 1, "zero", True),
+        ([5.0, -4.0], 3, "zero", True), ([40.0, 40.0], 2, "zero", False)])
     def test_divergence_reports_the_full_flow_residual_of_its_best(self, y_target, budget,
-                                                                   moved, chaplygin_system):
+                                                                   guess, moved,
+                                                                   chaplygin_system):
         problem = replace(sleigh_problem(chaplygin_system), y0=[1.0, 0.0], yT=y_target)
         sp = shooting_for(problem, dt=1e-2, max_iterations=budget)
         with pytest.raises(NewtonDivergence) as info:
-            solve_bvp(sp)
+            solve_bvp(sp, None if guess is None else np.zeros(2))
         best = info.value.best
         assert info.value.iterations == budget
         assert info.value.residual_norm == np.abs(shooting_residual(sp, best)).max()
@@ -581,6 +639,37 @@ class TestMultipleShooting:
         # off than the guess's
         assert np.any(best != 0.0) == moved
         assert info.value.residual_norm <= np.abs(shooting_residual(sp, np.zeros(2))).max()
+
+
+class TestReachableSleighTargets:
+    """The sleigh from y0 = (0.5, 0.2) to 12 targets reachable by
+    construction: the endpoints at T = 1 of ``simulate`` under smooth
+    controls c0 + c1 sin 2 pi t + c2 cos 2 pi t on input 0 (rng seed 3).
+    Each is solved with that one input and with full actuation, without a
+    guess; from the zero guess one one-input target stalls at 0.358."""
+
+    Y0 = [0.5, 0.2]
+
+    def targets(self, system):
+        one = ControlDistribution.on_indices(2, [0])
+        ends = []
+        for c in np.random.default_rng(3).normal(size=(12, 3)):
+            u = lambda t, c=c: [c[0] + c[1] * np.sin(2 * np.pi * t) + c[2] * np.cos(2 * np.pi * t)]
+            ends.append(simulate(system, StateQY(q=[], y=self.Y0), 1.0, 1e-2, controls=one,
+                                 u=u).ys[-1])
+        return ends
+
+    def test_every_target_converges_without_a_guess(self, chaplygin_system):
+        for y_target in self.targets(chaplygin_system):
+            for controls in (ControlDistribution.on_indices(2, [0]),
+                             ControlDistribution.full(2)):
+                problem = OCProblem(system=chaplygin_system, controls=controls,
+                                    cost=quadratic_cost(np.eye(controls.k)), horizon=1.0,
+                                    y0=self.Y0, yT=y_target)
+                sp = shooting_for(problem, dt=1e-2)
+                result = solve_bvp(sp)
+                assert result.residual_norm <= sp.tolerance
+                assert result.residual_norm == np.abs(shooting_residual(sp, result.p0)).max()
 
 
 class TestChartDerivatives:

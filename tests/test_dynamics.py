@@ -218,6 +218,30 @@ class TestControlledField:
         traj = simulate(system, s, 0.1, 0.01, controls=controls, u=lambda t: np.array(u))
         assert np.abs(traj.ys - s.y).max() < 1e-14
 
+    @pytest.mark.parametrize("integrator, calls", [("rk4", 41), ("symp_euler", 11)])
+    def test_controls_reuse_the_first_stage_of_each_step(self, chaplygin_system, integrator,
+                                                         calls):
+        controls, dt = ControlDistribution.full(2), 0.01
+        called = []
+
+        def u(t):
+            called.append(t)
+            return np.array([np.sin(3.0 * t), 0.1 + t])
+
+        traj = simulate(chaplygin_system, StateQY(q=[], y=[0.2, 0.1]), 10 * dt, dt,
+                        integrator=integrator, controls=controls, u=u)
+        # one call per stage, and one more at T
+        assert len(called) == calls
+        called.clear()
+        assert traj.controls.tobytes() == np.array([u(t) for t in traj.times]).tobytes()
+        field = _free_field(chaplygin_system)
+        forced = lambda t, z: field(z) + controls.input_matrix @ u(t)
+        step = ((lambda t, z: rk4_step(forced, t, z, dt)) if integrator == "rk4"
+                else (lambda t, z: z + dt * forced(t, z)))
+        times, ys = integrate_fixed_steps(step, np.array([0.2, 0.1]), 10, dt)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.ys.tobytes() == ys.tobytes()
+
     def test_control_length_checked(self, suslov_system):
         with pytest.raises(DimensionMismatch, match="control has shape"):
             simulate(suslov_system, StateQY(q=[], y=[1.0, 1.0]), 0.1, 0.01,

@@ -112,5 +112,5 @@ def test_the_repository_against_itself():
                                         "optimize: 30 equal, 0 differ",
                                         "chart_dependent: 21 equal, 0 differ",
                                         "extremal: 7 equal, 0 differ",
-                                        "cli: 7 equal, 0 differ",
-                                        "89 of 89 equal"]
+                                        "cli: 9 equal, 0 differ",
+                                        "91 of 91 equal"]

@@ -20,10 +20,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from nhoc import (ControlDistribution, ExtremalState, HamiltonianSystem, OCProblem,
-                  PhasePoint, StateQY, build_constrained_system, drift_acceleration,
-                  integrate_extremal, integrate_hamiltonian, inverse_legendre, legendre_map,
-                  load_model_config, nonholonomic_field, quadratic_cost)
+                  PhasePoint, ShootingProblem, StateQY, build_constrained_system,
+                  drift_acceleration, extremal_trajectory, integrate_extremal,
+                  integrate_hamiltonian, inverse_legendre, legendre_map, load_model_config,
+                  make_chaplygin, nonholonomic_field, quadratic_cost, shooting_residual,
+                  solve_bvp)
 from nhoc.checks import run_all
+from nhoc.errors import NhocError
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=25)
 UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -126,3 +129,26 @@ def test_free_field_and_energy_stacks_equal_single_calls(drawn, seed):
         expected = -drift_acceleration(system, q, y)
         assert np.abs(row - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
         assert energy.tobytes() == np.float64(system.energy(q, y)).tobytes()
+
+
+SLEIGH = build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))
+
+
+@EXAMPLES
+@given(vectors(2))
+def test_sleigh_solve_from_rest_converges_or_names_its_failure(y_target):
+    # without a guess the shooting segments start from the boundary data
+    problem = OCProblem(system=SLEIGH, controls=ControlDistribution.full(2),
+                        cost=quadratic_cost(np.eye(2)), horizon=1.0, y0=[0.0, 0.0],
+                        yT=y_target)
+    sp = ShootingProblem(hs=HamiltonianSystem(problem), dt=1e-2)
+    try:
+        result = solve_bvp(sp)
+    except NhocError as exc:
+        assert np.isfinite(exc.residual_norm)
+        return
+    assert result.residual_norm <= sp.tolerance
+    assert result.residual_norm == np.abs(shooting_residual(sp, result.p0)).max()
+    expected = extremal_trajectory(sp, result.p0)[0]
+    for name in ("times", "qs", "ys", "controls", "p_qs", "p_ys", "energies", "hamiltonians"):
+        assert getattr(result.trajectory, name).tobytes() == getattr(expected, name).tobytes()

@@ -18,7 +18,9 @@ cases on perfbench's curved model (full actuation with a quadratic and with
 the quartic cost, one input with a quadratic cost), and the ``run_all``
 invariant values of that curved model.  A last group, ``cli``, hashes the
 exit code and standard output of each command line in CLI_RUNS (``nhoc
-check`` and ``nhoc derive``), run in-process through ``nhoc.cli.main``.
+check``, ``nhoc derive``, and ``nhoc optimize`` of the sleigh on 100 steps,
+which shoot over 10 segments, with ``--guess 0,0`` and without), run
+in-process through ``nhoc.cli.main``, and the CSV file an optimize run wrote.
 The comparison prints, per group, how many items hash the same and how many
 differ, and names each differing item; it exits 1 if any differ.  A
 differing item also gets its largest absolute and largest relative gap
@@ -49,8 +51,13 @@ MASK = "<out>"
 SEED = 7
 ROUNDS = 3  # 75 items: 25 per round over the three workloads
 BUILTINS = ("suslov", "chaplygin", "double_integrator")
+# the sleigh of the optimize items; OUT stands for the CSV path in the output directory
+OUT = "{out}"
+SLEIGH_OPTIMIZE = ["optimize", "--builtin=chaplygin", "--params=m=1.0,J=1.0,a=1.0,b=0.0",
+                   "--y0=0,0", "--yT=0.3,-0.2", "--T=1.0", "--dt=0.01", f"--out={OUT}"]
 CLI_RUNS = ([[command, "--builtin", name] for command in ("check", "derive") for name in BUILTINS]
-            + [["derive", "--builtin", "double_integrator", "--params", "n=2", "--q", "0.3,-0.2"]])
+            + [["derive", "--builtin", "double_integrator", "--params", "n=2", "--q", "0.3,-0.2"],
+               SLEIGH_OPTIMIZE + ["--guess=0,0"], SLEIGH_OPTIMIZE])
 EXTREMAL_T, EXTREMAL_DT = 0.1, 0.01
 
 
@@ -203,11 +210,16 @@ def hash_checkout(root):
         for label, outcome in extremal_runs(workloads):
             rows.append(row(0, label, [outcome], out_dir))
         rows = digests["cli"] = []
+        csv_path = os.path.join(out_dir, "cli.csv")
         for argv in CLI_RUNS:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                code = cli.main(argv)
-            rows.append(row(0, " ".join(argv), [(code, out.getvalue())], out_dir))
+                code = cli.main([arg.replace(OUT, csv_path) for arg in argv])
+            outcome = [(code, out.getvalue())]
+            if os.path.exists(csv_path):
+                outcome.append(Path(csv_path).read_bytes())
+                os.remove(csv_path)
+            rows.append(row(0, " ".join(argv), outcome, out_dir))
     return digests
 
 

@@ -139,6 +139,9 @@ def cmd_optimize(args):
     weights = parse_vector(args.weights) if args.weights else np.ones(system.rank_d)
     if weights.shape != (system.rank_d,):
         raise ValidationError(f"--weights must have length {system.rank_d}")
+    if (weights < 0).any():
+        # an indefinite W makes the Legendre map's u a saddle of H, not its maximum
+        raise ValidationError(f"--weights {args.weights!r} must be non-negative")
 
     controls = ControlDistribution.full(system.rank_d)
     problem = OCProblem(system=system, controls=controls, cost=quadratic_cost(np.diag(weights)),
@@ -246,7 +249,9 @@ def build_parser():
     # the defaults are ShootingProblem's: a dataclass field's default is its class attribute
     p_opt.add_argument("--dt", type=float, default=ShootingProblem.dt, help="integration step")
     p_opt.add_argument("--integrator", choices=SCHEMES, default=ShootingProblem.scheme)
-    p_opt.add_argument("--weights", default="", help="diagonal cost weights")
+    p_opt.add_argument("--weights", default="",
+                       help="diagonal cost weights: a negative one is rejected, "
+                            "a zero one leaves the cost singular")
     p_opt.add_argument("--guess", default="",
                        help="initial momenta guess, judged first by its own full-horizon flow; "
                             "without it the segments start from the boundary data")

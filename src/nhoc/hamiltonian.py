@@ -32,6 +32,17 @@ from the explicit predictor; on the hoisted kernel only the velocities
 iterate.  Newton measured slower, and it would converge where the fixed point
 diverges (the sleigh at dt = 10), so a step too large for the scheme would no
 longer raise FixedPointDivergence.  Kicks of non-quadratic costs iterate too.
+
+A flow of one row steps a flat row (2(dim_q + rank_d),) instead of a stack
+of one when its kernel is the hoisted one of a quadratic cost, whose entries
+also come as row forms from the same blocks: every ``nhoc optimize`` solve
+ends with such a flow, and on a stack of one each product, solve and
+fixed-point iteration paid numpy's batching overhead, a quarter to a third
+of that flow's time on the sleigh.  The floats are the stack's: each row
+of a stack already takes the floats of its own product and solve, and the
+row fixed point takes the iterates, tolerance and verdicts of
+``_fixed_point``.  Segment stacks, the chart kernel and non-quadratic costs
+keep the stack path.
 """
 
 import math
@@ -215,6 +226,11 @@ def _outer_rows(u, v):
     return (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (-1,))
 
 
+def _outer_row(u, v):
+    """``_outer_rows`` of one flat row each, with its floats."""
+    return (u[:, None] * v).ravel()
+
+
 class _Kernel(NamedTuple):
     """The partials of a ``HamiltonianSystem`` compiled on stacks of rows:
     positions x = (q, y) and momenta p = (p_q, p_y), each (B, dim_q + rank_d).
@@ -225,6 +241,9 @@ class _Kernel(NamedTuple):
     momenta, and ``kick_matrix(x)`` gives M at every row, (B, d, d); for other
     costs it is None.  ``drift(x, p, tau)`` solves X = x + tau (dH/dp(x, p) +
     dH/dp(X, p)) by fixed-point iteration from X = x + 2 tau dH/dp(x, p).
+    ``row`` is the same kernel on one flat row, x and p of shape
+    (dim_q + rank_d,), which gives the floats of that row in a stack, or None
+    where only stacks are taken.
     """
 
     field: Callable
@@ -232,6 +251,7 @@ class _Kernel(NamedTuple):
     grad_p: Callable
     kick_matrix: Optional[Callable]
     drift: Callable
+    row: Optional["_Kernel"] = None
 
 
 class HamiltonianSystem:
@@ -377,36 +397,45 @@ class HamiltonianSystem:
         x_coeffs = np.concatenate([kick_const, kick_y.reshape(d, d * m)], axis=1)
         rho_t, legendre, y_quad = lin[:n, :m], lin[n:d, m + n:], quad[n:d, :m].reshape(m, m * m)
 
-        def monomials(v, y):
-            return np.concatenate([v, _outer_rows(v, y)], axis=1)
+        def entries(matvec, outer):
+            """The kernel from these blocks, on stacks of rows with ``matvec_rows``
+            and ``_outer_rows``, or on one flat row with ``np.dot`` and
+            ``_outer_row``: either way each entry is one product of a block
+            with the monomials of its rows."""
 
-        def field(z):
-            return matvec_rows(field_coeffs, monomials(z[:, n:], z[:, n:d]))
+            def monomials(v, y):
+                return np.concatenate([v, outer(v, y)], axis=-1)
 
-        def grad_x(x, p):
-            return matvec_rows(x_coeffs, monomials(p, x[:, n:]))
+            def field(z):
+                return matvec(field_coeffs, monomials(z[..., n:], z[..., n:d]))
 
-        def grad_p(x, p):
-            y = x[:, n:]
-            return matvec_rows(p_coeffs, np.concatenate([y, p, _outer_rows(y, y)], axis=1))
+            def grad_x(x, p):
+                return matvec(x_coeffs, monomials(p, x[..., n:]))
 
-        def kick_matrix(x):
-            return kick_const + matvec_rows(kick_y, x[:, n:]).reshape(-1, d, d)
+            def grad_p(x, p):
+                y = x[..., n:]
+                return matvec(p_coeffs, np.concatenate([y, p, outer(y, y)], axis=-1))
 
-        def drift(x, p, tau):
-            # dH/dp = (rho^T y, A p_y - Gamma(y, y)) reads y only: the velocities
-            # iterate Y <- c - tau Gamma(Y, Y), then the chart positions take one step
-            gp, y = grad_p(x, p), x[:, n:]
-            gp_q, gp_y = gp[:, :n], gp[:, n:]
-            with np.errstate(over="ignore", invalid="ignore"):
-                c = y + tau * (gp_y + matvec_rows(legendre, p[:, n:]))
-                v0 = y + tau * (gp_y + gp_y)
-            v = _fixed_point(
-                lambda rows, vv: c[rows] + tau * matvec_rows(y_quad, _outer_rows(vv, vv)), v0)
-            return np.concatenate([x[:, :n] + tau * (gp_q + matvec_rows(rho_t, v)), v], axis=1)
+            def kick_matrix(x):
+                return kick_const + matvec(kick_y, x[..., n:]).reshape(x.shape[:-1] + (d, d))
 
-        return _Kernel(field=field, grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix,
-                       drift=drift)
+            def drift(x, p, tau):
+                # dH/dp = (rho^T y, A p_y - Gamma(y, y)) reads y only: the velocities
+                # iterate Y <- c - tau Gamma(Y, Y), then the chart positions take one step
+                gp, y = grad_p(x, p), x[..., n:]
+                gp_q, gp_y = gp[..., :n], gp[..., n:]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    c = y + tau * (gp_y + matvec(legendre, p[..., n:]))
+                    v0 = y + tau * (gp_y + gp_y)
+                fixed_point = _fixed_point if v0.ndim > 1 else _row_fixed_point
+                v = fixed_point(lambda rows, vv: c[rows] + tau * matvec(y_quad, outer(vv, vv)),
+                                v0)
+                return np.concatenate([x[..., :n] + tau * (gp_q + matvec(rho_t, v)), v], axis=-1)
+
+            return _Kernel(field=field, grad_x=grad_x, grad_p=grad_p, kick_matrix=kick_matrix,
+                           drift=drift)
+
+        return entries(matvec_rows, _outer_rows)._replace(row=entries(np.dot, _outer_row))
 
     def _with_controls(self, kernel):
         """The kernel of a non-quadratic cost, from the kernel of its drift
@@ -517,6 +546,22 @@ def _fixed_point(gfun, z0):
     raise FixedPointDivergence("implicit substep did not converge within 100 iterations")
 
 
+def _row_fixed_point(gfun, z0):
+    """``_fixed_point`` for one flat row z0: the same iterates, tolerance,
+    verdicts and cap, without the bookkeeping of the rows still updating."""
+    z = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            z_new = gfun(..., z)
+            update = np.maximum.reduce(np.abs(z_new - z), initial=0.0)
+            z = z_new
+            if update <= 1e-12:
+                return z
+            if not update < np.inf:
+                raise FixedPointDivergence("implicit substep produced non-finite values")
+    raise FixedPointDivergence("implicit substep did not converge within 100 iterations")
+
+
 def _drift(grad_p):
     """The drift entry of a kernel with dH/dp = ``grad_p``: the map
     X -> x + tau (dH/dp(x, p) + dH/dp(X, p)), iterated from its value at X = x."""
@@ -550,7 +595,8 @@ def _kick(kernel, x, p, tau, identity):
         return _fixed_point(lambda rows, pp: p[rows] - tau * kernel.grad_x(x[rows], pp), p)
     lhs = tau * kernel.kick_matrix(x) + identity
     try:
-        p_new = np.linalg.solve(lhs, p[:, :, None])[:, :, 0]
+        p_new = (np.linalg.solve(lhs, p) if p.ndim == 1
+                 else np.linalg.solve(lhs, p[:, :, None])[:, :, 0])
     except np.linalg.LinAlgError as exc:
         raise FixedPointDivergence("implicit kick is singular") from exc
     if not np.isfinite(p_new).all():
@@ -558,13 +604,14 @@ def _kick(kernel, x, p, tau, identity):
     return p_new
 
 
-def _stepper(hs, dt, scheme):
+def _stepper(hs, dt, scheme, row=False):
     """The step function (t, z) -> z' of one flow of ``hs``, built once per
     flow: one step of the scheme for every row of a (B, 2(n + m)) stack of
-    phase rows.  It holds the compiled kernel, the scheme's branch, the half
-    step and the kick's identity; the field is autonomous, so t is unused."""
+    phase rows, or with ``row`` for one flat row by the row kernel.  It holds
+    the kernel, the scheme's branch, the half step and the kick's identity;
+    the field is autonomous, so t is unused."""
     d = hs.dim_q + hs.rank_d
-    kernel = hs._compiled
+    kernel = hs._compiled.row if row else hs._compiled
     if scheme == "rk4":
         def field(t, z):
             return kernel.field(z)
@@ -574,18 +621,18 @@ def _stepper(hs, dt, scheme):
     identity = np.eye(d)
     if scheme == "symp_euler":
         def symplectic_euler(t, z):
-            x, p = z[:, :d], z[:, d:]
+            x, p = z[..., :d], z[..., d:]
             p_new = _kick(kernel, x, p, dt, identity)
-            return np.concatenate([x + dt * kernel.grad_p(x, p_new), p_new], axis=1)
+            return np.concatenate([x + dt * kernel.grad_p(x, p_new), p_new], axis=-1)
         return symplectic_euler
     half = 0.5 * dt
 
     def stormer_verlet(t, z):
         # generalized Stormer-Verlet: implicit half-kick, implicit drift, half-kick
-        x, p = z[:, :d], z[:, d:]
+        x, p = z[..., :d], z[..., d:]
         p_half = _kick(kernel, x, p, half, identity)
         x_new = kernel.drift(x, p_half, half)
-        return np.concatenate([x_new, p_half - half * kernel.grad_x(x_new, p_half)], axis=1)
+        return np.concatenate([x_new, p_half - half * kernel.grad_x(x_new, p_half)], axis=-1)
     return stormer_verlet
 
 
@@ -637,12 +684,17 @@ def integrate_hamiltonian(hs, phase0, t_final, dt, scheme):
     2(dim_q + rank_d)).  The fields of ``phase0`` may carry leading batch
     axes; the whole stack is then integrated as one flow through the
     fixed-step driver, and ``phases`` gains those axes after the first.
+    One row on a kernel with row forms (the hoisted kernel of a quadratic
+    cost) steps as a flat row, with the floats and the errors it gets in a
+    stack; segments, the chart kernel and other costs step stacks.
     Raises DimensionMismatch unless dt divides t_final, and NonFiniteState
     when any row leaves the finite range.
     """
     n_steps = step_count(t_final, dt)
     _check_scheme(dt, scheme)
     z0 = hs.flatten(phase0)
-    times, phases = integrate_fixed_steps(_stepper(hs, dt, scheme),
-                                          z0.reshape(-1, z0.shape[-1]), n_steps, dt)
+    rows = z0.reshape(-1, z0.shape[-1])
+    row = len(rows) == 1 and hs._compiled.row is not None
+    times, phases = integrate_fixed_steps(_stepper(hs, dt, scheme, row),
+                                          rows[0] if row else rows, n_steps, dt)
     return times, phases.reshape((n_steps + 1,) + z0.shape)

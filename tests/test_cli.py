@@ -143,6 +143,21 @@ class TestOptimize:
         assert capsys.readouterr().err == (
             "error: SingularHessian: regularity matrix is singular (det = 0.000e+00)\n")
 
+    @pytest.mark.parametrize("weights", ["-1,1", "1,-1e-9"])
+    def test_negative_weight_exits_2_before_any_solve(self, weights, tmp_path, capsys,
+                                                      monkeypatch):
+        # an indefinite W makes u = W^-1 B^T p_y a saddle of H in u, which
+        # fails the Legendre-Clebsch condition
+        monkeypatch.setattr(cli, "solve_bvp", lambda *args: pytest.fail("solve_bvp called"))
+        out = tmp_path / "x.csv"
+        code = main(["optimize", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0",
+                     "--y0", "0,0", "--yT", "0.3,0.2", "--T", "1", "--dt", "0.01",
+                     f"--weights={weights}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: --weights '{weights}' must be non-negative\n")
+        assert not out.exists()
+
     def test_uniformly_small_weights_scale_the_momenta(self, tmp_path, capsys):
         p0 = {}
         for weights in ("1,1", "1e-6,1e-6"):

@@ -15,8 +15,8 @@ from nhoc import (ControlDistribution, CostModel, ExtremalState, HamiltonianSyst
 from nhoc import ModelPartials, algebroid, hamiltonian, numerics
 from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
-from nhoc.errors import (DimensionMismatch, FixedPointDivergence, SingularHessian,
-                         ValidationError)
+from nhoc.errors import (DimensionMismatch, FixedPointDivergence, NhocError, NonFiniteState,
+                         SingularHessian, ValidationError)
 from nhoc.numerics import fd_partials, matvec_rows
 
 from conftest import curved_model, full_actuation_problem, point_partials, quartic_cost
@@ -464,7 +464,8 @@ class TestIntegrateStep:
 
     def test_drift_predictor_overflow_warns_nothing(self, double_integrator_problem):
         # dH/dp = (y, p_y) is finite, but the predictor y + tau (p_y + p_y) and
-        # the velocities' constant overflow: both drifts name it as the error
+        # the velocities' constant overflow: every drift names it as the error,
+        # the row form's on one flat row too
         kernel = HamiltonianSystem(double_integrator_problem)._compiled
         x, p = np.zeros((1, 2)), np.array([[0.0, 1.5e308]])
         with warnings.catch_warnings():
@@ -472,6 +473,8 @@ class TestIntegrateStep:
             for drift in (kernel.drift, hamiltonian._drift(kernel.grad_p)):
                 with pytest.raises(FixedPointDivergence):
                     drift(x, p, 0.5)
+            with pytest.raises(FixedPointDivergence):
+                kernel.row.drift(x[0], p[0], 0.5)
 
 
 class TestKick:
@@ -803,6 +806,81 @@ class TestChartKernel:
         rng = np.random.default_rng(3)
         x, p = rng.uniform(-0.5, 0.5, (4, 3)), rng.uniform(-1.0, 1.0, (4, 3))
         assert_drift_solves_its_equation(hs._compiled, x, p, 0.05)
+
+
+class TestOneRowFlow:
+    """A flow of one row on the hoisted kernel with a quadratic cost steps a
+    flat row: its samples are those of row 0 of a stack, bit for bit, and it
+    fails as that stack does."""
+
+    SYSTEMS = ["sleigh", "suslov", "double_integrator_1", "double_integrator_2"]
+
+    @staticmethod
+    def build(request, system, inputs):
+        if system == "sleigh":
+            system = request.getfixturevalue("chaplygin_system")
+        elif system == "suslov":
+            system = request.getfixturevalue("suslov_system")
+        else:
+            system = build_constrained_system(*make_double_integrator(int(system[-1])))
+        k = 1 if inputs == "one_input" else system.rank_d
+        controls = (ControlDistribution.on_indices(2, [1]) if inputs == "one_input"
+                    else ControlDistribution.full(k))
+        # W = diag(2, 0.5, ...): the Legendre map is not the identity
+        weight = np.eye(k) if inputs == "unit" else np.diag(np.resize([2.0, 0.5], k))
+        hs = HamiltonianSystem(OCProblem(system=system, controls=controls,
+                                         cost=quadratic_cost(weight), horizon=1.0))
+        assert system.constant_drift and hs._compiled.row is not None
+        return hs
+
+    @pytest.fixture(params=[(name, "unit") for name in SYSTEMS]
+                    + [(name, "weighted") for name in SYSTEMS] + [("sleigh", "one_input")],
+                    ids=lambda case: "-".join(case))
+    def hs(self, request):
+        return self.build(request, *request.param)
+
+    @staticmethod
+    def flows(hs, row, second, t_final, dt, scheme, monkeypatch):
+        """The flow of the one row and of the stack (row, second), with the
+        shape of the rows that the fixed-step driver was given for each."""
+        shapes, driver = [], hamiltonian.integrate_fixed_steps
+        monkeypatch.setattr(hamiltonian, "integrate_fixed_steps", lambda step, z0, *args: (
+            shapes.append(z0.shape) or driver(step, z0, *args)))
+        outcomes = []
+        for phase in (hs.unflatten(row), hs.unflatten(np.stack([row, second]))):
+            try:
+                outcomes.append(integrate_hamiltonian(hs, phase, t_final, dt, scheme))
+            except NhocError as exc:
+                outcomes.append((type(exc), str(exc)))
+        return outcomes, shapes
+
+    @pytest.mark.parametrize("scheme", hamiltonian.SCHEMES)
+    def test_samples_equal_row_0_of_a_stack(self, hs, scheme, monkeypatch):
+        rng = np.random.default_rng(29)
+        row, second = rng.uniform(-0.5, 0.5, (2, 2 * (hs.dim_q + hs.rank_d)))
+        (single, stacked), shapes = self.flows(hs, row, second, 1.0, 0.01, scheme, monkeypatch)
+        assert shapes == [row.shape, (2,) + row.shape]
+        assert single[0].tobytes() == stacked[0].tobytes()
+        assert single[1].tobytes() == stacked[1][:, 0].tobytes()
+        # a stack of one row takes the flat row too, and keeps its batch axis
+        times, phases = integrate_hamiltonian(hs, hs.unflatten(row[None]), 1.0, 0.01, scheme)
+        assert shapes[-1] == row.shape and phases.shape == (101, 1) + row.shape
+        assert phases[:, 0].tobytes() == single[1].tobytes()
+
+    @pytest.mark.parametrize("scheme, y, p_y, dt, error, message", [
+        # test_fixed_point_divergence's case: the implicit drift diverges
+        ("stormer_verlet", [5.0, 5.0], [5.0, 5.0], 10.0, FixedPointDivergence,
+         "implicit substep produced non-finite values"),
+        ("rk4", [10.0, -10.0], [10.0, 10.0], 0.1, NonFiniteState,
+         "state left the finite range during integration"),
+    ], ids=["stormer_verlet-diverging_drift", "rk4-blow_up"])
+    def test_one_row_fails_as_its_stack(self, request, scheme, y, p_y, dt, error, message,
+                                        monkeypatch):
+        hs = self.build(request, "sleigh", "unit")
+        row, second = np.array(y + p_y), np.array([0.1, 0.2, 0.3, -0.1])
+        outcomes, shapes = self.flows(hs, row, second, 100 * dt, dt, scheme, monkeypatch)
+        assert shapes == [(4,), (2, 4)]
+        assert outcomes == [(error, message)] * 2
 
 
 class TestSymplecticity:

@@ -27,6 +27,7 @@ from nhoc import (ControlDistribution, ExtremalState, HamiltonianSystem, OCProbl
                   solve_bvp)
 from nhoc.checks import run_all
 from nhoc.errors import NhocError
+from nhoc.hamiltonian import SCHEMES
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=25)
 UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -152,3 +153,31 @@ def test_sleigh_solve_from_rest_converges_or_names_its_failure(y_target):
     expected = extremal_trajectory(sp, result.p0)[0]
     for name in ("times", "qs", "ys", "controls", "p_qs", "p_ys", "energies", "hamiltonians"):
         assert getattr(result.trajectory, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def flow_outcome(hs, phase, dt, scheme):
+    """(times, samples) of ten steps, or the NhocError subclass and message."""
+    try:
+        return integrate_hamiltonian(hs, phase, 10 * dt, dt, scheme)
+    except NhocError as exc:
+        return type(exc), str(exc)
+
+
+@EXAMPLES
+@given(actuated_models(), st.integers(0, 2 ** 32 - 1), st.sampled_from(SCHEMES),
+       st.sampled_from([0.01, 0.1, 0.5]), st.sampled_from([1.0, 3.0, 10.0]))
+def test_one_row_flow_is_row_0_of_its_stack_or_fails_as_it(drawn, seed, scheme, dt, scale):
+    # one row steps as a flat row, a stack of two as rows; a failing stack
+    # names the error of one of its rows alone
+    _, _, problem = drawn
+    rng = np.random.default_rng(seed)
+    m = problem.rank_d
+    hs = HamiltonianSystem(problem)
+    rows = rng.uniform(-scale, scale, (2, 2 * m))
+    single, second = (flow_outcome(hs, hs.unflatten(row), dt, scheme) for row in rows)
+    stacked = flow_outcome(hs, hs.unflatten(rows), dt, scheme)
+    if isinstance(stacked[0], type):
+        assert stacked in [outcome for outcome in (single, second) if isinstance(outcome[0], type)]
+    else:
+        assert single[0].tobytes() == stacked[0].tobytes()
+        assert single[1].tobytes() == stacked[1][:, 0].tobytes()

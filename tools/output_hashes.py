@@ -18,8 +18,10 @@ cases on perfbench's curved model (full actuation with a quadratic and with
 the quartic cost, one input with a quadratic cost), and the ``run_all``
 invariant values of that curved model.  A last group, ``cli``, hashes the
 exit code and standard output of each command line in CLI_RUNS (``nhoc
-check``, ``nhoc derive``, and ``nhoc optimize`` of the sleigh on 100 steps,
-which shoot over 10 segments, with ``--guess 0,0`` and without), run
+check``, ``nhoc derive``, ``nhoc optimize`` of the sleigh on 100 steps,
+which shoot over 10 segments, with ``--guess 0,0`` and without, and with
+the weights (2, 0.5) under ``symp_euler`` and ``stormer_verlet``, and
+``nhoc optimize`` of the n = 2 double integrator), run
 in-process through ``nhoc.cli.main``, and the CSV file an optimize run wrote.
 The comparison prints, per group, how many items hash the same and how many
 differ, and names each differing item; it exits 1 if any differ.  A
@@ -57,7 +59,13 @@ SLEIGH_OPTIMIZE = ["optimize", "--builtin=chaplygin", "--params=m=1.0,J=1.0,a=1.
                    "--y0=0,0", "--yT=0.3,-0.2", "--T=1.0", "--dt=0.01", f"--out={OUT}"]
 CLI_RUNS = ([[command, "--builtin", name] for command in ("check", "derive") for name in BUILTINS]
             + [["derive", "--builtin", "double_integrator", "--params", "n=2", "--q", "0.3,-0.2"],
-               SLEIGH_OPTIMIZE + ["--guess=0,0"], SLEIGH_OPTIMIZE])
+               SLEIGH_OPTIMIZE + ["--guess=0,0"], SLEIGH_OPTIMIZE]
+            # weighted costs, whose Legendre map is not the identity, through
+            # each scheme's one-row flow, and the n = 2 double integrator
+            + [SLEIGH_OPTIMIZE + [f"--integrator={scheme}", "--weights=2,0.5"]
+               for scheme in ("symp_euler", "stormer_verlet")]
+            + [["optimize", "--builtin=double_integrator", "--params=n=2", "--q0=0,0",
+                "--qT=0.5,-0.3", "--y0=0,0", "--yT=0,0", "--T=2", "--dt=0.02", f"--out={OUT}"]])
 EXTREMAL_T, EXTREMAL_DT = 0.1, 0.01
 
 

@@ -14,8 +14,8 @@ iteration integrates every segment and its Jacobian columns as one stacked
 flow of L steps.  Without a guess the segments start from the boundary
 data (p0 = 0, and the boundary positions interpolated linearly to each
 segment start, with zero momenta), so the first flow is such a stack too.
-Full-horizon flows judge only a given guess, with its columns, and the
-trials that may end the solve, each on one row.
+Full-horizon flows judge only a given guess, whose samples then start the
+segments, and the trials that may end the solve, each on one row.
 """
 
 import numbers
@@ -29,7 +29,7 @@ from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence
                      NewtonDivergence, NonFiniteState, SingularHessian, SingularJacobian,
                      SingularMetric, ValidationError)
 # inverse_legendre is not called here; perfbench/tracing.py patches it under this name
-from .hamiltonian import (_check_scheme, inverse_legendre,  # noqa: F401
+from .hamiltonian import (_check_scheme, _one_point, inverse_legendre,  # noqa: F401
                           integrate_hamiltonian)
 from .numerics import step_count
 
@@ -132,7 +132,8 @@ def _extremal(sp, times, phases):
 def extremal_trajectory(sp, p0):
     """Integrate the extremal for p0 and attach controls and diagnostics;
     returns (trajectory, cost)."""
-    return _extremal(sp, *_flow(sp, np.atleast_1d(np.asarray(p0, dtype=float)))[1:])
+    p0 = _one_point(np.atleast_1d(np.asarray(p0, dtype=float)), "extremal_trajectory")
+    return _extremal(sp, *_flow(sp, p0)[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,12 +171,15 @@ class _Segments:
         # the segment that each unknown, and so its Jacobian column, starts
         self.owner = np.repeat(np.arange(count), [self.n] + [2 * self.n] * (count - 1))
 
-    def seeds(self):
-        """The unknowns without a guess: p0 = 0, and each s_j the boundary
-        positions interpolated linearly to t_j = j L, with zero momenta."""
+    def seeds(self, p0, phases=None):
+        """The start (p0, s_1, ..., s_{M-1}): s_j the sample at t_j = j L of
+        p0's full-horizon flow ``phases``, or without it the boundary
+        positions interpolated linearly to t_j, with zero momenta."""
+        if phases is not None:
+            return np.concatenate([p0, phases[self.steps * np.arange(1, self.count)].ravel()])
         start = np.concatenate([self.x0, np.zeros(self.n)])
         w = np.arange(1, self.count)[:, None] / self.count
-        return np.concatenate([np.zeros(self.n), ((1 - w) * start + w * self.goal).ravel()])
+        return np.concatenate([p0, ((1 - w) * start + w * self.goal).ravel()])
 
     def starts(self, u):
         """(M, 2n) start rows of the segments."""
@@ -208,9 +212,8 @@ class _Segments:
 
 
 class _Evaluation(NamedTuple):
-    """One flow of the segments at the unknowns u: their samples, the
-    mismatch of their ends, and the Jacobian with its columns' samples
-    when those were integrated."""
+    """One flow of the segments at the unknowns u: their samples, the mismatch
+    of their ends, and the Jacobian when its columns were integrated."""
 
     segments: _Segments
     u: np.ndarray
@@ -218,7 +221,6 @@ class _Evaluation(NamedTuple):
     times: np.ndarray
     phases: np.ndarray
     jac: np.ndarray = None
-    column_phases: np.ndarray = None
 
     @property
     def residual(self):
@@ -257,20 +259,7 @@ def _with_columns(sp, ev, column_phases=None):
     if column_phases is None:
         column_phases = _flow_rows(sp, segments.column_rows(ev.u, starts), segments.steps)[1]
     column_mismatch = segments.mismatch(column_phases[-1], starts, segments.owner)
-    return ev._replace(jac=segments.jacobian(ev.mismatch, column_mismatch),
-                       column_phases=column_phases)
-
-
-def _seeded(segments, ev, step):
-    """The guess ``ev``, one full-horizon flow with its columns, and its
-    Newton step of p0, as unknowns of the segments and a step of them: s_j
-    is the guess's sample at t_j = j L, and moves with the step as the
-    linearized flow, step . (column - base) / h at that sample."""
-    at = segments.steps * np.arange(1, segments.count)
-    base = ev.phases[at, 0]
-    tangents = (ev.column_phases[at] - base[:, None]) / JACOBIAN_STEP
-    return (np.concatenate([ev.u, base.ravel()]),
-            np.concatenate([step, np.einsum("i,jik->jk", step, tangents).ravel()]))
+    return ev._replace(jac=segments.jacobian(ev.mismatch, column_mismatch))
 
 
 def _full_flow_estimate(ev):
@@ -304,15 +293,15 @@ def solve_bvp(sp, p0_guess=None):
     positions interpolated linearly to t_j = j L, with zero momenta.  That
     start is one stacked flow of its segments and their columns, judged as
     any trial below, so seeds that meet the tolerance end the solve after 0
-    iterations; with M = 1 it is the zero guess.  A given guess is
-    integrated over the full horizon, stacked with its columns p0 + h e_i,
-    and if it meets the tolerance it is the answer, after 0 iterations.
-    Otherwise its Newton step is that of single shooting, and the guess's
-    own samples at t_j, moved along their columns, seed the segment starts
-    s_j.  Each later trial integrates all M segments as one stacked flow of
-    L steps, with the columns s_j + h e_i of every unknown when it is a full
-    step, so an accepted trial brings its Jacobian; the halved trials of
-    the line search are integrated without columns.  The block-bidiagonal
+    iterations; with M = 1 it is the zero guess, which a given guess
+    replaces.  With M > 1 a given guess is first one full-horizon flow on
+    one row, the answer after 0 iterations if it meets the tolerance;
+    otherwise its samples at t_j seed the s_j, without continuity defects,
+    and that start is judged as the one without a guess.  Each later trial
+    integrates all M segments as one stacked flow of L steps, with the
+    columns s_j + h e_i of every unknown when it is a full step, so an
+    accepted trial brings its Jacobian; the halved trials of the line
+    search are integrated without columns.  The block-bidiagonal
     Newton system is solved densely, and the line search halves the step until
     the max-norm of the residual (the continuity defects and the terminal
     mismatch) falls.  With M = 1 all of this is single shooting.
@@ -340,17 +329,17 @@ def solve_bvp(sp, p0_guess=None):
     search stalls, with the best p0, the max-norm residual of that p0's own
     full-horizon flow and the number of iterations attached: the best p0 is
     the accepted iterate of least residual, or the guess (p0 = 0 without
-    one, whose full flow is then integrated, and whose failure propagates)
-    where that iterate's full flow fails or ends farther off.  Callers can
-    still build its trajectory via extremal_trajectory.
+    one, whose full flow is then integrated again, and whose failure
+    propagates) where that iterate's full flow fails or ends farther off.
+    Callers can still build its trajectory via extremal_trajectory.
     """
     n = sp.n_momenta
-    if p0_guess is not None:
-        p0 = np.atleast_1d(np.asarray(p0_guess, dtype=float)).copy()
-        if not np.all(np.isfinite(p0)):
-            raise DimensionMismatch("initial momenta guess must be finite")
-        if p0.shape != (n,):
-            raise DimensionMismatch(f"p0 must have length {n}")
+    p0 = np.atleast_1d(np.asarray(np.zeros(n) if p0_guess is None else p0_guess,
+                                  dtype=float)).copy()
+    if not np.all(np.isfinite(p0)):
+        raise DimensionMismatch("initial momenta guess must be finite")
+    if p0.shape != (n,):
+        raise DimensionMismatch(f"p0 must have length {n}")
     n_steps = step_count(sp.hs.problem.horizon, sp.dt)
     count = _segment_count(sp, n_steps)
     whole = _Segments(sp, 1, n_steps)
@@ -378,11 +367,10 @@ def solve_bvp(sp, p0_guess=None):
 
     def divergence(message):
         """NewtonDivergence at the best iterate, judged by its own full flow,
-        or at the guess (p0 = 0 without one) where that flow fails or ends
-        farther off."""
+        or at the start's p0 where that flow fails or ends farther off."""
         reported = best
         if best.segments is not whole:
-            fallback = guess if guess is not None else _evaluate(sp, whole, np.zeros(n), False)
+            fallback = _evaluate(sp, whole, p0, False)
             try:
                 full = _evaluate(sp, whole, best.u[:n], False)
                 reported = min(fallback, full, key=lambda ev: ev.norm)
@@ -391,12 +379,13 @@ def solve_bvp(sp, p0_guess=None):
         return NewtonDivergence(message, best=reported.u.copy(), residual_norm=reported.norm,
                                 iterations=iterations)
 
-    if p0_guess is None:
-        guess = None
-        ev = best = judge(split.seeds(), True, False)
+    if p0_guess is None or split is whole:
+        ev = judge(split.seeds(p0), True, False)
     else:
-        ev = guess = best = _evaluate(sp, whole, p0, True)
-    norm = ev.norm
+        ev = _evaluate(sp, whole, p0, False)
+        if not done(ev):
+            ev = judge(split.seeds(p0, ev.phases[:, 0]), True, False)
+    best, norm = ev, ev.norm
     iterations, last = 0, False
     while not done(ev):
         if iterations >= sp.max_iterations:
@@ -408,13 +397,10 @@ def solve_bvp(sp, p0_guess=None):
             step = np.linalg.solve(ev.jac, -ev.residual)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian("shooting Jacobian is singular") from exc
-        u = ev.u
-        if ev.segments is not split:
-            u, step = _seeded(split, ev, step)
         scale = 1.0
         for halving in range(MAX_HALVINGS + 1):
             try:
-                trial = judge(u + scale * step, halving == 0 and not last,
+                trial = judge(ev.u + scale * step, halving == 0 and not last,
                               halving == 0 and last)
             except (NonFiniteState, ValidationError):
                 # overshooting trial blew up the flow or overflowed: no decrease

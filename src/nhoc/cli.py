@@ -253,8 +253,8 @@ def build_parser():
                        help="diagonal cost weights: a negative one is rejected, "
                             "a zero one leaves the cost singular")
     p_opt.add_argument("--guess", default="",
-                       help="initial momenta guess, judged first by its own full-horizon flow; "
-                            "without it the segments start from the boundary data")
+                       help="initial momenta guess, whose full-horizon flow is judged first and "
+                            "seeds the segments; without it they start from the boundary data")
     p_opt.add_argument("--newton-tol", type=float, default=ShootingProblem.tolerance,
                        dest="newton_tol")
     p_opt.add_argument("--max-iterations", type=int, default=ShootingProblem.max_iterations,

@@ -108,7 +108,12 @@ def nonholonomic_field(system, s):
 
     qdot^i = rho^i_A y^A and ydot^C = -Gamma^C_AB y^A y^B - (grad V)^C.  Stacks
     of rows q (B, dim_q) and y (B, rank_d) give rows with single-call floats.
+    Other shapes raise DimensionMismatch.
     """
+    lead = s.q.shape[:-1]
+    if (s.q.shape, s.y.shape) != (lead + (system.dim_q,), lead + (system.rank_d,)):
+        raise DimensionMismatch(f"state rows q {s.q.shape} and y {s.y.shape} must be "
+                                f"(..., {system.dim_q}) and (..., {system.rank_d}) alike")
     zdot = _free_field(system)(np.concatenate([s.q, s.y], axis=-1))
     return zdot[..., :system.dim_q], zdot[..., system.dim_q:]
 

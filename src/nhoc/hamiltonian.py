@@ -85,6 +85,13 @@ class PhasePoint:
         return np.concatenate([self.q, self.y, self.p_q, self.p_y], axis=-1)
 
 
+def _one_point(z, entry):
+    """z, the flat row of one point; a stack raises DimensionMismatch naming ``entry``."""
+    if z.ndim != 1:
+        raise DimensionMismatch(f"{entry} takes one point, not a stack of shape {z.shape[:-1]}")
+    return z
+
+
 def regularity_matrix(problem, state):
     """Bordered matrix of the vakonomic Legendre transform at a state.
 
@@ -289,7 +296,7 @@ class HamiltonianSystem:
 
     def value(self, phase):
         """H at one phase point, by the stacked formula of extremal samples."""
-        z = self.flatten(phase)[None]
+        z = _one_point(self.flatten(phase), "HamiltonianSystem.value")[None]
         geo = self.system.geometry_rows(z[:, :self.dim_q])
         return float(self._controls_and_values(z, geo)[1][0])
 
@@ -673,7 +680,8 @@ def symplecticity_defect(hs, phase, dt, scheme):
     # quotient of step h reads as a defect of about 1e-12 / h: 1e-8 at
     # h = 1e-4, where the default 1e-6 stencil would read 1e-6; the linear
     # kicks of quadratic costs are solved to rounding
-    dpsi = fd_jacobian(step_map, hs.flatten(phase), step=1e-4)
+    dpsi = fd_jacobian(step_map, _one_point(hs.flatten(phase), "symplecticity_defect"),
+                       step=1e-4)
     return float(np.abs(dpsi.T @ jmat @ dpsi - jmat).max())
 
 

@@ -370,9 +370,9 @@ class TestMultipleShooting:
     10 steps (20 steps into 2).  Without a guess the segments start from the
     boundary data, and the first flow is one stacked flow of 10 steps: the 10
     segment rows and the columns of the n + 9 * 2n unknowns, as is every
-    later full step.  A given guess is first one full-horizon flow with its
-    columns.  The answer is one full-horizon flow on one row, and it is the
-    extremal."""
+    later full step.  A given guess is first one full-horizon flow on one
+    row, whose samples seed the segments.  The answer is one full-horizon
+    flow on one row, and it is the extremal."""
 
     @staticmethod
     def single_shooting(sp, monkeypatch):
@@ -520,41 +520,42 @@ class TestMultipleShooting:
         seen, fail_rows = flows
         fail_rows.append(1)  # every full flow on one row fails
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
-        with pytest.raises(NewtonDivergence, match="stalled") as info:
-            solve_bvp(sp, np.zeros(2))
-        # the third trial's segments met the tolerance and the full flow of
-        # their p0 failed: the line search halved the step, as for any trial
-        # whose flow fails, and the halved trial came without columns
-        assert seen[:6] == [(3, 100)] + [(48, 10)] * 3 + [(1, 100), (10, 10)]
-        # no full flow of an iterate succeeds, so the guess is reported
-        assert info.value.best.tobytes() == np.zeros(2).tobytes()
-        seen.clear()
-        # without a guess the same trial fails, and the zero guess's full
-        # flow, which the divergence would report, fails as a solve from it
-        # fails at its first flow
         with pytest.raises(NonFiniteState, match="forced"):
             solve_bvp(sp)
+        # the third trial's segments met the tolerance and the full flow of
+        # their p0 failed: the line search halved the step, as for any trial
+        # whose flow fails, and the halved trial came without columns; the
+        # zero guess's full flow, which the divergence would report, then
+        # failed too
         assert seen[:6] == [(48, 10)] * 4 + [(1, 100), (10, 10)]
         assert seen[-1] == (1, 100)
+        seen.clear()
+        # a given guess is first its own full flow, which fails
+        with pytest.raises(NonFiniteState, match="forced"):
+            solve_bvp(sp, np.zeros(2))
+        assert seen == [(1, 100)]
 
-    def test_linear_problem_met_by_its_first_segment_step_takes_one_iteration(
+    def test_linear_problem_takes_two_segment_steps_where_single_shooting_takes_one(
             self, flows, double_integrator_problem, monkeypatch):
         # the double integrator of a perfbench `optimize` item (seed 7, round
-        # 7, item 2): the segments of the first Newton step land within the
-        # tolerance, and so does the full flow of their p0, as single
-        # shooting's first step does
+        # 7, item 2): single shooting's first step lands within the tolerance,
+        # while the forward-difference columns of the segment starts leave
+        # the first segment step above it
         horizon = 2.0865066252965105
         problem = replace(double_integrator_problem, horizon=horizon, qT=[-1.031022693202687])
         sp = shooting_for(problem, dt=horizon / 100)
         reference = self.single_shooting(sp, monkeypatch)
+        assert reference.iterations == 1
         seen, _ = flows
         seen.clear()
+        # the zero guess's full flow misses and seeds the segments; the
+        # predicted second step is one full flow
         result = solve_bvp(sp, np.zeros(2))
-        assert seen == [(3, 100), (48, 10), (1, 100)]
-        assert result.iterations == reference.iterations == 1
+        assert seen == [(1, 100), (48, 10), (48, 10), (1, 100)]
+        assert result.iterations == 2
         self.assert_answer(sp, result, reference)
-        # from the boundary data the first step lands at 1.9e-9, and the
-        # predicted second is one full flow: as many flows, two of them short
+        # from the boundary data the first step lands at 1.9e-9: as many
+        # steps, and no full flow first
         seen.clear()
         result = solve_bvp(sp)
         assert seen == [(48, 10), (48, 10), (1, 100)]
@@ -613,13 +614,40 @@ class TestMultipleShooting:
         seen, _ = flows
         seen.clear()
         result = solve_bvp(sp, solved.p0)
-        assert seen == [(3, 100)]
+        assert seen == [(1, 100)]
         assert result.iterations == 0
         assert result.p0.tobytes() == solved.p0.tobytes()
         assert result.residual_norm == solved.residual_norm
         for name in TRAJECTORY_FIELDS:
             assert (getattr(result.trajectory, name).tobytes()
                     == getattr(solved.trajectory, name).tobytes()), name
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_guess_seeds_the_segments_from_its_own_flow(self, scheme, flows,
+                                                        chaplygin_system, monkeypatch):
+        problem = replace(sleigh_problem(chaplygin_system, quadratic_cost(np.diag([2.0, 0.5]))),
+                          yT=[1.0, -0.5])
+        sp = shooting_for(problem, dt=1e-2, scheme=scheme)
+        guess = np.array([0.3, -0.2])
+        evaluate, starts = bvp._evaluate, []
+
+        def recording(sp, segments, u, with_columns):
+            ev = evaluate(sp, segments, u, with_columns)
+            if segments.count > 1 and not starts:
+                starts.append(ev)
+            return ev
+
+        monkeypatch.setattr(bvp, "_evaluate", recording)
+        seen, _ = flows
+        solve_bvp(sp, guess)
+        # one full flow on one row, then the segments with their columns
+        assert seen[:2] == [(1, 100), (48, 10)]
+        start, = starts
+        assert start.u[:2].tobytes() == guess.tobytes()
+        # the segments continue the guess's flow: every defect is exactly 0,
+        # and the terminal mismatch is the guess's shooting residual
+        assert np.all(start.mismatch[:-1] == 0.0)
+        assert start.mismatch[-1, :2].tobytes() == shooting_residual(sp, guess).tobytes()
 
     @pytest.mark.parametrize("y_target, budget, guess, moved", [
         ([5.0, -4.0], 1, None, False), ([5.0, -4.0], 3, None, True),
@@ -646,7 +674,8 @@ class TestReachableSleighTargets:
     construction: the endpoints at T = 1 of ``simulate`` under smooth
     controls c0 + c1 sin 2 pi t + c2 cos 2 pi t on input 0 (rng seed 3).
     Each is solved with that one input and with full actuation, without a
-    guess; from the zero guess one one-input target stalls at 0.358."""
+    guess, from its answer and from 0.9 times it; from the zero guess one
+    one-input target stalls at 0.358."""
 
     Y0 = [0.5, 0.2]
 
@@ -670,6 +699,13 @@ class TestReachableSleighTargets:
                 result = solve_bvp(sp)
                 assert result.residual_norm <= sp.tolerance
                 assert result.residual_norm == np.abs(shooting_residual(sp, result.p0)).max()
+                # the answer as guess is its own full flow, and a near guess
+                # seeds segments that converge
+                exact = solve_bvp(sp, result.p0)
+                assert exact.iterations == 0
+                assert exact.p0.tobytes() == result.p0.tobytes()
+                near = solve_bvp(sp, 0.9 * result.p0)
+                assert near.residual_norm <= sp.tolerance
 
 
 class TestChartDerivatives:

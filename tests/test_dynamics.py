@@ -187,6 +187,22 @@ class TestNonholonomicField:
                 assert qdot[k].tobytes() == single[0].tobytes()
                 assert ydot[k].tobytes() == single[1].tobytes()
 
+    @pytest.mark.parametrize("builtin, q, y", [
+        ("sleigh", [], [1.0, 2.0, 3.0]),
+        ("double_integrator", [0.0, 1.0], [1.0, 2.0]),
+        ("double_integrator", [0.0], [1.0, 2.0]),
+        ("sleigh", np.zeros((3, 0)), np.zeros((3, 3))),
+        ("double_integrator", np.zeros((3, 2)), np.zeros((3, 1))),
+        ("sleigh", [], np.zeros((3, 2))),
+        ("double_integrator", np.zeros((3, 1)), np.zeros((2, 1))),
+    ], ids=["sleigh_row_y", "integrator_row_q", "integrator_row_y", "sleigh_stack_y",
+            "integrator_stack_q", "sleigh_row_q_stack_y", "integrator_unequal_stacks"])
+    def test_wrong_state_shapes_are_named(self, builtin, q, y, chaplygin_system):
+        system = (chaplygin_system if builtin == "sleigh"
+                  else build_constrained_system(*make_double_integrator(1)))
+        with pytest.raises(DimensionMismatch, match="state rows q"):
+            nonholonomic_field(system, StateQY(q=q, y=y))
+
     def test_flat_geodesics(self):
         model = constant_model(np.zeros((3, 3, 3)), np.diag([1.0, 2.0, 3.0]))
         system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(3)[:2]))

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from nhoc import (ControlDistribution, CostModel, ExtremalState, HamiltonianSystem,
-                  OCProblem, PhasePoint, build_constrained_system, constant_model,
+                  OCProblem, PhasePoint, ShootingProblem, build_constrained_system,
+                  constant_model, extremal_trajectory,
                   integrate_extremal, integrate_hamiltonian, integrate_step,
                   inverse_legendre, legendre_map,
                   make_double_integrator, necessary_conditions_field, quadratic_cost,
@@ -934,6 +936,26 @@ class TestErrors:
         "symplecticity_defect": lambda hs, phase: symplecticity_defect(hs, phase, 0.1,
                                                                        "stormer_verlet"),
     }
+
+    # the entries that take one point: a stack is named, not broadcast
+    ONE_POINT_CALLS = {
+        "HamiltonianSystem.value": lambda sp, stack: sp.hs.value(stack),
+        "symplecticity_defect": lambda sp, stack: symplecticity_defect(sp.hs, stack, 0.1,
+                                                                       "rk4"),
+        "extremal_trajectory": lambda sp, stack: extremal_trajectory(sp, stack.p_y),
+    }
+
+    @pytest.mark.parametrize("entry", list(ONE_POINT_CALLS))
+    def test_one_point_entries_reject_stacks_by_name(self, chaplygin_system, entry):
+        problem = replace(full_actuation_problem(chaplygin_system), y0=[0.5, 0.2],
+                          yT=[0.4, 0.3])
+        sp = ShootingProblem(hs=HamiltonianSystem(problem), dt=0.1)
+        stack = PhasePoint(q=np.zeros((2, 0)), y=[[0.1, 0.2], [0.3, 0.4]],
+                           p_q=np.zeros((2, 0)), p_y=[[0.1, 0.2], [0.0, 0.3]])
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^{re.escape(entry)} takes one point, not a stack of "
+                                 r"shape \(2,\)$"):
+            self.ONE_POINT_CALLS[entry](sp, stack)
 
     def test_singular_weight_in_inverse(self, chaplygin_system):
         problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),

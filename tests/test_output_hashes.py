@@ -112,5 +112,5 @@ def test_the_repository_against_itself():
                                         "optimize: 30 equal, 0 differ",
                                         "chart_dependent: 21 equal, 0 differ",
                                         "extremal: 7 equal, 0 differ",
-                                        "cli: 12 equal, 0 differ",
-                                        "94 of 94 equal"]
+                                        "cli: 14 equal, 0 differ",
+                                        "96 of 96 equal"]

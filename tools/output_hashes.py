@@ -20,7 +20,9 @@ invariant values of that curved model.  A last group, ``cli``, hashes the
 exit code and standard output of each command line in CLI_RUNS (``nhoc
 check``, ``nhoc derive``, ``nhoc optimize`` of the sleigh on 100 steps,
 which shoot over 10 segments, with ``--guess 0,0`` and without, and with
-the weights (2, 0.5) under ``symp_euler`` and ``stormer_verlet``, and
+the weights (2, 0.5) under ``symp_euler`` and ``stormer_verlet``, with a
+budget of one Newton iteration, without a guess and with ``--guess 0,0``,
+whose ``NewtonDivergence`` exits 4 with the best iterate's output, and
 ``nhoc optimize`` of the n = 2 double integrator), run
 in-process through ``nhoc.cli.main``, and the CSV file an optimize run wrote.
 The comparison prints, per group, how many items hash the same and how many
@@ -65,7 +67,10 @@ CLI_RUNS = ([[command, "--builtin", name] for command in ("check", "derive") for
             + [SLEIGH_OPTIMIZE + [f"--integrator={scheme}", "--weights=2,0.5"]
                for scheme in ("symp_euler", "stormer_verlet")]
             + [["optimize", "--builtin=double_integrator", "--params=n=2", "--q0=0,0",
-                "--qT=0.5,-0.3", "--y0=0,0", "--yT=0,0", "--T=2", "--dt=0.02", f"--out={OUT}"]])
+                "--qT=0.5,-0.3", "--y0=0,0", "--yT=0,0", "--T=2", "--dt=0.02", f"--out={OUT}"]]
+            # a budget of one Newton iteration: exit 4 with the best iterate
+            + [SLEIGH_OPTIMIZE + ["--max-iterations=1"],
+               SLEIGH_OPTIMIZE + ["--guess=0,0", "--max-iterations=1"]])
 EXTREMAL_T, EXTREMAL_DT = 0.1, 0.01
 
 

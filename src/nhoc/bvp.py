@@ -9,13 +9,15 @@ the step count that is at most ``MAX_SEGMENTS`` and leaves at least
 a prime step count keeps one segment, which is single shooting.  A
 non-quadratic cost keeps one segment too: its kernel runs a Legendre Newton
 per row, so a stack of segments costs more than the shorter flow saves.
-A flow costs its sequential steps far more than its rows, and each Newton
-iteration integrates every segment and its Jacobian columns as one stacked
-flow of L steps.  Without a guess the segments start from the boundary
-data (p0 = 0, and the boundary positions interpolated linearly to each
-segment start, with zero momenta), so the first flow is such a stack too.
-Full-horizon flows judge only a given guess, whose samples then start the
-segments, and the trials that may end the solve, each on one row.
+A flow costs its sequential steps far more than its rows, so each flow is
+one of two: the segments as one flow of L steps, with their Jacobian
+columns stacked on them unless it is a halved step of the line search; or
+the full-horizon flow of p0 on one row, which judges a given guess and the
+trials that may end the solve.  Without a guess the segments start from
+the boundary data (p0 = 0, and the boundary positions interpolated linearly
+to each segment start, with zero momenta), so the first flow is such a
+stack.  Should a flow raise, its trial has failed, and no row of it is
+integrated again.
 """
 
 import numbers
@@ -43,9 +45,6 @@ MAX_HALVINGS = 20
 # least MIN_SEGMENT_STEPS steps each
 MAX_SEGMENTS = 32
 MIN_SEGMENT_STEPS = 10
-# errors of a stacked flow that a Jacobian column's row alone may cause
-_STACK_FAILURES = (NonFiniteState, FixedPointDivergence, SingularMetric, LegendreDivergence,
-                   SingularHessian)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +219,7 @@ class _Evaluation(NamedTuple):
     mismatch: np.ndarray
     times: np.ndarray
     phases: np.ndarray
-    jac: np.ndarray = None
+    jac: np.ndarray
 
     @property
     def residual(self):
@@ -232,49 +231,16 @@ class _Evaluation(NamedTuple):
 
 
 def _evaluate(sp, segments, u, with_columns):
-    """The segments' flow at u, stacked with its Jacobian columns if asked.
-    Should that stack fail (a non-finite state, a diverging implicit
-    substep, a singular metric or a failed Legendre inversion), the failing
-    row may be a column's, and the segments are integrated alone."""
+    """The segments' flow at u, as one flow stacked with its Jacobian columns
+    if asked.  Should that flow raise, the trial has failed."""
     starts, m = segments.starts(u), segments.count
+    rows = np.vstack([starts, segments.column_rows(u, starts)]) if with_columns else starts
+    times, phases = _flow_rows(sp, rows, segments.steps)
+    mismatch, jac = segments.mismatch(phases[-1, :m], starts), None
     if with_columns:
-        try:
-            times, phases = _flow_rows(sp, np.vstack([starts, segments.column_rows(u, starts)]),
-                                       segments.steps)
-        except _STACK_FAILURES:
-            pass
-        else:
-            ev = _Evaluation(segments, u, segments.mismatch(phases[-1, :m], starts), times,
-                             phases[:, :m])
-            return _with_columns(sp, ev, phases[:, m:])
-    times, phases = _flow_rows(sp, starts, segments.steps)
-    return _Evaluation(segments, u, segments.mismatch(phases[-1], starts), times, phases)
-
-
-def _with_columns(sp, ev, column_phases=None):
-    """``ev`` with its Jacobian, from the samples of its columns: those given,
-    or one flow of its columns alone."""
-    segments = ev.segments
-    starts = segments.starts(ev.u)
-    if column_phases is None:
-        column_phases = _flow_rows(sp, segments.column_rows(ev.u, starts), segments.steps)[1]
-    column_mismatch = segments.mismatch(column_phases[-1], starts, segments.owner)
-    return ev._replace(jac=segments.jacobian(ev.mismatch, column_mismatch))
-
-
-def _full_flow_estimate(ev):
-    """The max-norm residual that the full-horizon flow of the p0 of ``ev``,
-    segments with their Jacobian, has to first order: each continuity
-    defect carried to the end through the later segments' blocks
-    d(end_j)/d(s_j), which the terminal mismatch then joins.  The segment
-    residual alone can read several times lower: 1.1e-7 on the sleigh at
-    dt = 1e-2, whose full flow ends 5.0e-7 off, as this estimate reads."""
-    n, n2 = ev.segments.n, 2 * ev.segments.n
-    carried = ev.mismatch[0]
-    for j in range(1, ev.segments.count):
-        block = ev.jac[j * n2:(j + 1) * n2, j * n2 - n:(j + 1) * n2 - n]
-        carried = ev.mismatch[j, :len(block)] + block @ carried
-    return float(np.abs(carried).max())
+        jac = segments.jacobian(mismatch, segments.mismatch(phases[-1, m:], starts,
+                                                            segments.owner))
+    return _Evaluation(segments, u, mismatch, times, phases[:, :m], jac)
 
 
 def _predicts_convergence(previous, norm, tolerance):
@@ -288,50 +254,32 @@ def solve_bvp(sp, p0_guess=None):
     """Damped Newton on the shooting residual with a forward-difference Jacobian.
 
     The horizon splits into M segments of L steps (the module docstring
-    gives the rule).  Without a guess Newton starts from u = (0, s_1, ...,
-    s_{M-1}), each s_j = ((1 - j/M) x0 + (j/M) xT, 0): the boundary
-    positions interpolated linearly to t_j = j L, with zero momenta.  That
-    start is one stacked flow of its segments and their columns, judged as
-    any trial below, so seeds that meet the tolerance end the solve after 0
-    iterations; with M = 1 it is the zero guess, which a given guess
-    replaces.  With M > 1 a given guess is first one full-horizon flow on
-    one row, the answer after 0 iterations if it meets the tolerance;
-    otherwise its samples at t_j seed the s_j, without continuity defects,
-    and that start is judged as the one without a guess.  Each later trial
-    integrates all M segments as one stacked flow of L steps, with the
-    columns s_j + h e_i of every unknown when it is a full step, so an
-    accepted trial brings its Jacobian; the halved trials of the line
-    search are integrated without columns.  The block-bidiagonal
-    Newton system is solved densely, and the line search halves the step until
-    the max-norm of the residual (the continuity defects and the terminal
-    mismatch) falls.  With M = 1 all of this is single shooting.
+    gives the rule), and the unknowns are u = (p0, s_1, ..., s_{M-1}).
+    Without a guess Newton starts from p0 = 0 and s_j = ((1 - j/M) x0 +
+    (j/M) xT, 0), the boundary positions interpolated linearly to t_j = j L
+    with zero momenta; with M = 1 that is the zero guess, which a given guess
+    replaces.  With M > 1 a given guess is first its full-horizon flow, the
+    answer if it meets the tolerance; otherwise its samples at t_j are the s_j.
 
-    Only a full-horizon flow decides convergence, and a full flow that
-    meets the tolerance gives its samples to the extremal, which is not
-    integrated again.  After a full step took the residual norm from r_prev
-    to r, Newton's quadratic model predicts the next to be
-    r * (r / r_prev)**2; at or below the tolerance (or when r itself is),
-    that trial is first one full-horizon flow of its p0 on one row, and
-    where that flow misses, its segments are integrated with their
-    columns as any full step's (with M = 1 the full flow is its segment,
-    and an accepted trial takes its columns in a flow of their own).  Any
-    other trial whose segments meet the tolerance, and whose continuity
-    defects carried through its Jacobian leave the full flow within it too
-    (``_full_flow_estimate``), is judged at once by the full-horizon flow
-    of its p0; where that flow misses, the trial keeps its segments and the
-    next Newton step goes ahead, and where it fails, the trial has failed.
-    Every Jacobian takes the one forward formula (r(u + h e_i) - r(u)) / h, h =
-    ``JACOBIAN_STEP``.  Should a stacked flow fail (a non-finite state, a
-    diverging implicit substep, a singular metric or a failed Legendre
-    inversion), the segments are integrated alone and their columns follow.
+    Each flow is either the M segments of L steps, stacked with the columns
+    u + h e_i of every unknown (h = ``JACOBIAN_STEP``) unless it is a halved
+    step of the line search, or the full-horizon flow of p0 on one row.
+    Should it raise, its trial has failed: a non-finite state or input
+    halves the step, any other error propagates, and nothing is integrated
+    again.  An accepted trial without columns takes them in one stack with
+    its segments.  The line search halves the step until the max-norm of the
+    residual (the continuity defects and the terminal mismatch) falls.  Only
+    a full-horizon flow ends the solve, and its samples are the extremal:
+    segments that meet the tolerance are judged by the full flow of their p0
+    and kept where it misses, and a trial that Newton's quadratic model
+    predicts last, r * (r / r_prev)**2 <= tolerance after a full step from
+    r_prev to r (or r <= tolerance), is first its full flow, with its
+    segments only where that misses.  With M = 1 this is single shooting.
 
-    Raises NewtonDivergence when the iteration budget is spent or the line
-    search stalls, with the best p0, the max-norm residual of that p0's own
-    full-horizon flow and the number of iterations attached: the best p0 is
-    the accepted iterate of least residual, or the guess (p0 = 0 without
-    one, whose full flow is then integrated again, and whose failure
-    propagates) where that iterate's full flow fails or ends farther off.
-    Callers can still build its trajectory via extremal_trajectory.
+    Raises NewtonDivergence when the budget is spent or the line search
+    stalls, with the iterations and the best p0 and the residual of its own
+    full flow: the accepted iterate of least residual, or the start's p0
+    where that iterate's full flow fails or ends farther off.
     """
     n = sp.n_momenta
     p0 = np.atleast_1d(np.asarray(np.zeros(n) if p0_guess is None else p0_guess,
@@ -349,18 +297,14 @@ def solve_bvp(sp, p0_guess=None):
         return ev.segments is whole and ev.norm <= sp.tolerance
 
     def judge(u, with_columns, predicted):
-        """The trial u: a predicted last trial is first one full-horizon flow,
-        and other segments that meet the tolerance, with a full flow
-        expected to meet it too, are then judged by the full flow of their
-        p0.  Where that flow misses, the trial keeps its segments; where it
-        fails, the trial has failed."""
+        """The trial u: a predicted last trial is first its full flow, and
+        other segments that meet the tolerance are then judged by theirs."""
         if predicted:
             full = _evaluate(sp, whole, u[:n], False)
             if split is whole or done(full):
                 return full
         trial = _evaluate(sp, split, u, with_columns or predicted)
-        if (predicted or split is whole or trial.norm > sp.tolerance or trial.jac is None
-                or _full_flow_estimate(trial) > sp.tolerance):
+        if predicted or split is whole or trial.norm > sp.tolerance:
             return trial
         full = _evaluate(sp, whole, u[:n], False)
         return full if done(full) else trial
@@ -374,7 +318,8 @@ def solve_bvp(sp, p0_guess=None):
             try:
                 full = _evaluate(sp, whole, best.u[:n], False)
                 reported = min(fallback, full, key=lambda ev: ev.norm)
-            except _STACK_FAILURES + (ValidationError,):
+            except (NonFiniteState, FixedPointDivergence, SingularMetric, LegendreDivergence,
+                    SingularHessian, ValidationError):
                 reported = fallback
         return NewtonDivergence(message, best=reported.u.copy(), residual_norm=reported.norm,
                                 iterations=iterations)
@@ -392,7 +337,7 @@ def solve_bvp(sp, p0_guess=None):
             raise divergence(f"shooting Newton did not converge in {sp.max_iterations} "
                              "iterations")
         if ev.jac is None:
-            ev = _with_columns(sp, ev)
+            ev = _evaluate(sp, ev.segments, ev.u, True)
         try:
             step = np.linalg.solve(ev.jac, -ev.residual)
         except np.linalg.LinAlgError as exc:

@@ -212,12 +212,16 @@ def inverse_legendre(problem, phase):
 
     The control u solves C_u = B^T p_y and lambda = p_q.  With basis-aligned
     inputs v = u - delta on the actuated rows and lambda_bar = p_y on the
-    unactuated rows; a square input matrix gives v = B u - delta.
+    unactuated rows; a square input matrix gives v = B u - delta.  Raises
+    DimensionMismatch unless p_q and p_y have lengths dim_q and rank_d.
     """
     ctrl = problem.controls
     q, y = phase.q, phase.y
-    u = _optimal_control(problem, q, y, phase.p_y)
     delta = drift_acceleration(problem.system, q, y)
+    if phase.p_q.shape != (problem.dim_q,) or phase.p_y.shape != (ctrl.rank_d,):
+        raise DimensionMismatch(f"momenta p_q, p_y must have lengths {problem.dim_q}, "
+                                f"{ctrl.rank_d}")
+    u = _optimal_control(problem, q, y, phase.p_y)
     if ctrl.actuated_indices is None:
         if ctrl._inverse is None:
             raise DimensionMismatch("input matrix is neither basis-aligned nor square")

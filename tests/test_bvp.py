@@ -157,20 +157,34 @@ class TestBatchedResidual:
 
 @pytest.fixture
 def flows(monkeypatch):
-    """(rows, steps) of every flow bvp integrates, in order; ``fail_rows``
-    makes every stack of that many rows raise NonFiniteState."""
-    seen, fail_rows = [], []
+    """(rows, steps) of every flow bvp integrates, in order, failed ones too;
+    ``fail[rows] = error`` makes every flow of that many rows raise ``error``."""
+    seen, fail = [], {}
     flow = bvp.integrate_hamiltonian
 
     def counting(hs, phase0, t_final, dt, scheme):
         rows = 1 if phase0.p_y.ndim == 1 else len(phase0.p_y)
         seen.append((rows, round(t_final / dt)))
-        if rows in fail_rows:
-            raise NonFiniteState("stacked flow failure forced by the test")
+        if rows in fail:
+            raise fail[rows]("flow failure forced by the test")
         return flow(hs, phase0, t_final, dt, scheme)
 
     monkeypatch.setattr(bvp, "integrate_hamiltonian", counting)
-    return seen, fail_rows
+    return seen, fail
+
+
+def fail_after_the_start(monkeypatch, fail, rows, error=NonFiniteState):
+    """Let the first flow of a solve, its start, pass, and make every later
+    flow of ``rows`` rows raise ``error`` through the ``flows`` fixture."""
+    flow = bvp.integrate_hamiltonian
+
+    def arming(*args):
+        try:
+            return flow(*args)
+        finally:
+            fail[rows] = error
+
+    monkeypatch.setattr(bvp, "integrate_hamiltonian", arming)
 
 
 def full_horizon(rows, steps=10):
@@ -221,26 +235,29 @@ class TestOneFlowPerIteration:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("cost", ["quadratic", "quartic"])
-    def test_failing_stack_falls_back_to_the_trial_alone(self, cost, scheme, flows,
-                                                         chaplygin_system):
+    def test_failing_stack_is_its_trials_only_flow(self, cost, scheme, flows, chaplygin_system,
+                                                   monkeypatch):
         if cost == "quadratic":
             sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1, scheme=scheme)
         else:
             sp = shooting_for(sleigh_problem(chaplygin_system, quartic_cost()), dt=0.1,
                               scheme=scheme)
-        seen, fail_rows = flows
-        reference = solve_bvp(sp, np.zeros(2))
+        seen, fail = flows
+        stack = sp.n_momenta + 1
+        fail[stack] = NonFiniteState
+        # the start fails outside the line search, and the solve with it
+        with pytest.raises(NonFiniteState, match="forced"):
+            solve_bvp(sp, np.zeros(2))
+        assert seen == full_horizon([stack])
         seen.clear()
-        fail_rows.append(sp.n_momenta + 1)
-        result = solve_bvp(sp, np.zeros(2))
-        assert result.p0.tobytes() == reference.p0.tobytes()
-        assert result.iterations == reference.iterations
-        # each stack failed and was followed by its trial alone, then by the
-        # columns of the accepted trial; the predicted last trial came alone
-        n = sp.n_momenta
-        assert seen == full_horizon([n + 1, 1] + [n, n + 1, 1] * (result.iterations - 1)
-                                    + [n, 1])
-        self.assert_trajectory_is_extremal_of_p0(sp, result)
+        del fail[stack]
+        fail_after_the_start(monkeypatch, fail, stack)
+        # the first full step's stack fails and its half comes alone; the
+        # columns of that accepted trial fail as one stack with its row, and
+        # nothing is integrated again
+        with pytest.raises(NonFiniteState, match="forced"):
+            solve_bvp(sp, np.zeros(2))
+        assert seen == full_horizon([stack, stack, 1, stack])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("model", MODELS)
@@ -259,7 +276,7 @@ class TestOneFlowPerIteration:
             assert (getattr(result.trajectory, name).tobytes()
                     == getattr(riding.trajectory, name).tobytes()), name
 
-    def test_mispredicted_trial_takes_its_columns_in_a_flow_of_their_own(
+    def test_mispredicted_trial_takes_its_columns_in_a_stacked_flow(
             self, flows, chaplygin_system, monkeypatch):
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1)
         seen, _ = flows
@@ -267,10 +284,11 @@ class TestOneFlowPerIteration:
         assert reference.iterations == 3
         seen.clear()
         # every full step is predicted to be the last: the second trial is
-        # accepted above the tolerance and lacks its Jacobian
+        # accepted above the tolerance and lacks its Jacobian, which its row
+        # takes again with its columns, as one stack
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
         result = solve_bvp(sp, np.zeros(2))
-        assert seen == full_horizon([3, 3, 1, 2, 1])
+        assert seen == full_horizon([3, 3, 1, 3, 1])
         assert result.p0.tobytes() == reference.p0.tobytes()
         assert result.iterations == reference.iterations
         self.assert_trajectory_is_extremal_of_p0(sp, result)
@@ -282,7 +300,7 @@ class TestOneFlowPerIteration:
         seen, _ = flows
         result = solve_bvp(sp, np.zeros(2))
         # the sixth trial was predicted last but stopped above the tolerance
-        assert seen == full_horizon([3] * 6 + [1, 2, 1], 100)
+        assert seen == full_horizon([3] * 6 + [1, 3, 1], 100)
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
         riding = solve_bvp(sp, np.zeros(2))
         assert result.p0.tobytes() == riding.p0.tobytes()
@@ -295,13 +313,13 @@ class TestOneFlowPerIteration:
         seen, _ = flows
         reference = solve_bvp(sp, np.zeros(2))
         # the first full step is refused and its half accepted
-        assert seen == full_horizon([3, 3, 1, 2, 3, 3, 3, 1])
+        assert seen == full_horizon([3, 3, 1, 3, 3, 3, 3, 1])
         seen.clear()
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
         result = solve_bvp(sp, np.zeros(2))
         # the damped first step predicts nothing: the second trial rides, and
-        # every later one comes alone and takes its columns in a flow of their own
-        assert seen == full_horizon([3, 3, 1, 2, 3] + [1, 2] * 2 + [1])
+        # every later one comes alone and takes its columns in a stack with its row
+        assert seen == full_horizon([3, 3, 1, 3, 3] + [1, 3] * 2 + [1])
         assert result.p0.tobytes() == reference.p0.tobytes()
 
     def test_budget_spent_on_a_predicted_trial_still_diverges(self, flows,
@@ -324,27 +342,20 @@ class TestOneFlowPerIteration:
             shooting_residual(sp, predicted.value.best)).max()
 
     @pytest.mark.parametrize("error", [SingularMetric, LegendreDivergence, SingularHessian])
-    def test_failing_geometry_or_legendre_map_in_a_stack_falls_back_to_the_trial_alone(
-            self, error, monkeypatch, chaplygin_system):
-        # on a chart-dependent model a column's row can leave the region
-        # where the metric is positive-definite, and with a non-quadratic cost
-        # its Legendre inversion can diverge or meet a singular cost Hessian
+    def test_failing_geometry_or_legendre_map_in_a_stack_ends_the_solve(
+            self, error, flows, monkeypatch, chaplygin_system):
+        # on a chart-dependent model a row can leave the region where the
+        # metric is positive-definite, and with a non-quadratic cost its
+        # Legendre inversion can diverge or meet a singular cost Hessian: the
+        # line search halves no step for these, whichever row failed
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1)
-        reference = solve_bvp(sp, np.zeros(2))
-        flow = bvp.integrate_hamiltonian
+        seen, fail = flows
+        fail_after_the_start(monkeypatch, fail, sp.n_momenta + 1, error)
+        with pytest.raises(error, match="forced"):
+            solve_bvp(sp, np.zeros(2))
+        assert seen == full_horizon([3, 3])
 
-        def failing(hs, phase0, *args):
-            if phase0.p_y.ndim == 2 and len(phase0.p_y) == sp.n_momenta + 1:
-                raise error("stacked flow failure forced by the test")
-            return flow(hs, phase0, *args)
-
-        monkeypatch.setattr(bvp, "integrate_hamiltonian", failing)
-        result = solve_bvp(sp, np.zeros(2))
-        assert result.p0.tobytes() == reference.p0.tobytes()
-        assert result.iterations == reference.iterations
-
-    def test_singular_kick_in_a_stack_falls_back_to_the_trial_alone(self, flows,
-                                                                     chaplygin_system):
+    def test_singular_kick_in_a_stack_is_its_trials_only_flow(self, flows, chaplygin_system):
         # the sleigh's kick matrix at y = (0, c) is diag(-c / 2, 0), so with
         # dt = 0.5 the kick's I + M / 2 is singular at y = (0, 4).  From y = 0
         # the first step takes y to p0 / 2: the second kick is singular for
@@ -360,9 +371,8 @@ class TestOneFlowPerIteration:
         seen.clear()
         with pytest.raises(FixedPointDivergence):
             solve_bvp(sp, p0)
-        # the stack failed, the trial was integrated alone, and the columns
-        # of its Jacobian failed again
-        assert seen == full_horizon([3, 1, 2], 2)
+        # the start's stack failed, and nothing was integrated again
+        assert seen == full_horizon([3], 2)
 
 
 class TestMultipleShooting:
@@ -454,71 +464,38 @@ class TestMultipleShooting:
         assert result.iterations == 3
         self.assert_answer(sp, result, reference)
 
-    def test_full_flow_estimate_reads_the_full_flow_residual(self, chaplygin_system,
-                                                             monkeypatch):
-        sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
-        evaluate, gaps = bvp._evaluate, []
-
-        def recording(sp, segments, u, with_columns):
-            ev = evaluate(sp, segments, u, with_columns)
-            if ev.jac is not None and segments.count > 1:
-                full = np.abs(shooting_residual(sp, u[:sp.n_momenta])).max()
-                gaps.append((bvp._full_flow_estimate(ev), full, ev.norm))
-            return ev
-
-        monkeypatch.setattr(bvp, "_evaluate", recording)
-        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
-        solve_bvp(sp)
-        # the start from the boundary data, then three Newton iterates
-        assert len(gaps) == 4
-        for estimate, full, _ in gaps:
-            assert abs(estimate - full) <= 1e-2 * full + 1e-13
-        # the segments' own residual reads several times lower
-        assert gaps[2][2] < gaps[2][1] / 4
-
-    def test_segments_are_judged_at_once_only_when_their_full_flow_is_expected_to_meet_it(
+    def test_segments_within_the_tolerance_are_kept_where_their_full_flow_misses(
             self, flows, chaplygin_system, monkeypatch):
         # at this tolerance the second iterate's segments meet it (8.7e-9)
-        # while the full flow of its p0 misses it (4.6e-8)
+        # while the full flow of its p0 misses it (4.6e-8): the trial keeps
+        # its segments, and the next one is predicted to be the last
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2, tolerance=2e-8)
         reference = self.single_shooting(sp, monkeypatch)
         seen, _ = flows
         seen.clear()
-        assert solve_bvp(sp).iterations == 3
-        assert seen == [(48, 10)] * 3 + [(1, 100)]
-        seen.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(bvp, "_predicts_convergence", lambda *args: False)
-            result = solve_bvp(sp)
-        # the estimate reads the miss, so no full flow judges those segments
-        assert seen == [(48, 10)] * 3 + [(1, 100)]
+        result = solve_bvp(sp)
+        assert seen == [(48, 10)] * 3 + [(1, 100), (1, 100)]
         assert result.iterations == 3
         assert result.residual_norm == np.abs(shooting_residual(sp, result.p0)).max()
         assert result.residual_norm <= sp.tolerance
         assert np.abs(result.p0 - reference.p0).max() <= 1e-6
-        # where the estimate errs: a predicted trial whose full flow missed
-        # is not judged by it twice, and otherwise the full flow that misses
-        # leaves the segments, and the next Newton step goes ahead
-        monkeypatch.setattr(bvp, "_full_flow_estimate", lambda ev: 0.0)
         seen.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(bvp, "_predicts_convergence", lambda *args: True)
-            assert solve_bvp(sp).iterations == 3
-        assert seen == [(48, 10)] * 2 + [(1, 100), (48, 10), (1, 100)]
+            patch.setattr(bvp, "_predicts_convergence", lambda *args: False)
+            unpredicted = solve_bvp(sp)
+        assert seen == [(48, 10)] * 3 + [(1, 100), (1, 100)]
+        assert unpredicted.iterations == 3
+        assert unpredicted.p0.tobytes() == result.p0.tobytes()
+        # a predicted trial whose full flow missed is not judged by it twice
         seen.clear()
+        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: True)
         assert solve_bvp(sp).iterations == 3
-        assert seen == [(48, 10)] * 3 + [(1, 100), (1, 100)]
-        seen.clear()
-        monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
-        erring = solve_bvp(sp)
-        assert seen == [(48, 10)] * 3 + [(1, 100), (1, 100)]
-        assert erring.iterations == 3
-        assert erring.p0.tobytes() == result.p0.tobytes()
+        assert seen == [(48, 10)] * 2 + [(1, 100), (48, 10), (1, 100)]
 
     def test_failed_full_flow_fails_its_trial(self, flows, chaplygin_system, monkeypatch):
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
-        seen, fail_rows = flows
-        fail_rows.append(1)  # every full flow on one row fails
+        seen, fail = flows
+        fail[1] = NonFiniteState  # every full flow on one row fails
         monkeypatch.setattr(bvp, "_predicts_convergence", lambda *args: False)
         with pytest.raises(NonFiniteState, match="forced"):
             solve_bvp(sp)
@@ -562,18 +539,23 @@ class TestMultipleShooting:
         assert result.iterations == 2
         self.assert_answer(sp, result, reference)
 
-    def test_failing_stack_falls_back_to_the_segments_alone(self, flows, chaplygin_system):
+    def test_failing_stack_of_segments_is_its_trials_only_flow(self, flows, chaplygin_system,
+                                                                monkeypatch):
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=1e-2)
-        reference = solve_bvp(sp)
-        seen, fail_rows = flows
+        seen, fail = flows
+        fail[48] = NonFiniteState
+        with pytest.raises(NonFiniteState, match="forced"):
+            solve_bvp(sp)
+        assert seen == [(48, 10)]
         seen.clear()
-        fail_rows.append(48)
-        result = solve_bvp(sp)
-        # each stack failed and was followed by its 10 segments alone, then by
-        # the 38 columns of the accepted trial
-        assert seen == [(48, 10), (10, 10), (38, 10)] * 3 + [(1, 100)]
-        assert result.p0.tobytes() == reference.p0.tobytes()
-        assert result.iterations == reference.iterations
+        del fail[48]
+        fail_after_the_start(monkeypatch, fail, 48)
+        # the first full step's stack fails and its half comes as the 10
+        # segments alone; the columns of that accepted trial fail as one
+        # stack with its segments
+        with pytest.raises(NonFiniteState, match="forced"):
+            solve_bvp(sp)
+        assert seen == [(48, 10), (48, 10), (10, 10), (48, 10)]
 
     @pytest.mark.parametrize("model", ["sleigh", "curved_quartic"])
     def test_one_segment_without_a_guess_is_the_zero_guess(self, model, flows,
@@ -858,9 +840,9 @@ class TestSolveBVP:
     def test_blowup_during_line_search_degrades_to_divergence(self, chaplygin_system,
                                                               monkeypatch):
         # single shooting (10 steps; segments of 10 steps would stay finite)
-        # to a distant target: the first full step's flow leaves the finite
-        # range, stacked and alone, and the line search halves the step
-        # instead of aborting the solve with NonFiniteState
+        # to a distant target: the first full step's stack leaves the finite
+        # range, and the line search halves the step instead of aborting the
+        # solve with NonFiniteState
         problem = replace(sleigh_problem(chaplygin_system), y0=[1.0, 0.0], yT=[40.0, 40.0])
         sp = shooting_for(problem, dt=0.1, max_iterations=1)
         failed = []
@@ -876,7 +858,7 @@ class TestSolveBVP:
         monkeypatch.setattr(bvp, "integrate_hamiltonian", recording)
         with pytest.raises(NewtonDivergence) as info:
             solve_bvp(sp)
-        assert failed == [(3, 2), (1, 2)]
+        assert failed == [(3, 2)]
         assert info.value.iterations == 1
         # the accepted damped trial is the best iterate
         assert np.any(info.value.best != 0.0)

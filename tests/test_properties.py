@@ -155,6 +155,25 @@ def test_sleigh_solve_from_rest_converges_or_names_its_failure(y_target):
         assert getattr(result.trajectory, name).tobytes() == getattr(expected, name).tobytes()
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(vectors(2), st.booleans(),
+       st.one_of(st.none(), st.tuples(vectors(2), st.sampled_from([1.0, 1e3, 1e300]))),
+       st.sampled_from(SCHEMES), st.sampled_from([0.1, 0.01]))
+def test_every_shooting_failure_is_a_named_error(y_target, one_input, guess, scheme, dt):
+    # guesses of 1e3 and 1e300 blow up the first flow or overflow its inputs
+    controls = (ControlDistribution.on_indices(2, [0]) if one_input
+                else ControlDistribution.full(2))
+    problem = OCProblem(system=SLEIGH, controls=controls, cost=quadratic_cost(np.eye(controls.k)),
+                        horizon=1.0, y0=[0.5, 0.2], yT=3.0 * y_target)
+    sp = ShootingProblem(hs=HamiltonianSystem(problem), dt=dt, scheme=scheme, max_iterations=10)
+    try:
+        result = solve_bvp(sp, None if guess is None else guess[0] * guess[1])
+    except NhocError:
+        return
+    assert np.isfinite(result.p0).all()
+    assert result.residual_norm <= sp.tolerance
+
+
 def flow_outcome(hs, phase, dt, scheme):
     """(times, samples) of ten steps, or the NhocError subclass and message."""
     try:

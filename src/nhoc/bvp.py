@@ -17,7 +17,9 @@ trials that may end the solve.  Without a guess the segments start from
 the boundary data (p0 = 0, and the boundary positions interpolated linearly
 to each segment start, with zero momenta), so the first flow is such a
 stack.  Should a flow raise, its trial has failed, and no row of it is
-integrated again.
+integrated again.  A trial overshoots when its flow leaves the finite range
+or an implicit substep diverges (``_OVERSHOOT``): the line search then halves
+the step, and every other error propagates.
 """
 
 import numbers
@@ -27,9 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
-                     NewtonDivergence, NonFiniteState, SingularHessian, SingularJacobian,
-                     SingularMetric, ValidationError)
+from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
+                     NonFiniteState, SingularJacobian, ValidationError)
 # inverse_legendre is not called here; perfbench/tracing.py patches it under this name
 from .hamiltonian import (_check_scheme, _one_point, inverse_legendre,  # noqa: F401
                           integrate_hamiltonian)
@@ -45,6 +46,9 @@ MAX_HALVINGS = 20
 # least MIN_SEGMENT_STEPS steps each
 MAX_SEGMENTS = 32
 MIN_SEGMENT_STEPS = 10
+# the failures of an overshooting trial's flow: a state or input that left
+# the finite range, or an implicit substep that diverged
+_OVERSHOOT = (NonFiniteState, ValidationError, FixedPointDivergence)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,11 +268,12 @@ def solve_bvp(sp, p0_guess=None):
     Each flow is either the M segments of L steps, stacked with the columns
     u + h e_i of every unknown (h = ``JACOBIAN_STEP``) unless it is a halved
     step of the line search, or the full-horizon flow of p0 on one row.
-    Should it raise, its trial has failed: a non-finite state or input
-    halves the step, any other error propagates, and nothing is integrated
-    again.  An accepted trial without columns takes them in one stack with
-    its segments.  The line search halves the step until the max-norm of the
-    residual (the continuity defects and the terminal mismatch) falls.  Only
+    Should it raise, its trial has failed, and nothing is integrated again:
+    an overshoot (a non-finite state or input, or a diverging implicit
+    substep) halves the step, and any other error propagates.  An accepted
+    trial without columns takes them in one stack with its segments.  The
+    line search halves the step until the max-norm of the residual (the
+    continuity defects and the terminal mismatch) falls.  Only
     a full-horizon flow ends the solve, and its samples are the extremal:
     segments that meet the tolerance are judged by the full flow of their p0
     and kept where it misses, and a trial that Newton's quadratic model
@@ -279,7 +284,7 @@ def solve_bvp(sp, p0_guess=None):
     Raises NewtonDivergence when the budget is spent or the line search
     stalls, with the iterations and the best p0 and the residual of its own
     full flow: the accepted iterate of least residual, or the start's p0
-    where that iterate's full flow fails or ends farther off.
+    where that iterate's full flow overshoots or ends farther off.
     """
     n = sp.n_momenta
     p0 = np.atleast_1d(np.asarray(np.zeros(n) if p0_guess is None else p0_guess,
@@ -311,15 +316,14 @@ def solve_bvp(sp, p0_guess=None):
 
     def divergence(message):
         """NewtonDivergence at the best iterate, judged by its own full flow,
-        or at the start's p0 where that flow fails or ends farther off."""
+        or at the start's p0 where that flow overshoots or ends farther off."""
         reported = best
         if best.segments is not whole:
             fallback = _evaluate(sp, whole, p0, False)
             try:
                 full = _evaluate(sp, whole, best.u[:n], False)
                 reported = min(fallback, full, key=lambda ev: ev.norm)
-            except (NonFiniteState, FixedPointDivergence, SingularMetric, LegendreDivergence,
-                    SingularHessian, ValidationError):
+            except _OVERSHOOT:
                 reported = fallback
         return NewtonDivergence(message, best=reported.u.copy(), residual_norm=reported.norm,
                                 iterations=iterations)
@@ -347,8 +351,7 @@ def solve_bvp(sp, p0_guess=None):
             try:
                 trial = judge(ev.u + scale * step, halving == 0 and not last,
                               halving == 0 and last)
-            except (NonFiniteState, ValidationError):
-                # overshooting trial blew up the flow or overflowed: no decrease
+            except _OVERSHOOT:
                 scale *= DAMPING
                 continue
             if trial.norm < norm or done(trial):

@@ -28,15 +28,21 @@ CONFIG_ERRORS = (ParseError, ValidationError, DimensionMismatch,
                  NotPositiveDefinite, RankDeficient)
 
 
-def parse_vector(text):
-    if text is None or text == "":
-        return np.zeros(0)
+def vector_flag(args, name, length, fill=None):
+    """The comma-separated vector of the flag ``--name``, which must hold
+    ``length`` finite numbers; an empty flag is ``length`` copies of
+    ``fill``, unless ``fill`` is None.  Raises ValidationError otherwise."""
+    text = getattr(args, name)
+    if not text and fill is not None:
+        return np.full(length, fill)
     try:
-        vec = np.array([float(part) for part in text.split(",")], dtype=float)
+        vec = np.array([float(part) for part in text.split(",")] if text else [], dtype=float)
     except ValueError:
         raise ValidationError(f"could not parse vector {text!r}") from None
     if not np.all(np.isfinite(vec)):
         raise ValidationError(f"vector {text!r} has non-finite entries")
+    if vec.shape != (length,):
+        raise ValidationError(f"--{name} must have length {length}")
     return vec
 
 
@@ -106,14 +112,8 @@ def check_out_path(path):
 def cmd_simulate(args):
     model, spec = load_model(args)
     system = build_constrained_system(model, spec)
-    if args.T <= 0 or args.dt <= 0:
-        raise ValidationError("need --T > 0 and --dt > 0")
-    y0 = parse_vector(args.y0)
-    q0 = parse_vector(args.q0) if args.q0 else np.zeros(model.dim_q)
-    if y0.shape != (system.rank_d,):
-        raise ValidationError(f"--y0 must have length {system.rank_d}")
-    if q0.shape != (model.dim_q,):
-        raise ValidationError(f"--q0 must have length {model.dim_q}")
+    y0 = vector_flag(args, "y0", system.rank_d)
+    q0 = vector_flag(args, "q0", model.dim_q, 0.0)
     check_out_path(args.out)
     traj = simulate(system, StateQY(q=q0, y=y0), args.T, args.dt, integrator=args.integrator)
     write_trajectory_csv(args.out, traj)
@@ -127,18 +127,9 @@ def cmd_simulate(args):
 def cmd_optimize(args):
     model, spec = load_model(args)
     system = build_constrained_system(model, spec)
-    if args.T <= 0 or args.dt <= 0:
-        raise ValidationError("need --T > 0 and --dt > 0")
-    y0, yT = parse_vector(args.y0), parse_vector(args.yT)
-    if y0.shape != (system.rank_d,) or yT.shape != (system.rank_d,):
-        raise ValidationError(f"--y0/--yT must have length {system.rank_d}")
-    q0 = parse_vector(args.q0) if args.q0 else np.zeros(model.dim_q)
-    qT = parse_vector(args.qT) if args.qT else np.zeros(model.dim_q)
-    if q0.shape != (model.dim_q,) or qT.shape != (model.dim_q,):
-        raise ValidationError(f"--q0/--qT must have length {model.dim_q}")
-    weights = parse_vector(args.weights) if args.weights else np.ones(system.rank_d)
-    if weights.shape != (system.rank_d,):
-        raise ValidationError(f"--weights must have length {system.rank_d}")
+    y0, yT = (vector_flag(args, name, system.rank_d) for name in ("y0", "yT"))
+    q0, qT = (vector_flag(args, name, model.dim_q, 0.0) for name in ("q0", "qT"))
+    weights = vector_flag(args, "weights", system.rank_d, 1.0)
     if (weights < 0).any():
         # an indefinite W makes the Legendre map's u a saddle of H, not its maximum
         raise ValidationError(f"--weights {args.weights!r} must be non-negative")
@@ -150,9 +141,7 @@ def cmd_optimize(args):
     hs = HamiltonianSystem(problem)
     sp = ShootingProblem(hs=hs, dt=args.dt, scheme=args.integrator,
                          tolerance=args.newton_tol, max_iterations=args.max_iterations)
-    guess = parse_vector(args.guess) if args.guess else None
-    if guess is not None and guess.shape != (sp.n_momenta,):
-        raise ValidationError(f"--guess must have length {sp.n_momenta}")
+    guess = vector_flag(args, "guess", sp.n_momenta) if args.guess else None
 
     def report_trajectory(traj, p0, iterations, residual_norm, cost):
         write_trajectory_csv(args.out, traj)
@@ -168,8 +157,6 @@ def cmd_optimize(args):
     try:
         result = solve_bvp(sp, guess)
     except NewtonDivergence as exc:
-        if exc.best is None:
-            raise
         traj, cost = extremal_trajectory(sp, exc.best)
         report_trajectory(traj, exc.best, exc.iterations, exc.residual_norm, cost)
         print(f"error: NewtonDivergence: {exc}", file=sys.stderr)
@@ -198,9 +185,7 @@ def cmd_check(args):
 def cmd_derive(args):
     model, spec = load_model(args)
     system = build_constrained_system(model, spec)
-    q = parse_vector(args.q) if args.q else np.zeros(model.dim_q)
-    if q.shape != (model.dim_q,):
-        raise ValidationError(f"--q must have length {model.dim_q}")
+    q = vector_flag(args, "q", model.dim_q, 0.0)
     geo = system.geometry(q)
     doc = {
         "q": q.tolist(),
@@ -280,9 +265,6 @@ def main(argv=None):
     except CONFIG_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except NewtonDivergence as exc:
-        print(f"error: NewtonDivergence: {exc}", file=sys.stderr)
-        return 4
     except NhocError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

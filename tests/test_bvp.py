@@ -12,7 +12,7 @@ from nhoc import bvp, hamiltonian
 from nhoc.dynamics import drift_acceleration
 from nhoc.errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
                          NewtonDivergence, NonFiniteState, SingularHessian, SingularJacobian,
-                         SingularMetric)
+                         SingularMetric, ValidationError)
 
 from conftest import curved_model, full_actuation_problem, quartic_cost
 
@@ -649,6 +649,64 @@ class TestMultipleShooting:
         # off than the guess's
         assert np.any(best != 0.0) == moved
         assert info.value.residual_norm <= np.abs(shooting_residual(sp, np.zeros(2))).max()
+
+    @staticmethod
+    def failing_moved_full_flows(monkeypatch, error):
+        """Make every one-row flow of a nonzero p0 raise ``error``: the full
+        flow of the start's p0 = 0 passes, and that of a moved iterate fails."""
+        flow = bvp.integrate_hamiltonian
+
+        def failing(hs, phase0, *args):
+            p_y = np.atleast_2d(phase0.p_y)
+            if len(p_y) == 1 and np.any(p_y != 0.0):
+                raise error("flow failure forced by the test")
+            return flow(hs, phase0, *args)
+
+        monkeypatch.setattr(bvp, "integrate_hamiltonian", failing)
+
+    @pytest.mark.parametrize("error", [NonFiniteState, ValidationError, FixedPointDivergence])
+    def test_divergence_reports_the_start_where_its_best_full_flow_overshoots(
+            self, error, chaplygin_system, monkeypatch):
+        problem = replace(sleigh_problem(chaplygin_system), y0=[1.0, 0.0], yT=[40.0, 40.0])
+        sp = shooting_for(problem, dt=1e-2, max_iterations=2)
+        with pytest.raises(NewtonDivergence) as moved:
+            solve_bvp(sp)
+        # unforced, the best segments moved and their full flow is reported
+        assert np.any(moved.value.best != 0.0)
+        self.failing_moved_full_flows(monkeypatch, error)
+        with pytest.raises(NewtonDivergence) as info:
+            solve_bvp(sp)
+        assert info.value.iterations == 2
+        assert info.value.best.tobytes() == np.zeros(2).tobytes()
+        assert info.value.residual_norm == np.abs(shooting_residual(sp, np.zeros(2))).max()
+
+    def test_divergence_lets_other_errors_of_its_best_full_flow_propagate(
+            self, chaplygin_system, monkeypatch):
+        # a metric that fails at the best iterate's positions is no overshoot
+        problem = replace(sleigh_problem(chaplygin_system), y0=[1.0, 0.0], yT=[40.0, 40.0])
+        sp = shooting_for(problem, dt=1e-2, max_iterations=2)
+        self.failing_moved_full_flows(monkeypatch, SingularMetric)
+        with pytest.raises(SingularMetric, match="forced"):
+            solve_bvp(sp)
+
+
+class TestObservedOrder:
+    """Shooting p0 of the sleigh (1, 0) -> (0.5, 0.5), T = 1, unit quadratic
+    cost, at dt = 0.05 / 2**j, j = 0 ... 4: with errors C dt**r, successive
+    differences of p0 shrink by 2**r, so log2 of their ratios reads each
+    scheme's order r."""
+
+    @pytest.mark.parametrize("scheme, order", [("symp_euler", 1), ("stormer_verlet", 2),
+                                               ("rk4", 4)])
+    def test_each_scheme_shows_its_order(self, scheme, order, chaplygin_system):
+        problem = replace(sleigh_problem(chaplygin_system), y0=[1.0, 0.0], yT=[0.5, 0.5])
+        # the last rk4 difference is 3e-12, so Newton must end well below it
+        p0 = np.array([solve_bvp(shooting_for(problem, dt=dt, scheme=scheme,
+                                              tolerance=1e-13)).p0
+                       for dt in 0.05 / 2.0 ** np.arange(5)])
+        differences = np.abs(np.diff(p0, axis=0)).max(axis=1)
+        observed = np.log2(differences[:-1] / differences[1:])
+        assert np.abs(observed - order).max() <= 0.15, observed
 
 
 class TestReachableSleighTargets:

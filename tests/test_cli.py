@@ -259,6 +259,60 @@ class TestOptimize:
         assert "LegendreDivergence" in capsys.readouterr().err
 
 
+DOUBLE_INTEGRATOR_ARGS = ["--builtin", "double_integrator", "--params", "n=1"]
+
+
+def invalid_inputs():
+    """(command, flag, value, error) of every invalid value of every flag
+    that a command checks, on the double integrator (one chart coordinate,
+    rank 1, two momenta), with the error its check raises."""
+    flags = {"simulate": ["--T", "--dt", "--y0", "--q0"],
+             "optimize": ["--T", "--dt", "--y0", "--yT", "--q0", "--qT", "--weights", "--guess"],
+             "derive": ["--q"]}
+    for command, names in flags.items():
+        for flag in names:
+            if flag in ("--T", "--dt"):
+                # zero, negative, non-finite, and a step that does not divide T = 1
+                values = ["0", "-1", "nan", "inf", "-inf"] + (["0.3"] if flag == "--dt" else [])
+            else:
+                # the wrong length, non-numeric, non-finite
+                values = ["0,0,0", "a", "1,,2", "nan", "1,inf"] + (
+                    ["-1", "-1e-9"] if flag == "--weights" else [])
+            error = "DimensionMismatch" if flag in ("--T", "--dt") else "ValidationError"
+            for value in values:
+                yield command, flag, value, error
+
+
+class TestInvalidInput:
+    """Every invalid flag value exits 2, with its error named, and writes
+    nothing.  Each check has one home: the vector flags in ``cli.vector_flag``
+    (and the sign of ``--weights`` in ``cmd_optimize``), the horizon and step
+    in ``step_count``, ``OCProblem`` and ``ShootingProblem``."""
+
+    COMMANDS = {
+        "simulate": ["simulate", *DOUBLE_INTEGRATOR_ARGS, "--q0", "0", "--y0", "1",
+                     "--T", "1", "--dt", "0.1"],
+        "optimize": ["optimize", *DOUBLE_INTEGRATOR_ARGS, "--q0", "0", "--qT", "1",
+                     "--y0", "0", "--yT", "0", "--T", "1", "--dt", "0.1"],
+        "derive": ["derive", *DOUBLE_INTEGRATOR_ARGS, "--q", "0"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_the_valid_commands_exit_0(self, tmp_path, capsys, command):
+        out = ["--out", str(tmp_path / "x.csv")] if command != "derive" else []
+        assert main(self.COMMANDS[command] + out) == 0
+
+    @pytest.mark.parametrize("command, flag, value, error", list(invalid_inputs()))
+    def test_invalid_value_exits_2(self, tmp_path, capsys, command, flag, value, error):
+        out = tmp_path / "x.csv"
+        # the flag's last occurrence is the one parsed
+        argv = self.COMMANDS[command] + [f"{flag}={value}"]
+        assert main(argv + (["--out", str(out)] if command != "derive" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {error}: ") and captured.out == ""
+        assert not out.exists()
+
+
 class TestCheck:
     @pytest.mark.parametrize("builtin,params", [
         ("suslov", "I11=2,I22=3,I33=4,I13=0.1,I23=0.2"),

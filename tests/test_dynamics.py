@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, ControlDistribution, ModelPartials, StateQY,
+from nhoc import (ConstraintSpec, ControlDistribution, ModelPartials, StateQY, Trajectory,
                   build_constrained_system,
                   constant_model, dalembert_oracle_field, drift_acceleration,
                   make_chaplygin, make_double_integrator, make_suslov,
@@ -395,6 +395,36 @@ class TestSimulate:
         # 0.4 steps would end at t = 0.8, short of the requested horizon
         with pytest.raises(DimensionMismatch):
             simulate(chaplygin_system, StateQY(q=[], y=[0.5, 0.1]), 1.0, 0.4)
+
+    def test_controls_and_u_come_together(self, chaplygin_system):
+        s0, controls = StateQY(q=[], y=[0.5, 0.1]), ControlDistribution.full(2)
+        for pairing in (dict(controls=controls), dict(u=lambda t: [0.0, 0.0])):
+            with pytest.raises(DimensionMismatch, match="^controls and u must be supplied "
+                                                        "together$"):
+                simulate(chaplygin_system, s0, 0.1, 0.01, **pairing)
+
+    @pytest.mark.parametrize("q, y", [([], [0.5]), ([0.0], [0.5, 0.1])],
+                             ids=["short_velocity", "chart_point_on_a_point"])
+    def test_mis_shaped_initial_state_is_named(self, chaplygin_system, q, y):
+        with pytest.raises(DimensionMismatch, match="^initial state does not match the system$"):
+            simulate(chaplygin_system, StateQY(q=q, y=y), 0.1, 0.01)
+
+
+class TestStateRecords:
+    @pytest.mark.parametrize("q, y", [([], [np.nan, 0.0]), ([np.inf], [0.0])])
+    def test_non_finite_state_is_rejected(self, q, y):
+        with pytest.raises(NonFiniteState, match="^state contains non-finite entries$"):
+            StateQY(q=q, y=y)
+
+    def test_trajectory_fields_follow_the_times(self):
+        times = np.array([0.0, 0.1, 0.2])
+        with pytest.raises(DimensionMismatch,
+                           match=r"^trajectory field energies has length 2 != 3$"):
+            Trajectory(times=times, qs=np.zeros((3, 0)), ys=np.ones((3, 2)),
+                       energies=np.ones(2))
+        with pytest.raises(DimensionMismatch, match="^trajectory times must be strictly "
+                                                    "increasing$"):
+            Trajectory(times=times[[0, 2, 1]], qs=np.zeros((3, 0)), ys=np.ones((3, 2)))
 
 
 class TestDalembertOracle:

@@ -17,8 +17,8 @@ from nhoc import (ControlDistribution, CostModel, ExtremalState, HamiltonianSyst
 from nhoc import ModelPartials, algebroid, hamiltonian, numerics
 from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
-from nhoc.errors import (DimensionMismatch, FixedPointDivergence, NhocError, NonFiniteState,
-                         SingularHessian, ValidationError)
+from nhoc.errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
+                         NhocError, NonFiniteState, SingularHessian, ValidationError)
 from nhoc.numerics import fd_partials, matvec_rows
 
 from conftest import curved_model, full_actuation_problem, point_partials, quartic_cost
@@ -257,6 +257,14 @@ class TestRegularity:
                             cost=quadratic_cost(np.diag([1.0, 0.0])), horizon=1.0)
         with pytest.raises(SingularHessian, match=r"regularity matrix is singular \(det = "):
             regularity_matrix(problem, ExtremalState(y=[0.5, 0.1], v=[0.0, 0.0]))
+
+    def test_underactuated_problem_is_named(self, chaplygin_system):
+        problem = OCProblem(system=chaplygin_system,
+                            controls=ControlDistribution.on_indices(2, [0]),
+                            cost=quadratic_cost(np.eye(1)), horizon=1.0)
+        with pytest.raises(DimensionMismatch,
+                           match="^the regularity matrix requires full actuation$"):
+            regularity_matrix(problem, ExtremalState(y=[0.5, 0.1], v=[0.0]))
 
 
 class TestHamiltonianValue:
@@ -965,6 +973,40 @@ class TestErrors:
         with pytest.raises(DimensionMismatch, match=r"^momenta p_q, p_y must have lengths 0, 2$"):
             inverse_legendre(full_actuation_problem(chaplygin_system),
                              PhasePoint(q=[], y=[0.1, 0.2], p_q=p_q, p_y=p_y))
+
+    @staticmethod
+    def newton_cost(cuu):
+        """C = |u|^2, declared without a weight, so that its Legendre
+        inversion is the damped Newton from u = p_y with the Hessian ``cuu``."""
+        return CostModel(evaluator=lambda q, y, u: u @ u, k=2, cu=lambda q, y, u: 2.0 * u,
+                         cuu=lambda q, y, u: cuu)
+
+    def test_singular_hessian_in_the_legendre_newton(self, chaplygin_system):
+        problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
+                            cost=self.newton_cost(np.zeros((2, 2))), horizon=1.0)
+        with pytest.raises(SingularHessian,
+                           match="^cost Hessian is singular in Legendre inversion$"):
+            inverse_legendre(problem, PhasePoint(q=[], y=[0.1, 0.1], p_q=[], p_y=[1.0, 1.0]))
+
+    def test_legendre_newton_that_runs_out_of_iterations(self, chaplygin_system):
+        # a Hessian 100 times too large shortens every Newton step 100-fold:
+        # each lowers the residual, by 1% only, so 50 steps leave 0.99**50 of it
+        problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
+                            cost=self.newton_cost(200.0 * np.eye(2)), horizon=1.0)
+        with pytest.raises(LegendreDivergence,
+                           match="^Legendre inversion did not converge$") as info:
+            inverse_legendre(problem, PhasePoint(q=[], y=[0.1, 0.1], p_q=[], p_y=[1.0, 1.0]))
+        assert info.value.control.shape == (2,)
+        assert info.value.residual_norm == pytest.approx(0.99 ** 50 * np.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("fixed_point", ["_fixed_point", "_row_fixed_point"])
+    def test_fixed_point_iteration_cap(self, fixed_point):
+        # z -> -z keeps every iterate finite and never settles
+        flip = getattr(hamiltonian, fixed_point)
+        z0 = np.ones((2, 3)) if fixed_point == "_fixed_point" else np.ones(3)
+        with pytest.raises(FixedPointDivergence,
+                           match="^implicit substep did not converge within 100 iterations$"):
+            flip(lambda rows, z: -z, z0)
 
     def test_singular_weight_in_inverse(self, chaplygin_system):
         problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),

@@ -81,6 +81,25 @@ class TestRecoverControls:
         realized = self.controlled_ydot(chaplygin_system, controls, y, u)
         assert np.abs(realized - ydot).max() < 1e-13
 
+    @pytest.mark.parametrize("input_matrix, ydot, message", [
+        ([[0.6], [0.8]], [0.1], "input matrix is neither basis-aligned nor square"),
+        ([[1.0, 1.0], [0.0, 1.0]], [0.1], "ydot must have length 2"),
+        ([[1.0], [0.0]], [0.1, 0.2], r"ydot must have length 1 \(actuated rows\)")],
+        ids=["neither", "square", "aligned"])
+    def test_each_input_matrix_names_its_shape(self, chaplygin_system, input_matrix, ydot,
+                                               message):
+        problem = OCProblem(system=chaplygin_system,
+                            controls=ControlDistribution(input_matrix=input_matrix),
+                            cost=quadratic_cost(np.eye(len(input_matrix[0]))), horizon=1.0)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            recover_controls(problem, [], [0.4, -0.2], ydot)
+
+    def test_cost_must_take_one_control_per_input(self, chaplygin_system):
+        with pytest.raises(DimensionMismatch,
+                           match="^cost control dimension does not match input count$"):
+            OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
+                      cost=quadratic_cost(np.eye(1)), horizon=1.0)
+
 
 class TestNecessaryConditions:
     def test_double_integrator_reduction(self, double_integrator_problem):
@@ -372,6 +391,15 @@ class TestMultiplierLength:
         with pytest.raises(DimensionMismatch, match="lambda must have length 2"):
             integrate_extremal(problem, state, 0.1, 0.01)
         assert legendre_map(problem, replace(state, lam=np.array([0.5, -0.5]))).p_q.shape == (2,)
+
+    @pytest.mark.parametrize("lam_bar", [[], [0.1, 0.2]])
+    def test_underactuated_multiplier_bar_length(self, chaplygin_system, lam_bar):
+        problem = OCProblem(system=chaplygin_system,
+                            controls=ControlDistribution.on_indices(2, [0]),
+                            cost=quadratic_cost(np.eye(1)), horizon=1.0)
+        state = ExtremalState(y=[0.4, 0.3], v=[0.1], lam_bar=lam_bar)
+        with pytest.raises(DimensionMismatch, match="^lambda_bar must have length 1$"):
+            necessary_conditions_field(problem, state)
 
 
 class TestFieldCalls:

@@ -13,6 +13,11 @@ draws whose Christoffel symbols exceed 10 because their flows blow up within
 a few steps; neither says anything about the equations tested here.
 """
 
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -25,6 +30,7 @@ from nhoc import (ControlDistribution, ExtremalState, HamiltonianSystem, OCProbl
                   integrate_hamiltonian, inverse_legendre, legendre_map, load_model_config,
                   make_chaplygin, nonholonomic_field, quadratic_cost, shooting_residual,
                   solve_bvp)
+from nhoc import cli
 from nhoc.checks import run_all
 from nhoc.errors import NhocError
 from nhoc.hamiltonian import SCHEMES
@@ -172,6 +178,32 @@ def test_every_shooting_failure_is_a_named_error(y_target, one_input, guess, sch
         return
     assert np.isfinite(result.p0).all()
     assert result.residual_norm <= sp.tolerance
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.sampled_from([0.0, 1e-9, 0.5, 1.0, 4.0, -1.0]), min_size=2, max_size=2),
+       st.one_of(st.none(), st.tuples(vectors(2), st.sampled_from([1.0, 1e3, 1e300]))),
+       st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.1, 0.05, 0.3, 0.03]),
+       vectors(2), st.sampled_from(SCHEMES))
+def test_optimize_exits_with_a_code_and_writes_only_a_result(weights, guess, horizon, dt,
+                                                             y_target, scheme):
+    # a step of 0.3 or 0.03 divides none of the horizons, a zero weight
+    # leaves the cost singular and a negative one is rejected
+    def flag(values):
+        return ",".join(repr(float(v)) for v in values)
+
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = os.path.join(out_dir, "x.csv")
+        argv = ["optimize", "--builtin", "chaplygin", "--y0", "0.5,0.2",
+                f"--yT={flag(3.0 * y_target)}", "--T", repr(horizon), "--dt", repr(dt),
+                "--integrator", scheme, f"--weights={flag(weights)}", "--max-iterations", "10",
+                "--out", out]
+        if guess is not None:
+            argv.append(f"--guess={flag(guess[0] * guess[1])}")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        assert os.path.exists(out) == (code in (0, 4))
 
 
 def flow_outcome(hs, phase, dt, scheme):

@@ -15,7 +15,9 @@ through ``bvp.integrate_hamiltonian``.
 
 It prints JSON: ``solves``; ``iterations``, the Newton iterations of the
 solves that converged or raised NewtonDivergence; ``failures``, the number of
-solves per error name; ``flows``, ``failed_flows`` (those that raised) and
+solves per error name; ``failures_by_scheme``, the same count per scheme, so
+that a failure one scheme meets and the others do not shows in one record;
+``flows``, ``failed_flows`` (those that raised) and
 ``row_steps`` (rows times steps, summed over the flows); and ``outcomes``, per
 solve a SHA-256 prefix of its outcome: its iterations and p0 bytes, its
 NewtonDivergence's iterations and best p0 bytes, or another error's name and
@@ -74,8 +76,8 @@ def sweep(solves):
     as ``cases`` yields them."""
     from nhoc import bvp, solve_bvp
     from nhoc.errors import NewtonDivergence, NhocError
-    record = dict(solves=0, iterations=0, failures={}, flows=0, failed_flows=0, row_steps=0,
-                  outcomes={})
+    record = dict(solves=0, iterations=0, failures={}, failures_by_scheme={}, flows=0,
+                  failed_flows=0, row_steps=0, outcomes={})
     flow = bvp.integrate_hamiltonian
 
     def counting(hs, phase0, t_final, dt, scheme):
@@ -92,11 +94,13 @@ def sweep(solves):
     try:
         for label, sp, guess in solves:
             record["solves"] += 1
+            by_scheme = record["failures_by_scheme"].setdefault(sp.scheme, {})
             try:
                 result = solve_bvp(sp, guess)
             except NhocError as exc:
                 name = type(exc).__name__
-                record["failures"][name] = record["failures"].get(name, 0) + 1
+                for tally in (record["failures"], by_scheme):
+                    tally[name] = tally.get(name, 0) + 1
                 if isinstance(exc, NewtonDivergence):
                     outcome = _digest(name, exc.iterations, exc.best.tobytes())
                     record["iterations"] += exc.iterations

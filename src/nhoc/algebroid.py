@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numerics
-from .errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
+from .errors import DimensionMismatch, RankDeficient, SingularMetric
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ class AlgebroidModel:
     dim_q + 2 times, and the structure and the anchor once, and invert G^D
     once; that checked inverse serves the projection, Koszul solve and grad V.
     A stacked build differentiates all these callables in one complex-step
-    pass: the metric, the potential when its caller reads grad V, and in
-    ``drift_rows`` the anchor at the rows only, dim_q more calls per row.
+    pass: the metric, the potential (every record with a chart holds grad
+    V), and in ``drift_rows`` the anchor at the rows only, dim_q more calls
+    per row.
     The shape of each callable's value is checked once, at the origin, when
     a ``ConstrainedSystem`` is made.  ``partials_at`` is the one entry to
     the fields' partials.
@@ -96,12 +97,7 @@ class AlgebroidModel:
         """Validate and coerce a chart point (None means the origin)."""
         if q is None:
             return np.zeros(self.dim_q)
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        if q.shape != (self.dim_q,):
-            raise DimensionMismatch(f"chart point has shape {q.shape}, expected ({self.dim_q},)")
-        if not np.isfinite(q).all():
-            raise ValidationError("chart point has non-finite entries")
-        return q
+        return numerics.checked_array(q, "chart point", (self.dim_q,))
 
     def field_shape(self, name):
         """Shape of the value of the model field ``name`` at one chart point."""
@@ -139,16 +135,13 @@ def constant_model(structure, metric, anchor=None, dim_q=0, potential=None):
     With ``dim_q == 0`` this is a Lie(-like) algebra over a point: the anchor
     is the empty map and every chart derivative vanishes identically.
     """
-    structure = np.asarray(structure, dtype=float)
-    metric = np.asarray(metric, dtype=float)
+    metric = numerics.checked_array(metric, "metric")
     rank_e = metric.shape[0]
-    if structure.shape != (rank_e, rank_e, rank_e):
-        raise DimensionMismatch("structure constants must be a rank_e^3 array")
+    structure = numerics.checked_array(structure, "structure constants", (rank_e,) * 3)
     if np.abs(structure + structure.swapaxes(1, 2)).max() > 1e-12:
         raise DimensionMismatch("structure constants are not antisymmetric in the lower indices")
-    anchor = np.zeros((rank_e, dim_q)) if anchor is None else np.asarray(anchor, dtype=float)
-    if anchor.shape != (rank_e, dim_q):
-        raise DimensionMismatch("anchor must have shape (rank_e, dim_q)")
+    anchor = (np.zeros((rank_e, dim_q)) if anchor is None
+              else numerics.checked_array(anchor, "anchor", (rank_e, dim_q)))
     return AlgebroidModel(
         dim_q=dim_q, rank_e=rank_e,
         structure=lambda q, _c=structure: _c,
@@ -177,13 +170,13 @@ class ConstraintSpec:
         if (self.span_basis is None) == (self.annihilator is None):
             raise DimensionMismatch("give exactly one of span_basis or annihilator")
         if self.span_basis is not None:
-            arr = np.atleast_2d(np.asarray(self.span_basis, dtype=float))
+            arr = np.atleast_2d(numerics.checked_array(self.span_basis, "span basis"))
             if arr.size == 0:  # [] and [[]] read as one row of length 0
                 arr = arr.reshape(0, arr.shape[1])
             numerics.check_full_rank(arr, what="span basis")
             object.__setattr__(self, "span_basis", arr)
         else:
-            arr = np.atleast_2d(np.asarray(self.annihilator, dtype=float))
+            arr = np.atleast_2d(numerics.checked_array(self.annihilator, "annihilator"))
             if arr.shape[1] == 0:
                 raise DimensionMismatch("an empty annihilator must have shape (0, rank_e)")
             numerics.check_full_rank(arr, what="annihilator")
@@ -256,18 +249,26 @@ def _restrict_anchor_dq(d, anchor_dq):
     return np.einsum("...iAj,aA->...iaj", anchor_dq, d)
 
 
-def _chart_geometry(system, qs, grad_v=False, anchor_rows=0):
+def _grad_v(geo, dv):
+    """grad V = (G^D)^{CB} rho^i_B dV/dq^i from the geometry record ``geo``
+    and the potential partials ``dv`` at its chart points, one point or a
+    stack."""
+    return numerics.matvec_rows(geo["metric_d_inv"], numerics.matvec_rows(geo["anchor_d"], dv))
+
+
+def _chart_geometry(system, qs, anchor_rows=0):
     """Projected data at every row of the chart-point stack qs (B, dim_q) in
     one flat pass, each step one product over the stack; each array has a
     leading axis B.
 
     The model partials that the build reads come from one complex-step pass:
-    the metric's, with ``grad_v`` the potential's too, and the record then
-    holds grad V ("grad_v").  With ``anchor_rows`` b > 0, qs is its first b
-    rows followed by their ``numerics.central_stencil``, and the record also
-    holds the chart derivatives of the restricted anchor at those rows
-    ("anchor_d_dq", leading axis b); where the anchor drops the imaginary
-    part they are the central differences of the stencil's anchor values.
+    the metric's and the potential's, and a record with a chart holds grad V
+    ("grad_v"; zeros without a potential).  With ``anchor_rows`` b > 0, qs
+    is its first b rows followed by their ``numerics.central_stencil``, and
+    the record also holds the chart derivatives of the restricted anchor at
+    those rows ("anchor_d_dq", leading axis b); where the anchor drops the
+    imaginary part they are the central differences of the stencil's anchor
+    values.
     """
     model, d, kron_dd = system.parent, system.d_basis, system._kron_dd
     b, r, n = len(qs), len(d), model.dim_q
@@ -282,7 +283,7 @@ def _chart_geometry(system, qs, grad_v=False, anchor_rows=0):
     rho = d @ anchor
     chart = n > 0 and not model.q_independent
     points = {"metric": qs} if chart else {}
-    if grad_v:
+    if n and model.potential is not None:
         points["potential"] = qs
     fd = None
     if anchor_rows:
@@ -299,8 +300,9 @@ def _chart_geometry(system, qs, grad_v=False, anchor_rows=0):
     gamma = 0.5 * (gd_inv @ rhs.reshape(b, r, r * r)).reshape(b, r, r, r)
     geo = {"structure_d": cd, "anchor_d": rho, "metric_d": gd, "metric_d_inv": gd_inv,
            "coeff_map": coeff_map, "gamma": gamma}
-    if "potential" in dq:
-        geo["grad_v"] = system._grad_v(qs, geo, dq["potential"])
+    if n:
+        geo["grad_v"] = (_grad_v(geo, dq["potential"]) if "potential" in dq
+                         else np.zeros((b, r)))
     if anchor_rows:
         geo["anchor_d_dq"] = _restrict_anchor_dq(d, dq["anchor"])
     return geo
@@ -349,22 +351,16 @@ class ConstrainedSystem:
     def fiber_row(self, q, y):
         """Validate and coerce one row: a chart point (None means the origin)
         and a fiber velocity of shape (rank_d,)."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.rank_d,):
-            raise DimensionMismatch(f"fiber velocity has shape {y.shape}, not ({self.rank_d},)")
-        if not np.isfinite(y).all():
-            raise ValidationError("fiber velocity has non-finite entries")
+        y = numerics.checked_array(y, "fiber velocity", (self.rank_d,))
         return self.parent.chart_point(q), y
 
-    def drift(self, q, y, geo, grad_v=None):
-        """The drift Gamma(y, y) + grad V at chart points q and fiber
-        velocities y, from the geometry record ``geo`` there: one row, or
-        stacks with a matching leading axis; the free flow has ydot = -drift.
-        A caller that keeps grad V at q passes it as ``grad_v``."""
+    def drift(self, y, geo):
+        """The drift Gamma(y, y) + grad V at fiber velocities y, from the
+        geometry record ``geo`` at their chart points: one row, or stacks
+        with a matching leading axis; the free flow has ydot = -drift.
+        Without a chart there is no grad V to add."""
         acc = np.einsum("...cab,...a,...b->...c", geo["gamma"], y, y)
-        if grad_v is None and self.dim_q == 0:
-            return acc
-        return acc + (self._grad_v(q, geo) if grad_v is None else grad_v)
+        return acc + geo["grad_v"] if self.dim_q else acc
 
     @staticmethod
     def drift_dy(y, geo):
@@ -385,59 +381,54 @@ class ConstrainedSystem:
         the anchor, the last at the rows only."""
         n, b = self.dim_q, len(qs)
         points = np.concatenate([qs, numerics.central_stencil(qs)])
-        geo = self.geometry_rows(points, grad_v=True, anchor_rows=b)
+        geo = self.geometry_rows(points, anchor_rows=b)
         rows = {k: v[:b] for k, v in geo.items()}
         if self.parent.q_independent:  # Gamma is constant: only grad V varies
-            varying = self._grad_v(points, geo)
-            drift = self.drift(qs, ys, rows, varying[:b])
+            varying = geo["grad_v"]
+            drift = self.drift(ys, rows)
         else:
             stencil_ys = np.concatenate([ys] + [np.repeat(ys, n, axis=0)] * 2)
-            varying = self.drift(points, stencil_ys, geo)
+            varying = self.drift(stencil_ys, geo)
             drift = varying[:b]
         return drift, numerics.central_differences(varying[b:], b), self.drift_dy(ys, rows), rows
 
-    def _grad_v(self, q, geo, dv=None):
-        """grad V = (G^D)^{CB} rho^i_B dV/dq^i at chart points q, one point or
-        a stack, from the geometry record ``geo`` there: the record's own when
-        its build took it, else from the potential partials ``dv`` at q,
-        which are taken here when not given."""
-        if "grad_v" in geo:
-            return geo["grad_v"]
+    def _with_grad_v(self, geo, q):
+        """The record ``geo`` of a chart-independent model with grad V at its
+        chart points q, one point or a stack: its one record holds grad V at
+        the origin, which is grad V everywhere only without a potential."""
         if self.dim_q == 0 or self.parent.potential is None:
-            return np.zeros(np.shape(q)[:-1] + (self.rank_d,))
-        dv = self.parent.partials_at(potential=q)["potential"] if dv is None else dv
-        return numerics.matvec_rows(geo["metric_d_inv"], numerics.matvec_rows(geo["anchor_d"], dv))
+            return geo
+        return dict(geo, grad_v=_grad_v(geo, self.parent.partials_at(potential=q)["potential"]))
 
-    def geometry_rows(self, qs, grad_v=False, anchor_rows=0):
+    def geometry_rows(self, qs, anchor_rows=0):
         """Projected data at every row of a stack of chart points (B, dim_q):
         the record of ``geometry`` with a leading axis B on each array, from
         one stacked build; a chart-independent model broadcasts its one
-        record.  A caller that reads grad V passes ``grad_v``, and the build
-        takes the potential partials in the metric's complex-step pass; with
-        ``anchor_rows`` b > 0, qs is its first b rows followed by their
-        central stencil, and the record holds the anchor's chart derivatives
-        there (see ``_chart_geometry``).  Read-only."""
+        record, with grad V at qs.  With ``anchor_rows`` b > 0, qs is its
+        first b rows followed by their central stencil, and the record holds
+        the anchor's chart derivatives there (see ``_chart_geometry``).
+        Read-only."""
         qs = np.asarray(qs, dtype=float)
         if qs.ndim != 2 or qs.shape[1] != self.dim_q or len(qs) == 0:
             raise DimensionMismatch(f"chart points must have shape (B, {self.dim_q}), B > 0")
         if self._constant is None:
-            return _chart_geometry(self, qs, grad_v, anchor_rows)
+            return _chart_geometry(self, qs, anchor_rows)
         geo = {k: np.broadcast_to(v, (len(qs),) + v.shape) for k, v in self._constant.items()}
         if anchor_rows:
             geo["anchor_d_dq"] = self.anchor_d_dq(qs[:anchor_rows])
-        return geo
+        return self._with_grad_v(geo, qs)
 
     def geometry(self, q):
         """Projected data at q: structure_d, anchor_d, metric_d, metric_d_inv,
-        coeff_map and gamma, row 0 of a one-row build, or the one record of a
-        chart-independent model.  Read-only."""
+        coeff_map and gamma, and with a chart grad V, row 0 of a one-row
+        build, or the one record of a chart-independent model.  Read-only."""
         return self._geometry_at(self.parent.chart_point(q))
 
     def _geometry_at(self, q):
         """The record of ``geometry`` at a chart point that ``chart_point``
         has already checked."""
         if self._constant is not None:
-            return self._constant
+            return self._with_grad_v(self._constant, q)
         return {k: v[0] for k, v in _chart_geometry(self, q[None]).items()}
 
     def structure_d(self, q=None):
@@ -477,22 +468,23 @@ class ConstrainedSystem:
         chart-dependent model one metric call per row, split as a geometry
         build splits it (the same SPD check and checked inverse), and no
         other part of the build.  Only a model with a potential has it
-        called, once per row.  Raises ValidationError for a non-finite
-        entry, before any call.
+        called, once per row.  Raises ValidationError for a non-finite or
+        non-numeric entry, before any call.
         """
-        if np.ndim(y) == 1:
-            q, y = self.fiber_row(q, y)
-            return self.energy(q[None], y[None])[0]
-        q, y = np.asarray(q, dtype=float), np.asarray(y, dtype=float)
-        if y.shape != (len(q), self.rank_d):
-            raise DimensionMismatch(f"fiber rows must have shape ({len(q)}, {self.rank_d})")
-        if not (np.isfinite(q).all() and np.isfinite(y).all()):
-            raise ValidationError("chart points or fiber velocities have non-finite entries")
+        y = numerics.checked_array(y, "fiber velocity")
+        one = y.ndim == 1
+        q = (self.parent.chart_point(q) if one
+             else numerics.checked_array(q, "chart points", (len(y), self.dim_q)))
+        if y.shape != q.shape[:-1] + (self.rank_d,):
+            raise DimensionMismatch(f"fiber velocity has shape {y.shape}, "
+                                    f"expected {q.shape[:-1] + (self.rank_d,)}")
+        qs, ys = (q[None], y[None]) if one else (q, y)
         if self._constant is not None:
             metric_d = self._constant["metric_d"]
         else:
-            metric_d = _split(self.d_basis, _at_points(self.parent.metric, q))[0]
-        return self._energies(q, y, metric_d)
+            metric_d = _split(self.d_basis, _at_points(self.parent.metric, qs))[0]
+        energies = self._energies(qs, ys, metric_d)
+        return energies[0] if one else energies
 
     def _energies(self, qs, ys, metric_d):
         """Energies at the rows of qs and ys from G^D there, one matrix or a

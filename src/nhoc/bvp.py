@@ -34,7 +34,7 @@ from .errors import (DimensionMismatch, FixedPointDivergence, NewtonDivergence,
 # inverse_legendre is not called here; perfbench/tracing.py patches it under this name
 from .hamiltonian import (_check_scheme, _one_point, inverse_legendre,  # noqa: F401
                           integrate_hamiltonian)
-from .numerics import step_count
+from .numerics import checked_array, step_count
 
 
 # damped-Newton constants of the shooting solve: forward-difference step of
@@ -111,10 +111,16 @@ def shooting_residual(sp, p0):
     ``p0`` may be a stack of guesses with leading batch axes; they are then
     integrated as one batched flow and the residuals are stacked the same way.
     """
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
+    return _flow(sp, _momenta(sp, p0))[0]
+
+
+def _momenta(sp, p0):
+    """The momenta p0 that a caller passes in, read once: one row of length
+    ``n_momenta``, or a stack of them with leading batch axes."""
+    p0 = checked_array(p0, "p0")
     if p0.shape[-1] != sp.n_momenta:
         raise DimensionMismatch(f"p0 must have length {sp.n_momenta}")
-    return _flow(sp, p0)[0]
+    return p0
 
 
 def _extremal(sp, times, phases):
@@ -135,7 +141,7 @@ def _extremal(sp, times, phases):
 def extremal_trajectory(sp, p0):
     """Integrate the extremal for p0 and attach controls and diagnostics;
     returns (trajectory, cost)."""
-    p0 = _one_point(np.atleast_1d(np.asarray(p0, dtype=float)), "extremal_trajectory")
+    p0 = _one_point(_momenta(sp, p0), "extremal_trajectory")
     return _extremal(sp, *_flow(sp, p0)[1:])
 
 
@@ -284,15 +290,13 @@ def solve_bvp(sp, p0_guess=None):
     Raises NewtonDivergence when the budget is spent or the line search
     stalls, with the iterations and the best p0 and the residual of its own
     full flow: the accepted iterate of least residual, or the start's p0
-    where that iterate's full flow overshoots or ends farther off.
+    where that iterate's full flow overshoots or ends farther off.  A guess
+    of the wrong length raises DimensionMismatch, and a non-finite or
+    non-numeric one ValidationError, before any flow.
     """
     n = sp.n_momenta
-    p0 = np.atleast_1d(np.asarray(np.zeros(n) if p0_guess is None else p0_guess,
-                                  dtype=float)).copy()
-    if not np.all(np.isfinite(p0)):
-        raise DimensionMismatch("initial momenta guess must be finite")
-    if p0.shape != (n,):
-        raise DimensionMismatch(f"p0 must have length {n}")
+    p0 = checked_array(np.zeros(n) if p0_guess is None else p0_guess, "initial momenta guess",
+                       (n,)).copy()
     n_steps = step_count(sp.hs.problem.horizon, sp.dt)
     count = _segment_count(sp, n_steps)
     whole = _Segments(sp, 1, n_steps)

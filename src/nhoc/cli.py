@@ -137,11 +137,11 @@ def cmd_optimize(args):
     controls = ControlDistribution.full(system.rank_d)
     problem = OCProblem(system=system, controls=controls, cost=quadratic_cost(np.diag(weights)),
                         horizon=args.T, q0=q0, y0=y0, qT=qT, yT=yT)
-    regularity_matrix(problem, ExtremalState(q=q0, y=y0, v=np.zeros(system.rank_d)))
-    hs = HamiltonianSystem(problem)
-    sp = ShootingProblem(hs=hs, dt=args.dt, scheme=args.integrator,
+    # every configuration error (exit 2) comes before the regularity check (exit 3)
+    sp = ShootingProblem(hs=HamiltonianSystem(problem), dt=args.dt, scheme=args.integrator,
                          tolerance=args.newton_tol, max_iterations=args.max_iterations)
     guess = vector_flag(args, "guess", sp.n_momenta) if args.guess else None
+    regularity_matrix(problem, ExtremalState(q=q0, y=y0, v=np.zeros(system.rank_d)))
 
     def report_trajectory(traj, p0, iterations, residual_norm, cost):
         write_trajectory_csv(args.out, traj)

@@ -12,23 +12,22 @@ import numpy as np
 
 from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteState,
                      SingularMetric)
-from .numerics import integrate_fixed_steps, matvec_rows, rk4_step, step_count
+from .numerics import checked_array, integrate_fixed_steps, matvec_rows, rk4_step, step_count
 
 INTEGRATORS = ("rk4", "symp_euler")  # the first is the default
 
 
 @dataclass(frozen=True, eq=False)
 class StateQY:
-    """Chart point and fiber velocity in adapted D-coordinates."""
+    """Chart point and fiber velocity in adapted D-coordinates; a
+    non-numeric or non-finite entry raises ValidationError."""
 
     q: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, dtype=float)))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.y))):
-            raise NonFiniteState("state contains non-finite entries")
+        object.__setattr__(self, "q", checked_array(self.q, "state q"))
+        object.__setattr__(self, "y", checked_array(self.y, "state y"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +60,7 @@ def drift_acceleration(system, q, y):
     """Geometric drift Gamma(y, y) + grad V at one row; the free flow has
     ydot = -drift.  The one-row read of ``ConstrainedSystem.drift``."""
     q, y = system.fiber_row(q, y)
-    return system.drift(q, y, system._geometry_at(q))
+    return system.drift(y, system._geometry_at(q))
 
 
 def _free_field(system):
@@ -70,8 +69,8 @@ def _free_field(system):
 
     With constant drift it is rho_D^T y and two matrix-vector products,
     -Gamma(y, y) = ((-Gamma) y) y.  Otherwise each evaluation takes one
-    stacked geometry build and grad V at its chart points, and the drift
-    from its one home, ``ConstrainedSystem.drift``.
+    stacked geometry build at its chart points, whose record holds grad V,
+    and the drift from its one home, ``ConstrainedSystem.drift``.
     """
     nq, m = system.dim_q, system.rank_d
     if system.constant_drift:
@@ -87,19 +86,18 @@ def _free_field(system):
             return np.concatenate([matvec_rows(anchor_t, y), ydot], axis=-1) if nq else ydot
         return field
 
-    last = {}  # (geometry, grad V) at the last chart points; semi-implicit Euler reuses them
+    last = {}  # the geometry at the last chart points; semi-implicit Euler reuses it
 
     def field(z):
         rows = z.reshape(-1, nq + m)
         qs, ys = rows[:, :nq], rows[:, nq:]
         key = len(qs), qs.tobytes()  # with dim_q = 0 every stack has the same bytes
         if key not in last:
-            geo = system.geometry_rows(qs, grad_v=True)
             last.clear()
-            last[key] = geo, system._grad_v(qs, geo)
-        geo, grad_v = last[key]
+            last[key] = system.geometry_rows(qs)
+        geo = last[key]
         return np.concatenate([matvec_rows(geo["anchor_d"].swapaxes(1, 2), ys),
-                               -system.drift(qs, ys, geo, grad_v)], axis=1).reshape(z.shape)
+                               -system.drift(ys, geo)], axis=1).reshape(z.shape)
     return field
 
 
@@ -137,9 +135,7 @@ def dalembert_oracle_field(model, spec, xi):
     """
     if model.dim_q != 0:
         raise DimensionMismatch("the d'Alembert oracle applies to dim_q = 0 models only")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (model.rank_e,):
-        raise DimensionMismatch(f"fiber vector has shape {xi.shape}, expected ({model.rank_e},)")
+    xi = checked_array(xi, "fiber vector", (model.rank_e,))
     q = model.chart_point(None)
     mu = spec.to_annihilator()
     if mu.shape[0] and np.abs(mu @ xi).max() > 1e-10:

@@ -18,7 +18,8 @@ class NotPositiveDefinite(NhocError):
 
 
 class DimensionMismatch(NhocError):
-    """An array argument has the wrong length or shape."""
+    """An array argument has the wrong length or shape, or a setting (a
+    horizon, a step, a tolerance) is out of its range."""
 
 
 class ConstraintViolated(NhocError):
@@ -26,7 +27,9 @@ class ConstraintViolated(NhocError):
 
 
 class NonFiniteState(NhocError):
-    """Integration produced a non-finite or blown-up state."""
+    """A flow produced a non-finite or blown-up state, or met a non-finite
+    control u(t) during the flow.  A non-finite array that a caller passes
+    in is a ValidationError."""
 
 
 class SingularHessian(NhocError):
@@ -76,5 +79,6 @@ class ParseError(NhocError):
 
 
 class ValidationError(NhocError):
-    """A parsed model configuration or an input matrix violates a structural
-    invariant, such as finiteness."""
+    """A parsed model configuration, or any array that a caller passes in,
+    violates a structural invariant: it is not numeric, is ragged or has a
+    non-finite entry (``numerics.checked_array``)."""

@@ -52,9 +52,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .dynamics import drift_acceleration
-from .errors import (DimensionMismatch, FixedPointDivergence, LegendreDivergence,
-                     SingularHessian, ValidationError)
-from .numerics import fd_jacobian, integrate_fixed_steps, matvec_rows, rk4_step, step_count
+from .errors import DimensionMismatch, FixedPointDivergence, LegendreDivergence, SingularHessian
+from .numerics import (checked_array, fd_jacobian, integrate_fixed_steps, matvec_rows, rk4_step,
+                       step_count)
+from .optimal_control import _multiplier_parts
 # drift_jacobians is not called here; perfbench/tracing.py patches it under this name
 from .optimal_control import ExtremalState, drift_jacobians, recover_controls  # noqa: F401
 
@@ -133,22 +134,20 @@ def legendre_map(problem, state):
     With basis-aligned inputs p_y = C_u(q, y, u) on the actuated rows, with
     u = v + delta there, and p_y = lambda_bar on the unactuated rows.  A
     square input matrix gives p_y = B^{-T} C_u.  Raises DimensionMismatch
-    unless lambda has length dim_q.
+    unless v, lambda and lambda_bar have their lengths, and ValidationError
+    for a non-finite or non-numeric part.
     """
     ctrl = problem.controls
     q, y = state.q, state.y
     u = recover_controls(problem, q, y, state.v)
-    if state.lam.shape != (problem.dim_q,):
-        raise DimensionMismatch(f"lambda must have length {problem.dim_q}")
+    lam, lam_bar = _multiplier_parts(problem, lam=state.lam, lam_bar=state.lam_bar)
     cu = problem.cost.du(q, y, u)
     if ctrl.actuated_indices is None:
-        return PhasePoint(q=q, y=y, p_q=state.lam, p_y=ctrl._inverse.T @ cu)
-    if state.lam_bar.shape != (ctrl.rank_d - ctrl.k,):
-        raise DimensionMismatch(f"lambda_bar must have length {ctrl.rank_d - ctrl.k}")
+        return PhasePoint(q=q, y=y, p_q=lam, p_y=ctrl._inverse.T @ cu)
     p_y = np.empty(ctrl.rank_d)
     p_y[ctrl._act] = cu
-    p_y[ctrl._una] = state.lam_bar
-    return PhasePoint(q=q, y=y, p_q=state.lam, p_y=p_y)
+    p_y[ctrl._una] = lam_bar
+    return PhasePoint(q=q, y=y, p_q=lam, p_y=p_y)
 
 
 def _optimal_control(problem, q, y, p_y):
@@ -213,21 +212,17 @@ def inverse_legendre(problem, phase):
     The control u solves C_u = B^T p_y and lambda = p_q.  With basis-aligned
     inputs v = u - delta on the actuated rows and lambda_bar = p_y on the
     unactuated rows; a square input matrix gives v = B u - delta.  Raises
-    DimensionMismatch unless p_q and p_y have lengths dim_q and rank_d.
+    DimensionMismatch unless p_q and p_y have lengths dim_q and rank_d, and
+    ValidationError for non-finite or non-numeric momenta.
     """
     ctrl = problem.controls
     q, y = phase.q, phase.y
+    p_q, p_y = _multiplier_parts(problem, p_q=phase.p_q, p_y=phase.p_y)
     delta = drift_acceleration(problem.system, q, y)
-    if phase.p_q.shape != (problem.dim_q,) or phase.p_y.shape != (ctrl.rank_d,):
-        raise DimensionMismatch(f"momenta p_q, p_y must have lengths {problem.dim_q}, "
-                                f"{ctrl.rank_d}")
-    u = _optimal_control(problem, q, y, phase.p_y)
+    u = _optimal_control(problem, q, y, p_y)
     if ctrl.actuated_indices is None:
-        if ctrl._inverse is None:
-            raise DimensionMismatch("input matrix is neither basis-aligned nor square")
-        return ExtremalState(q=q, y=y, v=_actuation(problem, u) - delta, lam=phase.p_q)
-    return ExtremalState(q=q, y=y, v=u - delta[ctrl._act], lam=phase.p_q,
-                         lam_bar=phase.p_y[ctrl._una])
+        return ExtremalState(q=q, y=y, v=_actuation(problem, u) - delta, lam=p_q)
+    return ExtremalState(q=q, y=y, v=u - delta[ctrl._act], lam=p_q, lam_bar=p_y[ctrl._una])
 
 
 def _outer_rows(u, v):
@@ -314,7 +309,7 @@ class HamiltonianSystem:
         q, y, p_q, p_y = z[:, :n], z[:, n:n + m], z[:, n + m:2 * n + m], z[:, 2 * n + m:]
         # an array of its own: with B = W = I the controls are p_y itself
         u = np.array(_optimal_control(problem, q, y, p_y))
-        ydot = _actuation(problem, u) - system.drift(q, y, geo)
+        ydot = _actuation(problem, u) - system.drift(y, geo)
         qdot = matvec_rows(geo["anchor_d"].swapaxes(1, 2), y)
         cost = np.array([problem.cost.value(*row) for row in zip(q, y, u)])
         # row dot products as (1, m) @ (m, 1): the floats of p_y @ ydot at one point
@@ -514,10 +509,7 @@ class HamiltonianSystem:
         if shapes != expected:
             raise DimensionMismatch(f"phase fields (q, y, p_q, p_y) have shapes {shapes}, "
                                     f"expected {expected}")
-        z = np.concatenate(fields, axis=-1)
-        if not np.isfinite(z).all():
-            raise ValidationError("phase point has non-finite entries")
-        return z
+        return checked_array(np.concatenate(fields, axis=-1), "phase point")
 
     def unflatten(self, z):
         """PhasePoint of flat phase rows of shape (..., 2(dim_q + rank_d))."""

@@ -8,7 +8,7 @@ import numpy as np
 from .algebroid import ConstraintSpec, constant_model
 from .errors import (DimensionMismatch, NotPositiveDefinite, ParseError,
                      RankDeficient, ValidationError)
-from .numerics import symmetric_positive_definite
+from .numerics import checked_array, symmetric_positive_definite
 
 
 def so3_structure():
@@ -138,13 +138,6 @@ def _require(doc, key, typ):
     return value
 
 
-def _float_array(value, what):
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
-
-
 def _structure_from_triples(rank_e, entries):
     c = np.zeros((rank_e, rank_e, rank_e))
     seen = np.zeros((rank_e, rank_e, rank_e), dtype=bool)
@@ -211,11 +204,9 @@ def load_model_config(document):
     entries = _require(doc, "structure_constants", list)
     structure = _structure_from_triples(rank_e, entries)
 
-    metric = _float_array(_require(doc, "metric", list), "metric")
+    metric = checked_array(_require(doc, "metric", list), "metric")
     if metric.shape != (rank_e, rank_e):
         raise ValidationError(f"metric must be {rank_e}x{rank_e}")
-    if not np.all(np.isfinite(metric)):
-        raise ValidationError("metric has non-finite entries")
     if np.abs(metric - metric.T).max() > 1e-12 * max(1.0, np.abs(metric).max()):
         raise ValidationError("metric is not symmetric")
     if not symmetric_positive_definite(metric):
@@ -223,10 +214,10 @@ def load_model_config(document):
 
     constraint = _require(doc, "constraint", dict)
     if set(constraint) == {"annihilator"}:
-        rows = np.atleast_2d(_float_array(constraint["annihilator"], "constraint annihilator"))
+        rows = np.atleast_2d(checked_array(constraint["annihilator"], "constraint annihilator"))
         spec_kwargs = {"annihilator": rows}
     elif set(constraint) == {"span"}:
-        rows = np.atleast_2d(_float_array(constraint["span"], "constraint span"))
+        rows = np.atleast_2d(checked_array(constraint["span"], "constraint span"))
         spec_kwargs = {"span_basis": rows}
     else:
         raise ValidationError("constraint must have exactly one of 'annihilator' or 'span'")

@@ -1,6 +1,6 @@
-"""Small shared numerical helpers: derivatives, null spaces, row products, the
-rk4 step, step counts and the one fixed-step driver with its finite-state
-guard.
+"""Small shared numerical helpers: the one checked read of a caller's array,
+derivatives, null spaces, row products, the rk4 step, step counts and the
+one fixed-step driver with its finite-state guard.
 
 Every derivative in the package that is not given in closed form goes
 through this module: the complex step of ``complex_step_pass`` (the model
@@ -251,12 +251,28 @@ def integrate_fixed_steps(step, z0, n_steps, dt):
     return times, samples
 
 
+def checked_array(value, what, shape=None):
+    """The one read of an array that a caller passes in: ``value`` as a float
+    array of at least one dimension, named ``what`` in the errors.
+
+    Raises DimensionMismatch unless its shape is ``shape`` (when given), and
+    ValidationError for a non-numeric, ragged or non-finite value.
+    """
+    try:
+        a = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+    if shape is not None and a.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return a
+
+
 def check_full_rank(a, what="constraint"):
     """Raise RankDeficient unless the rows of `a` are independent, and
-    ValidationError when an entry is not finite."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{what} has non-finite entries")
+    ValidationError when an entry is not finite or numeric."""
+    a = np.atleast_2d(checked_array(a, what))
     if a.shape[0] == 0:
         return
     if np.linalg.matrix_rank(a, tol=RANK_TOL) < a.shape[0]:

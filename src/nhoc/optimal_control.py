@@ -14,9 +14,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import drift_acceleration
-from .errors import DimensionMismatch, SingularHessian, ValidationError
-from .numerics import (FD2_STEP, RANK_TOL, central_stencil, fd_jacobian, fd_partials,
-                       integrate_fixed_steps, rk4_step, stencil_partials, step_count)
+from .errors import DimensionMismatch, SingularHessian
+from .numerics import (FD2_STEP, RANK_TOL, central_stencil, checked_array, fd_jacobian,
+                       fd_partials, integrate_fixed_steps, rk4_step, stencil_partials,
+                       step_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +45,7 @@ class CostModel:
     def __post_init__(self):
         if self.weight is None:
             return
-        w = np.asarray(self.weight, dtype=float)
-        if w.shape != (self.k, self.k):
-            raise DimensionMismatch(f"cost weight has shape {w.shape}, not ({self.k}, {self.k})")
-        if not np.isfinite(w).all():
-            raise ValidationError("cost weight has non-finite entries")
+        w = checked_array(self.weight, "cost weight", (self.k, self.k))
         if np.abs(w - w.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(w).max(initial=0.0)):
             raise DimensionMismatch("quadratic cost weight must be symmetric")
         object.__setattr__(self, "weight", w)
@@ -121,7 +118,7 @@ class CostModel:
 
 def quadratic_cost(weight):
     """Control-effort cost (1/2) u^T W u with exact partials."""
-    w = np.atleast_2d(np.asarray(weight, dtype=float))
+    w = np.atleast_2d(checked_array(weight, "cost weight"))
     return CostModel(evaluator=lambda q, y, u: 0.5 * float(u @ w @ u), k=w.shape[0],
                      cu=lambda q, y, u: w @ u, cuu=lambda q, y, u: w, weight=w)
 
@@ -140,9 +137,7 @@ class ControlDistribution:
     actuated_indices: Optional[tuple] = field(init=False, default=None)
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.input_matrix, dtype=float))
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("input matrix has non-finite entries")
+        m = np.atleast_2d(checked_array(self.input_matrix, "input matrix"))
         if np.linalg.matrix_rank(m, tol=RANK_TOL) < m.shape[1]:
             raise DimensionMismatch("input matrix must have full column rank")
         object.__setattr__(self, "input_matrix", m)
@@ -190,7 +185,8 @@ class OCProblem:
     """Constrained system + inputs + cost + horizon + boundary data on D.
 
     The boundary data are optional here and required by ``ShootingProblem``;
-    a model with ``dim_q == 0`` has q0 and qT on its empty chart point."""
+    a model with ``dim_q == 0`` has q0 and qT on its empty chart point.  q0
+    and qT are read as chart points, y0 and yT at length rank_d."""
 
     system: object
     controls: ControlDistribution
@@ -214,13 +210,8 @@ class OCProblem:
                 val = ()  # the one chart point of a model over a point
             if val is None:
                 continue
-            arr = np.atleast_1d(np.asarray(val, dtype=float))
-            if not np.all(np.isfinite(arr)):
-                raise DimensionMismatch(f"boundary value {name} must be finite")
-            if name[0] == "q":
-                arr = self.system.parent.chart_point(arr)
-            elif arr.shape != (self.system.rank_d,):
-                raise DimensionMismatch(f"{name} must have length {self.system.rank_d}")
+            arr = (self.system.parent.chart_point(val) if name[0] == "q"
+                   else checked_array(val, name, (self.system.rank_d,)))
             object.__setattr__(self, name, arr)
 
     @property
@@ -262,13 +253,31 @@ def drift_jacobians(system, q, y):
     constant (``ConstrainedSystem.constant_drift``), and the record is then
     ``geometry(q)`` with them.
     """
-    q, y = system.fiber_row(q, y)
+    return _drift_jacobians(system, *system.fiber_row(q, y))
+
+
+def _drift_jacobians(system, q, y):
+    """``drift_jacobians`` at a row that ``fiber_row`` has already checked."""
     if system.dim_q == 0 or system.constant_drift:
         geo, n, r = system._geometry_at(q), system.dim_q, system.rank_d
-        return (system.drift(q, y, geo), np.zeros((r, n)), system.drift_dy(y, geo),
+        return (system.drift(y, geo), np.zeros((r, n)), system.drift_dy(y, geo),
                 dict(geo, anchor_d_dq=np.zeros((n, r, n))))
     drift, ddq, ddy, geo = system.drift_rows(q[None], y[None])
     return drift[0], ddq[0], ddy[0], {k: v[0] for k, v in geo.items()}
+
+
+def _multiplier_parts(problem, **parts):
+    """The named multiplier-side parts of a state of ``problem``, each read
+    once through ``checked_array`` at its length: v and ydot hold k
+    accelerations, lam and p_q dim_q and p_y rank_d momenta, and lam_bar one
+    multiplier per unactuated row.  Raises DimensionMismatch unless the
+    input matrix is basis-aligned or square, whose k is rank_d."""
+    ctrl = problem.controls
+    if ctrl.actuated_indices is None and ctrl._inverse is None:
+        raise DimensionMismatch("input matrix is neither basis-aligned nor square")
+    lengths = {"v": ctrl.k, "ydot": ctrl.k, "lam": problem.dim_q, "p_q": problem.dim_q,
+               "lam_bar": ctrl.rank_d - ctrl.k, "p_y": ctrl.rank_d}
+    return [checked_array(value, name, (lengths[name],)) for name, value in parts.items()]
 
 
 def recover_controls(problem, q, y, ydot):
@@ -276,21 +285,25 @@ def recover_controls(problem, q, y, ydot):
 
     With basis-aligned inputs ydot holds the accelerations of the actuated
     rows, in input order, and u = ydot + drift on those rows.  Otherwise the
-    input matrix must be square and u = B^{-1}(ydot + drift).
+    input matrix must be square and u = B^{-1}(ydot + drift); either way
+    ydot has length k.
     """
-    system = problem.system
-    ydot = np.atleast_1d(np.asarray(ydot, dtype=float))
-    delta = drift_acceleration(system, q, np.atleast_1d(y))
+    ydot, = _multiplier_parts(problem, ydot=ydot)
+    delta = drift_acceleration(problem.system, q, y)
     ctrl = problem.controls
     if ctrl.actuated_indices is None:
-        if ctrl._inverse is None:
-            raise DimensionMismatch("input matrix is neither basis-aligned nor square")
-        if ydot.shape != (system.rank_d,):
-            raise DimensionMismatch(f"ydot must have length {system.rank_d}")
         return ctrl._inverse @ (ydot + delta)
-    if ydot.shape != (ctrl.k,):
-        raise DimensionMismatch(f"ydot must have length {ctrl.k} (actuated rows)")
     return ydot + delta[ctrl._act]
+
+
+def _extremal_parts(problem, state):
+    """The parts (q, y, v, lambda, lambda_bar) of an extremal state, each
+    read once; raises DimensionMismatch unless the inputs are basis-aligned
+    and every part has its length."""
+    if problem.controls.actuated_indices is None:
+        raise DimensionMismatch("the necessary conditions need basis-aligned inputs")
+    return (*problem.system.fiber_row(state.q, state.y),
+            *_multiplier_parts(problem, v=state.v, lam=state.lam, lam_bar=state.lam_bar))
 
 
 def necessary_conditions_field(problem, state):
@@ -311,22 +324,21 @@ def necessary_conditions_field(problem, state):
     the acceleration vdot is resolved through the cost Hessian.  With every
     row actuated lambda_bar is empty and these are the fully actuated
     conditions.  Raises DimensionMismatch unless the inputs are basis-aligned
-    and the state's parts have their lengths.
+    and the state's parts have their lengths, and ValidationError for a
+    non-finite or non-numeric part.
     """
+    return ExtremalState(*_conditions(problem, *_extremal_parts(problem, state)))
+
+
+def _conditions(problem, q, y, v, lam, lam_bar):
+    """The derivatives (qdot, ydot, vdot, lambda_dot, lambda_bar_dot) of
+    ``necessary_conditions_field`` at parts that ``_extremal_parts`` has
+    already checked."""
     ctrl = problem.controls
-    if ctrl.actuated_indices is None:
-        raise DimensionMismatch("the necessary conditions need basis-aligned inputs")
     act, una = ctrl._act, ctrl._una
     system, cost = problem.system, problem.cost
-    q, y, v, lam, lam_bar = state.q, state.y, state.v, state.lam, state.lam_bar
-    if v.shape != (ctrl.k,):
-        raise DimensionMismatch(f"v must hold the {ctrl.k} actuated accelerations")
-    if lam_bar.shape != (ctrl.rank_d - ctrl.k,):
-        raise DimensionMismatch(f"lambda_bar must have length {ctrl.rank_d - ctrl.k}")
-    if lam.shape != (problem.dim_q,):
-        raise DimensionMismatch(f"lambda must have length {problem.dim_q}")
 
-    delta, ddq, ddy, geo = drift_jacobians(system, q, y)
+    delta, ddq, ddy, geo = _drift_jacobians(system, q, y)
     anchor = geo["anchor_d"]
     u = v + delta[act]
 
@@ -356,32 +368,30 @@ def necessary_conditions_field(problem, state):
     if problem.dim_q:  # without a chart lambda-dot is empty: no products on empty arrays
         l_q = ddq[act].T @ cu if cost.quadratic else c_q[0] + ddq[act].T @ cu
         lamdot = l_q + ddq[una].T @ lam_bar - np.einsum("iAj,j,A->i", geo["anchor_d_dq"], lam, y)
-    return ExtremalState(q=qdot, y=ydot, v=vdot, lam=lamdot, lam_bar=lam_bar_dot)
+    return qdot, ydot, vdot, lamdot, lam_bar_dot
 
 
 def integrate_extremal(problem, state0, t_final, dt):
     """Fixed-step RK4 integration of the necessary conditions; returns
     (times, states).
 
-    The steps run through the package's one fixed-step driver.  Raises
-    DimensionMismatch unless dt divides t_final, the inputs are
-    basis-aligned and lambda has length dim_q, and NonFiniteState when the
-    state leaves the finite range.
+    The start is checked once, as ``necessary_conditions_field`` checks a
+    state, and the steps run through the package's one fixed-step driver on
+    flat rows (q, y, v, lambda, lambda_bar), whose parts every stage hands
+    to the field unchecked.  Raises DimensionMismatch unless dt divides
+    t_final, the inputs are basis-aligned and the parts have their lengths,
+    and NonFiniteState when the state leaves the finite range.
     """
+    start = _extremal_parts(problem, state0)
     nq, m, k = problem.dim_q, problem.rank_d, problem.controls.k
-    if state0.lam.shape != (nq,):
-        raise DimensionMismatch(f"lambda must have length {nq}")
 
-    def flat(s):
-        return np.concatenate([s.q, s.y, s.v, s.lam, s.lam_bar])
-
-    def state(z):
-        return ExtremalState(q=z[:nq], y=z[nq:nq + m], v=z[nq + m:nq + m + k],
-                             lam=z[nq + m + k:2 * nq + m + k], lam_bar=z[2 * nq + m + k:])
+    def parts(z):
+        return (z[:nq], z[nq:nq + m], z[nq + m:nq + m + k], z[nq + m + k:2 * nq + m + k],
+                z[2 * nq + m + k:])
 
     def rhs(t, z):
-        return flat(necessary_conditions_field(problem, state(z)))
+        return np.concatenate(_conditions(problem, *parts(z)))
 
-    times, zs = integrate_fixed_steps(lambda t, z: rk4_step(rhs, t, z, dt), flat(state0),
-                                      step_count(t_final, dt), dt)
-    return times, [state(z) for z in zs]
+    times, zs = integrate_fixed_steps(lambda t, z: rk4_step(rhs, t, z, dt),
+                                      np.concatenate(start), step_count(t_final, dt), dt)
+    return times, [ExtremalState(*parts(z)) for z in zs]

@@ -581,7 +581,7 @@ class TestDefaultPartials:
         system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(model.rank_e)))
         qs = np.random.default_rng(2).uniform(-0.8, 0.8, (3, model.dim_q))
         counts.clear()
-        system._grad_v(qs, system.geometry_rows(qs))
+        assert system.geometry_rows(qs)["grad_v"].shape == (3, system.rank_d)
         n = model.dim_q
         assert counts == {"metric": 3 * (1 + n + 2), "potential": 3 * (n + 2),
                           "structure": 3, "anchor": 3}
@@ -683,8 +683,10 @@ class TestModelShapes:
         model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
                                  counts.update([name]) or f(q) for name in names})
         build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
-        # one call for the check; the origin build then calls the rest once more
-        assert counts == {"structure": 2, "anchor": 2, "metric": 2 + 1 + 2, "potential": 1}
+        # one call for the check; the origin build then calls the rest once
+        # more, and the potential dim_q + 2 times for the complex step of grad V
+        assert counts == {"structure": 2, "anchor": 2, "metric": 2 + 1 + 2,
+                          "potential": 1 + (1 + 2)}
 
 
 class TestNonFiniteRows:

@@ -926,7 +926,8 @@ class TestSolveBVP:
     def test_non_finite_guess_rejected_before_any_flow(self, bad, flows, chaplygin_system):
         sp = shooting_for(sleigh_problem(chaplygin_system), dt=0.1)
         seen, _ = flows
-        with pytest.raises(DimensionMismatch, match="guess must be finite"):
+        with pytest.raises(ValidationError,
+                           match="^initial momenta guess has non-finite entries$"):
             solve_bvp(sp, [bad, 0.0])
         assert seen == []
 

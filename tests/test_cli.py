@@ -312,6 +312,22 @@ class TestInvalidInput:
         assert captured.err.startswith(f"error: {error}: ") and captured.out == ""
         assert not out.exists()
 
+    # a zero weight leaves the regularity matrix singular: alone it exits 3
+    ZERO_WEIGHT = ["optimize", "--builtin", "chaplygin", "--y0", "0,0", "--yT", "0.3,0.2",
+                   "--T", "1", "--weights", "1,0"]
+
+    @pytest.mark.parametrize("flag", ["--dt=-1", "--dt=0.3", "--newton-tol=0",
+                                      "--max-iterations=-1"])
+    def test_configuration_error_is_reported_before_the_regularity_check(
+            self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        assert main(self.ZERO_WEIGHT + ["--out", str(out)]) == 3
+        assert "SingularHessian" in capsys.readouterr().err
+        assert main(self.ZERO_WEIGHT + [flag, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: DimensionMismatch: ") and captured.out == ""
+        assert not out.exists()
+
 
 class TestCheck:
     @pytest.mark.parametrize("builtin,params", [

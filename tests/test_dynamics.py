@@ -13,7 +13,7 @@ from nhoc import (ConstraintSpec, ControlDistribution, ModelPartials, StateQY, T
                   nonholonomic_field, simulate)
 from nhoc import numerics
 from nhoc.dynamics import _free_field
-from nhoc.errors import ConstraintViolated, DimensionMismatch, NonFiniteState
+from nhoc.errors import ConstraintViolated, DimensionMismatch, NonFiniteState, ValidationError
 from nhoc.numerics import integrate_fixed_steps, rk4_step
 
 from conftest import SUSLOV_PARAMS, curved_model, field_systems
@@ -413,7 +413,8 @@ class TestSimulate:
 class TestStateRecords:
     @pytest.mark.parametrize("q, y", [([], [np.nan, 0.0]), ([np.inf], [0.0])])
     def test_non_finite_state_is_rejected(self, q, y):
-        with pytest.raises(NonFiniteState, match="^state contains non-finite entries$"):
+        # a state that a caller passes in is an input, not a flow's result
+        with pytest.raises(ValidationError, match="^state [qy] has non-finite entries$"):
             StateQY(q=q, y=y)
 
     def test_trajectory_fields_follow_the_times(self):

@@ -83,8 +83,8 @@ class TestRecoverControls:
 
     @pytest.mark.parametrize("input_matrix, ydot, message", [
         ([[0.6], [0.8]], [0.1], "input matrix is neither basis-aligned nor square"),
-        ([[1.0, 1.0], [0.0, 1.0]], [0.1], "ydot must have length 2"),
-        ([[1.0], [0.0]], [0.1, 0.2], r"ydot must have length 1 \(actuated rows\)")],
+        ([[1.0, 1.0], [0.0, 1.0]], [0.1], r"ydot has shape \(1,\), expected \(2,\)"),
+        ([[1.0], [0.0]], [0.1, 0.2], r"ydot has shape \(2,\), expected \(1,\)")],
         ids=["neither", "square", "aligned"])
     def test_each_input_matrix_names_its_shape(self, chaplygin_system, input_matrix, ydot,
                                                message):
@@ -306,18 +306,19 @@ class TestCostModel:
         with pytest.raises(error):
             make()
 
-    @pytest.mark.parametrize("horizon,boundary", [
-        (np.nan, {}), (np.inf, {}),
-        (1.0, dict(yT=[np.nan, 0.0])), (1.0, dict(y0=[0.0, np.inf])),
+    @pytest.mark.parametrize("horizon,boundary,error", [
+        (np.nan, {}, DimensionMismatch), (np.inf, {}, DimensionMismatch),
+        (1.0, dict(yT=[np.nan, 0.0]), ValidationError),
+        (1.0, dict(y0=[0.0, np.inf]), ValidationError),
     ])
-    def test_non_finite_problem_rejected(self, chaplygin_system, horizon, boundary):
-        with pytest.raises(DimensionMismatch):
+    def test_non_finite_problem_rejected(self, chaplygin_system, horizon, boundary, error):
+        with pytest.raises(error):
             OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
                       cost=quadratic_cost(np.eye(2)), horizon=horizon, **boundary)
 
     def test_non_finite_chart_boundary_rejected(self, double_integrator_problem):
         p = double_integrator_problem
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="^chart point has non-finite entries$"):
             OCProblem(system=p.system, controls=p.controls, cost=p.cost, horizon=1.0,
                       q0=[np.nan], y0=[0.0], qT=[1.0], yT=[0.0])
 
@@ -374,9 +375,9 @@ class TestMultiplierLength:
     def test_suslov_field_and_flow(self, suslov_system):
         problem = full_actuation_problem(suslov_system)
         state = ExtremalState(y=[0.4, 0.3], v=[0.1, -0.2], lam=[1.0])
-        with pytest.raises(DimensionMismatch, match="lambda must have length 0"):
+        with pytest.raises(DimensionMismatch, match=r"^lam has shape \(1,\), expected \(0,\)$"):
             necessary_conditions_field(problem, state)
-        with pytest.raises(DimensionMismatch, match="lambda must have length 0"):
+        with pytest.raises(DimensionMismatch, match=r"^lam has shape \(1,\), expected \(0,\)$"):
             integrate_extremal(problem, state, 0.1, 0.01)
 
     @pytest.mark.parametrize("lam", [[1.0], None])
@@ -385,10 +386,11 @@ class TestMultiplierLength:
         problem = full_actuation_problem(system)
         state = ExtremalState(q=[0.1, 0.2], y=[0.3, -0.1], v=[0.2, 0.1],
                               **({} if lam is None else {"lam": lam}))
+        message = r"^lam has shape \([01],\), expected \(2,\)$"
         for call in (legendre_map, necessary_conditions_field):
-            with pytest.raises(DimensionMismatch, match="lambda must have length 2"):
+            with pytest.raises(DimensionMismatch, match=message):
                 call(problem, state)
-        with pytest.raises(DimensionMismatch, match="lambda must have length 2"):
+        with pytest.raises(DimensionMismatch, match=message):
             integrate_extremal(problem, state, 0.1, 0.01)
         assert legendre_map(problem, replace(state, lam=np.array([0.5, -0.5]))).p_q.shape == (2,)
 
@@ -398,7 +400,8 @@ class TestMultiplierLength:
                             controls=ControlDistribution.on_indices(2, [0]),
                             cost=quadratic_cost(np.eye(1)), horizon=1.0)
         state = ExtremalState(y=[0.4, 0.3], v=[0.1], lam_bar=lam_bar)
-        with pytest.raises(DimensionMismatch, match="^lambda_bar must have length 1$"):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^lam_bar has shape \([02],\), expected \(1,\)$"):
             necessary_conditions_field(problem, state)
 
 

@@ -1,8 +1,7 @@
 """Nonholonomic mechanics and optimal control on skew-symmetric algebroids."""
 
 from .algebroid import (AlgebroidModel, ConstraintSpec, ConstrainedSystem,
-                        ModelPartials, build_constrained_system, constant_model,
-                        restrict_metric)
+                        ModelPartials, constant_model)
 from .bvp import (ShootingProblem, ShootingResult, extremal_trajectory,
                   shooting_residual, solve_bvp)
 from .dynamics import (StateQY, Trajectory, dalembert_oracle_field,
@@ -21,8 +20,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebroidModel", "ConstraintSpec", "ConstrainedSystem", "ModelPartials",
-    "build_constrained_system", "constant_model", "restrict_metric",
+    "AlgebroidModel", "ConstraintSpec", "ConstrainedSystem", "ModelPartials", "constant_model",
     "StateQY", "Trajectory", "dalembert_oracle_field",
     "drift_acceleration", "nonholonomic_field", "simulate",
     "ControlDistribution", "CostModel", "ExtremalState", "OCProblem",

@@ -243,12 +243,6 @@ def _split(d, g):
     return gd, gd_inv, gd_inv @ (d @ g)
 
 
-def _restrict_anchor_dq(d, anchor_dq):
-    """Chart derivatives of the restricted anchor d rho from those of the
-    model anchor, any leading shape."""
-    return np.einsum("...iAj,aA->...iaj", anchor_dq, d)
-
-
 def _grad_v(geo, dv):
     """grad V = (G^D)^{CB} rho^i_B dV/dq^i from the geometry record ``geo``
     and the potential partials ``dv`` at its chart points, one point or a
@@ -263,7 +257,8 @@ def _chart_geometry(system, qs, anchor_rows=0):
 
     The model partials that the build reads come from one complex-step pass:
     the metric's and the potential's, and a record with a chart holds grad V
-    ("grad_v"; zeros without a potential).  With ``anchor_rows`` b > 0, qs
+    ("grad_v"; zeros without a potential, and on a chart-independent model,
+    whose readers add grad V at their own points).  With ``anchor_rows`` b > 0, qs
     is its first b rows followed by their ``numerics.central_stencil``, and
     the record also holds the chart derivatives of the restricted anchor at
     those rows ("anchor_d_dq", leading axis b); where the anchor drops the
@@ -283,7 +278,7 @@ def _chart_geometry(system, qs, anchor_rows=0):
     rho = d @ anchor
     chart = n > 0 and not model.q_independent
     points = {"metric": qs} if chart else {}
-    if n and model.potential is not None:
+    if chart and model.potential is not None:  # else ``_with_grad_v`` adds grad V
         points["potential"] = qs
     fd = None
     if anchor_rows:
@@ -304,16 +299,17 @@ def _chart_geometry(system, qs, anchor_rows=0):
         geo["grad_v"] = (_grad_v(geo, dq["potential"]) if "potential" in dq
                          else np.zeros((b, r)))
     if anchor_rows:
-        geo["anchor_d_dq"] = _restrict_anchor_dq(d, dq["anchor"])
+        geo["anchor_d_dq"] = np.einsum("...iAj,aA->...iaj", dq["anchor"], d)
     return geo
 
 
 class ConstrainedSystem:
     """The skew-symmetric algebroid induced on the constraint subbundle D.
 
-    Wraps a parent model plus a constraint and exposes the projected
-    structure functions, restricted anchor/metric, Christoffel field and
-    potential gradient as functions of the chart point.  Values are immutable.
+    Wraps a parent model plus a constraint; ``geometry(q)`` reads the
+    projected structure functions, restricted anchor/metric, Christoffel
+    symbols and potential gradient at a chart point as one record.  Values
+    are immutable.
     ``geometry_rows`` builds a whole stack of chart points in one pass, and a
     single point is its one-row case.  The origin is built once, when the
     system is made, which checks the metric there; a chart-independent model
@@ -394,8 +390,8 @@ class ConstrainedSystem:
 
     def _with_grad_v(self, geo, q):
         """The record ``geo`` of a chart-independent model with grad V at its
-        chart points q, one point or a stack: its one record holds grad V at
-        the origin, which is grad V everywhere only without a potential."""
+        chart points q, one point or a stack: its one record holds grad V = 0,
+        which is grad V everywhere only without a potential."""
         if self.dim_q == 0 or self.parent.potential is None:
             return geo
         return dict(geo, grad_v=_grad_v(geo, self.parent.partials_at(potential=q)["potential"]))
@@ -414,14 +410,15 @@ class ConstrainedSystem:
         if self._constant is None:
             return _chart_geometry(self, qs, anchor_rows)
         geo = {k: np.broadcast_to(v, (len(qs),) + v.shape) for k, v in self._constant.items()}
-        if anchor_rows:
-            geo["anchor_d_dq"] = self.anchor_d_dq(qs[:anchor_rows])
+        if anchor_rows:  # a constant anchor has zero chart derivatives
+            geo["anchor_d_dq"] = np.zeros((anchor_rows, self.dim_q, self.rank_d, self.dim_q))
         return self._with_grad_v(geo, qs)
 
-    def geometry(self, q):
-        """Projected data at q: structure_d, anchor_d, metric_d, metric_d_inv,
-        coeff_map and gamma, and with a chart grad V, row 0 of a one-row
-        build, or the one record of a chart-independent model.  Read-only."""
+    def geometry(self, q=None):
+        """Projected data at q (None means the origin): structure_d, anchor_d,
+        metric_d, metric_d_inv, coeff_map and gamma, and with a chart grad V,
+        row 0 of a one-row build, or the one record of a chart-independent
+        model.  The one read of each of them.  Read-only."""
         return self._geometry_at(self.parent.chart_point(q))
 
     def _geometry_at(self, q):
@@ -431,15 +428,8 @@ class ConstrainedSystem:
             return self._with_grad_v(self._constant, q)
         return {k: v[0] for k, v in _chart_geometry(self, q[None]).items()}
 
-    def structure_d(self, q=None):
-        return self.geometry(q)["structure_d"]
-
-    def anchor_d(self, q=None):
-        return self.geometry(q)["anchor_d"]
-
-    def metric_d(self, q=None):
-        return self.geometry(q)["metric_d"]
-
+    # the one per-key read kept beside ``geometry``: perfbench/tracing.py times
+    # the Christoffel reads under this name
     def gamma(self, q=None):
         """Christoffel symbols of the restricted metric at q, from the full
         Koszul formula (solved with the checked inverse of G^D).
@@ -453,12 +443,6 @@ class ConstrainedSystem:
         with the rest of the geometry at q.
         """
         return self.geometry(q)["gamma"]
-
-    def anchor_d_dq(self, q=None):
-        """Stacked chart derivatives of the restricted anchor; a stack of
-        chart points (B, dim_q) gives a leading axis B."""
-        q = q if np.ndim(q) == 2 else self.parent.chart_point(q)
-        return _restrict_anchor_dq(self.d_basis, self.parent.partials_at(anchor=q)["anchor"])
 
     def energy(self, q, y):
         """Restricted kinetic energy plus potential, conserved by the free flow.
@@ -495,6 +479,5 @@ class ConstrainedSystem:
         return energy + np.array([float(self.parent.potential(q)) for q in qs])
 
 
-def build_constrained_system(model, spec):
-    """Assemble the constrained system (its origin build checks the metric)."""
-    return ConstrainedSystem(model, spec)
+# perfbench/workloads.py builds its systems under this name
+build_constrained_system = ConstrainedSystem

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import ConstraintSpec, build_constrained_system
+from .algebroid import ConstraintSpec, ConstrainedSystem
 from .dynamics import StateQY, dalembert_oracle_field, nonholonomic_field
 from .hamiltonian import (HamiltonianSystem, PhasePoint, inverse_legendre,
                           legendre_map, symplecticity_defect)
@@ -53,7 +53,7 @@ def check_span_annihilator(model, spec):
     representations."""
 
     def origin_projector(constraint):
-        system = build_constrained_system(model, constraint)
+        system = ConstrainedSystem(model, constraint)
         return system.d_basis.T @ system.geometry(None)["coeff_map"]
 
     d = spec.d_basis()
@@ -150,7 +150,7 @@ def run_all(model, spec):
     """Full invariant suite for one model, with a fixed random seed; returns
     a list of CheckResults."""
     rng = np.random.default_rng(20260810)
-    system = build_constrained_system(model, spec)
+    system = ConstrainedSystem(model, spec)
     results = []
     results += check_projectors(system, rng)
     results += check_span_annihilator(model, spec)

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .algebroid import build_constrained_system
+from .algebroid import ConstrainedSystem
 from .bvp import ShootingProblem, extremal_trajectory, solve_bvp
 from .checks import run_all
 from .dynamics import INTEGRATORS, StateQY, simulate
@@ -111,7 +111,7 @@ def check_out_path(path):
 
 def cmd_simulate(args):
     model, spec = load_model(args)
-    system = build_constrained_system(model, spec)
+    system = ConstrainedSystem(model, spec)
     y0 = vector_flag(args, "y0", system.rank_d)
     q0 = vector_flag(args, "q0", model.dim_q, 0.0)
     check_out_path(args.out)
@@ -126,7 +126,7 @@ def cmd_simulate(args):
 
 def cmd_optimize(args):
     model, spec = load_model(args)
-    system = build_constrained_system(model, spec)
+    system = ConstrainedSystem(model, spec)
     y0, yT = (vector_flag(args, name, system.rank_d) for name in ("y0", "yT"))
     q0, qT = (vector_flag(args, name, model.dim_q, 0.0) for name in ("q0", "qT"))
     weights = vector_flag(args, "weights", system.rank_d, 1.0)
@@ -184,7 +184,7 @@ def cmd_check(args):
 
 def cmd_derive(args):
     model, spec = load_model(args)
-    system = build_constrained_system(model, spec)
+    system = ConstrainedSystem(model, spec)
     q = vector_flag(args, "q", model.dim_q, 0.0)
     geo = system.geometry(q)
     doc = {

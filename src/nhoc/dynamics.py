@@ -74,7 +74,8 @@ def _free_field(system):
     """
     nq, m = system.dim_q, system.rank_d
     if system.constant_drift:
-        anchor_t, neg_gamma = system.anchor_d().T, -system.gamma()
+        geo = system.geometry()
+        anchor_t, neg_gamma = geo["anchor_d"].T, -geo["gamma"]
 
         def field(z):
             if z.ndim == 1:  # the stepped row: same floats, fewer numpy calls

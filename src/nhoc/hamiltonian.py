@@ -53,8 +53,8 @@ import numpy as np
 
 from .dynamics import drift_acceleration
 from .errors import DimensionMismatch, FixedPointDivergence, LegendreDivergence, SingularHessian
-from .numerics import (checked_array, fd_jacobian, integrate_fixed_steps, matvec_rows, rk4_step,
-                       step_count)
+from .numerics import (checked_array, coerce_fields, fd_jacobian, integrate_fixed_steps,
+                       matvec_rows, rk4_step, step_count)
 from .optimal_control import _multiplier_parts
 # drift_jacobians is not called here; perfbench/tracing.py patches it under this name
 from .optimal_control import ExtremalState, drift_jacobians, recover_controls  # noqa: F401
@@ -76,11 +76,7 @@ class PhasePoint:
     p_y: np.ndarray
 
     def __post_init__(self):
-        for name in ("q", "y", "p_q", "p_y"):
-            value = getattr(self, name)
-            if type(value) is not np.ndarray or value.ndim != 1:
-                object.__setattr__(self, name,
-                                   np.atleast_1d(np.asarray(value, dtype=float)))
+        coerce_fields(self, ("q", "y", "p_q", "p_y"))
 
     def flat(self):
         return np.concatenate([self.q, self.y, self.p_q, self.p_y], axis=-1)
@@ -385,7 +381,8 @@ class HamiltonianSystem:
         # its field one fixed matrix of coefficients times the monomials of
         # v = (y, p_q, p_y): v itself and v (x) y, at index (i, b) -> v_i y_b
         m = self.rank_d
-        gamma, anchor = system.gamma(), system.anchor_d()
+        geo = system.geometry()
+        gamma, anchor = geo["gamma"], geo["anchor_d"]
         lin, quad = np.zeros((2 * d, m + d)), np.zeros((2 * d, m + d, m))
         # qdot = rho^T y and ydot = A p_y - Gamma(y, y), A = B W^-1 B^T
         lin[:n, :m] = anchor.T

@@ -129,10 +129,6 @@ def _require(doc, key, typ):
     if key not in doc:
         raise ValidationError(f"missing required field {key!r}")
     value = doc[key]
-    if typ is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"field {key!r} must be a number")
-        return float(value)
     if not isinstance(value, typ):
         raise ValidationError(f"field {key!r} must be of type {typ.__name__}")
     return value

@@ -258,15 +258,33 @@ def checked_array(value, what, shape=None):
     Raises DimensionMismatch unless its shape is ``shape`` (when given), and
     ValidationError for a non-numeric, ragged or non-finite value.
     """
-    try:
-        a = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+    a = _float_array(value, what)
     if shape is not None and a.shape != shape:
         raise DimensionMismatch(f"{what} has shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():
         raise ValidationError(f"{what} has non-finite entries")
     return a
+
+
+def _float_array(value, what):
+    """``value`` as a float array of at least one dimension; ValidationError
+    naming ``what`` for a non-numeric or ragged value."""
+    try:
+        return np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+
+
+def coerce_fields(record, names):
+    """Set each field ``names`` of the frozen dataclass ``record`` to a float
+    array of at least one dimension; a 1-d array is kept as it is.  Raises
+    ValidationError naming the field for a non-numeric or ragged value.  It
+    does not check finiteness: records also hold the states of a flow."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not np.ndarray or value.ndim != 1:
+            object.__setattr__(record, name,
+                               _float_array(value, f"{type(record).__name__}.{name}"))
 
 
 def check_full_rank(a, what="constraint"):

@@ -15,9 +15,9 @@ import numpy as np
 
 from .dynamics import drift_acceleration
 from .errors import DimensionMismatch, SingularHessian
-from .numerics import (FD2_STEP, RANK_TOL, central_stencil, checked_array, fd_jacobian,
-                       fd_partials, integrate_fixed_steps, rk4_step, stencil_partials,
-                       step_count)
+from .numerics import (FD2_STEP, RANK_TOL, central_stencil, checked_array, coerce_fields,
+                       fd_jacobian, fd_partials, integrate_fixed_steps, rk4_step,
+                       stencil_partials, step_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +234,7 @@ class ExtremalState:
     lam_bar: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        for name in ("q", "y", "v", "lam", "lam_bar"):
-            value = getattr(self, name)
-            if type(value) is not np.ndarray or value.ndim != 1:
-                object.__setattr__(self, name,
-                                   np.atleast_1d(np.asarray(value, dtype=float)))
+        coerce_fields(self, ("q", "y", "v", "lam", "lam_bar"))
 
 
 def drift_jacobians(system, q, y):

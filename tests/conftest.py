@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nhoc import (AlgebroidModel, ConstraintSpec, ControlDistribution, CostModel,
-                  ModelPartials, OCProblem, build_constrained_system, constant_model,
-                  make_chaplygin, make_double_integrator, make_suslov, quadratic_cost)
+from nhoc import (AlgebroidModel, ConstrainedSystem, ConstraintSpec, ControlDistribution,
+                  CostModel, ModelPartials, OCProblem, constant_model, make_chaplygin,
+                  make_double_integrator, make_suslov, quadratic_cost)
 from nhoc.hamiltonian import _actuation, _optimal_control
 from nhoc.numerics import fd_partials
 from nhoc.optimal_control import drift_jacobians
@@ -16,19 +16,19 @@ SUSLOV_PARAMS = dict(I11=2.0, I22=3.0, I33=4.0, I13=0.1, I23=0.2)
 @pytest.fixture
 def suslov_system():
     model, spec = make_suslov(**SUSLOV_PARAMS)
-    return build_constrained_system(model, spec)
+    return ConstrainedSystem(model, spec)
 
 
 @pytest.fixture
 def chaplygin_system():
     model, spec = make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0)
-    return build_constrained_system(model, spec)
+    return ConstrainedSystem(model, spec)
 
 
 @pytest.fixture
 def double_integrator_problem():
     model, spec = make_double_integrator(1)
-    system = build_constrained_system(model, spec)
+    system = ConstrainedSystem(model, spec)
     return OCProblem(system=system, controls=ControlDistribution.full(1),
                      cost=quadratic_cost(np.eye(1)), horizon=1.0,
                      q0=[0.0], y0=[0.0], qT=[1.0], yT=[0.0])
@@ -80,15 +80,15 @@ def field_systems():
                                     dim_q=2, potential=lambda q: q[0] ** 2 + 0.5 * q[0] * q[1])
     suslov, suslov_spec = make_suslov(**SUSLOV_PARAMS)
     return {
-        "suslov": build_constrained_system(suslov, suslov_spec),
+        "suslov": ConstrainedSystem(suslov, suslov_spec),
         # dim_q = 0 through the chart branch: every stack has the same chart bytes
-        "suslov_unflagged": build_constrained_system(
+        "suslov_unflagged": ConstrainedSystem(
             replace(suslov, q_independent=False), suslov_spec),
-        "sleigh": build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0)),
-        "double_integrator": build_constrained_system(*make_double_integrator(2)),
-        "constant_with_potential": build_constrained_system(
+        "sleigh": ConstrainedSystem(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0)),
+        "double_integrator": ConstrainedSystem(*make_double_integrator(2)),
+        "constant_with_potential": ConstrainedSystem(
             with_potential, ConstraintSpec(span_basis=np.eye(2))),
-        "curved": build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2))),
+        "curved": ConstrainedSystem(curved_model(), ConstraintSpec(span_basis=np.eye(2))),
     }
 
 
@@ -116,7 +116,9 @@ def point_partials(hs, q, y, p_q, p_y):
     d_py = _actuation(hs.problem, u) - delta
     d_y = -ddy.T @ p_y + anchor @ p_q
     if hs.dim_q > 0:
-        d_q = -ddq.T @ p_y + np.einsum("iAj,j,A->i", hs.system.anchor_d_dq(q), p_q, y)
+        anchor_dq = np.einsum("iAj,aA->iaj", hs.system.parent.partials_at(anchor=q)["anchor"],
+                              hs.system.d_basis)
+        d_q = -ddq.T @ p_y + np.einsum("iAj,j,A->i", anchor_dq, p_q, y)
         if not cost.quadratic:
             d_q = d_q - fd_partials(lambda qq: cost.evaluator(qq, y, u), q)
     else:

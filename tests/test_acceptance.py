@@ -7,12 +7,11 @@ lines as they complete.
 import numpy as np
 import pytest
 
-from nhoc import (ControlDistribution, ExtremalState, HamiltonianSystem, OCProblem,
-                  PhasePoint, ShootingProblem, StateQY, build_constrained_system,
-                  dalembert_oracle_field, integrate_extremal,
-                  integrate_hamiltonian, legendre_map, make_chaplygin,
-                  make_double_integrator, make_suslov, nonholonomic_field,
-                  quadratic_cost, simulate, solve_bvp, symplecticity_defect)
+from nhoc import (ConstrainedSystem, ControlDistribution, ExtremalState, HamiltonianSystem,
+                  OCProblem, PhasePoint, ShootingProblem, StateQY, dalembert_oracle_field,
+                  integrate_extremal, integrate_hamiltonian, legendre_map, make_chaplygin,
+                  make_double_integrator, make_suslov, nonholonomic_field, quadratic_cost,
+                  simulate, solve_bvp, symplecticity_defect)
 from nhoc.cli import main
 from nhoc.dynamics import drift_acceleration
 
@@ -59,9 +58,9 @@ def systems():
         "chaplygin": (make_chaplygin, CHAPLYGIN),
     }.items():
         model, spec = maker(**params)
-        out[name] = (model, spec, build_constrained_system(model, spec))
+        out[name] = (model, spec, ConstrainedSystem(model, spec))
     model, spec = make_double_integrator(1)
-    out["double_integrator"] = (model, spec, build_constrained_system(model, spec))
+    out["double_integrator"] = (model, spec, ConstrainedSystem(model, spec))
     return out
 
 
@@ -86,16 +85,16 @@ def test_criterion_01_structure_constants():
                 model, spec = make_suslov(**vals)
             except Exception:
                 continue
-            system = build_constrained_system(model, spec)
-            cd = system.structure_d()
+            system = ConstrainedSystem(model, spec)
+            cd = system.geometry()["structure_d"]
             worst = max(worst, abs(cd[0, 0, 1] - vals["I13"] / vals["I11"]),
                         abs(cd[1, 0, 1] - vals["I23"] / vals["I22"]))
         else:
             m, J = rng.uniform(0.5, 2), rng.uniform(0.5, 2)
             a, b = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
             model, spec = make_chaplygin(m, J, a, b)
-            system = build_constrained_system(model, spec)
-            cd = system.structure_d()
+            system = ConstrainedSystem(model, spec)
+            cd = system.geometry()["structure_d"]
             denom = J + m * a * a
             worst = max(worst, abs(cd[0, 0, 1] - m * a / denom),
                         abs(cd[1, 0, 1] - m * a * b / denom))
@@ -119,7 +118,7 @@ def test_criterion_02_oracle_equivalence(systems):
     for _ in range(50):
         m, J, a = rng.uniform(0.5, 2), rng.uniform(0.5, 2), rng.uniform(0.2, 2)
         model, spec = make_chaplygin(m, J, a, 0.0)
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         y = rng.uniform(-2, 2, 2)
         _, ydot = nonholonomic_field(system, StateQY(q=[], y=y))
         worst_classical = max(worst_classical,

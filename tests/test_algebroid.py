@@ -5,9 +5,8 @@ import pytest
 
 from dataclasses import replace
 
-from nhoc import (AlgebroidModel, ConstraintSpec, ModelPartials, StateQY, algebroid,
-                  build_constrained_system, constant_model,
-                  make_chaplygin, make_suslov, numerics, restrict_metric, simulate)
+from nhoc import (AlgebroidModel, ConstrainedSystem, ConstraintSpec, ModelPartials, StateQY,
+                  algebroid, constant_model, make_chaplygin, make_suslov, numerics, simulate)
 from nhoc.errors import DimensionMismatch, RankDeficient, SingularMetric, ValidationError
 from nhoc.dynamics import drift_acceleration
 from nhoc.optimal_control import drift_jacobians
@@ -34,7 +33,7 @@ def complement_direction(system):
 
 class TestSplitting:
     def test_suslov_adapted_basis_and_complement(self):
-        system = build_constrained_system(*make_suslov(**SUSLOV_PARAMS))
+        system = ConstrainedSystem(*make_suslov(**SUSLOV_PARAMS))
         assert np.allclose(system.d_basis, [[1, 0, 0], [0, 1, 0]], atol=1e-14)
         I11, I22, I13, I23 = 2.0, 3.0, 0.1, 0.2
         z_expected = np.array([I22 * I13, I11 * I23, -I11 * I22])
@@ -42,7 +41,7 @@ class TestSplitting:
 
     def test_orthonormal_span_gives_diagonal_projector(self):
         model = constant_model(np.zeros((3, 3, 3)), np.eye(3))
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(3)[:2]))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(3)[:2]))
         assert np.allclose(projector(system), np.diag([1.0, 1.0, 0.0]), atol=1e-14)
 
     def test_chaplygin_complement(self):
@@ -50,7 +49,7 @@ class TestSplitting:
         # is the span of (abm, J+ma^2, am) in the (E1, E2, E3) frame
         m, J, a, b = 2.0, 1.5, 0.7, 0.3
         model, spec = make_chaplygin(m, J, a, b)
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         z = complement_direction(system)
         assert collinear(z, [a * b * m, J + m * a * a, a * m])
         g = model.metric(model.chart_point())
@@ -61,7 +60,7 @@ class TestSplitting:
         for _ in range(5):
             model, spec = make_chaplygin(1.0 + rng.random(), 1.0 + rng.random(),
                                          rng.uniform(-1, 1), rng.uniform(-1, 1))
-            system = build_constrained_system(model, spec)
+            system = ConstrainedSystem(model, spec)
             p = projector(system)
             q = np.eye(3) - p
             assert np.abs(p @ p - p).max() < 1e-12
@@ -75,8 +74,8 @@ class TestSplitting:
 
     def test_span_and_annihilator_agree(self):
         model, spec = make_suslov(**SUSLOV_PARAMS)
-        from_ann = build_constrained_system(model, spec)
-        from_span = build_constrained_system(model, ConstraintSpec(span_basis=spec.d_basis()))
+        from_ann = ConstrainedSystem(model, spec)
+        from_span = ConstrainedSystem(model, ConstraintSpec(span_basis=spec.d_basis()))
         assert np.abs(projector(from_ann) - projector(from_span)).max() < 1e-10
 
     def test_rank_deficient_spec(self):
@@ -100,8 +99,22 @@ class TestSplitting:
     def test_empty_annihilator_needs_the_bundle_rank(self, annihilator):
         with pytest.raises(DimensionMismatch, match=r"shape \(0, rank_e\)"):
             ConstraintSpec(annihilator=annihilator)
-        # with its columns it leaves D = E
-        assert ConstraintSpec(annihilator=np.zeros((0, 3))).rank_d() == 3
+        # with its columns it leaves D = E, with the identity as adapted basis
+        spec = ConstraintSpec(annihilator=np.zeros((0, 3)))
+        assert spec.rank_d() == 3
+        assert np.array_equal(spec.d_basis(), np.eye(3))
+
+    @pytest.mark.parametrize("spec", [dict(span_basis=np.eye(2), annihilator=np.zeros((0, 2))),
+                                      {}], ids=["both", "neither"])
+    def test_spec_takes_exactly_one_representation(self, spec):
+        with pytest.raises(DimensionMismatch, match="exactly one of span_basis or annihilator"):
+            ConstraintSpec(**spec)
+
+    def test_constant_structure_must_be_antisymmetric(self):
+        structure = np.zeros((2, 2, 2))
+        structure[0, 0, 1] = 1.0  # and no -1 at [0, 1, 0]
+        with pytest.raises(DimensionMismatch, match="not antisymmetric in the lower indices"):
+            constant_model(structure, np.eye(2))
 
     @pytest.mark.parametrize("field", ["span_basis", "annihilator"])
     def test_non_finite_spec(self, field):
@@ -112,12 +125,12 @@ class TestSplitting:
         model = constant_model(np.zeros((3, 3, 3)), np.eye(3))
         bad = AlgebroidReplaceMetric(model, np.diag([1.0, 1.0, -1.0]))
         with pytest.raises(SingularMetric):
-            build_constrained_system(bad, ConstraintSpec(span_basis=np.eye(3)[:2]))
+            ConstrainedSystem(bad, ConstraintSpec(span_basis=np.eye(3)[:2]))
 
     def test_constraint_of_another_rank_rejected(self):
         model = constant_model(np.zeros((3, 3, 3)), np.eye(3))
         with pytest.raises(DimensionMismatch, match="rank-2 bundle, model has rank 3"):
-            build_constrained_system(model, ConstraintSpec(span_basis=[[1.0, 0.0]]))
+            ConstrainedSystem(model, ConstraintSpec(span_basis=[[1.0, 0.0]]))
 
     @pytest.mark.parametrize("model, spec, qs", [
         (*make_chaplygin(1.3, 0.8, 0.6, -0.4), np.zeros((3, 0))),
@@ -126,7 +139,7 @@ class TestSplitting:
          np.array([[-0.7], [0.35], [0.0]])),
     ], ids=["sleigh", "sleigh_offset", "curved"])
     def test_coefficient_map_is_the_one_of_the_geometry_build(self, model, spec, qs):
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         stack = system.geometry_rows(qs)["coeff_map"]
         for row, q in zip(stack, qs):
             geo = system.geometry(q)
@@ -139,7 +152,7 @@ class TestSplitting:
         restrict = algebroid.restrict_metric
         monkeypatch.setattr(algebroid, "restrict_metric",
                             lambda d, g: counts.update(["split"]) or restrict(d, g))
-        system = build_constrained_system(*make_chaplygin())
+        system = ConstrainedSystem(*make_chaplygin())
         assert counts["split"] == 1
         system.geometry(None)
         system.geometry_rows(np.zeros((4, 0)))
@@ -156,49 +169,49 @@ def AlgebroidReplaceMetric(model, new_metric):
 
 class TestProjectBracket:
     def test_suslov_constants(self):
-        cd = build_constrained_system(*make_suslov(**SUSLOV_PARAMS)).structure_d()
+        cd = ConstrainedSystem(*make_suslov(**SUSLOV_PARAMS)).geometry()["structure_d"]
         assert abs(cd[0, 0, 1] - 0.1 / 2.0) < 1e-14
         assert abs(cd[1, 0, 1] - 0.2 / 3.0) < 1e-14
 
     def test_chaplygin_constants(self):
         m, J, a, b = 1.3, 0.8, 0.6, -0.4
-        cd = build_constrained_system(*make_chaplygin(m, J, a, b)).structure_d()
+        cd = ConstrainedSystem(*make_chaplygin(m, J, a, b)).geometry()["structure_d"]
         assert abs(cd[0, 0, 1] - m * a / (J + m * a * a)) < 1e-13
         assert abs(cd[1, 0, 1] - m * a * b / (J + m * a * a)) < 1e-13
 
     def test_abelian_projects_to_zero(self):
         model = constant_model(np.zeros((4, 4, 4)), np.diag([1.0, 2.0, 3.0, 4.0]))
         spec = ConstraintSpec(annihilator=[[0.0, 0.0, 1.0, 1.0]])
-        cd = build_constrained_system(model, spec).structure_d()
+        cd = ConstrainedSystem(model, spec).geometry()["structure_d"]
         assert np.abs(cd).max() == 0.0
 
     def test_exact_antisymmetry(self):
-        cd = build_constrained_system(*make_chaplygin(1.7, 0.9, 0.5, 0.2)).structure_d()
+        cd = ConstrainedSystem(*make_chaplygin(1.7, 0.9, 0.5, 0.2)).geometry()["structure_d"]
         assert np.abs(cd + cd.swapaxes(1, 2)).max() < 1e-14
 
 
 class TestRestrictMetric:
     def test_suslov_diagonal(self):
         model, spec = make_suslov(**SUSLOV_PARAMS)
-        gd, gd_inv = restrict_metric(spec.d_basis(), model.metric(model.chart_point()))
+        gd, gd_inv = algebroid.restrict_metric(spec.d_basis(), model.metric(model.chart_point()))
         assert np.allclose(gd, np.diag([2.0, 3.0]), atol=1e-14)
         assert np.abs(gd @ gd_inv - np.eye(2)).max() < 1e-12
 
     def test_chaplygin_quadratic_form(self):
         m, J, a, b = 1.0, 1.0, 1.0, 0.5
         model, spec = make_chaplygin(m, J, a, b)
-        gd, _ = restrict_metric(spec.d_basis(), model.metric(model.chart_point()))
+        gd, _ = algebroid.restrict_metric(spec.d_basis(), model.metric(model.chart_point()))
         expected = np.array([[J + m * (a * a + b * b), -b * m], [-b * m, m]])
         assert np.abs(gd - expected).max() < 1e-14
 
     def test_identity_case(self):
-        gd, gd_inv = restrict_metric(np.eye(3)[:2], np.eye(3))
+        gd, gd_inv = algebroid.restrict_metric(np.eye(3)[:2], np.eye(3))
         assert np.allclose(gd, np.eye(2), atol=1e-15)
         assert np.allclose(gd_inv, np.eye(2), atol=1e-15)
 
     def test_singular_restriction_raises(self):
         with pytest.raises(SingularMetric):
-            restrict_metric(np.eye(2), np.zeros((2, 2)))
+            algebroid.restrict_metric(np.eye(2), np.zeros((2, 2)))
 
 
 class TestChristoffel:
@@ -212,7 +225,7 @@ class TestChristoffel:
 
     def test_flat_model_is_zero(self):
         model = constant_model(np.zeros((3, 3, 3)), np.diag([1.0, 2.0, 5.0]))
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(3)[:2]))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(3)[:2]))
         assert np.abs(system.gamma()).max() == 0.0
 
     def test_chaplygin_classical_case(self, chaplygin_system):
@@ -226,7 +239,7 @@ class TestChristoffel:
     def test_chaplygin_offset_center_of_mass(self):
         # hand-solved Koszul system for m = J = a = b = 1
         model, spec = make_chaplygin(1.0, 1.0, 1.0, 1.0)
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         gamma = system.gamma()
         assert abs(gamma[0, 0, 0] + 0.5) < 1e-13
         assert abs(gamma[1, 0, 0] + 1.5) < 1e-13
@@ -239,9 +252,9 @@ class TestChristoffel:
         for _ in range(5):
             model, spec = make_chaplygin(0.5 + rng.random(), 0.5 + rng.random(),
                                          rng.uniform(-1, 1), rng.uniform(-1, 1))
-            system = build_constrained_system(model, spec)
+            system = ConstrainedSystem(model, spec)
             gamma = system.gamma()
-            cd = system.structure_d()
+            cd = system.geometry()["structure_d"]
             assert np.abs(gamma - gamma.swapaxes(1, 2) - cd).max() < 1e-10
 
     def test_closed_form_matches_for_identity_metric(self):
@@ -251,24 +264,22 @@ class TestChristoffel:
         c_full[0, 0, 1], c_full[0, 1, 0] = 0.7, -0.7
         c_full[1, 0, 1], c_full[1, 1, 0] = -0.3, 0.3
         model = constant_model(c_full, np.eye(2))
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         gamma = system.gamma()
-        cd = system.structure_d()
+        cd = system.geometry()["structure_d"]
         closed = 0.5 * (np.einsum("bca->cab", cd) + np.einsum("acb->cab", cd) + cd)
         assert np.abs(gamma - closed).max() < 1e-14
 
     def test_koszul_relation_with_chart_dependence(self):
         model = curved_model()
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         for q0 in (-0.7, 0.2, 1.3):
             q = np.array([q0])
-            gd = system.metric_d(q)
-            cd = system.structure_d(q)
-            gamma = system.gamma(q)
+            geo = system.geometry(q)
+            gd, cd, gamma, rho = geo["metric_d"], geo["structure_d"], geo["gamma"], geo["anchor_d"]
             lhs = 2.0 * np.einsum("cm,mab->cab", gd, gamma)
 
             def rhs_with(dgd):
-                rho = system.anchor_d(q)
                 return (np.einsum("am,mcb->cab", gd, cd)
                         + np.einsum("bm,mca->cab", gd, cd)
                         - np.einsum("cm,mba->cab", gd, cd)
@@ -282,7 +293,8 @@ class TestChristoffel:
             assert np.abs(lhs - rhs_with(dgd)).max() < 1e-12
             # independent finite-difference derivative terms: loose tolerance
             h = 1e-5
-            dgd_fd = np.array([(system.metric_d(q + h) - system.metric_d(q - h)) / (2 * h)])
+            dgd_fd = np.array([(system.geometry(q + h)["metric_d"]
+                                - system.geometry(q - h)["metric_d"]) / (2 * h)])
             assert np.abs(lhs - rhs_with(dgd_fd)).max() < 1e-8
             assert np.abs(gamma - gamma.swapaxes(1, 2) - cd).max() < 1e-10
 
@@ -291,8 +303,8 @@ class TestChristoffel:
         from nhoc import ModelPartials
         analytic = curved_model()
         fd = replace(analytic, partials=ModelPartials())
-        sys_a = build_constrained_system(analytic, ConstraintSpec(span_basis=np.eye(2)))
-        sys_f = build_constrained_system(fd, ConstraintSpec(span_basis=np.eye(2)))
+        sys_a = ConstrainedSystem(analytic, ConstraintSpec(span_basis=np.eye(2)))
+        sys_f = ConstrainedSystem(fd, ConstraintSpec(span_basis=np.eye(2)))
         q = np.array([0.6])
         assert np.abs(sys_a.gamma(q) - sys_f.gamma(q)).max() < 1e-8
 
@@ -300,13 +312,13 @@ class TestChristoffel:
         # rank-1 subbundle: Gamma = rho(e)(G_11) / (2 G_11), checked against FD
         model = curved_model()
         spec = ConstraintSpec(span_basis=[[1.0, 0.3]])
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         q = np.array([0.4])
         gamma = system.gamma(q)
         h = 1e-6
-        g11 = lambda qq: system.metric_d(qq)[0, 0]
+        g11 = lambda qq: system.geometry(qq)["metric_d"][0, 0]
         dg11 = (g11(q + h) - g11(q - h)) / (2 * h)
-        rho = system.anchor_d(q)[0, 0]
+        rho = system.geometry(q)["anchor_d"][0, 0]
         assert abs(gamma[0, 0, 0] - rho * dg11 / (2 * g11(q))) < 1e-9
 
 
@@ -323,37 +335,54 @@ class TestGradPotential:
     def test_identity_model_harmonic_potential(self):
         model = constant_model(np.zeros((1, 1, 1)), np.eye(1), anchor=np.eye(1),
                                dim_q=1, potential=lambda q: 0.5 * q[0] ** 2)
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(1)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(1)))
         q = np.array([1.7])
         assert abs(self.grad_v(system, q)[0] - 1.7) < 1e-9
 
     def test_scaled_metric_linear_potential(self):
         model = constant_model(np.zeros((1, 1, 1)), np.array([[2.0]]), anchor=np.eye(1),
                                dim_q=1, potential=lambda q: q[0])
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(1)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(1)))
         assert abs(self.grad_v(system, np.zeros(1))[0] - 0.5) < 1e-9
 
     def test_curved_model_against_fd(self):
         model = curved_model()
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         q = np.array([0.8])
         grad = self.grad_v(system, q)
         # defining relation: G^D(grad V, X) = rho(X)(V) for basis sections
         h = 1e-6
         pot = model.potential
         dv = (pot(q + h) - pot(q - h)) / (2 * h)
-        rhs = system.anchor_d(q) @ np.array([dv])
-        assert np.abs(system.metric_d(q) @ grad - rhs).max() < 1e-9
+        geo = system.geometry(q)
+        rhs = geo["anchor_d"] @ np.array([dv])
+        assert np.abs(geo["metric_d"] @ grad - rhs).max() < 1e-9
+
+    def test_chart_independent_potential_is_called_where_read_only(self):
+        calls = Counter()
+
+        def potential(q):
+            calls.update(["V"])
+            return q[0] ** 2 + 0.5 * q[0] * q[1]
+
+        model = constant_model(np.zeros((2, 2, 2)), np.eye(2), anchor=np.eye(2), dim_q=2,
+                               potential=potential)
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
+        assert calls["V"] == 1  # the shape check at the origin; no grad V there
+        geo = system.geometry_rows(np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]]))
+        # dim_q + 2 calls at each of 3 rows: the complex step and its check
+        assert calls["V"] == 1 + 3 * (2 + 2)
+        assert np.abs(geo["grad_v"][1] - [0.3 * 2 - 0.2, 0.15]).max() < 1e-14
 
 
 class TestConstrainedSystem:
     def test_anchor_restriction(self):
         model = curved_model()
         spec = ConstraintSpec(span_basis=[[1.0, 0.3]])
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         q = np.array([0.2])
         expected = np.array([[1.0 + 0.3 * 0.5]])
-        assert np.abs(system.anchor_d(q) - expected).max() < 1e-14
+        assert np.abs(system.geometry(q)["anchor_d"] - expected).max() < 1e-14
 
     def test_energy(self, suslov_system):
         e = suslov_system.energy(np.zeros(0), np.array([1.0, 1.0]))
@@ -379,7 +408,7 @@ class TestConstrainedSystem:
         assert len(calls) == 1
 
     def test_per_point_geometry_is_built_once_and_lean(self, monkeypatch):
-        system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
         calls = []
         null_space = numerics.rref_null_space
         monkeypatch.setattr(numerics, "rref_null_space",
@@ -397,7 +426,7 @@ class TestConstrainedSystem:
         model = curved_model()  # analytic metric_dq: only the build reads the metric
         calls, points = [], []
         counted = replace(model, metric=lambda q: calls.append(q) or model.metric(q))
-        system = build_constrained_system(counted, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(counted, ConstraintSpec(span_basis=np.eye(2)))
         restrict = algebroid.restrict_metric
         monkeypatch.setattr(algebroid, "restrict_metric",
                             lambda d, g: points.append(len(g)) or restrict(d, g))
@@ -420,7 +449,7 @@ class TestConstrainedSystem:
             return lambda q: calls.update([name]) or f(q)
 
         model = replace(base, **{name: counted(name) for name in ("structure", "anchor", "metric")})
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         rng = np.random.default_rng(5)
         qs, ys = rng.uniform(-1.0, 1.0, (101, 1)), rng.uniform(-1.0, 1.0, (101, 2))
         calls.clear()
@@ -430,7 +459,7 @@ class TestConstrainedSystem:
         assert energies.tobytes() == full_build.tobytes()
 
     def test_stacked_energies_equal_single_calls(self):
-        system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
         qs = np.array([[-0.4], [0.1], [0.9]])
         ys = np.array([[0.3, -0.2], [1.0, 0.5], [0.0, 2.0]])
         energies = system.energy(qs, ys)
@@ -439,7 +468,7 @@ class TestConstrainedSystem:
             assert e.tobytes() == np.float64(system.energy(q, y)).tobytes()
 
     def test_adapted_basis_read_from_the_system(self, monkeypatch):
-        system = build_constrained_system(curved_model(), ConstraintSpec(annihilator=[[0.0, 1.0]]))
+        system = ConstrainedSystem(curved_model(), ConstraintSpec(annihilator=[[0.0, 1.0]]))
         calls = []
         null_space = numerics.rref_null_space
         monkeypatch.setattr(numerics, "rref_null_space",
@@ -461,9 +490,9 @@ class TestStackedGeometry:
     def test_stack_equals_one_point_builds(self):
         spec = ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]])
         qs = np.array([[-0.7], [0.0], [0.35], [1.3]])
-        stack = build_constrained_system(curved_model(), spec).geometry_rows(qs)
+        stack = ConstrainedSystem(curved_model(), spec).geometry_rows(qs)
         for k, q in enumerate(qs):
-            single = build_constrained_system(curved_model(), spec).geometry(q)
+            single = ConstrainedSystem(curved_model(), spec).geometry(q)
             assert set(single) == set(stack)
             for name, value in single.items():
                 assert stack[name].shape == (len(qs),) + value.shape
@@ -478,7 +507,7 @@ class TestStackedGeometry:
     def test_one_bad_metric_row_raises(self, bad):
         good = curved_model()
         model = replace(good, metric=lambda q: BAD_METRICS[bad] if q[0] > 1.0 else good.metric(q))
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         with pytest.raises(SingularMetric):
             system.geometry_rows(np.array([[0.1], [1.5], [0.2]]))
         with pytest.raises(SingularMetric):
@@ -486,7 +515,7 @@ class TestStackedGeometry:
         assert np.isfinite(system.geometry_rows(np.array([[0.1], [0.2]]))["gamma"]).all()
 
     def test_stack_shape_checked(self):
-        system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
         with pytest.raises(DimensionMismatch):
             system.geometry_rows(np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
@@ -527,7 +556,7 @@ class TestFlatKoszul:
     def test_gamma_matches_the_einsum_koszul_formula(self):
         model = rank3_chart_model()
         spec = ConstraintSpec(annihilator=[[0.3, -1.0, 0.5]])
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         qs = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 2))
         geo = system.geometry_rows(qs)
         d = spec.d_basis()
@@ -578,7 +607,7 @@ class TestDefaultPartials:
         names = ("structure", "anchor", "metric", "potential")
         model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
                                  counts.update([name]) or f(q) for name in names})
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(model.rank_e)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(model.rank_e)))
         qs = np.random.default_rng(2).uniform(-0.8, 0.8, (3, model.dim_q))
         counts.clear()
         assert system.geometry_rows(qs)["grad_v"].shape == (3, system.rank_d)
@@ -599,7 +628,7 @@ class TestDefaultPartials:
         analytic = replace(base, partials=replace(base.partials, metric_dq=metric_dq))
         default = replace(base, partials=ModelPartials())
         spec = ConstraintSpec(span_basis=np.eye(2))
-        systems = [build_constrained_system(m, spec) for m in (analytic, default)]
+        systems = [ConstrainedSystem(m, spec) for m in (analytic, default)]
         for q0 in (0.4, -0.3):
             q = np.array([q0])
             assert np.abs(default.partials_at(metric=q)["metric"] - metric_dq(q)).max() < 1e-9
@@ -607,8 +636,8 @@ class TestDefaultPartials:
 
     def test_drift_q_jacobian_matches_analytic_partials(self):
         spec = ConstraintSpec(span_basis=np.eye(2))
-        analytic = build_constrained_system(curved_model(), spec)
-        default = build_constrained_system(replace(curved_model(), partials=ModelPartials()),
+        analytic = ConstrainedSystem(curved_model(), spec)
+        default = ConstrainedSystem(replace(curved_model(), partials=ModelPartials()),
                                            spec)
         for q0 in (0.4, -0.3):
             for y in ([0.3, -0.2], [1.0, 0.5], [2.0, -1.0]):
@@ -637,17 +666,19 @@ class TestStackReads:
     ], ids=["constant", "holomorphic", "abs", "chart_independent"])
     def test_anchor_partials_equal_single_calls(self, make):
         model = make()
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(model.rank_e)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(model.rank_e)))
         qs = np.array([[0.4, -0.2], [-0.3, 0.5], [0.7, 0.1]])[:, :model.dim_q]
         ys = np.array([[0.3, -0.2, 0.1], [0.0, 0.5, 1.0], [-1.0, 0.7, 0.2]])[:, :system.rank_d]
         anchor_d_dq = system.drift_rows(qs, ys)[3]["anchor_d_dq"]
         assert anchor_d_dq.shape == (len(qs), model.dim_q, system.rank_d, model.dim_q)
-        assert anchor_d_dq.tobytes() == system.anchor_d_dq(qs).tobytes()
-        for q, row in zip(qs, anchor_d_dq):
-            assert row.tobytes() == system.anchor_d_dq(q).tobytes()
+        single = np.einsum("...iAj,aA->...iaj", model.partials_at(anchor=qs)["anchor"],
+                           system.d_basis)
+        assert anchor_d_dq.tobytes() == single.tobytes()
+        for q, y, row in zip(qs, ys, anchor_d_dq):
+            assert row.tobytes() == drift_jacobians(system, q, y)[3]["anchor_d_dq"].tobytes()
 
     def test_abs_anchor_takes_central_differences(self):
-        system = build_constrained_system(abs_anchor_model(), ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(abs_anchor_model(), ConstraintSpec(span_basis=np.eye(2)))
         qs = np.array([[0.4], [-0.3]])
         anchor_d_dq = system.drift_rows(qs, np.zeros((2, 2)))[3]["anchor_d_dq"]
         d_anchor = system.parent.anchor
@@ -674,7 +705,7 @@ class TestModelShapes:
             "potential_shape_1"])
     def test_wrong_shape_raises_at_construction(self, fields):
         with pytest.raises(DimensionMismatch, match=next(iter(fields))):
-            build_constrained_system(self.model(**fields), ConstraintSpec(span_basis=np.eye(2)))
+            ConstrainedSystem(self.model(**fields), ConstraintSpec(span_basis=np.eye(2)))
 
     def test_each_callable_is_checked_once(self):
         counts = Counter()
@@ -682,7 +713,7 @@ class TestModelShapes:
         names = ("structure", "anchor", "metric", "potential")
         model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
                                  counts.update([name]) or f(q) for name in names})
-        build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         # one call for the check; the origin build then calls the rest once
         # more, and the potential dim_q + 2 times for the complex step of grad V
         assert counts == {"structure": 2, "anchor": 2, "metric": 2 + 1 + 2,

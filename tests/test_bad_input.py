@@ -4,22 +4,26 @@ NaN, an infinity, text or a ragged list raises ValidationError.  No case may
 raise numpy's own error or return a non-finite value.
 
 The state records ``ExtremalState`` and ``PhasePoint`` coerce their fields
-when they are built, so text or a ragged list is set on a record after it
-is built; the entries that take a record check each part themselves.
+when they are built, and text or a ragged list raises ValidationError naming
+the field there; they leave finiteness to the entries, since they also hold
+the states of a flow.  So to reach an entry's own check, text or a ragged
+list is set on a record after it is built; the entries that take a record
+check each part themselves.
 ``HamiltonianSystem.flatten`` reads the shapes of a record's fields and
 then checks their finiteness, so it takes the numeric cases only.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from nhoc import (ControlDistribution, CostModel, ExtremalState, HamiltonianSystem, OCProblem,
-                  PhasePoint, ShootingProblem, StateQY, build_constrained_system,
-                  constant_model, dalembert_oracle_field, drift_acceleration,
-                  extremal_trajectory, integrate_extremal, inverse_legendre, legendre_map,
-                  make_double_integrator, make_suslov, necessary_conditions_field,
-                  quadratic_cost, recover_controls, regularity_matrix, shooting_residual,
-                  solve_bvp)
+from nhoc import (ConstrainedSystem, ControlDistribution, CostModel, ExtremalState,
+                  HamiltonianSystem, OCProblem, PhasePoint, ShootingProblem, StateQY,
+                  constant_model, dalembert_oracle_field, drift_acceleration, extremal_trajectory,
+                  integrate_extremal, inverse_legendre, legendre_map, make_double_integrator,
+                  make_suslov, necessary_conditions_field, quadratic_cost, recover_controls,
+                  regularity_matrix, shooting_residual, solve_bvp)
 from nhoc.errors import DimensionMismatch, ValidationError
 from nhoc.numerics import check_full_rank
 
@@ -47,7 +51,7 @@ def entries():
     wrong length has no length fixed by the entry."""
     # the n = 2 double integrator: dim_q = rank_d = 2; with one input on
     # row 0, v and ydot have length 1, and so has lambda_bar
-    system = build_constrained_system(*make_double_integrator(2))
+    system = ConstrainedSystem(*make_double_integrator(2))
     model = system.parent
     one_input = OCProblem(system=system, controls=ControlDistribution.on_indices(2, [0]),
                           cost=quadratic_cost(np.eye(1)), horizon=1.0)
@@ -143,6 +147,22 @@ def test_each_bad_array_raises_its_named_error(call, good, name, kind, wrong):
     # any result, finite or not, and any other error fail the case
     with np.errstate(all="ignore"), pytest.raises(error):
         call(**args)
+
+
+@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in (PhasePoint, ExtremalState)
+                                       for f in fields(cls)])
+@pytest.mark.parametrize("value", ["a", [[1.0], [2.0, 3.0]]], ids=["text", "ragged"])
+def test_a_record_names_its_bad_field(cls, name, value):
+    parts = dict({f.name: [0.0] for f in fields(cls)}, **{name: value})
+    with pytest.raises(ValidationError, match=rf"^{cls.__name__}\.{name} must be a rectangular"):
+        cls(**parts)
+
+
+def test_a_record_keeps_a_non_finite_state():
+    # a flow's state may leave the finite range; the entries judge it
+    point = PhasePoint(q=[np.nan], y=[np.inf], p_q=[], p_y=[0.0])
+    assert np.isnan(point.q[0]) and np.isinf(point.y[0])
+    assert ExtremalState(v=np.nan).v.shape == (1,)
 
 
 @pytest.mark.parametrize("entry, call, good", [(e, c, g) for e, c, g, _, _ in entries()],

@@ -3,10 +3,9 @@ import pytest
 
 from dataclasses import fields, replace
 
-from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState, ModelPartials,
-                  HamiltonianSystem, OCProblem, PhasePoint, ShootingProblem, StateQY,
-                  Trajectory, build_constrained_system,
-                  extremal_trajectory, make_chaplygin, quadratic_cost,
+from nhoc import (ConstrainedSystem, ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
+                  HamiltonianSystem, ModelPartials, OCProblem, PhasePoint, ShootingProblem,
+                  StateQY, Trajectory, extremal_trajectory, make_chaplygin, quadratic_cost,
                   shooting_residual, simulate, solve_bvp)
 from nhoc import bvp, hamiltonian
 from nhoc.dynamics import drift_acceleration
@@ -70,14 +69,14 @@ def sleigh_problem(system, cost=quadratic_cost(np.eye(2))):
 
 
 def curved_quadratic_problem():
-    system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+    system = ConstrainedSystem(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
     return OCProblem(system=system, controls=ControlDistribution.full(2),
                      cost=quadratic_cost(np.eye(2)), horizon=1.0,
                      q0=[0.0], y0=[0.1, 0.0], qT=[0.2], yT=[0.0, 0.1])
 
 
 def curved_quartic_problem():
-    system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+    system = ConstrainedSystem(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
     return OCProblem(system=system, controls=ControlDistribution.full(2),
                      cost=quartic_cost(), horizon=1.0,
                      q0=[0.0], y0=[0.1, 0.0], qT=[0.2], yT=[0.0, 0.1])
@@ -757,7 +756,7 @@ class TestChartDerivatives:
         model = curved_model()
         if not partials:
             model = replace(model, partials=ModelPartials())
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         problem = OCProblem(system=system, controls=ControlDistribution.full(2),
                             cost=quadratic_cost(np.eye(2)), horizon=1.0,
                             q0=[0.0], y0=[0.0, 0.0], qT=[q_target], yT=[0.0, 0.0])
@@ -788,7 +787,7 @@ class TestExtremalDiagnostics:
     def test_stacked_samples_equal_the_per_point_formulas(self, cost):
         # one stacked geometry build gives H and the energies of all samples
         model = replace(curved_model(), partials=ModelPartials())
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         problem = OCProblem(system=system, controls=ControlDistribution([[1.0, 0.5], [0.0, 1.0]]),
                             cost=cost, horizon=0.2, q0=[0.1], y0=[0.3, -0.2], qT=[0.2],
                             yT=[0.0, 0.0])
@@ -802,7 +801,7 @@ class TestExtremalDiagnostics:
             u = traj.controls[k]
             assert np.abs(cost.du(q, y, u) - problem.controls.input_matrix.T @ p_y).max() < 1e-12
             h = (p_y @ (problem.controls.input_matrix @ u - drift_acceleration(system, q, y))
-                 + p_q @ (system.anchor_d(q).T @ y) - cost.value(q, y, u))
+                 + p_q @ (system.geometry(q)["anchor_d"].T @ y) - cost.value(q, y, u))
             assert abs(traj.hamiltonians[k] - h) <= 1e-14 * max(1.0, abs(h))
 
     @pytest.mark.parametrize("problem", ["sleigh", "curved_quartic"])
@@ -984,7 +983,7 @@ class TestSolveBVP:
 
 
 def _sleigh_problem():
-    system = build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))
+    system = ConstrainedSystem(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))
     return OCProblem(system=system, controls=ControlDistribution.full(2),
                      cost=quadratic_cost(np.eye(2)), horizon=1.0,
                      y0=[0.5, 0.2], yT=[0.4, 0.3])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, ModelPartials, algebroid, build_constrained_system,
+from nhoc import (ConstrainedSystem, ConstraintSpec, ModelPartials, algebroid,
                   make_double_integrator, make_suslov)
 from nhoc.checks import CheckResult, check_koszul, run_all
 
@@ -43,7 +43,7 @@ def test_koszul_check_takes_one_stacked_build(monkeypatch, partials):
     model = curved_model()
     if partials == "complex_step":
         model = replace(model, partials=ModelPartials())
-    system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+    system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
     sizes = []
     build = algebroid._chart_geometry
     monkeypatch.setattr(algebroid, "_chart_geometry",

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from nhoc import (ControlDistribution, HamiltonianSystem, OCProblem, ShootingProblem, StateQY,
-                  Trajectory, build_constrained_system, make_chaplygin, make_suslov,
+from nhoc import (ConstrainedSystem, ControlDistribution, HamiltonianSystem, OCProblem,
+                  ShootingProblem, StateQY, Trajectory, make_chaplygin, make_suslov,
                   quadratic_cost, simulate, solve_bvp)
 from nhoc import cli
 from nhoc.cli import main
@@ -90,7 +90,7 @@ class TestSimulate:
                      "--dt", "0.001", "--out", str(out)]) == 0
         _, data = read_csv(out)
         model, spec = make_suslov(**SUSLOV_PARAMS)
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         traj = simulate(system, StateQY(q=[], y=[1.0, 1.0]), 0.02, 1e-3)
         assert np.array_equal(data[:, 1:3], traj.ys)
         assert np.array_equal(data[:, 3], traj.energies)
@@ -105,6 +105,19 @@ class TestSimulate:
             assert "ValidationError" in capsys.readouterr().err and not out.exists()
         else:
             assert read_csv(out)[0] == ["t", "q_0", "q_1", "y_0", "y_1", "energy"]
+
+
+    @pytest.mark.parametrize("params, message", [
+        ("m=1,J", "bad --params item 'J', expected key=value"),
+        ("m=one", "bad numeric value in --params item 'm=one'"),
+        ("m=1,J=inf", "non-finite value in --params item 'J=inf'"),
+    ])
+    def test_bad_params_exit_2(self, tmp_path, capsys, params, message):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--builtin", "chaplygin", "--params", params, "--y0", "1,0",
+                     "--T", "0.1", "--dt", "0.01", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and message in err and not out.exists()
 
 
 class TestOptimize:
@@ -124,7 +137,7 @@ class TestOptimize:
 
     def test_drift_boundary_zero_cost(self, tmp_path, capsys):
         model, spec = make_suslov(**SUSLOV_PARAMS)
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         free = simulate(system, StateQY(q=[], y=[1.0, 1.0]), 0.5, 1e-3)
         yT = ",".join(f"{v:.17g}" for v in free.ys[-1])
         code = main(["optimize", *SUSLOV_ARGS, "--y0", "1,1", "--yT", yT,
@@ -228,7 +241,7 @@ class TestOptimize:
         # step that moves with any rounding-level change of the flow, so the
         # count is read from the same solve made directly
         model, spec = make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0)
-        problem = OCProblem(system=build_constrained_system(model, spec),
+        problem = OCProblem(system=ConstrainedSystem(model, spec),
                             controls=ControlDistribution.full(2),
                             cost=quadratic_cost(np.eye(2)), horizon=1.0,
                             y0=[0.5, 0.2], yT=[5.0, -4.0])

@@ -6,11 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, ControlDistribution, ModelPartials, StateQY, Trajectory,
-                  build_constrained_system,
-                  constant_model, dalembert_oracle_field, drift_acceleration,
-                  make_chaplygin, make_double_integrator, make_suslov,
-                  nonholonomic_field, simulate)
+from nhoc import (ConstrainedSystem, ConstraintSpec, ControlDistribution, ModelPartials, StateQY,
+                  Trajectory, constant_model, dalembert_oracle_field, drift_acceleration,
+                  make_chaplygin, make_double_integrator, make_suslov, nonholonomic_field,
+                  simulate)
 from nhoc import numerics
 from nhoc.dynamics import _free_field
 from nhoc.errors import ConstraintViolated, DimensionMismatch, NonFiniteState, ValidationError
@@ -39,7 +38,7 @@ class TestFreeField:
         assert stacked.shape == rows.shape
         for z, got in zip(rows, stacked):
             q, y = z[:n], z[n:]
-            expected = np.concatenate([system.anchor_d(q).T @ y,
+            expected = np.concatenate([system.geometry(q)["anchor_d"].T @ y,
                                        -drift_acceleration(system, q, y)])
             if system.constant_drift:  # ((-Gamma) y) y rounds in another order
                 assert np.abs(got - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
@@ -65,8 +64,8 @@ class TestFreeField:
         model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
                                  counts.update([name]) or f(q) for name in names})
         spec = ConstraintSpec(span_basis=np.eye(2))
-        system = build_constrained_system(model, spec)
-        reference = _free_field(build_constrained_system(base, spec))
+        system = ConstrainedSystem(model, spec)
+        reference = _free_field(ConstrainedSystem(base, spec))
         builds = []
         rows = system.geometry_rows
         monkeypatch.setattr(system, "geometry_rows",
@@ -93,7 +92,7 @@ class TestFreeField:
         calls = []
         base = replace(curved_model(), partials=ModelPartials())
         model = replace(base, potential=lambda q: calls.append(1) or base.potential(q))
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         entered = []
         catch_warnings = warnings.catch_warnings
         monkeypatch.setattr(numerics, "warnings", SimpleNamespace(
@@ -118,14 +117,14 @@ def random_constant_system(seed, rank_d, dim_q):
     model = constant_model(c - c.swapaxes(1, 2), a @ a.T + 0.5 * np.eye(rank_e),
                            anchor=rng.uniform(-1.0, 1.0, (rank_e, dim_q)), dim_q=dim_q)
     span = rng.uniform(-1.0, 1.0, (rank_d, rank_e))
-    return build_constrained_system(model, ConstraintSpec(span_basis=span))
+    return ConstrainedSystem(model, ConstraintSpec(span_basis=span))
 
 
 def einsum_field(system, gamma=None):
     """The constant-drift free field as rho_D^T y and -Gamma^c_ab y^a y^b by
     ``einsum``, one row at a time; |Gamma| for ``gamma`` gives the sizes of
     the summed terms."""
-    n, anchor_t = system.dim_q, system.anchor_d().T
+    n, anchor_t = system.dim_q, system.geometry()["anchor_d"].T
     gamma = system.gamma() if gamma is None else gamma
     return lambda t, z: np.concatenate([anchor_t @ z[n:],
                                         -np.einsum("cab,a,b->c", gamma, z[n:], z[n:])])
@@ -175,8 +174,8 @@ class TestNonholonomicField:
     def test_stacked_states_equal_single_calls(self, chaplygin_system, suslov_system):
         # hoisted constant geometry, with and without an anchor, and the
         # stacked chart build of a curved model
-        curved = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
-        double_integrator = build_constrained_system(*make_double_integrator(2))
+        curved = ConstrainedSystem(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+        double_integrator = ConstrainedSystem(*make_double_integrator(2))
         rng = np.random.default_rng(7)
         for system in (chaplygin_system, suslov_system, double_integrator, curved):
             qs = rng.uniform(-0.5, 0.5, (4, system.dim_q))
@@ -199,13 +198,13 @@ class TestNonholonomicField:
             "integrator_stack_q", "sleigh_row_q_stack_y", "integrator_unequal_stacks"])
     def test_wrong_state_shapes_are_named(self, builtin, q, y, chaplygin_system):
         system = (chaplygin_system if builtin == "sleigh"
-                  else build_constrained_system(*make_double_integrator(1)))
+                  else ConstrainedSystem(*make_double_integrator(1)))
         with pytest.raises(DimensionMismatch, match="state rows q"):
             nonholonomic_field(system, StateQY(q=q, y=y))
 
     def test_flat_geodesics(self):
         model = constant_model(np.zeros((3, 3, 3)), np.diag([1.0, 2.0, 3.0]))
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(3)[:2]))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(3)[:2]))
         _, ydot = nonholonomic_field(system, StateQY(q=[], y=[0.4, -0.7]))
         assert np.abs(ydot).max() == 0.0
 
@@ -272,7 +271,7 @@ class TestControlledField:
 class TestSimulate:
     def test_flat_linear_drift(self):
         model, spec = make_double_integrator(2)
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         s0 = StateQY(q=[1.0, -1.0], y=[0.5, 0.25])
         for integrator in ("rk4", "symp_euler"):
             traj = simulate(system, s0, 1.0, 1e-2, integrator=integrator)
@@ -308,19 +307,19 @@ class TestSimulate:
 
     def test_admissibility(self):
         model = curved_model()
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         dt = 1e-3
         traj = simulate(system, StateQY(q=[0.1], y=[0.4, -0.2]), 0.5, dt)
         qdot_fd = (traj.qs[2:] - traj.qs[:-2]) / (2 * dt)
         worst = 0.0
         for k in range(1, len(traj) - 1):
-            rho_y = system.anchor_d(traj.qs[k]).T @ traj.ys[k]
+            rho_y = system.geometry(traj.qs[k])["anchor_d"].T @ traj.ys[k]
             worst = max(worst, np.abs(qdot_fd[k - 1] - rho_y).max())
         assert worst < 10.0 * dt ** 2
 
     def test_energy_conserved_with_potential(self):
         model = curved_model()
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         traj = simulate(system, StateQY(q=[0.1], y=[0.4, -0.2]), 2.0, 1e-3)
         drift = np.abs(traj.energies - traj.energies[0]).max()
         assert drift < 1e-9
@@ -380,7 +379,7 @@ class TestSimulate:
     def test_blow_up_guard(self):
         # quadratic drift with a huge state blows past the 1e12 guard
         model, spec = make_chaplygin(1.0, 1.0, 1.0, 0.0)
-        system = build_constrained_system(model, spec)
+        system = ConstrainedSystem(model, spec)
         with pytest.raises(NonFiniteState):
             simulate(system, StateQY(q=[], y=[1e7, -1e7]), 10.0, 0.1)
 
@@ -449,7 +448,7 @@ class TestDalembertOracle:
         rng = np.random.default_rng(123)
         cases = [make_suslov(**SUSLOV_PARAMS), make_chaplygin(1.3, 0.8, 0.9, 0.4)]
         for model, spec in cases:
-            system = build_constrained_system(model, spec)
+            system = ConstrainedSystem(model, spec)
             d = spec.d_basis()
             for _ in range(100):
                 y = rng.uniform(-1, 1, 2)

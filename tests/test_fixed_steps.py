@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, HamiltonianSystem, PhasePoint, StateQY,
-                  build_constrained_system, integrate_hamiltonian, make_chaplygin,
-                  make_double_integrator, make_suslov, quadratic_cost, simulate)
+from nhoc import (ConstrainedSystem, ConstraintSpec, HamiltonianSystem, PhasePoint, StateQY,
+                  integrate_hamiltonian, make_chaplygin, make_double_integrator, make_suslov,
+                  quadratic_cost, simulate)
 from nhoc import dynamics, hamiltonian, numerics
 from nhoc.errors import FixedPointDivergence, NonFiniteState, SingularMetric
 from nhoc.numerics import CHECK_EVERY, check_finite, integrate_fixed_steps, rk4_step
@@ -99,12 +99,12 @@ def repulsive_curved_system():
     model = replace(base, potential=lambda q: -q[0] ** 4,
                     partials=replace(base.partials,
                                      potential_dq=lambda q: np.array([-4.0 * q[0] ** 3])))
-    return build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+    return ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
 
 
 def sleigh_hamiltonian():
     return HamiltonianSystem(full_actuation_problem(
-        build_constrained_system(*make_chaplygin(1.0, 1.0, 1.0, 0.0))))
+        ConstrainedSystem(*make_chaplygin(1.0, 1.0, 1.0, 0.0))))
 
 
 def curved_hamiltonian():
@@ -214,10 +214,10 @@ class TestFlowsEqualThePerStepLoop:
     @pytest.mark.parametrize("name", ["suslov", "curved"])
     def test_free_flows(self, name, integrator, monkeypatch):
         if name == "suslov":
-            system = build_constrained_system(*make_suslov(**SUSLOV_PARAMS))
+            system = ConstrainedSystem(*make_suslov(**SUSLOV_PARAMS))
             s0 = StateQY(q=[], y=[0.9, -0.4])
         else:
-            system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+            system = ConstrainedSystem(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
             s0 = StateQY(q=[0.2], y=[0.5, -0.3])
         dt, longest = 0.01, max(STEP_COUNTS)
         with monkeypatch.context() as m:
@@ -266,7 +266,7 @@ class TestBlowUps:
     ], ids=["sleigh-rk4", "sleigh-symp_euler", "curved-rk4", "curved-symp_euler"])
     def test_free_flows(self, system, s0, dt, integrator, then, monkeypatch):
         if system == "sleigh":
-            system = build_constrained_system(*make_chaplygin(1.0, 1.0, 1.0, 0.0))
+            system = ConstrainedSystem(*make_chaplygin(1.0, 1.0, 1.0, 0.0))
             s0 = StateQY(q=[], y=s0)
         else:
             system = repulsive_curved_system()
@@ -298,7 +298,7 @@ class TestBlowUps:
         # its implicit drift fails long before a quadratic drift overflows, so
         # the blow-up here is the linear growth of the double integrator
         model, spec = make_double_integrator(1)
-        hs = HamiltonianSystem(full_actuation_problem(build_constrained_system(model, spec)))
+        hs = HamiltonianSystem(full_actuation_problem(ConstrainedSystem(model, spec)))
         phase = PhasePoint(q=[0.0], y=[0.0], p_q=[-1e10], p_y=[0.0])
         k, after = first_blow_up(hamiltonian._stepper(hs, 1.0, "stormer_verlet"),
                                  hs.flatten(phase)[None], 100, 1.0)

@@ -7,13 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from nhoc import (ControlDistribution, CostModel, ExtremalState, HamiltonianSystem,
-                  OCProblem, PhasePoint, ShootingProblem, build_constrained_system,
-                  constant_model, extremal_trajectory,
-                  integrate_extremal, integrate_hamiltonian, integrate_step,
-                  inverse_legendre, legendre_map,
-                  make_double_integrator, necessary_conditions_field, quadratic_cost,
-                  recover_controls, regularity_matrix, symplecticity_defect)
+from nhoc import (ConstrainedSystem, ControlDistribution, CostModel, ExtremalState,
+                  HamiltonianSystem, OCProblem, PhasePoint, ShootingProblem, constant_model,
+                  extremal_trajectory, integrate_extremal, integrate_hamiltonian, integrate_step,
+                  inverse_legendre, legendre_map, make_double_integrator,
+                  necessary_conditions_field, quadratic_cost, recover_controls, regularity_matrix,
+                  symplecticity_defect)
 from nhoc import ModelPartials, algebroid, hamiltonian, numerics
 from nhoc.algebroid import ConstraintSpec
 from nhoc.dynamics import drift_acceleration
@@ -40,7 +39,7 @@ def state_dependent_cost():
 
 
 def curved_problem(cost):
-    system = build_constrained_system(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
+    system = ConstrainedSystem(curved_model(), ConstraintSpec(span_basis=np.eye(2)))
     return OCProblem(system=system, controls=ControlDistribution.full(2), cost=cost,
                      horizon=1.0)
 
@@ -58,7 +57,7 @@ KERNEL_COSTS = {
 
 def flat_lie_algebra_problem():
     model = constant_model(np.zeros((2, 2, 2)), np.eye(2))
-    system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+    system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
     return full_actuation_problem(system)
 
 
@@ -131,7 +130,7 @@ class TestLegendre:
 
     def test_roundtrip_one_input(self, suslov_system, chaplygin_system):
         model, spec = make_double_integrator(2)
-        double_integrator = build_constrained_system(model, spec)
+        double_integrator = ConstrainedSystem(model, spec)
         rng = np.random.default_rng(41)
         for system in (chaplygin_system, suslov_system, double_integrator):
             problem = OCProblem(system=system, controls=ControlDistribution.on_indices(2, [0]),
@@ -384,10 +383,10 @@ class TestHamiltonianField:
         # non-quadratic cost adds its control terms row by row; each row has
         # the per-point floats and the floats of a one-row call
         if model == "curved":
-            system = build_constrained_system(
+            system = ConstrainedSystem(
                 curved_model(), ConstraintSpec(span_basis=[[1.0, 0.3], [0.2, 1.0]]))
         else:
-            system = build_constrained_system(
+            system = ConstrainedSystem(
                 constant_model(np.zeros((2, 2, 2)), [[2.0, 0.3], [0.3, 1.0]],
                                anchor=[[1.0], [0.4]], dim_q=1,
                                potential=lambda q: 0.5 * q[0] ** 2 + 0.1 * q[0] ** 3),
@@ -508,7 +507,7 @@ class TestKick:
                                 anchor=lambda q: np.array([[1.0 + 0.3 * np.sin(q[0])], [0.5]]),
                                 partials=replace(model.partials, anchor_dq=lambda q: np.array(
                                     [[[0.3 * np.cos(q[0])], [0.0]]])))
-            system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+            system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
             problem = OCProblem(system=system, controls=ControlDistribution.full(2),
                                 cost=quadratic_cost(np.eye(2)), horizon=1.0)
         hs = HamiltonianSystem(problem)
@@ -570,7 +569,7 @@ class TestHoistedKernel:
     def system(model, chaplygin_system):
         if model == "sleigh":
             return chaplygin_system
-        return build_constrained_system(*make_double_integrator(2))
+        return ConstrainedSystem(*make_double_integrator(2))
 
     @pytest.fixture(params=list(KERNEL_COSTS))
     def hoisted(self, request, chaplygin_system, model):
@@ -771,7 +770,7 @@ class TestChartKernel:
         names = ("structure", "anchor", "metric", "potential")
         model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
                                  counts.update([name]) or f(q) for name in names})
-        system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+        system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         hs = HamiltonianSystem(OCProblem(system=system, controls=ControlDistribution.full(2),
                                          cost=quadratic_cost(np.eye(2)), horizon=1.0))
         entered = []
@@ -832,7 +831,7 @@ class TestOneRowFlow:
         elif system == "suslov":
             system = request.getfixturevalue("suslov_system")
         else:
-            system = build_constrained_system(*make_double_integrator(int(system[-1])))
+            system = ConstrainedSystem(*make_double_integrator(int(system[-1])))
         k = 1 if inputs == "one_input" else system.rank_d
         controls = (ControlDistribution.on_indices(2, [1]) if inputs == "one_input"
                     else ControlDistribution.full(k))

@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nhoc import (ConstraintSpec, ControlDistribution, CostModel, ExtremalState, ModelPartials,
-                  OCProblem, PhasePoint, StateQY, build_constrained_system,
-                  drift_acceleration, integrate_extremal, inverse_legendre,
-                  legendre_map, make_double_integrator, necessary_conditions_field,
-                  nonholonomic_field, quadratic_cost, recover_controls)
+from nhoc import (ConstrainedSystem, ConstraintSpec, ControlDistribution, CostModel, ExtremalState,
+                  ModelPartials, OCProblem, PhasePoint, StateQY, drift_acceleration,
+                  integrate_extremal, inverse_legendre, legendre_map, make_double_integrator,
+                  necessary_conditions_field, nonholonomic_field, quadratic_cost, recover_controls)
 from nhoc.errors import DimensionMismatch, NonFiniteState, SingularHessian, ValidationError
 from nhoc.numerics import fd_jacobian
 from nhoc.optimal_control import drift_jacobians
@@ -344,7 +343,7 @@ class TestDriftJacobians:
             model = curved_model()
             if name == "default":
                 model = replace(model, partials=ModelPartials())
-            system = build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2)))
+            system = ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2)))
         else:
             system = field_systems()[name]
         q = np.array([[0.4, 0.2], [-0.3, 0.5], [1.1, -0.6]])[:, :system.dim_q]
@@ -382,7 +381,7 @@ class TestMultiplierLength:
 
     @pytest.mark.parametrize("lam", [[1.0], None])
     def test_double_integrator_legendre_map(self, lam):
-        system = build_constrained_system(*make_double_integrator(2))
+        system = ConstrainedSystem(*make_double_integrator(2))
         problem = full_actuation_problem(system)
         state = ExtremalState(q=[0.1, 0.2], y=[0.3, -0.1], v=[0.2, 0.1],
                               **({} if lam is None else {"lam": lam}))
@@ -416,7 +415,7 @@ class TestFieldCalls:
         model = replace(base, **{name: lambda q, f=getattr(base, name), name=name:
                                  counts.update([name]) or f(q) for name in ("anchor", "metric")})
         problem = full_actuation_problem(
-            build_constrained_system(model, ConstraintSpec(span_basis=np.eye(2))))
+            ConstrainedSystem(model, ConstraintSpec(span_basis=np.eye(2))))
         for cost in (quadratic_cost(np.eye(2)), quartic_cost()):
             counts.clear()
             necessary_conditions_field(replace(problem, cost=cost), ExtremalState(

@@ -24,12 +24,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from nhoc import (ControlDistribution, ExtremalState, HamiltonianSystem, OCProblem,
-                  PhasePoint, ShootingProblem, StateQY, build_constrained_system,
-                  drift_acceleration, extremal_trajectory, integrate_extremal,
-                  integrate_hamiltonian, inverse_legendre, legendre_map, load_model_config,
-                  make_chaplygin, nonholonomic_field, quadratic_cost, shooting_residual,
-                  solve_bvp)
+from nhoc import (ConstrainedSystem, ControlDistribution, ExtremalState, HamiltonianSystem,
+                  OCProblem, PhasePoint, ShootingProblem, StateQY, drift_acceleration,
+                  extremal_trajectory, integrate_extremal, integrate_hamiltonian, inverse_legendre,
+                  legendre_map, load_model_config, make_chaplygin, nonholonomic_field,
+                  quadratic_cost, shooting_residual, solve_bvp)
 from nhoc import cli
 from nhoc.checks import run_all
 from nhoc.errors import NhocError
@@ -57,7 +56,7 @@ def actuated_models(draw):
         "metric": (a @ a.T + 0.5 * np.eye(rank_e)).tolist(),
         "constraint": {"annihilator": [annihilator.tolist()]}})
     assume(np.abs(spec.d_basis()).max() <= 10.0)
-    system = build_constrained_system(model, spec)
+    system = ConstrainedSystem(model, spec)
     assume(np.abs(system.gamma()).max() <= 10.0)
     rank_d = system.rank_d
     actuated = draw(st.lists(st.integers(0, rank_d - 1), min_size=1, max_size=rank_d,
@@ -138,7 +137,7 @@ def test_free_field_and_energy_stacks_equal_single_calls(drawn, seed):
         assert energy.tobytes() == np.float64(system.energy(q, y)).tobytes()
 
 
-SLEIGH = build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))
+SLEIGH = ConstrainedSystem(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))
 
 
 @EXAMPLES

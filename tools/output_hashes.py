@@ -97,11 +97,11 @@ def extremal_runs(workloads):
         "chaplygin": (nhoc.make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0),
                       dict(y=[0.3, 0.2], v=[0.05, -0.1])),
     }
-    runs = [(name, run(nhoc.build_constrained_system(*pair), state))
+    runs = [(name, run(nhoc.ConstrainedSystem(*pair), state))
             for name, (pair, state) in builtins.items()]
     model = workloads.make_curved_model()
     spec = nhoc.ConstraintSpec(span_basis=np.eye(2))
-    curved = nhoc.build_constrained_system(model, spec)
+    curved = nhoc.ConstrainedSystem(model, spec)
     full = dict(q=[0.1], y=[0.3, -0.2], v=[0.1, 0.2], lam=[0.05])
     runs += [("curved/quadratic", run(curved, full)),
              ("curved/quartic", run(curved, full, cost=workloads.quartic_cost())),

@@ -41,10 +41,9 @@ def cases(target_indices=range(12), steps=STEPS):
     """(label, ShootingProblem, guess) of the sweep's solves on the targets
     of ``target_indices`` at the time steps ``steps``; the label reads
     target/inputs/scheme/dt/guess."""
-    from nhoc import (ControlDistribution, HamiltonianSystem, OCProblem, ShootingProblem,
-                      StateQY, build_constrained_system, make_chaplygin, quadratic_cost,
-                      simulate)
-    system = build_constrained_system(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))
+    from nhoc import (ConstrainedSystem, ControlDistribution, HamiltonianSystem, OCProblem,
+                      ShootingProblem, StateQY, make_chaplygin, quadratic_cost, simulate)
+    system = ConstrainedSystem(*make_chaplygin(m=1.0, J=1.0, a=1.0, b=0.0))
     one = ControlDistribution.on_indices(2, [0])
     draws = np.random.default_rng(3).normal(size=(12, 3))
     for i in target_indices:

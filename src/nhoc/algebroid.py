@@ -403,8 +403,9 @@ class ConstrainedSystem:
         record, with grad V at qs.  With ``anchor_rows`` b > 0, qs is its
         first b rows followed by their central stencil, and the record holds
         the anchor's chart derivatives there (see ``_chart_geometry``).
-        Read-only."""
-        qs = np.asarray(qs, dtype=float)
+        Read-only.  Raises ValidationError for text or a ragged list; it
+        checks no finiteness, since it reads the states of a flow."""
+        qs = numerics._float_array(qs, "chart points")
         if qs.ndim != 2 or qs.shape[1] != self.dim_q or len(qs) == 0:
             raise DimensionMismatch(f"chart points must have shape (B, {self.dim_q}), B > 0")
         if self._constant is None:

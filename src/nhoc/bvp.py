@@ -147,7 +147,10 @@ def extremal_trajectory(sp, p0):
 
 @dataclass(frozen=True, eq=False)
 class ShootingResult:
-    """Converged initial momenta plus the extremal trajectory and diagnostics."""
+    """The answer of a shooting solve: initial momenta p0, their extremal and
+    its cost, the Newton iterations taken, and the residual norm of p0's
+    full-horizon flow.  ``solve_bvp`` returns it when it converges, and its
+    NewtonDivergence carries it as ``result`` when it does not."""
 
     p0: np.ndarray
     trajectory: Trajectory
@@ -288,11 +291,13 @@ def solve_bvp(sp, p0_guess=None):
     segments only where that misses.  With M = 1 this is single shooting.
 
     Raises NewtonDivergence when the budget is spent or the line search
-    stalls, with the iterations and the best p0 and the residual of its own
-    full flow: the accepted iterate of least residual, or the start's p0
-    where that iterate's full flow overshoots or ends farther off.  A guess
-    of the wrong length raises DimensionMismatch, and a non-finite or
-    non-numeric one ValidationError, before any flow.
+    stalls.  Its ``result`` is the ShootingResult of the best p0, built from
+    that p0's own full flow: the accepted iterate of least residual, or the
+    start's p0 where that iterate's full flow overshoots or ends farther off.
+    Should building that extremal raise (LegendreDivergence at a sample of
+    a non-quadratic cost, say), its error propagates in place of
+    NewtonDivergence.  A guess of the wrong length raises DimensionMismatch,
+    and a non-finite or non-numeric one ValidationError, before any flow.
     """
     n = sp.n_momenta
     p0 = checked_array(np.zeros(n) if p0_guess is None else p0_guess, "initial momenta guess",
@@ -304,6 +309,12 @@ def solve_bvp(sp, p0_guess=None):
 
     def done(ev):
         return ev.segments is whole and ev.norm <= sp.tolerance
+
+    def answer(ev):
+        """The ShootingResult of a full-horizon evaluation."""
+        trajectory, cost = _extremal(sp, ev.times, ev.phases[:, 0])
+        return ShootingResult(p0=ev.u.copy(), trajectory=trajectory, cost=cost,
+                              iterations=iterations, residual_norm=ev.norm)
 
     def judge(u, with_columns, predicted):
         """The trial u: a predicted last trial is first its full flow, and
@@ -329,8 +340,7 @@ def solve_bvp(sp, p0_guess=None):
                 reported = min(fallback, full, key=lambda ev: ev.norm)
             except _OVERSHOOT:
                 reported = fallback
-        return NewtonDivergence(message, best=reported.u.copy(), residual_norm=reported.norm,
-                                iterations=iterations)
+        return NewtonDivergence(message, answer(reported))
 
     if p0_guess is None or split is whole:
         ev = judge(split.seeds(p0), True, False)
@@ -370,6 +380,4 @@ def solve_bvp(sp, p0_guess=None):
             halving == 0 and _predicts_convergence(previous, norm, sp.tolerance))
         if norm < best.norm:
             best = ev
-    trajectory, cost = _extremal(sp, ev.times, ev.phases[:, 0])
-    return ShootingResult(p0=ev.u.copy(), trajectory=trajectory, cost=cost,
-                          iterations=iterations, residual_norm=norm)
+    return answer(ev)

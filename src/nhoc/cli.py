@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from .algebroid import ConstrainedSystem
-from .bvp import ShootingProblem, extremal_trajectory, solve_bvp
+# extremal_trajectory is not called here; perfbench/tracing.py patches it under this name
+from .bvp import ShootingProblem, extremal_trajectory, solve_bvp  # noqa: F401
 from .checks import run_all
 from .dynamics import INTEGRATORS, StateQY, simulate
 from .errors import (DimensionMismatch, NewtonDivergence, NhocError, NotPositiveDefinite,
@@ -143,27 +144,25 @@ def cmd_optimize(args):
     guess = vector_flag(args, "guess", sp.n_momenta) if args.guess else None
     regularity_matrix(problem, ExtremalState(q=q0, y=y0, v=np.zeros(system.rank_d)))
 
-    def report_trajectory(traj, p0, iterations, residual_norm, cost):
-        write_trajectory_csv(args.out, traj)
-        max_dh = float(np.abs(traj.hamiltonians - traj.hamiltonians[0]).max())
-        print(f"wrote {len(traj)} samples to {args.out}")
-        print("p0: " + ",".join(["%.17g"] * len(p0)) % tuple(p0))
-        print(f"cost: {cost:.12g}")
-        print(f"iterations: {iterations}")
-        print(f"residual: {residual_norm:.6e}")
-        print(f"max |dH|: {max_dh:.6e}")
-
     check_out_path(args.out)
+    divergence = None
     try:
         result = solve_bvp(sp, guess)
     except NewtonDivergence as exc:
-        traj, cost = extremal_trajectory(sp, exc.best)
-        report_trajectory(traj, exc.best, exc.iterations, exc.residual_norm, cost)
-        print(f"error: NewtonDivergence: {exc}", file=sys.stderr)
-        return 4
-    report_trajectory(result.trajectory, result.p0, result.iterations,
-                      result.residual_norm, result.cost)
-    return 0
+        result, divergence = exc.result, exc
+    traj = result.trajectory
+    write_trajectory_csv(args.out, traj)
+    max_dh = float(np.abs(traj.hamiltonians - traj.hamiltonians[0]).max())
+    print(f"wrote {len(traj)} samples to {args.out}")
+    print("p0: " + ",".join(["%.17g"] * len(result.p0)) % tuple(result.p0))
+    print(f"cost: {result.cost:.12g}")
+    print(f"iterations: {result.iterations}")
+    print(f"residual: {result.residual_norm:.6e}")
+    print(f"max |dH|: {max_dh:.6e}")
+    if divergence is None:
+        return 0
+    print(f"error: NewtonDivergence: {divergence}", file=sys.stderr)
+    return 4
 
 
 def cmd_check(args):

@@ -39,16 +39,15 @@ class SingularHessian(NhocError):
 class NewtonDivergence(NhocError):
     """The shooting Newton iteration failed to converge.
 
-    Carries the best initial momenta found so far, their residual norm and
-    the number of Newton iterations taken, so callers can report partial
-    progress.
+    Carries ``result``, the ``bvp.ShootingResult`` of the iterate it reports:
+    its initial momenta p0, their extremal and cost, the Newton iterations
+    taken and the residual norm of p0's full-horizon flow, so callers report
+    partial progress as they report a converged solve.
     """
 
-    def __init__(self, message, best=None, residual_norm=None, iterations=None):
+    def __init__(self, message, result=None):
         super().__init__(message)
-        self.best = best
-        self.residual_norm = residual_norm
-        self.iterations = iterations
+        self.result = result
 
 
 class LegendreDivergence(NhocError):

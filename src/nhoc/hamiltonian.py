@@ -53,8 +53,8 @@ import numpy as np
 
 from .dynamics import drift_acceleration
 from .errors import DimensionMismatch, FixedPointDivergence, LegendreDivergence, SingularHessian
-from .numerics import (checked_array, coerce_fields, fd_jacobian, integrate_fixed_steps,
-                       matvec_rows, rk4_step, step_count)
+from .numerics import (_float_array, checked_array, coerce_fields, fd_jacobian,
+                       integrate_fixed_steps, matvec_rows, rk4_step, step_count)
 from .optimal_control import _multiplier_parts
 # drift_jacobians is not called here; perfbench/tracing.py patches it under this name
 from .optimal_control import ExtremalState, drift_jacobians, recover_controls  # noqa: F401
@@ -153,28 +153,22 @@ def _optimal_control(problem, q, y, p_y):
     Quadratic costs invert exactly, u = W^{-1} B^T p_y, in one solve over the
     stack; they read neither q nor y.  Otherwise damped Newton from
     u = B^T p_y (tol 1e-12, max 50 iterations), row by row, raising
-    LegendreDivergence on failure.
+    LegendreDivergence on failure.  Both solve with the cost Hessian through
+    ``CostModel.solve_hessian``, which raises SingularHessian.
     """
     cost, ctrl = problem.cost, problem.controls
     if not cost.quadratic and p_y.ndim == 2:
         return np.array([_optimal_control(problem, *row) for row in zip(q, y, p_y)])
     target = p_y if ctrl._identity else matvec_rows(ctrl.input_matrix.T, p_y)
     if cost.quadratic:
-        if cost.weight_identity:
-            return target
-        try:
-            return np.linalg.solve(cost.weight, target[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian("quadratic cost weight is singular") from exc
+        # the weight is the Hessian at every control
+        return cost.solve_hessian(q, y, None, target)
     u = target.copy()
     res = cost.du(q, y, u) - target
     for _ in range(50):
         if np.abs(res).max() <= 1e-12:
             return u
-        try:
-            step = -np.linalg.solve(cost.d2uu(q, y, u), res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian("cost Hessian is singular in Legendre inversion") from exc
+        step = -cost.solve_hessian(q, y, u, res)
         # the 2-norm as np.linalg.norm takes it for a 1-d array, once per iteration
         norm = math.sqrt(res.dot(res))
         scale = 1.0
@@ -509,10 +503,12 @@ class HamiltonianSystem:
         return checked_array(np.concatenate(fields, axis=-1), "phase point")
 
     def unflatten(self, z):
-        """PhasePoint of flat phase rows of shape (..., 2(dim_q + rank_d))."""
+        """PhasePoint of flat phase rows of shape (..., 2(dim_q + rank_d)).
+        Raises ValidationError for text or a ragged list; it does not check
+        finiteness, since it also reads the states of a flow."""
         n, m = self.dim_q, self.rank_d
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 0 or z.shape[-1] != 2 * (n + m):
+        z = _float_array(z, "phase vector")
+        if z.shape[-1] != 2 * (n + m):
             raise DimensionMismatch(f"phase vector must have length {2 * (n + m)}")
         return PhasePoint(q=z[..., :n], y=z[..., n:n + m], p_q=z[..., n + m:2 * n + m],
                           p_y=z[..., 2 * n + m:])

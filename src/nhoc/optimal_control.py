@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import drift_acceleration
-from .errors import DimensionMismatch, SingularHessian
+from .errors import DimensionMismatch, SingularHessian, ValidationError
 from .numerics import (FD2_STEP, RANK_TOL, central_stencil, checked_array, coerce_fields,
                        fd_jacobian, fd_partials, integrate_fixed_steps, rk4_step,
                        stencil_partials, step_count)
@@ -43,12 +43,14 @@ class CostModel:
     weight: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "weight_identity", False)
         if self.weight is None:
             return
         w = checked_array(self.weight, "cost weight", (self.k, self.k))
         if np.abs(w - w.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(w).max(initial=0.0)):
             raise DimensionMismatch("quadratic cost weight must be symmetric")
         object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "weight_identity", np.array_equal(w, np.eye(self.k)))
 
     @property
     def quadratic(self):
@@ -83,24 +85,18 @@ class CostModel:
         return fd_partials(lambda uu: fd_partials(
             lambda u2: self.evaluator(q, y, u2), uu, FD2_STEP), u, FD2_STEP)
 
-    @property
-    def weight_identity(self):
-        cached = self.__dict__.get("_weight_identity")
-        if cached is None:
-            cached = bool(self.quadratic
-                          and np.array_equal(self.weight, np.eye(self.weight.shape[0])))
-            object.__setattr__(self, "_weight_identity", cached)
-        return cached
-
     def solve_hessian(self, q, y, u, rhs):
-        """Solve d2C/du2 x = rhs, raising SingularHessian when degenerate."""
+        """x solving d2C/du2(q, y, u) x = rhs at one row; a quadratic cost
+        solves with its weight, which reads no (q, y, u), at every row of a
+        stack rhs (B, k) too.  Raises SingularHessian for a singular Hessian:
+        this is the one solve with it."""
         if self.weight_identity:
             return rhs
         hess = self.weight if self.quadratic else self.d2uu(q, y, u)
         try:
-            return np.linalg.solve(hess, rhs)
+            return np.linalg.solve(hess, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise SingularHessian("cost Hessian is singular at the state") from exc
+            raise SingularHessian("cost Hessian is singular") from exc
 
     def d2ux(self, q, y, u):
         """(C_uq, C_uy) at one row, from one difference over the joined
@@ -160,7 +156,13 @@ class ControlDistribution:
 
     @classmethod
     def on_indices(cls, rank_d, indices):
-        indices = tuple(int(i) for i in indices)
+        """One input on each row ``indices`` of the D-basis.  Raises
+        ValidationError unless the indices are a sequence of integers, and
+        DimensionMismatch for one outside [0, rank_d) or repeated."""
+        read = checked_array(indices, "actuated indices")
+        if read.ndim != 1 or (read != np.trunc(read)).any():
+            raise ValidationError(f"actuated indices {indices!r} must be a sequence of integers")
+        indices = tuple(int(i) for i in read)
         if any(not 0 <= i < rank_d for i in indices):
             raise DimensionMismatch(f"actuated indices {indices} must lie in [0, {rank_d})")
         m = np.zeros((rank_d, len(indices)))

@@ -158,6 +158,34 @@ def test_a_record_names_its_bad_field(cls, name, value):
         cls(**parts)
 
 
+@pytest.mark.parametrize("read, what", [
+    (HamiltonianSystem(OCProblem(system=ConstrainedSystem(*make_double_integrator(2)),
+                                 controls=ControlDistribution.full(2),
+                                 cost=quadratic_cost(np.eye(2)), horizon=1.0)).unflatten,
+     "phase vector"),
+    (ConstrainedSystem(*make_double_integrator(2)).geometry_rows, "chart points")],
+    ids=["HamiltonianSystem.unflatten", "ConstrainedSystem.geometry_rows"])
+@pytest.mark.parametrize("value", ["a", [["a"]], [[1.0], [2.0, 3.0]]],
+                         ids=["text", "text_rows", "ragged"])
+def test_a_flow_read_names_its_bad_argument(read, what, value):
+    # these reads also take the states of a flow, so they check no finiteness
+    with pytest.raises(ValidationError, match=rf"^{what} must be a rectangular"):
+        read(value)
+
+
+@pytest.mark.parametrize("indices", [[0.5], [1.9], [0, 1.5], ["a"], [[0]], [np.nan], [np.inf]],
+                         ids=["half", "almost_two", "second", "text", "nested", "nan", "inf"])
+def test_actuated_indices_must_be_integers(indices):
+    with pytest.raises(ValidationError, match="actuated indices"):
+        ControlDistribution.on_indices(2, indices)
+
+
+@pytest.mark.parametrize("indices, rows", [([1], (1,)), ([1.0, 0.0], (1, 0)),
+                                           (np.array([0, 1]), (0, 1)), ((True,), (1,))])
+def test_integral_actuated_indices_are_read_as_before(indices, rows):
+    assert ControlDistribution.on_indices(2, indices).actuated_indices == rows
+
+
 def test_a_record_keeps_a_non_finite_state():
     # a flow's state may leave the finite range; the entries judge it
     point = PhasePoint(q=[np.nan], y=[np.inf], p_q=[], p_y=[0.0])

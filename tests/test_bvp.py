@@ -334,11 +334,11 @@ class TestOneFlowPerIteration:
             solve_bvp(sp, np.zeros(2))
         # the second and last trial came alone, and no columns followed it
         assert seen == full_horizon([3, 3, 1])
-        assert predicted.value.best.tobytes() == riding.value.best.tobytes()
-        assert predicted.value.residual_norm == riding.value.residual_norm
-        assert predicted.value.iterations == riding.value.iterations == 2
-        assert predicted.value.residual_norm == np.abs(
-            shooting_residual(sp, predicted.value.best)).max()
+        assert predicted.value.result.p0.tobytes() == riding.value.result.p0.tobytes()
+        assert predicted.value.result.residual_norm == riding.value.result.residual_norm
+        assert predicted.value.result.iterations == riding.value.result.iterations == 2
+        assert predicted.value.result.residual_norm == np.abs(
+            shooting_residual(sp, predicted.value.result.p0)).max()
 
     @pytest.mark.parametrize("error", [SingularMetric, LegendreDivergence, SingularHessian])
     def test_failing_geometry_or_legendre_map_in_a_stack_ends_the_solve(
@@ -641,13 +641,13 @@ class TestMultipleShooting:
         sp = shooting_for(problem, dt=1e-2, max_iterations=budget)
         with pytest.raises(NewtonDivergence) as info:
             solve_bvp(sp, None if guess is None else np.zeros(2))
-        best = info.value.best
-        assert info.value.iterations == budget
-        assert info.value.residual_norm == np.abs(shooting_residual(sp, best)).max()
+        best = info.value.result.p0
+        assert info.value.result.iterations == budget
+        assert info.value.result.residual_norm == np.abs(shooting_residual(sp, best)).max()
         # the best iterate of the segments, unless its full flow ends farther
         # off than the guess's
         assert np.any(best != 0.0) == moved
-        assert info.value.residual_norm <= np.abs(shooting_residual(sp, np.zeros(2))).max()
+        assert info.value.result.residual_norm <= np.abs(shooting_residual(sp, np.zeros(2))).max()
 
     @staticmethod
     def failing_moved_full_flows(monkeypatch, error):
@@ -671,13 +671,13 @@ class TestMultipleShooting:
         with pytest.raises(NewtonDivergence) as moved:
             solve_bvp(sp)
         # unforced, the best segments moved and their full flow is reported
-        assert np.any(moved.value.best != 0.0)
+        assert np.any(moved.value.result.p0 != 0.0)
         self.failing_moved_full_flows(monkeypatch, error)
         with pytest.raises(NewtonDivergence) as info:
             solve_bvp(sp)
-        assert info.value.iterations == 2
-        assert info.value.best.tobytes() == np.zeros(2).tobytes()
-        assert info.value.residual_norm == np.abs(shooting_residual(sp, np.zeros(2))).max()
+        assert info.value.result.iterations == 2
+        assert info.value.result.p0.tobytes() == np.zeros(2).tobytes()
+        assert info.value.result.residual_norm == np.abs(shooting_residual(sp, np.zeros(2))).max()
 
     def test_divergence_lets_other_errors_of_its_best_full_flow_propagate(
             self, chaplygin_system, monkeypatch):
@@ -874,8 +874,27 @@ class TestSolveBVP:
         sp = shooting_for(problem, dt=1e-2, max_iterations=1)
         with pytest.raises(NewtonDivergence) as info:
             solve_bvp(sp, np.zeros(2))
-        assert info.value.best is not None
-        assert np.isfinite(info.value.residual_norm)
+        assert info.value.result.p0 is not None
+        assert np.isfinite(info.value.result.residual_norm)
+
+    @pytest.mark.parametrize("guess", [None, "zero"])
+    def test_divergence_carries_the_extremal_of_its_best(self, guess, chaplygin_system):
+        # the reported iterate's own full flow is its extremal: no flow is added
+        problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
+                            cost=quadratic_cost(np.eye(2)), horizon=1.0,
+                            y0=[0.5, 0.2], yT=[5.0, -4.0])
+        sp = shooting_for(problem, dt=1e-2, max_iterations=1)
+        with pytest.raises(NewtonDivergence) as info:
+            solve_bvp(sp, None if guess is None else np.zeros(2))
+        result = info.value.result
+        assert isinstance(result, bvp.ShootingResult)
+        expected, cost = extremal_trajectory(sp, result.p0)
+        for field in fields(Trajectory):
+            got, want = getattr(result.trajectory, field.name), getattr(expected, field.name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert result.cost == cost
+        assert result.iterations == 1
+        assert result.residual_norm == np.abs(shooting_residual(sp, result.p0)).max()
 
     def test_legendre_failure_is_not_a_shooting_divergence(self, chaplygin_system):
         # C = sum sqrt(1 + u^2): C_u never reaches 1, so distant targets ask
@@ -916,10 +935,10 @@ class TestSolveBVP:
         with pytest.raises(NewtonDivergence) as info:
             solve_bvp(sp)
         assert failed == [(3, 2)]
-        assert info.value.iterations == 1
+        assert info.value.result.iterations == 1
         # the accepted damped trial is the best iterate
-        assert np.any(info.value.best != 0.0)
-        assert info.value.residual_norm < np.abs(shooting_residual(sp, np.zeros(2))).max()
+        assert np.any(info.value.result.p0 != 0.0)
+        assert info.value.result.residual_norm < np.abs(shooting_residual(sp, np.zeros(2))).max()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_guess_rejected_before_any_flow(self, bad, flows, chaplygin_system):

@@ -8,7 +8,7 @@ import pytest
 from nhoc import (ConstrainedSystem, ControlDistribution, HamiltonianSystem, OCProblem,
                   ShootingProblem, StateQY, Trajectory, make_chaplygin, make_suslov,
                   quadratic_cost, simulate, solve_bvp)
-from nhoc import cli
+from nhoc import bvp, cli
 from nhoc.cli import main
 from nhoc.dynamics import INTEGRATORS
 from nhoc.hamiltonian import SCHEMES
@@ -236,6 +236,26 @@ class TestOptimize:
         assert out.exists()
         assert "NewtonDivergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("guess, full_flows", [([], 2), (["--guess", "0,0"], 3)])
+    def test_nonconvergence_writes_its_best_without_another_flow(self, guess, full_flows,
+                                                                 tmp_path, monkeypatch):
+        # the divergence carries the extremal of its best p0's full flow, so
+        # the report integrates nothing more: from the boundary data the start
+        # p0 and the best iterate are judged by their full flows, and a guess
+        # adds its own first
+        rows, flow = [], bvp.integrate_hamiltonian
+
+        def counting(hs, phase0, t_final, dt, scheme):
+            rows.append((np.atleast_2d(phase0.p_y).shape[0], round(t_final / dt)))
+            return flow(hs, phase0, t_final, dt, scheme)
+
+        monkeypatch.setattr(bvp, "integrate_hamiltonian", counting)
+        code = main(["optimize", "--builtin", "chaplygin", "--y0", "0.5,0.2", "--yT", "5,-4",
+                     "--T", "1", "--dt", "0.01", "--max-iterations", "1", *guess,
+                     "--out", str(tmp_path / "best.csv")])
+        assert code == 4
+        assert rows.count((1, 100)) == full_flows
+
     def test_stall_reports_iterations_taken(self, tmp_path, capsys):
         # a tolerance below rounding makes the line search stall, at a Newton
         # step that moves with any rounding-level change of the flow, so the
@@ -248,14 +268,14 @@ class TestOptimize:
         sp = ShootingProblem(hs=HamiltonianSystem(problem), dt=0.01, tolerance=1e-17)
         with pytest.raises(NewtonDivergence, match="line search stalled") as stalled:
             solve_bvp(sp, np.zeros(2))
-        assert stalled.value.iterations > 0
+        assert stalled.value.result.iterations > 0
         code = main(["optimize", "--builtin", "chaplygin", "--params", "m=1,J=1,a=1,b=0",
                      "--y0", "0.5,0.2", "--yT", "5,-4", "--T", "1", "--dt", "0.01",
                      "--newton-tol", "1e-17", "--out", str(tmp_path / "best.csv")])
         assert code == 4
         captured = capsys.readouterr()
         assert "shooting line search stalled" in captured.err
-        assert f"iterations: {stalled.value.iterations}" in captured.out.splitlines()
+        assert f"iterations: {stalled.value.result.iterations}" in captured.out.splitlines()
 
     def test_legendre_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         from nhoc import cli

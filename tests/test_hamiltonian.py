@@ -986,9 +986,24 @@ class TestErrors:
     def test_singular_hessian_in_the_legendre_newton(self, chaplygin_system):
         problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
                             cost=self.newton_cost(np.zeros((2, 2))), horizon=1.0)
-        with pytest.raises(SingularHessian,
-                           match="^cost Hessian is singular in Legendre inversion$"):
+        with pytest.raises(SingularHessian, match="^cost Hessian is singular$"):
             inverse_legendre(problem, PhasePoint(q=[], y=[0.1, 0.1], p_q=[], p_y=[1.0, 1.0]))
+
+    @pytest.mark.parametrize("site", ["weight", "legendre_newton", "necessary_conditions"])
+    def test_every_singular_hessian_solve_has_one_message(self, site, chaplygin_system):
+        # the quadratic inversion, the Newton step of the Legendre inversion
+        # and the accelerations of the necessary conditions all solve with
+        # the cost Hessian through CostModel.solve_hessian
+        cost = (self.newton_cost(np.zeros((2, 2))) if site == "legendre_newton"
+                else quadratic_cost(np.diag([1.0, 0.0])))
+        problem = OCProblem(system=chaplygin_system, controls=ControlDistribution.full(2),
+                            cost=cost, horizon=1.0)
+        with pytest.raises(SingularHessian, match="^cost Hessian is singular$"):
+            if site == "necessary_conditions":
+                necessary_conditions_field(problem, ExtremalState(y=[1.0, 0.0], v=[0.1, 0.2]))
+            else:
+                inverse_legendre(problem,
+                                 PhasePoint(q=[], y=[0.1, 0.1], p_q=[], p_y=[1.0, 1.0]))
 
     def test_legendre_newton_that_runs_out_of_iterations(self, chaplygin_system):
         # a Hessian 100 times too large shortens every Newton step 100-fold:

@@ -151,7 +151,7 @@ def test_sleigh_solve_from_rest_converges_or_names_its_failure(y_target):
     try:
         result = solve_bvp(sp)
     except NhocError as exc:
-        assert np.isfinite(exc.residual_norm)
+        assert np.isfinite(exc.result.residual_norm)
         return
     assert result.residual_norm <= sp.tolerance
     assert result.residual_norm == np.abs(shooting_residual(sp, result.p0)).max()

@@ -19,8 +19,8 @@ solves per error name; ``failures_by_scheme``, the same count per scheme, so
 that a failure one scheme meets and the others do not shows in one record;
 ``flows``, ``failed_flows`` (those that raised) and
 ``row_steps`` (rows times steps, summed over the flows); and ``outcomes``, per
-solve a SHA-256 prefix of its outcome: its iterations and p0 bytes, its
-NewtonDivergence's iterations and best p0 bytes, or another error's name and
+solve a SHA-256 prefix of its outcome: its iterations and p0 bytes, those
+of the ``result`` its NewtonDivergence carries, or another error's name and
 message.  Two checkouts agree on every solve when their ``outcomes`` match.
 """
 
@@ -101,8 +101,8 @@ def sweep(solves):
                 for tally in (record["failures"], by_scheme):
                     tally[name] = tally.get(name, 0) + 1
                 if isinstance(exc, NewtonDivergence):
-                    outcome = _digest(name, exc.iterations, exc.best.tobytes())
-                    record["iterations"] += exc.iterations
+                    outcome = _digest(name, exc.result.iterations, exc.result.p0.tobytes())
+                    record["iterations"] += exc.result.iterations
                 else:
                     outcome = _digest(name, str(exc))
             else:

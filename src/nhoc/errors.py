@@ -45,7 +45,7 @@ class NewtonDivergence(NhocError):
     partial progress as they report a converged solve.
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result):
         super().__init__(message)
         self.result = result
 

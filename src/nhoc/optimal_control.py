@@ -160,7 +160,7 @@ class ControlDistribution:
         ValidationError unless the indices are a sequence of integers, and
         DimensionMismatch for one outside [0, rank_d) or repeated."""
         read = checked_array(indices, "actuated indices")
-        if read.ndim != 1 or (read != np.trunc(read)).any():
+        if np.ndim(indices) != 1 or (read != np.trunc(read)).any():
             raise ValidationError(f"actuated indices {indices!r} must be a sequence of integers")
         indices = tuple(int(i) for i in read)
         if any(not 0 <= i < rank_d for i in indices):

@@ -173,8 +173,9 @@ def test_a_flow_read_names_its_bad_argument(read, what, value):
         read(value)
 
 
-@pytest.mark.parametrize("indices", [[0.5], [1.9], [0, 1.5], ["a"], [[0]], [np.nan], [np.inf]],
-                         ids=["half", "almost_two", "second", "text", "nested", "nan", "inf"])
+@pytest.mark.parametrize("indices", [[0.5], [1.9], [0, 1.5], ["a"], [[0]], [np.nan], [np.inf], 1],
+                         ids=["half", "almost_two", "second", "text", "nested", "nan", "inf",
+                              "scalar"])
 def test_actuated_indices_must_be_integers(indices):
     with pytest.raises(ValidationError, match="actuated indices"):
         ControlDistribution.on_indices(2, indices)

@@ -92,9 +92,10 @@ class CostModel:
         this is the one solve with it."""
         if self.weight_identity:
             return rhs
-        hess = self.weight if self.quadratic else self.d2uu(q, y, u)
         try:
-            return np.linalg.solve(hess, rhs[..., None])[..., 0]
+            if self.quadratic:
+                return np.linalg.solve(self.weight, rhs[..., None])[..., 0]
+            return np.linalg.solve(self.d2uu(q, y, u), rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian("cost Hessian is singular") from exc
 
